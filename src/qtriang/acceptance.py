@@ -31,7 +31,7 @@ from .charring import (
 )
 from .classify import Catalog, enumerate_qt, enumerate_triangular
 from .cyclotomic import CycScalar, root_of_unity
-from .groups import bundled_group
+from .groups import CATALOG_NAMES, bundled_group
 from .hopf import GATensor
 from .rmatrix import (
     alpha_map,
@@ -41,7 +41,6 @@ from .rmatrix import (
     verify_markov_equation,
 )
 
-CATALOG_GROUPS = ("Z2", "Z3", "Z4", "Z2xZ2", "S3", "D4", "Q8")
 REGULAR_REP_GROUPS = ("Z2", "Z4", "Z2xZ2")
 
 
@@ -109,7 +108,7 @@ def criterion_2() -> CriterionResult:
     start = time.perf_counter()
     total = 0
     failures = []
-    for name in CATALOG_GROUPS:
+    for name in CATALOG_NAMES:
         catalog = qt_catalog(name)
         total += len(catalog)
         for idx, report in enumerate(catalog.reports):
@@ -118,7 +117,7 @@ def criterion_2() -> CriterionResult:
     elapsed = time.perf_counter() - start
     passed = not failures and elapsed < 120.0
     details = (
-        f"{total} data over {len(CATALOG_GROUPS)} groups, "
+        f"{total} data over {len(CATALOG_NAMES)} groups, "
         f"{len(failures)} verification failures, runtime {elapsed:.1f}s < 120s"
     )
     if failures:
@@ -139,7 +138,7 @@ def criterion_3() -> CriterionResult:
     flagged_implies_unitary = True
     class_equivalence = True
     checked = 0
-    for name in CATALOG_GROUPS:
+    for name in CATALOG_NAMES:
         catalog = qt_catalog(name)
         for idx, datum in enumerate(catalog.data):
             checked += 1
@@ -175,7 +174,7 @@ def criterion_4() -> CriterionResult:
     start = time.perf_counter()
     problems = []
     checked = 0
-    for name in CATALOG_GROUPS:
+    for name in CATALOG_NAMES:
         catalog = triangular_catalog(name)
         group = catalog.group
         for idx, datum in enumerate(catalog.data):
@@ -216,7 +215,7 @@ def criterion_5() -> CriterionResult:
     problems = []
     checked = 0
     cache = _SUPPORT_CACHE
-    for name in CATALOG_GROUPS:
+    for name in CATALOG_NAMES:
         catalog = qt_catalog(name)
         for idx, datum in enumerate(catalog.data):
             checked += 1
@@ -257,7 +256,7 @@ def criterion_6() -> CriterionResult:
     problems = []
     checked = 0
     cache = _EXTERIOR_CACHE
-    for name in CATALOG_GROUPS:
+    for name in CATALOG_NAMES:
         catalog = triangular_catalog(name)
         for idx in range(len(catalog)):
             built = catalog.rmats[idx]
@@ -301,7 +300,7 @@ def criterion_7() -> CriterionResult:
     problems = []
     checked = 0
     cache = _CYCLIC_CACHE
-    for name in CATALOG_GROUPS:
+    for name in CATALOG_NAMES:
         catalog = triangular_catalog(name)
         group = catalog.group
         for idx in range(len(catalog)):
@@ -378,7 +377,7 @@ def criterion_8() -> CriterionResult:
     problems = []
     checked = 0
     rng = random.Random(20260808)
-    for name in CATALOG_GROUPS:
+    for name in CATALOG_NAMES:
         group = bundled_group(name)
         chars = [rep.character() for rep in _test_reps(name)]
         if name not in REGULAR_REP_GROUPS:
@@ -432,7 +431,7 @@ def criterion_9() -> CriterionResult:
     start = time.perf_counter()
     problems = []
     checked = 0
-    for name in CATALOG_GROUPS:
+    for name in CATALOG_NAMES:
         catalog = triangular_catalog(name)
         for idx, datum in enumerate(catalog.data):
             checked += 1
@@ -460,7 +459,7 @@ def criterion_10() -> CriterionResult:
     problems = []
     checked = 0
     cache = _BRAIDING_CACHE
-    for name in CATALOG_GROUPS:
+    for name in CATALOG_NAMES:
         catalog = triangular_catalog(name)
         group = catalog.group
         reps = list(_test_reps(name))

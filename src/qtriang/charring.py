@@ -15,7 +15,7 @@ import itertools
 from fractions import Fraction
 
 from .cyclotomic import CycScalar
-from .groups import FiniteGroup
+from .groups import FiniteGroup, closure, subgroup_structure
 from .hopf import GATensor
 from .linalg import Matrix
 from .rmatrix import markov_element, verify_unitary
@@ -158,23 +158,11 @@ def _commutator_subgroup(group: FiniteGroup) -> frozenset:
         for g in group.elements()
         for h in group.elements()
     }
-    elems = set(seeds) | {group.identity}
-    changed = True
-    while changed:
-        changed = False
-        for a in list(elems):
-            for b in list(elems):
-                c = group.table[a][b]
-                if c not in elems:
-                    elems.add(c)
-                    changed = True
-    return frozenset(elems)
+    return closure(seeds, group.identity, group.mul)
 
 
 def linear_characters(group: FiniteGroup) -> list[ClassFunction]:
     """All one-dimensional characters, pulled back from the abelianization."""
-    from .groups import subgroup_structure
-
     commutator = _commutator_subgroup(group)
     cosets: list[frozenset] = []
     coset_of = {}

@@ -14,8 +14,6 @@ field is infinite); the artifact checks soundness and distinctness only.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .groups import (
@@ -73,13 +71,6 @@ class Catalog:
         return [i for i, d in enumerate(self.data) if d.triangular]
 
 
-def default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("QTRIANG_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _enumerate_data(group: FiniteGroup, triangular_only: bool) -> list[QTDatum]:
     if group.size > 64:
         raise ValueError("enumeration is capped at groups of order 64")
@@ -111,34 +102,19 @@ def _enumerate_data(group: FiniteGroup, triangular_only: bool) -> list[QTDatum]:
     return data
 
 
-def _verify_entry(datum: QTDatum):
-    built = build_r(datum)
-    return built, verify_qt(built), markov_element(built), verify_unitary(built)
-
-
-def enumerate_qt(
-    group: FiniteGroup, *, triangular_only: bool = False, threads: int | None = None
-) -> Catalog:
+def enumerate_qt(group: FiniteGroup, *, triangular_only: bool = False) -> Catalog:
     """Catalog of all structures on k[G]; deterministic over iteration order.
 
     With ``triangular_only`` the inclusions are forced to coincide and the
-    forms to be skewsymmetric.  ``threads`` (default: the QTRIANG_THREADS
-    environment variable) parallelizes the per-datum verification; results
-    are assembled in enumeration order either way.
+    forms to be skewsymmetric.
     """
-    data = _enumerate_data(group, triangular_only)
-    threads = default_threads() if threads is None else max(1, threads)
-    if threads > 1 and len(data) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_verify_entry, data))
-    else:
-        results = [_verify_entry(d) for d in data]
-    catalog = Catalog(group=group, data=data)
-    for built, report, markov, unitary in results:
+    catalog = Catalog(group=group, data=_enumerate_data(group, triangular_only))
+    for datum in catalog.data:
+        built = build_r(datum)
         catalog.rmats.append(built)
-        catalog.reports.append(report)
-        catalog.markovs.append(markov)
-        catalog.unitary.append(unitary)
+        catalog.reports.append(verify_qt(built))
+        catalog.markovs.append(markov_element(built))
+        catalog.unitary.append(verify_unitary(built))
     classes: dict = {}
     for idx, built in enumerate(catalog.rmats):
         classes.setdefault(built.canonical_key(), []).append(idx)
@@ -146,6 +122,6 @@ def enumerate_qt(
     return catalog
 
 
-def enumerate_triangular(group: FiniteGroup, *, threads: int | None = None) -> Catalog:
+def enumerate_triangular(group: FiniteGroup) -> Catalog:
     """The unitary part of the catalog: coinciding inclusions, skew forms."""
-    return enumerate_qt(group, triangular_only=True, threads=threads)
+    return enumerate_qt(group, triangular_only=True)

@@ -29,7 +29,7 @@ from .charring import (
     linear_character_reps,
     regular_rep,
 )
-from .classify import COMPLETENESS_NOTE, default_threads, enumerate_qt
+from .classify import COMPLETENESS_NOTE, enumerate_qt
 from .cyclotomic import root_of_unity
 from .groups import CATALOG_NAMES
 from .rmatrix import (
@@ -103,36 +103,51 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# What a jsonio reader raises on a document of the wrong shape: a missing
+# key, a value of the wrong type, or a zero denominator.
+_MALFORMED = (KeyError, TypeError, AttributeError, ZeroDivisionError)
+
+
 def _load_json(path: str) -> dict:
     try:
         with open(path) as handle:
-            return json.load(handle)
+            doc = json.load(handle)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InputError(f"{path} does not hold a JSON object")
+    return doc
 
 
 def _resolve_group(args, fallback_name: str | None = None):
     if args.group:
         try:
             return jsonio.resolve_group(args.group)
-        except (OSError, json.JSONDecodeError, KeyError) as exc:
+        except (OSError, json.JSONDecodeError, *_MALFORMED) as exc:
             raise InputError(f"cannot load group {args.group!r}: {exc}") from exc
     if fallback_name and fallback_name in CATALOG_NAMES:
         return jsonio.resolve_group(fallback_name)
     raise InputError("no --group given and the input does not name a bundled group")
 
 
+def _read(args, path: str, reader):
+    """The value a jsonio reader builds from the document at ``path``, and its group."""
+    doc = _load_json(path)
+    group = _resolve_group(args, doc.get("group"))
+    try:
+        return reader(doc, group), group
+    except _MALFORMED as exc:
+        raise InputError(f"{path} is malformed: {type(exc).__name__}: {exc}") from exc
+
+
 def _load_rmatrix(args):
     if args.rmatrix:
-        doc = _load_json(args.rmatrix)
-        group = _resolve_group(args, doc.get("group"))
-        return jsonio.tensor_from_json(doc, group), group, None
+        tensor, group = _read(args, args.rmatrix, jsonio.tensor_from_json)
+        return tensor, group, None
     if args.datum:
-        doc = _load_json(args.datum)
-        group = _resolve_group(args, doc.get("group"))
-        datum = jsonio.datum_from_json(doc, group)
+        datum, group = _read(args, args.datum, jsonio.datum_from_json)
         return build_r(datum), group, datum
     raise InputError("either --rmatrix or --datum is required")
 
@@ -145,9 +160,7 @@ def _test_rep_set(group):
 
 def _cmd_classify(args):
     group = _resolve_group(args)
-    catalog = enumerate_qt(
-        group, triangular_only=args.triangular, threads=default_threads()
-    )
+    catalog = enumerate_qt(group, triangular_only=args.triangular)
     entries = []
     for idx, datum in enumerate(catalog.data):
         entries.append(
@@ -284,9 +297,7 @@ def _cmd_exterior(args):
 def _cmd_koszul_twist(args):
     if not args.datum:
         raise InputError("koszul-twist needs --datum")
-    doc_in = _load_json(args.datum)
-    group = _resolve_group(args, doc_in.get("group"))
-    datum = jsonio.datum_from_json(doc_in, group)
+    datum, group = _read(args, args.datum, jsonio.datum_from_json)
     twist = koszul_twist(datum)
     doc = {
         "command": "koszul-twist",

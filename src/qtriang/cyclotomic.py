@@ -102,35 +102,34 @@ def _reduce_mod_cyclotomic(coeffs: list[Fraction], n: int) -> tuple[Fraction, ..
     return tuple(c[:deg])
 
 
-def _solve_rational(columns: list[tuple[Fraction, ...]], target: tuple[Fraction, ...]):
-    # Solve sum_j x_j * columns[j] = target over Q; None if inconsistent.
-    nrows = len(target)
-    ncols = len(columns)
-    aug = [[columns[j][i] for j in range(ncols)] + [target[i]] for i in range(nrows)]
+def rref(rows: list[list]) -> tuple[list[list], list[int]]:
+    """Reduced row echelon form (a fresh matrix) and its pivot columns.
+
+    Field-agnostic: entries need only exact ``1 / x``, ``*``, ``-`` and a
+    truth value, so the same loop serves Fraction and CycScalar matrices.
+    """
+    rows = [list(r) for r in rows]
+    if not rows:
+        return [], []
+    nrows = len(rows)
     pivots = []
     row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, nrows) if aug[r][col]), None)
+    for col in range(len(rows[0])):
+        pivot = next((r for r in range(row, nrows) if rows[r][col]), None)
         if pivot is None:
             continue
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [v * inv for v in aug[row]]
+        rows[row], rows[pivot] = rows[pivot], rows[row]
+        inv = 1 / rows[row][col]
+        rows[row] = [v * inv for v in rows[row]]
         for r in range(nrows):
-            if r != row and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[row])]
+            if r != row and rows[r][col]:
+                factor = rows[r][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[row])]
         pivots.append(col)
         row += 1
         if row == nrows:
             break
-    for r in range(row, nrows):
-        if aug[r][ncols]:
-            return None
-    solution = [_ZERO] * ncols
-    for r, col in enumerate(pivots):
-        solution[col] = aug[r][ncols]
-    return solution
+    return rows, pivots
 
 
 class CycScalar:
@@ -317,9 +316,15 @@ class CycScalar:
             return self._min
         result = self
         for d in divisors(self.order)[:-1]:
-            sol = _solve_rational(_embed_basis(d, self.order), self.coeffs)
-            if sol is not None:
-                result = CycScalar(d, sol)
+            basis = _embed_basis(d, self.order)
+            m = len(basis)
+            # Solve sum_j x_j * basis[j] = coeffs over Q.  The embedded basis
+            # is independent, so the system is consistent exactly when the
+            # target column is not a pivot, i.e. when there are m pivots.
+            aug = [[col[i] for col in basis] + [c] for i, c in enumerate(self.coeffs)]
+            reduced_rows, pivots = rref(aug)
+            if len(pivots) == m:
+                result = CycScalar(d, [r[m] for r in reduced_rows[:m]])
                 break
         result._min = result
         self._min = result

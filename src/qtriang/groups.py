@@ -507,17 +507,23 @@ def enumerate_biforms(
 # ---------------------------------------------------------------------------
 # Subgroup enumeration and inclusions.
 
-def _closure(group: FiniteGroup, seed) -> frozenset:
-    elems = set(seed) | {group.identity}
-    frontier = list(elems)
+def closure(seed, identity, mul) -> frozenset:
+    """The subgroup generated by ``seed`` in a finite group with product ``mul``.
+
+    Grows from the identity by right multiplication with the seed elements;
+    in a finite group the monoid they generate is already the subgroup.
+    """
+    gens = set(seed)
+    elems = {identity}
+    frontier = [identity]
     while frontier:
         new = []
         for a in frontier:
-            for b in list(elems):
-                for c in (group.table[a][b], group.table[b][a]):
-                    if c not in elems:
-                        elems.add(c)
-                        new.append(c)
+            for s in gens:
+                c = mul(a, s)
+                if c not in elems:
+                    elems.add(c)
+                    new.append(c)
         frontier = new
     return frozenset(elems)
 
@@ -539,7 +545,7 @@ def abelian_normal_subgroups(group: FiniteGroup) -> list[frozenset]:
                     continue
                 if any(group.table[g][s] != group.table[s][g] for s in sub):
                     continue
-                grown = _closure(group, sub | {g})
+                grown = closure(sub | {g}, group.identity, group.mul)
                 if grown not in found:
                     found.add(grown)
                     nxt.append(grown)
@@ -664,16 +670,6 @@ class Inclusion:
                 autos.append(mapping)
         return autos
 
-    def module_structure(self) -> dict:
-        """g -> (a -> preimage of g * i(a) * g^-1), for comparing inclusions."""
-        out = {}
-        for g in self.group.elements():
-            out[g] = {
-                a: self.backward[self.group.conjugate(self.forward[a], g)]
-                for a in self.domain.elements()
-            }
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, Inclusion):
             return NotImplemented
@@ -688,6 +684,39 @@ class Inclusion:
 
     def __repr__(self):
         return f"Inclusion({self.domain!r} -> {self.group.name}, gens {self.gen_images})"
+
+
+def _generator_tuples(group: FiniteGroup, factors, candidates):
+    """Independent commuting generator tuples of the given orders, depth first.
+
+    Slot k takes an element of ``candidates`` (in the order given) of order
+    factors[k] that commutes with the earlier choices and whose powers meet
+    their span only in the identity, so each tuple spans a subgroup of
+    order prod(factors).
+    """
+    by_order: dict[int, list[int]] = {}
+    for g in candidates:
+        by_order.setdefault(group.element_order(g), []).append(g)
+
+    def search(slot: int, chosen: list[int], span: set[int]):
+        if slot == len(factors):
+            yield tuple(chosen)
+            return
+        needed = factors[slot]
+        for g in by_order.get(needed, ()):
+            if any(group.table[g][c] != group.table[c][g] for c in chosen):
+                continue
+            new_span = set()
+            h = group.identity
+            for _ in range(needed):
+                for s in span:
+                    new_span.add(group.table[s][h])
+                h = group.table[h][g]
+            if len(new_span) != len(span) * needed:
+                continue
+            yield from search(slot + 1, chosen + [g], new_span)
+
+    return search(0, [], {group.identity})
 
 
 def subgroup_structure(group: FiniteGroup, subgroup) -> Inclusion:
@@ -706,35 +735,10 @@ def subgroup_structure(group: FiniteGroup, subgroup) -> Inclusion:
             if group.table[a][b] != group.table[b][a]:
                 raise ValueError("subset is not abelian")
     factors = _invariant_factors(group, subgroup)
-    domain = AbelianGroup(factors)
-    if not factors:
-        return Inclusion(group, domain, ())
-    by_order: dict[int, list[int]] = {}
-    for x in sorted(subgroup):
-        by_order.setdefault(group.element_order(x), []).append(x)
-
-    def search(slot: int, chosen: list[int], span: set[int]):
-        if slot == len(factors):
-            return list(chosen)
-        needed = factors[slot]
-        for g in by_order.get(needed, ()):
-            new_span = set()
-            h = group.identity
-            for k in range(needed):
-                for s in span:
-                    new_span.add(group.table[s][h])
-                h = group.table[h][g]
-            if len(new_span) != len(span) * needed:
-                continue
-            result = search(slot + 1, chosen + [g], new_span)
-            if result is not None:
-                return result
-        return None
-
-    gens = search(0, [], {group.identity})
+    gens = next(_generator_tuples(group, factors, sorted(subgroup)), None)
     if gens is None:
         raise AssertionError("generator search failed on a valid abelian subgroup")
-    return Inclusion(group, domain, gens)
+    return Inclusion(group, AbelianGroup(factors), gens)
 
 
 def normal_inclusions(domain: AbelianGroup, group: FiniteGroup) -> list[Inclusion]:
@@ -745,34 +749,11 @@ def normal_inclusions(domain: AbelianGroup, group: FiniteGroup) -> list[Inclusio
     """
     if domain.order > group.size:
         return []
-    by_order: dict[int, list[int]] = {}
-    for g in group.elements():
-        by_order.setdefault(group.element_order(g), []).append(g)
     results = []
-
-    def search(slot: int, chosen: list[int], span: set[int]):
-        if slot == domain.rank:
-            incl = Inclusion(group, domain, chosen)
-            if incl.is_normal():
-                results.append(incl)
-            return
-        needed = domain.factors[slot]
-        for g in by_order.get(needed, ()):
-            if any(group.table[g][c] != group.table[c][g] for c in chosen):
-                continue
-            new_span = set()
-            h = group.identity
-            ok = True
-            for _ in range(needed):
-                for s in span:
-                    new_span.add(group.table[s][h])
-                h = group.table[h][g]
-            ok = len(new_span) == len(span) * needed
-            if not ok:
-                continue
-            search(slot + 1, chosen + [g], new_span)
-
-    search(0, [], {group.identity})
+    for gens in _generator_tuples(group, domain.factors, group.elements()):
+        incl = Inclusion(group, domain, gens)
+        if incl.is_normal():
+            results.append(incl)
     return results
 
 

@@ -12,7 +12,7 @@ convention for operators like R12, R13, R23 on triple tensor products.
 from __future__ import annotations
 
 from .cyclotomic import CycScalar
-from .groups import FiniteGroup
+from .groups import FiniteGroup, closure
 from . import linalg
 
 _ONE = CycScalar.one()
@@ -222,22 +222,11 @@ class GATensor:
     def support_subgroup(self) -> list[tuple[int, ...]]:
         """The subgroup of G^arity generated by the support, sorted."""
         table = self.group.table
-        identity = (self.group.identity,) * self.arity
-        elems = {identity}
-        frontier = set(self.terms) | {identity}
-        elems |= frontier
-        while frontier:
-            new = set()
-            for a in frontier:
-                for b in list(elems):
-                    for c in (
-                        tuple(table[x][y] for x, y in zip(a, b)),
-                        tuple(table[y][x] for x, y in zip(a, b)),
-                    ):
-                        if c not in elems:
-                            elems.add(c)
-                            new.add(c)
-            frontier = new
+        elems = closure(
+            self.terms,
+            (self.group.identity,) * self.arity,
+            lambda a, b: tuple(table[x][y] for x, y in zip(a, b)),
+        )
         return sorted(elems)
 
     def inverse(self) -> "GATensor":

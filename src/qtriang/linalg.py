@@ -9,7 +9,7 @@ dimensions reach a few hundred but columns stay nearly empty.
 
 from __future__ import annotations
 
-from .cyclotomic import CycScalar
+from .cyclotomic import CycScalar, rref as _rref
 
 _ZERO = CycScalar.zero()
 _ONE = CycScalar.one()
@@ -17,28 +17,7 @@ _ONE = CycScalar.one()
 
 def rref(rows: list[list[CycScalar]]) -> tuple[list[list[CycScalar]], list[int]]:
     """Reduced row echelon form (a fresh matrix) and its pivot columns."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[row], rows[pivot] = rows[pivot], rows[row]
-        inv = rows[row][col].inverse()
-        rows[row] = [v * inv for v in rows[row]]
-        for r in range(len(rows)):
-            if r != row and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[row])]
-        pivots.append(col)
-        row += 1
-        if row == len(rows):
-            break
-    return rows, pivots
+    return _rref(rows)
 
 
 def rank(rows: list[list[CycScalar]]) -> int:
@@ -64,32 +43,13 @@ def solve(a_rows: list[list[CycScalar]], rhs: list[CycScalar]):
 
     Free variables are set to zero.
     """
-    nrows = len(a_rows)
     ncols = len(a_rows[0]) if a_rows else 0
-    aug = [list(r) + [rhs[i]] for i, r in enumerate(a_rows)]
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, nrows) if aug[r][col]), None)
-        if pivot is None:
-            continue
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        inv = aug[row][col].inverse()
-        aug[row] = [v * inv for v in aug[row]]
-        for r in range(nrows):
-            if r != row and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-        if row == nrows:
-            break
-    for r in range(row, nrows):
-        if aug[r][ncols]:
-            return None
+    reduced, pivots = _rref([list(r) + [b] for r, b in zip(a_rows, rhs)])
+    if pivots and pivots[-1] == ncols:
+        return None
     solution = [_ZERO] * ncols
     for r, col in enumerate(pivots):
-        solution[col] = aug[r][ncols]
+        solution[col] = reduced[r][ncols]
     return solution
 
 

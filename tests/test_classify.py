@@ -12,6 +12,7 @@ from qtriang.groups import (
     same_module_structure,
     subgroup_structure,
 )
+from qtriang.acceptance import qt_catalog, triangular_catalog
 from qtriang.classify import enumerate_qt, enumerate_triangular
 from qtriang.hopf import GATensor
 
@@ -52,15 +53,15 @@ def test_q8_triangular_markov_elements():
 
 def test_every_entry_verified():
     for name in ("Z2", "Z3", "Z4", "S3"):
-        cat = enumerate_qt(bundled_group(name))
+        cat = qt_catalog(name)
         assert cat.all_verified
         assert all(r.arity == 2 for r in cat.rmats)
 
 
 def test_triangular_subset_of_full_catalog():
     for name in ("Z2", "Z4", "S3", "Q8"):
-        full = enumerate_qt(bundled_group(name))
-        tri = enumerate_triangular(bundled_group(name))
+        full = qt_catalog(name)
+        tri = triangular_catalog(name)
         full_keys = {r.canonical_key() for r in full.rmats}
         for r, unitary in zip(tri.rmats, tri.unitary):
             assert unitary
@@ -69,7 +70,7 @@ def test_triangular_subset_of_full_catalog():
 
 def test_flagged_triangular_entries_are_unitary():
     for name in ("Z2", "Z4", "Z2xZ2", "S3", "Q8"):
-        cat = enumerate_qt(bundled_group(name))
+        cat = qt_catalog(name)
         for idx, datum in enumerate(cat.data):
             if datum.triangular:
                 assert cat.unitary[idx]
@@ -77,7 +78,7 @@ def test_flagged_triangular_entries_are_unitary():
 
 def test_unitary_dedup_classes_contain_flagged_data():
     for name in ("Z2xZ2", "D4"):
-        cat = enumerate_qt(bundled_group(name))
+        cat = qt_catalog(name)
         for members in cat.dedup:
             unitary = cat.unitary[members[0]]
             has_flagged = any(cat.data[i].triangular for i in members)
@@ -152,16 +153,6 @@ def test_dedup_partitions_by_exact_equality():
     for i, a in enumerate(reps):
         for b in reps[i + 1 :]:
             assert a != b
-
-
-def test_threaded_enumeration_matches_serial():
-    group = bundled_group("S3")
-    serial = enumerate_qt(group, threads=1)
-    threaded = enumerate_qt(group, threads=4)
-    assert [r.canonical_key() for r in serial.rmats] == [
-        r.canonical_key() for r in threaded.rmats
-    ]
-    assert serial.dedup == threaded.dedup
 
 
 def test_size_cap():

@@ -202,6 +202,23 @@ def test_cli_parse_errors(workdir, capsys):
     assert doc["error"]["kind"] == "input"
     (workdir / "garbage.json").write_text("{not json")
     assert main(["verify", "--rmatrix", "garbage.json"]) == 2
+    capsys.readouterr()
+    good = jsonio.tensor_to_json(golden_koszul())
+    bad_order = json.loads(json.dumps(good))
+    bad_order["terms"][0]["coeff"]["order"] = "x"
+    zero_den = json.loads(json.dumps(good))
+    zero_den["terms"][0]["coeff"]["coeffs"] = [[1, 0]]
+    for name, doc in (
+        ("order_x.json", bad_order),
+        ("zero_den.json", zero_den),
+        ("top_list.json", [good]),
+    ):
+        _write(workdir / name, doc)
+        assert main(["verify", "--rmatrix", name]) == 2
+        assert json.loads(capsys.readouterr().out)["error"]["kind"] == "input"
+    _write(workdir / "group_list.json", [1, 2])
+    assert main(["classify", "--group", "group_list.json"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["kind"] == "input"
 
 
 def test_cli_invariant_violation(workdir, capsys):

@@ -187,3 +187,11 @@ def test_embedding_commutes_with_arithmetic(a, b):
     target = m * (3 if m % 3 else 2) if m * 3 <= 24 else m
     assert (a + b).embed(target) == a.embed(target) + b.embed(target)
     assert (a * b).embed(target) == a.embed(target) * b.embed(target)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_scalars(), st.sampled_from([1, 2, 3, 5]))
+def test_reduced_is_independent_of_the_written_order(a, k):
+    lifted = a.embed(a.order * k).reduced()
+    r = a.reduced()
+    assert (lifted.order, lifted.coeffs) == (r.order, r.coeffs)

@@ -213,3 +213,26 @@ def test_multiplication_properties(x, y, z):
     assert (x * y).counit(1) == GATensor(
         g, 0, {(): x.counit(1).coeff(()) * y.counit(1).coeff(())}
     )
+
+
+def _generated_by_products(group, arity, support):
+    # Oracle: saturate the support under all pairwise products.
+    elems = set(support) | {(group.identity,) * arity}
+    while True:
+        grown = elems | {
+            tuple(group.table[x][y] for x, y in zip(a, b)) for a in elems for b in elems
+        }
+        if grown == elems:
+            return sorted(elems)
+        elems = grown
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["Z2", "Z3", "S3", "Q8"]), st.integers(1, 2), st.data())
+def test_support_subgroup_against_brute_force(name, arity, data):
+    g = bundled_group(name)
+    keys = data.draw(
+        st.lists(st.tuples(*[st.integers(0, g.size - 1)] * arity), min_size=1, max_size=3)
+    )
+    x = GATensor(g, arity, {key: CycScalar.one() for key in keys})
+    assert x.support_subgroup() == _generated_by_products(g, arity, keys)
