@@ -318,12 +318,16 @@ class BraidedAction:
     """Action of the symmetric group on a tensor power, twisted by an R-matrix.
 
     The adjacent transposition on slots (i, i+1) acts by the R-action
-    followed by the plain factor swap.  For unitary R the generators square
-    to the identity, satisfy the braid relations, and commute with the
-    diagonal group action; all three facts are verified at construction.
+    followed by the plain factor swap: s_i = I (x) B (x) I with B on
+    V (x) V.  For unitary R the generators square to the identity, satisfy
+    the braid relations, and commute with the diagonal group action; all
+    three facts are verified at construction.  Since s_i^2 = I (x) B^2 (x) I
+    and each rho(g) is invertible, the squares and equivariance are checked
+    exactly on the d^2-dimensional B; the braid relation and the commutation
+    of distant generators are checked on the d^n-dimensional generators.
     """
 
-    __slots__ = ("rep", "rmatrix", "power", "generators")
+    __slots__ = ("rep", "rmatrix", "power", "braid", "generators")
 
     def __init__(self, rep: MatrixRep, rmatrix: GATensor, power: int, validate: bool = True):
         if rmatrix.group != rep.group:
@@ -350,16 +354,17 @@ class BraidedAction:
         self.rep = rep
         self.rmatrix = rmatrix
         self.power = power
+        self.braid = braid
         self.generators = generators
         if validate:
             self.validate()
 
     def validate(self):
-        dim = self.rep.dim**self.power
-        ident = Matrix.identity(dim)
-        for s in self.generators:
-            if s @ s != ident:
-                raise ValueError("a braided generator fails to square to the identity")
+        if not self.generators:
+            return
+        braid = self.braid
+        if braid @ braid != Matrix.identity(self.rep.dim**2):
+            raise ValueError("a braided generator fails to square to the identity")
         for a, b in zip(self.generators, self.generators[1:]):
             if a @ b @ a != b @ a @ b:
                 raise ValueError("adjacent generators fail the braid relation")
@@ -368,10 +373,9 @@ class BraidedAction:
                 if a @ b != b @ a:
                     raise ValueError("distant generators fail to commute")
         for g in self.rep.group.elements():
-            diag = self.rep.kron_power(g, self.power)
-            for s in self.generators:
-                if s @ diag != diag @ s:
-                    raise ValueError("the braided action is not equivariant")
+            diag = self.rep.kron_power(g, 2)
+            if braid @ diag != diag @ braid:
+                raise ValueError("the braided action is not equivariant")
 
     def permutation_matrix(self, perm) -> Matrix:
         """Operator of a permutation, via a word in adjacent transpositions."""

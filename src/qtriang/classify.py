@@ -3,9 +3,10 @@
 The enumeration walks abelian normal subgroups, takes one abstract abelian
 group per invariant-factor shape, pairs up normal inclusions that induce
 the same conjugation maps, and attaches every nondegenerate
-conjugation-invariant form.  Every produced element is verified in full;
-distinct data that build the same element bit-for-bit are grouped into
-dedup classes rather than being interpreted away.
+conjugation-invariant form.  Every datum is built, and each distinct
+element is verified in full once; the data that build it share that
+verification.  Distinct data that build the same element bit-for-bit are
+grouped into dedup classes rather than being interpreted away.
 
 Completeness of this parametrization is inherited from the classification
 theorem for group algebras and is not re-verified by search (the ground
@@ -109,15 +110,27 @@ def enumerate_qt(group: FiniteGroup, *, triangular_only: bool = False) -> Catalo
     forms to be skewsymmetric.
     """
     catalog = Catalog(group=group, data=_enumerate_data(group, triangular_only))
-    for datum in catalog.data:
-        built = build_r(datum)
-        catalog.rmats.append(built)
-        catalog.reports.append(verify_qt(built))
-        catalog.markovs.append(markov_element(built))
-        catalog.unitary.append(verify_unitary(built))
+    # The checks are deterministic in the stored terms, so data that build the
+    # same stored form share them.  canonical_key would also merge forms that
+    # store a scalar at another order, whose failure witnesses print differently.
+    verified: dict = {}
     classes: dict = {}
-    for idx, built in enumerate(catalog.rmats):
-        classes.setdefault(built.canonical_key(), []).append(idx)
+    for idx, datum in enumerate(catalog.data):
+        built = build_r(datum)
+        exact = tuple(sorted((key, c.order, c.coeffs) for key, c in built.terms.items()))
+        if exact not in verified:
+            verified[exact] = (
+                built.canonical_key(),
+                verify_qt(built),
+                markov_element(built),
+                verify_unitary(built),
+            )
+        canonical, report, markov, unitary = verified[exact]
+        catalog.rmats.append(built)
+        catalog.reports.append(report)
+        catalog.markovs.append(markov)
+        catalog.unitary.append(unitary)
+        classes.setdefault(canonical, []).append(idx)
     catalog.dedup = sorted(classes.values(), key=lambda members: members[0])
     return catalog
 

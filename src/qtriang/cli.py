@@ -104,8 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # What a jsonio reader raises on a document of the wrong shape: a missing
-# key, a value of the wrong type, or a zero denominator.
-_MALFORMED = (KeyError, TypeError, AttributeError, ZeroDivisionError)
+# key, a value of the wrong type or out of range, or a zero denominator.
+_MALFORMED = (KeyError, TypeError, AttributeError, ZeroDivisionError, jsonio.MalformedDocument)
 
 
 def _load_json(path: str) -> dict:

@@ -140,6 +140,8 @@ class CycScalar:
     def __init__(self, order: int, coeffs):
         if order < 1:
             raise ValueError("order must be positive")
+        if order > ORDER_CAP:
+            raise ValueError(f"cyclotomic order {order} exceeds the supported cap {ORDER_CAP}")
         coeffs = tuple(Fraction(c) for c in coeffs)
         if len(coeffs) != euler_phi(order):
             raise ValueError(

@@ -12,7 +12,7 @@ import json
 from fractions import Fraction
 
 from .charring import ClassFunction, MatrixRep
-from .cyclotomic import CycScalar
+from .cyclotomic import ORDER_CAP, CycScalar, euler_phi
 from .groups import (
     BiForm,
     FiniteGroup,
@@ -40,8 +40,20 @@ def scalar_to_json(value: CycScalar) -> dict:
     }
 
 
+class MalformedDocument(ValueError):
+    """A document that a reader refuses: a value out of range or of the wrong size."""
+
+
 def scalar_from_json(doc: dict) -> CycScalar:
-    return CycScalar(doc["order"], [Fraction(n, d) for n, d in doc["coeffs"]])
+    order = doc["order"]
+    if type(order) is not int or not 1 <= order <= ORDER_CAP:
+        raise MalformedDocument(f"scalar order must be an integer in 1..{ORDER_CAP}, got {order!r}")
+    coeffs = doc["coeffs"]
+    if len(coeffs) != euler_phi(order):
+        raise MalformedDocument(
+            f"expected {euler_phi(order)} coordinates at order {order}, got {len(coeffs)}"
+        )
+    return CycScalar(order, [Fraction(n, d) for n, d in coeffs])
 
 
 def group_to_json(group: FiniteGroup) -> dict:

@@ -12,6 +12,7 @@ from qtriang.hopf import GATensor
 from qtriang.linalg import Matrix
 from qtriang.rmatrix import QTDatum, build_r, markov_element
 from qtriang.charring import (
+    BraidedAction,
     ClassFunction,
     MatrixRep,
     adams_standard,
@@ -192,6 +193,66 @@ def test_generators_square_to_identity_on_catalog_example():
     r = build_r(QTDatum(d4, incl.domain, incl, incl, beta))
     action = braided_action(regular_rep(d4), r, 3)  # validates on construction
     assert len(action.generators) == 2
+
+
+def _reference_validate(action):
+    """The message of the first failing check, each made on the d^n generators."""
+    ident = Matrix.identity(action.rep.dim**action.power)
+    gens = action.generators
+    if any(s @ s != ident for s in gens):
+        return "a braided generator fails to square to the identity"
+    if any(a @ b @ a != b @ a @ b for a, b in zip(gens, gens[1:])):
+        return "adjacent generators fail the braid relation"
+    if any(a @ b != b @ a for i, a in enumerate(gens) for b in gens[i + 2 :]):
+        return "distant generators fail to commute"
+    for g in action.rep.group.elements():
+        diag = action.rep.kron_power(g, action.power)
+        if any(s @ diag != diag @ s for s in gens):
+            return "the braided action is not equivariant"
+    return None
+
+
+def _with_braid(rep, power, braid):
+    # An unvalidated action whose generators are I (x) braid (x) I.
+    action = BraidedAction(rep, GATensor.unit(rep.group, 2), power, validate=False)
+    d = rep.dim
+    action.braid = braid
+    action.generators = [
+        Matrix.identity(d ** (slot - 1)).kron(braid).kron(Matrix.identity(d ** (power - slot - 1)))
+        for slot in range(1, power)
+    ]
+    return action
+
+
+def _sign_flip_braid():
+    # diag(1, -1) (x) I: an involution that does not commute with the swap rho(1) (x) rho(1).
+    one = CycScalar.one()
+    return Matrix(2, 2, {0: {0: one}, 1: {1: -one}}).kron(Matrix.identity(2))
+
+
+@pytest.mark.parametrize(
+    "power, make_braid, message",
+    [
+        (3, lambda action: action.braid, None),
+        (3, lambda action: action.braid.scale(2), "square to the identity"),
+        (2, lambda action: _sign_flip_braid(), "not equivariant"),
+        (3, lambda action: _sign_flip_braid(), "braid relation"),
+    ],
+    ids=["valid", "scaled", "not-equivariant", "braid-relation"],
+)
+def test_validate_on_braid_matches_reference_checks(power, make_braid, message):
+    rep = regular_rep(bundled_group("Z2"))
+    plain = braided_action(rep, koszul(), power, validate=False)
+    action = _with_braid(rep, power, make_braid(plain))
+    expected = _reference_validate(action)
+    if message is None:
+        assert expected is None
+        action.validate()
+        return
+    assert message in expected
+    with pytest.raises(ValueError) as info:
+        action.validate()
+    assert str(info.value) == expected
 
 
 def test_exterior_power_base_cases():

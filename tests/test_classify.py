@@ -12,9 +12,11 @@ from qtriang.groups import (
     same_module_structure,
     subgroup_structure,
 )
+from qtriang import classify
 from qtriang.acceptance import qt_catalog, triangular_catalog
 from qtriang.classify import enumerate_qt, enumerate_triangular
 from qtriang.hopf import GATensor
+from qtriang.rmatrix import markov_element, verify_qt, verify_unitary
 
 
 def test_trivial_group():
@@ -83,6 +85,37 @@ def test_unitary_dedup_classes_contain_flagged_data():
             unitary = cat.unitary[members[0]]
             has_flagged = any(cat.data[i].triangular for i in members)
             assert unitary == has_flagged
+
+
+def _exact_form(tensor):
+    # The stored representation: term keys with each scalar's order and coordinates.
+    return tuple(sorted((key, c.order, c.coeffs) for key, c in tensor.terms.items()))
+
+
+def _checks(report):
+    return [(c.name, c.passed, c.witness) for c in report.checks]
+
+
+@pytest.mark.parametrize("name", ["D4", "Q8"])
+def test_shared_results_equal_fresh_verification(name):
+    cat = qt_catalog(name)
+    for idx, built in enumerate(cat.rmats):
+        assert _checks(cat.reports[idx]) == _checks(verify_qt(built))
+        assert cat.markovs[idx] == markov_element(built)
+        assert cat.unitary[idx] == verify_unitary(built)
+
+
+def test_verify_qt_runs_once_per_exact_form(monkeypatch):
+    calls = []
+
+    def counting_verify_qt(tensor):
+        calls.append(tensor)
+        return verify_qt(tensor)
+
+    monkeypatch.setattr(classify, "verify_qt", counting_verify_qt)
+    cat = enumerate_qt(bundled_group("D4"))
+    assert len(cat) == 58
+    assert len(calls) == len({_exact_form(r) for r in cat.rmats}) == 8
 
 
 # Oracle: independent re-enumeration with all loops reversed.

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -208,10 +211,22 @@ def test_cli_parse_errors(workdir, capsys):
     bad_order["terms"][0]["coeff"]["order"] = "x"
     zero_den = json.loads(json.dumps(good))
     zero_den["terms"][0]["coeff"]["coeffs"] = [[1, 0]]
+    extra_coord = json.loads(json.dumps(good))
+    extra_coord["terms"][0]["coeff"] = {"order": 2, "coeffs": [[1, 2], [1, 2]]}
+    over_cap = json.loads(json.dumps(good))
+    over_cap["terms"][0]["coeff"] = {"order": 100000, "coeffs": [[1, 2]]}
+    over_cap_counted = json.loads(json.dumps(good))
+    over_cap_counted["terms"][0]["coeff"] = {"order": 361, "coeffs": [[1, 2]] * 342}
+    order_zero = json.loads(json.dumps(good))
+    order_zero["terms"][0]["coeff"] = {"order": 0, "coeffs": [[1, 2]]}
     for name, doc in (
         ("order_x.json", bad_order),
         ("zero_den.json", zero_den),
         ("top_list.json", [good]),
+        ("extra_coord.json", extra_coord),
+        ("over_cap.json", over_cap),
+        ("over_cap_counted.json", over_cap_counted),
+        ("order_zero.json", order_zero),
     ):
         _write(workdir / name, doc)
         assert main(["verify", "--rmatrix", name]) == 2
@@ -270,3 +285,18 @@ def test_cli_selftest_surfaces_every_criterion(workdir, capsys):
     assert failing == {3}
     assert doc["all_passed"] is False
     assert status == 1
+
+
+def test_module_entry_point_runs_from_source(tmp_path):
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qtriang", "classify", "--group", "Z2"],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["counts"]["data"] == 2
