@@ -12,7 +12,6 @@ from .groups import (
     abelian_normal_subgroups,
     bundled_group,
     CATALOG_NAMES,
-    conjugacy_classes,
     enumerate_biforms,
     normal_inclusions,
     same_module_structure,
@@ -43,7 +42,6 @@ from .charring import (
     MatrixRep,
     adams_standard,
     adams_twisted,
-    braided_action,
     cyclic_operation_char,
     exterior_power_char,
     lambda_from_adams,

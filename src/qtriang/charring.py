@@ -431,10 +431,6 @@ def _adjacent_word(perm) -> list[int]:
     return word
 
 
-def braided_action(rep: MatrixRep, rmatrix: GATensor, power: int, validate: bool = True) -> BraidedAction:
-    return BraidedAction(rep, rmatrix, power, validate=validate)
-
-
 def exterior_power_char(rep: MatrixRep, rmatrix: GATensor, n: int) -> ClassFunction:
     """Character of the n-th braided exterior power of a representation.
 

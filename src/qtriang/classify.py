@@ -68,9 +68,6 @@ class Catalog:
                 return cls_id
         raise IndexError(index)
 
-    def triangular_indices(self) -> list[int]:
-        return [i for i, d in enumerate(self.data) if d.triangular]
-
 
 def _enumerate_data(group: FiniteGroup, triangular_only: bool) -> list[QTDatum]:
     if group.size > 64:
@@ -99,7 +96,7 @@ def _enumerate_data(group: FiniteGroup, triangular_only: bool) -> list[QTDatum]:
                 if right is not left and not same_module_structure(left, right):
                     continue
                 for beta in forms:
-                    data.append(QTDatum(group, domain, left, right, beta, validate=False))
+                    data.append(QTDatum(group, domain, left, right, beta))
     return data
 
 

@@ -6,6 +6,9 @@ polynomial.  Every value carries its order explicitly; binary operations
 embed both operands into the field of order lcm first, so there is no
 global field object.  All arithmetic is exact (arbitrary-precision
 rationals), and the reduced representation at a fixed order is unique.
+Every linear solve, inversion included, goes through the one elimination
+routine ``rref``: the inverse of x is the solution y of x * y = 1, a
+phi(N) x phi(N) rational system.
 """
 
 from __future__ import annotations
@@ -180,14 +183,6 @@ class CycScalar:
     def __bool__(self) -> bool:
         return not self.is_zero()
 
-    def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
-
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
-
     def embed(self, order: int) -> "CycScalar":
         """The same field element re-expressed at a multiple of its order."""
         if order == self.order:
@@ -216,26 +211,24 @@ class CycScalar:
 
     def __add__(self, other):
         if isinstance(other, CycScalar) and self.order == other.order:
-            return CycScalar._make(
-                self.order, tuple(x + y for x, y in zip(self.coeffs, other.coeffs))
-            )
-        pair = self._coerce(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
+            a, b = self, other
+        else:
+            pair = self._coerce(other)
+            if pair is None:
+                return NotImplemented
+            a, b = pair
         return CycScalar._make(a.order, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, CycScalar) and self.order == other.order:
-            return CycScalar._make(
-                self.order, tuple(x - y for x, y in zip(self.coeffs, other.coeffs))
-            )
-        pair = self._coerce(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
+            a, b = self, other
+        else:
+            pair = self._coerce(other)
+            if pair is None:
+                return NotImplemented
+            a, b = pair
         return CycScalar._make(a.order, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
 
     def __rsub__(self, other):
@@ -266,29 +259,21 @@ class CycScalar:
     __rmul__ = __mul__
 
     def inverse(self) -> "CycScalar":
+        """The unique y with self * y = 1, solved by ``rref``.
+
+        Column j of the phi(N) x phi(N) rational system is self * z^j; it has
+        full rank because the field has no zero divisors.
+        """
         if self.is_zero():
             raise ZeroDivisionError("division by zero in a cyclotomic field")
-        if self.order == 1:
-            return CycScalar.rational(1 / self.coeffs[0])
-        # Extended Euclid on (self, Phi_N) over Q[x]; Phi_N is irreducible,
-        # so the gcd is a nonzero constant.
-        a = list(self.coeffs)
-        b = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        sa: list[Fraction] = [_ONE]
-        sb: list[Fraction] = []
-        while True:
-            while a and not a[-1]:
-                a.pop()
-            if len(a) == 1:
-                inv = 1 / a[0]
-                raw = [c * inv for c in sa]
-                return CycScalar(self.order, _reduce_mod_cyclotomic(raw, self.order))
-            if not a:
-                raise AssertionError("unreachable: nonzero element shares a factor with Phi_N")
-            q, r = _poly_divmod_frac(b, a)
-            sr = _poly_sub(sb, _poly_mul_frac(q, sa))
-            b, sb = a, sa
-            a, sa = r, sr
+        n = len(self.coeffs)
+        cols = [
+            _reduce_mod_cyclotomic([_ZERO] * j + list(self.coeffs), self.order)
+            for j in range(n)
+        ]
+        aug = [[col[i] for col in cols] + [_ONE if i == 0 else _ZERO] for i in range(n)]
+        reduced_rows, _ = rref(aug)
+        return CycScalar._make(self.order, tuple(r[n] for r in reduced_rows))
 
     def __truediv__(self, other):
         pair = self._coerce(other)
@@ -372,43 +357,6 @@ class CycScalar:
         for t in terms[1:]:
             out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
         return out
-
-
-def _poly_divmod_frac(num: list[Fraction], den: list[Fraction]):
-    num = list(num)
-    while den and not den[-1]:
-        den = den[:-1]
-    dd = len(den) - 1
-    quot = [_ZERO] * max(len(num) - dd, 0)
-    inv_lead = 1 / den[-1]
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i] * inv_lead
-        if c:
-            quot[i - dd] = c
-            for j, p in enumerate(den):
-                num[i - dd + j] -= c * p
-    while num and not num[-1]:
-        num.pop()
-    return quot, num
-
-
-def _poly_mul_frac(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = list(a) + [_ZERO] * (n - len(a))
-    b = list(b) + [_ZERO] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
 
 
 @lru_cache(maxsize=None)

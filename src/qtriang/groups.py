@@ -100,9 +100,6 @@ class FiniteGroup:
             n += 1
         return n
 
-    def exponent(self) -> int:
-        return math.lcm(*(self.element_order(g) for g in self.elements()))
-
     def is_abelian(self) -> bool:
         return all(
             self.table[a][b] == self.table[b][a]
@@ -154,10 +151,6 @@ class FiniteGroup:
 
     def __repr__(self):
         return f"FiniteGroup({self.name}, order {self.size})"
-
-
-def conjugacy_classes(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
-    return group.conjugacy_classes()
 
 
 # ---------------------------------------------------------------------------
@@ -241,16 +234,6 @@ def quaternion_group(name: str = "Q8") -> FiniteGroup:
     return FiniteGroup(table, name)
 
 
-_BUILDERS = {
-    "Z2": lambda: cyclic_group(2),
-    "Z3": lambda: cyclic_group(3),
-    "Z4": lambda: cyclic_group(4),
-    "Z2xZ2": lambda: direct_product(cyclic_group(2), cyclic_group(2), "Z2xZ2"),
-    "S3": lambda: symmetric_group(3),
-    "D4": lambda: dihedral_group(4),
-    "Q8": lambda: quaternion_group(),
-}
-
 CATALOG_NAMES = ("Z2", "Z3", "Z4", "Z2xZ2", "S3", "D4", "Q8")
 
 
@@ -294,9 +277,6 @@ class AbelianGroup:
 
     def add(self, a, b) -> tuple[int, ...]:
         return tuple((x + y) % n for x, y, n in zip(a, b, self.factors))
-
-    def neg(self, a) -> tuple[int, ...]:
-        return tuple((-x) % n for x, n in zip(a, self.factors))
 
     def generators(self) -> list[tuple[int, ...]]:
         return [tuple(1 if j == i else 0 for j in range(self.rank)) for i in range(self.rank)]
@@ -346,9 +326,6 @@ class Character:
     def evaluate(self, a) -> CycScalar:
         return root_of_unity(self.parent.exponent, self.exponent_at(a))
 
-    def is_trivial(self) -> bool:
-        return not any(self.exps)
-
     def __mul__(self, other: "Character") -> "Character":
         if self.parent != other.parent:
             raise ValueError("characters of different groups")
@@ -381,7 +358,7 @@ class BiForm:
 
     def __init__(self, parent: AbelianGroup, matrix):
         self.parent = parent
-        gcds = _factor_gcds(parent)
+        gcds = _gcd_table(parent.factors)
         self.matrix = tuple(
             tuple(int(m) % gcds[i][j] for j, m in enumerate(row))
             for i, row in enumerate(matrix)
@@ -392,7 +369,7 @@ class BiForm:
     def exponent_of(self, chi: Character, xi: Character) -> int:
         """k with beta(chi, xi) = zeta_e^k at the group exponent e."""
         e = self.parent.exponent
-        gcds = _factor_gcds(self.parent)
+        gcds = _gcd_table(self.parent.factors)
         total = 0
         for i, ki in enumerate(chi.exps):
             if not ki:
@@ -455,10 +432,6 @@ def _gcd_table(factors: tuple[int, ...]) -> tuple:
     )
 
 
-def _factor_gcds(parent: AbelianGroup):
-    return _gcd_table(parent.factors)
-
-
 def _char_pullback(chi: Character, auto: dict) -> Character:
     """chi o auto as a Character, where auto maps generator tuples."""
     parent = chi.parent
@@ -488,7 +461,7 @@ def enumerate_biforms(
     ambient group must be supplied.
     """
     r = parent.rank
-    gcds = _factor_gcds(parent)
+    gcds = _gcd_table(parent.factors)
     ranges = [range(gcds[i][j]) for i in range(r) for j in range(r)]
     out = []
     for flat in itertools.product(*ranges):

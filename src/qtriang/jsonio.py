@@ -53,6 +53,11 @@ def scalar_from_json(doc: dict) -> CycScalar:
         raise MalformedDocument(
             f"expected {euler_phi(order)} coordinates at order {order}, got {len(coeffs)}"
         )
+    for c in coeffs:
+        if type(c) is not list or len(c) != 2 or any(type(v) is not int for v in c):
+            raise MalformedDocument(
+                f"a coordinate must be a pair [num, den] of integers, got {c!r}"
+            )
     return CycScalar(order, [Fraction(n, d) for n, d in coeffs])
 
 
@@ -97,11 +102,20 @@ def tensor_from_json(doc: dict, group: FiniteGroup) -> GATensor:
         raise ValueError(
             f"tensor was written for group {doc['group']!r}, not {group.name!r}"
         )
-    return GATensor(
-        group,
-        doc["arity"],
-        [(tuple(t["tuple"]), scalar_from_json(t["coeff"])) for t in doc["terms"]],
-    )
+    arity = doc["arity"]
+    if type(arity) is not int or arity < 0:
+        raise MalformedDocument(f"arity must be a non-negative integer, got {arity!r}")
+    terms = []
+    for t in doc["terms"]:
+        key = t["tuple"]
+        if type(key) is not list or len(key) != arity or any(
+            type(g) is not int or not 0 <= g < group.size for g in key
+        ):
+            raise MalformedDocument(
+                f"term tuple {key!r} needs {arity} element indices in 0..{group.size - 1}"
+            )
+        terms.append((tuple(key), scalar_from_json(t["coeff"])))
+    return GATensor(group, arity, terms)
 
 
 def datum_to_json(datum: QTDatum) -> dict:

@@ -168,9 +168,6 @@ class Matrix:
                 total = total + v
         return total
 
-    def commutes_with(self, other: "Matrix") -> bool:
-        return self @ other == other @ self
-
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented

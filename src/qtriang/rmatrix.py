@@ -55,6 +55,21 @@ class VerificationReport:
             witness.update(extra)
             self.add(name, False, witness)
 
+    def add_commutation(self, name: str, x: GATensor, basis):
+        """Whether x commutes with basis(g) for every g, witnessing the first g that fails."""
+        for g in x.group.elements():
+            b = basis(g)
+            diff = first_difference(x * b, b * x)
+            if diff is not None:
+                key, left, right = diff
+                self.add(
+                    name,
+                    False,
+                    {"element": g, "tuple": list(key), "left": str(left), "right": str(right)},
+                )
+                return
+        self.add(name, True)
+
     @property
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
@@ -80,7 +95,11 @@ class DatumError(ValueError):
 
 
 class QTDatum:
-    """Classification datum (G, A, i, j, beta) for an R-matrix on k[G]."""
+    """Classification datum (G, A, i, j, beta) for an R-matrix on k[G].
+
+    Every invariant is validated once, at construction, so a QTDatum that
+    exists is valid; ``validate`` raises DatumError on the first violation.
+    """
 
     __slots__ = ("group", "domain", "incl_left", "incl_right", "beta")
 
@@ -91,15 +110,13 @@ class QTDatum:
         incl_left: Inclusion,
         incl_right: Inclusion,
         beta: BiForm,
-        validate: bool = True,
     ):
         self.group = group
         self.domain = domain
         self.incl_left = incl_left
         self.incl_right = incl_right
         self.beta = beta
-        if validate:
-            self.validate()
+        self.validate()
 
     def validate(self):
         if self.incl_left.group != self.group or self.incl_right.group != self.group:
@@ -190,8 +207,10 @@ def _character_double_sum(
 
 
 def build_r(datum: QTDatum) -> GATensor:
-    """The R-matrix attached to a classification datum."""
-    datum.validate()
+    """The R-matrix attached to a classification datum.
+
+    The datum was validated when it was constructed, so this only builds.
+    """
     return _character_double_sum(
         datum.domain, datum.incl_left, datum.incl_right, datum.beta
     )
@@ -216,19 +235,9 @@ def verify_qt(candidate: GATensor) -> VerificationReport:
     report.add("invertible", True)
 
     group = candidate.group
-    for g in group.elements():
-        diag = GATensor.basis(group, g, g)
-        diff = first_difference(candidate * diag, diag * candidate)
-        if diff is not None:
-            key, a, b = diff
-            report.add(
-                "commutes_with_diagonals",
-                False,
-                {"element": g, "tuple": list(key), "left": str(a), "right": str(b)},
-            )
-            break
-    else:
-        report.add("commutes_with_diagonals", True)
+    report.add_commutation(
+        "commutes_with_diagonals", candidate, lambda g: GATensor.basis(group, g, g)
+    )
 
     r12 = candidate.embed_legs((1, 2), 3)
     r13 = candidate.embed_legs((1, 3), 3)
@@ -285,19 +294,7 @@ def verify_markov(candidate: GATensor) -> VerificationReport:
         "coproduct_identity", u.coproduct(1), r21r.inverse() * (u @ u)
     )
     group = candidate.group
-    for g in group.elements():
-        basis = GATensor.basis(group, g)
-        diff = first_difference(u * basis, basis * u)
-        if diff is not None:
-            key, a, b = diff
-            report.add(
-                "central",
-                False,
-                {"element": g, "tuple": list(key), "left": str(a), "right": str(b)},
-            )
-            break
-    else:
-        report.add("central", True)
+    report.add_commutation("central", u, lambda g: GATensor.basis(group, g))
     if verify_unitary(candidate):
         report.add("grouplike_when_unitary", u.is_grouplike())
         report.add_equality("involution_when_unitary", u * u, GATensor.unit(group, 1))

@@ -17,7 +17,6 @@ from qtriang.charring import (
     MatrixRep,
     adams_standard,
     adams_twisted,
-    braided_action,
     cyclic_operation_char,
     exterior_power_char,
     lambda_from_adams,
@@ -154,7 +153,7 @@ def test_verify_lambda_ring_classical_and_twisted():
 def test_braided_action_trivial_r_gives_plain_swaps():
     z2 = bundled_group("Z2")
     rep = regular_rep(z2)
-    action = braided_action(rep, GATensor.unit(z2, 2), 2)
+    action = BraidedAction(rep, GATensor.unit(z2, 2), 2)
     d = rep.dim
     swap = Matrix(
         d * d,
@@ -165,7 +164,7 @@ def test_braided_action_trivial_r_gives_plain_swaps():
 
 
 def test_braided_action_on_odd_line():
-    action = braided_action(sign_rep(), koszul(), 2)
+    action = BraidedAction(sign_rep(), koszul(), 2)
     assert action.generators[0] == Matrix.identity(1).scale(-1)
 
 
@@ -177,13 +176,13 @@ def test_braided_action_rejects_nonunitary():
     beta = enumerate_biforms(a3, autos, nondegenerate=True, g_invariant=True)[0]
     r = build_r(QTDatum(s3, a3, incl, incl, beta))
     with pytest.raises(ValueError):
-        braided_action(regular_rep(s3), r, 2)
+        BraidedAction(regular_rep(s3), r, 2)
 
 
 def test_braided_action_dimension_cap():
     q8 = bundled_group("Q8")
     with pytest.raises(ValueError):
-        braided_action(regular_rep(q8), GATensor.unit(q8, 2), 5)
+        BraidedAction(regular_rep(q8), GATensor.unit(q8, 2), 5)
 
 
 def test_generators_square_to_identity_on_catalog_example():
@@ -191,7 +190,7 @@ def test_generators_square_to_identity_on_catalog_example():
     incl = subgroup_structure(d4, {0, 2})
     beta = enumerate_biforms(incl.domain, nondegenerate=True, skewsymmetric=True)[0]
     r = build_r(QTDatum(d4, incl.domain, incl, incl, beta))
-    action = braided_action(regular_rep(d4), r, 3)  # validates on construction
+    action = BraidedAction(regular_rep(d4), r, 3)  # validates on construction
     assert len(action.generators) == 2
 
 
@@ -242,7 +241,7 @@ def _sign_flip_braid():
 )
 def test_validate_on_braid_matches_reference_checks(power, make_braid, message):
     rep = regular_rep(bundled_group("Z2"))
-    plain = braided_action(rep, koszul(), power, validate=False)
+    plain = BraidedAction(rep, koszul(), power, validate=False)
     action = _with_braid(rep, power, make_braid(plain))
     expected = _reference_validate(action)
     if message is None:

@@ -219,6 +219,13 @@ def test_cli_parse_errors(workdir, capsys):
     over_cap_counted["terms"][0]["coeff"] = {"order": 361, "coeffs": [[1, 2]] * 342}
     order_zero = json.loads(json.dumps(good))
     order_zero["terms"][0]["coeff"] = {"order": 0, "coeffs": [[1, 2]]}
+    short_coord = json.loads(json.dumps(good))
+    short_coord["terms"][0]["coeff"] = {"order": 1, "coeffs": [[1]]}
+    index_out = json.loads(json.dumps(good))
+    index_out["terms"][0]["tuple"] = [0, 5]
+    short_tuple = json.loads(json.dumps(good))
+    short_tuple["terms"][0]["tuple"] = [0]
+    negative_arity = dict(json.loads(json.dumps(good)), arity=-1)
     for name, doc in (
         ("order_x.json", bad_order),
         ("zero_den.json", zero_den),
@@ -227,6 +234,10 @@ def test_cli_parse_errors(workdir, capsys):
         ("over_cap.json", over_cap),
         ("over_cap_counted.json", over_cap_counted),
         ("order_zero.json", order_zero),
+        ("short_coord.json", short_coord),
+        ("index_out.json", index_out),
+        ("short_tuple.json", short_tuple),
+        ("negative_arity.json", negative_arity),
     ):
         _write(workdir / name, doc)
         assert main(["verify", "--rmatrix", name]) == 2

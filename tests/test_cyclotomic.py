@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -195,3 +196,33 @@ def test_reduced_is_independent_of_the_written_order(a, k):
     lifted = a.embed(a.order * k).reduced()
     r = a.reduced()
     assert (lifted.order, lifted.coeffs) == (r.order, r.coeffs)
+
+
+def test_inverse_matches_sympy():
+    # sympy inverts modulo Phi_N with its own polynomial arithmetic over QQ,
+    # sharing no code with the elimination CycScalar.inverse uses.
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(20261018)
+    cases = 0
+    for n in (1, 2, 3, 4, 5, 8, 12, 15, 24):
+        phi = sympy.Poly(sympy.cyclotomic_poly(n, x), x, domain=sympy.QQ)
+        assert tuple(int(c) for c in reversed(phi.all_coeffs())) == cyclotomic_polynomial(n)
+        for _ in range(20):
+            coeffs = [
+                Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(euler_phi(n))
+            ]
+            if not any(coeffs):
+                continue
+            p = sympy.Poly(
+                [sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)],
+                x,
+                domain=sympy.QQ,
+            )
+            expected = [
+                Fraction(int(c.p), int(c.q)) for c in reversed(sympy.invert(p, phi).all_coeffs())
+            ]
+            expected += [Fraction(0)] * (euler_phi(n) - len(expected))
+            assert list(CycScalar(n, coeffs).inverse().coeffs) == expected
+            cases += 1
+    assert cases > 150

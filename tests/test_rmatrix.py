@@ -288,3 +288,30 @@ def test_cross_inclusion_datum_builds_valid_element():
     sup = minimal_support(r, datum)
     assert sup.all_passed
     assert sup.left_dim == sup.right_dim == 2
+
+
+def _s3_transposition_tensor():
+    s3 = bundled_group("S3")
+    a = min(g for g in s3.elements() if s3.element_order(g) == 2)
+    assert a == 1 and a not in s3.center()
+    return GATensor.basis(s3, a, s3.identity)
+
+
+def test_commutation_witness_pins_first_noncommuting_diagonal():
+    report = verify_qt(_s3_transposition_tensor())
+    check = report["commutes_with_diagonals"]
+    assert not check.passed
+    assert check.witness == {"element": 2, "tuple": [3, 2], "left": "0", "right": "1"}
+    assert list(check.witness) == ["element", "tuple", "left", "right"]
+    assert [c.name for c in report.checks][:2] == ["invertible", "commutes_with_diagonals"]
+
+
+def test_central_witness_pins_first_noncommuting_element():
+    report = verify_markov(_s3_transposition_tensor())
+    check = report["central"]
+    assert not check.passed
+    assert check.witness == {"element": 2, "tuple": [3], "left": "0", "right": "1"}
+    assert list(check.witness) == ["element", "tuple", "left", "right"]
+    assert [c.name for c in report.checks] == [
+        "conventions_agree", "invertible", "coproduct_identity", "central",
+    ]
