@@ -23,8 +23,6 @@ from .rmatrix import markov_element, verify_unitary
 #: Largest tensor-power dimension handled by the braided-action machinery.
 DIMENSION_CAP = 4096
 
-_ONE = CycScalar.one()
-
 
 class ClassFunction:
     """A function on conjugacy classes with cyclotomic values."""
@@ -342,9 +340,7 @@ class BraidedAction:
         acted = Matrix.zero(d * d, d * d)
         for (g, h), c in rmatrix.terms.items():
             acted = acted + rep.matrix(g).kron(rep.matrix(h)).scale(c)
-        swap = Matrix(
-            d * d, d * d, {a * d + b: {b * d + a: _ONE} for a in range(d) for b in range(d)}
-        )
+        swap = Matrix.from_permutation([b * d + a for a in range(d) for b in range(d)])
         braid = acted @ swap
         generators = []
         for slot in range(1, power):

@@ -4,8 +4,10 @@ A scalar is stored as its order N together with rational coordinates in the
 power basis 1, z, ..., z^(phi(N)-1), reduced modulo the N-th cyclotomic
 polynomial.  Every value carries its order explicitly; binary operations
 embed both operands into the field of order lcm first, so there is no
-global field object.  All arithmetic is exact (arbitrary-precision
-rationals), and the reduced representation at a fixed order is unique.
+global field object.  Embedding is one cached integer map per (order,
+target order), ``embed_map``, which sparse matrices share.  All
+arithmetic is exact (arbitrary-precision rationals), and the reduced
+representation at a fixed order is unique.
 Every linear solve, inversion included, goes through the one elimination
 routine ``rref``: the inverse of x is the solution y of x * y = 1, a
 phi(N) x phi(N) rational system.
@@ -93,16 +95,43 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def _reduce_mod_cyclotomic(coeffs: list[Fraction], n: int) -> tuple[Fraction, ...]:
+def _reduce_mod_cyclotomic(coeffs: list, n: int) -> tuple:
+    # Remainder modulo the monic Phi_n; exact for int and Fraction
+    # coefficients alike (an int input gives an int output).
     phi = cyclotomic_polynomial(n)
     deg = len(phi) - 1
-    c = list(coeffs) + [_ZERO] * (deg - len(coeffs))
+    c = list(coeffs) + [0] * (deg - len(coeffs))
     for i in range(len(c) - 1, deg - 1, -1):
         lead = c[i]
         if lead:
             for j in range(deg + 1):
                 c[i - deg + j] -= lead * phi[j]
     return tuple(c[:deg])
+
+
+@lru_cache(maxsize=None)
+def embed_map(order: int, target: int) -> tuple[tuple[int, ...], ...]:
+    """Integer coordinates at ``target`` of z_order^i for i < phi(order).
+
+    Row i is the image of the i-th power-basis vector, so lifting a value
+    from order to a multiple target is one integer linear map.
+    """
+    step = target // order
+    return tuple(
+        _reduce_mod_cyclotomic([0] * (i * step) + [1], target)
+        for i in range(euler_phi(order))
+    )
+
+
+def lift(coeffs: tuple, rows: tuple[tuple[int, ...], ...]) -> tuple:
+    """Apply an ``embed_map`` to one coordinate tuple (ints or Fractions)."""
+    out = [coeffs[0] * 0] * len(rows[0])
+    for c, r in zip(coeffs, rows):
+        if c:
+            for t, x in enumerate(r):
+                if x:
+                    out[t] += c if x == 1 else c * x
+    return tuple(out)
 
 
 def rref(rows: list[list]) -> tuple[list[list], list[int]]:
@@ -191,11 +220,7 @@ class CycScalar:
             raise ValueError(f"order {self.order} does not divide {order}")
         if order > ORDER_CAP:
             raise ValueError(f"cyclotomic order {order} exceeds the supported cap {ORDER_CAP}")
-        step = order // self.order
-        raw = [_ZERO] * ((len(self.coeffs) - 1) * step + 1)
-        for i, c in enumerate(self.coeffs):
-            raw[i * step] = c
-        return CycScalar(order, _reduce_mod_cyclotomic(raw, order))
+        return CycScalar._make(order, lift(self.coeffs, embed_map(self.order, order)))
 
     def _coerce(self, other):
         if isinstance(other, CycScalar):
@@ -303,12 +328,15 @@ class CycScalar:
             return self._min
         result = self
         for d in divisors(self.order)[:-1]:
-            basis = _embed_basis(d, self.order)
+            basis = embed_map(d, self.order)
             m = len(basis)
             # Solve sum_j x_j * basis[j] = coeffs over Q.  The embedded basis
             # is independent, so the system is consistent exactly when the
             # target column is not a pivot, i.e. when there are m pivots.
-            aug = [[col[i] for col in basis] + [c] for i, c in enumerate(self.coeffs)]
+            aug = [
+                [Fraction(col[i]) for col in basis] + [c]
+                for i, c in enumerate(self.coeffs)
+            ]
             reduced_rows, pivots = rref(aug)
             if len(pivots) == m:
                 result = CycScalar(d, [r[m] for r in reduced_rows[:m]])
@@ -357,11 +385,6 @@ class CycScalar:
         for t in terms[1:]:
             out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
         return out
-
-
-@lru_cache(maxsize=None)
-def _embed_basis(d: int, n: int) -> list:
-    return [root_of_unity(d, j).embed(n).coeffs for j in range(euler_phi(d))]
 
 
 @lru_cache(maxsize=None)

@@ -133,11 +133,23 @@ def datum_from_json(doc: dict, group: FiniteGroup) -> QTDatum:
         raise ValueError(
             f"datum was written for group {doc['group']!r}, not {group.name!r}"
         )
+    for key in ("subgroup", "i", "j"):
+        indices = doc[key]
+        if type(indices) is not list or any(
+            type(g) is not int or not 0 <= g < group.size for g in indices
+        ):
+            raise MalformedDocument(
+                f"{key!r} must be a list of element indices in 0..{group.size - 1}, got {indices!r}"
+            )
+    beta = doc["beta"]
+    if type(beta) is not list or any(
+        type(row) is not list or any(type(m) is not int for m in row) for row in beta
+    ):
+        raise MalformedDocument(f"'beta' must be a list of lists of integers, got {beta!r}")
     domain = subgroup_structure(group, frozenset(doc["subgroup"])).domain
     left = Inclusion(group, domain, doc["i"])
     right = Inclusion(group, domain, doc["j"])
-    beta = BiForm(domain, doc["beta"])
-    return QTDatum(group, domain, left, right, beta)
+    return QTDatum(group, domain, left, right, BiForm(domain, beta))
 
 
 def class_function_to_json(fn: ClassFunction) -> dict:

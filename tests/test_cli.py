@@ -242,6 +242,14 @@ def test_cli_parse_errors(workdir, capsys):
         _write(workdir / name, doc)
         assert main(["verify", "--rmatrix", name]) == 2
         assert json.loads(capsys.readouterr().out)["error"]["kind"] == "input"
+    for name, doc in (
+        ("datum_index_out.json", dict(z2_datum_doc(), i=[99])),
+        ("datum_subgroup_out.json", dict(z2_datum_doc(), subgroup=[0, 7])),
+        ("datum_beta_str.json", dict(z2_datum_doc(), beta=[["x"]])),
+    ):
+        _write(workdir / name, doc)
+        assert main(["markov", "--datum", name]) == 2
+        assert json.loads(capsys.readouterr().out)["error"]["kind"] == "input"
     _write(workdir / "group_list.json", [1, 2])
     assert main(["classify", "--group", "group_list.json"]) == 2
     assert json.loads(capsys.readouterr().out)["error"]["kind"] == "input"
