@@ -114,7 +114,7 @@ def enumerate_qt(group: FiniteGroup, *, triangular_only: bool = False) -> Catalo
     classes: dict = {}
     for idx, datum in enumerate(catalog.data):
         built = build_r(datum)
-        exact = tuple(sorted((key, c.order, c.coeffs) for key, c in built.terms.items()))
+        exact = tuple(sorted((key, c.order, c.den, c.num) for key, c in built.terms.items()))
         if exact not in verified:
             verified[exact] = (
                 built.canonical_key(),

@@ -17,6 +17,7 @@ JSON: identical inputs produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -54,7 +55,9 @@ class InputError(Exception):
     """Unreadable or unparseable input."""
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="qtriang",
         description="Exact R-matrix classification and twisted character operations "
@@ -222,9 +225,16 @@ def _cmd_markov(args):
     return doc, ok
 
 
+def _check_degree(args) -> None:
+    if args.n < 0:
+        raise InputError("negative exterior powers are not defined")
+
+
 def _character_table(args, operation):
     group = _resolve_group(args)
     u = group.identity if args.u is None else args.u
+    if u not in group.central_involutions():
+        raise InputError(f"element {u} is not a central involution of {group.name}")
     reps = _test_rep_set(group)
     rows = []
     for rep in reps:
@@ -248,6 +258,7 @@ def _cmd_adams(args):
 
 
 def _cmd_lambda(args):
+    _check_degree(args)
     group, u, rows = _character_table(args, lambda x, u, n: lambda_from_adams(x, n, u))
     doc = {
         "command": "lambda",
@@ -260,6 +271,7 @@ def _cmd_lambda(args):
 
 
 def _cmd_exterior(args):
+    _check_degree(args)
     tensor, group, _ = _load_rmatrix(args)
     u = markov_element(tensor)
     u_idx = u.grouplike_index()

@@ -1,21 +1,26 @@
 """Exact arithmetic in the cyclotomic fields Q(zeta_N).
 
-A scalar is stored as its order N together with rational coordinates in the
-power basis 1, z, ..., z^(phi(N)-1), reduced modulo the N-th cyclotomic
-polynomial.  Every value carries its order explicitly; binary operations
-embed both operands into the field of order lcm first, so there is no
-global field object.  Embedding is one cached integer map per (order,
-target order), ``embed_map``, which sparse matrices share.  All
-arithmetic is exact (arbitrary-precision rationals), and the reduced
-representation at a fixed order is unique.
+A scalar is stored as its order N, one positive integer denominator D and
+the phi(N) integer coordinates of D times the value in the power basis
+1, z, ..., z^(phi(N)-1), reduced modulo the N-th cyclotomic polynomial and
+kept in lowest terms (gcd(D, *coordinates) == 1).  The reduced
+representation at a fixed order is unique, so equal values at one order
+store identical data.  Every value carries its order explicitly; binary
+operations embed both operands into the field of order lcm first, so there
+is no global field object.  Embedding is one cached integer map per (order,
+target order), ``embed_map``, which sparse matrices share.  Addition,
+multiplication, negation and embedding run on Python ints and divide out
+one gcd per result; all arithmetic is exact.
 Every linear solve, inversion included, goes through the one elimination
 routine ``rref``: the inverse of x is the solution y of x * y = 1, a
-phi(N) x phi(N) rational system.
+phi(N) x phi(N) rational system.  Fractions appear only there, in
+``reduced``, in the public constructor and in the read-only ``coeffs``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -23,10 +28,8 @@ from functools import lru_cache
 #: the supported group sizes stay far below this.
 ORDER_CAP = 360
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
-
+@lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     """Euler's totient."""
     if n < 1:
@@ -95,17 +98,24 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def _reduce_mod_cyclotomic(coeffs: list, n: int) -> tuple:
-    # Remainder modulo the monic Phi_n; exact for int and Fraction
-    # coefficients alike (an int input gives an int output).
+@lru_cache(maxsize=None)
+def _phi_tail(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    # phi(n) and the nonzero lower coefficients of Phi_n as (offset from
+    # the leading term, coefficient) pairs.
     phi = cyclotomic_polynomial(n)
     deg = len(phi) - 1
+    return deg, tuple((j - deg, p) for j, p in enumerate(phi[:-1]) if p)
+
+
+def _reduce_mod_cyclotomic(coeffs: list, n: int) -> tuple:
+    # Remainder modulo the monic Phi_n of an integer coefficient list.
+    deg, tail = _phi_tail(n)
     c = list(coeffs) + [0] * (deg - len(coeffs))
     for i in range(len(c) - 1, deg - 1, -1):
         lead = c[i]
         if lead:
-            for j in range(deg + 1):
-                c[i - deg + j] -= lead * phi[j]
+            for offset, p in tail:
+                c[i + offset] -= lead * p
     return tuple(c[:deg])
 
 
@@ -124,8 +134,8 @@ def embed_map(order: int, target: int) -> tuple[tuple[int, ...], ...]:
 
 
 def lift(coeffs: tuple, rows: tuple[tuple[int, ...], ...]) -> tuple:
-    """Apply an ``embed_map`` to one coordinate tuple (ints or Fractions)."""
-    out = [coeffs[0] * 0] * len(rows[0])
+    """Apply an ``embed_map`` to one integer coordinate tuple."""
+    out = [0] * len(rows[0])
     for c, r in zip(coeffs, rows):
         if c:
             for t, x in enumerate(r):
@@ -164,39 +174,79 @@ def rref(rows: list[list]) -> tuple[list[list], list[int]]:
     return rows, pivots
 
 
-class CycScalar:
-    """An element of Q(zeta_N) with explicit order and canonical coordinates."""
+def _check_order(order: int) -> None:
+    if order < 1:
+        raise ValueError("order must be positive")
+    if order > ORDER_CAP:
+        raise ValueError(f"cyclotomic order {order} exceeds the supported cap {ORDER_CAP}")
 
-    __slots__ = ("order", "coeffs", "_min")
+
+def _integral(coeffs) -> tuple[int, tuple[int, ...]]:
+    # (den, num) with den the least positive integer making den * coeffs
+    # integral; the pair is then in lowest terms.
+    den = math.lcm(1, *(c.denominator for c in coeffs))
+    return den, tuple(c.numerator * (den // c.denominator) for c in coeffs)
+
+
+def times(u: tuple, v: tuple, order: int) -> tuple:
+    """Product of two integer coordinate tuples at one order, reduced mod Phi_N."""
+    if len(u) == 1:
+        return (u[0] * v[0],)
+    raw = [0] * (2 * len(u) - 1)
+    for s, x in enumerate(u):
+        if x:
+            for t, y in enumerate(v):
+                if y:
+                    raw[s + t] += x * y
+    return _reduce_mod_cyclotomic(raw, order)
+
+
+class CycScalar:
+    """An element of Q(zeta_N): one order, one denominator, integer coordinates.
+
+    ``order`` is N, ``den`` a positive integer D and ``num`` the tuple of the
+    phi(N) integer coordinates of D times the value in the power basis.  The
+    pair is kept in lowest terms (gcd(D, *num) == 1, so zero has D == 1), and
+    coordinates at a fixed order are unique, so equal values at the same
+    order store identical data.  ``+``, ``-``, ``*``, negation and ``embed``
+    never build Fractions; ``inverse`` and ``reduced`` solve through ``rref``
+    on Fractions, and ``coeffs`` reads the coordinates back as Fractions.
+    """
+
+    __slots__ = ("order", "den", "num", "_min")
 
     def __init__(self, order: int, coeffs):
-        if order < 1:
-            raise ValueError("order must be positive")
-        if order > ORDER_CAP:
-            raise ValueError(f"cyclotomic order {order} exceeds the supported cap {ORDER_CAP}")
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        _check_order(order)
+        coeffs = [Fraction(c) for c in coeffs]
         if len(coeffs) != euler_phi(order):
             raise ValueError(
                 f"expected {euler_phi(order)} coordinates at order {order}, got {len(coeffs)}"
             )
         self.order = order
-        self.coeffs = coeffs
+        self.den, self.num = _integral(coeffs)
         self._min = None
 
     @classmethod
-    def _make(cls, order: int, coeffs: tuple) -> "CycScalar":
-        # Internal fast constructor: coeffs must already be a valid tuple of
-        # Fractions of length euler_phi(order).
+    def _make(cls, order: int, den: int, num: tuple) -> "CycScalar":
+        # Internal fast constructor: num must be a tuple of euler_phi(order)
+        # ints and den > 0; divides out their common factor.
+        if den != 1:
+            g = math.gcd(den, *num)
+            if g != 1:
+                den //= g
+                num = tuple(x // g for x in num)
         self = object.__new__(cls)
         self.order = order
-        self.coeffs = coeffs
+        self.den = den
+        self.num = num
         self._min = None
         return self
 
     @classmethod
     def rational(cls, value, order: int = 1) -> "CycScalar":
+        _check_order(order)
         q = Fraction(value)
-        return cls(order, (q,) + (_ZERO,) * (euler_phi(order) - 1))
+        return cls._make(order, q.denominator, (q.numerator,) + (0,) * (euler_phi(order) - 1))
 
     @classmethod
     def zero(cls, order: int = 1) -> "CycScalar":
@@ -206,11 +256,16 @@ class CycScalar:
     def one(cls, order: int = 1) -> "CycScalar":
         return cls.rational(1, order)
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The power-basis coordinates as Fractions (for reading only)."""
+        return tuple(Fraction(x, self.den) for x in self.num)
+
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return any(self.num)
 
     def embed(self, order: int) -> "CycScalar":
         """The same field element re-expressed at a multiple of its order."""
@@ -218,15 +273,14 @@ class CycScalar:
             return self
         if order < 1 or order % self.order:
             raise ValueError(f"order {self.order} does not divide {order}")
-        if order > ORDER_CAP:
-            raise ValueError(f"cyclotomic order {order} exceeds the supported cap {ORDER_CAP}")
-        return CycScalar._make(order, lift(self.coeffs, embed_map(self.order, order)))
+        _check_order(order)
+        return CycScalar._make(order, self.den, lift(self.num, embed_map(self.order, order)))
 
     def _coerce(self, other):
         if isinstance(other, CycScalar):
             pass
         elif isinstance(other, (int, Fraction)):
-            other = CycScalar.rational(other)
+            other = CycScalar.rational(other, self.order)
         else:
             return None
         if self.order == other.order:
@@ -242,7 +296,12 @@ class CycScalar:
             if pair is None:
                 return NotImplemented
             a, b = pair
-        return CycScalar._make(a.order, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        if a.den == b.den:
+            return CycScalar._make(a.order, a.den, tuple(map(operator.add, a.num, b.num)))
+        g = math.gcd(a.den, b.den)
+        fa, fb = b.den // g, a.den // g
+        num = tuple(fa * x + fb * y for x, y in zip(a.num, b.num))
+        return CycScalar._make(a.order, a.den * fa, num)
 
     __radd__ = __add__
 
@@ -254,13 +313,18 @@ class CycScalar:
             if pair is None:
                 return NotImplemented
             a, b = pair
-        return CycScalar._make(a.order, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
+        if a.den == b.den:
+            return CycScalar._make(a.order, a.den, tuple(map(operator.sub, a.num, b.num)))
+        g = math.gcd(a.den, b.den)
+        fa, fb = b.den // g, a.den // g
+        num = tuple(fa * x - fb * y for x, y in zip(a.num, b.num))
+        return CycScalar._make(a.order, a.den * fa, num)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __neg__(self):
-        return CycScalar._make(self.order, tuple(-c for c in self.coeffs))
+        return CycScalar._make(self.order, self.den, tuple(map(operator.neg, self.num)))
 
     def __mul__(self, other):
         if isinstance(other, CycScalar) and self.order == other.order:
@@ -270,35 +334,27 @@ class CycScalar:
             if pair is None:
                 return NotImplemented
             a, b = pair
-        n = len(a.coeffs)
-        if n == 1:
-            return CycScalar._make(a.order, (a.coeffs[0] * b.coeffs[0],))
-        raw = [_ZERO] * (2 * n - 1)
-        for i, x in enumerate(a.coeffs):
-            if x:
-                for j, y in enumerate(b.coeffs):
-                    if y:
-                        raw[i + j] += x * y
-        return CycScalar._make(a.order, _reduce_mod_cyclotomic(raw, a.order))
+        return CycScalar._make(a.order, a.den * b.den, times(a.num, b.num, a.order))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycScalar":
         """The unique y with self * y = 1, solved by ``rref``.
 
-        Column j of the phi(N) x phi(N) rational system is self * z^j; it has
-        full rank because the field has no zero divisors.
+        With self = num / den, column j of the phi(N) x phi(N) rational
+        system is num * z^j and the right-hand side is den * e_0; the matrix
+        has full rank because the field has no zero divisors.
         """
         if self.is_zero():
             raise ZeroDivisionError("division by zero in a cyclotomic field")
-        n = len(self.coeffs)
-        cols = [
-            _reduce_mod_cyclotomic([_ZERO] * j + list(self.coeffs), self.order)
-            for j in range(n)
+        n = len(self.num)
+        cols = [_reduce_mod_cyclotomic([0] * j + list(self.num), self.order) for j in range(n)]
+        aug = [
+            [Fraction(col[i]) for col in cols] + [Fraction(self.den if i == 0 else 0)]
+            for i in range(n)
         ]
-        aug = [[col[i] for col in cols] + [_ONE if i == 0 else _ZERO] for i in range(n)]
         reduced_rows, _ = rref(aug)
-        return CycScalar._make(self.order, tuple(r[n] for r in reduced_rows))
+        return CycScalar._make(self.order, *_integral([r[n] for r in reduced_rows]))
 
     def __truediv__(self, other):
         pair = self._coerce(other)
@@ -330,16 +386,17 @@ class CycScalar:
         for d in divisors(self.order)[:-1]:
             basis = embed_map(d, self.order)
             m = len(basis)
-            # Solve sum_j x_j * basis[j] = coeffs over Q.  The embedded basis
+            # Solve sum_j x_j * basis[j] = num over Q.  The embedded basis
             # is independent, so the system is consistent exactly when the
             # target column is not a pivot, i.e. when there are m pivots.
             aug = [
-                [Fraction(col[i]) for col in basis] + [c]
-                for i, c in enumerate(self.coeffs)
+                [Fraction(col[i]) for col in basis] + [Fraction(c)]
+                for i, c in enumerate(self.num)
             ]
             reduced_rows, pivots = rref(aug)
             if len(pivots) == m:
-                result = CycScalar(d, [r[m] for r in reduced_rows[:m]])
+                den, num = _integral([r[m] for r in reduced_rows[:m]])
+                result = CycScalar._make(d, den * self.den, num)
                 break
         result._min = result
         self._min = result
@@ -348,17 +405,23 @@ class CycScalar:
     def key(self):
         """Hashable canonical key, identical exactly for equal field elements."""
         r = self.reduced()
-        return (r.order, tuple((c.numerator, c.denominator) for c in r.coeffs))
+        return (r.order, r.den, r.num)
 
     def __eq__(self, other):
+        if isinstance(other, CycScalar):
+            if self.order == other.order:
+                return self.den == other.den and self.num == other.num
+            a, b = self.reduced(), other.reduced()
+            return a.order == b.order and a.den == b.den and a.num == b.num
         if isinstance(other, (int, Fraction)):
-            other = CycScalar.rational(other)
-        if not isinstance(other, CycScalar):
-            return NotImplemented
-        if self.order == other.order:
-            return self.coeffs == other.coeffs
-        a, b = self.reduced(), other.reduced()
-        return a.order == b.order and a.coeffs == b.coeffs
+            # A rational q has coordinates (q, 0, ..., 0) at every order.
+            num = self.num
+            return (
+                self.den == other.denominator
+                and num[0] == other.numerator
+                and not any(num[1:])
+            )
+        return NotImplemented
 
     def __hash__(self):
         return hash(self.key())
@@ -390,16 +453,12 @@ class CycScalar:
 @lru_cache(maxsize=None)
 def root_of_unity(order: int, exponent: int = 1) -> CycScalar:
     """zeta_order^exponent in canonical form at the given order."""
-    if order < 1:
-        raise ValueError("order must be positive")
-    if order > ORDER_CAP:
-        raise ValueError(f"cyclotomic order {order} exceeds the supported cap {ORDER_CAP}")
-    k = exponent % order
-    raw = [_ZERO] * k + [_ONE]
-    return CycScalar(order, _reduce_mod_cyclotomic(raw, order))
+    _check_order(order)
+    raw = [0] * (exponent % order) + [1]
+    return CycScalar._make(order, 1, _reduce_mod_cyclotomic(raw, order))
 
 
 @lru_cache(maxsize=None)
 def root_power_table(order: int) -> tuple:
-    """Coefficient vectors of 1, zeta, ..., zeta^(order-1) at the given order."""
-    return tuple(root_of_unity(order, k).coeffs for k in range(order))
+    """Integer coordinate tuples of 1, zeta, ..., zeta^(order-1) at the given order."""
+    return tuple(root_of_unity(order, k).num for k in range(order))

@@ -9,6 +9,7 @@ values always produce identical bytes.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 from .charring import ClassFunction, MatrixRep
@@ -34,10 +35,11 @@ def canonical_dumps(doc) -> str:
 
 def scalar_to_json(value: CycScalar) -> dict:
     r = value.reduced()
-    return {
-        "order": r.order,
-        "coeffs": [[c.numerator, c.denominator] for c in r.coeffs],
-    }
+    coeffs = []
+    for x in r.num:
+        g = math.gcd(x, r.den)
+        coeffs.append([x // g, r.den // g])
+    return {"order": r.order, "coeffs": coeffs}
 
 
 class MalformedDocument(ValueError):

@@ -21,7 +21,6 @@ constructor, ``from_entries``, ``from_dense``) or leave it (``get``,
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .cyclotomic import (
     CycScalar,
@@ -30,6 +29,7 @@ from .cyclotomic import (
     euler_phi,
     lift,
     rref as _rref,
+    times,
 )
 
 _ZERO = CycScalar.zero()
@@ -77,25 +77,6 @@ def _as_scalar(value) -> CycScalar:
     return value if isinstance(value, CycScalar) else CycScalar.rational(value)
 
 
-def _integral(coeffs: tuple) -> tuple[int, tuple[int, ...]]:
-    # (d, c) with d the least positive integer making d * coeffs integral.
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return den, tuple(c.numerator * (den // c.denominator) for c in coeffs)
-
-
-def _times(u: tuple, v: tuple, order: int) -> tuple:
-    # Product of two integer coordinate tuples at one order.
-    if len(u) == 1:
-        return (u[0] * v[0],)
-    raw = [0] * (2 * len(u) - 1)
-    for s, x in enumerate(u):
-        if x:
-            for t, y in enumerate(v):
-                if y:
-                    raw[s + t] += x * y
-    return _reduce_mod_cyclotomic(raw, order)
-
-
 def _content(den: int, cols: dict) -> int:
     # gcd of den and every stored coordinate.
     g = den
@@ -129,11 +110,11 @@ class Matrix:
                 if v:
                     entries.append((i, j, v))
         order = math.lcm(1, *(v.order for _, _, v in entries))
-        parts = [(i, j, _integral(v.embed(order).coeffs)) for i, j, v in entries]
-        den = math.lcm(1, *(d for _, _, (d, _) in parts))
+        parts = [(i, j, v.embed(order)) for i, j, v in entries]
+        den = math.lcm(1, *(v.den for _, _, v in parts))
         out: dict[int, dict[int, tuple[int, ...]]] = {}
-        for i, j, (d, coords) in parts:
-            out.setdefault(j, {})[i] = tuple(x * (den // d) for x in coords)
+        for i, j, v in parts:
+            out.setdefault(j, {})[i] = tuple(x * (den // v.den) for x in v.num)
         self._set(nrows, ncols, order, den, out)
 
     def _set(self, nrows: int, ncols: int, order: int, den: int, cols: dict) -> None:
@@ -191,7 +172,7 @@ class Matrix:
         return cls(nrows, ncols, cols)
 
     def _scalar(self, coords: tuple) -> CycScalar:
-        return CycScalar._make(self.order, tuple(Fraction(x, self.den) for x in coords))
+        return CycScalar._make(self.order, self.den, coords)
 
     def get(self, i: int, j: int) -> CycScalar:
         v = self.cols.get(j, {}).get(i)
@@ -294,12 +275,12 @@ class Matrix:
         if not scalar:
             return Matrix.zero(self.nrows, self.ncols)
         order = math.lcm(self.order, scalar.order)
-        sden, s = _integral(scalar.embed(order).coeffs)
+        s = scalar.embed(order)
         cols = {
-            j: {i: _times(v, s, order) for i, v in col.items()}
+            j: {i: times(v, s.num, order) for i, v in col.items()}
             for j, col in self._lifted(order).items()
         }
-        return Matrix._make(self.nrows, self.ncols, order, self.den * sden, cols)
+        return Matrix._make(self.nrows, self.ncols, order, self.den * s.den, cols)
 
     def kron(self, other: "Matrix") -> "Matrix":
         order, a, b = self._common(other)
@@ -307,7 +288,7 @@ class Matrix:
         for ja, ca in a.items():
             for jb, cb in b.items():
                 cols[ja * other.ncols + jb] = {
-                    ia * other.nrows + ib: _times(va, vb, order)
+                    ia * other.nrows + ib: times(va, vb, order)
                     for ia, va in ca.items()
                     for ib, vb in cb.items()
                 }
@@ -325,7 +306,7 @@ class Matrix:
             v = col.get(j)
             if v is not None:
                 total = [x + y for x, y in zip(total, v)]
-        return self._scalar(total)
+        return self._scalar(tuple(total))
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):

@@ -178,7 +178,7 @@ def _character_double_sum(
     powers = root_power_table(e)
     chars = domain.characters()
     char_exps = {chi.exps: chi for chi in chars}
-    norm = Fraction(1, domain.order**2)
+    norm = domain.order**2
     terms = {}
     elements = list(domain.elements())
     chi_at = {
@@ -195,12 +195,12 @@ def _character_double_sum(
                 for xi in chars:
                     k = (form_exp[(chi.exps, xi.exps)] + ca + chi_at[xi.exps][b]) % e
                     histogram[k] += 1
-            coeffs = [Fraction(0)] * len(powers[0])
+            coeffs = [0] * len(powers[0])
             for k, count in enumerate(histogram):
                 if count:
                     for idx, c in enumerate(powers[k]):
                         coeffs[idx] += count * c
-            scalar = CycScalar(e, [c * norm for c in coeffs])
+            scalar = CycScalar._make(e, norm, tuple(coeffs))
             if scalar:
                 terms[(incl_left.apply(a), incl_right.apply(b))] = scalar
     return GATensor(group, 2, terms)

@@ -1,0 +1,56 @@
+"""Per-layer micro-benchmarks for cyclotomic scalars, outside tier-1.
+
+The file name does not match ``test_*.py``, so the default test run skips
+it.  Run it with
+
+    PYTHONPATH=src python -m pytest tests/bench_cyclotomic.py --benchmark-only
+
+Operands look like R-matrix coefficients: roots of unity averaged over
+|A|^2, so small denominators and every coordinate nonzero.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from qtriang.classify import enumerate_qt
+from qtriang.cyclotomic import CycScalar, euler_phi
+from qtriang.groups import bundled_group
+
+
+def _value(order: int, den: int) -> CycScalar:
+    return CycScalar(order, [Fraction(2 * i + 1, den) for i in range(euler_phi(order))])
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_mul_same_order(benchmark, order):
+    a, b = _value(order, 4), _value(order, 16)
+    benchmark(lambda: a * b)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_add_same_order(benchmark, order):
+    a, b = _value(order, 4), _value(order, 16)
+    benchmark(lambda: a + b)
+
+
+def test_mul_mixed_orders_3_by_4(benchmark):
+    a, b = _value(3, 9), _value(4, 16)
+    benchmark(lambda: a * b)
+
+
+def test_add_mixed_orders_3_by_4(benchmark):
+    a, b = _value(3, 9), _value(4, 16)
+    benchmark(lambda: a + b)
+
+
+def test_inverse_order_4(benchmark):
+    a = _value(4, 16)
+    benchmark(a.inverse)
+
+
+def test_gatensor_inverse_d4(benchmark):
+    # The D4 R-matrix with the most terms.
+    r = max(enumerate_qt(bundled_group("D4")).rmats, key=lambda t: len(t.terms))
+    inverse = benchmark(r.inverse)
+    assert (r * inverse).is_unit()

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from qtriang import jsonio
-from qtriang.cli import main
+from qtriang.cli import build_parser, main
 from qtriang.cyclotomic import CycScalar, root_of_unity
 from qtriang.groups import AbelianGroup, bundled_group, enumerate_biforms, normal_inclusions
 from qtriang.hopf import GATensor
@@ -253,6 +253,38 @@ def test_cli_parse_errors(workdir, capsys):
     _write(workdir / "group_list.json", [1, 2])
     assert main(["classify", "--group", "group_list.json"]) == 2
     assert json.loads(capsys.readouterr().out)["error"]["kind"] == "input"
+
+
+_NEGATIVE = "negative exterior powers are not defined"
+_NOT_INVOLUTION = "element {} is not a central involution of {}"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["lambda", "--group", "Z2", "--n", "-1"], _NEGATIVE),
+        (["exterior", "--datum", "datum.json", "--n", "-1"], _NEGATIVE),
+        (["adams", "--group", "Z2", "--u", "99", "--n", "2"], _NOT_INVOLUTION.format(99, "Z2")),
+        (["lambda", "--group", "Z2", "--u", "99"], _NOT_INVOLUTION.format(99, "Z2")),
+        (["adams", "--group", "S3", "--u", "1"], _NOT_INVOLUTION.format(1, "S3")),
+    ],
+)
+def test_cli_bad_option_values_are_input_errors(workdir, capsys, argv, message):
+    _write(workdir / "datum.json", z2_datum_doc())
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == {"kind": "input", "message": message}
+
+
+def test_cli_reuses_one_parser_and_calls_stay_independent(workdir, capsys):
+    build_parser.cache_clear()
+    assert main(["adams", "--group", "Z2"]) == 0
+    fresh = capsys.readouterr().out
+    assert json.loads(fresh)["u"] == 0
+    assert main(["adams", "--group", "Z2", "--u", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["u"] == 1
+    assert main(["adams", "--group", "Z2"]) == 0
+    assert capsys.readouterr().out == fresh
+    assert build_parser.cache_info().misses == 1
 
 
 def test_cli_invariant_violation(workdir, capsys):

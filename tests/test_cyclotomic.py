@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -226,3 +227,91 @@ def test_inverse_matches_sympy():
             assert list(CycScalar(n, coeffs).inverse().coeffs) == expected
             cases += 1
     assert cases > 150
+
+
+# Stored form: every result holds int coordinates over one positive
+# denominator in lowest terms, and agrees with a reference that computes on
+# Fraction coordinate lists, reducing modulo the Moebius-formula Phi_N.
+
+def _ref_reduce(coeffs, n):
+    phi = _phi_moebius(n)
+    deg = len(phi) - 1
+    c = list(coeffs) + [Fraction(0)] * max(0, deg - len(coeffs))
+    for i in range(len(c) - 1, deg - 1, -1):
+        lead = c[i]
+        for j, p in enumerate(phi):
+            c[i - deg + j] -= lead * p
+    return c[:deg]
+
+
+def _ref_mul(u, v, n):
+    raw = [Fraction(0)] * (len(u) + len(v) - 1)
+    for i, x in enumerate(u):
+        for j, y in enumerate(v):
+            raw[i + j] += x * y
+    return _ref_reduce(raw, n)
+
+
+def _ref_embed(u, n, m):
+    # Substitute z_n = z_m^(m/n) and reduce at order m.
+    step = m // n
+    raw = [Fraction(0)] * ((len(u) - 1) * step + 1)
+    for i, x in enumerate(u):
+        raw[i * step] += x
+    return _ref_reduce(raw, m)
+
+
+def _assert_stored_form(x):
+    assert type(x.den) is int and x.den > 0
+    assert type(x.num) is tuple and len(x.num) == euler_phi(x.order)
+    assert all(type(c) is int for c in x.num)
+    assert math.gcd(x.den, *x.num) == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(_scalars(), _scalars())
+def test_stored_form_and_reference_arithmetic(a, b):
+    n = math.lcm(a.order, b.order)
+    ra = _ref_embed(list(a.coeffs), a.order, n)
+    rb = _ref_embed(list(b.coeffs), b.order, n)
+    cases = [
+        (a + b, n, [x + y for x, y in zip(ra, rb)]),
+        (a - b, n, [x - y for x, y in zip(ra, rb)]),
+        (a * b, n, _ref_mul(ra, rb, n)),
+        (-a, a.order, [-x for x in a.coeffs]),
+        (a.embed(24), 24, _ref_embed(list(a.coeffs), a.order, 24)),
+    ]
+    for got, order, want in cases:
+        _assert_stored_form(got)
+        assert got.order == order and list(got.coeffs) == want
+    if not a.is_zero():
+        inv = a.inverse()
+        _assert_stored_form(inv)
+        assert inv.order == a.order
+        assert _ref_mul(list(inv.coeffs), list(a.coeffs), a.order) == [1] + [0] * (
+            euler_phi(a.order) - 1
+        )
+    r = a.reduced()
+    _assert_stored_form(r)
+    assert a.order % r.order == 0
+    assert _ref_embed(list(r.coeffs), r.order, a.order) == list(a.coeffs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_scalars(), st.sampled_from([1, 2, 3, 4, 6]), _scalars())
+def test_equality_and_hash_agree_across_orders(a, k, c):
+    m = a.order * k
+    b = CycScalar(m, _ref_embed(list(a.coeffs), a.order, m))
+    assert a == b and b == a and hash(a) == hash(b) and a.key() == b.key()
+    n = math.lcm(a.order, c.order)
+    same = _ref_embed(list(a.coeffs), a.order, n) == _ref_embed(list(c.coeffs), c.order, n)
+    assert (a == c) is same and (a != c) is not same
+    if same:
+        assert hash(a) == hash(c)
+    back = (a + c) - c
+    assert back == a and hash(back) == hash(a)
+    assert (a * Fraction(1, 2) == a) is a.is_zero()
+    q = a.coeffs[0]
+    rational = not any(a.coeffs[1:])
+    assert (a == q) is rational and (b == q) is rational
+    assert (a == CycScalar.rational(q, 12)) is rational
