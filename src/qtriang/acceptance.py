@@ -2,8 +2,11 @@
 
 Each criterion function measures its own runtime, returns a structured
 result, and is shared verbatim between the pytest suite and the CLI
-``selftest`` command.  Heavy artifacts (the per-group catalogs) are cached
-at module level, so running the suite in order computes each catalog once.
+``selftest`` command.  The per-group catalogs and test representations are
+cached per process, so running the suite in order enumerates each catalog
+once.  Check results are not cached: on every run, a criterion over the
+catalog checks each distinct element once per catalog, on the first datum
+of its dedup class, and reports the outcome for every datum of the class.
 
 All comparisons are exact; there are no tolerances anywhere.
 """
@@ -17,6 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .charring import (
+    DIMENSION_CAP,
     BraidedAction,
     ClassFunction,
     adams_twisted,
@@ -197,54 +201,58 @@ def criterion_4() -> CriterionResult:
             if tags:
                 problems.append((name, idx, tags))
     elapsed = time.perf_counter() - start
-    details = f"{checked} triangular entries checked, {len(problems)} problems"
-    if problems:
-        details += f"; first: {problems[0]}"
+    details = f"{checked} triangular entries checked, {len(problems)} problems" + _first(problems)
     return CriterionResult(4, "Markov element identities", not problems, details, elapsed)
 
 
-_SUPPORT_CACHE: dict = {}
-_EXTERIOR_CACHE: dict = {}
-_CYCLIC_CACHE: dict = {}
-_BRAIDING_CACHE: dict = {}
+def _first(problems: list) -> str:
+    # Problems lead with a group name and an index in that group.  Checks run
+    # per distinct element, so name the first by (group, index); min keeps
+    # the earliest of equal keys, the datum's first failing check.
+    if not problems:
+        return ""
+    return f"; first: {min(problems, key=lambda p: (CATALOG_NAMES.index(p[0]), p[1]))}"
+
+
+def _support_tags(built: GATensor, datum) -> list[str]:
+    tags = []
+    support = minimal_support(built, datum)
+    if support.left_dim != datum.domain.order:
+        tags.append("left_dimension")
+    if support.right_dim != datum.domain.order:
+        tags.append("right_dimension")
+    tags.extend(k for k, ok in support.checks.items() if not ok)
+    pairing = alpha_map(built)
+    tags.extend(f"alpha_{k}" for k, ok in pairing.checks.items() if not ok)
+    if pairing.rank != datum.domain.order:
+        tags.append("alpha_rank")
+    return tags
 
 
 def criterion_5() -> CriterionResult:
-    """Minimal supports: dimensions, inclusion spans, closures, pairing map."""
+    """Minimal supports: dimensions, inclusion spans, closures, pairing map.
+
+    The spans are compared with the inclusion images, so each distinct
+    element is checked once per (left, right) image pair among its data.
+    """
     start = time.perf_counter()
     problems = []
     checked = 0
-    cache = _SUPPORT_CACHE
     for name in CATALOG_NAMES:
         catalog = qt_catalog(name)
-        for idx, datum in enumerate(catalog.data):
-            checked += 1
-            built = catalog.rmats[idx]
-            key = (
-                built.canonical_key(),
-                tuple(sorted(datum.incl_left.image)),
-                tuple(sorted(datum.incl_right.image)),
-            )
-            tags = cache.get(key)
-            if tags is None:
-                tags = []
-                support = minimal_support(built, datum)
-                if support.left_dim != datum.domain.order:
-                    tags.append("left_dimension")
-                if support.right_dim != datum.domain.order:
-                    tags.append("right_dimension")
-                tags.extend(k for k, ok in support.checks.items() if not ok)
-                pairing = alpha_map(built)
-                tags.extend(f"alpha_{k}" for k, ok in pairing.checks.items() if not ok)
-                if pairing.rank != datum.domain.order:
-                    tags.append("alpha_rank")
-                cache[key] = tags
-            if tags:
-                problems.append((name, idx, tags))
+        for members in catalog.dedup:
+            by_images: dict = {}
+            for idx in members:
+                datum = catalog.data[idx]
+                images = (datum.incl_left.image, datum.incl_right.image)
+                by_images.setdefault(images, []).append(idx)
+            for same in by_images.values():
+                checked += len(same)
+                tags = _support_tags(catalog.rmats[same[0]], catalog.data[same[0]])
+                if tags:
+                    problems.extend((name, idx, tags) for idx in same)
     elapsed = time.perf_counter() - start
-    details = f"{checked} data checked, {len(problems)} problems"
-    if problems:
-        details += f"; first: {problems[0]}"
+    details = f"{checked} data checked, {len(problems)} problems" + _first(problems)
     return CriterionResult(
         5, "minimal support and pairing map structure", not problems, details, elapsed
     )
@@ -255,32 +263,23 @@ def criterion_6() -> CriterionResult:
     start = time.perf_counter()
     problems = []
     checked = 0
-    cache = _EXTERIOR_CACHE
     for name in CATALOG_NAMES:
         catalog = triangular_catalog(name)
-        for idx in range(len(catalog)):
-            built = catalog.rmats[idx]
-            u = catalog.markovs[idx].grouplike_index()
-            for rep_id, rep in enumerate(_test_reps(name)):
+        for members in catalog.dedup:
+            built = catalog.rmats[members[0]]
+            u = catalog.markovs[members[0]].grouplike_index()
+            for rep in _test_reps(name):
                 for n in range(4):
-                    checked += 1
-                    key = (built.canonical_key(), rep_id, n)
-                    ok = cache.get(key)
-                    if ok is None:
-                        left = exterior_power_char(rep, built, n)
-                        right = lambda_from_adams(rep.character(), n, u)
-                        ok = left == right
-                        cache[key] = ok
-                    if not ok:
-                        problems.append((name, idx, rep.name, n))
+                    checked += len(members)
+                    left = exterior_power_char(rep, built, n)
+                    if left != lambda_from_adams(rep.character(), n, u):
+                        problems.extend((name, idx, rep.name, n) for idx in members)
     elapsed = time.perf_counter() - start
     passed = not problems and elapsed < 120.0
     details = (
         f"{checked} (entry, representation, degree) triples, "
-        f"{len(problems)} mismatches, runtime {elapsed:.1f}s < 120s"
+        f"{len(problems)} mismatches, runtime {elapsed:.1f}s < 120s" + _first(problems)
     )
-    if problems:
-        details += f"; first: {problems[0]}"
     return CriterionResult(
         6, "exterior powers equal twisted lambda operations", passed, details, elapsed
     )
@@ -299,76 +298,78 @@ def criterion_7() -> CriterionResult:
     start = time.perf_counter()
     problems = []
     checked = 0
-    cache = _CYCLIC_CACHE
     for name in CATALOG_NAMES:
         catalog = triangular_catalog(name)
-        group = catalog.group
-        for idx in range(len(catalog)):
-            built = catalog.rmats[idx]
-            u = catalog.markovs[idx].grouplike_index()
-            key0 = built.canonical_key()
-            for rep_id, rep in enumerate(_test_reps(name)):
-                char = rep.character()
+        for members in catalog.dedup:
+            built = catalog.rmats[members[0]]
+            u = catalog.markovs[members[0]].grouplike_index()
+            for rep in _test_reps(name):
                 for p in (2, 3):
-                    for eps_power in range(1, p):
-                        eps = root_of_unity(p, eps_power)
-                        key = (key0, rep_id, p, eps_power)
-                        tags = cache.get(key)
-                        if tags is None:
-                            tags = _cyclic_instance_tags(group, rep, built, char, u, p, eps)
-                            cache[key] = tags
-                        checked += 1
+                    root_tags = _cyclic_root_tags(catalog.group, rep, built, u, p)
+                    for eps_power, tags in enumerate(root_tags, start=1):
+                        checked += len(members)
                         if tags:
-                            problems.append((name, idx, rep.name, p, eps_power, tags))
+                            problems.extend(
+                                (name, idx, rep.name, p, eps_power, tags) for idx in members
+                            )
     elapsed = time.perf_counter() - start
     details = f"{checked} (entry, rep, prime, root) cases, {len(problems)} failures"
-    if problems:
-        details += f"; first: {problems[0]}"
+    details += _first(problems)
     return CriterionResult(
         7, "cyclic operation and long-cycle trace identities", not problems, details, elapsed
     )
 
 
-def _cyclic_instance_tags(group, rep, built, char, u, p, eps) -> list[str]:
-    tags = []
+def _cyclic_root_tags(group, rep, built, u, p) -> list[list[str]]:
+    """Failure tags of criterion 7 for eps = zeta_p^k, k = 1 .. p-1, in order.
+
+    What does not depend on eps (trivial-root traces, long-cycle traces,
+    categorical traces of z^p, identity terms, Adams values) is computed once.
+    """
     one = CycScalar.one()
     vals_one = cyclic_operation_char(rep, built, p, one)
-    vals_eps = cyclic_operation_char(rep, built, p, eps)
-    # The scalar component of the nontrivial-root argument.
-    scalar_sum = CycScalar.zero()
-    power = one
-    for _ in range(p):
-        scalar_sum = scalar_sum + power
-        power = power * eps
-    if scalar_sum * CycScalar.rational(Fraction(1, p)) != 0:
-        tags.append("root_sum_nonzero")
     action = BraidedAction(rep, built, p, validate=False)
-    cycle = tuple(range(1, p)) + (0,)
-    tau = action.permutation_matrix(cycle)
+    tau = action.permutation_matrix(tuple(range(1, p)) + (0,))
     u_power = rep.kron_power(u, p)
+    adams = adams_twisted(rep.character(), u, p)
+    per_center = []
     for z in group.center():
-        z_power = rep.kron_power(z, p)
-        zp = group.power(z, p)
-        cat_zp = (rep.matrix(u) @ rep.matrix(zp)).trace()
-        diff = vals_one[z] - vals_eps[z]
-        if diff != cat_zp:
-            tags.append(f"projector_difference_at_{z}")
-        uz = group.table[u][z]
-        plain_diff = vals_one[uz] - vals_eps[uz]
-        if plain_diff != adams_twisted(char, u, p).evaluate(z):
-            tags.append(f"twisted_adams_at_{z}")
+        uz_power = u_power @ rep.kron_power(z, p)
+        cat_zp = (rep.matrix(u) @ rep.matrix(group.power(z, p))).trace()
+        long_cycle_tags = []
         power_mat = tau
         for i in range(1, p):
-            if (u_power @ z_power @ power_mat).trace() != cat_zp:
-                tags.append(f"long_cycle_{i}_at_{z}")
+            if (uz_power @ power_mat).trace() != cat_zp:
+                long_cycle_tags.append(f"long_cycle_{i}_at_{z}")
             power_mat = power_mat @ tau
-        # Nontrivial-root component: subtracting the identity term leaves
-        # (1/p) sum_{i>=1} eps^i times the categorical trace of z^p.
-        ident_term = (u_power @ z_power).trace() * CycScalar.rational(Fraction(1, p))
-        tail = vals_eps[z] - ident_term
-        if tail != cat_zp * CycScalar.rational(Fraction(-1, p)):
-            tags.append(f"eps_component_at_{z}")
-    return tags
+        ident_term = uz_power.trace() * CycScalar.rational(Fraction(1, p))
+        per_center.append((z, cat_zp, adams.evaluate(z), long_cycle_tags, ident_term))
+    out = []
+    for eps_power in range(1, p):
+        eps = root_of_unity(p, eps_power)
+        vals_eps = cyclic_operation_char(rep, built, p, eps)
+        tags = []
+        # The scalar component of the nontrivial-root argument.
+        scalar_sum = CycScalar.zero()
+        power = one
+        for _ in range(p):
+            scalar_sum = scalar_sum + power
+            power = power * eps
+        if scalar_sum * CycScalar.rational(Fraction(1, p)) != 0:
+            tags.append("root_sum_nonzero")
+        for z, cat_zp, adams_at_z, long_cycle_tags, ident_term in per_center:
+            if vals_one[z] - vals_eps[z] != cat_zp:
+                tags.append(f"projector_difference_at_{z}")
+            uz = group.table[u][z]
+            if vals_one[uz] - vals_eps[uz] != adams_at_z:
+                tags.append(f"twisted_adams_at_{z}")
+            tags.extend(long_cycle_tags)
+            # Nontrivial-root component: subtracting the identity term leaves
+            # (1/p) sum_{i>=1} eps^i times the categorical trace of z^p.
+            if vals_eps[z] - ident_term != cat_zp * CycScalar.rational(Fraction(-1, p)):
+                tags.append(f"eps_component_at_{z}")
+        out.append(tags)
+    return out
 
 
 def criterion_8() -> CriterionResult:
@@ -412,8 +413,7 @@ def criterion_8() -> CriterionResult:
                 problems.append((name, u, sorted(set(bad))))
     elapsed = time.perf_counter() - start
     details = f"{checked} (group, involution) rings checked to depth 6, {len(problems)} failures"
-    if problems:
-        details += f"; first: {problems[0]}"
+    details += _first(problems)
     return CriterionResult(
         8, "twisted lambda-ring axioms to depth 6", not problems, details, elapsed
     )
@@ -445,9 +445,7 @@ def criterion_9() -> CriterionResult:
                     (name, idx, [c.name for c in twist.report.failed()])
                 )
     elapsed = time.perf_counter() - start
-    details = f"{checked} triangular entries twisted, {len(problems)} failures"
-    if problems:
-        details += f"; first: {problems[0]}"
+    details = f"{checked} triangular entries twisted, {len(problems)} failures" + _first(problems)
     return CriterionResult(
         9, "graded twist conditions on every triangular entry", not problems, details, elapsed
     )
@@ -458,36 +456,25 @@ def criterion_10() -> CriterionResult:
     start = time.perf_counter()
     problems = []
     checked = 0
-    cache = _BRAIDING_CACHE
     for name in CATALOG_NAMES:
         catalog = triangular_catalog(name)
-        group = catalog.group
         reps = list(_test_reps(name))
         if name not in REGULAR_REP_GROUPS:
-            reps.append(regular_rep(group))
-        for idx in range(len(catalog)):
-            built = catalog.rmats[idx]
-            key0 = built.canonical_key()
-            for rep_id, rep in enumerate(reps):
+            reps.append(regular_rep(catalog.group))
+        for members in catalog.dedup:
+            built = catalog.rmats[members[0]]
+            for rep in reps:
                 for n in (2, 3):
-                    if rep.dim**n > 4096:
+                    if rep.dim**n > DIMENSION_CAP:
                         continue
-                    checked += 1
-                    key = (key0, rep_id, n)
-                    tag = cache.get(key)
-                    if tag is None:
-                        try:
-                            BraidedAction(rep, built, n, validate=True)
-                            tag = ""
-                        except ValueError as exc:
-                            tag = str(exc)
-                        cache[key] = tag
-                    if tag:
-                        problems.append((name, idx, rep.name, n, tag))
+                    checked += len(members)
+                    try:
+                        BraidedAction(rep, built, n, validate=True)
+                    except ValueError as exc:
+                        problems.extend((name, idx, rep.name, n, str(exc)) for idx in members)
     elapsed = time.perf_counter() - start
     details = f"{checked} (entry, rep, power) actions validated, {len(problems)} failures"
-    if problems:
-        details += f"; first: {problems[0]}"
+    details += _first(problems)
     return CriterionResult(
         10, "braided symmetric-group action invariants", not problems, details, elapsed
     )

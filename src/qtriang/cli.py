@@ -23,6 +23,7 @@ import sys
 
 from . import acceptance, jsonio
 from .charring import (
+    DIMENSION_CAP,
     adams_twisted,
     cyclic_operation_char,
     exterior_power_char,
@@ -31,7 +32,7 @@ from .charring import (
     regular_rep,
 )
 from .classify import COMPLETENESS_NOTE, enumerate_qt
-from .cyclotomic import root_of_unity
+from .cyclotomic import ORDER_CAP, root_of_unity
 from .groups import CATALOG_NAMES
 from .rmatrix import (
     DatumError,
@@ -230,55 +231,45 @@ def _check_degree(args) -> None:
         raise InputError("negative exterior powers are not defined")
 
 
+def _check_prime(args) -> None:
+    p = args.p
+    if p is not None and not (1 < p <= ORDER_CAP and all(p % q for q in range(2, p))):
+        raise InputError(f"--p {p} is not a prime at most {ORDER_CAP}")
+
+
 def _character_table(args, operation):
+    """The report of ``operation(character, u, n)`` on each test character."""
     group = _resolve_group(args)
     u = group.identity if args.u is None else args.u
     if u not in group.central_involutions():
         raise InputError(f"element {u} is not a central involution of {group.name}")
-    reps = _test_rep_set(group)
     rows = []
-    for rep in reps:
+    for rep in _test_rep_set(group):
         out = operation(rep.character(), u, args.n)
-        rows.append(
-            {"character": rep.name, "result": jsonio.class_function_to_json(out)}
-        )
-    return group, u, rows
+        rows.append({"character": rep.name, "result": jsonio.class_function_to_json(out)})
+    doc = {"command": args.command, "group": group.name, "u": u, "n": args.n, "results": rows}
+    return doc, True
 
 
 def _cmd_adams(args):
-    group, u, rows = _character_table(args, adams_twisted)
-    doc = {
-        "command": "adams",
-        "group": group.name,
-        "u": u,
-        "n": args.n,
-        "results": rows,
-    }
-    return doc, True
+    return _character_table(args, adams_twisted)
 
 
 def _cmd_lambda(args):
     _check_degree(args)
-    group, u, rows = _character_table(args, lambda x, u, n: lambda_from_adams(x, n, u))
-    doc = {
-        "command": "lambda",
-        "group": group.name,
-        "u": u,
-        "n": args.n,
-        "results": rows,
-    }
-    return doc, True
+    return _character_table(args, lambda x, u, n: lambda_from_adams(x, n, u))
 
 
 def _cmd_exterior(args):
     _check_degree(args)
+    _check_prime(args)
     tensor, group, _ = _load_rmatrix(args)
     u = markov_element(tensor)
     u_idx = u.grouplike_index()
     rows = []
     ok = True
     for rep in _test_rep_set(group):
-        if rep.dim**args.n > 4096:
+        if rep.dim**args.n > DIMENSION_CAP:
             continue
         ext = exterior_power_char(rep, tensor, args.n)
         newton = lambda_from_adams(rep.character(), args.n, u_idx)
@@ -369,14 +360,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         doc, ok = _COMMANDS[args.command](args)
+        status = EXIT_OK if ok else EXIT_CHECK_FAILED
     except InputError as exc:
-        _emit({"error": {"kind": "input", "message": str(exc)}}, args)
-        return EXIT_PARSE_ERROR
+        doc, status = {"error": {"kind": "input", "message": str(exc)}}, EXIT_PARSE_ERROR
     except (DatumError, ValueError) as exc:
-        _emit({"error": {"kind": "invariant", "message": str(exc)}}, args)
-        return EXIT_INVARIANT
-    _emit(doc, args)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+        doc, status = {"error": {"kind": "invariant", "message": str(exc)}}, EXIT_INVARIANT
+    try:
+        _emit(doc, args)
+    except OSError as exc:
+        # The --out path is what failed, so the error goes to stdout.
+        error = {"error": {"kind": "input", "message": f"cannot write {args.out}: {exc}"}}
+        sys.stdout.write(jsonio.canonical_dumps(error))
+        return EXIT_PARSE_ERROR
+    return status
 
 
 if __name__ == "__main__":

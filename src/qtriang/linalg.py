@@ -33,6 +33,7 @@ from .cyclotomic import (
 )
 
 _ZERO = CycScalar.zero()
+_ONE = CycScalar.one()
 
 
 def rref(rows: list[list[CycScalar]]) -> tuple[list[list[CycScalar]], list[int]]:
@@ -51,7 +52,14 @@ def row_basis(rows: list[list[CycScalar]]) -> list[list[CycScalar]]:
 
 
 def in_row_span(basis: list[list[CycScalar]], vector: list[CycScalar]) -> bool:
-    return rank(list(basis) + [list(vector)]) == rank(basis)
+    """Whether ``vector`` is a combination of the rows of ``basis`` (any rows).
+
+    One elimination: a leading 1 that no basis row has keeps the vector's row
+    first, where it ends reduced modulo the row space, so zero iff inside.
+    """
+    tagged = [[_ONE, *vector]] + [[_ZERO, *row] for row in basis]
+    reduced, _ = rref(tagged)
+    return not any(reduced[0][1:])
 
 
 def row_space_equal(a: list[list[CycScalar]], b: list[list[CycScalar]]) -> bool:

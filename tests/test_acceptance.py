@@ -7,9 +7,15 @@ data with distinct inclusions can build elements that are nevertheless
 unitary (first counterexample on Z2xZ2).  Both one-sided refinements are
 verified inside the criterion and reported in its detail line; the test is
 left honestly red rather than weakened.
+
+The criteria over the catalog check each distinct element once and report
+the outcome for every datum that builds it.  The tests after the gate
+inject a failure on one group and expect every datum of that group in the
+count, so no group may reuse another group's answer.
 """
 
 from qtriang import acceptance
+from qtriang.charring import ClassFunction
 
 
 def _run(fn):
@@ -58,3 +64,73 @@ def test_criterion_09_koszul_twist():
 
 def test_criterion_10_braided_action_invariants():
     _run(acceptance.criterion_10)
+
+
+def _fails_with(fn, count_line, first):
+    result = fn()
+    assert not result.passed
+    assert result.details.startswith(count_line), result.details
+    assert f"; first: {first}" in result.details, result.details
+
+
+def test_criterion_05_reports_every_datum_of_a_failing_group(monkeypatch):
+    real = acceptance.alpha_map
+
+    def failing_on_q8(built):
+        pairing = real(built)
+        if built.group.name == "Q8":
+            pairing.checks["injected"] = False
+        return pairing
+
+    monkeypatch.setattr(acceptance, "alpha_map", failing_on_q8)
+    _fails_with(
+        acceptance.criterion_5,
+        "340 data checked, 26 problems",
+        "('Q8', 0, ['alpha_injected'])",
+    )
+
+
+def test_criterion_06_reports_every_datum_of_a_failing_group(monkeypatch):
+    real = acceptance.lambda_from_adams
+
+    def wrong_on_q8(x, n, u):
+        out = real(x, n, u)
+        return out + ClassFunction.constant(x.group, 1) if x.group.name == "Q8" else out
+
+    monkeypatch.setattr(acceptance, "lambda_from_adams", wrong_on_q8)
+    _fails_with(
+        acceptance.criterion_6,
+        "1092 (entry, representation, degree) triples, 32 mismatches",
+        "('Q8', 0, ",
+    )
+
+
+def test_criterion_07_reports_every_datum_of_a_failing_group(monkeypatch):
+    real = acceptance.adams_twisted
+
+    def wrong_on_q8(x, u, k):
+        out = real(x, u, k)
+        return out + ClassFunction.constant(x.group, 1) if x.group.name == "Q8" else out
+
+    monkeypatch.setattr(acceptance, "adams_twisted", wrong_on_q8)
+    _fails_with(
+        acceptance.criterion_7,
+        "819 (entry, rep, prime, root) cases, 24 failures",
+        "('Q8', 0, ",
+    )
+
+
+def test_criterion_10_reports_every_datum_of_a_failing_group(monkeypatch):
+    real = acceptance.BraidedAction
+
+    def raising_on_s3(rep, rmatrix, power, validate=True):
+        if rep.group.name == "S3":
+            raise ValueError("injected failure")
+        return real(rep, rmatrix, power, validate=validate)
+
+    monkeypatch.setattr(acceptance, "BraidedAction", raising_on_s3)
+    _fails_with(
+        acceptance.criterion_10,
+        "606 (entry, rep, power) actions validated, 6 failures",
+        "('S3', 0, ",
+    )

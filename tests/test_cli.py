@@ -257,6 +257,7 @@ def test_cli_parse_errors(workdir, capsys):
 
 _NEGATIVE = "negative exterior powers are not defined"
 _NOT_INVOLUTION = "element {} is not a central involution of {}"
+_NOT_PRIME = "--p {} is not a prime at most 360"
 
 
 @pytest.mark.parametrize(
@@ -267,12 +268,25 @@ _NOT_INVOLUTION = "element {} is not a central involution of {}"
         (["adams", "--group", "Z2", "--u", "99", "--n", "2"], _NOT_INVOLUTION.format(99, "Z2")),
         (["lambda", "--group", "Z2", "--u", "99"], _NOT_INVOLUTION.format(99, "Z2")),
         (["adams", "--group", "S3", "--u", "1"], _NOT_INVOLUTION.format(1, "S3")),
+        (["exterior", "--datum", "datum.json", "--p", "0"], _NOT_PRIME.format(0)),
+        (["exterior", "--datum", "datum.json", "--p", "1"], _NOT_PRIME.format(1)),
+        (["exterior", "--datum", "datum.json", "--p", "4"], _NOT_PRIME.format(4)),
+        (["exterior", "--datum", "datum.json", "--p", "1000"], _NOT_PRIME.format(1000)),
     ],
 )
 def test_cli_bad_option_values_are_input_errors(workdir, capsys, argv, message):
     _write(workdir / "datum.json", z2_datum_doc())
     assert main(argv) == 2
     assert json.loads(capsys.readouterr().out)["error"] == {"kind": "input", "message": message}
+
+
+def test_cli_unwritable_out_is_an_input_error(workdir, capsys):
+    target = workdir / "missing_dir" / "x.json"
+    assert main(["classify", "--group", "Z2", "--out", str(target)]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["kind"] == "input"
+    assert error["message"].startswith(f"cannot write {target}: ")
+    assert not target.exists()
 
 
 def test_cli_reuses_one_parser_and_calls_stay_independent(workdir, capsys):

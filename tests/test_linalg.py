@@ -77,6 +77,13 @@ def test_in_row_span():
     inside = [a * w + b * 7 for a, b in zip(basis[0], basis[1])]
     assert in_row_span(basis, inside)
     assert not in_row_span(basis, [q(0), q(0), q(1)])
+    # Dependent rows: a rank count against len(basis) would accept the
+    # outside vector here, because it raises the rank to exactly 2.
+    dependent = [basis[0], [a * 3 for a in basis[0]]]
+    assert in_row_span(dependent, [a * w for a in basis[0]])
+    assert not in_row_span(dependent, basis[1])
+    assert in_row_span([], [q(0), q(0)])
+    assert not in_row_span([], [q(0), q(1)])
 
 
 # -- sparse Matrix against a dense list-of-CycScalar reference ---------------
