@@ -7,6 +7,9 @@ cached per process, so running the suite in order enumerates each catalog
 once.  Check results are not cached: on every run, a criterion over the
 catalog checks each distinct element once per catalog, on the first datum
 of its dedup class, and reports the outcome for every datum of the class.
+Criterion 7 reads its cyclic-operation values from the long-cycle trace
+table behind ``charring.cyclic_operation_char``, built once per
+(structure, representation, prime).
 
 All comparisons are exact; there are no tolerances anywhere.
 """
@@ -24,14 +27,16 @@ from .charring import (
     BraidedAction,
     ClassFunction,
     adams_twisted,
-    cyclic_operation_char,
     exterior_power_char,
     lambda_from_adams,
     linear_character_reps,
     regular_rep,
     sigma_from_lambda,
     verify_lambda_ring,
+    _cyclic_value,
+    _lambda_additivity_failures,
     _lambda_sequence,
+    _long_cycle_traces,
 )
 from .classify import Catalog, enumerate_qt, enumerate_triangular
 from .cyclotomic import CycScalar, root_of_unity
@@ -323,31 +328,26 @@ def criterion_7() -> CriterionResult:
 def _cyclic_root_tags(group, rep, built, u, p) -> list[list[str]]:
     """Failure tags of criterion 7 for eps = zeta_p^k, k = 1 .. p-1, in order.
 
-    What does not depend on eps (trivial-root traces, long-cycle traces,
-    categorical traces of z^p, identity terms, Adams values) is computed once.
+    Every value comes from one long-cycle trace table per (R, rep, p); what
+    does not depend on eps (trivial-root values, long-cycle checks,
+    categorical traces of z^p, identity terms, Adams values) is read once.
     """
     one = CycScalar.one()
-    vals_one = cyclic_operation_char(rep, built, p, one)
-    action = BraidedAction(rep, built, p, validate=False)
-    tau = action.permutation_matrix(tuple(range(1, p)) + (0,))
-    u_power = rep.kron_power(u, p)
+    table = _long_cycle_traces(rep, built, p)
     adams = adams_twisted(rep.character(), u, p)
     per_center = []
-    for z in group.center():
-        uz_power = u_power @ rep.kron_power(z, p)
+    for z, traces in table.items():
         cat_zp = (rep.matrix(u) @ rep.matrix(group.power(z, p))).trace()
-        long_cycle_tags = []
-        power_mat = tau
-        for i in range(1, p):
-            if (uz_power @ power_mat).trace() != cat_zp:
-                long_cycle_tags.append(f"long_cycle_{i}_at_{z}")
-            power_mat = power_mat @ tau
-        ident_term = uz_power.trace() * CycScalar.rational(Fraction(1, p))
+        long_cycle_tags = [
+            f"long_cycle_{i}_at_{z}" for i in range(1, p) if traces[i] != cat_zp
+        ]
+        ident_term = traces[0] * CycScalar.rational(Fraction(1, p))
         per_center.append((z, cat_zp, adams.evaluate(z), long_cycle_tags, ident_term))
+    vals_one = {z: _cyclic_value(traces, one) for z, traces in table.items()}
     out = []
     for eps_power in range(1, p):
         eps = root_of_unity(p, eps_power)
-        vals_eps = cyclic_operation_char(rep, built, p, eps)
+        vals_eps = {z: _cyclic_value(traces, eps) for z, traces in table.items()}
         tags = []
         # The scalar component of the nontrivial-root argument.
         scalar_sum = CycScalar.zero()
@@ -392,14 +392,10 @@ def criterion_8() -> CriterionResult:
                 x = _random_virtual(rng, group, chars)
                 y = _random_virtual(rng, group, chars)
                 lx = _lambda_sequence(x, 6, u)
-                ly = _lambda_sequence(y, 6, u)
-                lxy = _lambda_sequence(x + y, 6, u)
-                for i in range(7):
-                    acc = ClassFunction.constant(group, 0)
-                    for s in range(i + 1):
-                        acc = acc + lx[s] * ly[i - s]
-                    if lxy[i] != acc:
-                        bad.append(f"random_lambda_additivity_{i}")
+                failures = _lambda_additivity_failures(
+                    lx, _lambda_sequence(y, 6, u), _lambda_sequence(x + y, 6, u)
+                )
+                bad.extend(f"random_lambda_additivity_{i}" for i in failures)
                 # Series inversion: sum_{i+j=n} (-1)^i lambda^i sigma^j = 0.
                 sigmas = [sigma_from_lambda(x, n, u) for n in range(7)]
                 for n in range(1, 7):

@@ -4,9 +4,10 @@ For a unitary R-matrix with Markov element u, the braided action of the
 symmetric group on tensor powers of a representation defines exterior
 powers whose classes depend only on u.  This module realizes both sides
 of that statement concretely: matrix representations with their braided
-symmetric-group actions, antisymmetrizers and cyclic projectors on one
-side; class functions with twisted Adams operations and the Newton-type
-lambda/sigma recursions on the other.  Everything is exact.
+symmetric-group actions, antisymmetrizers and the traces of the braided
+long cycle behind the cyclic operations on one side; class functions with
+twisted Adams operations and the Newton-type lambda/sigma recursions on
+the other.  Everything is exact.
 """
 
 from __future__ import annotations
@@ -295,18 +296,27 @@ def verify_lambda_ring(u: int, characters, depth: int = 6) -> dict[str, bool]:
             for m in range(1, depth + 1):
                 if adams_twisted(adams_twisted(x, u, m), u, n) != adams_twisted(x, u, n * m):
                     checks["adams_composition"] = False
-    for x in characters:
-        for y in characters:
-            lx = _lambda_sequence(x, depth, u)
-            ly = _lambda_sequence(y, depth, u)
-            lxy = _lambda_sequence(x + y, depth, u)
-            for i in range(depth + 1):
-                acc = ClassFunction.constant(group, 0)
-                for s in range(i + 1):
-                    acc = acc + lx[s] * ly[i - s]
-                if lxy[i] != acc:
-                    checks["lambda_additive"] = False
+    lams = [_lambda_sequence(x, depth, u) for x in characters]
+    for x, lx in zip(characters, lams):
+        for y, ly in zip(characters, lams):
+            if _lambda_additivity_failures(lx, ly, _lambda_sequence(x + y, depth, u)):
+                checks["lambda_additive"] = False
     return checks
+
+
+def _lambda_additivity_failures(lx, ly, lxy) -> list[int]:
+    """Degrees i where lxy[i] != sum_s lx[s] ly[i-s].
+
+    The arguments are the lambda sequences of x, y and x + y to one depth.
+    """
+    failures = []
+    for i, expected in enumerate(lxy):
+        acc = ClassFunction.constant(expected.group, 0)
+        for s in range(i + 1):
+            acc = acc + lx[s] * ly[i - s]
+        if expected != acc:
+            failures.append(i)
+    return failures
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +386,10 @@ class BraidedAction:
     def permutation_matrix(self, perm) -> Matrix:
         """Operator of a permutation, via a word in adjacent transpositions."""
         word = _adjacent_word(perm)
-        out = Matrix.identity(self.rep.dim**self.power)
-        for slot in word:
+        if not word:
+            return Matrix.identity(self.rep.dim**self.power)
+        out = self.generators[word[0] - 1]
+        for slot in word[1:]:
             out = out @ self.generators[slot - 1]
         return out
 
@@ -394,21 +406,6 @@ class BraidedAction:
             acc = acc + (mat if sign > 0 else mat.scale(-1))
             count += 1
         return acc.scale(Fraction(1, count))
-
-    def cyclic_projector(self, eps: CycScalar) -> Matrix:
-        """(1/p) sum of eps^i times the i-th power of the long cycle."""
-        p = self.power
-        cycle = tuple(range(1, p)) + (0,)
-        tau = self.permutation_matrix(cycle)
-        dim = self.rep.dim**p
-        acc = Matrix.zero(dim, dim)
-        power = Matrix.identity(dim)
-        weight = CycScalar.one()
-        for _ in range(p):
-            acc = acc + power.scale(weight)
-            power = power @ tau
-            weight = weight * eps
-        return acc.scale(Fraction(1, p))
 
 
 def _adjacent_word(perm) -> list[int]:
@@ -475,6 +472,37 @@ def qtrace(rep: MatrixRep, rmatrix: GATensor, endo: Matrix) -> CycScalar:
     return (rep.matrix(u) @ endo).trace()
 
 
+def _long_cycle_traces(rep: MatrixRep, rmatrix: GATensor, p: int) -> dict[int, list[CycScalar]]:
+    """For every central z, the traces of (uz)^(x)p composed with tau^i, i = 0 .. p-1.
+
+    Here u is the Markov element and tau the braided long cycle on the p-th
+    tensor power; (uz)^(x)p = u^(x)p z^(x)p because the rep is a homomorphism.
+    """
+    group = rep.group
+    u = _markov_index(rmatrix)
+    action = BraidedAction(rep, rmatrix, p, validate=False)
+    tau = action.permutation_matrix(tuple(range(1, p)) + (0,))
+    out = {}
+    for z in group.center():
+        acted = rep.kron_power(group.table[u][z], p)
+        row = [acted.trace()]
+        for _ in range(1, p):
+            acted = acted @ tau
+            row.append(acted.trace())
+        out[z] = row
+    return out
+
+
+def _cyclic_value(traces: list[CycScalar], eps: CycScalar) -> CycScalar:
+    """(1/p) sum of eps^i times traces[i]: one row of the long-cycle table at eps."""
+    acc = CycScalar.zero()
+    weight = CycScalar.one()
+    for trace in traces:
+        acc = acc + weight * trace
+        weight = weight * eps
+    return acc * CycScalar.rational(Fraction(1, len(traces)))
+
+
 def cyclic_operation_char(
     rep: MatrixRep, rmatrix: GATensor, p: int, eps: CycScalar
 ) -> dict[int, CycScalar]:
@@ -482,19 +510,12 @@ def cyclic_operation_char(
 
     Returns, for every central z, the categorical trace on the p-th tensor
     power of the z-action composed with (1/p) sum eps^i tau^i, where tau is
-    the braided long cycle.
+    the braided long cycle.  By linearity this is (1/p) sum eps^i times the
+    trace of (uz)^(x)p tau^i, so the projector itself is never formed.
     """
     if not isinstance(eps, CycScalar):
         eps = CycScalar.rational(eps)
     if eps**p != CycScalar.one():
         raise ValueError(f"eps is not a {p}-th root of unity")
-    group = rep.group
-    u = _markov_index(rmatrix)
-    action = BraidedAction(rep, rmatrix, p, validate=False)
-    projector = action.cyclic_projector(eps)
-    u_power = rep.kron_power(u, p)
-    out = {}
-    for z in group.center():
-        z_power = rep.kron_power(z, p)
-        out[z] = (u_power @ z_power @ projector).trace()
-    return out
+    table = _long_cycle_traces(rep, rmatrix, p)
+    return {z: _cyclic_value(row, eps) for z, row in table.items()}

@@ -1,6 +1,7 @@
 """Acceptance gate: every criterion at its stated (exact) tolerance.
 
-Each test runs one criterion from the shared acceptance module, prints its
+Each gate test reads one criterion from a single ``qtriang selftest`` run
+shared by the session (the CLI test reads the same run), prints its
 one-line summary, and asserts the criterion passed.  Criterion 3 is known
 to fail as literally stated: the datum-to-element map is many-to-one, and
 data with distinct inclusions can build elements that are nevertheless
@@ -10,60 +11,63 @@ left honestly red rather than weakened.
 
 The criteria over the catalog check each distinct element once and report
 the outcome for every datum that builds it.  The tests after the gate
-inject a failure on one group and expect every datum of that group in the
-count, so no group may reuse another group's answer.
+inject a failure on one group, call their criterion directly and expect
+every datum of that group in the count, so no group may reuse another
+group's answer.
 """
 
 from qtriang import acceptance
 from qtriang.charring import ClassFunction
 
 
-def _run(fn):
-    result = fn()
+def _run(selftest, number):
+    _, doc = selftest
+    result = acceptance.CriterionResult(**doc["criteria"][number - 1])
     print()
     print(result.line())
+    assert result.number == number
     assert result.passed, result.details
     return result
 
 
-def test_criterion_01_koszul_golden_value():
-    _run(acceptance.criterion_1)
+def test_criterion_01_koszul_golden_value(selftest):
+    _run(selftest, 1)
 
 
-def test_criterion_02_soundness_sweep():
-    _run(acceptance.criterion_2)
+def test_criterion_02_soundness_sweep(selftest):
+    _run(selftest, 2)
 
 
-def test_criterion_03_triangular_iff_unitary():
-    _run(acceptance.criterion_3)
+def test_criterion_03_triangular_iff_unitary(selftest):
+    _run(selftest, 3)
 
 
-def test_criterion_04_markov_identities():
-    _run(acceptance.criterion_4)
+def test_criterion_04_markov_identities(selftest):
+    _run(selftest, 4)
 
 
-def test_criterion_05_minimal_support():
-    _run(acceptance.criterion_5)
+def test_criterion_05_minimal_support(selftest):
+    _run(selftest, 5)
 
 
-def test_criterion_06_exterior_equals_lambda():
-    _run(acceptance.criterion_6)
+def test_criterion_06_exterior_equals_lambda(selftest):
+    _run(selftest, 6)
 
 
-def test_criterion_07_cyclic_operation_instances():
-    _run(acceptance.criterion_7)
+def test_criterion_07_cyclic_operation_instances(selftest):
+    _run(selftest, 7)
 
 
-def test_criterion_08_lambda_ring_axioms():
-    _run(acceptance.criterion_8)
+def test_criterion_08_lambda_ring_axioms(selftest):
+    _run(selftest, 8)
 
 
-def test_criterion_09_koszul_twist():
-    _run(acceptance.criterion_9)
+def test_criterion_09_koszul_twist(selftest):
+    _run(selftest, 9)
 
 
-def test_criterion_10_braided_action_invariants():
-    _run(acceptance.criterion_10)
+def test_criterion_10_braided_action_invariants(selftest):
+    _run(selftest, 10)
 
 
 def _fails_with(fn, count_line, first):

@@ -1,5 +1,8 @@
+from fractions import Fraction
+
 import pytest
 
+from qtriang import acceptance, charring
 from qtriang.cyclotomic import CycScalar, root_of_unity
 from qtriang.groups import (
     AbelianGroup,
@@ -26,6 +29,7 @@ from qtriang.charring import (
     regular_rep,
     sigma_from_lambda,
     verify_lambda_ring,
+    _adjacent_word,
 )
 
 
@@ -321,6 +325,67 @@ def test_cyclic_difference_reproduces_twisted_adams():
             for z in z2.center():
                 uz = z2.table[u][z]
                 assert plus[uz] - minus[uz] == adams_twisted(char, u, p).evaluate(z)
+
+
+def _reference_cyclic_operation_char(rep, rmatrix, p, eps):
+    # The projector (1/p) sum eps^i tau^i formed as a matrix, tau built from
+    # the identity by the generators of its word, then traced against
+    # u^(x)p z^(x)p for each central z.
+    action = BraidedAction(rep, rmatrix, p, validate=False)
+    dim = rep.dim**p
+    tau = Matrix.identity(dim)
+    for slot in _adjacent_word(tuple(range(1, p)) + (0,)):
+        tau = tau @ action.generators[slot - 1]
+    acc = Matrix.zero(dim, dim)
+    power = Matrix.identity(dim)
+    weight = CycScalar.one()
+    for _ in range(p):
+        acc = acc + power.scale(weight)
+        power = power @ tau
+        weight = weight * eps
+    projector = acc.scale(Fraction(1, p))
+    u_power = rep.kron_power(markov_element(rmatrix).grouplike_index(), p)
+    return {
+        z: (u_power @ rep.kron_power(z, p) @ projector).trace()
+        for z in rep.group.center()
+    }
+
+
+@pytest.mark.parametrize("name", acceptance.REGULAR_REP_GROUPS)
+def test_cyclic_operation_matches_projector_reference(name):
+    catalog = acceptance.triangular_catalog(name)
+    rep = regular_rep(catalog.group)
+    for members in catalog.dedup:
+        r = catalog.rmats[members[0]]
+        for p in (2, 3):
+            for k in range(p):
+                eps = root_of_unity(p, k)
+                expected = _reference_cyclic_operation_char(rep, r, p, eps)
+                assert cyclic_operation_char(rep, r, p, eps) == expected, (name, p, k)
+
+
+def test_criterion_07_builds_one_action_per_structure_rep_and_prime(monkeypatch):
+    # One action for each of the 186 distinct (R, rep, p) triples, shared by all roots.
+    builds = []
+    real = BraidedAction
+
+    def counting(*args, **kwargs):
+        builds.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(charring, "BraidedAction", counting)
+    monkeypatch.setattr(acceptance, "BraidedAction", counting)
+    assert acceptance.criterion_7().passed
+    assert len(builds) == 186
+
+
+def test_permutation_matrix_multiplies_only_generators():
+    rep = regular_rep(bundled_group("Z2"))
+    action = BraidedAction(rep, koszul(), 3)
+    s1, s2 = action.generators
+    assert action.permutation_matrix((0, 1, 2)) == Matrix.identity(8)
+    assert action.permutation_matrix((1, 0, 2)) is s1
+    assert action.permutation_matrix((1, 2, 0)) == s2 @ s1  # word (2, 1)
 
 
 def test_cyclic_values_on_odd_line_koszul_split():

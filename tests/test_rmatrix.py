@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from qtriang.acceptance import triangular_catalog
 from qtriang.groups import (
+    CATALOG_NAMES,
     AbelianGroup,
     BiForm,
     bundled_group,
@@ -273,6 +275,17 @@ def test_koszul_twist_d4_klein():
         datum = QTDatum(d4, a, incl, incl, beta)
         result = koszul_twist(datum)
         assert result.all_passed
+
+
+def test_koszul_twist_diagonals_agree_on_every_triangular_datum():
+    # beta(chi, chi) = chi(u) = beta_u(chi, chi), so beta / beta_u is
+    # alternating and its upper-triangular split is exact on every datum.
+    for name in CATALOG_NAMES:
+        for datum in triangular_catalog(name).data:
+            result = koszul_twist(datum)
+            assert result.all_passed, (name, datum)
+            for chi in datum.domain.characters():
+                assert datum.beta.exponent_of(chi, chi) == result.beta_u.exponent_of(chi, chi)
 
 
 def test_cross_inclusion_datum_builds_valid_element():
