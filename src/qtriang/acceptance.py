@@ -29,14 +29,13 @@ from .charring import (
     adams_twisted,
     exterior_power_char,
     lambda_from_adams,
-    linear_character_reps,
-    regular_rep,
-    sigma_from_lambda,
+    standard_reps,
     verify_lambda_ring,
     _cyclic_value,
     _lambda_additivity_failures,
     _lambda_sequence,
     _long_cycle_traces,
+    _recursive_series,
 )
 from .classify import Catalog, enumerate_qt, enumerate_triangular
 from .cyclotomic import CycScalar, root_of_unity
@@ -78,11 +77,13 @@ def triangular_catalog(name: str) -> Catalog:
 
 @lru_cache(maxsize=None)
 def _test_reps(name: str) -> tuple:
-    group = bundled_group(name)
-    reps = list(linear_character_reps(group))
-    if name in REGULAR_REP_GROUPS:
-        reps.append(regular_rep(group))
-    return tuple(reps)
+    """The linear reps, then the regular rep (``charring.standard_reps``)."""
+    return tuple(standard_reps(bundled_group(name)))
+
+
+def _power_test_reps(name: str) -> tuple:
+    reps = _test_reps(name)
+    return reps if name in REGULAR_REP_GROUPS else reps[:-1]
 
 
 def _golden_koszul(group) -> GATensor:
@@ -273,7 +274,7 @@ def criterion_6() -> CriterionResult:
         for members in catalog.dedup:
             built = catalog.rmats[members[0]]
             u = catalog.markovs[members[0]].grouplike_index()
-            for rep in _test_reps(name):
+            for rep in _power_test_reps(name):
                 for n in range(4):
                     checked += len(members)
                     left = exterior_power_char(rep, built, n)
@@ -308,7 +309,7 @@ def criterion_7() -> CriterionResult:
         for members in catalog.dedup:
             built = catalog.rmats[members[0]]
             u = catalog.markovs[members[0]].grouplike_index()
-            for rep in _test_reps(name):
+            for rep in _power_test_reps(name):
                 for p in (2, 3):
                     root_tags = _cyclic_root_tags(catalog.group, rep, built, u, p)
                     for eps_power, tags in enumerate(root_tags, start=1):
@@ -381,8 +382,6 @@ def criterion_8() -> CriterionResult:
     for name in CATALOG_NAMES:
         group = bundled_group(name)
         chars = [rep.character() for rep in _test_reps(name)]
-        if name not in REGULAR_REP_GROUPS:
-            chars.append(regular_rep(group).character())
         for u in group.central_involutions():
             checked += 1
             checks = verify_lambda_ring(u, chars, depth=6)
@@ -397,7 +396,7 @@ def criterion_8() -> CriterionResult:
                 )
                 bad.extend(f"random_lambda_additivity_{i}" for i in failures)
                 # Series inversion: sum_{i+j=n} (-1)^i lambda^i sigma^j = 0.
-                sigmas = [sigma_from_lambda(x, n, u) for n in range(7)]
+                sigmas = _recursive_series(group, lx[1:], newton=False)
                 for n in range(1, 7):
                     acc = ClassFunction.constant(group, 0)
                     for i in range(n + 1):
@@ -454,12 +453,9 @@ def criterion_10() -> CriterionResult:
     checked = 0
     for name in CATALOG_NAMES:
         catalog = triangular_catalog(name)
-        reps = list(_test_reps(name))
-        if name not in REGULAR_REP_GROUPS:
-            reps.append(regular_rep(catalog.group))
         for members in catalog.dedup:
             built = catalog.rmats[members[0]]
-            for rep in reps:
+            for rep in _test_reps(name):
                 for n in (2, 3):
                     if rep.dim**n > DIMENSION_CAP:
                         continue

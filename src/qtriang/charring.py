@@ -12,6 +12,7 @@ the other.  Everything is exact.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -201,6 +202,11 @@ def linear_character_reps(group: FiniteGroup) -> list[MatrixRep]:
     return reps
 
 
+def standard_reps(group: FiniteGroup) -> list[MatrixRep]:
+    """The linear character reps, then the regular rep: the test set of the CLI and selftest."""
+    return [*linear_character_reps(group), regular_rep(group)]
+
+
 # ---------------------------------------------------------------------------
 # Adams operations and the lambda/sigma recursions.
 
@@ -226,19 +232,22 @@ def adams_twisted(x: ClassFunction, u: int, k: int) -> ClassFunction:
 
 
 def _lambda_sequence(x: ClassFunction, n: int, u: int) -> list[ClassFunction]:
-    # Newton-type recursion: m * lam[m] = sum_{k=1..m} (-1)^(k-1) psi_u^k(x) lam[m-k].
-    group = x.group
-    lams = [ClassFunction.constant(group, 1)]
-    psis = [None] + [adams_twisted(x, u, k) for k in range(1, n + 1)]
-    for m in range(1, n + 1):
+    psis = [adams_twisted(x, u, k) for k in range(1, n + 1)]
+    return _recursive_series(x.group, psis, newton=True)
+
+
+def _recursive_series(group: FiniteGroup, coeffs, newton: bool) -> list[ClassFunction]:
+    # s[0] = 1 and s[m] = w_m sum_{k=1..m} (-1)^(k-1) coeffs[k-1] s[m-k], where
+    # w_m = 1/m in the Newton recursion (lambdas from psi_u^1, psi_u^2, ...)
+    # and w_m = 1 in the series inversion (sigmas from lambda^1, lambda^2, ...).
+    series = [ClassFunction.constant(group, 1)]
+    for m in range(1, len(coeffs) + 1):
         acc = ClassFunction.constant(group, 0)
-        sign = 1
         for k in range(1, m + 1):
-            term = psis[k] * lams[m - k]
-            acc = acc + term if sign > 0 else acc - term
-            sign = -sign
-        lams.append(acc.scale(Fraction(1, m)))
-    return lams
+            term = coeffs[k - 1] * series[m - k]
+            acc = acc + term if k % 2 else acc - term
+        series.append(acc.scale(Fraction(1, m)) if newton else acc)
+    return series
 
 
 def lambda_from_adams(x: ClassFunction, n: int, u: int) -> ClassFunction:
@@ -252,18 +261,7 @@ def sigma_from_lambda(x: ClassFunction, n: int, u: int) -> ClassFunction:
     """n-th symmetric-power class function by series inversion of the lambdas."""
     if n < 0:
         raise ValueError("negative symmetric powers are not defined")
-    group = x.group
-    lams = _lambda_sequence(x, n, u)
-    sigmas = [ClassFunction.constant(group, 1)]
-    for m in range(1, n + 1):
-        acc = ClassFunction.constant(group, 0)
-        sign = 1
-        for i in range(1, m + 1):
-            term = lams[i] * sigmas[m - i]
-            acc = acc + term if sign > 0 else acc - term
-            sign = -sign
-        sigmas.append(acc)
-    return sigmas[n]
+    return _recursive_series(x.group, _lambda_sequence(x, n, u)[1:], newton=False)[n]
 
 
 def verify_lambda_ring(u: int, characters, depth: int = 6) -> dict[str, bool]:
@@ -284,23 +282,33 @@ def verify_lambda_ring(u: int, characters, depth: int = 6) -> dict[str, bool]:
         "adams_composition": True,
         "lambda_additive": True,
     }
-    for x in characters:
-        for y in characters:
-            for n in range(1, depth + 1):
-                if adams_twisted(x + y, u, n) != adams_twisted(x, u, n) + adams_twisted(y, u, n):
+
+    @functools.cache
+    def psi(i: int, k: int) -> ClassFunction:
+        return adams_twisted(characters[i], u, k)
+
+    degrees = range(1, depth + 1)
+    lams = [
+        _recursive_series(group, [psi(i, n) for n in degrees], newton=True)
+        for i in range(len(characters))
+    ]
+    for i, x in enumerate(characters):
+        for j, y in enumerate(characters):
+            sum_psis = [adams_twisted(x + y, u, n) for n in degrees]
+            for n in degrees:
+                if sum_psis[n - 1] != psi(i, n) + psi(j, n):
                     checks["adams_additive"] = False
-                if adams_twisted(x * y, u, n) != adams_twisted(x, u, n) * adams_twisted(y, u, n):
+                if adams_twisted(x * y, u, n) != psi(i, n) * psi(j, n):
                     checks["adams_multiplicative"] = False
-    for x in characters:
-        for n in range(1, depth + 1):
-            for m in range(1, depth + 1):
-                if adams_twisted(adams_twisted(x, u, m), u, n) != adams_twisted(x, u, n * m):
-                    checks["adams_composition"] = False
-    lams = [_lambda_sequence(x, depth, u) for x in characters]
-    for x, lx in zip(characters, lams):
-        for y, ly in zip(characters, lams):
-            if _lambda_additivity_failures(lx, ly, _lambda_sequence(x + y, depth, u)):
+            lxy = _recursive_series(group, sum_psis, newton=True)
+            if _lambda_additivity_failures(lams[i], lams[j], lxy):
                 checks["lambda_additive"] = False
+    for i in range(len(characters)):
+        for m in degrees:
+            psi_m = psi(i, m)
+            for n in degrees:
+                if adams_twisted(psi_m, u, n) != psi(i, n * m):
+                    checks["adams_composition"] = False
     return checks
 
 

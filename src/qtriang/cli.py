@@ -28,8 +28,7 @@ from .charring import (
     cyclic_operation_char,
     exterior_power_char,
     lambda_from_adams,
-    linear_character_reps,
-    regular_rep,
+    standard_reps,
 )
 from .classify import COMPLETENESS_NOTE, enumerate_qt
 from .cyclotomic import ORDER_CAP, root_of_unity
@@ -156,12 +155,6 @@ def _load_rmatrix(args):
     raise InputError("either --rmatrix or --datum is required")
 
 
-def _test_rep_set(group):
-    reps = list(linear_character_reps(group))
-    reps.append(regular_rep(group))
-    return reps
-
-
 def _cmd_classify(args):
     group = _resolve_group(args)
     catalog = enumerate_qt(group, triangular_only=args.triangular)
@@ -244,7 +237,7 @@ def _character_table(args, operation):
     if u not in group.central_involutions():
         raise InputError(f"element {u} is not a central involution of {group.name}")
     rows = []
-    for rep in _test_rep_set(group):
+    for rep in standard_reps(group):
         out = operation(rep.character(), u, args.n)
         rows.append({"character": rep.name, "result": jsonio.class_function_to_json(out)})
     doc = {"command": args.command, "group": group.name, "u": u, "n": args.n, "results": rows}
@@ -268,7 +261,7 @@ def _cmd_exterior(args):
     u_idx = u.grouplike_index()
     rows = []
     ok = True
-    for rep in _test_rep_set(group):
+    for rep in standard_reps(group):
         if rep.dim**args.n > DIMENSION_CAP:
             continue
         ext = exterior_power_char(rep, tensor, args.n)

@@ -73,9 +73,6 @@ class FiniteGroup:
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 
-    def inv(self, a: int) -> int:
-        return self.inverses[a]
-
     def conjugate(self, x: int, g: int) -> int:
         """g * x * g^-1."""
         return self.table[self.table[g][x]][self.inverses[g]]
@@ -281,9 +278,6 @@ class AbelianGroup:
     def generators(self) -> list[tuple[int, ...]]:
         return [tuple(1 if j == i else 0 for j in range(self.rank)) for i in range(self.rank)]
 
-    def element_order(self, a) -> int:
-        return math.lcm(*(n // math.gcd(n, x) for x, n in zip(a, self.factors))) if self.rank else 1
-
     def characters(self) -> list["Character"]:
         return [Character(self, exps) for exps in self.elements()]
 
@@ -325,14 +319,6 @@ class Character:
 
     def evaluate(self, a) -> CycScalar:
         return root_of_unity(self.parent.exponent, self.exponent_at(a))
-
-    def __mul__(self, other: "Character") -> "Character":
-        if self.parent != other.parent:
-            raise ValueError("characters of different groups")
-        return Character(self.parent, tuple(a + b for a, b in zip(self.exps, other.exps)))
-
-    def inverse(self) -> "Character":
-        return Character(self.parent, tuple(-k for k in self.exps))
 
     def __eq__(self, other):
         if not isinstance(other, Character):

@@ -1,8 +1,11 @@
 """Exact linear algebra over cyclotomic scalars.
 
-Dense routines (Gaussian elimination, spans) work on lists of lists of
-CycScalar and stay small: every system solved in this package has at most
-a few thousand entries.  The sparse Matrix class backs representation
+Dense routines work on lists of lists of CycScalar and stay small: every
+system solved in this package has at most a few thousand entries.  A
+subspace is eliminated once, by ``row_basis``, into its canonical basis;
+membership is then read from that basis's pivots without further
+elimination, and two subspaces are equal exactly when their canonical
+bases compare equal with ``==``.  The sparse Matrix class backs representation
 matrices and braided symmetric-group actions, where tensor-power
 dimensions reach a few hundred but columns stay nearly empty.
 
@@ -33,16 +36,11 @@ from .cyclotomic import (
 )
 
 _ZERO = CycScalar.zero()
-_ONE = CycScalar.one()
 
 
 def rref(rows: list[list[CycScalar]]) -> tuple[list[list[CycScalar]], list[int]]:
     """Reduced row echelon form (a fresh matrix) and its pivot columns."""
     return _rref(rows)
-
-
-def rank(rows: list[list[CycScalar]]) -> int:
-    return len(rref(rows)[1])
 
 
 def row_basis(rows: list[list[CycScalar]]) -> list[list[CycScalar]]:
@@ -52,18 +50,21 @@ def row_basis(rows: list[list[CycScalar]]) -> list[list[CycScalar]]:
 
 
 def in_row_span(basis: list[list[CycScalar]], vector: list[CycScalar]) -> bool:
-    """Whether ``vector`` is a combination of the rows of ``basis`` (any rows).
+    """Whether ``vector`` is a combination of the rows of a reduced ``basis``.
 
-    One elimination: a leading 1 that no basis row has keeps the vector's row
-    first, where it ends reduced modulo the row space, so zero iff inside.
+    Precondition: every row leads with a 1 in a column where all other rows
+    are 0.  A ``row_basis`` result qualifies, and so do the Kronecker
+    products of the rows of two such bases.  The only candidate combination
+    then takes the vector's entry at each row's pivot as that row's
+    coefficient, so the vector lies in the span exactly when subtracting it
+    leaves zero.  Nothing is divided or eliminated.
     """
-    tagged = [[_ONE, *vector]] + [[_ZERO, *row] for row in basis]
-    reduced, _ = rref(tagged)
-    return not any(reduced[0][1:])
-
-
-def row_space_equal(a: list[list[CycScalar]], b: list[list[CycScalar]]) -> bool:
-    return row_basis(a) == row_basis(b)
+    residual = vector
+    for row in basis:
+        c = vector[next(j for j, v in enumerate(row) if v)]
+        if c:
+            residual = [a - c * b if b else a for a, b in zip(residual, row)]
+    return not any(residual)
 
 
 def solve(a_rows: list[list[CycScalar]], rhs: list[CycScalar]):

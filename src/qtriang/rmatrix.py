@@ -324,11 +324,21 @@ def verify_markov_equation(datum: QTDatum, u: GATensor) -> bool:
 
 
 def _element_vector(tensor: GATensor) -> list[CycScalar]:
-    zero = CycScalar.zero()
-    vec = [zero] * tensor.group.size
-    for (g,), c in tensor.terms.items():
-        vec[g] = c
+    # Coordinates in k[G]^(arity); g x h sits at g * |G| + h.
+    n = tensor.group.size
+    vec = [CycScalar.zero()] * n**tensor.arity
+    for key, c in tensor.terms.items():
+        vec[sum(g * n**k for k, g in enumerate(reversed(key)))] = c
     return vec
+
+
+def _coefficient_matrix(candidate: GATensor) -> list[list[CycScalar]]:
+    # Row g, column h: the coefficient of g x h.
+    n = candidate.group.size
+    matrix = [[CycScalar.zero()] * n for _ in range(n)]
+    for (g, h), c in candidate.terms.items():
+        matrix[g][h] = c
+    return matrix
 
 
 def _vector_tensor(group: FiniteGroup, vec) -> GATensor:
@@ -336,9 +346,11 @@ def _vector_tensor(group: FiniteGroup, vec) -> GATensor:
 
 
 def span_of_elements(group: FiniteGroup, elements) -> list[list[CycScalar]]:
-    """Canonical basis of the span of a set of group elements inside k[G]."""
-    rows = [_element_vector(GATensor.basis(group, g)) for g in sorted(elements)]
-    return linalg.row_basis(rows)
+    """Canonical basis of the span of a set of group elements inside k[G].
+
+    The unit vectors of the sorted elements are already in reduced form.
+    """
+    return [_element_vector(GATensor.basis(group, g)) for g in sorted(elements)]
 
 
 @dataclass
@@ -364,39 +376,22 @@ class SupportReport:
 
 def _hopf_closure_checks(group: FiniteGroup, basis_rows, side: str, checks: dict):
     basis_tensors = [_vector_tensor(group, row) for row in basis_rows]
-    ok_mul = all(
-        linalg.in_row_span(basis_rows, _element_vector(x * y))
-        for x in basis_tensors
-        for y in basis_tensors
+
+    def closed(tensors, rows=basis_rows) -> bool:
+        return all(linalg.in_row_span(rows, _element_vector(t)) for t in tensors)
+
+    products = (x * y for x in basis_tensors for y in basis_tensors)
+    checks[f"{side}_closed_under_product"] = closed(products) and closed(
+        [GATensor.unit(group, 1)]
     )
-    checks[f"{side}_closed_under_product"] = ok_mul and linalg.in_row_span(
-        basis_rows, _element_vector(GATensor.unit(group, 1))
+    # Kronecker products of reduced rows are reduced: a basis of the square.
+    pair_rows = [[a * b for a in x for b in y] for x in basis_rows for y in basis_rows]
+    checks[f"{side}_closed_under_coproduct"] = closed(
+        (x.coproduct(1) for x in basis_tensors), pair_rows
     )
-    pair_rows = []
-    for x in basis_tensors:
-        for y in basis_tensors:
-            outer = x @ y
-            vec = [CycScalar.zero()] * (group.size**2)
-            for (g, h), c in outer.terms.items():
-                vec[g * group.size + h] = c
-            pair_rows.append(vec)
-    ok_cop = True
-    for x in basis_tensors:
-        vec = [CycScalar.zero()] * (group.size**2)
-        for (g, h), c in x.coproduct(1).terms.items():
-            vec[g * group.size + h] = c
-        if not linalg.in_row_span(pair_rows, vec):
-            ok_cop = False
-            break
-    checks[f"{side}_closed_under_coproduct"] = ok_cop
-    checks[f"{side}_closed_under_antipode"] = all(
-        linalg.in_row_span(basis_rows, _element_vector(x.antipode(1)))
-        for x in basis_tensors
-    )
-    checks[f"{side}_conjugation_invariant"] = all(
-        linalg.in_row_span(basis_rows, _element_vector(x.adjoint_action(g, 1)))
-        for x in basis_tensors
-        for g in group.elements()
+    checks[f"{side}_closed_under_antipode"] = closed(x.antipode(1) for x in basis_tensors)
+    checks[f"{side}_conjugation_invariant"] = closed(
+        x.adjoint_action(g, 1) for x in basis_tensors for g in group.elements()
     )
 
 
@@ -407,38 +402,27 @@ def minimal_support(candidate: GATensor, datum: QTDatum | None = None) -> Suppor
     right support (l x I)(R).  Both must be Hopf subalgebras invariant under
     conjugation; when the datum is supplied the spans are also compared with
     the spans of the two inclusion images, and for unitary R the two supports
-    must coincide.
+    must coincide.  Each support is eliminated once into its canonical basis
+    (``linalg.row_basis``): the closure checks read membership from its
+    pivots, the coproduct check from the pivots of its Kronecker square, and
+    subspaces compare equal exactly when their canonical bases do.
     """
     group = candidate.group
-    zero = CycScalar.zero()
-    n = group.size
-    left_rows, right_rows = [], []
-    for h in group.elements():
-        left = [zero] * n
-        right = [zero] * n
-        for (g1, g2), c in candidate.terms.items():
-            if g2 == h:
-                left[g1] = left[g1] + c
-            if g1 == h:
-                right[g2] = right[g2] + c
-        left_rows.append(left)
-        right_rows.append(right)
-    left_basis = linalg.row_basis(left_rows)
+    right_rows = _coefficient_matrix(candidate)
+    left_basis = linalg.row_basis([list(col) for col in zip(*right_rows)])
     right_basis = linalg.row_basis(right_rows)
     checks: dict[str, bool] = {}
     _hopf_closure_checks(group, left_basis, "left", checks)
     _hopf_closure_checks(group, right_basis, "right", checks)
     if datum is not None:
-        checks["left_equals_left_inclusion_span"] = linalg.row_space_equal(
-            left_basis, span_of_elements(group, datum.incl_left.image)
+        checks["left_equals_left_inclusion_span"] = left_basis == span_of_elements(
+            group, datum.incl_left.image
         )
-        checks["right_equals_right_inclusion_span"] = linalg.row_space_equal(
-            right_basis, span_of_elements(group, datum.incl_right.image)
+        checks["right_equals_right_inclusion_span"] = right_basis == span_of_elements(
+            group, datum.incl_right.image
         )
     if verify_unitary(candidate):
-        checks["supports_coincide_when_unitary"] = linalg.row_space_equal(
-            left_basis, right_basis
-        )
+        checks["supports_coincide_when_unitary"] = left_basis == right_basis
     return SupportReport(
         left_basis=[_vector_tensor(group, row) for row in left_basis],
         right_basis=[_vector_tensor(group, row) for row in right_basis],
@@ -472,14 +456,9 @@ def alpha_map(candidate: GATensor) -> AlphaMap:
     """
     group = candidate.group
     n = group.size
-    zero = CycScalar.zero()
-    matrix = [[zero] * n for _ in range(n)]
-    for (g, h), c in candidate.terms.items():
-        matrix[g][h] = c
-    columns = [
-        GATensor(group, 1, {(h,): matrix[h][g] for h in range(n) if matrix[h][g]})
-        for g in range(n)
-    ]
+    matrix = _coefficient_matrix(candidate)
+    left_rows = [list(col) for col in zip(*matrix)]
+    columns = [_vector_tensor(group, row) for row in left_rows]
     checks: dict[str, bool] = {}
     # Coordinate functionals multiply pointwise: delta_g * delta_h vanishes
     # unless g = h, so the product reversal collapses to these relations.
@@ -505,9 +484,10 @@ def alpha_map(candidate: GATensor) -> AlphaMap:
             ok = False
             break
     checks["respects_coproducts"] = ok
-    left_rows = [[matrix[h][g] for h in range(n)] for g in range(n)]
-    map_rank = linalg.rank(left_rows)
-    checks["bijective_onto_left_support"] = map_rank == len(linalg.row_basis(left_rows))
+    # The domain, functionals on the right support, has the dimension of the
+    # row space of the coefficient matrix; the image is the left support.
+    map_rank = len(linalg.row_basis(left_rows))
+    checks["bijective_onto_left_support"] = map_rank == len(linalg.row_basis(matrix))
     if verify_unitary(candidate):
         checks["dual_equals_antipode_composite"] = all(
             matrix[g][h] == matrix[group.inverses[h]][g]

@@ -5,6 +5,7 @@ import pytest
 from qtriang import acceptance, charring
 from qtriang.cyclotomic import CycScalar, root_of_unity
 from qtriang.groups import (
+    CATALOG_NAMES,
     AbelianGroup,
     bundled_group,
     enumerate_biforms,
@@ -144,6 +145,28 @@ def test_sigma_base_case_and_inversion():
             term = lams[i] * sigmas[n - i]
             acc = acc + term if i % 2 == 0 else acc - term
         assert acc == ClassFunction.constant(q8, 0)
+
+
+def test_one_series_gives_every_sigma():
+    # Criterion 8 reads sigma^0..sigma^6 from one series over lambda^1..lambda^6.
+    for name, u in (("Q8", 1), ("D4", 0), ("Z4", 2)):
+        group = bundled_group(name)
+        x = regular_rep(group).character() - linear_characters(group)[-1].scale(2)
+        lams = charring._lambda_sequence(x, 6, u)
+        series = charring._recursive_series(group, lams[1:], newton=False)
+        assert series == [sigma_from_lambda(x, n, u) for n in range(7)]
+        assert lams == [lambda_from_adams(x, n, u) for n in range(7)]
+
+
+def test_standard_reps_split_between_the_criteria():
+    for name in CATALOG_NAMES:
+        group = bundled_group(name)
+        names = [rep.name for rep in charring.standard_reps(group)]
+        linear = [rep.name for rep in linear_character_reps(group)]
+        assert names == linear + [f"regular({name})"]
+        assert [rep.name for rep in acceptance._test_reps(name)] == names
+        power = [rep.name for rep in acceptance._power_test_reps(name)]
+        assert power == (names if name in acceptance.REGULAR_REP_GROUPS else linear)
 
 
 def test_verify_lambda_ring_classical_and_twisted():

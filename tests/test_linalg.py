@@ -3,8 +3,9 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from qtriang import cyclotomic, linalg
 from qtriang.cyclotomic import CycScalar, euler_phi, root_of_unity
-from qtriang.linalg import Matrix, in_row_span, rref, solve
+from qtriang.linalg import Matrix, in_row_span, row_basis, rref, solve
 
 
 def q(value):
@@ -73,17 +74,80 @@ def test_rref_of_empty_matrix():
 
 def test_in_row_span():
     w = root_of_unity(3)
-    basis = [[q(1), w, q(0)], [q(0), q(1), root_of_unity(8)]]
-    inside = [a * w + b * 7 for a, b in zip(basis[0], basis[1])]
+    rows = [[q(1), w, q(0)], [q(0), q(1), root_of_unity(8)]]
+    basis = row_basis(rows)
+    inside = [a * w + b * 7 for a, b in zip(rows[0], rows[1])]
     assert in_row_span(basis, inside)
     assert not in_row_span(basis, [q(0), q(0), q(1)])
-    # Dependent rows: a rank count against len(basis) would accept the
-    # outside vector here, because it raises the rank to exactly 2.
-    dependent = [basis[0], [a * 3 for a in basis[0]]]
-    assert in_row_span(dependent, [a * w for a in basis[0]])
-    assert not in_row_span(dependent, basis[1])
-    assert in_row_span([], [q(0), q(0)])
-    assert not in_row_span([], [q(0), q(1)])
+    # Dependent rows reduce to one: a rank count against the number of
+    # spanning rows would accept the outside vector, which raises the rank
+    # of the two rows to exactly 2.
+    dependent = row_basis([rows[0], [a * 3 for a in rows[0]]])
+    assert len(dependent) == 1
+    assert in_row_span(dependent, [a * w for a in rows[0]])
+    assert not in_row_span(dependent, rows[1])
+    assert in_row_span(row_basis([]), [q(0), q(0)])
+    assert not in_row_span(row_basis([]), [q(0), q(1)])
+
+
+def _kron_rows(a, b):
+    return [[x * y for x in r for y in s] for r in a for s in b]
+
+
+def _reference_in_span(rows, vector):
+    # One elimination per question: the vector's row, tagged by a leading 1
+    # that no spanning row has, ends reduced modulo the row space.
+    reduced, _ = rref([[q(1), *vector]] + [[q(0), *row] for row in rows])
+    return not any(reduced[0][1:])
+
+
+def test_in_row_span_on_kronecker_products_of_reduced_bases():
+    i, w = root_of_unity(4), root_of_unity(3)
+    a_rows = [[q(2), i, q(0), q(1)], [q(1), q(0), w, q(0)]]
+    b_rows = [[q(0), q(1), i], [q(3), q(0), q(0)]]
+    pairs = _kron_rows(row_basis(a_rows), row_basis(b_rows))
+    u = [x + y * i for x, y in zip(a_rows[0], a_rows[1])]
+    v = [x - y * w for x, y in zip(b_rows[0], b_rows[1])]
+    rank_one = _kron_rows([u], [v])[0]
+    rank_two = [x + y * 5 for x, y in zip(rank_one, _kron_rows(a_rows[:1], b_rows[1:])[0])]
+    outside_a = _kron_rows([[q(0), q(0), q(0), q(1)]], [v])[0]
+    outside_b = _kron_rows([u], [[q(0), q(1), q(0)]])[0]
+    for vector, expected in [
+        (rank_one, True),
+        (rank_two, True),
+        (outside_a, False),
+        (outside_b, False),
+        ([q(0)] * 12, True),
+    ]:
+        assert _reference_in_span(pairs, vector) is expected
+        assert in_row_span(pairs, vector) is expected
+
+
+def test_in_row_span_eliminates_and_divides_nothing(monkeypatch):
+    z = root_of_unity(12)
+    rows = [[q(1), z, q(0), root_of_unity(4)], [q(3), q(0), q(1), q(2)]]
+    basis = row_basis(rows)
+    pairs = _kron_rows(basis, basis)
+    inside = [x * z + y for x, y in zip(rows[0], rows[1])]
+    calls = []
+
+    def spy(name):
+        def record(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"in_row_span called {name}")
+
+        return record
+
+    monkeypatch.setattr(linalg, "rref", spy("linalg.rref"))
+    monkeypatch.setattr(linalg, "_rref", spy("cyclotomic.rref"))
+    monkeypatch.setattr(cyclotomic, "rref", spy("cyclotomic.rref"))
+    monkeypatch.setattr(CycScalar, "inverse", spy("CycScalar.inverse"))
+    monkeypatch.setattr(CycScalar, "reduced", spy("CycScalar.reduced"))
+    assert in_row_span(basis, inside)
+    assert not in_row_span(basis, [q(0), q(1), q(0), q(0)])
+    assert in_row_span(pairs, [x * y for x in inside for y in rows[1]])
+    assert not in_row_span(pairs, [q(1)] * 16)
+    assert calls == []
 
 
 # -- sparse Matrix against a dense list-of-CycScalar reference ---------------

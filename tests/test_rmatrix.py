@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from qtriang.acceptance import triangular_catalog
+from qtriang.acceptance import qt_catalog, triangular_catalog
+from qtriang.cyclotomic import CycScalar, root_of_unity
 from qtriang.groups import (
     CATALOG_NAMES,
     AbelianGroup,
@@ -195,7 +197,7 @@ def test_minimal_support_s3():
     assert sup.left_dim == sup.right_dim == 3
     assert sup.all_passed
     rows = [[t.coeff((g,)) for g in d.group.elements()] for t in sup.left_basis]
-    assert linalg.row_space_equal(rows, span_of_elements(d.group, {0, 3, 4}))
+    assert rows == span_of_elements(d.group, {0, 3, 4})
 
 
 def test_alpha_map_unit_and_koszul():
@@ -328,3 +330,149 @@ def test_central_witness_pins_first_noncommuting_element():
     assert [c.name for c in report.checks] == [
         "conventions_agree", "invertible", "coproduct_identity", "central",
     ]
+
+
+# -- minimal supports and the pairing map against a reference ----------------
+#
+# The reference keeps the design that reduces a subspace again for every
+# question: each membership test runs one elimination of the spanning rows
+# with the vector tagged on top, two spans are equal when each basis lies in
+# the other, and the rank is the pivot count of one more elimination.
+
+
+def _ref_in_span(rows, vector):
+    one, zero = CycScalar.one(), CycScalar.zero()
+    reduced, _ = linalg.rref([[one, *vector]] + [[zero, *row] for row in rows])
+    return not any(reduced[0][1:])
+
+
+def _ref_same_span(a, b):
+    return len(a) == len(b) and all(_ref_in_span(b, row) for row in a)
+
+
+def _ref_vector(tensor):
+    n = tensor.group.size
+    vec = [CycScalar.zero()] * n**tensor.arity
+    for key, c in tensor.terms.items():
+        vec[key[0] if tensor.arity == 1 else key[0] * n + key[1]] = c
+    return vec
+
+
+def _ref_closure(group, basis, side):
+    tensors = [GATensor(group, 1, {(g,): c for g, c in enumerate(row) if c}) for row in basis]
+
+    def inside(rows, tensor):
+        return _ref_in_span(rows, _ref_vector(tensor))
+
+    pairs = [_ref_vector(x @ y) for x in tensors for y in tensors]
+    return {
+        f"{side}_closed_under_product": all(
+            inside(basis, x * y) for x in tensors for y in tensors
+        ) and inside(basis, GATensor.unit(group, 1)),
+        f"{side}_closed_under_coproduct": all(inside(pairs, x.coproduct(1)) for x in tensors),
+        f"{side}_closed_under_antipode": all(inside(basis, x.antipode(1)) for x in tensors),
+        f"{side}_conjugation_invariant": all(
+            inside(basis, x.adjoint_action(g, 1)) for x in tensors for g in group.elements()
+        ),
+    }
+
+
+def _reference_support(candidate, datum):
+    """(left dimension, right dimension, checks) of ``minimal_support``."""
+    group = candidate.group
+    n = group.size
+    left = linalg.row_basis([[candidate.coeff((g, h)) for g in range(n)] for h in range(n)])
+    right = linalg.row_basis([[candidate.coeff((h, g)) for g in range(n)] for h in range(n)])
+    checks = {**_ref_closure(group, left, "left"), **_ref_closure(group, right, "right")}
+    if datum is not None:
+        for side, basis, image in (
+            ("left", left, datum.incl_left.image),
+            ("right", right, datum.incl_right.image),
+        ):
+            span = [_ref_vector(GATensor.basis(group, g)) for g in image]
+            checks[f"{side}_equals_{side}_inclusion_span"] = _ref_same_span(basis, span)
+    if verify_unitary(candidate):
+        checks["supports_coincide_when_unitary"] = _ref_same_span(left, right)
+    return len(left), len(right), checks
+
+
+def _reference_alpha(candidate):
+    """(rank, checks) of ``alpha_map``."""
+    group = candidate.group
+    n = group.size
+    cols = [
+        GATensor(group, 1, {(h,): candidate.coeff((h, g)) for h in range(n)}) for g in range(n)
+    ]
+    rows = [[candidate.coeff((h, g)) for h in range(n)] for g in range(n)]
+    rank = len(linalg.rref(rows)[1])
+    checks = {
+        "reverses_products": all(
+            cols[h] * cols[g] == (cols[g] if g == h else GATensor(group, 1))
+            for g in range(n)
+            for h in range(n)
+        ),
+        "respects_coproducts": all(
+            cols[g].coproduct(1)
+            == sum(
+                (cols[a] @ cols[b] for a in range(n) for b in range(n) if group.table[a][b] == g),
+                GATensor(group, 2),
+            )
+            for g in range(n)
+        ),
+        "bijective_onto_left_support": rank == len(linalg.rref([list(r) for r in zip(*rows)])[1]),
+    }
+    if verify_unitary(candidate):
+        checks["dual_equals_antipode_composite"] = all(
+            candidate.coeff((g, h)) == candidate.coeff((group.inverses[h], g))
+            for g in range(n)
+            for h in range(n)
+        )
+    return rank, checks
+
+
+def _assert_matches_reference(candidate, datum):
+    support = minimal_support(candidate, datum)
+    left_dim, right_dim, checks = _reference_support(candidate, datum)
+    assert (support.left_dim, support.right_dim) == (left_dim, right_dim)
+    assert list(support.checks.items()) == list(checks.items())
+    pairing = alpha_map(candidate)
+    rank, checks = _reference_alpha(candidate)
+    assert pairing.rank == rank
+    assert list(pairing.checks.items()) == list(checks.items())
+    return support
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_supports_and_pairing_match_reference_on_every_distinct_element(name):
+    catalog = qt_catalog(name)
+    for members in catalog.dedup:
+        support = _assert_matches_reference(catalog.rmats[members[0]], catalog.data[members[0]])
+        assert support.all_passed
+
+
+def _open_support_tensor(rng, group):
+    # sum_k a_k x b_k with each a_k, b_k a combination of two elements: its
+    # supports are spans of at most two such combinations.
+    scalars = [CycScalar.one(), -CycScalar.one(), CycScalar.rational(2)]
+    scalars += [root_of_unity(3), root_of_unity(4)]
+    terms = {}
+    for _ in range(2):
+        left = {rng.randrange(group.size): rng.choice(scalars) for _ in range(2)}
+        right = {rng.randrange(group.size): rng.choice(scalars) for _ in range(2)}
+        for g, a in left.items():
+            for h, b in right.items():
+                terms[(g, h)] = terms.get((g, h), CycScalar.zero()) + a * b
+    return GATensor(group, 2, {k: c for k, c in terms.items() if c})
+
+
+def test_supports_and_pairing_match_reference_on_open_supports():
+    rng = random.Random(20261018)
+    open_count = 0
+    for name in CATALOG_NAMES:
+        datum = qt_catalog(name).data[-1]
+        for _ in range(2):
+            candidate = _open_support_tensor(rng, datum.group)
+            support = _assert_matches_reference(candidate, datum)
+            closed = [v for k, v in support.checks.items() if "_closed_under_" in k]
+            open_count += not all(closed)
+    assert open_count >= 6
