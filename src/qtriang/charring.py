@@ -18,9 +18,9 @@ from fractions import Fraction
 
 from .cyclotomic import CycScalar
 from .groups import FiniteGroup, closure, subgroup_structure
-from .hopf import GATensor
+from .hopf import GATensor, first_difference
 from .linalg import Matrix
-from .rmatrix import markov_element, verify_unitary
+from .rmatrix import markov_element
 
 #: Largest tensor-power dimension handled by the braided-action machinery.
 DIMENSION_CAP = 4096
@@ -334,13 +334,14 @@ class BraidedAction:
     """Action of the symmetric group on a tensor power, twisted by an R-matrix.
 
     The adjacent transposition on slots (i, i+1) acts by the R-action
-    followed by the plain factor swap: s_i = I (x) B (x) I with B on
-    V (x) V.  For unitary R the generators square to the identity, satisfy
-    the braid relations, and commute with the diagonal group action; all
-    three facts are verified at construction.  Since s_i^2 = I (x) B^2 (x) I
-    and each rho(g) is invertible, the squares and equivariance are checked
-    exactly on the d^2-dimensional B; the braid relation and the commutation
-    of distant generators are checked on the d^n-dimensional generators.
+    followed by the plain factor swap: s_i = I (x) B (x) I with
+    B = (rho (x) rho)(R) tau.  For unitary R the generators square to the
+    identity, satisfy the braid relations, and commute with the diagonal
+    group action; all three facts are verified at construction.  Plain
+    swaps only move tensor legs, so each check says that rho^(x)k kills one
+    difference in k[G]^(x)k: R R21 - 1, R12 R13 R23 - R23 R13 R12,
+    R12 R34 - R34 R12 and R - (g (x) g) R (g (x) g)^-1.  A difference is
+    mapped to matrices only when nonzero, and then the image decides.
     """
 
     __slots__ = ("rep", "rmatrix", "power", "braid", "generators")
@@ -348,18 +349,16 @@ class BraidedAction:
     def __init__(self, rep: MatrixRep, rmatrix: GATensor, power: int, validate: bool = True):
         if rmatrix.group != rep.group:
             raise ValueError("representation and R-matrix live over different groups")
-        if not verify_unitary(rmatrix):
+        square = rmatrix * rmatrix.swap()
+        if not square.is_unit():
             raise ValueError("the symmetric-group action needs a unitary R-matrix")
         if rep.dim**power > DIMENSION_CAP:
             raise ValueError(
                 f"tensor power dimension {rep.dim ** power} exceeds the cap {DIMENSION_CAP}"
             )
         d = rep.dim
-        acted = Matrix.zero(d * d, d * d)
-        for (g, h), c in rmatrix.terms.items():
-            acted = acted + rep.matrix(g).kron(rep.matrix(h)).scale(c)
         swap = Matrix.from_permutation([b * d + a for a in range(d) for b in range(d)])
-        braid = acted @ swap
+        braid = _image(rep, rmatrix) @ swap
         generators = []
         for slot in range(1, power):
             left = Matrix.identity(d ** (slot - 1))
@@ -371,25 +370,38 @@ class BraidedAction:
         self.braid = braid
         self.generators = generators
         if validate:
-            self.validate()
+            self.validate(square)
 
-    def validate(self):
-        if not self.generators:
+    def validate(self, square: GATensor | None = None):
+        """Raise ValueError unless the generators satisfy every relation above.
+
+        ``square`` is R R21 when the caller has formed it already.  The
+        error's ``witness`` names the first term, in ``first_difference``
+        order, of the failing difference, and for equivariance the element g.
+        """
+        if self.power < 2:
             return
-        braid = self.braid
-        if braid @ braid != Matrix.identity(self.rep.dim**2):
-            raise ValueError("a braided generator fails to square to the identity")
-        for a, b in zip(self.generators, self.generators[1:]):
-            if a @ b @ a != b @ a @ b:
-                raise ValueError("adjacent generators fail the braid relation")
-        for i, a in enumerate(self.generators):
-            for b in self.generators[i + 2 :]:
-                if a @ b != b @ a:
-                    raise ValueError("distant generators fail to commute")
-        for g in self.rep.group.elements():
-            diag = self.rep.kron_power(g, 2)
-            if braid @ diag != diag @ braid:
-                raise ValueError("the braided action is not equivariant")
+        r = self.rmatrix
+        unit = GATensor.unit(r.group, 2)
+        square = r * r.swap() if square is None else square
+        self._check(square, unit, "a braided generator fails to square to the identity")
+        if self.power >= 3:
+            r12, r13, r23 = (r.embed_legs(legs, 3) for legs in ((1, 2), (1, 3), (2, 3)))
+            self._check(r12 * r13 * r23, r23 * r13 * r12, "adjacent generators fail the braid relation")
+        if self.power >= 4:
+            r12, r34 = r.embed_legs((1, 2), 4), r.embed_legs((3, 4), 4)
+            self._check(r12 * r34, r34 * r12, "distant generators fail to commute")
+        for g in r.group.elements():
+            conjugated = r.adjoint_action(g, 1).adjoint_action(g, 2)
+            self._check(r, conjugated, "the braided action is not equivariant", element=g)
+
+    def _check(self, left: GATensor, right: GATensor, message: str, **extra):
+        if left.terms == right.terms or not _image(self.rep, left - right).cols:
+            return
+        key, a, b = first_difference(left, right)
+        error = ValueError(message)
+        error.witness = {"tuple": list(key), "left": str(a), "right": str(b), **extra}
+        raise error
 
     def permutation_matrix(self, perm) -> Matrix:
         """Operator of a permutation, via a word in adjacent transpositions."""
@@ -414,6 +426,23 @@ class BraidedAction:
             acc = acc + (mat if sign > 0 else mat.scale(-1))
             count += 1
         return acc.scale(Fraction(1, count))
+
+
+def _image(rep: MatrixRep, tensor: GATensor) -> Matrix:
+    """rho^(x)k of an arity-k tensor: the sum of c rho(g1) (x) ... (x) rho(gk).
+
+    Each rho(g1) is tensored once with the image of the terms after it.
+    """
+    if tensor.arity == 0:
+        return Matrix.identity(1).scale(tensor.coeff(()))
+    rests: dict[int, dict] = {}
+    for (g, *rest), c in tensor.terms.items():
+        rests.setdefault(g, {})[tuple(rest)] = c
+    dim = rep.dim**tensor.arity
+    acc = Matrix.zero(dim, dim)
+    for g, rest in rests.items():
+        acc = acc + rep.matrix(g).kron(_image(rep, GATensor(tensor.group, tensor.arity - 1, rest)))
+    return acc
 
 
 def _adjacent_word(perm) -> list[int]:

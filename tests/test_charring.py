@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -238,47 +239,172 @@ def _reference_validate(action):
     return None
 
 
-def _with_braid(rep, power, braid):
-    # An unvalidated action whose generators are I (x) braid (x) I.
+def _with_rmatrix(rep, power, rmatrix):
+    """An unvalidated action whose braid and generators are rebuilt from ``rmatrix``.
+
+    They are formed the way the constructor forms them, without its
+    unitarity check, so a non-unitary R can reach ``validate``.
+    """
     action = BraidedAction(rep, GATensor.unit(rep.group, 2), power, validate=False)
     d = rep.dim
-    action.braid = braid
+    acted = Matrix.zero(d * d, d * d)
+    for (g, h), c in rmatrix.terms.items():
+        acted = acted + rep.matrix(g).kron(rep.matrix(h)).scale(c)
+    swap = Matrix.from_permutation([b * d + a for a in range(d) for b in range(d)])
+    action.rmatrix = rmatrix
+    action.braid = acted @ swap
     action.generators = [
-        Matrix.identity(d ** (slot - 1)).kron(braid).kron(Matrix.identity(d ** (power - slot - 1)))
+        Matrix.identity(d ** (slot - 1)).kron(action.braid).kron(Matrix.identity(d ** (power - slot - 1)))
         for slot in range(1, power)
     ]
     return action
 
 
-def _sign_flip_braid():
-    # diag(1, -1) (x) I: an involution that does not commute with the swap rho(1) (x) rho(1).
-    one = CycScalar.one()
-    return Matrix(2, 2, {0: {0: one}, 1: {1: -one}}).kron(Matrix.identity(2))
+def _transposition_square():
+    # s (x) s for a transposition s of S3: unitary, satisfies the braid
+    # relation, and is not conjugation invariant.
+    return GATensor.basis(bundled_group("S3"), 1, 1)
 
 
-@pytest.mark.parametrize(
-    "power, make_braid, message",
-    [
-        (3, lambda action: action.braid, None),
-        (3, lambda action: action.braid.scale(2), "square to the identity"),
-        (2, lambda action: _sign_flip_braid(), "not equivariant"),
-        (3, lambda action: _sign_flip_braid(), "braid relation"),
-    ],
-    ids=["valid", "scaled", "not-equivariant", "braid-relation"],
-)
-def test_validate_on_braid_matches_reference_checks(power, make_braid, message):
-    rep = regular_rep(bundled_group("Z2"))
-    plain = BraidedAction(rep, koszul(), power, validate=False)
-    action = _with_braid(rep, power, make_braid(plain))
+def _noncommuting_twist():
+    # R = F21^-1 F with F = 1 (x) 1 + 1/2 s (x) t for non-commuting
+    # transpositions s, t of S3: unitary, but fails the braid relation.
+    f = GATensor(bundled_group("S3"), 2, {(0, 0): 1, (1, 2): Fraction(1, 2)})
+    return f.swap().inverse() * f
+
+
+def _check_against_reference(action):
+    """Assert validate raises exactly when the d^n reference fails, with its message."""
     expected = _reference_validate(action)
-    if message is None:
-        assert expected is None
+    if expected is None:
         action.validate()
-        return
-    assert message in expected
+        return None
     with pytest.raises(ValueError) as info:
         action.validate()
     assert str(info.value) == expected
+    return info.value
+
+
+@pytest.mark.parametrize(
+    "group, reps, powers, make_r, message",
+    [
+        ("Z2", "regular", (3,), koszul, None),
+        ("Z2", "regular", (3,), lambda: koszul().scale(2), "square to the identity"),
+        ("S3", "regular", (2, 3), _transposition_square, "not equivariant"),
+        ("S3", "regular", (3,), _noncommuting_twist, "braid relation"),
+        ("S3", "linear", (2, 3), _transposition_square, None),
+    ],
+    ids=["valid", "scaled", "not-equivariant", "braid-relation", "non-faithful"],
+)
+def test_validate_on_braid_matches_reference_checks(group, reps, powers, make_r, message):
+    # Each case perturbs R and rebuilds the generators from it; the d^n
+    # reference reads only the generators.  The non-faithful case has a
+    # nonzero universal equivariance difference that every linear rep of
+    # S3 sends to zero, so both sides must pass.
+    group = bundled_group(group)
+    for rep in [regular_rep(group)] if reps == "regular" else linear_character_reps(group):
+        for power in powers:
+            error = _check_against_reference(_with_rmatrix(rep, power, make_r()))
+            if message is None:
+                assert error is None
+            else:
+                assert message in str(error)
+
+
+def test_validate_failures_carry_witnesses():
+    z2_regular = regular_rep(bundled_group("Z2"))
+    with pytest.raises(ValueError) as info:
+        _with_rmatrix(z2_regular, 2, koszul().scale(2)).validate()
+    # R R21 = 4 (1 (x) 1) against the unit
+    assert info.value.witness == {"tuple": [0, 0], "left": "4", "right": "1"}
+
+    s3_regular = regular_rep(bundled_group("S3"))
+    action = _with_rmatrix(s3_regular, 2, _transposition_square())
+    with pytest.raises(ValueError) as info:
+        action.validate()
+    witness = info.value.witness
+    g = witness["element"]
+    diag = s3_regular.kron_power(g, 2)
+    assert action.braid @ diag != diag @ action.braid
+    # s (x) s against its conjugate by g, which puts gsg^-1 (x) gsg^-1 first
+    t = s3_regular.group.conjugate(1, g)
+    assert witness["tuple"] == [min(1, t)] * 2
+    assert {witness["left"], witness["right"]} == {"0", "1"}
+
+    with pytest.raises(ValueError) as info:
+        _with_rmatrix(s3_regular, 3, _noncommuting_twist()).validate()
+    witness = info.value.witness
+    assert len(witness["tuple"]) == 3 and witness["left"] != witness["right"]
+
+
+def _perturbations(group):
+    """2 (1 (x) 1), s (x) s for each involution s, and on a nonabelian group
+    F21^-1 F with F = 1 (x) 1 + 1/2 s (x) t for the first non-commuting s, t."""
+    table, e, elements = group.table, group.identity, group.elements()
+    out = [GATensor.unit(group, 2).scale(2)]
+    out += [GATensor.basis(group, s, s) for s in elements if s != e and table[s][s] == e]
+    pairs = [(s, t) for s in elements for t in elements if table[s][t] != table[t][s]]
+    if pairs:
+        f = GATensor(group, 2, {(e, e): 1, pairs[0]: Fraction(1, 2)})
+        out.append(f.swap().inverse() * f)
+    return out
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_validate_matches_reference_on_catalog_and_perturbed_r(name):
+    # Every distinct triangular R on the linear and regular reps at n = 2
+    # and 3, and at n = 4 wherever d^4 fits under the cap, so that distant
+    # generators are compared too; then perturbed R at n = 2 and 3.  A
+    # reference run at the cap itself (d = 8, n = 4) takes 1-8 s, so there
+    # it runs once per group, on the first structure that is not the unit.
+    catalog = acceptance.triangular_catalog(name)
+    reps = acceptance._test_reps(name)
+    cap, at_cap = charring.DIMENSION_CAP, []
+    for members in catalog.dedup:
+        r = catalog.rmats[members[0]]
+        for rep in reps:
+            for power in (2, 3, 4):
+                dim = rep.dim**power
+                if dim > cap or (dim == cap and (at_cap or r.is_unit())):
+                    continue
+                if dim == cap:
+                    at_cap.append(r)
+                action = BraidedAction(rep, r, power, validate=False)
+                assert _check_against_reference(action) is None
+    # R12 and R34 always commute, so no R fails the distant-generator check.
+    failures = set()
+    for r in _perturbations(catalog.group):
+        for rep in reps:
+            for power in (2, 3):
+                error = _check_against_reference(_with_rmatrix(rep, power, r))
+                failures.add(str(error).split()[-1] if error else None)
+    abelian = catalog.group.is_abelian()
+    assert ({"identity"} if abelian else {"identity", "relation", "equivariant"}) <= failures
+
+
+def test_validate_forms_no_matrix_product_when_identities_hold(monkeypatch):
+    # R R21 is formed once per construction; with every universal difference
+    # zero, validate never maps one to matrices.
+    catalog = acceptance.triangular_catalog("D4")
+    r = max((catalog.rmats[m[0]] for m in catalog.dedup), key=lambda t: len(t.terms))
+    rep = regular_rep(catalog.group)
+    counts = Counter()
+    real_matmul, real_mul = Matrix.__matmul__, GATensor.__mul__
+
+    def counting(name, real):
+        def wrapper(*args):
+            counts[name] += 1
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(GATensor, "__mul__", counting("tensor", real_mul))
+    BraidedAction(rep, r, 2)
+    assert counts["tensor"] == 1
+    actions = [BraidedAction(rep, r, power, validate=False) for power in (3, 4)]
+    monkeypatch.setattr(Matrix, "__matmul__", counting("matrix", real_matmul))
+    for action in actions:
+        action.validate()
+    assert counts["matrix"] == 0
 
 
 def test_exterior_power_base_cases():
