@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .cyclotomic import CycScalar
 from .groups import FiniteGroup, closure, subgroup_structure
-from .hopf import GATensor, first_difference
+from .hopf import GATensor, difference_witness
 from .linalg import Matrix
 from .rmatrix import markov_element
 
@@ -398,9 +398,8 @@ class BraidedAction:
     def _check(self, left: GATensor, right: GATensor, message: str, **extra):
         if left.terms == right.terms or not _image(self.rep, left - right).cols:
             return
-        key, a, b = first_difference(left, right)
         error = ValueError(message)
-        error.witness = {"tuple": list(key), "left": str(a), "right": str(b), **extra}
+        error.witness = difference_witness(left, right, **extra)
         raise error
 
     def permutation_matrix(self, perm) -> Matrix:

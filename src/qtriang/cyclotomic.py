@@ -11,10 +11,12 @@ is no global field object.  Embedding is one cached integer map per (order,
 target order), ``embed_map``, which sparse matrices share.  Addition,
 multiplication, negation and embedding run on Python ints and divide out
 one gcd per result; all arithmetic is exact.
-Every linear solve, inversion included, goes through the one elimination
-routine ``rref``: the inverse of x is the solution y of x * y = 1, a
-phi(N) x phi(N) rational system.  Fractions appear only there, in
-``reduced``, in the public constructor and in the read-only ``coeffs``.
+The two field operations that are not ring operations read the Galois
+action sigma_a: z -> z^a.  The inverse of x is the product of its other
+conjugates over its norm, a rational integer, and ``reduced`` steps down
+one prime at a time while the relative trace embeds back to x.  Both run
+on integers; Fractions appear only in the public constructor, in
+``rational`` and in the read-only ``coeffs``.
 """
 
 from __future__ import annotations
@@ -134,7 +136,7 @@ def embed_map(order: int, target: int) -> tuple[tuple[int, ...], ...]:
 
 
 def lift(coeffs: tuple, rows: tuple[tuple[int, ...], ...]) -> tuple:
-    """Apply an ``embed_map`` to one integer coordinate tuple."""
+    """Apply an integer map given by basis images, e.g. an ``embed_map``."""
     out = [0] * len(rows[0])
     for c, r in zip(coeffs, rows):
         if c:
@@ -144,48 +146,11 @@ def lift(coeffs: tuple, rows: tuple[tuple[int, ...], ...]) -> tuple:
     return tuple(out)
 
 
-def rref(rows: list[list]) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form (a fresh matrix) and its pivot columns.
-
-    Field-agnostic: entries need only exact ``1 / x``, ``*``, ``-`` and a
-    truth value, so the same loop serves Fraction and CycScalar matrices.
-    """
-    rows = [list(r) for r in rows]
-    if not rows:
-        return [], []
-    nrows = len(rows)
-    pivots = []
-    row = 0
-    for col in range(len(rows[0])):
-        pivot = next((r for r in range(row, nrows) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[row], rows[pivot] = rows[pivot], rows[row]
-        inv = 1 / rows[row][col]
-        rows[row] = [v * inv for v in rows[row]]
-        for r in range(nrows):
-            if r != row and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[row])]
-        pivots.append(col)
-        row += 1
-        if row == nrows:
-            break
-    return rows, pivots
-
-
 def _check_order(order: int) -> None:
     if order < 1:
         raise ValueError("order must be positive")
     if order > ORDER_CAP:
         raise ValueError(f"cyclotomic order {order} exceeds the supported cap {ORDER_CAP}")
-
-
-def _integral(coeffs) -> tuple[int, tuple[int, ...]]:
-    # (den, num) with den the least positive integer making den * coeffs
-    # integral; the pair is then in lowest terms.
-    den = math.lcm(1, *(c.denominator for c in coeffs))
-    return den, tuple(c.numerator * (den // c.denominator) for c in coeffs)
 
 
 def times(u: tuple, v: tuple, order: int) -> tuple:
@@ -201,6 +166,20 @@ def times(u: tuple, v: tuple, order: int) -> tuple:
     return _reduce_mod_cyclotomic(raw, order)
 
 
+def _trace_down(x: "CycScalar", p: int) -> tuple[int, tuple]:
+    # (den, num) at order M = N / p of Tr_{N/M}(x) / [Q(z_N) : Q(z_M)],
+    # which equals x exactly when x lies in Q(z_M).
+    m = x.order // p
+    if m % p == 0:
+        # z_N^(p i + r) = z_M^i z_N^r, and z_N^r has trace 0 for 0 < r < p.
+        return x.den, x.num[::p]
+    # z_N^j = z_M^(j u) z_p^(j v) with u = 1/p mod M and v = 1/M mod p; the
+    # z_p factor has trace p - 1 when p | j and -1 otherwise.
+    u, powers = pow(p, -1, m), root_power_table(m)
+    weighted = [c * (p - 1) if j % p == 0 else -c for j, c in enumerate(x.num)]
+    return x.den * (p - 1), lift(weighted, [powers[j * u % m] for j in range(len(weighted))])
+
+
 class CycScalar:
     """An element of Q(zeta_N): one order, one denominator, integer coordinates.
 
@@ -208,9 +187,9 @@ class CycScalar:
     phi(N) integer coordinates of D times the value in the power basis.  The
     pair is kept in lowest terms (gcd(D, *num) == 1, so zero has D == 1), and
     coordinates at a fixed order are unique, so equal values at the same
-    order store identical data.  ``+``, ``-``, ``*``, negation and ``embed``
-    never build Fractions; ``inverse`` and ``reduced`` solve through ``rref``
-    on Fractions, and ``coeffs`` reads the coordinates back as Fractions.
+    order store identical data.  Arithmetic, ``inverse``, ``reduced`` and
+    ``embed`` never build Fractions; ``coeffs`` reads the coordinates back
+    as Fractions.
     """
 
     __slots__ = ("order", "den", "num", "_min")
@@ -223,7 +202,9 @@ class CycScalar:
                 f"expected {euler_phi(order)} coordinates at order {order}, got {len(coeffs)}"
             )
         self.order = order
-        self.den, self.num = _integral(coeffs)
+        # The least den making den * coeffs integral gives lowest terms.
+        self.den = math.lcm(1, *(c.denominator for c in coeffs))
+        self.num = tuple(c.numerator * (self.den // c.denominator) for c in coeffs)
         self._min = None
 
     @classmethod
@@ -339,22 +320,23 @@ class CycScalar:
     __rmul__ = __mul__
 
     def inverse(self) -> "CycScalar":
-        """The unique y with self * y = 1, solved by ``rref``.
+        """The unique y with self * y = 1: den * rest / norm for self = num / den.
 
-        With self = num / den, column j of the phi(N) x phi(N) rational
-        system is num * z^j and the right-hand side is den * e_0; the matrix
-        has full rank because the field has no zero divisors.
+        rest = prod sigma_a(num) over the units 1 < a < N, so num * rest is
+        the norm of num, a nonzero integer.
         """
         if self.is_zero():
             raise ZeroDivisionError("division by zero in a cyclotomic field")
-        n = len(self.num)
-        cols = [_reduce_mod_cyclotomic([0] * j + list(self.num), self.order) for j in range(n)]
-        aug = [
-            [Fraction(col[i]) for col in cols] + [Fraction(self.den if i == 0 else 0)]
-            for i in range(n)
-        ]
-        reduced_rows, _ = rref(aug)
-        return CycScalar._make(self.order, *_integral([r[n] for r in reduced_rows]))
+        n, powers = self.order, root_power_table(self.order)
+        rest = powers[0]
+        for a in range(2, n):
+            if math.gcd(a, n) == 1:
+                # sigma_a(num) sends coordinate j to z^(j a).
+                image = [powers[j * a % n] for j in range(len(self.num))]
+                rest = times(rest, lift(self.num, image), n)
+        norm = times(self.num, rest, n)[0]
+        sign = -self.den if norm < 0 else self.den
+        return CycScalar._make(n, abs(norm), tuple(sign * x for x in rest))
 
     def __truediv__(self, other):
         pair = self._coerce(other)
@@ -379,24 +361,22 @@ class CycScalar:
         return result
 
     def reduced(self) -> "CycScalar":
-        """Canonical representative at the smallest order containing the value."""
+        """Canonical representative at the smallest order containing the value.
+
+        The orders whose field holds the value are closed under gcd, so
+        stepping down one prime p | N at a time, while the value lies in
+        Q(z_(N/p)), ends at the least of them.
+        """
         if self._min is not None:
             return self._min
         result = self
-        for d in divisors(self.order)[:-1]:
-            basis = embed_map(d, self.order)
-            m = len(basis)
-            # Solve sum_j x_j * basis[j] = num over Q.  The embedded basis
-            # is independent, so the system is consistent exactly when the
-            # target column is not a pivot, i.e. when there are m pivots.
-            aug = [
-                [Fraction(col[i]) for col in basis] + [Fraction(c)]
-                for i, c in enumerate(self.num)
-            ]
-            reduced_rows, pivots = rref(aug)
-            if len(pivots) == m:
-                den, num = _integral([r[m] for r in reduced_rows[:m]])
-                result = CycScalar._make(d, den * self.den, num)
+        while True:
+            for p in (d for d in divisors(result.order)[1:] if euler_phi(d) == d - 1):
+                down = CycScalar._make(result.order // p, *_trace_down(result, p))
+                if down.embed(result.order) == result:
+                    result = down
+                    break
+            else:
                 break
         result._min = result
         self._min = result

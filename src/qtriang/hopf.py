@@ -307,3 +307,11 @@ def first_difference(left: GATensor, right: GATensor):
         if a != b:
             return key, a, b
     return None
+
+
+def difference_witness(left: GATensor, right: GATensor, **extra) -> dict | None:
+    """``first_difference`` as a witness dict with ``extra`` keys, or None."""
+    diff = first_difference(left, right)
+    if diff is not None:
+        key, a, b = diff
+        return {"tuple": list(key), "left": str(a), "right": str(b), **extra}

@@ -1,13 +1,14 @@
 """Exact linear algebra over cyclotomic scalars.
 
 Dense routines work on lists of lists of CycScalar and stay small: every
-system solved in this package has at most a few thousand entries.  A
-subspace is eliminated once, by ``row_basis``, into its canonical basis;
-membership is then read from that basis's pivots without further
-elimination, and two subspaces are equal exactly when their canonical
-bases compare equal with ``==``.  The sparse Matrix class backs representation
-matrices and braided symmetric-group actions, where tensor-power
-dimensions reach a few hundred but columns stay nearly empty.
+system solved in this package has at most a few thousand entries, and
+``rref`` is its only elimination (scalars invert without one).  A subspace
+is eliminated once, by ``row_basis``, into its canonical basis; membership
+is then read from that basis's pivots without further elimination, and
+two subspaces are equal exactly when their canonical bases compare equal
+with ``==``.  The sparse Matrix class backs representation matrices and
+braided symmetric-group actions, where tensor-power dimensions reach a few
+hundred but columns stay nearly empty.
 
 A Matrix stores one cyclotomic order N for all of its entries, one
 positive integer denominator D, and for each nonzero entry the phi(N)
@@ -31,7 +32,6 @@ from .cyclotomic import (
     embed_map,
     euler_phi,
     lift,
-    rref as _rref,
     times,
 )
 
@@ -40,7 +40,28 @@ _ZERO = CycScalar.zero()
 
 def rref(rows: list[list[CycScalar]]) -> tuple[list[list[CycScalar]], list[int]]:
     """Reduced row echelon form (a fresh matrix) and its pivot columns."""
-    return _rref(rows)
+    rows = [list(r) for r in rows]
+    if not rows:
+        return [], []
+    nrows = len(rows)
+    pivots = []
+    row = 0
+    for col in range(len(rows[0])):
+        pivot = next((r for r in range(row, nrows) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[row], rows[pivot] = rows[pivot], rows[row]
+        inv = 1 / rows[row][col]
+        rows[row] = [v * inv for v in rows[row]]
+        for r in range(nrows):
+            if r != row and rows[r][col]:
+                factor = rows[r][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[row])]
+        pivots.append(col)
+        row += 1
+        if row == nrows:
+            break
+    return rows, pivots
 
 
 def row_basis(rows: list[list[CycScalar]]) -> list[list[CycScalar]]:
@@ -73,7 +94,7 @@ def solve(a_rows: list[list[CycScalar]], rhs: list[CycScalar]):
     Free variables are set to zero.
     """
     ncols = len(a_rows[0]) if a_rows else 0
-    reduced, pivots = _rref([list(r) + [b] for r, b in zip(a_rows, rhs)])
+    reduced, pivots = rref([list(r) + [b] for r, b in zip(a_rows, rhs)])
     if pivots and pivots[-1] == ncols:
         return None
     solution = [_ZERO] * ncols

@@ -25,7 +25,7 @@ from .groups import (
     Inclusion,
     same_module_structure,
 )
-from .hopf import GATensor, first_difference
+from .hopf import GATensor, difference_witness
 
 
 @dataclass(frozen=True)
@@ -45,27 +45,16 @@ class VerificationReport:
         self.checks.append(CheckResult(name, bool(passed), witness))
 
     def add_equality(self, name: str, left: GATensor, right: GATensor, **extra):
-        diff = first_difference(left, right)
-        if diff is None:
-            self.add(name, True)
-        else:
-            key, a, b = diff
-            witness = {"tuple": list(key), "left": str(a), "right": str(b)}
-            witness.update(extra)
-            self.add(name, False, witness)
+        witness = difference_witness(left, right, **extra)
+        self.add(name, witness is None, witness)
 
     def add_commutation(self, name: str, x: GATensor, basis):
         """Whether x commutes with basis(g) for every g, witnessing the first g that fails."""
         for g in x.group.elements():
             b = basis(g)
-            diff = first_difference(x * b, b * x)
-            if diff is not None:
-                key, left, right = diff
-                self.add(
-                    name,
-                    False,
-                    {"element": g, "tuple": list(key), "left": str(left), "right": str(right)},
-                )
+            witness = difference_witness(x * b, b * x)
+            if witness is not None:
+                self.add(name, False, {"element": g, **witness})
                 return
         self.add(name, True)
 
@@ -385,7 +374,8 @@ def _hopf_closure_checks(group: FiniteGroup, basis_rows, side: str, checks: dict
         [GATensor.unit(group, 1)]
     )
     # Kronecker products of reduced rows are reduced: a basis of the square.
-    pair_rows = [[a * b for a in x for b in y] for x in basis_rows for y in basis_rows]
+    # A zero factor is the entry itself; only nonzero pairs are multiplied.
+    pair_rows = [[a and b and a * b for a in x for b in y] for x in basis_rows for y in basis_rows]
     checks[f"{side}_closed_under_coproduct"] = closed(
         (x.coproduct(1) for x in basis_tensors), pair_rows
     )

@@ -44,9 +44,21 @@ def test_add_mixed_orders_3_by_4(benchmark):
     benchmark(lambda: a + b)
 
 
-def test_inverse_order_4(benchmark):
-    a = _value(4, 16)
+@pytest.mark.parametrize("order", [4, 8, 24])
+def test_inverse(benchmark, order):
+    a = _value(order, 16)
     benchmark(a.inverse)
+
+
+@pytest.mark.parametrize("order", [4, 8, 24])
+def test_reduced_full_field_value(benchmark, order):
+    a = _value(order, 16)
+
+    def reduced():
+        a._min = None  # drop the memoised result so every round reduces
+        return a.reduced()
+
+    assert benchmark(reduced).order == order
 
 
 def test_gatensor_inverse_d4(benchmark):

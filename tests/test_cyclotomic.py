@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -5,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qtriang import cyclotomic
 from qtriang.cyclotomic import (
     CycScalar,
     ORDER_CAP,
@@ -53,6 +55,7 @@ def _poly_div_exact(a, b):
     return q
 
 
+@functools.lru_cache(maxsize=None)
 def _phi_moebius(n):
     num, den = [1], [1]
     for d in divisors(n):
@@ -201,7 +204,7 @@ def test_reduced_is_independent_of_the_written_order(a, k):
 
 def test_inverse_matches_sympy():
     # sympy inverts modulo Phi_N with its own polynomial arithmetic over QQ,
-    # sharing no code with the elimination CycScalar.inverse uses.
+    # sharing no code with the Galois-conjugate product CycScalar.inverse uses.
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
     rng = random.Random(20261018)
@@ -315,3 +318,146 @@ def test_equality_and_hash_agree_across_orders(a, k, c):
     rational = not any(a.coeffs[1:])
     assert (a == q) is rational and (b == q) is rational
     assert (a == CycScalar.rational(q, 12)) is rational
+
+
+# Elimination reference for ``inverse`` and ``reduced``: each is a rational
+# linear solve, the inverse of x as the solution y of x * y = 1 and the
+# minimal order as the least d for which x is a combination of the embedded
+# powers of z_d.  Built on the Moebius-formula reduction above, it shares no
+# code with the Galois action the package uses.
+
+def _ref_solve(columns, rhs):
+    # One solution of sum_j y_j * columns[j] = rhs for independent columns,
+    # or None if there is none.  Gauss-Jordan elimination on the augmented
+    # matrix scaled to integers: rows are combined by cross-multiplying and
+    # kept primitive by dividing out their content, so no entry is a Fraction.
+    m = len(columns)
+    rows = []
+    for i, c in enumerate(rhs):
+        row = [col[i] for col in columns] + [c]
+        scale = math.lcm(*(v.denominator for v in row))
+        rows.append([int(v * scale) for v in row])
+    pivots = []
+    for col in range(m):
+        pivot = next((r for r in range(len(pivots), len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        top = len(pivots)
+        rows[top], rows[pivot] = rows[pivot], rows[top]
+        p = rows[top][col]
+        for r in range(len(rows)):
+            f = rows[r][col]
+            if r != top and f:
+                new = [p * a - f * b for a, b in zip(rows[r], rows[top])]
+                g = math.gcd(*new)
+                rows[r] = [v // g for v in new] if g > 1 else new
+        pivots.append(col)
+    if any(row[m] for row in rows[len(pivots):]):
+        return None
+    solution = [Fraction(0)] * m
+    for r, col in enumerate(pivots):
+        solution[col] = Fraction(rows[r][m], rows[r][col])
+    return solution
+
+
+def _unit_vector(j, length):
+    return [Fraction(int(i == j)) for i in range(length)]
+
+
+def _ref_times_z(u, n):
+    return _ref_reduce([Fraction(0)] + list(u), n)
+
+
+def _ref_inverse(x):
+    # The solution y of x * y = 1: column j of the system is x * z^j.
+    columns = [list(x.coeffs)]
+    while len(columns) < euler_phi(x.order):
+        columns.append(_ref_times_z(columns[-1], x.order))
+    return CycScalar(x.order, _ref_solve(columns, _unit_vector(0, len(columns))))
+
+
+@functools.lru_cache(maxsize=None)
+def _ref_root_powers(n):
+    # Coordinates of z^k at order n for k < n.
+    powers = [_unit_vector(0, euler_phi(n))]
+    while len(powers) < n:
+        powers.append(_ref_times_z(powers[-1], n))
+    return powers
+
+
+def _ref_subfield_coords(x, d):
+    # Coordinates at order d of x, or None if x is not in Q(zeta_d).
+    powers = _ref_root_powers(x.order)
+    basis = [powers[i * (x.order // d)] for i in range(euler_phi(d))]
+    return _ref_solve(basis, list(x.coeffs))
+
+
+def _ref_reduced(x):
+    for d in divisors(x.order):
+        coords = _ref_subfield_coords(x, d)
+        if coords is not None:
+            return CycScalar(d, coords)
+
+
+def _subfield_values(seed):
+    # One nonzero value from Q(zeta_d) at order n, for every d | n <= 60.
+    rng = random.Random(seed)
+    for n in range(1, 61):
+        for d in divisors(n):
+            coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(euler_phi(d))]
+            coeffs[rng.randrange(len(coeffs))] = Fraction(rng.choice((-2, 1, 3)), rng.randint(1, 3))
+            yield CycScalar(d, coeffs).embed(n)
+
+
+def _stored(x):
+    return (x.order, x.den, x.num)
+
+
+def test_inverse_and_reduced_match_the_elimination_reference():
+    cases = 0
+    for x in _subfield_values(20261018):
+        assert _stored(x.inverse()) == _stored(_ref_inverse(x))
+        assert _stored(x.reduced()) == _stored(_ref_reduced(x))
+        cases += 1
+    assert cases == sum(len(divisors(n)) for n in range(1, 61))
+
+
+def test_reduced_order_is_the_least_subfield_holding_the_value():
+    # The orders d | N whose field holds x are exactly the multiples of the
+    # least one, and ``reduced`` lands on it.
+    for x in _subfield_values(7):
+        held = [d for d in divisors(x.order) if _ref_subfield_coords(x, d) is not None]
+        least = x.reduced().order
+        assert least == held[0]
+        assert held == [d for d in divisors(x.order) if d % least == 0]
+
+
+def test_inverse_and_reduced_at_the_order_cap():
+    rng = random.Random(360)
+    x = CycScalar(360, [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(96)])
+    assert x * x.inverse() == 1
+    assert x.reduced() is x
+    sub = CycScalar(72, [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(24)])
+    sub = sub + root_of_unity(72)
+    lifted = sub.embed(360)
+    assert _stored(lifted.reduced()) == _stored(sub)
+    assert _stored(root_of_unity(360, 45).reduced()) == _stored(root_of_unity(8))
+
+
+def test_inverse_and_reduced_build_no_fractions(monkeypatch):
+    values = [
+        CycScalar.rational(Fraction(-3, 4), 12),
+        root_of_unity(12, 3) * 2 + 1,
+        root_of_unity(3).embed(30) - Fraction(1, 5),
+        root_of_unity(8) + root_of_unity(5, 2),
+        root_of_unity(7, 3) * Fraction(2, 7),
+    ]
+
+    class NoFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(cyclotomic, "Fraction", NoFraction)
+    for x in values:
+        assert (x * x.inverse()).num[0] == 1
+        assert x.reduced().order <= x.order
