@@ -19,12 +19,10 @@ from .groups import (
 )
 from .hopf import GATensor
 from .rmatrix import (
-    AlphaMap,
     KoszulTwist,
     QTDatum,
     SupportReport,
     VerificationReport,
-    alpha_map,
     build_r,
     koszul_twist,
     markov_element,

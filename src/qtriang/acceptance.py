@@ -42,7 +42,6 @@ from .cyclotomic import CycScalar, root_of_unity
 from .groups import CATALOG_NAMES, bundled_group
 from .hopf import GATensor
 from .rmatrix import (
-    alpha_map,
     koszul_twist,
     markov_element_flipped,
     minimal_support,
@@ -228,10 +227,6 @@ def _support_tags(built: GATensor, datum) -> list[str]:
     if support.right_dim != datum.domain.order:
         tags.append("right_dimension")
     tags.extend(k for k, ok in support.checks.items() if not ok)
-    pairing = alpha_map(built)
-    tags.extend(f"alpha_{k}" for k, ok in pairing.checks.items() if not ok)
-    if pairing.rank != datum.domain.order:
-        tags.append("alpha_rank")
     return tags
 
 

@@ -107,28 +107,23 @@ def enumerate_qt(group: FiniteGroup, *, triangular_only: bool = False) -> Catalo
     forms to be skewsymmetric.
     """
     catalog = Catalog(group=group, data=_enumerate_data(group, triangular_only))
-    # The checks are deterministic in the stored terms, so data that build the
-    # same stored form share them.  canonical_key would also merge forms that
-    # store a scalar at another order, whose failure witnesses print differently.
-    verified: dict = {}
+    # Data that build the same element store it bit-identically: build_r
+    # stores every coefficient at the exponent of A, and R fixes A through its
+    # left support i(A).  So the stored form keys both the shared checks and
+    # the dedup classes, which come out ordered by their first member.
     classes: dict = {}
     for idx, datum in enumerate(catalog.data):
         built = build_r(datum)
         exact = tuple(sorted((key, c.order, c.den, c.num) for key, c in built.terms.items()))
-        if exact not in verified:
-            verified[exact] = (
-                built.canonical_key(),
-                verify_qt(built),
-                markov_element(built),
-                verify_unitary(built),
-            )
-        canonical, report, markov, unitary = verified[exact]
+        if exact not in classes:
+            classes[exact] = (verify_qt(built), markov_element(built), verify_unitary(built), [])
+        report, markov, unitary, members = classes[exact]
         catalog.rmats.append(built)
         catalog.reports.append(report)
         catalog.markovs.append(markov)
         catalog.unitary.append(unitary)
-        classes.setdefault(canonical, []).append(idx)
-    catalog.dedup = sorted(classes.values(), key=lambda members: members[0])
+        members.append(idx)
+    catalog.dedup = [members for *_, members in classes.values()]
     return catalog
 
 

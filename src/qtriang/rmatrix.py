@@ -271,12 +271,10 @@ def verify_markov(candidate: GATensor) -> VerificationReport:
     report = VerificationReport()
     u = markov_element(candidate)
     report.add_equality("conventions_agree", u, markov_element_flipped(candidate))
-    try:
-        u_inv = u.inverse()
-        report.add("invertible", True)
-    except ValueError:
+    if not u.is_invertible():
         report.add("invertible", False, {"reason": "markov element is not invertible"})
         return report
+    report.add("invertible", True)
     r21r = candidate.swap() * candidate
     report.add_equality(
         "coproduct_identity", u.coproduct(1), r21r.inverse() * (u @ u)
@@ -364,6 +362,7 @@ class SupportReport:
 
 
 def _hopf_closure_checks(group: FiniteGroup, basis_rows, side: str, checks: dict):
+    """Add the four closure checks of one support; return its basis tensors."""
     basis_tensors = [_vector_tensor(group, row) for row in basis_rows]
 
     def closed(tensors, rows=basis_rows) -> bool:
@@ -383,10 +382,11 @@ def _hopf_closure_checks(group: FiniteGroup, basis_rows, side: str, checks: dict
     checks[f"{side}_conjugation_invariant"] = closed(
         x.adjoint_action(g, 1) for x in basis_tensors for g in group.elements()
     )
+    return basis_tensors
 
 
 def minimal_support(candidate: GATensor, datum: QTDatum | None = None) -> SupportReport:
-    """Spans of the two partial evaluations of R, with Hopf-closure checks.
+    """Spans of the two partial evaluations of R, with Hopf-closure and pairing checks.
 
     The left support collects (I x l)(R) over coordinate functionals l, the
     right support (l x I)(R).  Both must be Hopf subalgebras invariant under
@@ -396,95 +396,54 @@ def minimal_support(candidate: GATensor, datum: QTDatum | None = None) -> Suppor
     (``linalg.row_basis``): the closure checks read membership from its
     pivots, the coproduct check from the pivots of its Kronecker square, and
     subspaces compare equal exactly when their canonical bases do.
-    """
-    group = candidate.group
-    right_rows = _coefficient_matrix(candidate)
-    left_basis = linalg.row_basis([list(col) for col in zip(*right_rows)])
-    right_basis = linalg.row_basis(right_rows)
-    checks: dict[str, bool] = {}
-    _hopf_closure_checks(group, left_basis, "left", checks)
-    _hopf_closure_checks(group, right_basis, "right", checks)
-    if datum is not None:
-        checks["left_equals_left_inclusion_span"] = left_basis == span_of_elements(
-            group, datum.incl_left.image
-        )
-        checks["right_equals_right_inclusion_span"] = right_basis == span_of_elements(
-            group, datum.incl_right.image
-        )
-    if verify_unitary(candidate):
-        checks["supports_coincide_when_unitary"] = left_basis == right_basis
-    return SupportReport(
-        left_basis=[_vector_tensor(group, row) for row in left_basis],
-        right_basis=[_vector_tensor(group, row) for row in right_basis],
-        checks=checks,
-    )
 
-
-@dataclass
-class AlphaMap:
-    """The pairing map from functionals on the right support to the left support.
-
-    ``matrix[h][g]`` is the coefficient of group element h in the image of
-    the coordinate functional at g, i.e. exactly the coefficient matrix of R.
-    """
-
-    matrix: list[list[CycScalar]]
-    rank: int
-    checks: dict[str, bool]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(self.checks.values())
-
-
-def alpha_map(candidate: GATensor) -> AlphaMap:
-    """Matrix of the functional-pairing map with its structural checks.
-
-    Validates that the map reverses products on the coordinate functional
-    basis, respects coproducts, and is a bijection onto the left support;
-    for unitary R the dual map must agree with the antipode composite.
+    The ``alpha_*`` checks cover the pairing map l -> (I x l)(R) from
+    functionals on the right support to the left support: it reverses
+    products, respects coproducts, and for unitary R its dual is the
+    antipode composite.  Row rank equals column rank, so the map is always a
+    bijection onto the left support, of rank ``left_dim``.
     """
     group = candidate.group
     n = group.size
     matrix = _coefficient_matrix(candidate)
-    left_rows = [list(col) for col in zip(*matrix)]
-    columns = [_vector_tensor(group, row) for row in left_rows]
+    columns = [list(col) for col in zip(*matrix)]
+    left_rows = linalg.row_basis(columns)
+    right_rows = linalg.row_basis(matrix)
     checks: dict[str, bool] = {}
+    left_basis = _hopf_closure_checks(group, left_rows, "left", checks)
+    right_basis = _hopf_closure_checks(group, right_rows, "right", checks)
+    if datum is not None:
+        checks["left_equals_left_inclusion_span"] = left_rows == span_of_elements(
+            group, datum.incl_left.image
+        )
+        checks["right_equals_right_inclusion_span"] = right_rows == span_of_elements(
+            group, datum.incl_right.image
+        )
+    unitary = verify_unitary(candidate)
+    if unitary:
+        checks["supports_coincide_when_unitary"] = left_rows == right_rows
+    # The pairing map sends the coordinate functional at g to the g-th column.
     # Coordinate functionals multiply pointwise: delta_g * delta_h vanishes
     # unless g = h, so the product reversal collapses to these relations.
-    ok = True
-    for g in range(n):
-        for h in range(n):
-            expected = columns[g] if g == h else GATensor(group, 1)
-            if columns[h] * columns[g] != expected:
-                ok = False
-                break
-        if not ok:
-            break
-    checks["reverses_products"] = ok
-    ok = True
-    for g in range(n):
-        lhs = columns[g].coproduct(1)
-        rhs = GATensor(group, 2)
-        for a in range(n):
-            for b in range(n):
-                if group.table[a][b] == g:
-                    rhs = rhs + (columns[a] @ columns[b])
-        if lhs != rhs:
-            ok = False
-            break
-    checks["respects_coproducts"] = ok
-    # The domain, functionals on the right support, has the dimension of the
-    # row space of the coefficient matrix; the image is the left support.
-    map_rank = len(linalg.row_basis(left_rows))
-    checks["bijective_onto_left_support"] = map_rank == len(linalg.row_basis(matrix))
-    if verify_unitary(candidate):
-        checks["dual_equals_antipode_composite"] = all(
-            matrix[g][h] == matrix[group.inverses[h]][g]
-            for g in range(n)
-            for h in range(n)
+    images = [_vector_tensor(group, col) for col in columns]
+    checks["alpha_reverses_products"] = all(
+        images[h] * images[g] == (images[g] if g == h else GATensor(group, 1))
+        for g in range(n)
+        for h in range(n)
+    )
+    checks["alpha_respects_coproducts"] = all(
+        images[g].coproduct(1)
+        == sum(
+            (images[a] @ images[b] for a in range(n) for b in range(n) if group.table[a][b] == g),
+            GATensor(group, 2),
         )
-    return AlphaMap(matrix=matrix, rank=map_rank, checks=checks)
+        for g in range(n)
+    )
+    if unitary:
+        checks["alpha_dual_equals_antipode_composite"] = all(
+            matrix[g][h] == matrix[group.inverses[h]][g] for g in range(n) for h in range(n)
+        )
+    return SupportReport(left_basis=left_basis, right_basis=right_basis, checks=checks)
 
 
 @dataclass

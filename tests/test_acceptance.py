@@ -18,7 +18,7 @@ group's answer.
 
 from collections import Counter
 
-from qtriang import acceptance, linalg
+from qtriang import acceptance, linalg, rmatrix
 from qtriang.charring import ClassFunction
 from qtriang.cyclotomic import CycScalar
 from qtriang.groups import CATALOG_NAMES
@@ -82,15 +82,15 @@ def _fails_with(fn, count_line, first):
 
 
 def test_criterion_05_reports_every_datum_of_a_failing_group(monkeypatch):
-    real = acceptance.alpha_map
+    real = acceptance.minimal_support
 
-    def failing_on_q8(built):
-        pairing = real(built)
+    def failing_on_q8(built, datum):
+        support = real(built, datum)
         if built.group.name == "Q8":
-            pairing.checks["injected"] = False
-        return pairing
+            support.checks["alpha_injected"] = False
+        return support
 
-    monkeypatch.setattr(acceptance, "alpha_map", failing_on_q8)
+    monkeypatch.setattr(acceptance, "minimal_support", failing_on_q8)
     _fails_with(
         acceptance.criterion_5,
         "340 data checked, 26 problems",
@@ -101,7 +101,9 @@ def test_criterion_05_reports_every_datum_of_a_failing_group(monkeypatch):
 def test_criterion_05_reduces_each_support_once(monkeypatch):
     # Each support is eliminated once and every membership and equality
     # question is read from its canonical basis; one elimination per
-    # question made 3,336 rref calls and 16,238 scalar inverses.
+    # question made 3,336 rref calls and 16,238 scalar inverses.  The
+    # pairing-map checks share the supports' coefficient matrix and R R21,
+    # so each support report makes two eliminations and one unitarity test.
     for name in CATALOG_NAMES:
         acceptance.qt_catalog(name)
     counts = Counter()
@@ -115,10 +117,15 @@ def test_criterion_05_reduces_each_support_once(monkeypatch):
 
         monkeypatch.setattr(owner, attr, counting)
 
+    count(acceptance, "minimal_support")
+    count(rmatrix, "verify_unitary")
     count(linalg, "rref")
     count(CycScalar, "inverse")
     assert acceptance.criterion_5().passed
-    assert 0 < counts["rref"] <= 200, counts
+    reports = counts["minimal_support"]
+    assert reports == 44, counts
+    assert counts["rref"] == 2 * reports, counts
+    assert counts["verify_unitary"] == reports, counts
     assert counts["inverse"] <= 600, counts
 
 

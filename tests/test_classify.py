@@ -3,10 +3,12 @@ from fractions import Fraction
 import pytest
 
 from qtriang.groups import (
+    CATALOG_NAMES,
     AbelianGroup,
     abelian_normal_subgroups,
     bundled_group,
     cyclic_group,
+    dihedral_group,
     enumerate_biforms,
     normal_inclusions,
     same_module_structure,
@@ -204,3 +206,22 @@ def test_markov_of_triangular_entries_is_central_involution():
             idx = m.grouplike_index()
             assert idx in group.center()
             assert group.table[idx][idx] == group.identity
+
+
+def _canonical_classes(cat):
+    classes = {}
+    for idx, built in enumerate(cat.rmats):
+        classes.setdefault(built.canonical_key(), []).append(idx)
+    return list(classes.values())
+
+
+@pytest.mark.parametrize("name", [*CATALOG_NAMES, "Z6", "D6"])
+def test_dedup_classes_equal_canonical_key_classes(name):
+    # The dedup classes are keyed by the stored form; grouping by the
+    # order-independent canonical_key must give the same classes.
+    if name in CATALOG_NAMES:
+        catalogs = [qt_catalog(name), triangular_catalog(name)]
+    else:
+        catalogs = [enumerate_qt(cyclic_group(6) if name == "Z6" else dihedral_group(6))]
+    for cat in catalogs:
+        assert cat.dedup == _canonical_classes(cat)

@@ -18,7 +18,6 @@ from qtriang.hopf import GATensor
 from qtriang.rmatrix import (
     DatumError,
     QTDatum,
-    alpha_map,
     build_r,
     koszul_twist,
     markov_element,
@@ -200,24 +199,35 @@ def test_minimal_support_s3():
     assert rows == span_of_elements(d.group, {0, 3, 4})
 
 
-def test_alpha_map_unit_and_koszul():
+PAIRING_CHECKS = [
+    "alpha_reverses_products",
+    "alpha_respects_coproducts",
+    "alpha_dual_equals_antipode_composite",
+]
+
+
+def test_pairing_checks_unit_and_koszul():
     g = bundled_group("Z2")
-    unit_map = alpha_map(GATensor.unit(g, 2))
-    assert unit_map.rank == 1
+    unit_support = minimal_support(GATensor.unit(g, 2))
+    assert unit_support.left_dim == 1
+    assert list(unit_support.checks)[-4:] == ["supports_coincide_when_unitary", *PAIRING_CHECKS]
     r = build_r(z2_datum())
-    pairing = alpha_map(r)
-    assert pairing.rank == 2
-    assert pairing.all_passed
+    support = minimal_support(r)
+    assert support.left_dim == 2
+    assert support.all_passed
+    assert list(support.checks)[-3:] == PAIRING_CHECKS
     half = Fraction(1, 2)
-    # columns are (1 + u)/2 and (1 - u)/2
-    assert pairing.matrix[0][0] == half and pairing.matrix[1][0] == half
-    assert pairing.matrix[0][1] == half and pairing.matrix[1][1] == -half
+    # the pairing map sends delta_1 and delta_u to (1 + u)/2 and (1 - u)/2
+    assert r.coeff((0, 0)) == half and r.coeff((1, 0)) == half
+    assert r.coeff((0, 1)) == half and r.coeff((1, 1)) == -half
 
 
-def test_alpha_map_s3():
-    pairing = alpha_map(build_r(s3_datum()))
-    assert pairing.rank == 3
-    assert pairing.all_passed
+def test_pairing_checks_s3():
+    # not unitary: no dual-map check
+    support = minimal_support(build_r(s3_datum()))
+    assert support.left_dim == 3
+    assert support.all_passed
+    assert list(support.checks)[-2:] == PAIRING_CHECKS[:2]
 
 
 def test_koszul_twist_z2_is_trivial():
@@ -336,8 +346,8 @@ def test_central_witness_pins_first_noncommuting_element():
 #
 # The reference keeps the design that reduces a subspace again for every
 # question: each membership test runs one elimination of the spanning rows
-# with the vector tagged on top, two spans are equal when each basis lies in
-# the other, and the rank is the pivot count of one more elimination.
+# with the vector tagged on top, and two spans are equal when each basis lies
+# in the other.  The pairing checks are made on the raw columns of R.
 
 
 def _ref_in_span(rows, vector):
@@ -396,22 +406,20 @@ def _reference_support(candidate, datum):
     return len(left), len(right), checks
 
 
-def _reference_alpha(candidate):
-    """(rank, checks) of ``alpha_map``."""
+def _reference_pairing(candidate):
+    """The pairing-map checks of ``minimal_support``."""
     group = candidate.group
     n = group.size
     cols = [
         GATensor(group, 1, {(h,): candidate.coeff((h, g)) for h in range(n)}) for g in range(n)
     ]
-    rows = [[candidate.coeff((h, g)) for h in range(n)] for g in range(n)]
-    rank = len(linalg.rref(rows)[1])
     checks = {
-        "reverses_products": all(
+        "alpha_reverses_products": all(
             cols[h] * cols[g] == (cols[g] if g == h else GATensor(group, 1))
             for g in range(n)
             for h in range(n)
         ),
-        "respects_coproducts": all(
+        "alpha_respects_coproducts": all(
             cols[g].coproduct(1)
             == sum(
                 (cols[a] @ cols[b] for a in range(n) for b in range(n) if group.table[a][b] == g),
@@ -419,26 +427,22 @@ def _reference_alpha(candidate):
             )
             for g in range(n)
         ),
-        "bijective_onto_left_support": rank == len(linalg.rref([list(r) for r in zip(*rows)])[1]),
     }
     if verify_unitary(candidate):
-        checks["dual_equals_antipode_composite"] = all(
+        checks["alpha_dual_equals_antipode_composite"] = all(
             candidate.coeff((g, h)) == candidate.coeff((group.inverses[h], g))
             for g in range(n)
             for h in range(n)
         )
-    return rank, checks
+    return checks
 
 
 def _assert_matches_reference(candidate, datum):
     support = minimal_support(candidate, datum)
     left_dim, right_dim, checks = _reference_support(candidate, datum)
     assert (support.left_dim, support.right_dim) == (left_dim, right_dim)
+    checks.update(_reference_pairing(candidate))
     assert list(support.checks.items()) == list(checks.items())
-    pairing = alpha_map(candidate)
-    rank, checks = _reference_alpha(candidate)
-    assert pairing.rank == rank
-    assert list(pairing.checks.items()) == list(checks.items())
     return support
 
 
