@@ -69,7 +69,7 @@ class Catalog:
         raise IndexError(index)
 
 
-def _enumerate_data(group: FiniteGroup, triangular_only: bool) -> list[QTDatum]:
+def _enumerate_data(group: FiniteGroup) -> list[QTDatum]:
     if group.size > 64:
         raise ValueError("enumeration is capped at groups of order 64")
     shapes: list[AbelianGroup] = []
@@ -83,16 +83,9 @@ def _enumerate_data(group: FiniteGroup, triangular_only: bool) -> list[QTDatum]:
     for domain in shapes:
         inclusions = sorted(normal_inclusions(domain, group), key=lambda i: i.gen_images)
         for left in inclusions:
-            rights = [left] if triangular_only else inclusions
             autos = left.conjugation_automorphisms()
-            forms = enumerate_biforms(
-                domain,
-                autos,
-                nondegenerate=True,
-                skewsymmetric=triangular_only,
-                g_invariant=True,
-            )
-            for right in rights:
+            forms = enumerate_biforms(domain, autos, nondegenerate=True, g_invariant=True)
+            for right in inclusions:
                 if right is not left and not same_module_structure(left, right):
                     continue
                 for beta in forms:
@@ -100,19 +93,14 @@ def _enumerate_data(group: FiniteGroup, triangular_only: bool) -> list[QTDatum]:
     return data
 
 
-def enumerate_qt(group: FiniteGroup, *, triangular_only: bool = False) -> Catalog:
-    """Catalog of all structures on k[G]; deterministic over iteration order.
-
-    With ``triangular_only`` the inclusions are forced to coincide and the
-    forms to be skewsymmetric.
-    """
-    catalog = Catalog(group=group, data=_enumerate_data(group, triangular_only))
+def _catalog(group: FiniteGroup, data: list[QTDatum]) -> Catalog:
+    catalog = Catalog(group=group, data=data)
     # Data that build the same element store it bit-identically: build_r
     # stores every coefficient at the exponent of A, and R fixes A through its
     # left support i(A).  So the stored form keys both the shared checks and
     # the dedup classes, which come out ordered by their first member.
     classes: dict = {}
-    for idx, datum in enumerate(catalog.data):
+    for idx, datum in enumerate(data):
         built = build_r(datum)
         exact = tuple(sorted((key, c.order, c.den, c.num) for key, c in built.terms.items()))
         if exact not in classes:
@@ -127,6 +115,11 @@ def enumerate_qt(group: FiniteGroup, *, triangular_only: bool = False) -> Catalo
     return catalog
 
 
+def enumerate_qt(group: FiniteGroup) -> Catalog:
+    """Catalog of all structures on k[G]; deterministic over iteration order."""
+    return _catalog(group, _enumerate_data(group))
+
+
 def enumerate_triangular(group: FiniteGroup) -> Catalog:
-    """The unitary part of the catalog: coinciding inclusions, skew forms."""
-    return enumerate_qt(group, triangular_only=True)
+    """The triangular data of the full catalog, in the same order."""
+    return _catalog(group, [d for d in _enumerate_data(group) if d.triangular])

@@ -30,7 +30,7 @@ from .charring import (
     lambda_from_adams,
     standard_reps,
 )
-from .classify import COMPLETENESS_NOTE, enumerate_qt
+from .classify import COMPLETENESS_NOTE, enumerate_qt, enumerate_triangular
 from .cyclotomic import ORDER_CAP, root_of_unity
 from .groups import CATALOG_NAMES
 from .rmatrix import (
@@ -157,7 +157,7 @@ def _load_rmatrix(args):
 
 def _cmd_classify(args):
     group = _resolve_group(args)
-    catalog = enumerate_qt(group, triangular_only=args.triangular)
+    catalog = (enumerate_triangular if args.triangular else enumerate_qt)(group)
     entries = []
     for idx, datum in enumerate(catalog.data):
         entries.append(

@@ -17,7 +17,7 @@ import math
 from functools import lru_cache
 from importlib import resources
 
-from .cyclotomic import CycScalar, root_of_unity
+from .cyclotomic import CycScalar, divisors, root_of_unity
 
 SIZE_CAP = 64
 
@@ -517,57 +517,28 @@ def abelian_normal_subgroups(group: FiniteGroup) -> list[frozenset]:
     return sorted(normal, key=lambda s: (len(s), sorted(s)))
 
 
-def _log_exact(value: int, p: int) -> int:
-    out = 0
-    while value > 1:
-        if value % p:
-            raise AssertionError("count is not a prime power")
-        value //= p
-        out += 1
-    return out
-
-
 def _invariant_factors(group: FiniteGroup, subgroup: frozenset) -> tuple[int, ...]:
-    # Cyclic decomposition of each p-part from the order statistics
-    # c_j = #{x : x^(p^j) = e} = p^(sum_i min(lambda_i, j)).
+    # A finite abelian group is determined by its counts #{x : x^k = e}, and
+    # Z/n_1 x ... x Z/n_r has prod gcd(n_i, k) of them: take the one
+    # divisibility chain with product |H| that matches the count at every
+    # divisor k of |H|.
     size = len(subgroup)
-    if size == 1:
-        return ()
-    primes = []
-    m = size
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            primes.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        primes.append(m)
-    partitions = {}
-    for p in primes:
-        conjugate = []  # entry j-1 counts the parts of the partition that are >= j
-        prev_log = 0
-        j = 1
-        while True:
-            c = sum(1 for x in subgroup if group.power(x, p**j) == group.identity)
-            cur_log = _log_exact(c, p)
-            if cur_log == prev_log:
-                break
-            conjugate.append(cur_log - prev_log)
-            prev_log = cur_log
-            j += 1
-        parts = conjugate[0] if conjugate else 0
-        partitions[p] = [sum(1 for v in conjugate if v >= k) for k in range(1, parts + 1)]
-    r = max(len(v) for v in partitions.values())
-    descending = []
-    for slot in range(r):
-        n = 1
-        for p, lam in partitions.items():
-            if slot < len(lam):
-                n *= p ** lam[slot]
-        descending.append(n)
-    return tuple(reversed(descending))
+    ks = divisors(size)
+    orders = [group.element_order(x) for x in subgroup]
+    counts = [sum(1 for o in orders if k % o == 0) for k in ks]
+
+    def chains(m: int, least: int):
+        if m == 1:
+            yield ()
+        for n in divisors(m)[1:]:
+            if n % least == 0 and (m == n or (m // n) % n == 0):
+                for rest in chains(m // n, n):
+                    yield (n, *rest)
+
+    for chain in chains(size, 1):
+        if all(math.prod(math.gcd(n, k) for n in chain) == c for k, c in zip(ks, counts)):
+            return chain
+    raise AssertionError("no abelian group has these element counts")
 
 
 class Inclusion:

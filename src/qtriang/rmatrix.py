@@ -3,11 +3,13 @@
 A classification datum is a finite abelian group A, a pair of normal
 inclusions of A into G inducing the same conjugation maps on A, and a
 nondegenerate conjugation-invariant bimultiplicative form on the character
-group of A.  ``build_r`` evaluates the associated element of k[G]^2 by the
-character quadruple sum, ``verify_qt`` checks every quasitriangularity
-identity bit-exactly, and the remaining operations extract the Markov
-element, the minimal supports with their dual pairing map, and the twist
-into the sign-braided category of Z/2-graded spaces.
+group of A.  ``build_r`` evaluates the associated element of k[G]^2 as
+one character sum, (1/|A|) sum over a, chi of chi(a) (i(a) x j(-a_chi)),
+where a_chi is the point of A with beta(chi, xi) = xi(a_chi) for every xi.
+``verify_qt`` checks every quasitriangularity identity bit-exactly, and the
+remaining operations extract the Markov element, the minimal supports with
+their dual pairing map, and the twist into the sign-braided category of
+Z/2-graded spaces.
 """
 
 from __future__ import annotations
@@ -152,46 +154,33 @@ class QTDatum:
         )
 
 
-def _character_double_sum(
-    domain: AbelianGroup,
-    incl_left: Inclusion,
-    incl_right: Inclusion,
-    form: BiForm,
+def _character_sum(
+    domain: AbelianGroup, incl_left: Inclusion, incl_right: Inclusion, form: BiForm
 ) -> GATensor:
-    # (1/|A|^2) sum over a, b, chi, xi of form(chi, xi) chi(a) xi(b) (i(a) x j(b)),
-    # evaluated in the exponent domain: per (a, b), histogram the exponent of
-    # zeta_e and assemble one scalar from the power table.
-    group = incl_left.group
+    # The literal sum is (1/|A|^2) sum over a, b, chi, xi of
+    # form(chi, xi) chi(a) xi(b) (i(a) x j(b)).  By bimultiplicativity
+    # form(chi, -) is xi -> xi(a_chi) for one point a_chi of A, so the sum over
+    # xi is |A| at b = -a_chi and 0 elsewhere.  Coordinate k of a_chi is read
+    # off form(chi, chi_k), an n_k-th root of unity.
     e = domain.exponent
     powers = root_power_table(e)
-    chars = domain.characters()
-    char_exps = {chi.exps: chi for chi in chars}
-    norm = domain.order**2
-    terms = {}
+    gens = domain.dual_generators()
     elements = list(domain.elements())
-    chi_at = {
-        chi.exps: {a: chi.exponent_at(a) for a in elements} for chi in chars
-    }
-    form_exp = {
-        (chi.exps, xi.exps): form.exponent_of(chi, xi) for chi in chars for xi in chars
-    }
-    for a in elements:
-        for b in elements:
-            histogram = [0] * e
-            for chi in chars:
-                ca = chi_at[chi.exps][a]
-                for xi in chars:
-                    k = (form_exp[(chi.exps, xi.exps)] + ca + chi_at[xi.exps][b]) % e
-                    histogram[k] += 1
-            coeffs = [0] * len(powers[0])
-            for k, count in enumerate(histogram):
-                if count:
-                    for idx, c in enumerate(powers[k]):
-                        coeffs[idx] += count * c
-            scalar = CycScalar._make(e, norm, tuple(coeffs))
-            if scalar:
-                terms[(incl_left.apply(a), incl_right.apply(b))] = scalar
-    return GATensor(group, 2, terms)
+    sums: dict = {}
+    for chi in domain.characters():
+        b = tuple(
+            -(form.exponent_of(chi, g) // (e // n)) % n for g, n in zip(gens, domain.factors)
+        )
+        for a in elements:
+            acc = sums.setdefault((a, b), [0] * len(powers[0]))
+            for idx, c in enumerate(powers[chi.exponent_at(a)]):
+                acc[idx] += c
+    terms = {}
+    for (a, b), coeffs in sorted(sums.items()):
+        scalar = CycScalar._make(e, domain.order, tuple(coeffs))
+        if scalar:
+            terms[(incl_left.apply(a), incl_right.apply(b))] = scalar
+    return GATensor(incl_left.group, 2, terms)
 
 
 def build_r(datum: QTDatum) -> GATensor:
@@ -199,9 +188,7 @@ def build_r(datum: QTDatum) -> GATensor:
 
     The datum was validated when it was constructed, so this only builds.
     """
-    return _character_double_sum(
-        datum.domain, datum.incl_left, datum.incl_right, datum.beta
-    )
+    return _character_sum(datum.domain, datum.incl_left, datum.incl_right, datum.beta)
 
 
 def verify_qt(candidate: GATensor) -> VerificationReport:
@@ -493,7 +480,8 @@ def koszul_twist(datum: QTDatum) -> KoszulTwist:
     Builds the comparison form beta_u through restriction to the subgroup
     generated by the Markov element, splits the ratio beta / beta_u by the
     upper-triangular rule into a bimultiplicative gamma, and assembles
-    F = (1/|A|^2) sum gamma(chi, xi) chi(a) xi(b) (a x b).  The split is
+    F = (1/|A|) sum chi(a) (a x -a_chi) with gamma(chi, xi) = xi(a_chi); gamma
+    may be degenerate, so several chi can share a point.  The split is
     exact: beta(chi, chi) = chi(u) = beta_u(chi, chi) for every character, so
     the ratio is alternating.  All three twist conditions are verified
     exactly and reported; a failure shows as failed checks with witnesses.
@@ -529,6 +517,6 @@ def koszul_twist(datum: QTDatum) -> KoszulTwist:
         ],
     )
     base = _koszul_base(datum.group, u_idx)
-    twist = _character_double_sum(domain, incl, incl, gamma)
+    twist = _character_sum(domain, incl, incl, gamma)
     report = _twist_report(datum, r, base, u_idx, twist)
     return KoszulTwist(twist=twist, gamma=gamma, beta_u=beta_u, base=base, report=report)

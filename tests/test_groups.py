@@ -11,6 +11,7 @@ from qtriang.groups import (
     abelian_normal_subgroups,
     bundled_group,
     CATALOG_NAMES,
+    _invariant_factors,
     cyclic_group,
     dihedral_group,
     direct_product,
@@ -130,6 +131,95 @@ def test_subgroup_structure_examples():
             lhs = klein.apply(klein.domain.add(a, b))
             rhs = d4.table[klein.apply(a)][klein.apply(b)]
             assert lhs == rhs
+
+
+# Reference: the cyclic decomposition of each p-part from its order
+# statistics, as groups._invariant_factors computed it before count matching.
+def _log_exact(value: int, p: int) -> int:
+    out = 0
+    while value > 1:
+        if value % p:
+            raise AssertionError("count is not a prime power")
+        value //= p
+        out += 1
+    return out
+
+
+def _reference_invariant_factors(group: FiniteGroup, subgroup: frozenset) -> tuple[int, ...]:
+    # Cyclic decomposition of each p-part from the order statistics
+    # c_j = #{x : x^(p^j) = e} = p^(sum_i min(lambda_i, j)).
+    size = len(subgroup)
+    if size == 1:
+        return ()
+    primes = []
+    m = size
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            primes.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    if m > 1:
+        primes.append(m)
+    partitions = {}
+    for p in primes:
+        conjugate = []  # entry j-1 counts the parts of the partition that are >= j
+        prev_log = 0
+        j = 1
+        while True:
+            c = sum(1 for x in subgroup if group.power(x, p**j) == group.identity)
+            cur_log = _log_exact(c, p)
+            if cur_log == prev_log:
+                break
+            conjugate.append(cur_log - prev_log)
+            prev_log = cur_log
+            j += 1
+        parts = conjugate[0] if conjugate else 0
+        partitions[p] = [sum(1 for v in conjugate if v >= k) for k in range(1, parts + 1)]
+    r = max(len(v) for v in partitions.values())
+    descending = []
+    for slot in range(r):
+        n = 1
+        for p, lam in partitions.items():
+            if slot < len(lam):
+                n *= p ** lam[slot]
+        descending.append(n)
+    return tuple(reversed(descending))
+
+
+def _factor_test_groups():
+    z, x = cyclic_group, direct_product
+    return [
+        *(bundled_group(name) for name in CATALOG_NAMES),
+        z(8),
+        x(z(4), z(2)),
+        x(x(z(2), z(2)), z(2)),
+        x(z(3), symmetric_group(3)),
+        dihedral_group(6),
+        z(12),
+        x(z(4), z(4)),
+        x(x(z(4), z(4)), z(4)),
+        x(x(x(z(2), z(2)), x(z(2), z(2))), x(z(2), z(2))),
+        x(z(2), z(32)),
+        x(z(6), z(6)),
+        z(60),
+        x(x(z(2), z(4)), z(8)),
+    ]
+
+
+def test_invariant_factors_match_reference():
+    # Every abelian normal subgroup below order 64; the whole group at 64,
+    # where the subgroup lattices of Z4^3 and Z2^6 are large.
+    checked = 0
+    for g in _factor_test_groups():
+        subgroups = abelian_normal_subgroups(g) if g.size < 64 else [frozenset(g.elements())]
+        for sub in subgroups:
+            assert _invariant_factors(g, sub) == _reference_invariant_factors(g, sub), (g.name, sorted(sub))
+            checked += 1
+    assert checked == 127
+    whole = [_invariant_factors(g, frozenset(g.elements())) for g in _factor_test_groups()[-4:]]
+    assert whole == [(2, 32), (6, 6), (60,), (2, 4, 8)]
 
 
 def test_subgroup_structure_rejects_nonabelian():

@@ -4,11 +4,12 @@ from fractions import Fraction
 import pytest
 
 from qtriang.acceptance import qt_catalog, triangular_catalog
-from qtriang.cyclotomic import CycScalar, root_of_unity
+from qtriang.cyclotomic import CycScalar, root_of_unity, root_power_table
 from qtriang.groups import (
     CATALOG_NAMES,
     AbelianGroup,
     BiForm,
+    Inclusion,
     bundled_group,
     enumerate_biforms,
     normal_inclusions,
@@ -17,6 +18,7 @@ from qtriang.groups import (
 from qtriang.hopf import GATensor
 from qtriang.rmatrix import (
     DatumError,
+    _character_sum,
     QTDatum,
     build_r,
     koszul_twist,
@@ -228,6 +230,21 @@ def test_pairing_checks_s3():
     assert support.left_dim == 3
     assert support.all_passed
     assert list(support.checks)[-2:] == PAIRING_CHECKS[:2]
+
+
+def test_pairing_dual_check_is_not_plain_symmetry():
+    # T = 1x1 - 2 e_chi x e_chi on Z3, with e_chi = (1/3) sum_g zeta^(-g) g an
+    # idempotent: T is symmetric with T^2 = 1, so unitary, but its coefficient
+    # d_(g,h),(0,0) - (2/9) zeta^(-(g+h)) is not fixed by (g, h) -> (h^-1, g).
+    g = bundled_group("Z3")
+    terms = {
+        (a, b): (1 if a == b == 0 else 0) + Fraction(-2, 9) * root_of_unity(3, -(a + b) % 3)
+        for a in range(3)
+        for b in range(3)
+    }
+    t = GATensor(g, 2, terms)
+    assert verify_unitary(t)
+    assert minimal_support(t).checks["alpha_dual_equals_antipode_composite"] is False
 
 
 def test_koszul_twist_z2_is_trivial():
@@ -480,3 +497,73 @@ def test_supports_and_pairing_match_reference_on_open_supports():
             closed = [v for k, v in support.checks.items() if "_closed_under_" in k]
             open_count += not all(closed)
     assert open_count >= 6
+
+
+# Oracle: the literal quadruple sum over a, b, chi and xi that build_r
+# evaluated before the sum over xi was collapsed by bimultiplicativity.
+def _character_double_sum(
+    domain: AbelianGroup,
+    incl_left: Inclusion,
+    incl_right: Inclusion,
+    form: BiForm,
+) -> GATensor:
+    # (1/|A|^2) sum over a, b, chi, xi of form(chi, xi) chi(a) xi(b) (i(a) x j(b)),
+    # evaluated in the exponent domain: per (a, b), histogram the exponent of
+    # zeta_e and assemble one scalar from the power table.
+    group = incl_left.group
+    e = domain.exponent
+    powers = root_power_table(e)
+    chars = domain.characters()
+    char_exps = {chi.exps: chi for chi in chars}
+    norm = domain.order**2
+    terms = {}
+    elements = list(domain.elements())
+    chi_at = {
+        chi.exps: {a: chi.exponent_at(a) for a in elements} for chi in chars
+    }
+    form_exp = {
+        (chi.exps, xi.exps): form.exponent_of(chi, xi) for chi in chars for xi in chars
+    }
+    for a in elements:
+        for b in elements:
+            histogram = [0] * e
+            for chi in chars:
+                ca = chi_at[chi.exps][a]
+                for xi in chars:
+                    k = (form_exp[(chi.exps, xi.exps)] + ca + chi_at[xi.exps][b]) % e
+                    histogram[k] += 1
+            coeffs = [0] * len(powers[0])
+            for k, count in enumerate(histogram):
+                if count:
+                    for idx, c in enumerate(powers[k]):
+                        coeffs[idx] += count * c
+            scalar = CycScalar._make(e, norm, tuple(coeffs))
+            if scalar:
+                terms[(incl_left.apply(a), incl_right.apply(b))] = scalar
+    return GATensor(group, 2, terms)
+
+
+def _stored_form(tensor):
+    return [(key, c.order, c.den, c.num) for key, c in tensor.terms.items()]
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_character_sum_matches_quadruple_sum(name):
+    # Same keys, in the same order, and the same stored coefficients: on every
+    # datum of the catalog through build_r, on the twist F of every triangular
+    # datum, and on every bimultiplicative form (degenerate ones included) of
+    # each catalog domain with one inclusion pair.
+    pairs = {}
+    for datum in qt_catalog(name).data:
+        oracle = _character_double_sum(datum.domain, datum.incl_left, datum.incl_right, datum.beta)
+        assert _stored_form(build_r(datum)) == _stored_form(oracle)
+        pairs.setdefault(datum.domain, (datum.incl_left, datum.incl_right))
+    for datum in triangular_catalog(name).data:
+        result = koszul_twist(datum)
+        oracle = _character_double_sum(datum.domain, datum.incl_left, datum.incl_left, result.gamma)
+        assert _stored_form(result.twist) == _stored_form(oracle)
+    for domain, (left, right) in pairs.items():
+        for form in enumerate_biforms(domain):
+            assert _stored_form(_character_sum(domain, left, right, form)) == _stored_form(
+                _character_double_sum(domain, left, right, form)
+            )
