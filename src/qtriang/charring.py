@@ -20,7 +20,7 @@ from .cyclotomic import CycScalar
 from .groups import FiniteGroup, closure, subgroup_structure
 from .hopf import GATensor, difference_witness
 from .linalg import Matrix
-from .rmatrix import markov_element
+from .rmatrix import leg_products, markov_element
 
 #: Largest tensor-power dimension handled by the braided-action machinery.
 DIMENSION_CAP = 4096
@@ -387,8 +387,8 @@ class BraidedAction:
         square = r * r.swap() if square is None else square
         self._check(square, unit, "a braided generator fails to square to the identity")
         if self.power >= 3:
-            r12, r13, r23 = (r.embed_legs(legs, 3) for legs in ((1, 2), (1, 3), (2, 3)))
-            self._check(r12 * r13 * r23, r23 * r13 * r12, "adjacent generators fail the braid relation")
+            left, right = leg_products(r).yang_baxter_sides()
+            self._check(left, right, "adjacent generators fail the braid relation")
         for g in r.group.elements():
             conjugated = r.adjoint_action(g, 1).adjoint_action(g, 2)
             self._check(r, conjugated, "the braided action is not equivariant", element=g)

@@ -344,13 +344,13 @@ class BiForm:
 
     def __init__(self, parent: AbelianGroup, matrix):
         self.parent = parent
+        if len(matrix) != parent.rank or any(len(r) != parent.rank for r in matrix):
+            raise ValueError("exponent matrix has wrong shape")
         gcds = _gcd_table(parent.factors)
         self.matrix = tuple(
             tuple(int(m) % gcds[i][j] for j, m in enumerate(row))
             for i, row in enumerate(matrix)
         )
-        if len(self.matrix) != parent.rank or any(len(r) != parent.rank for r in self.matrix):
-            raise ValueError("exponent matrix has wrong shape")
 
     def exponent_of(self, chi: Character, xi: Character) -> int:
         """k with beta(chi, xi) = zeta_e^k at the group exponent e."""

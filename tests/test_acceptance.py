@@ -102,8 +102,8 @@ def test_criterion_05_reduces_each_support_once(monkeypatch):
     # Each support is eliminated once and every membership and equality
     # question is read from its canonical basis; one elimination per
     # question made 3,336 rref calls and 16,238 scalar inverses.  The
-    # pairing-map checks share the supports' coefficient matrix and R R21,
-    # so each support report makes two eliminations and one unitarity test.
+    # pairing-map checks are identities of R that share its R R21, so each
+    # support report makes two eliminations and one unitarity test.
     for name in CATALOG_NAMES:
         acceptance.qt_catalog(name)
     counts = Counter()

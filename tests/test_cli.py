@@ -1,3 +1,6 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
@@ -5,6 +8,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from qtriang import jsonio
 from qtriang.cli import build_parser, main
@@ -307,6 +311,110 @@ def test_cli_invariant_violation(workdir, capsys):
     assert main(["markov", "--datum", "bad_datum.json"]) == 3
     doc = json.loads(capsys.readouterr().out)
     assert doc["error"]["kind"] == "invariant"
+
+
+_S3_DATUM = {"group": "S3", "subgroup": [0, 3, 4], "i": [3], "j": [3]}
+
+
+@pytest.mark.parametrize("beta", [[[0, 1], [1, 0]], [[1], [2, 3]]], ids=["too_big", "ragged"])
+@pytest.mark.parametrize("command", ["verify", "markov", "exterior", "koszul-twist"])
+def test_cli_wrong_shaped_beta_is_an_invariant_error(workdir, capsys, command, beta):
+    _write(workdir / "datum.json", dict(_S3_DATUM, beta=beta))
+    assert main([command, "--datum", "datum.json"]) == 3
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == {"kind": "invariant", "message": "exponent matrix has wrong shape"}
+
+
+# -- the CLI contract under mutated input documents ---------------------------
+
+
+def _fuzz_documents():
+    v4 = bundled_group("Z2xZ2")
+    a = AbelianGroup((2, 2))
+    incl = normal_inclusions(a, v4)[0]
+    beta = enumerate_biforms(a, nondegenerate=True, skewsymmetric=True)[0]
+    s3 = bundled_group("S3")
+    a3 = AbelianGroup((3,))
+    s3_incl = normal_inclusions(a3, s3)[0]
+    s3_beta = enumerate_biforms(
+        a3, s3_incl.conjugation_automorphisms(), nondegenerate=True, g_invariant=True
+    )[0]
+    return [
+        ("rmatrix", jsonio.tensor_to_json(golden_koszul())),
+        ("rmatrix", jsonio.tensor_to_json(build_r(QTDatum(s3, a3, s3_incl, s3_incl, s3_beta)))),
+        ("datum", z2_datum_doc()),
+        ("datum", jsonio.datum_to_json(QTDatum(v4, a, incl, incl, beta))),
+        ("group", jsonio.group_to_json(bundled_group("Z3"))),
+    ]
+
+
+_FUZZ_DOCUMENTS = _fuzz_documents()
+
+_FUZZ_COMMANDS = {
+    "rmatrix": ["verify", "markov", "exterior"],
+    "datum": ["verify", "markov", "exterior", "koszul-twist"],
+    "group": ["adams"],
+}
+
+_LEAVES = st.one_of(
+    st.integers(-3, 70),
+    st.just(10**30),
+    st.text(max_size=3),
+    st.lists(st.integers(-1, 3), max_size=2),
+    st.dictionaries(st.sampled_from(["order", "coeffs", "x"]), st.integers(0, 2), max_size=2),
+    st.none(),
+    st.booleans(),
+    st.floats(),
+)
+
+
+def _node_paths(node, prefix=()):
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _node_paths(child, prefix + (key,))
+
+
+@st.composite
+def _mutated_documents(draw):
+    kind, doc = draw(st.sampled_from(_FUZZ_DOCUMENTS))
+    doc = copy.deepcopy(doc)
+    *parents, last = draw(st.sampled_from(list(_node_paths(doc))))
+    parent = doc
+    for key in parents:
+        parent = parent[key]
+    if draw(st.booleans()):
+        del parent[last]  # a missing key or a dropped list item
+    else:
+        parent[last] = draw(_LEAVES)
+    return kind, doc
+
+
+@settings(
+    max_examples=300,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(_mutated_documents())
+@example(("datum", dict(_S3_DATUM, beta=[[0, 1], [1, 0]])))
+def test_cli_contract_holds_on_mutated_documents(tmp_path, mutated):
+    # Every answer is one JSON object with a documented exit code; nothing
+    # escapes main as an exception.
+    kind, doc = mutated
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    for command in _FUZZ_COMMANDS[kind]:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            status = main([command, f"--{kind}", str(path)])
+        assert status in {0, 1, 2, 3}, (command, doc)
+        assert isinstance(json.loads(out.getvalue()), dict), (command, doc)
 
 
 def test_cli_group_file_input(workdir, capsys):

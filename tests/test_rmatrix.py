@@ -18,10 +18,12 @@ from qtriang.groups import (
 from qtriang.hopf import GATensor
 from qtriang.rmatrix import (
     DatumError,
+    VerificationReport,
     _character_sum,
     QTDatum,
     build_r,
     koszul_twist,
+    leg_products,
     markov_element,
     markov_element_flipped,
     minimal_support,
@@ -499,6 +501,34 @@ def test_supports_and_pairing_match_reference_on_open_supports():
     assert open_count >= 6
 
 
+def _perturbed(r):
+    # 2R and R + g x e break the coproduct identities; R21 keeps every identity.
+    group = r.group
+    return [r.scale(2), r.swap(), r + GATensor.basis(group, group.size - 1, group.identity)]
+
+
+def _twisted_unitary(group, a, b):
+    # F21^-1 F is unitary for every invertible F = 1 x 1 + (1/2) a x b.
+    f = GATensor.unit(group, 2) + GATensor(group, 2, {(a, b): Fraction(1, 2)})
+    return f.swap().inverse() * f
+
+
+def test_pairing_checks_match_reference_passing_and_failing():
+    outcomes = {check: set() for check in PAIRING_CHECKS}
+    for name in CATALOG_NAMES:
+        catalog = qt_catalog(name)
+        group = catalog.data[0].group
+        candidates = [_twisted_unitary(group, a, group.size - 1 - a) for a in range(2)]
+        for members in catalog.dedup[:2]:
+            candidates += _perturbed(catalog.rmats[members[0]])
+        for candidate in candidates:
+            support = _assert_matches_reference(candidate, None)
+            for check in PAIRING_CHECKS:
+                if check in support.checks:
+                    outcomes[check].add(support.checks[check])
+    assert outcomes == {check: {False, True} for check in PAIRING_CHECKS}
+
+
 # Oracle: the literal quadruple sum over a, b, chi and xi that build_r
 # evaluated before the sum over xi was collapsed by bimultiplicativity.
 def _character_double_sum(
@@ -567,3 +597,82 @@ def test_character_sum_matches_quadruple_sum(name):
             assert _stored_form(_character_sum(domain, left, right, form)) == _stored_form(
                 _character_double_sum(domain, left, right, form)
             )
+
+
+# -- verify_qt against the three-leg products formed one by one --------------
+
+
+def _reference_verify_qt(candidate):
+    """``verify_qt`` with both Yang-Baxter sides multiplied out from R12, R13, R23."""
+    report = VerificationReport()
+    try:
+        inverse = candidate.inverse()
+    except ValueError:
+        report.add("invertible", False, {"reason": "no two-sided inverse exists"})
+        return report
+    report.add("invertible", True)
+    group = candidate.group
+    report.add_commutation(
+        "commutes_with_diagonals", candidate, lambda g: GATensor.basis(group, g, g)
+    )
+    r12 = candidate.embed_legs((1, 2), 3)
+    r13 = candidate.embed_legs((1, 3), 3)
+    r23 = candidate.embed_legs((2, 3), 3)
+    report.add_equality("coproduct_on_right_leg", candidate.coproduct(2), r13 * r12)
+    report.add_equality("coproduct_on_left_leg", candidate.coproduct(1), r13 * r23)
+    report.add_equality("yang_baxter", r12 * r13 * r23, r23 * r13 * r12)
+    report.add_equality("counit_left", candidate.counit(1), GATensor.unit(group, 1))
+    report.add_equality("counit_right", candidate.counit(2), GATensor.unit(group, 1))
+    report.add_equality("antipode_left", candidate.antipode(1), inverse)
+    report.add_equality("antipode_right", candidate.antipode(2), inverse)
+    report.add_equality("antipode_both", candidate.antipode(1).antipode(2), candidate)
+    return report
+
+
+def _sparse_tensor(rng, group):
+    terms = {(group.identity, group.identity): CycScalar.one()}
+    for _ in range(2):
+        key = (rng.randrange(group.size), rng.randrange(group.size))
+        terms[key] = CycScalar.rational(rng.choice([Fraction(1, 2), Fraction(-1, 3)]))
+    return GATensor(group, 2, terms)
+
+
+def _report_rows(report):
+    return [(c.name, c.passed, c.witness) for c in report.checks]
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_verify_qt_matches_reference(name):
+    # Every distinct R of the catalog, its perturbations, and random sparse
+    # tensors: names, flags and witnesses agree check by check.
+    catalog = qt_catalog(name)
+    group = catalog.data[0].group
+    rng = random.Random(f"verify_qt/{name}")
+    candidates = [_sparse_tensor(rng, group) for _ in range(4)]
+    for members in catalog.dedup:
+        r = catalog.rmats[members[0]]
+        candidates += [r, *_perturbed(r)]
+    failing = set()
+    for candidate in candidates:
+        report = verify_qt(candidate)
+        assert _report_rows(report) == _report_rows(_reference_verify_qt(candidate))
+        failing.update(c.name for c in report.failed())
+    assert {"coproduct_on_right_leg", "coproduct_on_left_leg"} <= failing
+    # k[G]^3 is commutative for abelian G, so there every tensor solves Yang-Baxter.
+    assert ("yang_baxter" in failing) != group.is_abelian()
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_leg_products_are_the_literal_products(name):
+    # R13 R12 and R12 R13 agree on every R-matrix of a cocommutative algebra,
+    # so only tensors that are not R-matrices tell the factor order apart.
+    catalog = qt_catalog(name)
+    group = catalog.data[0].group
+    rng = random.Random(f"leg_products/{name}")
+    candidates = [_sparse_tensor(rng, group) for _ in range(4)]
+    candidates.append(catalog.rmats[catalog.dedup[-1][0]])
+    for r in candidates:
+        r12, r13, r23 = (r.embed_legs(legs, 3) for legs in ((1, 2), (1, 3), (2, 3)))
+        products = leg_products(r)
+        assert products == (r12, r23, r13 * r12, r13 * r23)
+        assert products.yang_baxter_sides() == (r12 * r13 * r23, r23 * r13 * r12)
