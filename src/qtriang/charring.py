@@ -458,12 +458,23 @@ def _adjacent_word(perm) -> list[int]:
     return word
 
 
+def _check_matrices(left: Matrix, right: Matrix, message: str, **extra):
+    """Raise ValueError(message) unless left == right, witnessing the first differing entry."""
+    if left != right:
+        i, j = min((i, j) for j, col in (left - right).cols.items() for i in col)
+        error = ValueError(message)
+        values = {"left": str(left.get(i, j)), "right": str(right.get(i, j))}
+        error.witness = {"entry": [i, j], **values, **extra}
+        raise error
+
+
 def exterior_power_char(rep: MatrixRep, rmatrix: GATensor, n: int) -> ClassFunction:
     """Character of the n-th braided exterior power of a representation.
 
     The value at g is the trace of the g-action composed with the
     antisymmetrizer; the projector is checked to be idempotent and
-    equivariant before any trace is taken.
+    equivariant before any trace is taken; a failure's ``witness`` names the
+    first differing entry (row-major) and, for equivariance, the element g.
     """
     group = rep.group
     if n < 0:
@@ -474,12 +485,12 @@ def exterior_power_char(rep: MatrixRep, rmatrix: GATensor, n: int) -> ClassFunct
         return rep.character()
     action = BraidedAction(rep, rmatrix, n, validate=False)
     projector = action.antisymmetrizer()
-    if projector @ projector != projector:
-        raise ValueError("antisymmetrizer is not idempotent")
+    _check_matrices(projector @ projector, projector, "antisymmetrizer is not idempotent")
     for g in group.elements():
         diag = rep.kron_power(g, n)
-        if projector @ diag != diag @ projector:
-            raise ValueError("antisymmetrizer is not equivariant")
+        _check_matrices(
+            projector @ diag, diag @ projector, "antisymmetrizer is not equivariant", element=g
+        )
     return ClassFunction.from_function(
         group, lambda g: (rep.kron_power(g, n) @ projector).trace()
     )

@@ -62,12 +62,6 @@ class Catalog:
     def all_verified(self) -> bool:
         return all(r.all_passed for r in self.reports)
 
-    def dedup_class_of(self, index: int) -> int:
-        for cls_id, members in enumerate(self.dedup):
-            if index in members:
-                return cls_id
-        raise IndexError(index)
-
 
 def _enumerate_data(group: FiniteGroup) -> list[QTDatum]:
     if group.size > 64:

@@ -158,6 +158,7 @@ def _load_rmatrix(args):
 def _cmd_classify(args):
     group = _resolve_group(args)
     catalog = (enumerate_triangular if args.triangular else enumerate_qt)(group)
+    dedup_class = {idx: cls for cls, members in enumerate(catalog.dedup) for idx in members}
     entries = []
     for idx, datum in enumerate(catalog.data):
         entries.append(
@@ -168,7 +169,7 @@ def _cmd_classify(args):
                 "markov": jsonio.tensor_to_json(catalog.markovs[idx]),
                 "triangular": datum.triangular,
                 "unitary": catalog.unitary[idx],
-                "dedup_class": catalog.dedup_class_of(idx),
+                "dedup_class": dedup_class[idx],
             }
         )
     doc = {

@@ -22,6 +22,12 @@ from .cyclotomic import CycScalar, divisors, root_of_unity
 SIZE_CAP = 64
 
 
+def check_group_order(n: int):
+    """Raise ValueError when a group of order n exceeds ``SIZE_CAP``."""
+    if n > SIZE_CAP:
+        raise ValueError(f"group order {n} exceeds the supported cap {SIZE_CAP}")
+
+
 class FiniteGroup:
     """A finite group given by its Cayley table (table[g][h] = g*h)."""
 
@@ -30,8 +36,7 @@ class FiniteGroup:
         n = len(table)
         if n == 0:
             raise ValueError("a group has at least one element")
-        if n > SIZE_CAP:
-            raise ValueError(f"group order {n} exceeds the supported cap {SIZE_CAP}")
+        check_group_order(n)
         for row in table:
             if len(row) != n or any(not (0 <= v < n) for v in row):
                 raise ValueError("table is not square over element indices")

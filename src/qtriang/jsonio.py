@@ -20,6 +20,7 @@ from .groups import (
     Inclusion,
     bundled_group,
     CATALOG_NAMES,
+    check_group_order,
     cyclic_group,
     direct_product,
     subgroup_structure,
@@ -69,7 +70,12 @@ def group_to_json(group: FiniteGroup) -> dict:
 
 def group_from_json(doc: dict) -> FiniteGroup:
     if "abelian" in doc:
-        factors = list(doc["abelian"])
+        factors = doc["abelian"]
+        if type(factors) is not list or any(type(n) is not int for n in factors):
+            raise MalformedDocument(f"'abelian' must be a list of integers, got {factors!r}")
+        # The positive factors are capped before any table is built; a factor
+        # below 1 otherwise fails in the builder.
+        check_group_order(math.prod(n for n in factors if n > 0))
         if not factors:
             return cyclic_group(1, doc.get("name", "trivial"))
         group = cyclic_group(factors[0])

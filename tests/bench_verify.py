@@ -6,21 +6,24 @@ it.  Run it with
     PYTHONPATH=src python -m pytest tests/bench_verify.py --benchmark-only
 
 ``verify_qt`` (inverse, diagonal commutation, both coproduct identities,
-Yang-Baxter, counits and antipodes) is timed on the first 16-term
-structures of D4 and Q8 and on the first 4-term structure of Z2xZ2.
+Yang-Baxter, counits and antipodes) and ``verify_markov`` (the Markov
+element u, the inverses of u and R21 R, the coproduct identity and
+centrality) are timed on the first 16-term structures of D4 and Q8 and
+on the first 4-term structure of Z2xZ2.
 """
 
 import pytest
 
 from qtriang.acceptance import qt_catalog
-from qtriang.rmatrix import verify_qt
+from qtriang.rmatrix import verify_markov, verify_qt
 
 CASES = [("D4", 16), ("Q8", 16), ("Z2xZ2", 4)]
 
 
+@pytest.mark.parametrize("verify", [verify_qt, verify_markov], ids=lambda f: f.__name__)
 @pytest.mark.parametrize("name, terms", CASES, ids=["D4-16", "Q8-16", "Z2xZ2-4"])
-def test_verify_qt(benchmark, name, terms):
+def test_verify(benchmark, name, terms, verify):
     catalog = qt_catalog(name)
     r = next(r for r in catalog.rmats if len(r.terms) == terms)
-    report = benchmark(verify_qt, r)
+    report = benchmark(verify, r)
     assert report.all_passed

@@ -414,6 +414,36 @@ def test_exterior_power_base_cases():
     assert exterior_power_char(rep, r, 1) == rep.character()
 
 
+def _first_dense_difference(left, right):
+    for i, (a, b) in enumerate(zip(left.to_dense(), right.to_dense())):
+        for j, (x, y) in enumerate(zip(a, b)):
+            if x != y:
+                return {"entry": [i, j], "left": str(x), "right": str(y)}
+    return None
+
+
+def test_exterior_projector_failures_carry_witnesses():
+    # A unitary R that fails the braid relation leaves the cube's projector
+    # not idempotent; s (x) s satisfies it but is not conjugation invariant.
+    rep = regular_rep(bundled_group("S3"))
+    r = _noncommuting_twist()
+    p = BraidedAction(rep, r, 3, validate=False).antisymmetrizer()
+    with pytest.raises(ValueError, match="not idempotent") as caught:
+        exterior_power_char(rep, r, 3)
+    assert caught.value.witness == _first_dense_difference(p @ p, p)
+
+    r = _transposition_square()
+    p = BraidedAction(rep, r, 2, validate=False).antisymmetrizer()
+    g, expected = next(
+        (g, diff)
+        for g in rep.group.elements()
+        if (diff := _first_dense_difference(p @ rep.kron_power(g, 2), rep.kron_power(g, 2) @ p))
+    )
+    with pytest.raises(ValueError, match="not equivariant") as caught:
+        exterior_power_char(rep, r, 2)
+    assert caught.value.witness == {**expected, "element": g}
+
+
 def test_exterior_power_of_odd_line():
     ext = exterior_power_char(sign_rep(), koszul(), 2)
     assert ext == ClassFunction.constant(bundled_group("Z2"), 1)

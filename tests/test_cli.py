@@ -345,6 +345,7 @@ def _fuzz_documents():
         ("datum", z2_datum_doc()),
         ("datum", jsonio.datum_to_json(QTDatum(v4, a, incl, incl, beta))),
         ("group", jsonio.group_to_json(bundled_group("Z3"))),
+        ("group", {"abelian": [2, 3]}),
     ]
 
 
@@ -422,6 +423,29 @@ def test_cli_group_file_input(workdir, capsys):
     assert main(["classify", "--group", "grp.json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["counts"]["data"] == 9
+
+
+@pytest.mark.parametrize(
+    "factors, status, message",
+    [
+        ([1500], 3, "group order 1500 exceeds the supported cap 64"),
+        ([10**30, 2], 3, f"group order {2 * 10**30} exceeds the supported cap 64"),
+        ([10**30, 0], 3, f"group order {10**30} exceeds the supported cap 64"),
+        ([10**30, 1.5], 2, "'abelian' must be a list of integers"),
+        ([True, 3], 2, "'abelian' must be a list of integers"),
+        ({}, 2, "'abelian' must be a list of integers"),
+    ],
+)
+def test_cli_abelian_shorthand_is_capped_before_any_table(
+    workdir, capsys, monkeypatch, factors, status, message
+):
+    def no_table(*args):
+        raise AssertionError("a Cayley table was built")
+
+    monkeypatch.setattr(jsonio, "cyclic_group", no_table)
+    _write(workdir / "big.json", {"abelian": factors})
+    assert main(["adams", "--group", "big.json"]) == status
+    assert message in json.loads(capsys.readouterr().out)["error"]["message"]
 
 
 def test_cli_exterior_rejects_nonunitary(workdir, capsys):

@@ -676,3 +676,73 @@ def test_leg_products_are_the_literal_products(name):
         products = leg_products(r)
         assert products == (r12, r23, r13 * r12, r13 * r23)
         assert products.yang_baxter_sides() == (r12 * r13 * r23, r23 * r13 * r12)
+
+
+# -- inverses from the antipode, with the linear solve as the fallback -------
+
+
+def test_every_catalog_structure_is_verified_without_the_solve(monkeypatch):
+    # R^-1 = (S x I)(R), u^-1 = S(mu(R)) and (R21 R)^-1 = (S x I)(R) (I x S)(R21)
+    # hold for every R-matrix, so no catalog structure reaches the solve.
+    def no_solve(self):
+        raise AssertionError("GATensor.inverse reached on an R-matrix")
+
+    monkeypatch.setattr(GATensor, "inverse", no_solve)
+    for name in CATALOG_NAMES:
+        catalog = qt_catalog(name)
+        for members in catalog.dedup:
+            r = catalog.rmats[members[0]]
+            assert verify_qt(r).all_passed
+            assert verify_markov(r).all_passed
+
+
+def _reference_verify_markov(candidate):
+    """``verify_markov`` with u^-1 and (R21 R)^-1 both from the linear solve."""
+    report = VerificationReport()
+    u = markov_element(candidate)
+    report.add_equality("conventions_agree", u, markov_element_flipped(candidate))
+    if not u.is_invertible():
+        report.add("invertible", False, {"reason": "markov element is not invertible"})
+        return report
+    report.add("invertible", True)
+    r21r = candidate.swap() * candidate
+    report.add_equality("coproduct_identity", u.coproduct(1), r21r.inverse() * (u @ u))
+    group = candidate.group
+    report.add_commutation("central", u, lambda g: GATensor.basis(group, g))
+    if r21r.is_unit():
+        report.add("grouplike_when_unitary", u.is_grouplike())
+        report.add_equality("involution_when_unitary", u * u, GATensor.unit(group, 1))
+    return report
+
+
+def _markov_rows(verify, candidate):
+    # A non-invertible R21 R raises from both versions alike.
+    try:
+        return _report_rows(verify(candidate))
+    except ValueError as exc:
+        return ("raises", str(exc))
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_verify_markov_matches_reference(name, monkeypatch):
+    catalog = qt_catalog(name)
+    group = catalog.data[0].group
+    rng = random.Random(f"verify_markov/{name}")
+    candidates = [_sparse_tensor(rng, group) for _ in range(4)]
+    candidates += [_twisted_unitary(group, a, group.size - 1 - a) for a in range(2)]
+    for members in catalog.dedup:
+        r = catalog.rmats[members[0]]
+        candidates += [r, *_perturbed(r)]
+    solve = GATensor.inverse
+    solves = []
+
+    def counting_solve(self):
+        solves.append(self)
+        return solve(self)
+
+    for candidate in candidates:
+        expected = _markov_rows(_reference_verify_markov, candidate)
+        monkeypatch.setattr(GATensor, "inverse", counting_solve)
+        assert _markov_rows(verify_markov, candidate) == expected
+        monkeypatch.setattr(GATensor, "inverse", solve)
+    assert solves, "no candidate took the fallback"
