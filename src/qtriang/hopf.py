@@ -7,11 +7,19 @@ counit, antipode) act per leg; whole-tensor operators arise by composition.
 
 Leg positions are 1-based throughout, matching the usual subscript
 convention for operators like R12, R13, R23 on triple tensor products.
+
+Products add coefficients in the group ring Z[C_n], n the lcm of the
+operands' orders, as integer multiplicities of exponents of zeta_n, and reduce
+each output term modulo the cyclotomic polynomial once.
 """
 
 from __future__ import annotations
 
-from .cyclotomic import CycScalar
+import math
+from collections import defaultdict
+from operator import getitem
+
+from .cyclotomic import ORDER_CAP, CycScalar, lift, root_power_table
 from .groups import FiniteGroup, closure
 from . import linalg
 
@@ -90,18 +98,43 @@ class GATensor:
     # -- algebra structure ---------------------------------------------------
 
     def __mul__(self, other):
-        """Legwise convolution product; the unit is the all-identity tuple."""
+        """Legwise convolution product; the unit is the all-identity tuple.
+
+        Term pairs add a1 * a2 at exponent e1 + e2 into their key's histogram
+        over Z[C_n].  A key is read out once, at the lcm m of the orders of
+        the pairs reaching it (the order a running scalar sum would keep, and
+        past the order cap the same ValueError).  Histograms are dense lists
+        while n is within the cap, else sparse.
+        """
         if not isinstance(other, GATensor):
             return self.scale(other)
         self._check_compatible(other)
+        n = math.lcm(*(v.order for t in (self, other) for v in t.terms.values()))
+        den1, left = _spread(self.terms, n)
+        den2, right = _spread(other.terms, n)
         table = self.group.table
-        acc: dict[tuple[int, ...], CycScalar] = {}
-        for k1, v1 in self.terms.items():
-            for k2, v2 in other.terms.items():
-                key = tuple(table[a][b] for a, b in zip(k1, k2))
-                prod = v1 * v2
-                acc[key] = acc[key] + prod if key in acc else prod
-        return GATensor(self.group, self.arity, acc)
+        # n exponent slots, then the order m so far at index n.
+        blank = [0] * n + [1] if n <= ORDER_CAP else None
+        acc = {}
+        for k1, o1, e1, a1 in left:
+            rows = [table[a] for a in k1]
+            for k2, o2, e2, a2 in right:
+                key = tuple(map(getitem, rows, k2))
+                hist = acc.get(key)
+                if hist is None:
+                    hist = acc[key] = blank.copy() if blank else defaultdict(int, {n: 1})
+                m = hist[n]
+                if m % o1 or m % o2:
+                    hist[n] = _widen(m, o1, o2)
+                hist[(e1 + e2) % n] += a1 * a2
+        den = den1 * den2
+        out = {}
+        for key, hist in acc.items():
+            m = hist[n]
+            num = lift([hist[e] for e in range(0, n, n // m)], root_power_table(m))
+            if any(num):
+                out[key] = CycScalar._make(m, den, num)
+        return GATensor(self.group, self.arity, out)
 
     def __matmul__(self, other: "GATensor") -> "GATensor":
         """Outer tensor product, concatenating legs."""
@@ -296,6 +329,25 @@ class GATensor:
             label = "(x)".join(str(g) for g in key) if key else "()"
             bits.append(f"({value})*[{label}]")
         return " + ".join(bits)
+
+
+def _spread(terms, n: int):
+    # One denominator for all terms, and per nonzero coordinate an entry
+    # (key, order, exponent of zeta_n, integer multiplicity).
+    den = math.lcm(*(v.den for v in terms.values()))
+    return den, [
+        (key, v.order, j * (n // v.order), c * (den // v.den))
+        for key, v in terms.items() for j, c in enumerate(v.num) if c
+    ]
+
+
+def _widen(m: int, o1: int, o2: int) -> int:
+    # The order of a running sum at m plus a product at orders o1 and o2, or
+    # the cap error that product, then that sum, would raise.
+    for order in (math.lcm(o1, o2), math.lcm(m, o1, o2)):
+        if order > ORDER_CAP:
+            raise ValueError(f"cyclotomic order {order} exceeds the supported cap {ORDER_CAP}")
+    return order
 
 
 def first_difference(left: GATensor, right: GATensor):

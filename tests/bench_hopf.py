@@ -1,0 +1,60 @@
+"""Per-layer micro-benchmarks for group-algebra tensor products, outside tier-1.
+
+The file name does not match ``test_*.py``, so the default test run skips
+it.  Run it with
+
+    PYTHONPATH=src python -m pytest tests/bench_hopf.py --benchmark-only
+
+R R21 is timed on the first 16-term structures of D4 and Q8 and on the
+first 4-term structure of Z2xZ2; ``leg_products(R)`` followed by
+``yang_baxter_sides`` on the D4 one; and one product of two 12-term
+arity-2 tensors on D4 whose coefficients have orders 3, 4 and 8 and
+several nonzero coordinates over different denominators.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from qtriang.acceptance import qt_catalog
+from qtriang.cyclotomic import CycScalar
+from qtriang.groups import bundled_group
+from qtriang.hopf import GATensor
+from qtriang.rmatrix import leg_products
+
+CASES = [("D4", 16), ("Q8", 16), ("Z2xZ2", 4)]
+
+
+def _structure(name: str, terms: int) -> GATensor:
+    return next(r for r in qt_catalog(name).rmats if len(r.terms) == terms)
+
+
+@pytest.mark.parametrize("name, terms", CASES, ids=["D4-16", "Q8-16", "Z2xZ2-4"])
+def test_r_times_r21(benchmark, name, terms):
+    r = _structure(name, terms)
+    r21 = r.swap()
+    product = benchmark(r.__mul__, r21)
+    assert product.terms
+
+
+def test_yang_baxter_sides_d4(benchmark):
+    r = _structure("D4", 16)
+    left, right = benchmark(lambda: leg_products(r).yang_baxter_sides())
+    assert left == right
+
+
+def _mixed_tensor(shift: int) -> GATensor:
+    g = bundled_group("D4")
+    values = [
+        CycScalar(3, [Fraction(1, 2), Fraction(-1, 3)]),
+        CycScalar(4, [2, Fraction(1, 5)]),
+        CycScalar(8, [1, 0, Fraction(-3, 4), 1]),
+    ]
+    terms = {divmod(5 * i + shift, 8): values[i % 3] for i in range(12)}
+    return GATensor(g, 2, terms)
+
+
+def test_mixed_order_product(benchmark):
+    x, y = _mixed_tensor(0), _mixed_tensor(5)
+    product = benchmark(x.__mul__, y)
+    assert product.terms

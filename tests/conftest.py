@@ -6,7 +6,15 @@ import sys
 
 import pytest
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+# A qtriang package in a PYTHONPATH entry (``PYTHONPATH=<checkout>/src``) is the
+# one under test, so a bench run can time another checkout; otherwise this
+# checkout's ``src`` goes first, ahead of any installed qtriang.
+if not any(
+    os.path.isdir(os.path.join(entry, "qtriang"))
+    for entry in os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    if entry
+):
+    sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 
 @pytest.fixture(scope="session")

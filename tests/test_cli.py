@@ -150,6 +150,30 @@ def test_cli_verify_corrupted_identity_failure_with_witness(workdir, capsys):
     assert any(c["witness"] and "tuple" in c["witness"] for c in failed)
 
 
+def test_cli_verify_orders_past_the_cap_report_not_invertible(workdir, capsys):
+    # The lcm of these orders is about 1.5e10: the first product R S(R) meets
+    # a term pair past the order cap and stops there, without a histogram of
+    # that width.
+    keys = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    r = GATensor(
+        bundled_group("Z2"), 2, {k: root_of_unity(p) for k, p in zip(keys, (359, 353, 349, 347))}
+    )
+    _write(workdir / "primes.json", jsonio.tensor_to_json(r))
+    assert main(["verify", "--rmatrix", "primes.json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["unitary"] is None
+    assert doc["verification"] == {
+        "all_passed": False,
+        "checks": [
+            {
+                "name": "invertible",
+                "passed": False,
+                "witness": {"reason": "no two-sided inverse exists"},
+            }
+        ],
+    }
+
+
 def test_cli_verify_round_trips_tensor(workdir, capsys):
     r = golden_koszul()
     _write(workdir / "ru.json", jsonio.tensor_to_json(r))

@@ -3,9 +3,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qtriang.cyclotomic import CycScalar, root_of_unity
+from qtriang.acceptance import qt_catalog
+from qtriang.cyclotomic import CycScalar, euler_phi, root_of_unity
 from qtriang.groups import bundled_group, CATALOG_NAMES
 from qtriang.hopf import GATensor, first_difference
+from qtriang.rmatrix import leg_products
 
 
 def koszul_tensor():
@@ -236,3 +238,109 @@ def test_support_subgroup_against_brute_force(name, arity, data):
     )
     x = GATensor(g, arity, {key: CycScalar.one() for key in keys})
     assert x.support_subgroup() == _generated_by_products(g, arity, keys)
+
+
+def _reference_mul(x, y):
+    # The product as one CycScalar product and one running sum per term pair.
+    table = x.group.table
+    acc = {}
+    for k1, v1 in x.terms.items():
+        for k2, v2 in y.terms.items():
+            key = tuple(table[a][b] for a, b in zip(k1, k2))
+            prod = v1 * v2
+            acc[key] = acc[key] + prod if key in acc else prod
+    return GATensor(x.group, x.arity, acc)
+
+
+def _stored(t):
+    # Keys in stored order, each with its scalar's stored form.
+    return [(key, v.order, v.den, v.num) for key, v in t.terms.items()]
+
+
+@st.composite
+def _mixed_scalar(draw):
+    # Non-monomial coordinates over a random denominator, at mixed orders.
+    order = draw(st.sampled_from([1, 2, 3, 4, 6, 8, 12]))
+    den = draw(st.integers(1, 6))
+    phi = euler_phi(order)
+    coords = draw(st.lists(st.integers(-3, 3), min_size=phi, max_size=phi))
+    return CycScalar(order, [Fraction(c, den) for c in coords])
+
+
+@st.composite
+def _mixed_pair(draw):
+    g = bundled_group(draw(_names))
+    arity = draw(st.integers(0, 3))
+    keys = st.tuples(*[st.integers(0, g.size - 1)] * arity)
+
+    def tensor():
+        return GATensor(g, arity, draw(st.dictionaries(keys, _mixed_scalar(), max_size=5)))
+
+    x, y = tensor(), tensor()
+    if arity and draw(st.booleans()):
+        # (c1 - c1 h) times c2 (1 + h + ... + h^(k-1)) in the first leg is zero,
+        # so every key these terms reach cancels unless x or y adds to it.
+        h = draw(st.integers(0, g.size - 1).filter(lambda h: h != g.identity))
+        powers = [g.identity]
+        while g.table[powers[-1]][h] != g.identity:
+            powers.append(g.table[powers[-1]][h])
+        rest1, rest2 = draw(keys)[1:], draw(keys)[1:]
+        c1, c2 = draw(_mixed_scalar().filter(bool)), draw(_mixed_scalar().filter(bool))
+        cancel1 = GATensor(g, arity, {(g.identity,) + rest1: c1, (h,) + rest1: -c1})
+        cancel2 = GATensor(g, arity, {(p,) + rest2: c2 for p in powers})
+        assert not (cancel1 * cancel2).terms
+        if draw(st.booleans()):
+            x, y = cancel1, cancel2
+        else:
+            x, y = x + cancel1, y + cancel2
+    return x, y
+
+
+@settings(max_examples=100, deadline=None)
+@given(_mixed_pair())
+def test_product_matches_scalar_reference(pair):
+    x, y = pair
+    for a, b in ((x, y), (y, x)):
+        assert _stored(a * b) == _stored(_reference_mul(a, b))
+
+
+def test_catalog_products_match_scalar_reference():
+    # Every distinct R of the seven catalogs: R R21, the leg products, the
+    # Yang-Baxter sides and the Markov inverse guess (S x I)(R) (I x S)(R21).
+    ref = _reference_mul
+    for name in CATALOG_NAMES:
+        catalog = qt_catalog(name)
+        for members in catalog.dedup:
+            r = catalog.rmats[members[0]]
+            r21 = r.swap()
+            legs = leg_products(r)
+            r13 = r.embed_legs((1, 3), 3)
+            ref13r12, ref13r23 = ref(r13, legs.r12), ref(r13, legs.r23)
+            products = [
+                (r * r21, ref(r, r21)),
+                (legs.r13r12, ref13r12),
+                (legs.r13r23, ref13r23),
+                *zip(legs.yang_baxter_sides(), (ref(legs.r12, ref13r23), ref(legs.r23, ref13r12))),
+                (r.antipode(1) * r21.antipode(2), ref(r.antipode(1), r21.antipode(2))),
+            ]
+            for fast, slow in products:
+                assert _stored(fast) == _stored(slow), name
+
+
+def test_product_past_the_order_cap_matches_scalar_reference():
+    # The lcm n of the operands' orders passes the cap while every key stays
+    # within it; where a product or a sum passes it, both raise alike.
+    g = bundled_group("Z2")
+    x = GATensor(g, 2, {(0, 0): root_of_unity(8) + Fraction(1, 3), (1, 0): root_of_unity(9, 2)})
+    y = GATensor(g, 2, {(0, 0): root_of_unity(5), (0, 1): 2 * root_of_unity(7, 3) - 1})
+    keys = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    primes = GATensor(g, 2, {k: root_of_unity(p) for k, p in zip(keys, (359, 353, 349, 347))})
+    unit = GATensor.unit(g, 2)
+    for a, b in ((x, y), (y, x), (primes, unit), (unit, primes)):
+        assert _stored(a * b) == _stored(_reference_mul(a, b))
+    for a, b in ((primes, primes.swap()), (x, x.swap() + y)):
+        with pytest.raises(ValueError) as fast:
+            a * b
+        with pytest.raises(ValueError) as slow:
+            _reference_mul(a, b)
+        assert str(fast.value) == str(slow.value)
