@@ -158,20 +158,26 @@ def _load_rmatrix(args):
 def _cmd_classify(args):
     group = _resolve_group(args)
     catalog = (enumerate_triangular if args.triangular else enumerate_qt)(group)
-    dedup_class = {idx: cls for cls, members in enumerate(catalog.dedup) for idx in members}
-    entries = []
-    for idx, datum in enumerate(catalog.data):
-        entries.append(
-            {
+    # A dedup class's members store one element bit-identically and share its
+    # checks, so its part of each entry is built once and the same objects
+    # are referenced by every member: canonical_dumps then encodes them once.
+    entries = [None] * len(catalog)
+    for cls, members in enumerate(catalog.dedup):
+        first = members[0]
+        shared = {
+            "rmatrix": jsonio.tensor_to_json(catalog.rmats[first]),
+            "verification": jsonio.report_to_json(catalog.reports[first]),
+            "markov": jsonio.tensor_to_json(catalog.markovs[first]),
+            "unitary": catalog.unitary[first],
+            "dedup_class": cls,
+        }
+        for idx in members:
+            datum = catalog.data[idx]
+            entries[idx] = {
                 "datum": jsonio.datum_to_json(datum),
-                "rmatrix": jsonio.tensor_to_json(catalog.rmats[idx]),
-                "verification": jsonio.report_to_json(catalog.reports[idx]),
-                "markov": jsonio.tensor_to_json(catalog.markovs[idx]),
                 "triangular": datum.triangular,
-                "unitary": catalog.unitary[idx],
-                "dedup_class": dedup_class[idx],
+                **shared,
             }
-        )
     doc = {
         "command": "classify",
         "group": group.name,

@@ -12,10 +12,8 @@ and conjugation-invariance predicates needed to classify R-matrices.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from functools import lru_cache
-from importlib import resources
 
 from .cyclotomic import CycScalar, divisors, root_of_unity
 
@@ -236,17 +234,24 @@ def quaternion_group(name: str = "Q8") -> FiniteGroup:
     return FiniteGroup(table, name)
 
 
-CATALOG_NAMES = ("Z2", "Z3", "Z4", "Z2xZ2", "S3", "D4", "Q8")
+_CATALOG_BUILDERS = {
+    "Z2": lambda: cyclic_group(2),
+    "Z3": lambda: cyclic_group(3),
+    "Z4": lambda: cyclic_group(4),
+    "Z2xZ2": lambda: direct_product(cyclic_group(2), cyclic_group(2)),
+    "S3": lambda: symmetric_group(3),
+    "D4": lambda: dihedral_group(4),
+    "Q8": quaternion_group,
+}
+CATALOG_NAMES = tuple(_CATALOG_BUILDERS)
 
 
 @lru_cache(maxsize=None)
 def bundled_group(name: str) -> FiniteGroup:
-    """Load one of the groups shipped with the package by name."""
+    """One of the catalog groups by name, built once per process."""
     if name not in CATALOG_NAMES:
         raise KeyError(f"no bundled group named {name!r}; available: {', '.join(CATALOG_NAMES)}")
-    text = resources.files("qtriang").joinpath(f"data/{name}.json").read_text()
-    doc = json.loads(text)
-    return FiniteGroup(doc["table"], doc["name"])
+    return _CATALOG_BUILDERS[name]()
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .charring import ClassFunction, MatrixRep
 from .cyclotomic import ORDER_CAP, CycScalar, euler_phi
@@ -31,7 +32,63 @@ from .rmatrix import QTDatum, VerificationReport
 
 
 def canonical_dumps(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
+    """``doc`` as canonical JSON text, ending in a newline.
+
+    The bytes equal ``json.dumps(doc, sort_keys=True, indent=2,
+    separators=(",", ": ")) + "\\n"``.  A container object that appears
+    more than once at the same depth (a dedup class's report, shared by its
+    members' entries) is encoded once for that depth: its first meeting is
+    only marked, its second keeps the text, and later ones reuse it.
+    """
+    memo: dict = {}
+
+    def encode(value, depth: int) -> str:
+        if isinstance(value, str):
+            return encode_basestring_ascii(value)
+        if value is None:
+            return "null"
+        if value is True:
+            return "true"
+        if value is False:
+            return "false"
+        if isinstance(value, int):
+            return int.__repr__(value)
+        if not isinstance(value, (list, tuple, dict)):
+            return json.dumps(value)
+        if not value:
+            return "{}" if isinstance(value, dict) else "[]"
+        key = (id(value), depth)
+        seen = memo.get(key)
+        if seen is None:
+            # The mark is the container itself, which keeps its id from
+            # being reused by another object during this call.
+            memo[key] = value
+        elif seen is not value:
+            return seen
+        inner = "\n" + "  " * (depth + 1)
+        if isinstance(value, dict):
+            parts = [
+                encode_basestring_ascii(_json_key(k)) + ": " + encode(v, depth + 1)
+                for k, v in sorted(value.items())
+            ]
+            text = "{" + inner + ("," + inner).join(parts) + inner[:-2] + "}"
+        else:
+            parts = [encode(v, depth + 1) for v in value]
+            text = "[" + inner + ("," + inner).join(parts) + inner[:-2] + "]"
+        if seen is not None:
+            memo[key] = text
+        return text
+
+    return encode(doc, 0) + "\n"
+
+
+def _json_key(key) -> str:
+    """An object key as ``json`` writes it: non-str scalars take their JSON spelling."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return json.dumps(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
 def scalar_to_json(value: CycScalar) -> dict:

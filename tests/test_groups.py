@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +26,19 @@ from qtriang.groups import (
 )
 
 
+# SHA-256 prefixes of json.dumps(table) for each catalog group: element
+# indices in stored documents keep their meaning.
+_TABLE_DIGESTS = {
+    "Z2": "c1b92cfd1182059c",
+    "Z3": "17d0eee91e6333e1",
+    "Z4": "817530d43b21cd6b",
+    "Z2xZ2": "90b5779b7e261488",
+    "S3": "d306f7f3933e7339",
+    "D4": "60c77acc971de59e",
+    "Q8": "d9860ecae8b0c6b0",
+}
+
+
 def test_bundled_groups_match_builders():
     builders = {
         "Z2": cyclic_group(2),
@@ -34,8 +49,13 @@ def test_bundled_groups_match_builders():
         "D4": dihedral_group(4),
         "Q8": quaternion_group(),
     }
+    assert tuple(_TABLE_DIGESTS) == CATALOG_NAMES
     for name in CATALOG_NAMES:
-        assert bundled_group(name).table == builders[name].table
+        group = bundled_group(name)
+        assert group.table == builders[name].table
+        assert group.name == name
+        table = json.dumps([list(row) for row in group.table]).encode()
+        assert hashlib.sha256(table).hexdigest()[:16] == _TABLE_DIGESTS[name]
 
 
 def test_invalid_tables_rejected():

@@ -1,0 +1,126 @@
+"""``jsonio.canonical_dumps`` against ``json.dumps`` with the canonical arguments."""
+
+import json
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from qtriang import jsonio
+from qtriang.cli import _cmd_classify, build_parser
+from qtriang.classify import COMPLETENESS_NOTE, enumerate_qt, enumerate_triangular
+from qtriang.groups import CATALOG_NAMES, bundled_group
+
+
+def _oracle(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
+
+
+_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**40), max_value=10**40),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf")]),
+    st.text(),
+    st.text(alphabet=st.characters(max_codepoint=0x1F) | st.sampled_from('"\\é€😀\u2028')),
+)
+
+
+def _containers(children):
+    # json sorts the keys themselves, so the keys of one dict are all of one
+    # kind; ints and floats sort together.
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), children, max_size=4),
+        st.dictionaries(st.integers(), children, max_size=4),
+        st.dictionaries(
+            st.integers(-3, 3) | st.floats(allow_nan=False), children, max_size=3
+        ),
+        st.dictionaries(st.booleans(), children, max_size=2),
+        st.dictionaries(st.none(), children, max_size=1),
+    )
+
+
+_documents = st.recursive(_leaves, _containers, max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_documents)
+def test_canonical_dumps_matches_json_dumps(doc):
+    assert jsonio.canonical_dumps(doc) == _oracle(doc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_containers(st.recursive(_leaves, _containers, max_leaves=6)), _leaves)
+def test_shared_containers_are_written_in_full_at_every_depth(shared, other):
+    # The same object two and three times at one depth, and at three depths.
+    docs = [
+        [shared, shared],
+        {"a": shared, "b": [shared, other, shared], "c": {"d": shared}},
+        [[shared], shared, {"x": [shared, shared]}, (shared,)],
+        {"entries": [{"k": shared, "o": other} for _ in range(3)]},
+    ]
+    for doc in docs:
+        assert jsonio.canonical_dumps(doc) == _oracle(doc)
+
+
+def test_shared_inner_containers_and_empty_ones():
+    inner = {"coeffs": [[1, 2]], "order": 1}
+    outer = {"terms": [inner, inner], "e": [], "f": {}, "g": ()}
+    doc = [outer, {"z": outer}, outer, [outer, [outer]], inner]
+    assert jsonio.canonical_dumps(doc) == _oracle(doc)
+    assert jsonio.canonical_dumps(["é\x00", {1: 2, 10: 3}]) == _oracle(["é\x00", {1: 2, 10: 3}])
+
+
+@pytest.mark.parametrize("doc", [{(1, 2): 3}, [object()], {"a": {1j}}])
+def test_unencodable_documents_raise_type_error(doc):
+    with pytest.raises(TypeError):
+        _oracle(doc)
+    with pytest.raises(TypeError):
+        jsonio.canonical_dumps(doc)
+
+
+def _reference_classify_doc(group, triangular):
+    """The ``classify`` document with every entry built from its own datum."""
+    catalog = (enumerate_triangular if triangular else enumerate_qt)(group)
+    dedup_class = {idx: cls for cls, members in enumerate(catalog.dedup) for idx in members}
+    entries = [
+        {
+            "datum": jsonio.datum_to_json(datum),
+            "rmatrix": jsonio.tensor_to_json(catalog.rmats[idx]),
+            "verification": jsonio.report_to_json(catalog.reports[idx]),
+            "markov": jsonio.tensor_to_json(catalog.markovs[idx]),
+            "triangular": datum.triangular,
+            "unitary": catalog.unitary[idx],
+            "dedup_class": dedup_class[idx],
+        }
+        for idx, datum in enumerate(catalog.data)
+    ]
+    return {
+        "command": "classify",
+        "group": group.name,
+        "note": COMPLETENESS_NOTE,
+        "triangular_only": triangular,
+        "entries": entries,
+        "dedup_classes": catalog.dedup,
+        "counts": {
+            "data": len(catalog),
+            "distinct": len(catalog.dedup),
+            "unitary": sum(catalog.unitary),
+        },
+    }
+
+
+@pytest.mark.parametrize("triangular", [False, True], ids=["all", "triangular"])
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_classify_report_matches_per_datum_build(name, triangular):
+    argv = ["classify", "--group", name] + ["--triangular"] * triangular
+    doc, ok = _cmd_classify(build_parser().parse_args(argv))
+    assert ok
+    for members in doc["dedup_classes"]:
+        first = doc["entries"][members[0]]
+        assert all(doc["entries"][m]["rmatrix"] is first["rmatrix"] for m in members)
+    expected = _oracle(_reference_classify_doc(bundled_group(name), triangular))
+    assert jsonio.canonical_dumps(doc) == expected

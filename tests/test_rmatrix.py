@@ -15,13 +15,14 @@ from qtriang.groups import (
     normal_inclusions,
     subgroup_structure,
 )
-from qtriang.hopf import GATensor
+from qtriang.hopf import GATensor, difference_witness
 from qtriang.rmatrix import (
     DatumError,
     VerificationReport,
     _character_sum,
     QTDatum,
     build_r,
+    commutes_with_diagonal,
     koszul_twist,
     leg_products,
     markov_element,
@@ -361,6 +362,60 @@ def test_central_witness_pins_first_noncommuting_element():
     ]
 
 
+# -- diagonal commutation against the two products ---------------------------
+
+
+def _diagonal(x, g):
+    return GATensor.basis(x.group, *(g,) * x.arity)
+
+
+def _add_product_commutation(report, name, x):
+    """``add_commutation`` with (g x ... x g) x and x (g x ... x g) formed for every g."""
+    for g in x.group.elements():
+        b = _diagonal(x, g)
+        witness = difference_witness(x * b, b * x)
+        if witness is not None:
+            report.add(name, False, {"element": g, **witness})
+            return
+    report.add(name, True)
+
+
+def _commutation_candidates():
+    rng = random.Random("commutation")
+    yield _s3_transposition_tensor()
+    for name in CATALOG_NAMES:
+        group = bundled_group(name)
+        catalog = qt_catalog(name)
+        for members in catalog.dedup:
+            yield catalog.rmats[members[0]]
+            yield catalog.markovs[members[0]]
+        for _ in range(3):
+            yield _sparse_tensor(rng, group)
+            yield GATensor(
+                group,
+                1,
+                {(rng.randrange(group.size),): CycScalar.rational(rng.choice([1, -2]))
+                 for _ in range(3)},
+            )
+
+
+def test_commutes_with_diagonal_agrees_with_the_products():
+    # Every distinct catalog structure and its Markov element commute; the
+    # S3 transposition and the random sparse tensors mostly do not.
+    outcomes = set()
+    for x in _commutation_candidates():
+        for g in x.group.elements():
+            b = _diagonal(x, g)
+            commutes = x * b == b * x
+            assert commutes_with_diagonal(x, g) == commutes, (x, g)
+            outcomes.add(commutes)
+        fast, slow = VerificationReport(), VerificationReport()
+        fast.add_commutation("commutes", x)
+        _add_product_commutation(slow, "commutes", x)
+        assert _report_rows(fast) == _report_rows(slow)
+    assert outcomes == {True, False}
+
+
 # -- minimal supports and the pairing map against a reference ----------------
 #
 # The reference keeps the design that reduces a subspace again for every
@@ -612,9 +667,7 @@ def _reference_verify_qt(candidate):
         return report
     report.add("invertible", True)
     group = candidate.group
-    report.add_commutation(
-        "commutes_with_diagonals", candidate, lambda g: GATensor.basis(group, g, g)
-    )
+    _add_product_commutation(report, "commutes_with_diagonals", candidate)
     r12 = candidate.embed_legs((1, 2), 3)
     r13 = candidate.embed_legs((1, 3), 3)
     r23 = candidate.embed_legs((2, 3), 3)
@@ -708,7 +761,7 @@ def _reference_verify_markov(candidate):
     r21r = candidate.swap() * candidate
     report.add_equality("coproduct_identity", u.coproduct(1), r21r.inverse() * (u @ u))
     group = candidate.group
-    report.add_commutation("central", u, lambda g: GATensor.basis(group, g))
+    _add_product_commutation(report, "central", u)
     if r21r.is_unit():
         report.add("grouplike_when_unitary", u.is_grouplike())
         report.add_equality("involution_when_unitary", u * u, GATensor.unit(group, 1))
