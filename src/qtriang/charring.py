@@ -7,20 +7,22 @@ of that statement concretely: matrix representations with their braided
 symmetric-group actions, antisymmetrizers and the traces of the braided
 long cycle behind the cyclic operations on one side; class functions with
 twisted Adams operations and the Newton-type lambda/sigma recursions on
-the other.  Everything is exact.
+the other.  The traces are read from R's terms in k[G]^(x)n and the
+character, not from d^n matrices.  Everything is exact.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 
 from .cyclotomic import CycScalar
 from .groups import FiniteGroup, closure, subgroup_structure
 from .hopf import GATensor, difference_witness
 from .linalg import Matrix
-from .rmatrix import leg_products, markov_element
+from .rmatrix import commutes_with_diagonal, leg_products, markov_element
 
 #: Largest tensor-power dimension handled by the braided-action machinery.
 DIMENSION_CAP = 4096
@@ -97,7 +99,15 @@ class ClassFunction:
 
 
 class MatrixRep:
-    """A matrix representation of a finite group over cyclotomic scalars."""
+    """A matrix representation of a finite group over cyclotomic scalars.
+
+    The homomorphism law rho(s) rho(h) = rho(sh) is checked for every h but
+    only for s in a generating set, grown greedily in element order.  That
+    is the full law: in a finite group every g is a positive word
+    s1 s2 ... sk in the generators, and induction on k gives
+    rho(g) rho(h) = rho(s1) rho(s2 ... sk h) = rho(gh), since
+    rho(s1 g') = rho(s1) rho(g') is the checked law at h = g'.
+    """
 
     __slots__ = ("group", "dim", "mats", "name", "_kron_cache")
 
@@ -108,9 +118,15 @@ class MatrixRep:
         dim = mats[group.identity].nrows
         if mats[group.identity] != Matrix.identity(dim):
             raise ValueError("identity element must act as the identity matrix")
+        if any(m.nrows != dim or m.ncols != dim for m in mats):
+            raise ValueError("all matrices must share the representation dimension")
+        generators: list[int] = []
+        span = frozenset((group.identity,))
         for g in group.elements():
-            if mats[g].nrows != dim or mats[g].ncols != dim:
-                raise ValueError("all matrices must share the representation dimension")
+            if g not in span:
+                generators.append(g)
+                span = closure(generators, group.identity, group.mul)
+        for g in generators:
             for h in group.elements():
                 if mats[g] @ mats[h] != mats[group.table[g][h]]:
                     raise ValueError(f"matrices fail the homomorphism law on ({g}, {h})")
@@ -343,20 +359,16 @@ class BraidedAction:
     R - (g (x) g) R (g (x) g)^-1.  A difference is mapped to matrices only
     when nonzero, and then the image decides.  Distant generators commute
     for every R: R12 R34 and R34 R12 have the same terms, legwise.
+
+    The exterior-power and long-cycle traces do not build these matrices:
+    they read characters of R's terms (see ``_WordOperators``).  An
+    exterior power builds an action only when R fails a universal check.
     """
 
     __slots__ = ("rep", "rmatrix", "power", "braid", "generators")
 
     def __init__(self, rep: MatrixRep, rmatrix: GATensor, power: int, validate: bool = True):
-        if rmatrix.group != rep.group:
-            raise ValueError("representation and R-matrix live over different groups")
-        square = rmatrix * rmatrix.swap()
-        if not square.is_unit():
-            raise ValueError("the symmetric-group action needs a unitary R-matrix")
-        if rep.dim**power > DIMENSION_CAP:
-            raise ValueError(
-                f"tensor power dimension {rep.dim ** power} exceeds the cap {DIMENSION_CAP}"
-            )
+        square = _braided_preconditions(rep, rmatrix, power)
         d = rep.dim
         swap = Matrix.from_permutation([b * d + a for a in range(d) for b in range(d)])
         braid = _image(rep, rmatrix) @ swap
@@ -379,6 +391,8 @@ class BraidedAction:
         ``square`` is R R21 when the caller has formed it already.  The
         error's ``witness`` names the first term, in ``first_difference``
         order, of the failing difference, and for equivariance the element g.
+        Equivariance at g is read by ``commutes_with_diagonal``; R's
+        conjugate by g is formed only where that test fails.
         """
         if self.power < 2:
             return
@@ -390,8 +404,9 @@ class BraidedAction:
             left, right = leg_products(r).yang_baxter_sides()
             self._check(left, right, "adjacent generators fail the braid relation")
         for g in r.group.elements():
-            conjugated = r.adjoint_action(g, 1).adjoint_action(g, 2)
-            self._check(r, conjugated, "the braided action is not equivariant", element=g)
+            if not commutes_with_diagonal(r, g):
+                conjugated = r.adjoint_action(g, 1).adjoint_action(g, 2)
+                self._check(r, conjugated, "the braided action is not equivariant", element=g)
 
     def _check(self, left: GATensor, right: GATensor, message: str, **extra):
         if left.terms == right.terms or not _image(self.rep, left - right).cols:
@@ -468,12 +483,132 @@ def _check_matrices(left: Matrix, right: Matrix, message: str, **extra):
         raise error
 
 
+def _braided_preconditions(rep: MatrixRep, rmatrix: GATensor, power: int) -> GATensor:
+    """R R21, after raising what a braided action on rho^(x)power refuses, in order."""
+    if rmatrix.group != rep.group:
+        raise ValueError("representation and R-matrix live over different groups")
+    square = rmatrix * rmatrix.swap()
+    if not square.is_unit():
+        raise ValueError("the symmetric-group action needs a unitary R-matrix")
+    if rep.dim**power > DIMENSION_CAP:
+        raise ValueError(
+            f"tensor power dimension {rep.dim ** power} exceeds the cap {DIMENSION_CAP}"
+        )
+    return square
+
+
+class _WordOperators:
+    """Braided operators on the n-th tensor power as pairs (X, pi), from R's terms.
+
+    (X, pi) stands for rho^(x)n(X) composed with T_pi, the plain leg
+    permutation that moves slot i to slot pi[i], with X in k[G]^(x)n.  The
+    generator s_j is (R placed in legs j and j+1, the transposition of
+    slots j-1 and j, 0-based).  Since T_p rho^(x)n(Y) = rho^(x)n(p(Y)) T_p,
+    where p(Y) puts leg i of Y at slot p[i], products are
+    (X, p) (Y, s) = (X p(Y), p o s).  A word is its memoized prefix times
+    its last letter: one GATensor product per new word, none for a letter.
+    """
+
+    __slots__ = ("rmatrix", "power", "_memo")
+
+    def __init__(self, rmatrix: GATensor, power: int):
+        self.rmatrix = rmatrix
+        self.power = power
+        self._memo = {(): (GATensor.unit(rmatrix.group, power), tuple(range(power)))}
+
+    def word(self, word: tuple):
+        """The operator s_w1 s_w2 ... of a word of 1-based slots, as ``permutation_matrix`` forms it."""
+        op = self._memo.get(word)
+        if op is None:
+            j = word[-1]
+            swap = list(range(self.power))
+            swap[j - 1], swap[j] = j, j - 1
+            op = (self.rmatrix.embed_legs((j, j + 1), self.power), tuple(swap))
+            if len(word) > 1:
+                op = _compose(self.word(word[:-1]), op)
+            self._memo[word] = op
+        return op
+
+
+def _inverse(perm) -> list[int]:
+    out = [0] * len(perm)
+    for i, k in enumerate(perm):
+        out[k] = i
+    return out
+
+
+def _compose(left, right):
+    """(X, p) (Y, s) = (X p(Y), p o s) for operators of ``_WordOperators``."""
+    (x, p), (y, s) = left, right
+    return x * y.permute_legs(_inverse(p)), tuple(p[k] for k in s)
+
+
+def _operator_traces(rep: MatrixRep, weighted, elements) -> list[CycScalar]:
+    """sum of w tr(rho^(x)n(g^(x)n X) T_pi) over (w, (X, pi)) in ``weighted``, per g.
+
+    Slot k of the image reads slot pi^-1(k), so the trace factors over the
+    cycles of pi: a term (x, c) of X adds c times the product over cycles,
+    each read k -> pi^-1(k) -> ..., of chi(g x_k g x_pi^-1(k) ...), with
+    chi = ``rep.character()``.  The weights are +1 or -1.  Coefficients are
+    summed per tuple of cycle classes first, so each tuple costs one
+    product of character values.
+    """
+    group = rep.group
+    table, e = group.table, group.identity
+    chi = rep.character().values
+    class_of = [0] * group.size
+    for idx, cls_ in enumerate(group.conjugacy_classes()):
+        for h in cls_:
+            class_of[h] = idx
+    prepared = []
+    for weight, (x, pi) in weighted:
+        back, cycles, seen = _inverse(pi), [], set()
+        for k in range(len(pi)):
+            cycle = []
+            while k not in seen:
+                seen.add(k)
+                cycle.append(k)
+                k = back[k]
+            if cycle:
+                cycles.append(cycle)
+        prepared.append((weight, x.terms, cycles))
+    out = []
+    for g in elements:
+        row = table[g]
+        sums: dict[tuple, CycScalar] = {}
+        for weight, terms, cycles in prepared:
+            for key, c in terms.items():
+                classes = []
+                for cycle in cycles:
+                    h = e
+                    for k in cycle:
+                        h = table[h][row[key[k]]]
+                    if not chi[class_of[h]]:
+                        break
+                    classes.append(class_of[h])
+                else:
+                    classes = tuple(sorted(classes))
+                    c = c if weight > 0 else -c
+                    sums[classes] = sums[classes] + c if classes in sums else c
+        total = CycScalar.zero()
+        for classes, c in sums.items():
+            for idx in classes:
+                c = c * chi[idx]
+            total = total + c
+        out.append(total)
+    return out
+
+
 def exterior_power_char(rep: MatrixRep, rmatrix: GATensor, n: int) -> ClassFunction:
     """Character of the n-th braided exterior power of a representation.
 
     The value at g is the trace of the g-action composed with the
-    antisymmetrizer; the projector is checked to be idempotent and
-    equivariant before any trace is taken; a failure's ``witness`` names the
+    antisymmetrizer (1/n!) sum of sign(s) times s, each s an operator of
+    ``_WordOperators``, so every trace is a character sum over R's terms.
+    The projector is idempotent and equivariant whenever R commutes with
+    every g (x) g and, for n >= 3, solves Yang-Baxter (R R21 = 1 is
+    required throughout).  Only when one of these fails is the projector
+    built as a d^n matrix and checked; a failure's ``witness`` names the
     first differing entry (row-major) and, for equivariance, the element g.
     """
     group = rep.group
@@ -483,16 +618,26 @@ def exterior_power_char(rep: MatrixRep, rmatrix: GATensor, n: int) -> ClassFunct
         return ClassFunction.constant(group, 1)
     if n == 1:
         return rep.character()
-    action = BraidedAction(rep, rmatrix, n, validate=False)
-    projector = action.antisymmetrizer()
-    _check_matrices(projector @ projector, projector, "antisymmetrizer is not idempotent")
-    for g in group.elements():
-        diag = rep.kron_power(g, n)
-        _check_matrices(
-            projector @ diag, diag @ projector, "antisymmetrizer is not equivariant", element=g
-        )
-    return ClassFunction.from_function(
-        group, lambda g: (rep.kron_power(g, n) @ projector).trace()
+    _braided_preconditions(rep, rmatrix, n)
+    holds = all(commutes_with_diagonal(rmatrix, g) for g in group.elements())
+    if holds and n >= 3:
+        left, right = leg_products(rmatrix).yang_baxter_sides()
+        holds = left.terms == right.terms
+    if not holds:
+        projector = BraidedAction(rep, rmatrix, n, validate=False).antisymmetrizer()
+        _check_matrices(projector @ projector, projector, "antisymmetrizer is not idempotent")
+        for g in group.elements():
+            diag = rep.kron_power(g, n)
+            _check_matrices(
+                projector @ diag, diag @ projector, "antisymmetrizer is not equivariant", element=g
+            )
+    ops = _WordOperators(rmatrix, n)
+    words = [tuple(_adjacent_word(perm)) for perm in itertools.permutations(range(n))]
+    weighted = [(-1 if len(word) % 2 else 1, ops.word(word)) for word in words]
+    classes = [cls_[0] for cls_ in group.conjugacy_classes()]
+    weight = CycScalar.rational(Fraction(1, math.factorial(n)))
+    return ClassFunction(
+        group, [v * weight for v in _operator_traces(rep, weighted, classes)]
     )
 
 
@@ -522,20 +667,21 @@ def _long_cycle_traces(rep: MatrixRep, rmatrix: GATensor, p: int) -> dict[int, l
 
     Here u is the Markov element and tau the braided long cycle on the p-th
     tensor power; (uz)^(x)p = u^(x)p z^(x)p because the rep is a homomorphism.
+    tau is an operator of ``_WordOperators`` and tau^i = tau^(i-1) tau, so
+    each trace is a character sum over the terms of one tensor.
     """
     group = rep.group
     u = _markov_index(rmatrix)
-    action = BraidedAction(rep, rmatrix, p, validate=False)
-    tau = action.permutation_matrix(tuple(range(1, p)) + (0,))
-    out = {}
-    for z in group.center():
-        acted = rep.kron_power(group.table[u][z], p)
-        row = [acted.trace()]
-        for _ in range(1, p):
-            acted = acted @ tau
-            row.append(acted.trace())
-        out[z] = row
-    return out
+    _braided_preconditions(rep, rmatrix, p)
+    ops = _WordOperators(rmatrix, p)
+    tau = ops.word(tuple(_adjacent_word(tuple(range(1, p)) + (0,))))
+    powers = [ops.word(())]
+    for i in range(1, p):
+        powers.append(tau if i == 1 else _compose(powers[-1], tau))
+    center = group.center()
+    acted = [group.table[u][z] for z in center]
+    columns = [_operator_traces(rep, [(1, op)], acted) for op in powers]
+    return {z: [column[k] for column in columns] for k, z in enumerate(center)}
 
 
 def _cyclic_value(traces: list[CycScalar], eps: CycScalar) -> CycScalar:
@@ -556,7 +702,9 @@ def cyclic_operation_char(
     Returns, for every central z, the categorical trace on the p-th tensor
     power of the z-action composed with (1/p) sum eps^i tau^i, where tau is
     the braided long cycle.  By linearity this is (1/p) sum eps^i times the
-    trace of (uz)^(x)p tau^i, so the projector itself is never formed.
+    trace of (uz)^(x)p tau^i, so the projector itself is never formed, and
+    each such trace is a character sum over the terms of tau^i as an
+    operator (X, pi) (see ``_long_cycle_traces``): no d^p matrix is built.
     """
     if not isinstance(eps, CycScalar):
         eps = CycScalar.rational(eps)

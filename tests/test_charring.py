@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 from fractions import Fraction
 
@@ -65,6 +66,27 @@ def test_matrix_rep_validates_homomorphism():
     bad = [Matrix.identity(1), Matrix.from_entries(1, 1, [(0, 0, CycScalar.rational(2))])]
     with pytest.raises(ValueError):
         MatrixRep(g, bad)
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_matrix_rep_checks_the_law_on_every_generator(name):
+    # The law is checked only on a generating set.  Doubling rho(g) at one
+    # element g != e, generator or not, must be caught, and so must doubling
+    # rho off the cyclic subgroup <s>: that keeps rho(s) rho(h) = rho(sh) for
+    # every h, since sh and h lie in one right coset of <s>.
+    group = bundled_group(name)
+    mats = regular_rep(group).mats
+    for s in group.elements():
+        cyclic = {group.power(s, k) for k in range(group.size)}
+        doubled = [{s}] if s != group.identity else []
+        if len(cyclic) < group.size:
+            doubled.append(set(group.elements()) - cyclic)
+        for off in doubled:
+            bad = [m.scale(2) if g in off else m for g, m in enumerate(mats)]
+            if off != {s}:
+                assert all(bad[s] @ bad[h] == bad[group.table[s][h]] for h in group.elements())
+            with pytest.raises(ValueError, match="homomorphism law"):
+                MatrixRep(group, bad)
 
 
 def test_linear_characters():
@@ -422,6 +444,69 @@ def _first_dense_difference(left, right):
     return None
 
 
+def _reference_exterior_power_char(rep, rmatrix, n):
+    # The d^n route: the antisymmetrizer as a matrix, traced against g^(x)n.
+    projector = BraidedAction(rep, rmatrix, n, validate=False).antisymmetrizer()
+    return ClassFunction.from_function(
+        rep.group, lambda g: (rep.kron_power(g, n) @ projector).trace()
+    )
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_exterior_power_matches_dense_reference(name):
+    catalog = acceptance.triangular_catalog(name)
+    for members in catalog.dedup:
+        r = catalog.rmats[members[0]]
+        for rep in acceptance._test_reps(name):
+            for n in (2, 3):
+                if rep.dim**n <= charring.DIMENSION_CAP:
+                    expected = _reference_exterior_power_char(rep, r, n)
+                    assert exterior_power_char(rep, r, n) == expected, (rep.name, n)
+
+
+def test_exterior_power_fallback_passes_on_a_non_faithful_rep(monkeypatch):
+    # s (x) s is unitary and solves Yang-Baxter but is not conjugation
+    # invariant, so the projector is built and checked as a matrix; every
+    # linear rep of S3 kills the equivariance difference, so it passes.
+    r = _transposition_square()
+    builds = []
+    real = BraidedAction
+
+    def counting(*args, **kwargs):
+        builds.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(charring, "BraidedAction", counting)
+    for rep in linear_character_reps(r.group):
+        for n in (2, 3):
+            expected = _reference_exterior_power_char(rep, r, n)
+            builds.clear()
+            assert exterior_power_char(rep, r, n) == expected
+            assert builds == [n]
+
+
+def test_catalog_traces_form_no_matrix_product(monkeypatch):
+    calls = Counter()
+    real = Matrix.__matmul__
+
+    def counting(left, right):
+        calls["matmul"] += 1
+        return real(left, right)
+
+    cases = []
+    for name in CATALOG_NAMES:
+        catalog = acceptance.triangular_catalog(name)
+        reps = acceptance._test_reps(name)
+        cases += [(rep, catalog.rmats[m[0]]) for m in catalog.dedup for rep in reps]
+    monkeypatch.setattr(Matrix, "__matmul__", counting)
+    for rep, r in cases:
+        for n in (2, 3):
+            if rep.dim**n <= charring.DIMENSION_CAP:
+                exterior_power_char(rep, r, n)
+                cyclic_operation_char(rep, r, n, root_of_unity(n))
+    assert calls["matmul"] == 0
+
+
 def test_exterior_projector_failures_carry_witnesses():
     # A unitary R that fails the braid relation leaves the cube's projector
     # not idempotent; s (x) s satisfies it but is not conjugation invariant.
@@ -543,19 +628,62 @@ def test_cyclic_operation_matches_projector_reference(name):
                 assert cyclic_operation_char(rep, r, p, eps) == expected, (name, p, k)
 
 
-def test_criterion_07_builds_one_action_per_structure_rep_and_prime(monkeypatch):
-    # One action for each of the 186 distinct (R, rep, p) triples, shared by all roots.
-    builds = []
-    real = BraidedAction
+def test_criterion_07_reads_one_trace_table_per_structure_rep_and_prime(monkeypatch):
+    # One long-cycle trace table for each of the 186 distinct (R, rep, p)
+    # triples, shared by all roots, and no matrix action built for any.
+    builds, tables = [], []
+    real_action, real_table = BraidedAction, acceptance._long_cycle_traces
 
-    def counting(*args, **kwargs):
+    def counting_action(*args, **kwargs):
         builds.append(args[2])
-        return real(*args, **kwargs)
+        return real_action(*args, **kwargs)
 
-    monkeypatch.setattr(charring, "BraidedAction", counting)
-    monkeypatch.setattr(acceptance, "BraidedAction", counting)
+    def counting_table(rep, rmatrix, p):
+        tables.append(p)
+        return real_table(rep, rmatrix, p)
+
+    monkeypatch.setattr(charring, "BraidedAction", counting_action)
+    monkeypatch.setattr(acceptance, "BraidedAction", counting_action)
+    monkeypatch.setattr(acceptance, "_long_cycle_traces", counting_table)
     assert acceptance.criterion_7().passed
-    assert len(builds) == 186
+    assert len(builds) == 0
+    assert len(tables) == 186
+
+
+def _leg_permutation_matrix(d, perm):
+    """T_pi on the len(perm)-th tensor power of k^d: slot i moves to slot perm[i]."""
+    n = len(perm)
+    images = []
+    for digits in itertools.product(range(d), repeat=n):
+        moved = [0] * n
+        for i, a in enumerate(digits):
+            moved[perm[i]] = a
+        images.append(sum(a * d ** (n - 1 - k) for k, a in enumerate(moved)))
+    return Matrix.from_permutation(images)
+
+
+@pytest.mark.parametrize(
+    "group, make_r",
+    [("Z2", koszul), ("S3", _noncommuting_twist), ("S3", _transposition_square)],
+    ids=["koszul", "noncommuting-twist", "transposition-square"],
+)
+def test_word_operators_equal_the_generator_products(group, make_r):
+    # For every permutation of three legs, (X, pi) maps to rho(X) T_pi, the
+    # product permutation_matrix forms from the d^3 generators, and its
+    # character sum against each g equals the trace of g^(x)3 times that
+    # product; R need not be an R-matrix for either to hold.
+    r = make_r()
+    rep = regular_rep(bundled_group(group))
+    action = _with_rmatrix(rep, 3, r)
+    ops = charring._WordOperators(r, 3)
+    elements = list(rep.group.elements())
+    for perm in itertools.permutations(range(3)):
+        op = ops.word(tuple(_adjacent_word(perm)))
+        x, pi = op
+        operator = action.permutation_matrix(perm)
+        assert charring._image(rep, x) @ _leg_permutation_matrix(rep.dim, pi) == operator
+        traces = charring._operator_traces(rep, [(1, op)], elements)
+        assert traces == [(rep.kron_power(g, 3) @ operator).trace() for g in elements], perm
 
 
 def test_permutation_matrix_multiplies_only_generators():
