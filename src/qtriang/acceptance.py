@@ -9,7 +9,8 @@ catalog checks each distinct element once per catalog, on the first datum
 of its dedup class, and reports the outcome for every datum of the class.
 Criterion 7 reads its cyclic-operation values from the long-cycle trace
 table behind ``charring.cyclic_operation_char``, built once per
-(structure, representation, prime).
+(structure, representation, prime); criterion 10 forms R's braided
+differences once per (structure, power), for every representation.
 
 All comparisons are exact; there are no tolerances anywhere.
 """
@@ -29,8 +30,10 @@ from .charring import (
     adams_twisted,
     exterior_power_char,
     lambda_from_adams,
+    standard_characters,
     standard_reps,
     verify_lambda_ring,
+    _braiding_differences,
     _cyclic_value,
     _lambda_additivity_failures,
     _lambda_sequence,
@@ -376,7 +379,7 @@ def criterion_8() -> CriterionResult:
     rng = random.Random(20260808)
     for name in CATALOG_NAMES:
         group = bundled_group(name)
-        chars = [rep.character() for rep in _test_reps(name)]
+        chars = [character for _, character in standard_characters(group)]
         for u in group.central_involutions():
             checked += 1
             checks = verify_lambda_ring(u, chars, depth=6)
@@ -450,13 +453,15 @@ def criterion_10() -> CriterionResult:
         catalog = triangular_catalog(name)
         for members in catalog.dedup:
             built = catalog.rmats[members[0]]
+            square = built * built.swap()
+            differences = {n: _braiding_differences(built, n, square) for n in (2, 3)}
             for rep in _test_reps(name):
                 for n in (2, 3):
                     if rep.dim**n > DIMENSION_CAP:
                         continue
                     checked += len(members)
                     try:
-                        BraidedAction(rep, built, n, validate=True)
+                        BraidedAction(rep, built, n, validate=False).validate(differences[n])
                     except ValueError as exc:
                         problems.extend((name, idx, rep.name, n, str(exc)) for idx in members)
     elapsed = time.perf_counter() - start

@@ -4,18 +4,20 @@ For a unitary R-matrix with Markov element u, the braided action of the
 symmetric group on tensor powers of a representation defines exterior
 powers whose classes depend only on u.  This module realizes both sides
 of that statement concretely: matrix representations with their braided
-symmetric-group actions, antisymmetrizers and the traces of the braided
+symmetric-group actions, exterior powers and the traces of the braided
 long cycle behind the cyclic operations on one side; class functions with
 twisted Adams operations and the Newton-type lambda/sigma recursions on
-the other.  The traces are read from R's terms in k[G]^(x)n and the
-character, not from d^n matrices.  Everything is exact.
+the other.  Braided operators are memoized words (``_WordWalker``) of
+pairs (X, pi), X in k[G]^(x)n, whose traces are read from R's terms and
+the character; d^n generators are multiplied only for an R that fails a
+braided identity (``_braiding_differences``).  Everything is exact.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
+import operator
 from fractions import Fraction
 
 from .cyclotomic import CycScalar
@@ -109,7 +111,7 @@ class MatrixRep:
     rho(s1 g') = rho(s1) rho(g') is the checked law at h = g'.
     """
 
-    __slots__ = ("group", "dim", "mats", "name", "_kron_cache")
+    __slots__ = ("group", "dim", "mats", "name")
 
     def __init__(self, group: FiniteGroup, mats, name: str = "rep"):
         mats = tuple(mats)
@@ -134,21 +136,9 @@ class MatrixRep:
         self.dim = dim
         self.mats = mats
         self.name = name
-        self._kron_cache: dict = {}
 
     def matrix(self, g: int) -> Matrix:
         return self.mats[g]
-
-    def kron_power(self, g: int, n: int) -> Matrix:
-        """The action of a group element on the n-th tensor power."""
-        key = (g, n)
-        cached = self._kron_cache.get(key)
-        if cached is None:
-            cached = Matrix.identity(1)
-            for _ in range(n):
-                cached = cached.kron(self.mats[g])
-            self._kron_cache[key] = cached
-        return cached
 
     def character(self) -> ClassFunction:
         return ClassFunction.from_function(self.group, lambda g: self.mats[g].trace())
@@ -221,6 +211,13 @@ def linear_character_reps(group: FiniteGroup) -> list[MatrixRep]:
 def standard_reps(group: FiniteGroup) -> list[MatrixRep]:
     """The linear character reps, then the regular rep: the test set of the CLI and selftest."""
     return [*linear_character_reps(group), regular_rep(group)]
+
+
+def standard_characters(group: FiniteGroup) -> list[tuple[str, ClassFunction]]:
+    """The names and characters of ``standard_reps``, built without matrices."""
+    linear = [(f"linear{k}({group.name})", chi) for k, chi in enumerate(linear_characters(group))]
+    regular = ClassFunction.from_function(group, lambda g: (g == group.identity) * group.size)
+    return [*linear, (f"regular({group.name})", regular)]
 
 
 # ---------------------------------------------------------------------------
@@ -356,13 +353,14 @@ class BraidedAction:
     group action; all three facts are verified at construction.  Plain
     swaps only move tensor legs, so each check says that rho^(x)k kills one
     difference in k[G]^(x)k: R R21 - 1, R12 R13 R23 - R23 R13 R12 and
-    R - (g (x) g) R (g (x) g)^-1.  A difference is mapped to matrices only
-    when nonzero, and then the image decides.  Distant generators commute
-    for every R: R12 R34 and R34 R12 have the same terms, legwise.
+    R - (g (x) g) R (g (x) g)^-1.  ``_braiding_differences`` forms the
+    nonzero ones once per (R, power); ``validate`` maps each to matrices.
+    Distant generators commute for every R: R12 R34 and R34 R12 have the
+    same terms, legwise.
 
     The exterior-power and long-cycle traces do not build these matrices:
-    they read characters of R's terms (see ``_WordOperators``).  An
-    exterior power builds an action only when R fails a universal check.
+    they read characters of R's terms (see ``_operator_words``).  An
+    exterior power multiplies them only when a difference is nonzero.
     """
 
     __slots__ = ("rep", "rmatrix", "power", "braid", "generators")
@@ -383,61 +381,47 @@ class BraidedAction:
         self.braid = braid
         self.generators = generators
         if validate:
-            self.validate(square)
+            self.validate(_braiding_differences(rmatrix, power, square))
 
-    def validate(self, square: GATensor | None = None):
+    def validate(self, differences: list | None = None):
         """Raise ValueError unless the generators satisfy every relation above.
 
-        ``square`` is R R21 when the caller has formed it already.  The
-        error's ``witness`` names the first term, in ``first_difference``
-        order, of the failing difference, and for equivariance the element g.
-        Equivariance at g is read by ``commutes_with_diagonal``; R's
-        conjugate by g is formed only where that test fails.
+        ``differences`` is ``_braiding_differences`` of R at this power when
+        the caller has formed it already.  The error's ``witness`` names the
+        first term, in ``first_difference`` order, of the first difference
+        with a nonzero image, and for equivariance the element g.
         """
         if self.power < 2:
             return
-        r = self.rmatrix
-        unit = GATensor.unit(r.group, 2)
-        square = r * r.swap() if square is None else square
-        self._check(square, unit, "a braided generator fails to square to the identity")
-        if self.power >= 3:
-            left, right = leg_products(r).yang_baxter_sides()
-            self._check(left, right, "adjacent generators fail the braid relation")
-        for g in r.group.elements():
-            if not commutes_with_diagonal(r, g):
-                conjugated = r.adjoint_action(g, 1).adjoint_action(g, 2)
-                self._check(r, conjugated, "the braided action is not equivariant", element=g)
+        if differences is None:
+            differences = _braiding_differences(r := self.rmatrix, self.power, r * r.swap())
+        for left, right, message, extra in differences:
+            if _image(self.rep, left - right).cols:
+                error = ValueError(message)
+                error.witness = difference_witness(left, right, **extra)
+                raise error
 
-    def _check(self, left: GATensor, right: GATensor, message: str, **extra):
-        if left.terms == right.terms or not _image(self.rep, left - right).cols:
-            return
-        error = ValueError(message)
-        error.witness = difference_witness(left, right, **extra)
-        raise error
 
-    def permutation_matrix(self, perm) -> Matrix:
-        """Operator of a permutation, via a word in adjacent transpositions."""
-        word = _adjacent_word(perm)
-        if not word:
-            return Matrix.identity(self.rep.dim**self.power)
-        out = self.generators[word[0] - 1]
-        for slot in word[1:]:
-            out = out @ self.generators[slot - 1]
-        return out
+def _braiding_differences(rmatrix: GATensor, power: int, square: GATensor) -> list[tuple]:
+    """The nonzero differences of R's braided identities in k[G]^(x)k, in check order.
 
-    def antisymmetrizer(self) -> Matrix:
-        """The alternating projector (1/n!) sum of sign(s) times the action of s."""
-        n = self.power
-        dim = self.rep.dim**n
-        acc = Matrix.zero(dim, dim)
-        count = 0
-        for perm in itertools.permutations(range(n)):
-            word = _adjacent_word(perm)
-            sign = -1 if len(word) % 2 else 1
-            mat = self.permutation_matrix(perm)
-            acc = acc + (mat if sign > 0 else mat.scale(-1))
-            count += 1
-        return acc.scale(Fraction(1, count))
+    Each is (left, right, message, extra): R R21 (``square``) against 1; for
+    power >= 3 the Yang-Baxter sides; then R against its conjugate by each
+    g (x) g that ``commutes_with_diagonal`` rejects, with extra {"element": g}.
+    """
+    unit = GATensor.unit(rmatrix.group, 2)
+    out = []
+    if square.terms != unit.terms:
+        out.append((square, unit, "a braided generator fails to square to the identity", {}))
+    if power >= 3:
+        left, right = leg_products(rmatrix).yang_baxter_sides()
+        if left.terms != right.terms:
+            out.append((left, right, "adjacent generators fail the braid relation", {}))
+    for g in rmatrix.group.elements():
+        if not commutes_with_diagonal(rmatrix, g):
+            conj = rmatrix.adjoint_action(g, 1).adjoint_action(g, 2)
+            out.append((rmatrix, conj, "the braided action is not equivariant", {"element": g}))
+    return out
 
 
 def _image(rep: MatrixRep, tensor: GATensor) -> Matrix:
@@ -497,37 +481,42 @@ def _braided_preconditions(rep: MatrixRep, rmatrix: GATensor, power: int) -> GAT
     return square
 
 
-class _WordOperators:
-    """Braided operators on the n-th tensor power as pairs (X, pi), from R's terms.
+class _WordWalker:
+    """Operators of words s_w1 s_w2 ... in the adjacent transpositions, memoized.
+
+    ``letters[j - 1]`` is s_j and ``compose`` the product: a word is its
+    memoized prefix times its last letter, one product per new word.
+    """
+
+    __slots__ = ("_compose", "_memo")
+
+    def __init__(self, unit, letters, compose):
+        self._compose = compose
+        self._memo = {(): unit, **{(j,): op for j, op in enumerate(letters, start=1)}}
+
+    def word(self, word: tuple):
+        op = self._memo.get(word)
+        if op is None:
+            op = self._memo[word] = self._compose(self.word(word[:-1]), self._memo[word[-1:]])
+        return op
+
+
+def _operator_words(rmatrix: GATensor, power: int) -> _WordWalker:
+    """Braided operators on the power-th tensor power as pairs (X, pi), from R's terms.
 
     (X, pi) stands for rho^(x)n(X) composed with T_pi, the plain leg
     permutation that moves slot i to slot pi[i], with X in k[G]^(x)n.  The
     generator s_j is (R placed in legs j and j+1, the transposition of
     slots j-1 and j, 0-based).  Since T_p rho^(x)n(Y) = rho^(x)n(p(Y)) T_p,
     where p(Y) puts leg i of Y at slot p[i], products are
-    (X, p) (Y, s) = (X p(Y), p o s).  A word is its memoized prefix times
-    its last letter: one GATensor product per new word, none for a letter.
+    (X, p) (Y, s) = (X p(Y), p o s): one GATensor product per new word.
     """
-
-    __slots__ = ("rmatrix", "power", "_memo")
-
-    def __init__(self, rmatrix: GATensor, power: int):
-        self.rmatrix = rmatrix
-        self.power = power
-        self._memo = {(): (GATensor.unit(rmatrix.group, power), tuple(range(power)))}
-
-    def word(self, word: tuple):
-        """The operator s_w1 s_w2 ... of a word of 1-based slots, as ``permutation_matrix`` forms it."""
-        op = self._memo.get(word)
-        if op is None:
-            j = word[-1]
-            swap = list(range(self.power))
-            swap[j - 1], swap[j] = j, j - 1
-            op = (self.rmatrix.embed_legs((j, j + 1), self.power), tuple(swap))
-            if len(word) > 1:
-                op = _compose(self.word(word[:-1]), op)
-            self._memo[word] = op
-        return op
+    ident, letters = tuple(range(power)), []
+    for j in range(1, power):
+        swap = list(ident)
+        swap[j - 1], swap[j] = j, j - 1
+        letters.append((rmatrix.embed_legs((j, j + 1), power), tuple(swap)))
+    return _WordWalker((GATensor.unit(rmatrix.group, power), ident), letters, _compose)
 
 
 def _inverse(perm) -> list[int]:
@@ -538,7 +527,7 @@ def _inverse(perm) -> list[int]:
 
 
 def _compose(left, right):
-    """(X, p) (Y, s) = (X p(Y), p o s) for operators of ``_WordOperators``."""
+    """(X, p) (Y, s) = (X p(Y), p o s) for operators of ``_operator_words``."""
     (x, p), (y, s) = left, right
     return x * y.permute_legs(_inverse(p)), tuple(p[k] for k in s)
 
@@ -604,12 +593,13 @@ def exterior_power_char(rep: MatrixRep, rmatrix: GATensor, n: int) -> ClassFunct
 
     The value at g is the trace of the g-action composed with the
     antisymmetrizer (1/n!) sum of sign(s) times s, each s an operator of
-    ``_WordOperators``, so every trace is a character sum over R's terms.
-    The projector is idempotent and equivariant whenever R commutes with
-    every g (x) g and, for n >= 3, solves Yang-Baxter (R R21 = 1 is
-    required throughout).  Only when one of these fails is the projector
-    built as a d^n matrix and checked; a failure's ``witness`` names the
-    first differing entry (row-major) and, for equivariance, the element g.
+    ``_operator_words``, so every trace is a character sum over R's terms.
+    The projector is idempotent and equivariant whenever R's braided
+    identities hold in k[G]^(x)n (R R21 = 1 is required throughout).  Only
+    when ``_braiding_differences`` is non-empty is the projector built as a
+    d^n matrix, from the same signed words as products of the generators,
+    and checked against g^(x)n; a failure's ``witness`` names the first
+    differing entry (row-major) and, for equivariance, the element g.
     """
     group = rep.group
     if n < 0:
@@ -618,24 +608,27 @@ def exterior_power_char(rep: MatrixRep, rmatrix: GATensor, n: int) -> ClassFunct
         return ClassFunction.constant(group, 1)
     if n == 1:
         return rep.character()
-    _braided_preconditions(rep, rmatrix, n)
-    holds = all(commutes_with_diagonal(rmatrix, g) for g in group.elements())
-    if holds and n >= 3:
-        left, right = leg_products(rmatrix).yang_baxter_sides()
-        holds = left.terms == right.terms
-    if not holds:
-        projector = BraidedAction(rep, rmatrix, n, validate=False).antisymmetrizer()
+    square = _braided_preconditions(rep, rmatrix, n)
+    words = [tuple(_adjacent_word(perm)) for perm in itertools.permutations(range(n))]
+    signed = [(-1 if len(word) % 2 else 1, word) for word in words]
+    if _braiding_differences(rmatrix, n, square):
+        generators = BraidedAction(rep, rmatrix, n, validate=False).generators
+        dim = rep.dim**n
+        products = _WordWalker(Matrix.identity(dim), generators, operator.matmul)
+        projector = Matrix.zero(dim, dim)
+        for sign, word in signed:
+            projector = projector + products.word(word).scale(sign)
+        projector = projector.scale(Fraction(1, len(signed)))
         _check_matrices(projector @ projector, projector, "antisymmetrizer is not idempotent")
         for g in group.elements():
-            diag = rep.kron_power(g, n)
+            diag = functools.reduce(Matrix.kron, [rep.matrix(g)] * n)
             _check_matrices(
                 projector @ diag, diag @ projector, "antisymmetrizer is not equivariant", element=g
             )
-    ops = _WordOperators(rmatrix, n)
-    words = [tuple(_adjacent_word(perm)) for perm in itertools.permutations(range(n))]
-    weighted = [(-1 if len(word) % 2 else 1, ops.word(word)) for word in words]
+    ops = _operator_words(rmatrix, n)
+    weighted = [(sign, ops.word(word)) for sign, word in signed]
     classes = [cls_[0] for cls_ in group.conjugacy_classes()]
-    weight = CycScalar.rational(Fraction(1, math.factorial(n)))
+    weight = CycScalar.rational(Fraction(1, len(signed)))
     return ClassFunction(
         group, [v * weight for v in _operator_traces(rep, weighted, classes)]
     )
@@ -667,13 +660,13 @@ def _long_cycle_traces(rep: MatrixRep, rmatrix: GATensor, p: int) -> dict[int, l
 
     Here u is the Markov element and tau the braided long cycle on the p-th
     tensor power; (uz)^(x)p = u^(x)p z^(x)p because the rep is a homomorphism.
-    tau is an operator of ``_WordOperators`` and tau^i = tau^(i-1) tau, so
+    tau is an operator of ``_operator_words`` and tau^i = tau^(i-1) tau, so
     each trace is a character sum over the terms of one tensor.
     """
     group = rep.group
     u = _markov_index(rmatrix)
     _braided_preconditions(rep, rmatrix, p)
-    ops = _WordOperators(rmatrix, p)
+    ops = _operator_words(rmatrix, p)
     tau = ops.word(tuple(_adjacent_word(tuple(range(1, p)) + (0,))))
     powers = [ops.word(())]
     for i in range(1, p):

@@ -28,6 +28,7 @@ from .charring import (
     cyclic_operation_char,
     exterior_power_char,
     lambda_from_adams,
+    standard_characters,
     standard_reps,
 )
 from .classify import COMPLETENESS_NOTE, enumerate_qt, enumerate_triangular
@@ -244,9 +245,9 @@ def _character_table(args, operation):
     if u not in group.central_involutions():
         raise InputError(f"element {u} is not a central involution of {group.name}")
     rows = []
-    for rep in standard_reps(group):
-        out = operation(rep.character(), u, args.n)
-        rows.append({"character": rep.name, "result": jsonio.class_function_to_json(out)})
+    for name, character in standard_characters(group):
+        out = operation(character, u, args.n)
+        rows.append({"character": name, "result": jsonio.class_function_to_json(out)})
     doc = {"command": args.command, "group": group.name, "u": u, "n": args.n, "results": rows}
     return doc, True
 

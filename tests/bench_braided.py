@@ -10,18 +10,29 @@ Construction (the generators on the n-th tensor power, without checks) and
 4- and 16-term triangular structures of D4 and the 4-term one of Q8.  The
 exterior square and cube and the long-cycle trace table at p = 2 and 3 are
 timed on the regular representation for the 16-term D4 and the 4-term Q8
-structure.
+structure.  The exterior-power fallback, which builds the antisymmetrizer
+as a d^n matrix and checks it, is timed on three R on S3 that fail a
+braided identity in the group algebra: F21^-1 F on the regular rep at
+n = 3 (not idempotent), s (x) s on it at n = 2 (not equivariant), and
+s (x) s on the sign rep at n = 2 (passes).  These use only public names,
+so ``PYTHONPATH=<checkout>/src`` times another checkout with this file.
 """
+
+from fractions import Fraction
 
 import pytest
 
 from qtriang.acceptance import triangular_catalog
 from qtriang.charring import (
     BraidedAction,
+    ClassFunction,
     _long_cycle_traces,
     exterior_power_char,
+    linear_character_reps,
     regular_rep,
 )
+from qtriang.groups import bundled_group
+from qtriang.hopf import GATensor
 
 CASES = [("D4", 4), ("D4", 16), ("Q8", 4)]
 TRACE_CASES = [("D4", 16), ("Q8", 4)]
@@ -67,3 +78,31 @@ def test_long_cycle_table(benchmark, name, terms, p):
     rep = regular_rep(r.group)
     table = benchmark(lambda: _long_cycle_traces(rep, r, p))
     assert sorted(table) == sorted(r.group.center())
+
+
+def _fallback_case(case: str):
+    s3 = bundled_group("S3")
+    if case == "twist-regular-3":
+        f = GATensor(s3, 2, {(0, 0): 1, (1, 2): Fraction(1, 2)})
+        return regular_rep(s3), f.swap().inverse() * f, 3, "not idempotent"
+    square = GATensor.basis(s3, 1, 1)
+    if case == "square-regular-2":
+        return regular_rep(s3), square, 2, "not equivariant"
+    return linear_character_reps(s3)[1], square, 2, None
+
+
+@pytest.mark.parametrize("case", ["twist-regular-3", "square-regular-2", "square-linear-2"])
+def test_exterior_fallback(benchmark, case):
+    rep, r, n, message = _fallback_case(case)
+
+    def run():
+        try:
+            return exterior_power_char(rep, r, n)
+        except ValueError as exc:
+            return str(exc)
+
+    out = benchmark(run)
+    if message is None:
+        assert isinstance(out, ClassFunction)
+    else:
+        assert message in out

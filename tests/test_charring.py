@@ -1,3 +1,4 @@
+import functools
 import itertools
 from collections import Counter
 from fractions import Fraction
@@ -46,6 +47,40 @@ def koszul():
 
 def sign_rep():
     return linear_character_reps(bundled_group("Z2"))[1]
+
+
+@functools.cache
+def _kron_power(rep, g, n):
+    """rho(g)^(x)n, built by n Kronecker products and kept per (rep, g, n)."""
+    out = Matrix.identity(1)
+    for _ in range(n):
+        out = out.kron(rep.matrix(g))
+    return out
+
+
+def _permutation_matrix(action, perm):
+    """Operator of a permutation: the d^n generators multiplied along its adjacent word."""
+    word = _adjacent_word(perm)
+    if not word:
+        return Matrix.identity(action.rep.dim**action.power)
+    out = action.generators[word[0] - 1]
+    for slot in word[1:]:
+        out = out @ action.generators[slot - 1]
+    return out
+
+
+def _antisymmetrizer(action):
+    """The alternating projector (1/n!) sum of sign(s) times ``_permutation_matrix(s)``."""
+    n = action.power
+    dim = action.rep.dim**n
+    acc = Matrix.zero(dim, dim)
+    count = 0
+    for perm in itertools.permutations(range(n)):
+        sign = -1 if len(_adjacent_word(perm)) % 2 else 1
+        mat = _permutation_matrix(action, perm)
+        acc = acc + (mat if sign > 0 else mat.scale(-1))
+        count += 1
+    return acc.scale(Fraction(1, count))
 
 
 def test_regular_rep_characters():
@@ -187,6 +222,8 @@ def test_standard_reps_split_between_the_criteria():
         names = [rep.name for rep in charring.standard_reps(group)]
         linear = [rep.name for rep in linear_character_reps(group)]
         assert names == linear + [f"regular({name})"]
+        standard = [(rep.name, rep.character()) for rep in charring.standard_reps(group)]
+        assert charring.standard_characters(group) == standard
         assert [rep.name for rep in acceptance._test_reps(name)] == names
         power = [rep.name for rep in acceptance._power_test_reps(name)]
         assert power == (names if name in acceptance.REGULAR_REP_GROUPS else linear)
@@ -255,7 +292,7 @@ def _reference_validate(action):
     if any(a @ b != b @ a for i, a in enumerate(gens) for b in gens[i + 2 :]):
         return "distant generators fail to commute"
     for g in action.rep.group.elements():
-        diag = action.rep.kron_power(g, action.power)
+        diag = _kron_power(action.rep, g, action.power)
         if any(s @ diag != diag @ s for s in gens):
             return "the braided action is not equivariant"
     return None
@@ -346,7 +383,7 @@ def test_validate_failures_carry_witnesses():
         action.validate()
     witness = info.value.witness
     g = witness["element"]
-    diag = s3_regular.kron_power(g, 2)
+    diag = _kron_power(s3_regular, g, 2)
     assert action.braid @ diag != diag @ action.braid
     # s (x) s against its conjugate by g, which puts gsg^-1 (x) gsg^-1 first
     t = s3_regular.group.conjugate(1, g)
@@ -446,9 +483,9 @@ def _first_dense_difference(left, right):
 
 def _reference_exterior_power_char(rep, rmatrix, n):
     # The d^n route: the antisymmetrizer as a matrix, traced against g^(x)n.
-    projector = BraidedAction(rep, rmatrix, n, validate=False).antisymmetrizer()
+    projector = _antisymmetrizer(BraidedAction(rep, rmatrix, n, validate=False))
     return ClassFunction.from_function(
-        rep.group, lambda g: (rep.kron_power(g, n) @ projector).trace()
+        rep.group, lambda g: (_kron_power(rep, g, n) @ projector).trace()
     )
 
 
@@ -466,23 +503,34 @@ def test_exterior_power_matches_dense_reference(name):
 
 def test_exterior_power_fallback_passes_on_a_non_faithful_rep(monkeypatch):
     # s (x) s is unitary and solves Yang-Baxter but is not conjugation
-    # invariant, so the projector is built and checked as a matrix; every
-    # linear rep of S3 kills the equivariance difference, so it passes.
+    # invariant: ``_braiding_differences`` holds only equivariance
+    # differences, so the projector is built and checked as a matrix; every
+    # linear rep of S3 kills them, so it passes.
     r = _transposition_square()
-    builds = []
-    real = BraidedAction
+    builds, differences = [], []
+    real_action, real_differences = BraidedAction, charring._braiding_differences
 
-    def counting(*args, **kwargs):
+    def counting_action(*args, **kwargs):
         builds.append(args[2])
-        return real(*args, **kwargs)
+        return real_action(*args, **kwargs)
 
-    monkeypatch.setattr(charring, "BraidedAction", counting)
+    def recording_differences(*args):
+        differences.append(real_differences(*args))
+        return differences[-1]
+
+    monkeypatch.setattr(charring, "BraidedAction", counting_action)
+    monkeypatch.setattr(charring, "_braiding_differences", recording_differences)
     for rep in linear_character_reps(r.group):
         for n in (2, 3):
             expected = _reference_exterior_power_char(rep, r, n)
             builds.clear()
+            differences.clear()
             assert exterior_power_char(rep, r, n) == expected
             assert builds == [n]
+            [found] = differences
+            assert found and {message for _, _, message, _ in found} == {
+                "the braided action is not equivariant"
+            }
 
 
 def test_catalog_traces_form_no_matrix_product(monkeypatch):
@@ -512,21 +560,72 @@ def test_exterior_projector_failures_carry_witnesses():
     # not idempotent; s (x) s satisfies it but is not conjugation invariant.
     rep = regular_rep(bundled_group("S3"))
     r = _noncommuting_twist()
-    p = BraidedAction(rep, r, 3, validate=False).antisymmetrizer()
+    p = _antisymmetrizer(BraidedAction(rep, r, 3, validate=False))
     with pytest.raises(ValueError, match="not idempotent") as caught:
         exterior_power_char(rep, r, 3)
     assert caught.value.witness == _first_dense_difference(p @ p, p)
 
     r = _transposition_square()
-    p = BraidedAction(rep, r, 2, validate=False).antisymmetrizer()
+    p = _antisymmetrizer(BraidedAction(rep, r, 2, validate=False))
     g, expected = next(
         (g, diff)
         for g in rep.group.elements()
-        if (diff := _first_dense_difference(p @ rep.kron_power(g, 2), rep.kron_power(g, 2) @ p))
+        if (diff := _first_dense_difference(p @ _kron_power(rep, g, 2), _kron_power(rep, g, 2) @ p))
     )
     with pytest.raises(ValueError, match="not equivariant") as caught:
         exterior_power_char(rep, r, 2)
     assert caught.value.witness == {**expected, "element": g}
+
+
+def _reference_checked_exterior_power_char(rep, rmatrix, n):
+    """The d^n fallback from generator products: the projector's idempotence
+    and equivariance checked, witnessed by the first dense difference, then traced."""
+    projector = _antisymmetrizer(BraidedAction(rep, rmatrix, n, validate=False))
+    checks = [("antisymmetrizer is not idempotent", projector @ projector, projector, {})]
+    for g in rep.group.elements():
+        diag = _kron_power(rep, g, n)
+        message = "antisymmetrizer is not equivariant"
+        checks.append((message, projector @ diag, diag @ projector, {"element": g}))
+    for message, left, right, extra in checks:
+        if left != right:
+            error = ValueError(message)
+            error.witness = {**_first_dense_difference(left, right), **extra}
+            raise error
+    return ClassFunction.from_function(
+        rep.group, lambda g: (_kron_power(rep, g, n) @ projector).trace()
+    )
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc), getattr(exc, "witness", None)
+
+
+def test_exterior_fallback_matches_generator_product_reference():
+    # Every perturbed R on each catalog group, on the linear and regular
+    # reps, at n = 2 and 3 wherever d^n <= 216: the same character, or the
+    # same error message and witness.  The cases include projectors that
+    # are not idempotent or not equivariant, non-faithful reps that pass,
+    # and non-unitary R refused before any matrix is built.
+    outcomes = Counter()
+    for name in CATALOG_NAMES:
+        group = bundled_group(name)
+        for r in _perturbations(group):
+            for rep in acceptance._test_reps(name):
+                for n in (2, 3):
+                    if rep.dim**n > 216:
+                        continue
+                    expected = _outcome(_reference_checked_exterior_power_char, rep, r, n)
+                    assert _outcome(exterior_power_char, rep, r, n) == expected, (name, rep.name, n)
+                    outcomes[expected[0] if isinstance(expected, tuple) else "passed"] += 1
+    assert outcomes == {
+        "passed": 128,
+        "antisymmetrizer is not idempotent": 1,
+        "antisymmetrizer is not equivariant": 13,
+        "the symmetric-group action needs a unitary R-matrix": 58,
+    }
 
 
 def test_exterior_power_of_odd_line():
@@ -608,9 +707,9 @@ def _reference_cyclic_operation_char(rep, rmatrix, p, eps):
         power = power @ tau
         weight = weight * eps
     projector = acc.scale(Fraction(1, p))
-    u_power = rep.kron_power(markov_element(rmatrix).grouplike_index(), p)
+    u_power = _kron_power(rep, markov_element(rmatrix).grouplike_index(), p)
     return {
-        z: (u_power @ rep.kron_power(z, p) @ projector).trace()
+        z: (u_power @ _kron_power(rep, z, p) @ projector).trace()
         for z in rep.group.center()
     }
 
@@ -650,6 +749,22 @@ def test_criterion_07_reads_one_trace_table_per_structure_rep_and_prime(monkeypa
     assert len(tables) == 186
 
 
+def test_criterion_10_forms_braiding_differences_once_per_structure_and_power(monkeypatch):
+    # One list of R's braided differences for each of the 22 distinct
+    # triangular structures and n = 2, 3, passed to validate on every rep.
+    powers = []
+    real = charring._braiding_differences
+
+    def counting(rmatrix, power, square):
+        powers.append(power)
+        return real(rmatrix, power, square)
+
+    monkeypatch.setattr(charring, "_braiding_differences", counting)
+    monkeypatch.setattr(acceptance, "_braiding_differences", counting)
+    assert acceptance.criterion_10().passed
+    assert Counter(powers) == {2: 22, 3: 22}  # 44 calls
+
+
 def _leg_permutation_matrix(d, perm):
     """T_pi on the len(perm)-th tensor power of k^d: slot i moves to slot perm[i]."""
     n = len(perm)
@@ -668,31 +783,46 @@ def _leg_permutation_matrix(d, perm):
     ids=["koszul", "noncommuting-twist", "transposition-square"],
 )
 def test_word_operators_equal_the_generator_products(group, make_r):
-    # For every permutation of three legs, (X, pi) maps to rho(X) T_pi, the
-    # product permutation_matrix forms from the d^3 generators, and its
-    # character sum against each g equals the trace of g^(x)3 times that
-    # product; R need not be an R-matrix for either to hold.
+    # For every permutation of three legs, (X, pi) of ``_operator_words``
+    # maps to rho(X) T_pi, the product of the d^3 generators along the
+    # permutation's word, and its character sum against each g equals the
+    # trace of g^(x)3 times that product; R need not be an R-matrix for
+    # either to hold.
     r = make_r()
     rep = regular_rep(bundled_group(group))
     action = _with_rmatrix(rep, 3, r)
-    ops = charring._WordOperators(r, 3)
+    ops = charring._operator_words(r, 3)
     elements = list(rep.group.elements())
     for perm in itertools.permutations(range(3)):
         op = ops.word(tuple(_adjacent_word(perm)))
         x, pi = op
-        operator = action.permutation_matrix(perm)
+        operator = _permutation_matrix(action, perm)
         assert charring._image(rep, x) @ _leg_permutation_matrix(rep.dim, pi) == operator
         traces = charring._operator_traces(rep, [(1, op)], elements)
-        assert traces == [(rep.kron_power(g, 3) @ operator).trace() for g in elements], perm
+        assert traces == [(_kron_power(rep, g, 3) @ operator).trace() for g in elements], perm
 
 
-def test_permutation_matrix_multiplies_only_generators():
+def test_word_walker_multiplies_only_generators():
+    # On the d^n generators, as the exterior fallback uses it: a letter is
+    # its generator, and a new word is one product of its memoized prefix
+    # and its last letter.
     rep = regular_rep(bundled_group("Z2"))
     action = BraidedAction(rep, koszul(), 3)
     s1, s2 = action.generators
-    assert action.permutation_matrix((0, 1, 2)) == Matrix.identity(8)
-    assert action.permutation_matrix((1, 0, 2)) is s1
-    assert action.permutation_matrix((1, 2, 0)) == s2 @ s1  # word (2, 1)
+    products = []
+
+    def compose(left, right):
+        products.append((left, right))
+        return left @ right
+
+    words = charring._WordWalker(Matrix.identity(8), action.generators, compose)
+    assert words.word(()) == Matrix.identity(8)
+    assert words.word((1,)) is s1
+    assert words.word((2, 1)) == s2 @ s1
+    assert words.word((2, 1, 2)) == s2 @ s1 @ s2
+    assert products[-1] == (words.word((2, 1)), s2) and len(products) == 2
+    for perm in itertools.permutations(range(3)):
+        assert words.word(tuple(_adjacent_word(perm))) == _permutation_matrix(action, perm)
 
 
 def test_cyclic_values_on_odd_line_koszul_split():

@@ -15,7 +15,7 @@ from qtriang.cli import build_parser, main
 from qtriang.cyclotomic import CycScalar, root_of_unity
 from qtriang.groups import AbelianGroup, bundled_group, enumerate_biforms, normal_inclusions
 from qtriang.hopf import GATensor
-from qtriang.charring import regular_rep
+from qtriang.charring import MatrixRep, regular_rep
 from qtriang.rmatrix import QTDatum, build_r
 
 
@@ -192,7 +192,10 @@ def test_cli_markov(workdir, capsys):
     assert doc["verification"]["all_passed"]
 
 
-def test_cli_adams_and_lambda(workdir, capsys):
+def test_cli_adams_and_lambda(workdir, capsys, monkeypatch):
+    # The test characters are read without building a matrix representation.
+    refuse = lambda *args, **kwargs: pytest.fail("adams and lambda build no MatrixRep")
+    monkeypatch.setattr(MatrixRep, "__init__", refuse)
     assert main(["adams", "--group", "Z2", "--u", "1", "--n", "2"]) == 0
     doc = json.loads(capsys.readouterr().out)
     sign_row = doc["results"][1]["result"]["values"]
