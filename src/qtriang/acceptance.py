@@ -7,10 +7,10 @@ cached per process, so running the suite in order enumerates each catalog
 once.  Check results are not cached: on every run, a criterion over the
 catalog checks each distinct element once per catalog, on the first datum
 of its dedup class, and reports the outcome for every datum of the class.
-Criterion 7 reads its cyclic-operation values from the long-cycle trace
-table behind ``charring.cyclic_operation_char``, built once per
-(structure, representation, prime); criterion 10 forms R's braided
-differences once per (structure, power), for every representation.
+Criteria 6, 7 and 10 share one ``charring.Braiding`` per structure across
+the representations, so R's braided data are formed once per (structure,
+power); criterion 7 reads one long-cycle trace table per (structure,
+representation, prime), and criterion 10 builds no matrix action.
 
 All comparisons are exact; there are no tolerances anywhere.
 """
@@ -25,19 +25,16 @@ from functools import lru_cache
 
 from .charring import (
     DIMENSION_CAP,
-    BraidedAction,
+    Braiding,
     ClassFunction,
     adams_twisted,
-    exterior_power_char,
     lambda_from_adams,
     standard_characters,
     standard_reps,
     verify_lambda_ring,
-    _braiding_differences,
     _cyclic_value,
     _lambda_additivity_failures,
     _lambda_sequence,
-    _long_cycle_traces,
     _recursive_series,
 )
 from .classify import Catalog, enumerate_qt, enumerate_triangular
@@ -270,12 +267,12 @@ def criterion_6() -> CriterionResult:
     for name in CATALOG_NAMES:
         catalog = triangular_catalog(name)
         for members in catalog.dedup:
-            built = catalog.rmats[members[0]]
+            braiding = Braiding(catalog.rmats[members[0]])
             u = catalog.markovs[members[0]].grouplike_index()
             for rep in _power_test_reps(name):
                 for n in range(4):
                     checked += len(members)
-                    left = exterior_power_char(rep, built, n)
+                    left = braiding.exterior_power_char(rep, n)
                     if left != lambda_from_adams(rep.character(), n, u):
                         problems.extend((name, idx, rep.name, n) for idx in members)
     elapsed = time.perf_counter() - start
@@ -305,11 +302,11 @@ def criterion_7() -> CriterionResult:
     for name in CATALOG_NAMES:
         catalog = triangular_catalog(name)
         for members in catalog.dedup:
-            built = catalog.rmats[members[0]]
+            braiding = Braiding(catalog.rmats[members[0]])
             u = catalog.markovs[members[0]].grouplike_index()
             for rep in _power_test_reps(name):
                 for p in (2, 3):
-                    root_tags = _cyclic_root_tags(catalog.group, rep, built, u, p)
+                    root_tags = _cyclic_root_tags(catalog.group, rep, braiding, u, p)
                     for eps_power, tags in enumerate(root_tags, start=1):
                         checked += len(members)
                         if tags:
@@ -324,7 +321,7 @@ def criterion_7() -> CriterionResult:
     )
 
 
-def _cyclic_root_tags(group, rep, built, u, p) -> list[list[str]]:
+def _cyclic_root_tags(group, rep, braiding, u, p) -> list[list[str]]:
     """Failure tags of criterion 7 for eps = zeta_p^k, k = 1 .. p-1, in order.
 
     Every value comes from one long-cycle trace table per (R, rep, p); what
@@ -332,11 +329,12 @@ def _cyclic_root_tags(group, rep, built, u, p) -> list[list[str]]:
     categorical traces of z^p, identity terms, Adams values) is read once.
     """
     one = CycScalar.one()
-    table = _long_cycle_traces(rep, built, p)
-    adams = adams_twisted(rep.character(), u, p)
+    table = braiding.long_cycle_traces(rep, p)
+    chi = rep.character()
+    adams = adams_twisted(chi, u, p)
     per_center = []
     for z, traces in table.items():
-        cat_zp = (rep.matrix(u) @ rep.matrix(group.power(z, p))).trace()
+        cat_zp = chi.evaluate(group.table[u][group.power(z, p)])
         long_cycle_tags = [
             f"long_cycle_{i}_at_{z}" for i in range(1, p) if traces[i] != cat_zp
         ]
@@ -452,16 +450,15 @@ def criterion_10() -> CriterionResult:
     for name in CATALOG_NAMES:
         catalog = triangular_catalog(name)
         for members in catalog.dedup:
-            built = catalog.rmats[members[0]]
-            square = built * built.swap()
-            differences = {n: _braiding_differences(built, n, square) for n in (2, 3)}
+            braiding = Braiding(catalog.rmats[members[0]])
             for rep in _test_reps(name):
                 for n in (2, 3):
                     if rep.dim**n > DIMENSION_CAP:
                         continue
                     checked += len(members)
                     try:
-                        BraidedAction(rep, built, n, validate=False).validate(differences[n])
+                        braiding.check(rep, n)
+                        braiding.validate(rep, n)
                     except ValueError as exc:
                         problems.extend((name, idx, rep.name, n, str(exc)) for idx in members)
     elapsed = time.perf_counter() - start

@@ -7,10 +7,10 @@ of that statement concretely: matrix representations with their braided
 symmetric-group actions, exterior powers and the traces of the braided
 long cycle behind the cyclic operations on one side; class functions with
 twisted Adams operations and the Newton-type lambda/sigma recursions on
-the other.  Braided operators are memoized words (``_WordWalker``) of
-pairs (X, pi), X in k[G]^(x)n, whose traces are read from R's terms and
-the character; d^n generators are multiplied only for an R that fails a
-braided identity (``_braiding_differences``).  Everything is exact.
+the other.  One ``Braiding`` per R serves every representation: it forms
+R R21, the braided differences and memoized words (X, pi), X in k[G]^(x)n,
+whose traces are read from R's terms and the character; d^n generators are
+multiplied only for an R that fails a braided identity.  All is exact.
 """
 
 from __future__ import annotations
@@ -353,20 +353,21 @@ class BraidedAction:
     group action; all three facts are verified at construction.  Plain
     swaps only move tensor legs, so each check says that rho^(x)k kills one
     difference in k[G]^(x)k: R R21 - 1, R12 R13 R23 - R23 R13 R12 and
-    R - (g (x) g) R (g (x) g)^-1.  ``_braiding_differences`` forms the
-    nonzero ones once per (R, power); ``validate`` maps each to matrices.
+    R - (g (x) g) R (g (x) g)^-1.  The action's ``Braiding`` forms the
+    nonzero ones once per power; ``validate`` maps each to matrices.
     Distant generators commute for every R: R12 R34 and R34 R12 have the
     same terms, legwise.
 
     The exterior-power and long-cycle traces do not build these matrices:
-    they read characters of R's terms (see ``_operator_words``).  An
+    they read characters of R's terms (see ``Braiding.words``).  An
     exterior power multiplies them only when a difference is nonzero.
     """
 
-    __slots__ = ("rep", "rmatrix", "power", "braid", "generators")
+    __slots__ = ("rep", "braiding", "power", "braid", "generators")
 
     def __init__(self, rep: MatrixRep, rmatrix: GATensor, power: int, validate: bool = True):
-        square = _braided_preconditions(rep, rmatrix, power)
+        self.braiding = Braiding(rmatrix)
+        self.braiding.check(rep, power)
         d = rep.dim
         swap = Matrix.from_permutation([b * d + a for a in range(d) for b in range(d)])
         braid = _image(rep, rmatrix) @ swap
@@ -376,52 +377,162 @@ class BraidedAction:
             right = Matrix.identity(d ** (power - slot - 1))
             generators.append(left.kron(braid).kron(right))
         self.rep = rep
-        self.rmatrix = rmatrix
         self.power = power
         self.braid = braid
         self.generators = generators
         if validate:
-            self.validate(_braiding_differences(rmatrix, power, square))
+            self.validate()
 
-    def validate(self, differences: list | None = None):
-        """Raise ValueError unless the generators satisfy every relation above.
+    def validate(self):
+        """Raise ValueError unless every relation above holds (``Braiding.validate``)."""
+        self.braiding.validate(self.rep, self.power)
 
-        ``differences`` is ``_braiding_differences`` of R at this power when
-        the caller has formed it already.  The error's ``witness`` names the
-        first term, in ``first_difference`` order, of the first difference
-        with a nonzero image, and for equivariance the element g.
+
+class Braiding:
+    """What braided actions need from one R-matrix, each part formed on first use.
+
+    R R21 (``square``), the braided differences (``differences``) and the
+    (X, pi) word walker (``words``), kept per tensor power n, depend on R
+    and n alone: one ``Braiding`` serves every representation.
+    """
+
+    def __init__(self, rmatrix: GATensor):
+        self.rmatrix = rmatrix
+        self.differences = functools.cache(self._differences)
+        self.words = functools.cache(self._words)
+
+    @functools.cached_property
+    def square(self) -> GATensor:
+        """R R21."""
+        return self.rmatrix * self.rmatrix.swap()
+
+    def check(self, rep: MatrixRep, power: int):
+        """Raise what a braided action on rho^(x)power refuses, in order."""
+        if self.rmatrix.group != rep.group:
+            raise ValueError("representation and R-matrix live over different groups")
+        if not self.square.is_unit():
+            raise ValueError("the symmetric-group action needs a unitary R-matrix")
+        if rep.dim**power > DIMENSION_CAP:
+            raise ValueError(
+                f"tensor power dimension {rep.dim ** power} exceeds the cap {DIMENSION_CAP}"
+            )
+
+    def _differences(self, power: int) -> list[tuple]:
+        """The nonzero differences of R's braided identities in k[G]^(x)power, in check order.
+
+        Each is (left, right, message, extra): R R21 against 1; for
+        power >= 3 the Yang-Baxter sides; then R against its conjugate by each
+        g (x) g that ``commutes_with_diagonal`` rejects, with extra {"element": g}.
         """
-        if self.power < 2:
+        rmatrix, square = self.rmatrix, self.square
+        unit = GATensor.unit(rmatrix.group, 2)
+        out = []
+        if square.terms != unit.terms:
+            out.append((square, unit, "a braided generator fails to square to the identity", {}))
+        if power >= 3:
+            left, right = leg_products(rmatrix).yang_baxter_sides()
+            if left.terms != right.terms:
+                out.append((left, right, "adjacent generators fail the braid relation", {}))
+        for g in rmatrix.group.elements():
+            if not commutes_with_diagonal(rmatrix, g):
+                conj = rmatrix.adjoint_action(g, 1).adjoint_action(g, 2)
+                out.append((rmatrix, conj, "the braided action is not equivariant", {"element": g}))
+        return out
+
+    def validate(self, rep: MatrixRep, power: int):
+        """Raise ValueError unless rho^(x)power kills every difference, without ``check``.
+
+        The error's ``witness`` names the first term, in ``first_difference``
+        order, of the first difference with a nonzero image, and for
+        equivariance the element g.
+        """
+        if power < 2:
             return
-        if differences is None:
-            differences = _braiding_differences(r := self.rmatrix, self.power, r * r.swap())
-        for left, right, message, extra in differences:
-            if _image(self.rep, left - right).cols:
+        for left, right, message, extra in self.differences(power):
+            if _image(rep, left - right).cols:
                 error = ValueError(message)
                 error.witness = difference_witness(left, right, **extra)
                 raise error
 
+    def _words(self, power: int) -> _WordWalker:
+        """Braided operators on the power-th tensor power as pairs (X, pi), from R's terms.
 
-def _braiding_differences(rmatrix: GATensor, power: int, square: GATensor) -> list[tuple]:
-    """The nonzero differences of R's braided identities in k[G]^(x)k, in check order.
+        (X, pi) stands for rho^(x)n(X) composed with T_pi, the plain leg
+        permutation that moves slot i to slot pi[i], with X in k[G]^(x)n.  The
+        generator s_j is (R placed in legs j and j+1, the transposition of
+        slots j-1 and j, 0-based).  Since T_p rho^(x)n(Y) = rho^(x)n(p(Y)) T_p,
+        where p(Y) puts leg i of Y at slot p[i], products are
+        (X, p) (Y, s) = (X p(Y), p o s): one GATensor product per new word.
+        """
+        ident, letters = tuple(range(power)), []
+        for j in range(1, power):
+            swap = list(ident)
+            swap[j - 1], swap[j] = j, j - 1
+            letters.append((self.rmatrix.embed_legs((j, j + 1), power), tuple(swap)))
+        return _WordWalker((GATensor.unit(self.rmatrix.group, power), ident), letters, _compose)
 
-    Each is (left, right, message, extra): R R21 (``square``) against 1; for
-    power >= 3 the Yang-Baxter sides; then R against its conjugate by each
-    g (x) g that ``commutes_with_diagonal`` rejects, with extra {"element": g}.
-    """
-    unit = GATensor.unit(rmatrix.group, 2)
-    out = []
-    if square.terms != unit.terms:
-        out.append((square, unit, "a braided generator fails to square to the identity", {}))
-    if power >= 3:
-        left, right = leg_products(rmatrix).yang_baxter_sides()
-        if left.terms != right.terms:
-            out.append((left, right, "adjacent generators fail the braid relation", {}))
-    for g in rmatrix.group.elements():
-        if not commutes_with_diagonal(rmatrix, g):
-            conj = rmatrix.adjoint_action(g, 1).adjoint_action(g, 2)
-            out.append((rmatrix, conj, "the braided action is not equivariant", {"element": g}))
-    return out
+    def exterior_power_char(self, rep: MatrixRep, n: int) -> ClassFunction:
+        """Character of the n-th braided exterior power of a representation.
+
+        The value at g is the trace of the g-action composed with the
+        antisymmetrizer (1/n!) sum of sign(s) times s, each s an operator of
+        ``words``, so every trace is a character sum over R's terms.  The
+        projector is idempotent and equivariant whenever R's braided
+        identities hold in k[G]^(x)n (R R21 = 1 is required throughout).
+        Only when ``differences`` is non-empty is the projector built as a
+        d^n matrix, from the same signed words as products of the generators,
+        and checked against g^(x)n; a failure's ``witness`` names the first
+        differing entry (row-major) and, for equivariance, the element g.
+        """
+        group = rep.group
+        if n < 0:
+            raise ValueError("negative exterior powers are not defined")
+        if n == 0:
+            return ClassFunction.constant(group, 1)
+        if n == 1:
+            return rep.character()
+        self.check(rep, n)
+        words = [tuple(_adjacent_word(perm)) for perm in itertools.permutations(range(n))]
+        signed = [(-1 if len(word) % 2 else 1, word) for word in words]
+        if self.differences(n):
+            generators = BraidedAction(rep, self.rmatrix, n, validate=False).generators
+            dim = rep.dim**n
+            products = _WordWalker(Matrix.identity(dim), generators, operator.matmul)
+            projector = Matrix.zero(dim, dim)
+            for sign, word in signed:
+                projector = projector + products.word(word).scale(sign)
+            projector = projector.scale(Fraction(1, len(signed)))
+            _check_matrices(projector @ projector, projector, "antisymmetrizer is not idempotent")
+            for g in group.elements():
+                diag = functools.reduce(Matrix.kron, [rep.matrix(g)] * n)
+                _check_matrices(
+                    projector @ diag, diag @ projector, "antisymmetrizer is not equivariant", element=g
+                )
+        ops = self.words(n)
+        weighted = [(sign, ops.word(word)) for sign, word in signed]
+        classes = [cls_[0] for cls_ in group.conjugacy_classes()]
+        weight = CycScalar.rational(Fraction(1, len(signed)))
+        return ClassFunction(
+            group, [v * weight for v in _operator_traces(rep, weighted, classes)]
+        )
+
+    def long_cycle_traces(self, rep: MatrixRep, p: int) -> dict[int, list[CycScalar]]:
+        """For every central z, the traces of (uz)^(x)p composed with tau^i, i = 0 .. p-1.
+
+        Here u is the Markov element and tau the braided long cycle on the p-th
+        tensor power; (uz)^(x)p = u^(x)p z^(x)p because the rep is a homomorphism.
+        tau^i is the operator of ``words`` at tau's word repeated i times, so
+        each trace is a character sum over the terms of one tensor.
+        """
+        group = rep.group
+        u = _markov_index(self.rmatrix)
+        self.check(rep, p)
+        ops = self.words(p)
+        tau = tuple(_adjacent_word(tuple(range(1, p)) + (0,)))
+        center = group.center()
+        acted = [group.table[u][z] for z in center]
+        columns = [_operator_traces(rep, [(1, ops.word(tau * i))], acted) for i in range(p)]
+        return {z: [column[k] for column in columns] for k, z in enumerate(center)}
 
 
 def _image(rep: MatrixRep, tensor: GATensor) -> Matrix:
@@ -467,20 +578,6 @@ def _check_matrices(left: Matrix, right: Matrix, message: str, **extra):
         raise error
 
 
-def _braided_preconditions(rep: MatrixRep, rmatrix: GATensor, power: int) -> GATensor:
-    """R R21, after raising what a braided action on rho^(x)power refuses, in order."""
-    if rmatrix.group != rep.group:
-        raise ValueError("representation and R-matrix live over different groups")
-    square = rmatrix * rmatrix.swap()
-    if not square.is_unit():
-        raise ValueError("the symmetric-group action needs a unitary R-matrix")
-    if rep.dim**power > DIMENSION_CAP:
-        raise ValueError(
-            f"tensor power dimension {rep.dim ** power} exceeds the cap {DIMENSION_CAP}"
-        )
-    return square
-
-
 class _WordWalker:
     """Operators of words s_w1 s_w2 ... in the adjacent transpositions, memoized.
 
@@ -501,24 +598,6 @@ class _WordWalker:
         return op
 
 
-def _operator_words(rmatrix: GATensor, power: int) -> _WordWalker:
-    """Braided operators on the power-th tensor power as pairs (X, pi), from R's terms.
-
-    (X, pi) stands for rho^(x)n(X) composed with T_pi, the plain leg
-    permutation that moves slot i to slot pi[i], with X in k[G]^(x)n.  The
-    generator s_j is (R placed in legs j and j+1, the transposition of
-    slots j-1 and j, 0-based).  Since T_p rho^(x)n(Y) = rho^(x)n(p(Y)) T_p,
-    where p(Y) puts leg i of Y at slot p[i], products are
-    (X, p) (Y, s) = (X p(Y), p o s): one GATensor product per new word.
-    """
-    ident, letters = tuple(range(power)), []
-    for j in range(1, power):
-        swap = list(ident)
-        swap[j - 1], swap[j] = j, j - 1
-        letters.append((rmatrix.embed_legs((j, j + 1), power), tuple(swap)))
-    return _WordWalker((GATensor.unit(rmatrix.group, power), ident), letters, _compose)
-
-
 def _inverse(perm) -> list[int]:
     out = [0] * len(perm)
     for i, k in enumerate(perm):
@@ -527,7 +606,7 @@ def _inverse(perm) -> list[int]:
 
 
 def _compose(left, right):
-    """(X, p) (Y, s) = (X p(Y), p o s) for operators of ``_operator_words``."""
+    """(X, p) (Y, s) = (X p(Y), p o s) for operators of ``Braiding.words``."""
     (x, p), (y, s) = left, right
     return x * y.permute_legs(_inverse(p)), tuple(p[k] for k in s)
 
@@ -589,49 +668,8 @@ def _operator_traces(rep: MatrixRep, weighted, elements) -> list[CycScalar]:
 
 
 def exterior_power_char(rep: MatrixRep, rmatrix: GATensor, n: int) -> ClassFunction:
-    """Character of the n-th braided exterior power of a representation.
-
-    The value at g is the trace of the g-action composed with the
-    antisymmetrizer (1/n!) sum of sign(s) times s, each s an operator of
-    ``_operator_words``, so every trace is a character sum over R's terms.
-    The projector is idempotent and equivariant whenever R's braided
-    identities hold in k[G]^(x)n (R R21 = 1 is required throughout).  Only
-    when ``_braiding_differences`` is non-empty is the projector built as a
-    d^n matrix, from the same signed words as products of the generators,
-    and checked against g^(x)n; a failure's ``witness`` names the first
-    differing entry (row-major) and, for equivariance, the element g.
-    """
-    group = rep.group
-    if n < 0:
-        raise ValueError("negative exterior powers are not defined")
-    if n == 0:
-        return ClassFunction.constant(group, 1)
-    if n == 1:
-        return rep.character()
-    square = _braided_preconditions(rep, rmatrix, n)
-    words = [tuple(_adjacent_word(perm)) for perm in itertools.permutations(range(n))]
-    signed = [(-1 if len(word) % 2 else 1, word) for word in words]
-    if _braiding_differences(rmatrix, n, square):
-        generators = BraidedAction(rep, rmatrix, n, validate=False).generators
-        dim = rep.dim**n
-        products = _WordWalker(Matrix.identity(dim), generators, operator.matmul)
-        projector = Matrix.zero(dim, dim)
-        for sign, word in signed:
-            projector = projector + products.word(word).scale(sign)
-        projector = projector.scale(Fraction(1, len(signed)))
-        _check_matrices(projector @ projector, projector, "antisymmetrizer is not idempotent")
-        for g in group.elements():
-            diag = functools.reduce(Matrix.kron, [rep.matrix(g)] * n)
-            _check_matrices(
-                projector @ diag, diag @ projector, "antisymmetrizer is not equivariant", element=g
-            )
-    ops = _operator_words(rmatrix, n)
-    weighted = [(sign, ops.word(word)) for sign, word in signed]
-    classes = [cls_[0] for cls_ in group.conjugacy_classes()]
-    weight = CycScalar.rational(Fraction(1, len(signed)))
-    return ClassFunction(
-        group, [v * weight for v in _operator_traces(rep, weighted, classes)]
-    )
+    """Character of the n-th braided exterior power: ``Braiding.exterior_power_char``."""
+    return Braiding(rmatrix).exterior_power_char(rep, n)
 
 
 def _markov_index(rmatrix: GATensor) -> int:
@@ -655,28 +693,6 @@ def qtrace(rep: MatrixRep, rmatrix: GATensor, endo: Matrix) -> CycScalar:
     return (rep.matrix(u) @ endo).trace()
 
 
-def _long_cycle_traces(rep: MatrixRep, rmatrix: GATensor, p: int) -> dict[int, list[CycScalar]]:
-    """For every central z, the traces of (uz)^(x)p composed with tau^i, i = 0 .. p-1.
-
-    Here u is the Markov element and tau the braided long cycle on the p-th
-    tensor power; (uz)^(x)p = u^(x)p z^(x)p because the rep is a homomorphism.
-    tau is an operator of ``_operator_words`` and tau^i = tau^(i-1) tau, so
-    each trace is a character sum over the terms of one tensor.
-    """
-    group = rep.group
-    u = _markov_index(rmatrix)
-    _braided_preconditions(rep, rmatrix, p)
-    ops = _operator_words(rmatrix, p)
-    tau = ops.word(tuple(_adjacent_word(tuple(range(1, p)) + (0,))))
-    powers = [ops.word(())]
-    for i in range(1, p):
-        powers.append(tau if i == 1 else _compose(powers[-1], tau))
-    center = group.center()
-    acted = [group.table[u][z] for z in center]
-    columns = [_operator_traces(rep, [(1, op)], acted) for op in powers]
-    return {z: [column[k] for column in columns] for k, z in enumerate(center)}
-
-
 def _cyclic_value(traces: list[CycScalar], eps: CycScalar) -> CycScalar:
     """(1/p) sum of eps^i times traces[i]: one row of the long-cycle table at eps."""
     acc = CycScalar.zero()
@@ -697,11 +713,11 @@ def cyclic_operation_char(
     the braided long cycle.  By linearity this is (1/p) sum eps^i times the
     trace of (uz)^(x)p tau^i, so the projector itself is never formed, and
     each such trace is a character sum over the terms of tau^i as an
-    operator (X, pi) (see ``_long_cycle_traces``): no d^p matrix is built.
+    operator (X, pi) (``Braiding.long_cycle_traces``): no d^p matrix is built.
     """
     if not isinstance(eps, CycScalar):
         eps = CycScalar.rational(eps)
     if eps**p != CycScalar.one():
         raise ValueError(f"eps is not a {p}-th root of unity")
-    table = _long_cycle_traces(rep, rmatrix, p)
+    table = Braiding(rmatrix).long_cycle_traces(rep, p)
     return {z: _cyclic_value(row, eps) for z, row in table.items()}

@@ -24,12 +24,12 @@ import sys
 from . import acceptance, jsonio
 from .charring import (
     DIMENSION_CAP,
+    Braiding,
     adams_twisted,
-    cyclic_operation_char,
-    exterior_power_char,
     lambda_from_adams,
     standard_characters,
     standard_reps,
+    _cyclic_value,
 )
 from .classify import COMPLETENESS_NOTE, enumerate_qt, enumerate_triangular
 from .cyclotomic import ORDER_CAP, root_of_unity
@@ -267,12 +267,13 @@ def _cmd_exterior(args):
     tensor, group, _ = _load_rmatrix(args)
     u = markov_element(tensor)
     u_idx = u.grouplike_index()
+    braiding = Braiding(tensor)
     rows = []
     ok = True
     for rep in standard_reps(group):
         if rep.dim**args.n > DIMENSION_CAP:
             continue
-        ext = exterior_power_char(rep, tensor, args.n)
+        ext = braiding.exterior_power_char(rep, args.n)
         newton = lambda_from_adams(rep.character(), args.n, u_idx)
         match = ext == newton
         ok = ok and match
@@ -283,9 +284,10 @@ def _cmd_exterior(args):
         }
         if args.p is not None:
             eps = root_of_unity(args.p, args.eps)
-            values = cyclic_operation_char(rep, tensor, args.p, eps)
+            table = braiding.long_cycle_traces(rep, args.p)
             row["cyclic_traces"] = {
-                str(z): jsonio.scalar_to_json(v) for z, v in sorted(values.items())
+                str(z): jsonio.scalar_to_json(_cyclic_value(traces, eps))
+                for z, traces in sorted(table.items())
             }
         rows.append(row)
     doc = {

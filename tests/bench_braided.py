@@ -6,27 +6,33 @@ it.  Run it with
     PYTHONPATH=src python -m pytest tests/bench_braided.py --benchmark-only
 
 Construction (the generators on the n-th tensor power, without checks) and
-``validate`` are timed apart, on the regular representation, for the
-4- and 16-term triangular structures of D4 and the 4-term one of Q8.  The
+validation are timed apart, on the regular representation, for the
+4- and 16-term triangular structures of D4 and the 4-term one of Q8.
+Validation runs on a fresh ``Braiding`` in each round, so R R21 and R's
+braided differences are formed every time, as on a first call.  The
 exterior square and cube and the long-cycle trace table at p = 2 and 3 are
 timed on the regular representation for the 16-term D4 and the 4-term Q8
 structure.  The exterior-power fallback, which builds the antisymmetrizer
 as a d^n matrix and checks it, is timed on three R on S3 that fail a
 braided identity in the group algebra: F21^-1 F on the regular rep at
 n = 3 (not idempotent), s (x) s on it at n = 2 (not equivariant), and
-s (x) s on the sign rep at n = 2 (passes).  These use only public names,
-so ``PYTHONPATH=<checkout>/src`` times another checkout with this file.
+s (x) s on the sign rep at n = 2 (passes).  Criteria 6, 7 and 10 of the
+acceptance suite are timed whole, on catalogs and test representations
+warmed by one run first.  ``PYTHONPATH=<checkout>/src`` times another
+checkout with this file; validation and the long-cycle table need
+``Braiding``, and the other cases only names that checkouts without it
+have as well.
 """
 
 from fractions import Fraction
 
 import pytest
 
+from qtriang import acceptance, charring
 from qtriang.acceptance import triangular_catalog
 from qtriang.charring import (
     BraidedAction,
     ClassFunction,
-    _long_cycle_traces,
     exterior_power_char,
     linear_character_reps,
     regular_rep,
@@ -58,8 +64,8 @@ def test_build(benchmark, name, terms, power):
 @pytest.mark.parametrize("name, terms", CASES, ids=[f"{n}-{t}" for n, t in CASES])
 def test_validate(benchmark, name, terms, power):
     r = _structure(name, terms)
-    action = BraidedAction(regular_rep(r.group), r, power, validate=False)
-    benchmark(action.validate)
+    rep = regular_rep(r.group)
+    benchmark(lambda: charring.Braiding(r).validate(rep, power))
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -76,7 +82,7 @@ def test_exterior_power(benchmark, name, terms, n):
 def test_long_cycle_table(benchmark, name, terms, p):
     r = _structure(name, terms)
     rep = regular_rep(r.group)
-    table = benchmark(lambda: _long_cycle_traces(rep, r, p))
+    table = benchmark(lambda: charring.Braiding(r).long_cycle_traces(rep, p))
     assert sorted(table) == sorted(r.group.center())
 
 
@@ -106,3 +112,10 @@ def test_exterior_fallback(benchmark, case):
         assert isinstance(out, ClassFunction)
     else:
         assert message in out
+
+
+@pytest.mark.parametrize("number", [6, 7, 10])
+def test_criterion(benchmark, number):
+    criterion = getattr(acceptance, f"criterion_{number}")
+    criterion()
+    assert benchmark(criterion).passed

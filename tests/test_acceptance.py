@@ -19,7 +19,7 @@ group's answer.
 from collections import Counter
 
 from qtriang import acceptance, linalg, rmatrix
-from qtriang.charring import ClassFunction
+from qtriang.charring import Braiding, ClassFunction
 from qtriang.cyclotomic import CycScalar
 from qtriang.groups import CATALOG_NAMES
 
@@ -160,16 +160,20 @@ def test_criterion_07_reports_every_datum_of_a_failing_group(monkeypatch):
 
 
 def test_criterion_10_reports_every_datum_of_a_failing_group(monkeypatch):
-    real = acceptance.BraidedAction
+    # A failure of ``Braiding.validate``, and then one of ``Braiding.check``,
+    # on S3 is reported for every S3 datum.
+    for method in ("validate", "check"):
+        real = getattr(Braiding, method)
 
-    def raising_on_s3(rep, rmatrix, power, validate=True):
-        if rep.group.name == "S3":
-            raise ValueError("injected failure")
-        return real(rep, rmatrix, power, validate=validate)
+        def raising_on_s3(self, rep, power, real=real):
+            if rep.group.name == "S3":
+                raise ValueError("injected failure")
+            return real(self, rep, power)
 
-    monkeypatch.setattr(acceptance, "BraidedAction", raising_on_s3)
-    _fails_with(
-        acceptance.criterion_10,
-        "606 (entry, rep, power) actions validated, 6 failures",
-        "('S3', 0, ",
-    )
+        monkeypatch.setattr(Braiding, method, raising_on_s3)
+        _fails_with(
+            acceptance.criterion_10,
+            "606 (entry, rep, power) actions validated, 6 failures",
+            "('S3', 0, ",
+        )
+        monkeypatch.undo()

@@ -20,6 +20,7 @@ from qtriang.linalg import Matrix
 from qtriang.rmatrix import QTDatum, build_r, markov_element
 from qtriang.charring import (
     BraidedAction,
+    Braiding,
     ClassFunction,
     MatrixRep,
     adams_standard,
@@ -267,9 +268,16 @@ def test_braided_action_rejects_nonunitary():
 
 
 def test_braided_action_dimension_cap():
+    # ``Braiding.check`` refuses a rep over another group first, then a
+    # non-unitary R, then a tensor power over the cap.
     q8 = bundled_group("Q8")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="tensor power dimension 32768 exceeds the cap 4096"):
         BraidedAction(regular_rep(q8), GATensor.unit(q8, 2), 5)
+    doubled = Braiding(GATensor.unit(q8, 2).scale(2))
+    with pytest.raises(ValueError, match="different groups"):
+        doubled.check(regular_rep(bundled_group("D4")), 5)
+    with pytest.raises(ValueError, match="needs a unitary R-matrix"):
+        doubled.check(regular_rep(q8), 5)
 
 
 def test_generators_square_to_identity_on_catalog_example():
@@ -299,7 +307,7 @@ def _reference_validate(action):
 
 
 def _with_rmatrix(rep, power, rmatrix):
-    """An unvalidated action whose braid and generators are rebuilt from ``rmatrix``.
+    """An unvalidated action whose braid, generators and ``Braiding`` are rebuilt from ``rmatrix``.
 
     They are formed the way the constructor forms them, without its
     unitarity check, so a non-unitary R can reach ``validate``.
@@ -310,7 +318,7 @@ def _with_rmatrix(rep, power, rmatrix):
     for (g, h), c in rmatrix.terms.items():
         acted = acted + rep.matrix(g).kron(rep.matrix(h)).scale(c)
     swap = Matrix.from_permutation([b * d + a for a in range(d) for b in range(d)])
-    action.rmatrix = rmatrix
+    action.braiding = Braiding(rmatrix)
     action.braid = acted @ swap
     action.generators = [
         Matrix.identity(d ** (slot - 1)).kron(action.braid).kron(Matrix.identity(d ** (power - slot - 1)))
@@ -503,23 +511,23 @@ def test_exterior_power_matches_dense_reference(name):
 
 def test_exterior_power_fallback_passes_on_a_non_faithful_rep(monkeypatch):
     # s (x) s is unitary and solves Yang-Baxter but is not conjugation
-    # invariant: ``_braiding_differences`` holds only equivariance
+    # invariant: ``Braiding.differences`` holds only equivariance
     # differences, so the projector is built and checked as a matrix; every
     # linear rep of S3 kills them, so it passes.
     r = _transposition_square()
     builds, differences = [], []
-    real_action, real_differences = BraidedAction, charring._braiding_differences
+    real_action, real_differences = BraidedAction, Braiding._differences
 
     def counting_action(*args, **kwargs):
         builds.append(args[2])
         return real_action(*args, **kwargs)
 
-    def recording_differences(*args):
-        differences.append(real_differences(*args))
+    def recording_differences(self, power):
+        differences.append(real_differences(self, power))
         return differences[-1]
 
     monkeypatch.setattr(charring, "BraidedAction", counting_action)
-    monkeypatch.setattr(charring, "_braiding_differences", recording_differences)
+    monkeypatch.setattr(Braiding, "_differences", recording_differences)
     for rep in linear_character_reps(r.group):
         for n in (2, 3):
             expected = _reference_exterior_power_char(rep, r, n)
@@ -727,42 +735,69 @@ def test_cyclic_operation_matches_projector_reference(name):
                 assert cyclic_operation_char(rep, r, p, eps) == expected, (name, p, k)
 
 
+def _count_criterion_work(monkeypatch, criterion, **counted):
+    """Run a criterion on warm catalogs; count GATensor and Matrix products,
+    ``BraidedAction`` builds and the calls of each ``Braiding`` method named
+    in ``counted`` (a name mapped to the argument index that is recorded)."""
+    for name in CATALOG_NAMES:
+        acceptance.triangular_catalog(name)
+        acceptance._test_reps(name)
+    counts, recorded = Counter(), {name: [] for name in counted}
+
+    def counting(owner, attr, key):
+        real = getattr(owner, attr)
+
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            if key in counted:
+                recorded[key].append(args[counted[key]])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    counting(GATensor, "__mul__", "tensor")
+    counting(Matrix, "__matmul__", "matrix")
+    counting(charring, "BraidedAction", "action")
+    for name in counted:
+        counting(Braiding, name, name)
+    assert criterion().passed
+    return counts, recorded
+
+
+def test_criterion_06_forms_each_structures_braided_data_once(monkeypatch):
+    # One Braiding per distinct triangular structure, shared by its reps:
+    # per structure R R21, the Yang-Baxter sides and the words at n = 3.
+    # Forming them per (structure, rep) took 837 GATensor products.
+    counts, _ = _count_criterion_work(monkeypatch, acceptance.criterion_6)
+    assert counts["tensor"] == 176
+    assert counts["matrix"] == counts["action"] == 0
+
+
 def test_criterion_07_reads_one_trace_table_per_structure_rep_and_prime(monkeypatch):
     # One long-cycle trace table for each of the 186 distinct (R, rep, p)
-    # triples, shared by all roots, and no matrix action built for any.
-    builds, tables = [], []
-    real_action, real_table = BraidedAction, acceptance._long_cycle_traces
-
-    def counting_action(*args, **kwargs):
-        builds.append(args[2])
-        return real_action(*args, **kwargs)
-
-    def counting_table(rep, rmatrix, p):
-        tables.append(p)
-        return real_table(rep, rmatrix, p)
-
-    monkeypatch.setattr(charring, "BraidedAction", counting_action)
-    monkeypatch.setattr(acceptance, "BraidedAction", counting_action)
-    monkeypatch.setattr(acceptance, "_long_cycle_traces", counting_table)
-    assert acceptance.criterion_7().passed
-    assert len(builds) == 0
-    assert len(tables) == 186
+    # triples, shared by all roots, and no matrix action built for any.  The
+    # categorical trace of z^p is read from the character, and R R21 and the
+    # words for tau^i are formed once per structure: 88 GATensor products,
+    # where forming them per (structure, rep) took 372 GATensor and 574 Matrix products.
+    counts, recorded = _count_criterion_work(
+        monkeypatch, acceptance.criterion_7, long_cycle_traces=2
+    )
+    assert Counter(recorded["long_cycle_traces"]) == {2: 93, 3: 93}  # 186 tables
+    assert counts["tensor"] == 88
+    assert counts["matrix"] == counts["action"] == 0
 
 
 def test_criterion_10_forms_braiding_differences_once_per_structure_and_power(monkeypatch):
     # One list of R's braided differences for each of the 22 distinct
-    # triangular structures and n = 2, 3, passed to validate on every rep.
-    powers = []
-    real = charring._braiding_differences
-
-    def counting(rmatrix, power, square):
-        powers.append(power)
-        return real(rmatrix, power, square)
-
-    monkeypatch.setattr(charring, "_braiding_differences", counting)
-    monkeypatch.setattr(acceptance, "_braiding_differences", counting)
-    assert acceptance.criterion_10().passed
-    assert Counter(powers) == {2: 22, 3: 22}  # 44 calls
+    # triangular structures and n = 2, 3, validated on every rep with no
+    # matrix action built.  Building one action per (structure, rep, power)
+    # took 316 GATensor and 206 Matrix products.
+    counts, recorded = _count_criterion_work(
+        monkeypatch, acceptance.criterion_10, _differences=1
+    )
+    assert Counter(recorded["_differences"]) == {2: 22, 3: 22}  # 44 formations
+    assert counts["tensor"] == 110
+    assert counts["matrix"] == counts["action"] == 0
 
 
 def _leg_permutation_matrix(d, perm):
@@ -783,7 +818,7 @@ def _leg_permutation_matrix(d, perm):
     ids=["koszul", "noncommuting-twist", "transposition-square"],
 )
 def test_word_operators_equal_the_generator_products(group, make_r):
-    # For every permutation of three legs, (X, pi) of ``_operator_words``
+    # For every permutation of three legs, (X, pi) of ``Braiding.words``
     # maps to rho(X) T_pi, the product of the d^3 generators along the
     # permutation's word, and its character sum against each g equals the
     # trace of g^(x)3 times that product; R need not be an R-matrix for
@@ -791,7 +826,7 @@ def test_word_operators_equal_the_generator_products(group, make_r):
     r = make_r()
     rep = regular_rep(bundled_group(group))
     action = _with_rmatrix(rep, 3, r)
-    ops = charring._operator_words(r, 3)
+    ops = Braiding(r).words(3)
     elements = list(rep.group.elements())
     for perm in itertools.permutations(range(3)):
         op = ops.word(tuple(_adjacent_word(perm)))
