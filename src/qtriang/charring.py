@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from fractions import Fraction
 
-from .cyclotomic import CycScalar
+from .cyclotomic import CycScalar, times
 from .groups import FiniteGroup, closure, subgroup_structure
 from .hopf import GATensor, difference_witness
 from .linalg import Matrix
@@ -358,7 +359,10 @@ class BraidedAction:
     Distant generators commute for every R: R12 R34 and R34 R12 have the
     same terms, legwise.
 
-    The exterior-power and long-cycle traces do not build these matrices:
+    ``Braiding.generators`` builds B and the s_i: one accumulation pass
+    for (rho (x) rho)(R), then B and each s_i by re-indexing its columns
+    and rows, with no matrix product or Kronecker product.  The
+    exterior-power and long-cycle traces do not build these matrices:
     they read characters of R's terms (see ``Braiding.words``).  An
     exterior power multiplies them only when a difference is nonzero.
     """
@@ -368,18 +372,9 @@ class BraidedAction:
     def __init__(self, rep: MatrixRep, rmatrix: GATensor, power: int, validate: bool = True):
         self.braiding = Braiding(rmatrix)
         self.braiding.check(rep, power)
-        d = rep.dim
-        swap = Matrix.from_permutation([b * d + a for a in range(d) for b in range(d)])
-        braid = _image(rep, rmatrix) @ swap
-        generators = []
-        for slot in range(1, power):
-            left = Matrix.identity(d ** (slot - 1))
-            right = Matrix.identity(d ** (power - slot - 1))
-            generators.append(left.kron(braid).kron(right))
         self.rep = rep
         self.power = power
-        self.braid = braid
-        self.generators = generators
+        self.braid, self.generators = self.braiding.generators(rep, power)
         if validate:
             self.validate()
 
@@ -391,15 +386,17 @@ class BraidedAction:
 class Braiding:
     """What braided actions need from one R-matrix, each part formed on first use.
 
-    R R21 (``square``), the braided differences (``differences``) and the
-    (X, pi) word walker (``words``), kept per tensor power n, depend on R
-    and n alone: one ``Braiding`` serves every representation.
+    R R21 (``square``), the braided differences (``differences``), the
+    (X, pi) word walker (``words``) and the long cycle's powers
+    (``cycle_powers``), kept per tensor power n, depend on R and n alone:
+    one ``Braiding`` serves every representation.
     """
 
     def __init__(self, rmatrix: GATensor):
         self.rmatrix = rmatrix
         self.differences = functools.cache(self._differences)
         self.words = functools.cache(self._words)
+        self.cycle_powers = functools.cache(self._cycle_powers)
 
     @functools.cached_property
     def square(self) -> GATensor:
@@ -439,6 +436,27 @@ class Braiding:
                 out.append((rmatrix, conj, "the braided action is not equivariant", {"element": g}))
         return out
 
+    def generators(self, rep: MatrixRep, power: int) -> tuple[Matrix, list[Matrix]]:
+        """B = (rho (x) rho)(R) T and s_j = I (x) B (x) I on rho^(x)power, j = 1 .. power-1.
+
+        Both are ``_image(rep, R)`` re-indexed, without ``check`` and with no
+        scalar arithmetic: column (a, b) of B is column (b, a) of the image,
+        and s_j holds B's coordinate tuples at shifted rows and columns.
+        """
+        d = rep.dim
+        image = _image(rep, self.rmatrix)
+        swapped = {j % d * d + j // d: col for j, col in image.cols.items()}
+        braid = Matrix._make(d * d, d * d, image.order, image.den, swapped)
+        out = []
+        for slot in range(1, power):
+            right, blocks = d ** (power - slot - 1), range(0, d ** (slot + 1), d * d)
+            cols = {
+                (k + j) * right + r: {(k + i) * right + r: v for i, v in col.items()}
+                for k in blocks for j, col in braid.cols.items() for r in range(right)
+            }
+            out.append(Matrix._make(d**power, d**power, braid.order, braid.den, cols))
+        return braid, out
+
     def validate(self, rep: MatrixRep, power: int):
         """Raise ValueError unless rho^(x)power kills every difference, without ``check``.
 
@@ -471,6 +489,14 @@ class Braiding:
             letters.append((self.rmatrix.embed_legs((j, j + 1), power), tuple(swap)))
         return _WordWalker((GATensor.unit(self.rmatrix.group, power), ident), letters, _compose)
 
+    def _cycle_powers(self, p: int) -> list[tuple]:
+        """tau^i, i = 0 .. p-1, for the long cycle tau of ``words``: tau^i = tau^(i-1) tau."""
+        ops = self.words(p)
+        powers = [ops.word(()), ops.word(tuple(_adjacent_word(tuple(range(1, p)) + (0,))))]
+        while len(powers) < p:
+            powers.append(_compose(powers[-1], powers[1]))
+        return powers[:p]
+
     def exterior_power_char(self, rep: MatrixRep, n: int) -> ClassFunction:
         """Character of the n-th braided exterior power of a representation.
 
@@ -495,7 +521,7 @@ class Braiding:
         words = [tuple(_adjacent_word(perm)) for perm in itertools.permutations(range(n))]
         signed = [(-1 if len(word) % 2 else 1, word) for word in words]
         if self.differences(n):
-            generators = BraidedAction(rep, self.rmatrix, n, validate=False).generators
+            _, generators = self.generators(rep, n)
             dim = rep.dim**n
             products = _WordWalker(Matrix.identity(dim), generators, operator.matmul)
             projector = Matrix.zero(dim, dim)
@@ -521,35 +547,49 @@ class Braiding:
 
         Here u is the Markov element and tau the braided long cycle on the p-th
         tensor power; (uz)^(x)p = u^(x)p z^(x)p because the rep is a homomorphism.
-        tau^i is the operator of ``words`` at tau's word repeated i times, so
-        each trace is a character sum over the terms of one tensor.
+        The tau^i come from ``cycle_powers``, so each trace is a character
+        sum over the terms of one tensor.
         """
         group = rep.group
         u = _markov_index(self.rmatrix)
         self.check(rep, p)
-        ops = self.words(p)
-        tau = tuple(_adjacent_word(tuple(range(1, p)) + (0,)))
         center = group.center()
         acted = [group.table[u][z] for z in center]
-        columns = [_operator_traces(rep, [(1, ops.word(tau * i))], acted) for i in range(p)]
+        columns = [_operator_traces(rep, [(1, op)], acted) for op in self.cycle_powers(p)]
         return {z: [column[k] for column in columns] for k, z in enumerate(center)}
 
 
 def _image(rep: MatrixRep, tensor: GATensor) -> Matrix:
-    """rho^(x)k of an arity-k tensor: the sum of c rho(g1) (x) ... (x) rho(gk).
+    """rho^(x)k of an arity-k tensor: the sum of c rho(g1) (x) ... (x) rho(gk), in one pass.
 
-    Each rho(g1) is tensored once with the image of the terms after it.
+    R's coefficients and the rho(g) its terms use are lifted once to one
+    order and one denominator.  Each term is expanded leg by leg into
+    (column, row, coordinates) entries, all are summed in one column dict,
+    and zero sums are dropped at the end.
     """
-    if tensor.arity == 0:
-        return Matrix.identity(1).scale(tensor.coeff(()))
-    rests: dict[int, dict] = {}
-    for (g, *rest), c in tensor.terms.items():
-        rests.setdefault(g, {})[tuple(rest)] = c
-    dim = rep.dim**tensor.arity
-    acc = Matrix.zero(dim, dim)
-    for g, rest in rests.items():
-        acc = acc + rep.matrix(g).kron(_image(rep, GATensor(tensor.group, tensor.arity - 1, rest)))
-    return acc
+    terms, d = tensor.terms, rep.dim
+    used = {g: rep.matrix(g) for key in terms for g in key}
+    order = math.lcm(1, *(c.order for c in terms.values()), *(m.order for m in used.values()))
+    cden = math.lcm(1, *(c.den for c in terms.values()))
+    mden = math.lcm(1, *(m.den for m in used.values()))
+    legs = {
+        g: [(j, i, tuple(mden // m.den * x for x in v))
+            for j, col in m._lifted(order).items() for i, v in col.items()]
+        for g, m in used.items()
+    }
+    acc: dict[int, dict[int, tuple]] = {}
+    for key, c in terms.items():
+        c = c.embed(order)
+        entries = [(0, 0, tuple(cden // c.den * x for x in c.num))]
+        for g in key:
+            entries = [(j * d + jg, i * d + ig, times(v, w, order))
+                       for j, i, v in entries for jg, ig, w in legs[g]]
+        for j, i, v in entries:
+            col = acc.setdefault(j, {})
+            col[i] = tuple(map(operator.add, col[i], v)) if i in col else v
+    cols = {j: kept for j, col in acc.items() if (kept := {i: v for i, v in col.items() if any(v)})}
+    dim = d**tensor.arity
+    return Matrix._make(dim, dim, order, cden * mden**tensor.arity, cols)
 
 
 def _adjacent_word(perm) -> list[int]:

@@ -8,6 +8,10 @@ it.  Run it with
 Construction (the generators on the n-th tensor power, without checks) and
 validation are timed apart, on the regular representation, for the
 4- and 16-term triangular structures of D4 and the 4-term one of Q8.
+The image rho^(x)k of one tensor, which construction and validation
+start from, is timed on the regular representation for the 16-term D4
+and the 4-term Q8 structure (k = 2) and for the left Yang-Baxter side
+R12 R13 R23 of the 16-term D4 structure (k = 3).
 Validation runs on a fresh ``Braiding`` in each round, so R R21 and R's
 braided differences are formed every time, as on a first call.  The
 exterior square and cube and the long-cycle trace table at p = 2 and 3 are
@@ -39,9 +43,11 @@ from qtriang.charring import (
 )
 from qtriang.groups import bundled_group
 from qtriang.hopf import GATensor
+from qtriang.rmatrix import leg_products
 
 CASES = [("D4", 4), ("D4", 16), ("Q8", 4)]
 TRACE_CASES = [("D4", 16), ("Q8", 4)]
+IMAGE_CASES = [("D4", 16, 2), ("Q8", 4, 2), ("D4", 16, 3)]
 
 
 def _structure(name: str, terms: int):
@@ -58,6 +64,17 @@ def test_build(benchmark, name, terms, power):
     rep = regular_rep(r.group)
     action = benchmark(lambda: BraidedAction(rep, r, power, validate=False))
     assert len(action.generators) == power - 1
+
+
+@pytest.mark.parametrize(
+    "name, terms, arity", IMAGE_CASES, ids=[f"{n}-{t}-arity{k}" for n, t, k in IMAGE_CASES]
+)
+def test_image(benchmark, name, terms, arity):
+    r = _structure(name, terms)
+    tensor = r if arity == 2 else leg_products(r).yang_baxter_sides()[0]
+    rep = regular_rep(r.group)
+    image = benchmark(lambda: charring._image(rep, tensor))
+    assert image.nrows == rep.dim**arity
 
 
 @pytest.mark.parametrize("power", [2, 3])

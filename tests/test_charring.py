@@ -17,7 +17,7 @@ from qtriang.groups import (
 )
 from qtriang.hopf import GATensor
 from qtriang.linalg import Matrix
-from qtriang.rmatrix import QTDatum, build_r, markov_element
+from qtriang.rmatrix import QTDatum, build_r, leg_products, markov_element
 from qtriang.charring import (
     BraidedAction,
     Braiding,
@@ -33,6 +33,7 @@ from qtriang.charring import (
     qtrace,
     regular_rep,
     sigma_from_lambda,
+    standard_reps,
     verify_lambda_ring,
     _adjacent_word,
 )
@@ -327,6 +328,86 @@ def _with_rmatrix(rep, power, rmatrix):
     return action
 
 
+def _reference_image(rep, tensor):
+    """rho^(x)k of a tensor by recursion on the first leg: each rho(g1) is
+    Kronecker-multiplied with the image of the terms after it, and the
+    products are summed pairwise."""
+    if tensor.arity == 0:
+        return Matrix.identity(1).scale(tensor.coeff(()))
+    rests = {}
+    for (g, *rest), c in tensor.terms.items():
+        rests.setdefault(g, {})[tuple(rest)] = c
+    dim = rep.dim**tensor.arity
+    acc = Matrix.zero(dim, dim)
+    for g, rest in rests.items():
+        acc = acc + rep.matrix(g).kron(_reference_image(rep, GATensor(tensor.group, tensor.arity - 1, rest)))
+    return acc
+
+
+def _assert_image_matches_reference(rep, tensor):
+    got, expected = charring._image(rep, tensor), _reference_image(rep, tensor)
+    assert got == expected and got.den == expected.den, (rep.name, tensor)
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_image_matches_kron_reference_on_catalog(name):
+    # Every distinct structure, its R R21, its Yang-Baxter sides (arity 3)
+    # and R - R21, whose terms cancel on every linear rep, on every standard
+    # rep within the cap.
+    catalog = acceptance.qt_catalog(name)
+    for members in catalog.dedup:
+        r = catalog.rmats[members[0]]
+        for tensor in (r, r * r.swap(), *leg_products(r).yang_baxter_sides(), r - r.swap()):
+            for rep in acceptance._test_reps(name):
+                if rep.dim**tensor.arity <= charring.DIMENSION_CAP:
+                    _assert_image_matches_reference(rep, tensor)
+
+
+@pytest.mark.parametrize("name", ["Z4", "Q8"])
+def test_image_matches_kron_reference_at_mixed_orders_and_denominators(name):
+    # R scaled by zeta_3 or 1/3 on linear reps stored at order 4 (Z4) or 2
+    # (Q8): coefficients and matrices lift to one order and one denominator.
+    catalog = acceptance.qt_catalog(name)
+    reps = linear_character_reps(catalog.group)
+    assert {rep.matrix(1).order for rep in reps} == {4 if name == "Z4" else 2}
+    for members in catalog.dedup:
+        r = catalog.rmats[members[0]]
+        for scaled in (r.scale(root_of_unity(3)), r.scale(Fraction(1, 3))):
+            for rep in reps:
+                _assert_image_matches_reference(rep, scaled)
+
+
+def test_image_edge_cases():
+    group = bundled_group("Z4")
+    third = root_of_unity(3) * CycScalar.rational(Fraction(1, 3))
+    tensors = [
+        GATensor(group, 2),
+        GATensor(group, 0),
+        GATensor(group, 0, {(): third}),
+        GATensor(group, 1, {(1,): third, (3,): Fraction(-1, 2), (0,): 1}),
+        GATensor(group, 1, {(1,): 1, (3,): -1}),  # zero on the reps where 1 and 3 agree
+    ]
+    for rep in standard_reps(group):
+        for tensor in tensors:
+            _assert_image_matches_reference(rep, tensor)
+    assert charring._image(regular_rep(group), GATensor(group, 2)) == Matrix.zero(16, 16)
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_generators_match_kron_route(name):
+    # B and the s_j, placed by re-indexing, equal (rho (x) rho)(R) times the
+    # swap matrix and I (x) B (x) I formed by Kronecker products.
+    catalog = acceptance.triangular_catalog(name)
+    for members in catalog.dedup:
+        r = catalog.rmats[members[0]]
+        for rep in acceptance._test_reps(name):
+            for power in (2, 3):
+                if rep.dim**power <= charring.DIMENSION_CAP:
+                    action, expected = BraidedAction(rep, r, power), _with_rmatrix(rep, power, r)
+                    assert action.braid == expected.braid
+                    assert action.generators == expected.generators
+
+
 def _transposition_square():
     # s (x) s for a transposition s of S3: unitary, satisfies the braid
     # relation, and is not conjugation invariant.
@@ -512,21 +593,22 @@ def test_exterior_power_matches_dense_reference(name):
 def test_exterior_power_fallback_passes_on_a_non_faithful_rep(monkeypatch):
     # s (x) s is unitary and solves Yang-Baxter but is not conjugation
     # invariant: ``Braiding.differences`` holds only equivariance
-    # differences, so the projector is built and checked as a matrix; every
-    # linear rep of S3 kills them, so it passes.
+    # differences, so the projector is built and checked as a matrix from
+    # the same ``Braiding``'s generators; every linear rep of S3 kills
+    # them, so it passes.
     r = _transposition_square()
     builds, differences = [], []
-    real_action, real_differences = BraidedAction, Braiding._differences
+    real_generators, real_differences = Braiding.generators, Braiding._differences
 
-    def counting_action(*args, **kwargs):
-        builds.append(args[2])
-        return real_action(*args, **kwargs)
+    def counting_generators(self, rep, power):
+        builds.append(power)
+        return real_generators(self, rep, power)
 
     def recording_differences(self, power):
         differences.append(real_differences(self, power))
         return differences[-1]
 
-    monkeypatch.setattr(charring, "BraidedAction", counting_action)
+    monkeypatch.setattr(Braiding, "generators", counting_generators)
     monkeypatch.setattr(Braiding, "_differences", recording_differences)
     for rep in linear_character_reps(r.group):
         for n in (2, 3):
@@ -539,6 +621,24 @@ def test_exterior_power_fallback_passes_on_a_non_faithful_rep(monkeypatch):
             assert found and {message for _, _, message, _ in found} == {
                 "the braided action is not equivariant"
             }
+
+
+def test_exterior_power_fallback_forms_r_r21_once(monkeypatch):
+    # The fallback takes its generators from the Braiding that checked R,
+    # so R R21 is its only GATensor product at n = 2.
+    rep = linear_character_reps(bundled_group("S3"))[1]
+    r = _transposition_square()
+    expected = _reference_exterior_power_char(rep, r, 2)
+    products = []
+    real_mul = GATensor.__mul__
+
+    def counting(left, right):
+        products.append((left, right))
+        return real_mul(left, right)
+
+    monkeypatch.setattr(GATensor, "__mul__", counting)
+    assert exterior_power_char(rep, r, 2) == expected
+    assert products == [(r, r.swap())]
 
 
 def test_catalog_traces_form_no_matrix_product(monkeypatch):
@@ -776,15 +876,36 @@ def test_criterion_06_forms_each_structures_braided_data_once(monkeypatch):
 def test_criterion_07_reads_one_trace_table_per_structure_rep_and_prime(monkeypatch):
     # One long-cycle trace table for each of the 186 distinct (R, rep, p)
     # triples, shared by all roots, and no matrix action built for any.  The
-    # categorical trace of z^p is read from the character, and R R21 and the
-    # words for tau^i are formed once per structure: 88 GATensor products,
-    # where forming them per (structure, rep) took 372 GATensor and 574 Matrix products.
+    # categorical trace of z^p is read from the character, and R R21 and
+    # tau^i = tau^(i-1) tau are formed once per structure: 66 GATensor
+    # products (88 when tau^i was the word of tau repeated i times, one
+    # product per letter), where forming them per (structure, rep) took 372
+    # GATensor and 574 Matrix products.
     counts, recorded = _count_criterion_work(
         monkeypatch, acceptance.criterion_7, long_cycle_traces=2
     )
     assert Counter(recorded["long_cycle_traces"]) == {2: 93, 3: 93}  # 186 tables
-    assert counts["tensor"] == 88
+    assert counts["tensor"] == 66
     assert counts["matrix"] == counts["action"] == 0
+
+
+def test_long_cycle_powers_cost_one_product_each(monkeypatch):
+    # At p = 3: R R21, tau (the word s2 s1) and tau^2 = tau tau, one
+    # GATensor product each.
+    catalog = acceptance.triangular_catalog("D4")
+    r = next(t for t in (catalog.rmats[m[0]] for m in catalog.dedup) if len(t.terms) == 16)
+    rep = regular_rep(catalog.group)
+    expected = _reference_cyclic_operation_char(rep, r, 3, root_of_unity(3))
+    calls = Counter()
+    real_mul = GATensor.__mul__
+
+    def counting(left, right):
+        calls["tensor"] += 1
+        return real_mul(left, right)
+
+    monkeypatch.setattr(GATensor, "__mul__", counting)
+    assert cyclic_operation_char(rep, r, 3, root_of_unity(3)) == expected
+    assert calls["tensor"] == 3
 
 
 def test_criterion_10_forms_braiding_differences_once_per_structure_and_power(monkeypatch):
