@@ -3,14 +3,17 @@
 Each criterion function measures its own runtime, returns a structured
 result, and is shared verbatim between the pytest suite and the CLI
 ``selftest`` command.  The per-group catalogs and test representations are
-cached per process, so running the suite in order enumerates each catalog
-once.  Check results are not cached: on every run, a criterion over the
-catalog checks each distinct element once per catalog, on the first datum
-of its dedup class, and reports the outcome for every datum of the class.
-Criteria 6, 7 and 10 share one ``charring.Braiding`` per structure across
-the representations, so R's braided data are formed once per (structure,
-power); criterion 7 reads one long-cycle trace table per (structure,
-representation, prime), and criterion 10 builds no matrix action.
+cached per process, so running the suite in order enumerates each group's
+catalog once (criterion 1 times its own enumeration of Z2).  The
+triangular catalog is a view of the full one, sharing its one
+``classify.Structure`` per dedup class, so each structure's report, Markov
+element, unitarity and ``Braiding`` are formed once per process: criteria
+6, 7 and 10 form R's braided data once per (structure, power), criterion 7
+reads one long-cycle trace table per (structure, representation, prime),
+and criterion 10 builds no matrix action.  Check results are not cached:
+on every run, a criterion over the catalog checks each distinct element
+once, on the first datum of its dedup class, and reports the outcome for
+every datum of the class.
 
 All comparisons are exact; there are no tolerances anywhere.
 """
@@ -25,7 +28,6 @@ from functools import lru_cache
 
 from .charring import (
     DIMENSION_CAP,
-    Braiding,
     ClassFunction,
     adams_twisted,
     lambda_from_adams,
@@ -37,7 +39,7 @@ from .charring import (
     _lambda_sequence,
     _recursive_series,
 )
-from .classify import Catalog, enumerate_qt, enumerate_triangular
+from .classify import Catalog, enumerate_qt
 from .cyclotomic import CycScalar, root_of_unity
 from .groups import CATALOG_NAMES, bundled_group
 from .hopf import GATensor
@@ -69,9 +71,8 @@ def qt_catalog(name: str) -> Catalog:
     return enumerate_qt(bundled_group(name))
 
 
-@lru_cache(maxsize=None)
 def triangular_catalog(name: str) -> Catalog:
-    return enumerate_triangular(bundled_group(name))
+    return qt_catalog(name).triangular
 
 
 @lru_cache(maxsize=None)
@@ -96,12 +97,11 @@ def criterion_1() -> CriterionResult:
     """The sign-braided structure on k[Z/2] appears bit-exactly."""
     start = time.perf_counter()
     group = bundled_group("Z2")
-    catalog = enumerate_triangular(group)
+    catalog = enumerate_qt(group).triangular
     golden = _golden_koszul(group)
-    hits = [r for r in catalog.rmats if r == golden]
-    bit_exact = any(
-        r.canonical_key() == golden.canonical_key() for r in catalog.rmats
-    )
+    rmats = [s.rmatrix for s in catalog.structures]
+    hits = [r for r in rmats if r == golden]
+    bit_exact = any(r.canonical_key() == golden.canonical_key() for r in rmats)
     elapsed = time.perf_counter() - start
     passed = len(hits) >= 1 and bit_exact and elapsed < 1.0
     details = (
@@ -120,9 +120,9 @@ def criterion_2() -> CriterionResult:
     for name in CATALOG_NAMES:
         catalog = qt_catalog(name)
         total += len(catalog)
-        for idx, report in enumerate(catalog.reports):
-            if not report.all_passed:
-                failures.append((name, idx, [c.name for c in report.failed()]))
+        for idx, structure in enumerate(catalog.structures):
+            if not structure.report.all_passed:
+                failures.append((name, idx, [c.name for c in structure.report.failed()]))
     elapsed = time.perf_counter() - start
     passed = not failures and elapsed < 120.0
     details = (
@@ -151,13 +151,13 @@ def criterion_3() -> CriterionResult:
         catalog = qt_catalog(name)
         for idx, datum in enumerate(catalog.data):
             checked += 1
-            unitary = catalog.unitary[idx]
+            unitary = catalog.structures[idx].unitary
             if datum.triangular and not unitary:
                 flagged_implies_unitary = False
             if unitary != datum.triangular and counterexample is None:
                 counterexample = (name, idx, datum, unitary)
         for members in catalog.dedup:
-            unitary = catalog.unitary[members[0]]
+            unitary = catalog.structures[members[0]].unitary
             has_flagged = any(catalog.data[i].triangular for i in members)
             if unitary != has_flagged:
                 class_equivalence = False
@@ -179,32 +179,35 @@ def criterion_3() -> CriterionResult:
 
 
 def criterion_4() -> CriterionResult:
-    """Markov element facts on every triangular entry, including the value equation."""
+    """Markov element facts per triangular class, and the value equation per triangular entry."""
     start = time.perf_counter()
     problems = []
     checked = 0
     for name in CATALOG_NAMES:
         catalog = triangular_catalog(name)
         group = catalog.group
-        for idx, datum in enumerate(catalog.data):
-            checked += 1
-            built = catalog.rmats[idx]
-            u = catalog.markovs[idx]
-            tags = []
-            if u != markov_element_flipped(built):
-                tags.append("conventions_disagree")
-            if not u.is_grouplike():
-                tags.append("not_grouplike")
+        for members in catalog.dedup:
+            structure = catalog.structures[members[0]]
+            u = structure.markov
+            class_tags = []
+            if u != markov_element_flipped(structure.rmatrix):
+                class_tags.append("conventions_disagree")
+            grouplike = u.is_grouplike()
+            if not grouplike:
+                class_tags.append("not_grouplike")
             else:
                 u_idx = u.grouplike_index()
                 if u_idx not in group.center():
-                    tags.append("not_central")
+                    class_tags.append("not_central")
                 if group.table[u_idx][u_idx] != group.identity:
-                    tags.append("not_involution")
-                if not verify_markov_equation(datum, u):
+                    class_tags.append("not_involution")
+            for idx in members:
+                checked += 1
+                tags = list(class_tags)
+                if grouplike and not verify_markov_equation(catalog.data[idx], u):
                     tags.append("value_equation_fails")
-            if tags:
-                problems.append((name, idx, tags))
+                if tags:
+                    problems.append((name, idx, tags))
     elapsed = time.perf_counter() - start
     details = f"{checked} triangular entries checked, {len(problems)} problems" + _first(problems)
     return CriterionResult(4, "Markov element identities", not problems, details, elapsed)
@@ -249,7 +252,7 @@ def criterion_5() -> CriterionResult:
                 by_images.setdefault(images, []).append(idx)
             for same in by_images.values():
                 checked += len(same)
-                tags = _support_tags(catalog.rmats[same[0]], catalog.data[same[0]])
+                tags = _support_tags(catalog.structures[same[0]].rmatrix, catalog.data[same[0]])
                 if tags:
                     problems.extend((name, idx, tags) for idx in same)
     elapsed = time.perf_counter() - start
@@ -267,8 +270,8 @@ def criterion_6() -> CriterionResult:
     for name in CATALOG_NAMES:
         catalog = triangular_catalog(name)
         for members in catalog.dedup:
-            braiding = Braiding(catalog.rmats[members[0]])
-            u = catalog.markovs[members[0]].grouplike_index()
+            structure = catalog.structures[members[0]]
+            braiding, u = structure.braiding, structure.markov.grouplike_index()
             for rep in _power_test_reps(name):
                 for n in range(4):
                     checked += len(members)
@@ -302,8 +305,8 @@ def criterion_7() -> CriterionResult:
     for name in CATALOG_NAMES:
         catalog = triangular_catalog(name)
         for members in catalog.dedup:
-            braiding = Braiding(catalog.rmats[members[0]])
-            u = catalog.markovs[members[0]].grouplike_index()
+            structure = catalog.structures[members[0]]
+            braiding, u = structure.braiding, structure.markov.grouplike_index()
             for rep in _power_test_reps(name):
                 for p in (2, 3):
                     root_tags = _cyclic_root_tags(catalog.group, rep, braiding, u, p)
@@ -450,7 +453,7 @@ def criterion_10() -> CriterionResult:
     for name in CATALOG_NAMES:
         catalog = triangular_catalog(name)
         for members in catalog.dedup:
-            braiding = Braiding(catalog.rmats[members[0]])
+            braiding = catalog.structures[members[0]].braiding
             for rep in _test_reps(name):
                 for n in (2, 3):
                     if rep.dim**n > DIMENSION_CAP:

@@ -3,10 +3,11 @@
 The enumeration walks abelian normal subgroups, takes one abstract abelian
 group per invariant-factor shape, pairs up normal inclusions that induce
 the same conjugation maps, and attaches every nondegenerate
-conjugation-invariant form.  Every datum is built, and each distinct
-element is verified in full once; the data that build it share that
-verification.  Distinct data that build the same element bit-for-bit are
-grouped into dedup classes rather than being interpreted away.
+conjugation-invariant form.  Every datum is built; each distinct element
+is one ``Structure``, shared by the data that build it, whose checks are
+run once, on first use.  The triangular catalog is a view of the full one.
+Distinct data that build the same element bit-for-bit are grouped into
+dedup classes rather than being interpreted away.
 
 Completeness of this parametrization is inherited from the classification
 theorem for group algebras and is not re-verified by search (the ground
@@ -16,7 +17,9 @@ field is infinite); the artifact checks soundness and distinctness only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
+from .charring import Braiding
 from .groups import (
     AbelianGroup,
     FiniteGroup,
@@ -27,14 +30,7 @@ from .groups import (
     subgroup_structure,
 )
 from .hopf import GATensor
-from .rmatrix import (
-    QTDatum,
-    VerificationReport,
-    build_r,
-    markov_element,
-    verify_qt,
-    verify_unitary,
-)
+from .rmatrix import QTDatum, VerificationReport, build_r, markov_element, verify_qt
 
 COMPLETENESS_NOTE = (
     "every listed structure is verified exactly; completeness of the list "
@@ -43,16 +39,37 @@ COMPLETENESS_NOTE = (
 )
 
 
+@dataclass(eq=False)
+class Structure:
+    """One distinct element of a catalog; what is read from it is formed on first use."""
+
+    rmatrix: GATensor
+
+    @cached_property
+    def report(self) -> VerificationReport:
+        return verify_qt(self.rmatrix)
+
+    @cached_property
+    def markov(self) -> GATensor:
+        return markov_element(self.rmatrix)
+
+    @cached_property
+    def braiding(self) -> Braiding:
+        return Braiding(self.rmatrix)
+
+    @cached_property
+    def unitary(self) -> bool:
+        """R R21 = 1 (``verify_unitary``), from the R R21 the braiding keeps."""
+        return self.braiding.square.is_unit()
+
+
 @dataclass
 class Catalog:
-    """All structures found on one group, with their verification results."""
+    """All structures found on one group; the data of a dedup class share one ``Structure``."""
 
     group: FiniteGroup
     data: list[QTDatum] = field(default_factory=list)
-    rmats: list[GATensor] = field(default_factory=list)
-    reports: list[VerificationReport] = field(default_factory=list)
-    markovs: list[GATensor] = field(default_factory=list)
-    unitary: list[bool] = field(default_factory=list)
+    structures: list[Structure] = field(default_factory=list)
     dedup: list[list[int]] = field(default_factory=list)
 
     def __len__(self) -> int:
@@ -60,7 +77,15 @@ class Catalog:
 
     @property
     def all_verified(self) -> bool:
-        return all(r.all_passed for r in self.reports)
+        return all(s.report.all_passed for s in self.structures)
+
+    @cached_property
+    def triangular(self) -> Catalog:
+        """The triangular data in order, with their structures, grouped by structure."""
+        keep = [i for i, datum in enumerate(self.data) if datum.triangular]
+        structures = [self.structures[i] for i in keep]
+        dedup = [[i for i, t in enumerate(structures) if t is s] for s in dict.fromkeys(structures)]
+        return Catalog(self.group, [self.data[i] for i in keep], structures, dedup)
 
 
 def _enumerate_data(group: FiniteGroup) -> list[QTDatum]:
@@ -91,29 +116,21 @@ def _catalog(group: FiniteGroup, data: list[QTDatum]) -> Catalog:
     catalog = Catalog(group=group, data=data)
     # Data that build the same element store it bit-identically: build_r
     # stores every coefficient at the exponent of A, and R fixes A through its
-    # left support i(A).  So the stored form keys both the shared checks and
-    # the dedup classes, which come out ordered by their first member.
+    # left support i(A).  So the stored form keys both the shared ``Structure``
+    # and the dedup classes, which come out ordered by their first member.
     classes: dict = {}
     for idx, datum in enumerate(data):
         built = build_r(datum)
         exact = tuple(sorted((key, c.order, c.den, c.num) for key, c in built.terms.items()))
         if exact not in classes:
-            classes[exact] = (verify_qt(built), markov_element(built), verify_unitary(built), [])
-        report, markov, unitary, members = classes[exact]
-        catalog.rmats.append(built)
-        catalog.reports.append(report)
-        catalog.markovs.append(markov)
-        catalog.unitary.append(unitary)
+            classes[exact] = (Structure(built), [])
+        structure, members = classes[exact]
+        catalog.structures.append(structure)
         members.append(idx)
-    catalog.dedup = [members for *_, members in classes.values()]
+    catalog.dedup = [members for _, members in classes.values()]
     return catalog
 
 
 def enumerate_qt(group: FiniteGroup) -> Catalog:
     """Catalog of all structures on k[G]; deterministic over iteration order."""
     return _catalog(group, _enumerate_data(group))
-
-
-def enumerate_triangular(group: FiniteGroup) -> Catalog:
-    """The triangular data of the full catalog, in the same order."""
-    return _catalog(group, [d for d in _enumerate_data(group) if d.triangular])

@@ -31,7 +31,7 @@ from .charring import (
     standard_reps,
     _cyclic_value,
 )
-from .classify import COMPLETENESS_NOTE, enumerate_qt, enumerate_triangular
+from .classify import COMPLETENESS_NOTE, enumerate_qt
 from .cyclotomic import ORDER_CAP, root_of_unity
 from .groups import CATALOG_NAMES
 from .rmatrix import (
@@ -158,18 +158,19 @@ def _load_rmatrix(args):
 
 def _cmd_classify(args):
     group = _resolve_group(args)
-    catalog = (enumerate_triangular if args.triangular else enumerate_qt)(group)
+    catalog = enumerate_qt(group)
+    catalog = catalog.triangular if args.triangular else catalog
     # A dedup class's members store one element bit-identically and share its
     # checks, so its part of each entry is built once and the same objects
     # are referenced by every member: canonical_dumps then encodes them once.
     entries = [None] * len(catalog)
     for cls, members in enumerate(catalog.dedup):
-        first = members[0]
+        structure = catalog.structures[members[0]]
         shared = {
-            "rmatrix": jsonio.tensor_to_json(catalog.rmats[first]),
-            "verification": jsonio.report_to_json(catalog.reports[first]),
-            "markov": jsonio.tensor_to_json(catalog.markovs[first]),
-            "unitary": catalog.unitary[first],
+            "rmatrix": jsonio.tensor_to_json(structure.rmatrix),
+            "verification": jsonio.report_to_json(structure.report),
+            "markov": jsonio.tensor_to_json(structure.markov),
+            "unitary": structure.unitary,
             "dedup_class": cls,
         }
         for idx in members:
@@ -189,7 +190,7 @@ def _cmd_classify(args):
         "counts": {
             "data": len(catalog),
             "distinct": len(catalog.dedup),
-            "unitary": sum(catalog.unitary),
+            "unitary": sum(s.unitary for s in catalog.structures),
         },
     }
     return doc, catalog.all_verified

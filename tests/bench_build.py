@@ -19,7 +19,9 @@ from qtriang.rmatrix import build_r, koszul_twist
 @pytest.mark.parametrize("name", ["Z2xZ2", "D4"])
 def test_build_r(benchmark, name):
     catalog = qt_catalog(name)
-    datum = next(d for d, r in zip(catalog.data, catalog.rmats) if len(r.terms) == 16)
+    datum = next(
+        d for d, s in zip(catalog.data, catalog.structures) if len(s.rmatrix.terms) == 16
+    )
     r = benchmark(build_r, datum)
     assert len(r.terms) == 16
 

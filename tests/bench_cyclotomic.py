@@ -63,6 +63,9 @@ def test_reduced_full_field_value(benchmark, order):
 
 def test_gatensor_inverse_d4(benchmark):
     # The D4 R-matrix with the most terms.
-    r = max(enumerate_qt(bundled_group("D4")).rmats, key=lambda t: len(t.terms))
+    r = max(
+        (s.rmatrix for s in enumerate_qt(bundled_group("D4")).structures),
+        key=lambda t: len(t.terms),
+    )
     inverse = benchmark(r.inverse)
     assert (r * inverse).is_unit()

@@ -26,7 +26,8 @@ CASES = [("D4", 16), ("Q8", 16), ("Z2xZ2", 4)]
 
 
 def _structure(name: str, terms: int) -> GATensor:
-    return next(r for r in qt_catalog(name).rmats if len(r.terms) == terms)
+    rmats = (s.rmatrix for s in qt_catalog(name).structures)
+    return next(r for r in rmats if len(r.terms) == terms)
 
 
 @pytest.mark.parametrize("name, terms", CASES, ids=["D4-16", "Q8-16", "Z2xZ2-4"])

@@ -23,9 +23,10 @@ def _structure(name: str, unitary: bool):
     idx = next(
         m[0]
         for m in catalog.dedup
-        if len(catalog.rmats[m[0]].terms) == 16 and catalog.unitary[m[0]] == unitary
+        if len(catalog.structures[m[0]].rmatrix.terms) == 16
+        and catalog.structures[m[0]].unitary == unitary
     )
-    return catalog.rmats[idx], catalog.data[idx]
+    return catalog.structures[idx].rmatrix, catalog.data[idx]
 
 
 @pytest.mark.parametrize("name, unitary", CASES, ids=["D4-16-unitary", "Q8-16"])

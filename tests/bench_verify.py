@@ -24,6 +24,6 @@ CASES = [("D4", 16), ("Q8", 16), ("Z2xZ2", 4)]
 @pytest.mark.parametrize("name, terms", CASES, ids=["D4-16", "Q8-16", "Z2xZ2-4"])
 def test_verify(benchmark, name, terms, verify):
     catalog = qt_catalog(name)
-    r = next(r for r in catalog.rmats if len(r.terms) == terms)
+    r = next(s.rmatrix for s in catalog.structures if len(s.rmatrix.terms) == terms)
     report = benchmark(verify, r)
     assert report.all_passed

@@ -18,7 +18,7 @@ group's answer.
 
 from collections import Counter
 
-from qtriang import acceptance, linalg, rmatrix
+from qtriang import acceptance, classify, linalg, rmatrix
 from qtriang.charring import Braiding, ClassFunction
 from qtriang.cyclotomic import CycScalar
 from qtriang.groups import CATALOG_NAMES
@@ -79,6 +79,72 @@ def _fails_with(fn, count_line, first):
     assert not result.passed
     assert result.details.startswith(count_line), result.details
     assert f"; first: {first}" in result.details, result.details
+
+
+def test_run_all_reads_each_structure_once(monkeypatch):
+    # On fresh caches the suite enumerates each group's catalog once (340
+    # data); criterion 1 enumerates Z2 (2 data) again to time it.  Each of
+    # the 44 distinct structures is verified once and builds one Braiding,
+    # which the triangular view and criteria 3, 6, 7 and 10 share.  A
+    # separately built triangular catalog and a Braiding per criterion took
+    # 68 verify_qt calls, 404 build_r calls and 66 Braidings in criteria
+    # 6, 7 and 10.
+    acceptance.qt_catalog.cache_clear()
+    counts = Counter()
+
+    def count(owner, attr):
+        real = getattr(owner, attr)
+
+        def counting(*args):
+            counts[attr] += 1
+            return real(*args)
+
+        monkeypatch.setattr(owner, attr, counting)
+
+    count(classify, "verify_qt")
+    count(classify, "build_r")
+    count(Braiding, "__init__")
+    acceptance.run_all(emit=None)
+    assert counts == {"verify_qt": 44, "build_r": 342, "__init__": 44}, counts
+
+
+def test_criterion_04_checks_class_facts_once_per_class(monkeypatch):
+    # The Markov facts that depend on R alone are read once for each of the
+    # 22 distinct triangular structures; the value equation, which reads the
+    # datum's form, once for each of the 62 triangular data.
+    counts = Counter()
+    for attr in ("markov_element_flipped", "verify_markov_equation"):
+        real = getattr(acceptance, attr)
+
+        def counting(*args, attr=attr, real=real):
+            counts[attr] += 1
+            return real(*args)
+
+        monkeypatch.setattr(acceptance, attr, counting)
+    assert acceptance.criterion_4().passed
+    assert counts == {"markov_element_flipped": 22, "verify_markov_equation": 62}, counts
+
+
+def test_criterion_04_reports_every_datum_of_a_failing_group(monkeypatch):
+    # A class-level failure on D4 is reported for every D4 datum, ahead of a
+    # per-datum failure on each datum of Q8.
+    real_flipped = acceptance.markov_element_flipped
+    real_equation = acceptance.verify_markov_equation
+
+    def flipped(r):
+        out = real_flipped(r)
+        return out.scale(2) if r.group.name == "D4" else out
+
+    def equation(datum, u):
+        return datum.group.name != "Q8" and real_equation(datum, u)
+
+    monkeypatch.setattr(acceptance, "markov_element_flipped", flipped)
+    monkeypatch.setattr(acceptance, "verify_markov_equation", equation)
+    _fails_with(
+        acceptance.criterion_4,
+        "62 triangular entries checked, 28 problems",
+        "('D4', 0, ['conventions_disagree'])",
+    )
 
 
 def test_criterion_05_reports_every_datum_of_a_failing_group(monkeypatch):

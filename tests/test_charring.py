@@ -356,7 +356,7 @@ def test_image_matches_kron_reference_on_catalog(name):
     # rep within the cap.
     catalog = acceptance.qt_catalog(name)
     for members in catalog.dedup:
-        r = catalog.rmats[members[0]]
+        r = catalog.structures[members[0]].rmatrix
         for tensor in (r, r * r.swap(), *leg_products(r).yang_baxter_sides(), r - r.swap()):
             for rep in acceptance._test_reps(name):
                 if rep.dim**tensor.arity <= charring.DIMENSION_CAP:
@@ -371,7 +371,7 @@ def test_image_matches_kron_reference_at_mixed_orders_and_denominators(name):
     reps = linear_character_reps(catalog.group)
     assert {rep.matrix(1).order for rep in reps} == {4 if name == "Z4" else 2}
     for members in catalog.dedup:
-        r = catalog.rmats[members[0]]
+        r = catalog.structures[members[0]].rmatrix
         for scaled in (r.scale(root_of_unity(3)), r.scale(Fraction(1, 3))):
             for rep in reps:
                 _assert_image_matches_reference(rep, scaled)
@@ -399,7 +399,7 @@ def test_generators_match_kron_route(name):
     # swap matrix and I (x) B (x) I formed by Kronecker products.
     catalog = acceptance.triangular_catalog(name)
     for members in catalog.dedup:
-        r = catalog.rmats[members[0]]
+        r = catalog.structures[members[0]].rmatrix
         for rep in acceptance._test_reps(name):
             for power in (2, 3):
                 if rep.dim**power <= charring.DIMENSION_CAP:
@@ -509,7 +509,7 @@ def test_validate_matches_reference_on_catalog_and_perturbed_r(name):
     reps = acceptance._test_reps(name)
     cap, at_cap = charring.DIMENSION_CAP, []
     for members in catalog.dedup:
-        r = catalog.rmats[members[0]]
+        r = catalog.structures[members[0]].rmatrix
         for rep in reps:
             for power in (2, 3, 4):
                 dim = rep.dim**power
@@ -534,7 +534,7 @@ def test_validate_forms_no_matrix_product_when_identities_hold(monkeypatch):
     # R R21 is formed once per construction; with every universal difference
     # zero, validate never maps one to matrices.
     catalog = acceptance.triangular_catalog("D4")
-    r = max((catalog.rmats[m[0]] for m in catalog.dedup), key=lambda t: len(t.terms))
+    r = max((catalog.structures[m[0]].rmatrix for m in catalog.dedup), key=lambda t: len(t.terms))
     rep = regular_rep(catalog.group)
     counts = Counter()
     real_matmul, real_mul = Matrix.__matmul__, GATensor.__mul__
@@ -582,7 +582,7 @@ def _reference_exterior_power_char(rep, rmatrix, n):
 def test_exterior_power_matches_dense_reference(name):
     catalog = acceptance.triangular_catalog(name)
     for members in catalog.dedup:
-        r = catalog.rmats[members[0]]
+        r = catalog.structures[members[0]].rmatrix
         for rep in acceptance._test_reps(name):
             for n in (2, 3):
                 if rep.dim**n <= charring.DIMENSION_CAP:
@@ -653,7 +653,7 @@ def test_catalog_traces_form_no_matrix_product(monkeypatch):
     for name in CATALOG_NAMES:
         catalog = acceptance.triangular_catalog(name)
         reps = acceptance._test_reps(name)
-        cases += [(rep, catalog.rmats[m[0]]) for m in catalog.dedup for rep in reps]
+        cases += [(rep, catalog.structures[m[0]].rmatrix) for m in catalog.dedup for rep in reps]
     monkeypatch.setattr(Matrix, "__matmul__", counting)
     for rep, r in cases:
         for n in (2, 3):
@@ -827,7 +827,7 @@ def test_cyclic_operation_matches_projector_reference(name):
     catalog = acceptance.triangular_catalog(name)
     rep = regular_rep(catalog.group)
     for members in catalog.dedup:
-        r = catalog.rmats[members[0]]
+        r = catalog.structures[members[0]].rmatrix
         for p in (2, 3):
             for k in range(p):
                 eps = root_of_unity(p, k)
@@ -835,13 +835,24 @@ def test_cyclic_operation_matches_projector_reference(name):
                 assert cyclic_operation_char(rep, r, p, eps) == expected, (name, p, k)
 
 
-def _count_criterion_work(monkeypatch, criterion, **counted):
-    """Run a criterion on warm catalogs; count GATensor and Matrix products,
-    ``BraidedAction`` builds and the calls of each ``Braiding`` method named
-    in ``counted`` (a name mapped to the argument index that is recorded)."""
+def _fresh_catalogs():
+    """Enumerate the catalogs again, with no ``Structure`` read yet.
+
+    A ``Braiding`` binds its methods when it is built, so a patch of the
+    class reaches only the ones built after it; fresh catalogs also keep
+    the counts below from depending on which tests ran first.
+    """
+    acceptance.qt_catalog.cache_clear()
     for name in CATALOG_NAMES:
         acceptance.triangular_catalog(name)
         acceptance._test_reps(name)
+
+
+def _count_work(monkeypatch, criteria, **counted):
+    """Run criteria in order; count GATensor and Matrix products,
+    ``BraidedAction`` builds and the calls of each ``Braiding`` method named
+    in ``counted`` (a name mapped to the argument index that is recorded).
+    Returns the counts of each criterion and the recorded arguments."""
     counts, recorded = Counter(), {name: [] for name in counted}
 
     def counting(owner, attr, key):
@@ -860,7 +871,18 @@ def _count_criterion_work(monkeypatch, criterion, **counted):
     counting(charring, "BraidedAction", "action")
     for name in counted:
         counting(Braiding, name, name)
-    assert criterion().passed
+    out = []
+    for criterion in criteria:
+        before = counts.copy()
+        assert criterion().passed
+        out.append(counts - before)
+    return out, recorded
+
+
+def _count_criterion_work(monkeypatch, criterion, **counted):
+    """Run one criterion on fresh catalogs and count its work (``_count_work``)."""
+    _fresh_catalogs()
+    (counts,), recorded = _count_work(monkeypatch, [criterion], **counted)
     return counts, recorded
 
 
@@ -893,7 +915,8 @@ def test_long_cycle_powers_cost_one_product_each(monkeypatch):
     # At p = 3: R R21, tau (the word s2 s1) and tau^2 = tau tau, one
     # GATensor product each.
     catalog = acceptance.triangular_catalog("D4")
-    r = next(t for t in (catalog.rmats[m[0]] for m in catalog.dedup) if len(t.terms) == 16)
+    rmats = (catalog.structures[m[0]].rmatrix for m in catalog.dedup)
+    r = next(t for t in rmats if len(t.terms) == 16)
     rep = regular_rep(catalog.group)
     expected = _reference_cyclic_operation_char(rep, r, 3, root_of_unity(3))
     calls = Counter()
@@ -919,6 +942,39 @@ def test_criterion_10_forms_braiding_differences_once_per_structure_and_power(mo
     assert Counter(recorded["_differences"]) == {2: 22, 3: 22}  # 44 formations
     assert counts["tensor"] == 110
     assert counts["matrix"] == counts["action"] == 0
+
+
+def test_criteria_06_07_10_share_each_structures_braiding(monkeypatch):
+    # On the same catalogs the three criteria read one ``Braiding`` per
+    # distinct triangular structure, held by its ``Structure``.  Criterion 6
+    # forms R R21, the words and the differences at n <= 3; criterion 7 then
+    # forms only tau^2 = tau tau at p = 3, one product per structure; and
+    # criterion 10 forms nothing.  Each building its own ``Braiding`` took
+    # 176, 66 and 110 products.
+    _fresh_catalogs()
+    real_powers, real_mul = Braiding._cycle_powers, GATensor.__mul__
+    inside, products_at = [], Counter()
+
+    def powers(self, p):
+        inside.append(p)
+        try:
+            return real_powers(self, p)
+        finally:
+            inside.pop()
+
+    def mul(left, right):
+        products_at[inside[-1] if inside else None] += 1
+        return real_mul(left, right)
+
+    monkeypatch.setattr(Braiding, "_cycle_powers", powers)
+    monkeypatch.setattr(GATensor, "__mul__", mul)
+    criteria = [acceptance.criterion_6, acceptance.criterion_7, acceptance.criterion_10]
+    per_criterion, recorded = _count_work(monkeypatch, criteria, __init__=1)
+    assert [c["tensor"] for c in per_criterion] == [176, 22, 0]
+    assert products_at == {None: 176, 3: 22}
+    assert [c["__init__"] for c in per_criterion] == [22, 0, 0]
+    assert len({id(r) for r in recorded["__init__"]}) == 22
+    assert all(c["matrix"] == c["action"] == 0 for c in per_criterion)
 
 
 def _leg_permutation_matrix(d, perm):

@@ -10,10 +10,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from qtriang import jsonio
+from qtriang import classify, jsonio
 from qtriang.cli import build_parser, main
 from qtriang.cyclotomic import CycScalar, root_of_unity
-from qtriang.groups import AbelianGroup, bundled_group, enumerate_biforms, normal_inclusions
+from qtriang.groups import (
+    CATALOG_NAMES,
+    AbelianGroup,
+    bundled_group,
+    enumerate_biforms,
+    normal_inclusions,
+)
 from qtriang.hopf import GATensor
 from qtriang.charring import MatrixRep, regular_rep
 from qtriang.rmatrix import QTDatum, build_r
@@ -111,6 +117,24 @@ def test_cli_classify_z2_contains_golden(workdir, capsys):
     ]
     assert golden_koszul() in rmats
     assert "note" in doc
+
+
+def test_cli_classify_triangular_verifies_each_triangular_class_once(workdir, monkeypatch):
+    # The triangular catalog is a view of the full one: only the structures
+    # of triangular data are verified, 22 over the seven groups.
+    calls = []
+    real = classify.verify_qt
+
+    def counting(tensor):
+        calls.append(tensor)
+        return real(tensor)
+
+    monkeypatch.setattr(classify, "verify_qt", counting)
+    distinct = 0
+    for name in CATALOG_NAMES:
+        assert main(["classify", "--group", name, "--triangular", "--out", "t.json"]) == 0
+        distinct += json.loads((workdir / "t.json").read_text())["counts"]["distinct"]
+    assert len(calls) == distinct == 22
 
 
 def test_cli_classify_deterministic(workdir):

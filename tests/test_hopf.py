@@ -311,7 +311,7 @@ def test_catalog_products_match_scalar_reference():
     for name in CATALOG_NAMES:
         catalog = qt_catalog(name)
         for members in catalog.dedup:
-            r = catalog.rmats[members[0]]
+            r = catalog.structures[members[0]].rmatrix
             r21 = r.swap()
             legs = leg_products(r)
             r13 = r.embed_legs((1, 3), 3)

@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from qtriang import jsonio
 from qtriang.cli import _cmd_classify, build_parser
-from qtriang.classify import COMPLETENESS_NOTE, enumerate_qt, enumerate_triangular
+from qtriang.classify import COMPLETENESS_NOTE, _catalog, _enumerate_data
 from qtriang.groups import CATALOG_NAMES, bundled_group
+from qtriang.rmatrix import build_r
 
 
 def _oracle(doc) -> str:
@@ -83,17 +84,19 @@ def test_unencodable_documents_raise_type_error(doc):
 
 
 def _reference_classify_doc(group, triangular):
-    """The ``classify`` document with every entry built from its own datum."""
-    catalog = (enumerate_triangular if triangular else enumerate_qt)(group)
+    """The ``classify`` document with every entry's element built from its own
+    datum, and the catalog enumerated and built on the selected data alone."""
+    data = [d for d in _enumerate_data(group) if d.triangular or not triangular]
+    catalog = _catalog(group, data)
     dedup_class = {idx: cls for cls, members in enumerate(catalog.dedup) for idx in members}
     entries = [
         {
             "datum": jsonio.datum_to_json(datum),
-            "rmatrix": jsonio.tensor_to_json(catalog.rmats[idx]),
-            "verification": jsonio.report_to_json(catalog.reports[idx]),
-            "markov": jsonio.tensor_to_json(catalog.markovs[idx]),
+            "rmatrix": jsonio.tensor_to_json(build_r(datum)),
+            "verification": jsonio.report_to_json(catalog.structures[idx].report),
+            "markov": jsonio.tensor_to_json(catalog.structures[idx].markov),
             "triangular": datum.triangular,
-            "unitary": catalog.unitary[idx],
+            "unitary": catalog.structures[idx].unitary,
             "dedup_class": dedup_class[idx],
         }
         for idx, datum in enumerate(catalog.data)
@@ -108,7 +111,7 @@ def _reference_classify_doc(group, triangular):
         "counts": {
             "data": len(catalog),
             "distinct": len(catalog.dedup),
-            "unitary": sum(catalog.unitary),
+            "unitary": sum(s.unitary for s in catalog.structures),
         },
     }
 

@@ -387,8 +387,8 @@ def _commutation_candidates():
         group = bundled_group(name)
         catalog = qt_catalog(name)
         for members in catalog.dedup:
-            yield catalog.rmats[members[0]]
-            yield catalog.markovs[members[0]]
+            yield catalog.structures[members[0]].rmatrix
+            yield catalog.structures[members[0]].markov
         for _ in range(3):
             yield _sparse_tensor(rng, group)
             yield GATensor(
@@ -524,7 +524,8 @@ def _assert_matches_reference(candidate, datum):
 def test_supports_and_pairing_match_reference_on_every_distinct_element(name):
     catalog = qt_catalog(name)
     for members in catalog.dedup:
-        support = _assert_matches_reference(catalog.rmats[members[0]], catalog.data[members[0]])
+        first = members[0]
+        support = _assert_matches_reference(catalog.structures[first].rmatrix, catalog.data[first])
         assert support.all_passed
 
 
@@ -575,7 +576,7 @@ def test_pairing_checks_match_reference_passing_and_failing():
         group = catalog.data[0].group
         candidates = [_twisted_unitary(group, a, group.size - 1 - a) for a in range(2)]
         for members in catalog.dedup[:2]:
-            candidates += _perturbed(catalog.rmats[members[0]])
+            candidates += _perturbed(catalog.structures[members[0]].rmatrix)
         for candidate in candidates:
             support = _assert_matches_reference(candidate, None)
             for check in PAIRING_CHECKS:
@@ -703,7 +704,7 @@ def test_verify_qt_matches_reference(name):
     rng = random.Random(f"verify_qt/{name}")
     candidates = [_sparse_tensor(rng, group) for _ in range(4)]
     for members in catalog.dedup:
-        r = catalog.rmats[members[0]]
+        r = catalog.structures[members[0]].rmatrix
         candidates += [r, *_perturbed(r)]
     failing = set()
     for candidate in candidates:
@@ -723,7 +724,7 @@ def test_leg_products_are_the_literal_products(name):
     group = catalog.data[0].group
     rng = random.Random(f"leg_products/{name}")
     candidates = [_sparse_tensor(rng, group) for _ in range(4)]
-    candidates.append(catalog.rmats[catalog.dedup[-1][0]])
+    candidates.append(catalog.structures[catalog.dedup[-1][0]].rmatrix)
     for r in candidates:
         r12, r13, r23 = (r.embed_legs(legs, 3) for legs in ((1, 2), (1, 3), (2, 3)))
         products = leg_products(r)
@@ -744,7 +745,7 @@ def test_every_catalog_structure_is_verified_without_the_solve(monkeypatch):
     for name in CATALOG_NAMES:
         catalog = qt_catalog(name)
         for members in catalog.dedup:
-            r = catalog.rmats[members[0]]
+            r = catalog.structures[members[0]].rmatrix
             assert verify_qt(r).all_passed
             assert verify_markov(r).all_passed
 
@@ -784,7 +785,7 @@ def test_verify_markov_matches_reference(name, monkeypatch):
     candidates = [_sparse_tensor(rng, group) for _ in range(4)]
     candidates += [_twisted_unitary(group, a, group.size - 1 - a) for a in range(2)]
     for members in catalog.dedup:
-        r = catalog.rmats[members[0]]
+        r = catalog.structures[members[0]].rmatrix
         candidates += [r, *_perturbed(r)]
     solve = GATensor.inverse
     solves = []
