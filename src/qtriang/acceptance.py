@@ -427,10 +427,10 @@ def criterion_9() -> CriterionResult:
     checked = 0
     for name in CATALOG_NAMES:
         catalog = triangular_catalog(name)
-        for idx, datum in enumerate(catalog.data):
+        for idx, (datum, structure) in enumerate(zip(catalog.data, catalog.structures)):
             checked += 1
             try:
-                twist = koszul_twist(datum)
+                twist = koszul_twist(datum, structure.rmatrix)
             except ValueError as exc:
                 problems.append((name, idx, str(exc)))
                 continue

@@ -3,11 +3,18 @@
 The enumeration walks abelian normal subgroups, takes one abstract abelian
 group per invariant-factor shape, pairs up normal inclusions that induce
 the same conjugation maps, and attaches every nondegenerate
-conjugation-invariant form.  Every datum is built; each distinct element
-is one ``Structure``, shared by the data that build it, whose checks are
-run once, on first use.  The triangular catalog is a view of the full one.
+conjugation-invariant form.  Each inclusion decides its normality and
+conjugation action once, and each form its nondegeneracy once and its
+invariance once per automorphism set, so a datum's checks are lookups.
 Distinct data that build the same element bit-for-bit are grouped into
-dedup classes rather than being interpreted away.
+dedup classes rather than being interpreted away.  A class is keyed by
+(e, |A|, the character sum's integer table) with e the exponent of A.  R
+fixes e and |A|: its coefficients are stored at order e, its left support
+is i(A).  At a fixed order and denominator ``CycScalar._make`` is
+injective, so keys are equal exactly when the stored elements are, and R
+is built once per class.  Each class is one ``Structure``, whose checks
+are run once, on first use.  The triangular catalog is a view of the
+full one.
 
 Completeness of this parametrization is inherited from the classification
 theorem for group algebras and is not re-verified by search (the ground
@@ -30,7 +37,9 @@ from .groups import (
     subgroup_structure,
 )
 from .hopf import GATensor
-from .rmatrix import QTDatum, VerificationReport, build_r, markov_element, verify_qt
+from .rmatrix import (
+    QTDatum, VerificationReport, build_r, character_table, markov_element, verify_qt
+)
 
 COMPLETENESS_NOTE = (
     "every listed structure is verified exactly; completeness of the list "
@@ -101,9 +110,10 @@ def _enumerate_data(group: FiniteGroup) -> list[QTDatum]:
     data: list[QTDatum] = []
     for domain in shapes:
         inclusions = sorted(normal_inclusions(domain, group), key=lambda i: i.gen_images)
+        nondegenerate = enumerate_biforms(domain, nondegenerate=True)
         for left in inclusions:
             autos = left.conjugation_automorphisms()
-            forms = enumerate_biforms(domain, autos, nondegenerate=True, g_invariant=True)
+            forms = [beta for beta in nondegenerate if beta.is_invariant(autos)]
             for right in inclusions:
                 if right is not left and not same_module_structure(left, right):
                     continue
@@ -114,17 +124,20 @@ def _enumerate_data(group: FiniteGroup) -> list[QTDatum]:
 
 def _catalog(group: FiniteGroup, data: list[QTDatum]) -> Catalog:
     catalog = Catalog(group=group, data=data)
-    # Data that build the same element store it bit-identically: build_r
-    # stores every coefficient at the exponent of A, and R fixes A through its
-    # left support i(A).  So the stored form keys both the shared ``Structure``
-    # and the dedup classes, which come out ordered by their first member.
+    # The integer table is formed once per form and carried through each
+    # datum's inclusions; classes come out ordered by their first member.
+    tables: dict = {}
     classes: dict = {}
     for idx, datum in enumerate(data):
-        built = build_r(datum)
-        exact = tuple(sorted((key, c.order, c.den, c.num) for key, c in built.terms.items()))
-        if exact not in classes:
-            classes[exact] = (Structure(built), [])
-        structure, members = classes[exact]
+        domain, beta = datum.domain, datum.beta
+        if beta not in tables:
+            tables[beta] = character_table(domain, beta)
+        left, right = datum.incl_left.forward, datum.incl_right.forward
+        terms = sorted((left[a], right[b], c) for (a, b), c in tables[beta])
+        key = (domain.exponent, domain.order, tuple(terms))
+        if key not in classes:
+            classes[key] = (Structure(build_r(datum)), [])
+        structure, members = classes[key]
         catalog.structures.append(structure)
         members.append(idx)
     catalog.dedup = [members for _, members in classes.values()]

@@ -305,7 +305,7 @@ def _cmd_koszul_twist(args):
     if not args.datum:
         raise InputError("koszul-twist needs --datum")
     datum, group = _read(args, args.datum, jsonio.datum_from_json)
-    twist = koszul_twist(datum)
+    twist = koszul_twist(datum, build_r(datum))
     doc = {
         "command": "koszul-twist",
         "group": group.name,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .cyclotomic import CycScalar, divisors, root_of_unity
 
@@ -348,9 +348,11 @@ class BiForm:
     Determined by its values on the dual basis characters chi_1, ..., chi_r:
     beta(chi_i, chi_j) = zeta_g^(m[i][j]) with g = gcd(n_i, n_j), extended
     bimultiplicatively.  The entry bound is forced: beta(chi_i^(n_i), -) = 1.
+    Nondegeneracy is decided once per form, invariance once per form and
+    automorphism set; both are kept on the form.
     """
 
-    __slots__ = ("parent", "matrix")
+    __slots__ = ("parent", "matrix", "_nondegenerate", "_invariant")
 
     def __init__(self, parent: AbelianGroup, matrix):
         self.parent = parent
@@ -361,17 +363,22 @@ class BiForm:
             tuple(int(m) % gcds[i][j] for j, m in enumerate(row))
             for i, row in enumerate(matrix)
         )
+        self._nondegenerate = None
+        self._invariant = {}
 
     def exponent_of(self, chi: Character, xi: Character) -> int:
         """k with beta(chi, xi) = zeta_e^k at the group exponent e."""
+        return self._exponent(chi.exps, xi.exps)
+
+    def _exponent(self, chi_exps, xi_exps) -> int:
         e = self.parent.exponent
         gcds = _gcd_table(self.parent.factors)
         total = 0
-        for i, ki in enumerate(chi.exps):
+        for i, ki in enumerate(chi_exps):
             if not ki:
                 continue
             row = self.matrix[i]
-            for j, lj in enumerate(xi.exps):
+            for j, lj in enumerate(xi_exps):
                 if lj and row[j]:
                     total += (e // gcds[i][j]) * row[j] * ki * lj
         return total % e
@@ -379,14 +386,21 @@ class BiForm:
     def evaluate(self, chi: Character, xi: Character) -> CycScalar:
         return root_of_unity(self.parent.exponent, self.exponent_of(chi, xi))
 
+    def point(self, chi_exps) -> tuple[int, ...]:
+        """a_chi, with beta(chi, xi) = xi(a_chi) for every xi, read off the matrix."""
+        factors, gcds = self.parent.factors, _gcd_table(self.parent.factors)
+        rows = list(enumerate(zip(self.matrix, chi_exps)))
+        return tuple(
+            sum((n // gcds[i][j]) * row[j] * k for i, (row, k) in rows) % n
+            for j, n in enumerate(factors)
+        )
+
     def is_nondegenerate(self) -> bool:
         """chi -> beta(chi, .) has trivial kernel (hence is bijective)."""
-        gens = self.parent.dual_generators()
-        kernel = 0
-        for chi in self.parent.characters():
-            if all(self.exponent_of(chi, g) == 0 for g in gens):
-                kernel += 1
-        return kernel == 1
+        if self._nondegenerate is None:
+            zero = self.parent.zero
+            self._nondegenerate = sum(self.point(k) == zero for k in self.parent.elements()) == 1
+        return self._nondegenerate
 
     def is_skewsymmetric(self) -> bool:
         """beta(chi, xi) * beta(xi, chi) = 1; enough to check dual generators."""
@@ -399,15 +413,36 @@ class BiForm:
         )
 
     def is_invariant(self, automorphisms) -> bool:
-        """beta(chi o s, xi o s) = beta(chi, xi) for each automorphism s of A."""
-        gens = self.parent.dual_generators()
-        for auto in automorphisms:
-            twisted = [_char_pullback(chi, auto) for chi in gens]
-            for a, ta in zip(gens, twisted):
-                for b, tb in zip(gens, twisted):
-                    if self.exponent_of(ta, tb) != self.exponent_of(a, b):
-                        return False
-        return True
+        """beta(chi o s, xi o s) = beta(chi, xi) for each automorphism s of A.
+
+        Each s is a row of A's images in element order (``Inclusion.action``).
+        """
+        autos = tuple(automorphisms)
+        if autos not in self._invariant:
+            self._invariant[autos] = all(self._fixed_by(s) for s in autos)
+        return self._invariant[autos]
+
+    def _fixed_by(self, auto) -> bool:
+        parent = self.parent
+        e, factors = parent.exponent, parent.factors
+        # Generator j sits at index n_(j+1) ... n_r of the element order, and
+        # chi_i o s takes it to zeta_(n_i)^(s(e_j)_i), an n_j-th root of unity.
+        images = [auto[math.prod(factors[j + 1:])] for j in range(parent.rank)]
+        twisted = []
+        for i, ni in enumerate(factors):
+            exps = []
+            for image, nj in zip(images, factors):
+                k, rest = divmod((e // ni) * image[i] % e, e // nj)
+                if rest:
+                    raise ValueError("map is not an automorphism compatible with the factor orders")
+                exps.append(k)
+            twisted.append(exps)
+        gens = parent.generators()
+        return all(
+            self._exponent(ta, tb) == self._exponent(a, b)
+            for a, ta in zip(gens, twisted)
+            for b, tb in zip(gens, twisted)
+        )
 
     def __eq__(self, other):
         if not isinstance(other, BiForm):
@@ -426,20 +461,6 @@ def _gcd_table(factors: tuple[int, ...]) -> tuple:
     return tuple(
         tuple(math.gcd(a, b) for b in factors) for a in factors
     )
-
-
-def _char_pullback(chi: Character, auto: dict) -> Character:
-    """chi o auto as a Character, where auto maps generator tuples."""
-    parent = chi.parent
-    e = parent.exponent
-    exps = []
-    for i, n in enumerate(parent.factors):
-        image = auto[parent.generators()[i]]
-        k = chi.exponent_at(image)
-        if k % (e // n):
-            raise ValueError("map is not an automorphism compatible with the factor orders")
-        exps.append((k // (e // n)) % n)
-    return Character(parent, tuple(exps))
 
 
 def enumerate_biforms(
@@ -556,9 +577,9 @@ class Inclusion:
 
     Stored by the images of the invariant-factor generators; the full
     element map is tabulated at construction and validated to be injective.
+    The conjugation action pulled back to the domain is worked out once, on
+    first use; normality and the conjugation automorphisms are read from it.
     """
-
-    __slots__ = ("group", "domain", "gen_images", "forward", "backward", "image")
 
     def __init__(self, group: FiniteGroup, domain: AbelianGroup, gen_images):
         gen_images = tuple(gen_images)
@@ -588,27 +609,28 @@ class Inclusion:
         except KeyError:
             raise ValueError(f"element {g} is outside the image of the inclusion") from None
 
-    def is_normal(self) -> bool:
-        return all(
-            {self.group.conjugate(x, g) for x in self.image} == self.image
-            for g in self.group.elements()
-        )
+    @cached_property
+    def action(self) -> tuple | None:
+        """Row g: the preimages of g a g^-1 over the domain's elements, in element order.
 
-    def conjugation_automorphisms(self) -> list[dict]:
-        """Distinct maps a -> g^-1 a g read inside the domain, over all g."""
-        autos = []
-        seen = set()
+        None when the image is not normal, so some conjugate leaves it.
+        """
+        conjugate, backward = self.group.conjugate, self.backward
+        rows = []
         for g in self.group.elements():
-            mapping = {}
-            for a in self.domain.elements():
-                x = self.forward[a]
-                conj = self.group.conjugate(x, self.group.inverses[g])
-                mapping[a] = self.backward[conj]
-            key = tuple(sorted(mapping.items()))
-            if key not in seen:
-                seen.add(key)
-                autos.append(mapping)
-        return autos
+            row = tuple(backward.get(conjugate(x, g)) for x in self.forward.values())
+            if None in row:
+                return None
+            rows.append(row)
+        return tuple(rows)
+
+    def is_normal(self) -> bool:
+        return self.action is not None
+
+    def conjugation_automorphisms(self) -> tuple:
+        """Distinct maps a -> g^-1 a g over all g, in order of g, each a row of ``action``."""
+        inverses = self.group.inverses
+        return tuple(dict.fromkeys(self.action[inverses[g]] for g in self.group.elements()))
 
     def __eq__(self, other):
         if not isinstance(other, Inclusion):
@@ -698,14 +720,7 @@ def normal_inclusions(domain: AbelianGroup, group: FiniteGroup) -> list[Inclusio
 
 
 def same_module_structure(first: Inclusion, second: Inclusion) -> bool:
-    """Whether two inclusions pull conjugation back to the same maps on the domain."""
+    """Whether two normal inclusions pull conjugation back to the same maps on the domain."""
     if first.group != second.group or first.domain != second.domain:
         return False
-    group = first.group
-    for g in group.elements():
-        for a in first.domain.elements():
-            left = first.backward[group.conjugate(first.forward[a], g)]
-            right = second.backward[group.conjugate(second.forward[a], g)]
-            if left != right:
-                return False
-    return True
+    return first.action is not None and first.action == second.action

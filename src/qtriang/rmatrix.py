@@ -174,32 +174,41 @@ class QTDatum:
         )
 
 
-def _character_sum(
-    domain: AbelianGroup, incl_left: Inclusion, incl_right: Inclusion, form: BiForm
-) -> GATensor:
+def character_table(domain: AbelianGroup, form: BiForm) -> list[tuple[tuple, tuple[int, ...]]]:
+    """((a, b), coordinates) for each nonzero term a x b of the character sum, in (a, b) order.
+
+    The coordinates are integers over the basis of Q(zeta_e) at the exponent
+    e of A; divided by |A| they give the coefficient of i(a) x j(b).
+    """
     # The literal sum is (1/|A|^2) sum over a, b, chi, xi of
     # form(chi, xi) chi(a) xi(b) (i(a) x j(b)).  By bimultiplicativity
     # form(chi, -) is xi -> xi(a_chi) for one point a_chi of A, so the sum over
-    # xi is |A| at b = -a_chi and 0 elsewhere.  Coordinate k of a_chi is read
-    # off form(chi, chi_k), an n_k-th root of unity.
+    # xi is |A| at b = -a_chi and 0 elsewhere.  Characters and points share
+    # the exponent tuples, and chi(a) is zeta_e^(sum (e/n_k) chi_k a_k).
     e = domain.exponent
     powers = root_power_table(e)
-    gens = domain.dual_generators()
+    scales = [e // n for n in domain.factors]
     elements = list(domain.elements())
     sums: dict = {}
-    for chi in domain.characters():
-        b = tuple(
-            -(form.exponent_of(chi, g) // (e // n)) % n for g, n in zip(gens, domain.factors)
-        )
+    for chi in elements:
+        b = tuple(-x % n for x, n in zip(form.point(chi), domain.factors))
         for a in elements:
             acc = sums.setdefault((a, b), [0] * len(powers[0]))
-            for idx, c in enumerate(powers[chi.exponent_at(a)]):
+            k = sum(s * c * x for s, c, x in zip(scales, chi, a)) % e
+            for idx, c in enumerate(powers[k]):
                 acc[idx] += c
-    terms = {}
-    for (a, b), coeffs in sorted(sums.items()):
-        scalar = CycScalar._make(e, domain.order, tuple(coeffs))
-        if scalar:
-            terms[(incl_left.apply(a), incl_right.apply(b))] = scalar
+    return [(ab, tuple(c)) for ab, c in sorted(sums.items()) if any(c)]
+
+
+def _character_sum(
+    domain: AbelianGroup, incl_left: Inclusion, incl_right: Inclusion, form: BiForm
+) -> GATensor:
+    e, order = domain.exponent, domain.order
+    left, right = incl_left.forward, incl_right.forward
+    terms = {
+        (left[a], right[b]): CycScalar._make(e, order, c)
+        for (a, b), c in character_table(domain, form)
+    }
     return GATensor(incl_left.group, 2, terms)
 
 
@@ -503,7 +512,7 @@ def _twist_report(
     return report
 
 
-def koszul_twist(datum: QTDatum) -> KoszulTwist:
+def koszul_twist(datum: QTDatum, r: GATensor) -> KoszulTwist:
     """Twist from a triangular datum into the sign-braided Z/2-graded category.
 
     Builds the comparison form beta_u through restriction to the subgroup
@@ -512,12 +521,12 @@ def koszul_twist(datum: QTDatum) -> KoszulTwist:
     F = (1/|A|) sum chi(a) (a x -a_chi) with gamma(chi, xi) = xi(a_chi); gamma
     may be degenerate, so several chi can share a point.  The split is
     exact: beta(chi, chi) = chi(u) = beta_u(chi, chi) for every character, so
-    the ratio is alternating.  All three twist conditions are verified
+    the ratio is alternating.  R is the datum's element, ``build_r(datum)``,
+    which the caller supplies.  All three twist conditions are verified
     exactly and reported; a failure shows as failed checks with witnesses.
     """
     if not datum.triangular:
         raise DatumError("the twist construction applies to triangular data")
-    r = build_r(datum)
     u = markov_element(r)
     u_idx = u.grouplike_index()
     incl = datum.incl_left

@@ -8,12 +8,19 @@ it.  Run it with
 ``build_r`` is timed on the first datum of the Z2xZ2 and D4 catalogs that
 builds a 16-term element, and ``koszul_twist`` (F, its solved form and the
 three twist checks) on the first triangular D4 datum on the Klein group.
+``enumerate_qt`` is timed on Z2xZ2 and D4 from fresh inclusions and forms
+(every datum validated and keyed, R built once per dedup class; the
+structures are verified later, on first read), and ``QTDatum`` construction
+over the 226 Z2xZ2 data, whose inclusions and forms have already decided
+their facts, so each datum costs its eight checks as lookups.
 """
 
 import pytest
 
 from qtriang.acceptance import qt_catalog, triangular_catalog
-from qtriang.rmatrix import build_r, koszul_twist
+from qtriang.classify import enumerate_qt
+from qtriang.groups import bundled_group
+from qtriang.rmatrix import QTDatum, build_r, koszul_twist
 
 
 @pytest.mark.parametrize("name", ["Z2xZ2", "D4"])
@@ -28,5 +35,19 @@ def test_build_r(benchmark, name):
 
 def test_koszul_twist_d4_klein(benchmark):
     datum = next(d for d in triangular_catalog("D4").data if d.domain.factors == (2, 2))
-    result = benchmark(koszul_twist, datum)
+    result = benchmark(koszul_twist, datum, build_r(datum))
     assert result.all_passed
+
+
+@pytest.mark.parametrize("name,data,classes", [("Z2xZ2", 226, 16), ("D4", 58, 8)])
+def test_enumerate_qt(benchmark, name, data, classes):
+    catalog = benchmark(enumerate_qt, bundled_group(name))
+    assert (len(catalog), len(catalog.dedup)) == (data, classes)
+
+
+def test_qtdatum_construction_z2xz2(benchmark):
+    parts = [
+        (d.group, d.domain, d.incl_left, d.incl_right, d.beta) for d in qt_catalog("Z2xZ2").data
+    ]
+    built = benchmark(lambda: [QTDatum(*p) for p in parts])
+    assert len(built) == 226

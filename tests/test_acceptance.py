@@ -83,12 +83,13 @@ def _fails_with(fn, count_line, first):
 
 def test_run_all_reads_each_structure_once(monkeypatch):
     # On fresh caches the suite enumerates each group's catalog once (340
-    # data); criterion 1 enumerates Z2 (2 data) again to time it.  Each of
-    # the 44 distinct structures is verified once and builds one Braiding,
+    # data); criterion 1 enumerates Z2 (2 data) again to time it.  R is
+    # built once per dedup class: 44 distinct structures, and Z2's 2 again.
+    # Each distinct structure is verified once and builds one Braiding,
     # which the triangular view and criteria 3, 6, 7 and 10 share.  A
     # separately built triangular catalog and a Braiding per criterion took
     # 68 verify_qt calls, 404 build_r calls and 66 Braidings in criteria
-    # 6, 7 and 10.
+    # 6, 7 and 10; building R for every datum took 342 build_r calls.
     acceptance.qt_catalog.cache_clear()
     counts = Counter()
 
@@ -105,7 +106,25 @@ def test_run_all_reads_each_structure_once(monkeypatch):
     count(classify, "build_r")
     count(Braiding, "__init__")
     acceptance.run_all(emit=None)
-    assert counts == {"verify_qt": 44, "build_r": 342, "__init__": 44}, counts
+    assert counts == {"verify_qt": 44, "build_r": 46, "__init__": 44}, counts
+
+
+def test_criterion_09_twists_with_each_structures_r(monkeypatch):
+    # Each triangular datum is twisted with the R its dedup class already
+    # holds, so on warm catalogs the criterion builds no R; it built one per
+    # datum, 62 in all.
+    for name in CATALOG_NAMES:
+        acceptance.triangular_catalog(name)
+    calls = []
+    for module in (rmatrix, classify):
+        real = module.build_r
+        monkeypatch.setattr(
+            module, "build_r", lambda datum, real=real: calls.append(datum) or real(datum)
+        )
+    result = acceptance.criterion_9()
+    assert result.passed
+    assert result.details == "62 triangular entries twisted, 0 failures"
+    assert calls == []
 
 
 def test_criterion_04_checks_class_facts_once_per_class(monkeypatch):

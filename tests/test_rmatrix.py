@@ -83,22 +83,59 @@ def test_build_r_s3_passes_verifier():
 
 
 def test_datum_validation_errors():
-    from qtriang.groups import Inclusion
+    # Each of the eight checks, by its exact message.  Each bad datum comes
+    # after a valid datum sharing its inclusions and forms, so a fact an
+    # Inclusion or a BiForm keeps cannot hide the failure.
+    def rejects(message, *args):
+        for _ in range(2):
+            with pytest.raises(DatumError) as info:
+                QTDatum(*args)
+            assert str(info.value) == message
 
-    s3 = bundled_group("S3")
+    z2, d4, q8, v4 = (bundled_group(n) for n in ("Z2", "D4", "Q8", "Z2xZ2"))
     a2 = AbelianGroup((2,))
-    # order-2 subgroups of S3 are not normal
-    assert normal_inclusions(a2, s3) == []
-    nonnormal = Inclusion(s3, a2, (2,))
+    incl = normal_inclusions(a2, z2)[0]
     beta2 = enumerate_biforms(a2, nondegenerate=True)[0]
-    with pytest.raises(DatumError):
-        QTDatum(s3, a2, nonnormal, nonnormal, beta2)
-    # degenerate form rejected
-    g = bundled_group("Z2")
-    a = AbelianGroup((2,))
-    incl = normal_inclusions(a, g)[0]
-    with pytest.raises(DatumError):
-        QTDatum(g, a, incl, incl, BiForm(a, ((0,),)))
+    QTDatum(z2, a2, incl, incl, beta2)
+    rejects("inclusions do not land in the datum's group", v4, a2, incl, incl, beta2)
+    a4 = AbelianGroup((4,))
+    rejects("inclusions do not start from the datum's abelian group", z2, a4, incl, incl, beta2)
+    beta3 = BiForm(AbelianGroup((3,)), ((1,),))
+    rejects("form lives on the wrong character group", z2, a2, incl, incl, beta3)
+    # The centre of D4 is normal; the subgroup of one reflection is not.
+    centre = normal_inclusions(a2, d4)[0]
+    QTDatum(d4, a2, centre, centre, beta2)
+    reflection = Inclusion(d4, a2, (4,))
+    assert not reflection.is_normal()
+    rejects("left inclusion image is not normal", d4, a2, reflection, centre, beta2)
+    rejects("right inclusion image is not normal", d4, a2, centre, reflection, beta2)
+    # Q8's cyclic subgroups of order 4 are each normal, with different actions.
+    first, last = normal_inclusions(a4, q8)[0], normal_inclusions(a4, q8)[-1]
+    autos = first.conjugation_automorphisms()
+    beta4 = enumerate_biforms(a4, autos, nondegenerate=True, g_invariant=True)[0]
+    QTDatum(q8, a4, first, first, beta4)
+    QTDatum(q8, a4, last, last, beta4)
+    message = "inclusions induce different conjugation maps on the domain"
+    rejects(message, q8, a4, first, last, beta4)
+    degenerate = BiForm(a2, ((0,),))
+    assert not degenerate.is_nondegenerate()
+    rejects("form is degenerate", z2, a2, incl, incl, degenerate)
+    # A form on the Klein group that D4's conjugation moves is valid on Z2xZ2.
+    klein = subgroup_structure(d4, {0, 2, 4, 6})
+    autos = klein.conjugation_automorphisms()
+    invariant = enumerate_biforms(klein.domain, autos, nondegenerate=True, g_invariant=True)
+    candidates = enumerate_biforms(klein.domain, nondegenerate=True)
+    moved = next(f for f in candidates if f not in invariant)
+    whole = subgroup_structure(v4, set(range(4)))
+    QTDatum(v4, klein.domain, whole, whole, moved)
+    rejects("form is not conjugation-invariant", d4, klein.domain, klein, klein, moved)
+    # The automorphisms an inclusion keeps cannot be changed through a caller.
+    with pytest.raises(TypeError):
+        autos[0] = autos[-1]
+    with pytest.raises(TypeError):
+        autos[-1][0] = autos[-1][1]
+    assert klein.conjugation_automorphisms() == autos
+    assert len(autos) == 2
 
 
 def test_triangular_flag():
@@ -250,8 +287,12 @@ def test_pairing_dual_check_is_not_plain_symmetry():
     assert minimal_support(t).checks["alpha_dual_equals_antipode_composite"] is False
 
 
+def _twist(datum):
+    return koszul_twist(datum, build_r(datum))
+
+
 def test_koszul_twist_z2_is_trivial():
-    result = koszul_twist(z2_datum())
+    result = _twist(z2_datum())
     assert result.all_passed
     assert result.twist.is_unit()
     assert result.gamma.matrix == ((0,),)
@@ -260,7 +301,7 @@ def test_koszul_twist_z2_is_trivial():
 
 def test_koszul_twist_rejects_nontriangular():
     with pytest.raises(DatumError):
-        koszul_twist(s3_datum())
+        _twist(s3_datum())
 
 
 def _v4_datum(matrix):
@@ -274,7 +315,7 @@ def test_koszul_twist_with_trivial_markov():
     # antidiagonal form: trivial diagonal, so the Markov element is the identity
     datum = _v4_datum(((0, 1), (1, 0)))
     assert datum.triangular
-    result = koszul_twist(datum)
+    result = _twist(datum)
     assert result.all_passed
     assert markov_element(build_r(datum)).grouplike_index() == datum.group.identity
     assert result.base.is_unit()
@@ -288,7 +329,7 @@ def test_koszul_twist_with_nontrivial_markov():
     assert datum.triangular
     u = markov_element(build_r(datum)).grouplike_index()
     assert u != datum.group.identity
-    result = koszul_twist(datum)
+    result = _twist(datum)
     assert result.all_passed
     assert result.beta_u.matrix == ((1, 1), (1, 1))
     assert not result.base.is_unit()
@@ -305,7 +346,7 @@ def test_koszul_twist_d4_klein():
     assert forms
     for beta in forms:
         datum = QTDatum(d4, a, incl, incl, beta)
-        result = koszul_twist(datum)
+        result = _twist(datum)
         assert result.all_passed
 
 
@@ -314,7 +355,7 @@ def test_koszul_twist_diagonals_agree_on_every_triangular_datum():
     # alternating and its upper-triangular split is exact on every datum.
     for name in CATALOG_NAMES:
         for datum in triangular_catalog(name).data:
-            result = koszul_twist(datum)
+            result = _twist(datum)
             assert result.all_passed, (name, datum)
             for chi in datum.domain.characters():
                 assert datum.beta.exponent_of(chi, chi) == result.beta_u.exponent_of(chi, chi)
@@ -645,7 +686,7 @@ def test_character_sum_matches_quadruple_sum(name):
         assert _stored_form(build_r(datum)) == _stored_form(oracle)
         pairs.setdefault(datum.domain, (datum.incl_left, datum.incl_right))
     for datum in triangular_catalog(name).data:
-        result = koszul_twist(datum)
+        result = _twist(datum)
         oracle = _character_double_sum(datum.domain, datum.incl_left, datum.incl_left, result.gamma)
         assert _stored_form(result.twist) == _stored_form(oracle)
     for domain, (left, right) in pairs.items():
