@@ -33,7 +33,7 @@ from .rmatrix import (
     verify_qt,
     verify_unitary,
 )
-from .classify import Catalog, Structure, enumerate_qt
+from .classify import Catalog, enumerate_qt
 from .charring import (
     BraidedAction,
     ClassFunction,

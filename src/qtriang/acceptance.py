@@ -6,8 +6,8 @@ result, and is shared verbatim between the pytest suite and the CLI
 cached per process, so running the suite in order enumerates each group's
 catalog once (criterion 1 times its own enumeration of Z2).  The
 triangular catalog is a view of the full one, sharing its one
-``classify.Structure`` per dedup class, so each structure's report, Markov
-element, unitarity and ``Braiding`` are formed once per process: criteria
+``charring.Braiding`` per dedup class, so each structure's report, Markov
+element, unitarity and braided data are formed once per process: criteria
 6, 7 and 10 form R's braided data once per (structure, power), criterion 7
 reads one long-cycle trace table per (structure, representation, prime),
 and criterion 10 builds no matrix action.  Check results are not cached:
@@ -271,11 +271,11 @@ def criterion_6() -> CriterionResult:
         catalog = triangular_catalog(name)
         for members in catalog.dedup:
             structure = catalog.structures[members[0]]
-            braiding, u = structure.braiding, structure.markov.grouplike_index()
+            u = structure.markov.grouplike_index()
             for rep in _power_test_reps(name):
                 for n in range(4):
                     checked += len(members)
-                    left = braiding.exterior_power_char(rep, n)
+                    left = structure.exterior_power_char(rep, n)
                     if left != lambda_from_adams(rep.character(), n, u):
                         problems.extend((name, idx, rep.name, n) for idx in members)
     elapsed = time.perf_counter() - start
@@ -306,10 +306,10 @@ def criterion_7() -> CriterionResult:
         catalog = triangular_catalog(name)
         for members in catalog.dedup:
             structure = catalog.structures[members[0]]
-            braiding, u = structure.braiding, structure.markov.grouplike_index()
+            u = structure.markov.grouplike_index()
             for rep in _power_test_reps(name):
                 for p in (2, 3):
-                    root_tags = _cyclic_root_tags(catalog.group, rep, braiding, u, p)
+                    root_tags = _cyclic_root_tags(catalog.group, rep, structure, u, p)
                     for eps_power, tags in enumerate(root_tags, start=1):
                         checked += len(members)
                         if tags:
@@ -430,7 +430,7 @@ def criterion_9() -> CriterionResult:
         for idx, (datum, structure) in enumerate(zip(catalog.data, catalog.structures)):
             checked += 1
             try:
-                twist = koszul_twist(datum, structure.rmatrix)
+                twist = koszul_twist(datum, structure.rmatrix, structure.markov)
             except ValueError as exc:
                 problems.append((name, idx, str(exc)))
                 continue
@@ -453,15 +453,15 @@ def criterion_10() -> CriterionResult:
     for name in CATALOG_NAMES:
         catalog = triangular_catalog(name)
         for members in catalog.dedup:
-            braiding = catalog.structures[members[0]].braiding
+            structure = catalog.structures[members[0]]
             for rep in _test_reps(name):
                 for n in (2, 3):
                     if rep.dim**n > DIMENSION_CAP:
                         continue
                     checked += len(members)
                     try:
-                        braiding.check(rep, n)
-                        braiding.validate(rep, n)
+                        structure.check(rep, n)
+                        structure.validate(rep, n)
                     except ValueError as exc:
                         problems.extend((name, idx, rep.name, n, str(exc)) for idx in members)
     elapsed = time.perf_counter() - start

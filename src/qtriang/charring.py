@@ -7,9 +7,9 @@ of that statement concretely: matrix representations with their braided
 symmetric-group actions, exterior powers and the traces of the braided
 long cycle behind the cyclic operations on one side; class functions with
 twisted Adams operations and the Newton-type lambda/sigma recursions on
-the other.  One ``Braiding`` per R serves every representation: it forms
-R R21, the braided differences and memoized words (X, pi), X in k[G]^(x)n,
-whose traces are read from R's terms and the character; d^n generators are
+the other.  One ``Braiding`` per R holds its report, Markov element, R R21,
+braided differences and memoized words (X, pi), X in k[G]^(x)n, whose
+traces are read from R's terms and the character; d^n generators are
 multiplied only for an R that fails a braided identity.  All is exact.
 """
 
@@ -25,7 +25,9 @@ from .cyclotomic import CycScalar, times
 from .groups import FiniteGroup, closure, subgroup_structure
 from .hopf import GATensor, difference_witness
 from .linalg import Matrix
-from .rmatrix import commutes_with_diagonal, leg_products, markov_element
+from .rmatrix import (
+    VerificationReport, commutes_with_diagonal, leg_products, markov_element, verify_qt
+)
 
 #: Largest tensor-power dimension handled by the braided-action machinery.
 DIMENSION_CAP = 4096
@@ -384,12 +386,12 @@ class BraidedAction:
 
 
 class Braiding:
-    """What braided actions need from one R-matrix, each part formed on first use.
+    """One R-matrix and all that is read from it, each part formed on first use.
 
-    R R21 (``square``), the braided differences (``differences``), the
-    (X, pi) word walker (``words``) and the long cycle's powers
-    (``cycle_powers``), kept per tensor power n, depend on R and n alone:
-    one ``Braiding`` serves every representation.
+    ``report``, ``markov`` (u, and ``markov_index``), R R21 (``square``,
+    ``unitary``), and per tensor power n the braided differences, the
+    (X, pi) word walker and the long cycle's powers depend on R alone: one
+    ``Braiding`` serves a catalog's dedup class and every representation.
     """
 
     def __init__(self, rmatrix: GATensor):
@@ -399,15 +401,39 @@ class Braiding:
         self.cycle_powers = functools.cache(self._cycle_powers)
 
     @functools.cached_property
+    def report(self) -> VerificationReport:
+        return verify_qt(self.rmatrix)
+
+    @functools.cached_property
+    def markov(self) -> GATensor:
+        return markov_element(self.rmatrix)
+
+    @functools.cached_property
+    def markov_index(self) -> int:
+        """The index of u, which must be a grouplike central involution."""
+        if not self.markov.is_grouplike():
+            raise ValueError("the R-matrix has no grouplike Markov element")
+        idx = self.markov.grouplike_index()
+        group = self.rmatrix.group
+        if group.table[idx][idx] != group.identity or idx not in group.center():
+            raise ValueError("the Markov element is not a central involution")
+        return idx
+
+    @functools.cached_property
     def square(self) -> GATensor:
         """R R21."""
         return self.rmatrix * self.rmatrix.swap()
+
+    @functools.cached_property
+    def unitary(self) -> bool:
+        """R R21 = 1, as ``verify_unitary`` decides it."""
+        return self.square.is_unit()
 
     def check(self, rep: MatrixRep, power: int):
         """Raise what a braided action on rho^(x)power refuses, in order."""
         if self.rmatrix.group != rep.group:
             raise ValueError("representation and R-matrix live over different groups")
-        if not self.square.is_unit():
+        if not self.unitary:
             raise ValueError("the symmetric-group action needs a unitary R-matrix")
         if rep.dim**power > DIMENSION_CAP:
             raise ValueError(
@@ -509,6 +535,7 @@ class Braiding:
         d^n matrix, from the same signed words as products of the generators,
         and checked against g^(x)n; a failure's ``witness`` names the first
         differing entry (row-major) and, for equivariance, the element g.
+        Degrees n >= 7, with n! > ``DIMENSION_CAP`` signed words, are refused first.
         """
         group = rep.group
         if n < 0:
@@ -517,6 +544,8 @@ class Braiding:
             return ClassFunction.constant(group, 1)
         if n == 1:
             return rep.character()
+        if _too_many_words(n):
+            raise ValueError(f"exterior power degree {n} has over {DIMENSION_CAP} signed words")
         self.check(rep, n)
         words = [tuple(_adjacent_word(perm)) for perm in itertools.permutations(range(n))]
         signed = [(-1 if len(word) % 2 else 1, word) for word in words]
@@ -551,7 +580,7 @@ class Braiding:
         sum over the terms of one tensor.
         """
         group = rep.group
-        u = _markov_index(self.rmatrix)
+        u = self.markov_index
         self.check(rep, p)
         center = group.center()
         acted = [group.table[u][z] for z in center]
@@ -590,6 +619,11 @@ def _image(rep: MatrixRep, tensor: GATensor) -> Matrix:
     cols = {j: kept for j, col in acc.items() if (kept := {i: v for i, v in col.items() if any(v)})}
     dim = d**tensor.arity
     return Matrix._make(dim, dim, order, cden * mden**tensor.arity, cols)
+
+
+def _too_many_words(n: int) -> bool:
+    """n! > DIMENSION_CAP; the running products stop at the first one above the cap."""
+    return any(f > DIMENSION_CAP for f in itertools.accumulate(range(1, n + 1), operator.mul))
 
 
 def _adjacent_word(perm) -> list[int]:
@@ -712,25 +746,13 @@ def exterior_power_char(rep: MatrixRep, rmatrix: GATensor, n: int) -> ClassFunct
     return Braiding(rmatrix).exterior_power_char(rep, n)
 
 
-def _markov_index(rmatrix: GATensor) -> int:
-    u = markov_element(rmatrix)
-    if not u.is_grouplike():
-        raise ValueError("the R-matrix has no grouplike Markov element")
-    idx = u.grouplike_index()
-    group = rmatrix.group
-    if group.table[idx][idx] != group.identity or idx not in group.center():
-        raise ValueError("the Markov element is not a central involution")
-    return idx
-
-
 def qtrace(rep: MatrixRep, rmatrix: GATensor, endo: Matrix) -> CycScalar:
     """Categorical trace of an equivariant endomorphism: trace of u then f."""
     group = rep.group
     for g in group.elements():
         if endo @ rep.matrix(g) != rep.matrix(g) @ endo:
             raise ValueError("endomorphism does not commute with the group action")
-    u = _markov_index(rmatrix)
-    return (rep.matrix(u) @ endo).trace()
+    return (rep.matrix(Braiding(rmatrix).markov_index) @ endo).trace()
 
 
 def _cyclic_value(traces: list[CycScalar], eps: CycScalar) -> CycScalar:

@@ -12,9 +12,9 @@ dedup classes rather than being interpreted away.  A class is keyed by
 fixes e and |A|: its coefficients are stored at order e, its left support
 is i(A).  At a fixed order and denominator ``CycScalar._make`` is
 injective, so keys are equal exactly when the stored elements are, and R
-is built once per class.  Each class is one ``Structure``, whose checks
-are run once, on first use.  The triangular catalog is a view of the
-full one.
+is built once per class.  Each class is one ``charring.Braiding`` of its
+R, whose report, Markov element, unitarity and braided data are formed
+once, on first use.  The triangular catalog is a view of the full one.
 
 Completeness of this parametrization is inherited from the classification
 theorem for group algebras and is not re-verified by search (the ground
@@ -36,10 +36,7 @@ from .groups import (
     same_module_structure,
     subgroup_structure,
 )
-from .hopf import GATensor
-from .rmatrix import (
-    QTDatum, VerificationReport, build_r, character_table, markov_element, verify_qt
-)
+from .rmatrix import QTDatum, build_r, character_table
 
 COMPLETENESS_NOTE = (
     "every listed structure is verified exactly; completeness of the list "
@@ -48,37 +45,13 @@ COMPLETENESS_NOTE = (
 )
 
 
-@dataclass(eq=False)
-class Structure:
-    """One distinct element of a catalog; what is read from it is formed on first use."""
-
-    rmatrix: GATensor
-
-    @cached_property
-    def report(self) -> VerificationReport:
-        return verify_qt(self.rmatrix)
-
-    @cached_property
-    def markov(self) -> GATensor:
-        return markov_element(self.rmatrix)
-
-    @cached_property
-    def braiding(self) -> Braiding:
-        return Braiding(self.rmatrix)
-
-    @cached_property
-    def unitary(self) -> bool:
-        """R R21 = 1 (``verify_unitary``), from the R R21 the braiding keeps."""
-        return self.braiding.square.is_unit()
-
-
 @dataclass
 class Catalog:
-    """All structures found on one group; the data of a dedup class share one ``Structure``."""
+    """All structures found on one group; the data of a dedup class share one ``Braiding``."""
 
     group: FiniteGroup
     data: list[QTDatum] = field(default_factory=list)
-    structures: list[Structure] = field(default_factory=list)
+    structures: list[Braiding] = field(default_factory=list)
     dedup: list[list[int]] = field(default_factory=list)
 
     def __len__(self) -> int:
@@ -136,7 +109,7 @@ def _catalog(group: FiniteGroup, data: list[QTDatum]) -> Catalog:
         terms = sorted((left[a], right[b], c) for (a, b), c in tables[beta])
         key = (domain.exponent, domain.order, tuple(terms))
         if key not in classes:
-            classes[key] = (Structure(build_r(datum)), [])
+            classes[key] = (Braiding(build_r(datum)), [])
         structure, members = classes[key]
         catalog.structures.append(structure)
         members.append(idx)

@@ -30,6 +30,7 @@ from .charring import (
     standard_characters,
     standard_reps,
     _cyclic_value,
+    _too_many_words,
 )
 from .classify import COMPLETENESS_NOTE, enumerate_qt
 from .cyclotomic import ORDER_CAP, root_of_unity
@@ -264,11 +265,13 @@ def _cmd_lambda(args):
 
 def _cmd_exterior(args):
     _check_degree(args)
+    if _too_many_words(args.n):
+        raise InputError(f"exterior power degree {args.n} has over {DIMENSION_CAP} signed words")
     _check_prime(args)
     tensor, group, _ = _load_rmatrix(args)
-    u = markov_element(tensor)
-    u_idx = u.grouplike_index()
     braiding = Braiding(tensor)
+    u = braiding.markov
+    u_idx = u.grouplike_index()
     rows = []
     ok = True
     for rep in standard_reps(group):
@@ -305,7 +308,8 @@ def _cmd_koszul_twist(args):
     if not args.datum:
         raise InputError("koszul-twist needs --datum")
     datum, group = _read(args, args.datum, jsonio.datum_from_json)
-    twist = koszul_twist(datum, build_r(datum))
+    r = build_r(datum)
+    twist = koszul_twist(datum, r, markov_element(r))
     doc = {
         "command": "koszul-twist",
         "group": group.name,

@@ -512,7 +512,7 @@ def _twist_report(
     return report
 
 
-def koszul_twist(datum: QTDatum, r: GATensor) -> KoszulTwist:
+def koszul_twist(datum: QTDatum, r: GATensor, u: GATensor) -> KoszulTwist:
     """Twist from a triangular datum into the sign-braided Z/2-graded category.
 
     Builds the comparison form beta_u through restriction to the subgroup
@@ -521,13 +521,12 @@ def koszul_twist(datum: QTDatum, r: GATensor) -> KoszulTwist:
     F = (1/|A|) sum chi(a) (a x -a_chi) with gamma(chi, xi) = xi(a_chi); gamma
     may be degenerate, so several chi can share a point.  The split is
     exact: beta(chi, chi) = chi(u) = beta_u(chi, chi) for every character, so
-    the ratio is alternating.  R is the datum's element, ``build_r(datum)``,
-    which the caller supplies.  All three twist conditions are verified
+    the ratio is alternating.  The caller supplies R = ``build_r(datum)`` and
+    u = ``markov_element(r)``.  All three twist conditions are verified
     exactly and reported; a failure shows as failed checks with witnesses.
     """
     if not datum.triangular:
         raise DatumError("the twist construction applies to triangular data")
-    u = markov_element(r)
     u_idx = u.grouplike_index()
     incl = datum.incl_left
     domain = datum.domain

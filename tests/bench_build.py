@@ -20,7 +20,7 @@ import pytest
 from qtriang.acceptance import qt_catalog, triangular_catalog
 from qtriang.classify import enumerate_qt
 from qtriang.groups import bundled_group
-from qtriang.rmatrix import QTDatum, build_r, koszul_twist
+from qtriang.rmatrix import QTDatum, build_r, koszul_twist, markov_element
 
 
 @pytest.mark.parametrize("name", ["Z2xZ2", "D4"])
@@ -35,7 +35,8 @@ def test_build_r(benchmark, name):
 
 def test_koszul_twist_d4_klein(benchmark):
     datum = next(d for d in triangular_catalog("D4").data if d.domain.factors == (2, 2))
-    result = benchmark(koszul_twist, datum, build_r(datum))
+    r = build_r(datum)
+    result = benchmark(koszul_twist, datum, r, markov_element(r))
     assert result.all_passed
 
 

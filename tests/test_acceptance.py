@@ -16,9 +16,10 @@ every datum of that group in the count, so no group may reuse another
 group's answer.
 """
 
+import sys
 from collections import Counter
 
-from qtriang import acceptance, classify, linalg, rmatrix
+from qtriang import acceptance, charring, classify, linalg, rmatrix
 from qtriang.charring import Braiding, ClassFunction
 from qtriang.cyclotomic import CycScalar
 from qtriang.groups import CATALOG_NAMES
@@ -81,15 +82,32 @@ def _fails_with(fn, count_line, first):
     assert f"; first: {first}" in result.details, result.details
 
 
+def _count_markov_elements(monkeypatch, counts):
+    """Count ``markov_element`` calls through every qtriang module that binds it."""
+    real = rmatrix.markov_element
+
+    def counting(*args):
+        counts["markov_element"] += 1
+        return real(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "qtriang" and getattr(module, "markov_element", None) is real:
+            monkeypatch.setattr(module, "markov_element", counting)
+
+
 def test_run_all_reads_each_structure_once(monkeypatch):
     # On fresh caches the suite enumerates each group's catalog once (340
     # data); criterion 1 enumerates Z2 (2 data) again to time it.  R is
     # built once per dedup class: 44 distinct structures, and Z2's 2 again.
-    # Each distinct structure is verified once and builds one Braiding,
-    # which the triangular view and criteria 3, 6, 7 and 10 share.  A
-    # separately built triangular catalog and a Braiding per criterion took
-    # 68 verify_qt calls, 404 build_r calls and 66 Braidings in criteria
-    # 6, 7 and 10; building R for every datum took 342 build_r calls.
+    # Each dedup class is one Braiding, built with its catalog (44, and
+    # Z2's 2 again), which the triangular view and every criterion share:
+    # it is verified once, and the 22 distinct triangular structures form
+    # their Markov element once.  A separately built triangular catalog and
+    # a Braiding per criterion took 68 verify_qt calls, 404 build_r calls
+    # and 66 Braidings in criteria 6, 7 and 10; building R for every datum
+    # took 342 build_r calls; forming u outside the Braiding took 270
+    # Markov elements (22 in criterion 4, 186 in criterion 7 and 62 in
+    # criterion 9).
     acceptance.qt_catalog.cache_clear()
     counts = Counter()
 
@@ -102,11 +120,29 @@ def test_run_all_reads_each_structure_once(monkeypatch):
 
         monkeypatch.setattr(owner, attr, counting)
 
-    count(classify, "verify_qt")
+    count(charring, "verify_qt")
     count(classify, "build_r")
     count(Braiding, "__init__")
+    _count_markov_elements(monkeypatch, counts)
     acceptance.run_all(emit=None)
-    assert counts == {"verify_qt": 44, "build_r": 46, "__init__": 44}, counts
+    expected = {"verify_qt": 44, "build_r": 46, "__init__": 46, "markov_element": 22}
+    assert counts == expected, counts
+
+
+def test_criteria_07_09_read_each_structures_markov_element(monkeypatch):
+    # On fresh catalogs criterion 4 forms the Markov element of each of the
+    # 22 distinct triangular structures; criteria 7 and 9 then read it from
+    # the structure's Braiding.  They formed it once per long-cycle trace
+    # table (186) and once per triangular datum (62).
+    acceptance.qt_catalog.cache_clear()
+    counts = Counter()
+    _count_markov_elements(monkeypatch, counts)
+    formed = []
+    for criterion in (acceptance.criterion_4, acceptance.criterion_7, acceptance.criterion_9):
+        before = counts["markov_element"]
+        assert criterion().passed
+        formed.append(counts["markov_element"] - before)
+    assert formed == [22, 0, 0]
 
 
 def test_criterion_09_twists_with_each_structures_r(monkeypatch):

@@ -17,7 +17,7 @@ from qtriang.groups import (
 )
 from qtriang.hopf import GATensor
 from qtriang.linalg import Matrix
-from qtriang.rmatrix import QTDatum, build_r, leg_products, markov_element
+from qtriang.rmatrix import QTDatum, build_r, leg_products, markov_element, verify_qt
 from qtriang.charring import (
     BraidedAction,
     Braiding,
@@ -562,6 +562,78 @@ def test_exterior_power_base_cases():
     assert exterior_power_char(rep, r, 1) == rep.character()
 
 
+def test_exterior_power_refuses_degrees_beyond_the_word_cap(monkeypatch):
+    # 6! = 720 signed words fit under DIMENSION_CAP = 4096 and 7! = 5040 do
+    # not.  A 1-dimensional rep passes the d^n cap at every n, so the
+    # refusal is decided on n alone, before ``check`` and before any word
+    # is formed, and for a huge n without forming n!.
+    assert not charring._too_many_words(6) and charring._too_many_words(7)
+
+    def no_words(*args):
+        raise AssertionError("a word or d^n was formed")
+
+    monkeypatch.setattr(Braiding, "_words", no_words)
+    monkeypatch.setattr(Braiding, "check", no_words)
+    monkeypatch.setattr(charring, "_adjacent_word", no_words)
+    for n in (7, 8, 10**12):
+        message = f"exterior power degree {n} has over 4096 signed words"
+        with pytest.raises(ValueError, match=message):
+            exterior_power_char(sign_rep(), koszul(), n)
+
+
+def test_braiding_forms_what_it_reads_once(monkeypatch):
+    # Read twice, ``report``, ``markov``, ``unitary`` and ``markov_index``
+    # make one ``verify_qt`` call, one ``markov_element`` call and one
+    # GATensor product, R R21, outside them.
+    r = koszul()
+    formed, calls = {"verify_qt": verify_qt(r), "markov_element": markov_element(r)}, Counter()
+
+    def formed_once(name):
+        def stub(tensor):
+            assert tensor is r
+            calls[name] += 1
+            return formed[name]
+
+        monkeypatch.setattr(charring, name, stub)
+
+    formed_once("verify_qt")
+    formed_once("markov_element")
+    real_mul = GATensor.__mul__
+
+    def mul(left, right):
+        calls["product"] += 1
+        return real_mul(left, right)
+
+    monkeypatch.setattr(GATensor, "__mul__", mul)
+    braiding = Braiding(r)
+    for _ in range(2):
+        assert braiding.report is formed["verify_qt"] and braiding.report.all_passed
+        assert braiding.markov is formed["markov_element"]
+        assert braiding.unitary is True
+        assert braiding.markov_index == 1
+    assert calls == {"verify_qt": 1, "markov_element": 1, "product": 1}
+
+
+def test_markov_index_refusals_come_before_check():
+    # u not grouplike, then u not a central involution, are refused before
+    # ``check`` would refuse the rep of another group.
+    z2, z4 = bundled_group("Z2"), bundled_group("Z4")
+    half = Fraction(1, 2)
+    cases = [
+        (GATensor(z2, 2, {(0, 0): half, (0, 1): half}), z4, "no grouplike Markov element"),
+        (GATensor(z4, 2, {(1, 0): 1}), z2, "not a central involution"),
+    ]
+    for r, other, message in cases:
+        rep = regular_rep(other)
+        with pytest.raises(ValueError, match=message):
+            Braiding(r).long_cycle_traces(rep, 2)
+        with pytest.raises(ValueError, match=message):
+            cyclic_operation_char(rep, r, 2, 1)
+        own = regular_rep(r.group)
+        with pytest.raises(ValueError, match=message):
+            qtrace(own, r, Matrix.identity(own.dim))
+
+
 def _first_dense_difference(left, right):
     for i, (a, b) in enumerate(zip(left.to_dense(), right.to_dense())):
         for j, (x, y) in enumerate(zip(a, b)):
@@ -836,10 +908,11 @@ def test_cyclic_operation_matches_projector_reference(name):
 
 
 def _fresh_catalogs():
-    """Enumerate the catalogs again, with no ``Structure`` read yet.
+    """Enumerate the catalogs again, with no structure read yet.
 
-    A ``Braiding`` binds its methods when it is built, so a patch of the
-    class reaches only the ones built after it; fresh catalogs also keep
+    Each dedup class is one ``Braiding``, built with its catalog, and a
+    ``Braiding`` binds its methods when it is built, so a patch of the class
+    reaches only the catalogs enumerated after it; fresh catalogs also keep
     the counts below from depending on which tests ran first.
     """
     acceptance.qt_catalog.cache_clear()
@@ -849,10 +922,12 @@ def _fresh_catalogs():
 
 
 def _count_work(monkeypatch, criteria, **counted):
-    """Run criteria in order; count GATensor and Matrix products,
-    ``BraidedAction`` builds and the calls of each ``Braiding`` method named
-    in ``counted`` (a name mapped to the argument index that is recorded).
-    Returns the counts of each criterion and the recorded arguments."""
+    """Install counters, enumerate fresh catalogs, then run criteria in order.
+
+    Counts GATensor and Matrix products, ``BraidedAction`` builds and the
+    calls of each ``Braiding`` method named in ``counted`` (a name mapped
+    to the argument index that is recorded).  Returns the counts of the
+    enumeration, then of each criterion, and the recorded arguments."""
     counts, recorded = Counter(), {name: [] for name in counted}
 
     def counting(owner, attr, key):
@@ -871,7 +946,8 @@ def _count_work(monkeypatch, criteria, **counted):
     counting(charring, "BraidedAction", "action")
     for name in counted:
         counting(Braiding, name, name)
-    out = []
+    _fresh_catalogs()
+    out = [counts.copy()]
     for criterion in criteria:
         before = counts.copy()
         assert criterion().passed
@@ -881,8 +957,7 @@ def _count_work(monkeypatch, criteria, **counted):
 
 def _count_criterion_work(monkeypatch, criterion, **counted):
     """Run one criterion on fresh catalogs and count its work (``_count_work``)."""
-    _fresh_catalogs()
-    (counts,), recorded = _count_work(monkeypatch, [criterion], **counted)
+    (_, counts), recorded = _count_work(monkeypatch, [criterion], **counted)
     return counts, recorded
 
 
@@ -946,12 +1021,11 @@ def test_criterion_10_forms_braiding_differences_once_per_structure_and_power(mo
 
 def test_criteria_06_07_10_share_each_structures_braiding(monkeypatch):
     # On the same catalogs the three criteria read one ``Braiding`` per
-    # distinct triangular structure, held by its ``Structure``.  Criterion 6
-    # forms R R21, the words and the differences at n <= 3; criterion 7 then
-    # forms only tau^2 = tau tau at p = 3, one product per structure; and
-    # criterion 10 forms nothing.  Each building its own ``Braiding`` took
-    # 176, 66 and 110 products.
-    _fresh_catalogs()
+    # distinct triangular structure, the one its catalog built for its dedup
+    # class, and build none.  Criterion 6 forms R R21, the words and the
+    # differences at n <= 3; criterion 7 then forms only tau^2 = tau tau at
+    # p = 3, one product per structure; and criterion 10 forms nothing.
+    # Each building its own ``Braiding`` took 176, 66 and 110 products.
     real_powers, real_mul = Braiding._cycle_powers, GATensor.__mul__
     inside, products_at = [], Counter()
 
@@ -969,11 +1043,19 @@ def test_criteria_06_07_10_share_each_structures_braiding(monkeypatch):
     monkeypatch.setattr(Braiding, "_cycle_powers", powers)
     monkeypatch.setattr(GATensor, "__mul__", mul)
     criteria = [acceptance.criterion_6, acceptance.criterion_7, acceptance.criterion_10]
-    per_criterion, recorded = _count_work(monkeypatch, criteria, __init__=1)
+    (build, *per_criterion), recorded = _count_work(
+        monkeypatch, criteria, __init__=0, exterior_power_char=0, long_cycle_traces=0, check=0
+    )
+    assert build["tensor"] == 0 and build["__init__"] == 44  # one per distinct structure
     assert [c["tensor"] for c in per_criterion] == [176, 22, 0]
     assert products_at == {None: 176, 3: 22}
-    assert [c["__init__"] for c in per_criterion] == [22, 0, 0]
-    assert len({id(r) for r in recorded["__init__"]}) == 22
+    assert [c["__init__"] for c in per_criterion] == [0, 0, 0]
+    triangular = {
+        id(s) for name in CATALOG_NAMES for s in acceptance.triangular_catalog(name).structures
+    }
+    assert len(triangular) == 22
+    for method in ("exterior_power_char", "long_cycle_traces", "check"):
+        assert {id(b) for b in recorded[method]} == triangular, method
     assert all(c["matrix"] == c["action"] == 0 for c in per_criterion)
 
 

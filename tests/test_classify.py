@@ -14,7 +14,7 @@ from qtriang.groups import (
     same_module_structure,
     subgroup_structure,
 )
-from qtriang import classify
+from qtriang import charring
 from qtriang.acceptance import qt_catalog, triangular_catalog
 from qtriang.classify import _catalog, _enumerate_data, enumerate_qt
 from qtriang.hopf import GATensor
@@ -116,7 +116,7 @@ def test_verify_qt_runs_once_per_exact_form(monkeypatch):
         calls.append(tensor)
         return verify_qt(tensor)
 
-    monkeypatch.setattr(classify, "verify_qt", counting_verify_qt)
+    monkeypatch.setattr(charring, "verify_qt", counting_verify_qt)
     cat = enumerate_qt(bundled_group("D4"))
     assert len(cat) == 58
     assert calls == []  # a structure verifies on first read, once

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from qtriang import classify, jsonio
+from qtriang import charring, cli, jsonio
 from qtriang.cli import build_parser, main
 from qtriang.cyclotomic import CycScalar, root_of_unity
 from qtriang.groups import (
@@ -123,13 +123,13 @@ def test_cli_classify_triangular_verifies_each_triangular_class_once(workdir, mo
     # The triangular catalog is a view of the full one: only the structures
     # of triangular data are verified, 22 over the seven groups.
     calls = []
-    real = classify.verify_qt
+    real = charring.verify_qt
 
     def counting(tensor):
         calls.append(tensor)
         return real(tensor)
 
-    monkeypatch.setattr(classify, "verify_qt", counting)
+    monkeypatch.setattr(charring, "verify_qt", counting)
     distinct = 0
     for name in CATALOG_NAMES:
         assert main(["classify", "--group", name, "--triangular", "--out", "t.json"]) == 0
@@ -333,6 +333,29 @@ def test_cli_bad_option_values_are_input_errors(workdir, capsys, argv, message):
     _write(workdir / "datum.json", z2_datum_doc())
     assert main(argv) == 2
     assert json.loads(capsys.readouterr().out)["error"] == {"kind": "input", "message": message}
+
+
+@pytest.mark.parametrize("n", [7, 1000000000000])
+def test_cli_exterior_refuses_degrees_beyond_the_word_cap(workdir, capsys, monkeypatch, n):
+    # 7! signed words exceed DIMENSION_CAP; the degree is refused before any
+    # input is read, any representation is built or any word is formed.
+    def fail(*args):
+        raise AssertionError("work was done for a refused degree")
+
+    monkeypatch.setattr(charring.Braiding, "_words", fail)
+    monkeypatch.setattr(charring, "_adjacent_word", fail)
+    monkeypatch.setattr(cli, "standard_reps", fail)
+    monkeypatch.setattr(cli, "_load_rmatrix", fail)
+    _write(workdir / "datum.json", z2_datum_doc())
+    assert main(["exterior", "--datum", "datum.json", "--n", str(n)]) == 2
+    message = f"exterior power degree {n} has over 4096 signed words"
+    assert json.loads(capsys.readouterr().out)["error"] == {"kind": "input", "message": message}
+
+
+def test_cli_lambda_has_no_word_cap(capsys):
+    # lambda^n is a Newton recursion on class functions and forms no word.
+    assert main(["lambda", "--group", "Z2", "--u", "1", "--n", "7"]) == 0
+    assert json.loads(capsys.readouterr().out)["n"] == 7
 
 
 def test_cli_unwritable_out_is_an_input_error(workdir, capsys):

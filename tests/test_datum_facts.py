@@ -241,7 +241,8 @@ def test_dedup_and_character_sums_match_the_stored_form_route(name):
     for idx, datum in enumerate(data):
         if not datum.triangular:
             continue
-        gamma = koszul_twist(datum, catalog.structures[idx].rmatrix).gamma
+        structure = catalog.structures[idx]
+        gamma = koszul_twist(datum, structure.rmatrix, structure.markov).gamma
         gammas.append(gamma)
         incl = datum.incl_left
         assert _stored_form(_character_sum(datum.domain, incl, incl, gamma)) == _stored_form(

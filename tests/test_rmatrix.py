@@ -288,7 +288,8 @@ def test_pairing_dual_check_is_not_plain_symmetry():
 
 
 def _twist(datum):
-    return koszul_twist(datum, build_r(datum))
+    r = build_r(datum)
+    return koszul_twist(datum, r, markov_element(r))
 
 
 def test_koszul_twist_z2_is_trivial():
