@@ -54,6 +54,15 @@ class GATensor:
         self.arity = arity
         self.terms = clean
 
+    @classmethod
+    def _make(cls, group: FiniteGroup, arity: int, terms: dict) -> "GATensor":
+        # Internal fast constructor: terms map arity-tuples of indices to nonzero CycScalars.
+        self = object.__new__(cls)
+        self.group = group
+        self.arity = arity
+        self.terms = terms
+        return self
+
     # -- constructors -------------------------------------------------------
 
     @classmethod
@@ -103,18 +112,23 @@ class GATensor:
         Term pairs add a1 * a2 at exponent e1 + e2 into their key's histogram
         over Z[C_n].  A key is read out once, at the lcm m of the orders of
         the pairs reaching it (the order a running scalar sum would keep, and
-        past the order cap the same ValueError).  Histograms are dense lists
-        while n is within the cap, else sparse.
+        past the order cap the same ValueError).  The slot for m starts at the
+        gcd of lcm(o1, o2) over the operands' order pairs: it divides each one.
+        Histograms are dense lists while n is within the cap, else sparse.
         """
         if not isinstance(other, GATensor):
             return self.scale(other)
         self._check_compatible(other)
-        n = math.lcm(*(v.order for t in (self, other) for v in t.terms.values()))
+        orders1, orders2 = ({v.order for v in t.terms.values()} for t in (self, other))
+        n = math.lcm(*orders1, *orders2)
+        start = math.gcd(*(math.lcm(o1, o2) for o1 in orders1 for o2 in orders2))
         den1, left = _spread(self.terms, n)
         den2, right = _spread(other.terms, n)
+        if start > ORDER_CAP:  # every pair's order is past the cap: the first pair raises
+            _widen(1, left[0][1], right[0][1])
         table = self.group.table
         # n exponent slots, then the order m so far at index n.
-        blank = [0] * n + [1] if n <= ORDER_CAP else None
+        blank = [0] * n + [start] if n <= ORDER_CAP else None
         acc = {}
         for k1, o1, e1, a1 in left:
             rows = [table[a] for a in k1]
@@ -122,7 +136,7 @@ class GATensor:
                 key = tuple(map(getitem, rows, k2))
                 hist = acc.get(key)
                 if hist is None:
-                    hist = acc[key] = blank.copy() if blank else defaultdict(int, {n: 1})
+                    hist = acc[key] = blank.copy() if blank else defaultdict(int, {n: start})
                 m = hist[n]
                 if m % o1 or m % o2:
                     hist[n] = _widen(m, o1, o2)
@@ -134,7 +148,7 @@ class GATensor:
             num = lift([hist[e] for e in range(0, n, n // m)], root_power_table(m))
             if any(num):
                 out[key] = CycScalar._make(m, den, num)
-        return GATensor(self.group, self.arity, out)
+        return GATensor._make(self.group, self.arity, out)
 
     def __matmul__(self, other: "GATensor") -> "GATensor":
         """Outer tensor product, concatenating legs."""
@@ -159,7 +173,7 @@ class GATensor:
         i = leg - 1
         for key, value in self.terms.items():
             acc[key[: i + 1] + (key[i],) + key[i + 1 :]] = value
-        return GATensor(self.group, self.arity + 1, acc)
+        return GATensor._make(self.group, self.arity + 1, acc)
 
     def counit(self, leg: int) -> "GATensor":
         """Sum out the chosen leg with weight 1 per group element."""
@@ -179,7 +193,7 @@ class GATensor:
         acc = {}
         for key, value in self.terms.items():
             acc[key[:i] + (inv[key[i]],) + key[i + 1 :]] = value
-        return GATensor(self.group, self.arity, acc)
+        return GATensor._make(self.group, self.arity, acc)
 
     def permute_legs(self, perm) -> "GATensor":
         """Rearrange legs: new leg k carries what old leg perm[k] carried (0-based)."""
@@ -189,7 +203,7 @@ class GATensor:
         acc = {}
         for key, value in self.terms.items():
             acc[tuple(key[p] for p in perm)] = value
-        return GATensor(self.group, self.arity, acc)
+        return GATensor._make(self.group, self.arity, acc)
 
     def swap(self) -> "GATensor":
         if self.arity != 2:
@@ -216,7 +230,7 @@ class GATensor:
             key[i - 1] = g
             key[j - 1] = h
             acc[tuple(key)] = value
-        return GATensor(self.group, total, acc)
+        return GATensor._make(self.group, total, acc)
 
     def adjoint_action(self, element: int, leg: int) -> "GATensor":
         """Conjugate the chosen leg by a group element."""
@@ -225,7 +239,7 @@ class GATensor:
         acc = {}
         for key, value in self.terms.items():
             acc[key[:i] + (self.group.conjugate(key[i], element),) + key[i + 1 :]] = value
-        return GATensor(self.group, self.arity, acc)
+        return GATensor._make(self.group, self.arity, acc)
 
     # -- predicates and solving ----------------------------------------------
 
@@ -352,6 +366,8 @@ def _widen(m: int, o1: int, o2: int) -> int:
 
 def first_difference(left: GATensor, right: GATensor):
     """The smallest tuple where two tensors differ, with both coefficients."""
+    if left.terms == right.terms:
+        return None
     zero = CycScalar.zero()
     for key in sorted(set(left.terms) | set(right.terms)):
         a = left.terms.get(key, zero)

@@ -240,8 +240,11 @@ def leg_products(r: GATensor) -> LegProducts:
 
 
 def _inverse_or_solve(x: GATensor, guess: GATensor) -> GATensor:
-    """``guess`` when it is a two-sided inverse of x, else the solve ``x.inverse()``."""
-    if (x * guess).is_unit() and (guess * x).is_unit():
+    """``guess`` when x * guess is the unit, else the solve ``x.inverse()``.
+
+    A one-sided inverse in the finite-dimensional k[G]^n is two-sided.
+    """
+    if (x * guess).is_unit():
         return guess
     return x.inverse()
 
@@ -253,7 +256,7 @@ def verify_qt(candidate: GATensor) -> VerificationReport:
     coproduct expansion identities, the quantum Yang-Baxter equation, the
     counit normalizations and the antipode identities.  If the tensor is
     not invertible the remaining checks are skipped.  R^-1 is (S x I)(R), as
-    for every R-matrix, when both products confirm it, else the solve.
+    for every R-matrix, when R (S x I)(R) is the unit, else the solve.
     """
     if candidate.arity != 2:
         raise ValueError("R-matrices live in arity 2")
@@ -309,7 +312,8 @@ def verify_markov(candidate: GATensor) -> VerificationReport:
     """Validate the structural properties of the Markov element of R.
 
     S^2 = I and R^-1 = (S x I)(R) give u^-1 = S(mu(R)) and (R21 R)^-1 =
-    (S x I)(R) (I x S)(R21), each used when both products confirm it.
+    (S x I)(R) (I x S)(R21), or c^-1 (g^-1 x h^-1) when R21 R is one term
+    c (g x h); each is used once the element times it is the unit.
     """
     report = VerificationReport()
     u = markov_element(candidate)
@@ -320,10 +324,15 @@ def verify_markov(candidate: GATensor) -> VerificationReport:
         report.add("invertible", False, {"reason": "markov element is not invertible"})
         return report
     report.add("invertible", True)
-    r21r = candidate.swap() * candidate
-    inverse = _inverse_or_solve(r21r, candidate.antipode(1) * candidate.swap().antipode(2))
-    report.add_equality("coproduct_identity", u.coproduct(1), inverse * (u @ u))
     group = candidate.group
+    r21r = candidate.swap() * candidate
+    if len(r21r.terms) == 1:
+        (key, c), = r21r.terms.items()
+        guess = GATensor.basis(group, *(group.inverses[g] for g in key)).scale(c.inverse())
+    else:
+        guess = candidate.antipode(1) * candidate.swap().antipode(2)
+    inverse = _inverse_or_solve(r21r, guess)
+    report.add_equality("coproduct_identity", u.coproduct(1), inverse * (u @ u))
     report.add_commutation("central", u)
     # R R21 = 1 exactly when R21 R = 1: a one-sided inverse is two-sided.
     if r21r.is_unit():

@@ -9,12 +9,15 @@ it.  Run it with
 Yang-Baxter, counits and antipodes) and ``verify_markov`` (the Markov
 element u, the inverses of u and R21 R, the coproduct identity and
 centrality) are timed on the first 16-term structures of D4 and Q8 and
-on the first 4-term structure of Z2xZ2.
+on the first 4-term structure of Z2xZ2.  ``verify_qt`` is also timed over
+all 44 distinct structures of the seven catalogs, one R per dedup class, as
+one ``classify`` pass checks them.
 """
 
 import pytest
 
 from qtriang.acceptance import qt_catalog
+from qtriang.groups import CATALOG_NAMES
 from qtriang.rmatrix import verify_markov, verify_qt
 
 CASES = [("D4", 16), ("Q8", 16), ("Z2xZ2", 4)]
@@ -27,3 +30,13 @@ def test_verify(benchmark, name, terms, verify):
     r = next(s.rmatrix for s in catalog.structures if len(s.rmatrix.terms) == terms)
     report = benchmark(verify, r)
     assert report.all_passed
+
+
+def test_verify_qt_every_distinct_structure(benchmark):
+    rmats = []
+    for name in CATALOG_NAMES:
+        catalog = qt_catalog(name)
+        rmats += [catalog.structures[members[0]].rmatrix for members in catalog.dedup]
+    assert len(rmats) == 44
+    reports = benchmark(lambda: [verify_qt(r) for r in rmats])
+    assert all(report.all_passed for report in reports)

@@ -325,6 +325,17 @@ def test_catalog_products_match_scalar_reference():
             ]
             for fast, slow in products:
                 assert _stored(fast) == _stored(slow), name
+            # The maps that build their result with GATensor._make skip the
+            # checks; each result must be one the checking constructor keeps.
+            derived = [fast for fast, _ in products]
+            derived += [r.embed_legs(legs, 3) for legs in ((1, 2), (2, 1), (1, 3), (3, 2))]
+            for t in (r, legs.r13r12):
+                derived.append(t.permute_legs(range(t.arity)[::-1]))
+                for leg in range(1, t.arity + 1):
+                    derived += [t.antipode(leg), t.coproduct(leg)]
+                    derived += [t.adjoint_action(g, leg) for g in r.group.elements()]
+            for t in derived:
+                assert _stored(t) == _stored(GATensor(t.group, t.arity, t.terms)), name
 
 
 def test_product_past_the_order_cap_matches_scalar_reference():
@@ -338,7 +349,11 @@ def test_product_past_the_order_cap_matches_scalar_reference():
     unit = GATensor.unit(g, 2)
     for a, b in ((x, y), (y, x), (primes, unit), (unit, primes)):
         assert _stored(a * b) == _stored(_reference_mul(a, b))
-    for a, b in ((primes, primes.swap()), (x, x.swap() + y)):
+    # Every order pair of these two has lcm 359 * 353, so the order slot
+    # starts past the cap.
+    far = GATensor(g, 2, {(0, 0): root_of_unity(359), (1, 0): root_of_unity(359, 2)})
+    near = GATensor(g, 2, {(0, 1): root_of_unity(353)})
+    for a, b in ((primes, primes.swap()), (x, x.swap() + y), (far, near), (near, far)):
         with pytest.raises(ValueError) as fast:
             a * b
         with pytest.raises(ValueError) as slow:

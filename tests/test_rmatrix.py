@@ -34,7 +34,7 @@ from qtriang.rmatrix import (
     verify_qt,
     verify_unitary,
 )
-from qtriang import linalg
+from qtriang import linalg, rmatrix
 
 
 def z2_datum():
@@ -737,10 +737,28 @@ def _report_rows(report):
     return [(c.name, c.passed, c.witness) for c in report.checks]
 
 
+def _record_one_sided_inverses(monkeypatch):
+    """Record, for each guess ``_inverse_or_solve`` tests, whether x guess and guess x are the unit.
+
+    ``_inverse_or_solve`` forms only x guess: in k[G]^n a one-sided inverse
+    is two-sided, so the two flags must agree.
+    """
+    sides = []
+    inverse_or_solve = rmatrix._inverse_or_solve
+
+    def recording(x, guess):
+        sides.append(((x * guess).is_unit(), (guess * x).is_unit()))
+        return inverse_or_solve(x, guess)
+
+    monkeypatch.setattr(rmatrix, "_inverse_or_solve", recording)
+    return sides
+
+
 @pytest.mark.parametrize("name", CATALOG_NAMES)
-def test_verify_qt_matches_reference(name):
+def test_verify_qt_matches_reference(name, monkeypatch):
     # Every distinct R of the catalog, its perturbations, and random sparse
     # tensors: names, flags and witnesses agree check by check.
+    sides = _record_one_sided_inverses(monkeypatch)
     catalog = qt_catalog(name)
     group = catalog.data[0].group
     rng = random.Random(f"verify_qt/{name}")
@@ -756,6 +774,7 @@ def test_verify_qt_matches_reference(name):
     assert {"coproduct_on_right_leg", "coproduct_on_left_leg"} <= failing
     # k[G]^3 is commutative for abelian G, so there every tensor solves Yang-Baxter.
     assert ("yang_baxter" in failing) != group.is_abelian()
+    assert set(sides) == {(True, True), (False, False)}
 
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)
@@ -821,6 +840,7 @@ def _markov_rows(verify, candidate):
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)
 def test_verify_markov_matches_reference(name, monkeypatch):
+    sides = _record_one_sided_inverses(monkeypatch)
     catalog = qt_catalog(name)
     group = catalog.data[0].group
     rng = random.Random(f"verify_markov/{name}")
@@ -842,3 +862,4 @@ def test_verify_markov_matches_reference(name, monkeypatch):
         assert _markov_rows(verify_markov, candidate) == expected
         monkeypatch.setattr(GATensor, "inverse", solve)
     assert solves, "no candidate took the fallback"
+    assert set(sides) == {(True, True), (False, False)}
