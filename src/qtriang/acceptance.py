@@ -81,6 +81,14 @@ def _test_reps(name: str) -> tuple:
     return tuple(standard_reps(bundled_group(name)))
 
 
+def _triangular_classes():
+    """(name, triangular catalog, members, structure) per dedup class, in catalog order."""
+    for name in CATALOG_NAMES:
+        catalog = triangular_catalog(name)
+        for members in catalog.dedup:
+            yield name, catalog, members, catalog.structures[members[0]]
+
+
 def _power_test_reps(name: str) -> tuple:
     reps = _test_reps(name)
     return reps if name in REGULAR_REP_GROUPS else reps[:-1]
@@ -183,31 +191,28 @@ def criterion_4() -> CriterionResult:
     start = time.perf_counter()
     problems = []
     checked = 0
-    for name in CATALOG_NAMES:
-        catalog = triangular_catalog(name)
+    for name, catalog, members, structure in _triangular_classes():
         group = catalog.group
-        for members in catalog.dedup:
-            structure = catalog.structures[members[0]]
-            u = structure.markov
-            class_tags = []
-            if u != markov_element_flipped(structure.rmatrix):
-                class_tags.append("conventions_disagree")
-            grouplike = u.is_grouplike()
-            if not grouplike:
-                class_tags.append("not_grouplike")
-            else:
-                u_idx = u.grouplike_index()
-                if u_idx not in group.center():
-                    class_tags.append("not_central")
-                if group.table[u_idx][u_idx] != group.identity:
-                    class_tags.append("not_involution")
-            for idx in members:
-                checked += 1
-                tags = list(class_tags)
-                if grouplike and not verify_markov_equation(catalog.data[idx], u):
-                    tags.append("value_equation_fails")
-                if tags:
-                    problems.append((name, idx, tags))
+        u = structure.markov
+        class_tags = []
+        if u != markov_element_flipped(structure.rmatrix):
+            class_tags.append("conventions_disagree")
+        grouplike = u.is_grouplike()
+        if not grouplike:
+            class_tags.append("not_grouplike")
+        else:
+            u_idx = u.grouplike_index()
+            if u_idx not in group.center():
+                class_tags.append("not_central")
+            if group.table[u_idx][u_idx] != group.identity:
+                class_tags.append("not_involution")
+        for idx in members:
+            checked += 1
+            tags = list(class_tags)
+            if grouplike and not verify_markov_equation(catalog.data[idx], u):
+                tags.append("value_equation_fails")
+            if tags:
+                problems.append((name, idx, tags))
     elapsed = time.perf_counter() - start
     details = f"{checked} triangular entries checked, {len(problems)} problems" + _first(problems)
     return CriterionResult(4, "Markov element identities", not problems, details, elapsed)
@@ -267,17 +272,14 @@ def criterion_6() -> CriterionResult:
     start = time.perf_counter()
     problems = []
     checked = 0
-    for name in CATALOG_NAMES:
-        catalog = triangular_catalog(name)
-        for members in catalog.dedup:
-            structure = catalog.structures[members[0]]
-            u = structure.markov.grouplike_index()
-            for rep in _power_test_reps(name):
-                for n in range(4):
-                    checked += len(members)
-                    left = structure.exterior_power_char(rep, n)
-                    if left != lambda_from_adams(rep.character(), n, u):
-                        problems.extend((name, idx, rep.name, n) for idx in members)
+    for name, _, members, structure in _triangular_classes():
+        u = structure.markov.grouplike_index()
+        for rep in _power_test_reps(name):
+            for n in range(4):
+                checked += len(members)
+                left = structure.exterior_power_char(rep, n)
+                if left != lambda_from_adams(rep.character(), n, u):
+                    problems.extend((name, idx, rep.name, n) for idx in members)
     elapsed = time.perf_counter() - start
     passed = not problems and elapsed < 120.0
     details = (
@@ -302,20 +304,17 @@ def criterion_7() -> CriterionResult:
     start = time.perf_counter()
     problems = []
     checked = 0
-    for name in CATALOG_NAMES:
-        catalog = triangular_catalog(name)
-        for members in catalog.dedup:
-            structure = catalog.structures[members[0]]
-            u = structure.markov.grouplike_index()
-            for rep in _power_test_reps(name):
-                for p in (2, 3):
-                    root_tags = _cyclic_root_tags(catalog.group, rep, structure, u, p)
-                    for eps_power, tags in enumerate(root_tags, start=1):
-                        checked += len(members)
-                        if tags:
-                            problems.extend(
-                                (name, idx, rep.name, p, eps_power, tags) for idx in members
-                            )
+    for name, catalog, members, structure in _triangular_classes():
+        u = structure.markov.grouplike_index()
+        for rep in _power_test_reps(name):
+            for p in (2, 3):
+                root_tags = _cyclic_root_tags(catalog.group, rep, structure, u, p)
+                for eps_power, tags in enumerate(root_tags, start=1):
+                    checked += len(members)
+                    if tags:
+                        problems.extend(
+                            (name, idx, rep.name, p, eps_power, tags) for idx in members
+                        )
     elapsed = time.perf_counter() - start
     details = f"{checked} (entry, rep, prime, root) cases, {len(problems)} failures"
     details += _first(problems)
@@ -450,20 +449,17 @@ def criterion_10() -> CriterionResult:
     start = time.perf_counter()
     problems = []
     checked = 0
-    for name in CATALOG_NAMES:
-        catalog = triangular_catalog(name)
-        for members in catalog.dedup:
-            structure = catalog.structures[members[0]]
-            for rep in _test_reps(name):
-                for n in (2, 3):
-                    if rep.dim**n > DIMENSION_CAP:
-                        continue
-                    checked += len(members)
-                    try:
-                        structure.check(rep, n)
-                        structure.validate(rep, n)
-                    except ValueError as exc:
-                        problems.extend((name, idx, rep.name, n, str(exc)) for idx in members)
+    for name, _, members, structure in _triangular_classes():
+        for rep in _test_reps(name):
+            for n in (2, 3):
+                if rep.dim**n > DIMENSION_CAP:
+                    continue
+                checked += len(members)
+                try:
+                    structure.check(rep, n)
+                    structure.validate(rep, n)
+                except ValueError as exc:
+                    problems.extend((name, idx, rep.name, n, str(exc)) for idx in members)
     elapsed = time.perf_counter() - start
     details = f"{checked} (entry, rep, power) actions validated, {len(problems)} failures"
     details += _first(problems)

@@ -61,24 +61,20 @@ class ClassFunction:
     def dim(self) -> CycScalar:
         return self.evaluate(self.group.identity)
 
-    def _check(self, other: "ClassFunction"):
+    def _pointwise(self, op, other: "ClassFunction") -> "ClassFunction":
         if self.group != other.group:
             raise ValueError("class functions on different groups")
+        return ClassFunction(self.group, list(map(op, self.values, other.values)))
 
     def __add__(self, other: "ClassFunction") -> "ClassFunction":
-        self._check(other)
-        return ClassFunction(self.group, [a + b for a, b in zip(self.values, other.values)])
+        return self._pointwise(operator.add, other)
 
     def __sub__(self, other: "ClassFunction") -> "ClassFunction":
-        self._check(other)
-        return ClassFunction(self.group, [a - b for a, b in zip(self.values, other.values)])
+        return self._pointwise(operator.sub, other)
 
     def __mul__(self, other):
         if isinstance(other, ClassFunction):
-            self._check(other)
-            return ClassFunction(
-                self.group, [a * b for a, b in zip(self.values, other.values)]
-            )
+            return self._pointwise(operator.mul, other)
         return self.scale(other)
 
     def scale(self, scalar) -> "ClassFunction":
@@ -227,9 +223,8 @@ def standard_characters(group: FiniteGroup) -> list[tuple[str, ClassFunction]]:
 # Adams operations and the lambda/sigma recursions.
 
 def adams_standard(x: ClassFunction, k: int) -> ClassFunction:
-    """Precompose with the k-th power map: value at g is x(g^k)."""
-    group = x.group
-    return ClassFunction.from_function(group, lambda g: x.evaluate(group.power(g, k)))
+    """Precompose with the k-th power map: value at g is x(g^k), ``adams_twisted`` at u = e."""
+    return adams_twisted(x, x.group.identity, k)
 
 
 def _check_central_involution(group: FiniteGroup, u: int):

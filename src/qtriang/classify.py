@@ -71,19 +71,17 @@ class Catalog:
 
 
 def _enumerate_data(group: FiniteGroup) -> list[QTDatum]:
-    if group.size > 64:
-        raise ValueError("enumeration is capped at groups of order 64")
     shapes: list[AbelianGroup] = []
     seen = set()
     for subgroup in abelian_normal_subgroups(group):
         factors = subgroup_structure(group, subgroup).domain.factors
         if factors not in seen:
             seen.add(factors)
-            shapes.append(AbelianGroup(factors) if factors else AbelianGroup(()))
+            shapes.append(AbelianGroup(factors))
     data: list[QTDatum] = []
     for domain in shapes:
         inclusions = sorted(normal_inclusions(domain, group), key=lambda i: i.gen_images)
-        nondegenerate = enumerate_biforms(domain, nondegenerate=True)
+        nondegenerate = [beta for beta in enumerate_biforms(domain) if beta.is_nondegenerate()]
         for left in inclusions:
             autos = left.conjugation_automorphisms()
             forms = [beta for beta in nondegenerate if beta.is_invariant(autos)]

@@ -269,37 +269,28 @@ class CycScalar:
         m = math.lcm(self.order, other.order)
         return self.embed(m), other.embed(m)
 
-    def __add__(self, other):
-        if isinstance(other, CycScalar) and self.order == other.order:
-            a, b = self, other
-        else:
-            pair = self._coerce(other)
-            if pair is None:
-                return NotImplemented
-            a, b = pair
-        if a.den == b.den:
-            return CycScalar._make(a.order, a.den, tuple(map(operator.add, a.num, b.num)))
-        g = math.gcd(a.den, b.den)
-        fa, fb = b.den // g, a.den // g
-        num = tuple(fa * x + fb * y for x, y in zip(a.num, b.num))
-        return CycScalar._make(a.order, a.den * fa, num)
+    def _additive(op):
+        # x + y for op = operator.add, x - y for operator.sub.
+        def method(self, other):
+            if isinstance(other, CycScalar) and self.order == other.order:
+                a, b = self, other
+            else:
+                pair = self._coerce(other)
+                if pair is None:
+                    return NotImplemented
+                a, b = pair
+            if a.den == b.den:
+                return CycScalar._make(a.order, a.den, tuple(map(op, a.num, b.num)))
+            g = math.gcd(a.den, b.den)
+            fa, fb = b.den // g, a.den // g
+            num = tuple(op(fa * x, fb * y) for x, y in zip(a.num, b.num))
+            return CycScalar._make(a.order, a.den * fa, num)
 
-    __radd__ = __add__
+        return method
 
-    def __sub__(self, other):
-        if isinstance(other, CycScalar) and self.order == other.order:
-            a, b = self, other
-        else:
-            pair = self._coerce(other)
-            if pair is None:
-                return NotImplemented
-            a, b = pair
-        if a.den == b.den:
-            return CycScalar._make(a.order, a.den, tuple(map(operator.sub, a.num, b.num)))
-        g = math.gcd(a.den, b.den)
-        fa, fb = b.den // g, a.den // g
-        num = tuple(fa * x - fb * y for x, y in zip(a.num, b.num))
-        return CycScalar._make(a.order, a.den * fa, num)
+    __add__ = __radd__ = _additive(operator.add)
+    __sub__ = _additive(operator.sub)
+    del _additive
 
     def __rsub__(self, other):
         return (-self).__add__(other)

@@ -463,35 +463,19 @@ def _gcd_table(factors: tuple[int, ...]) -> tuple:
     )
 
 
-def enumerate_biforms(
-    parent: AbelianGroup,
-    automorphisms=(),
-    *,
-    nondegenerate: bool = False,
-    skewsymmetric: bool = False,
-    g_invariant: bool = False,
-) -> list[BiForm]:
-    """All bimultiplicative forms on the dual of ``parent`` passing the flags.
+def enumerate_biforms(parent: AbelianGroup) -> list[BiForm]:
+    """All bimultiplicative forms on the dual of ``parent``.
 
-    Exhausts every exponent matrix (entry (i, j) runs over Z/gcd(n_i, n_j)),
-    then filters.  With ``g_invariant`` the conjugation automorphisms of the
-    ambient group must be supplied.
+    One form per exponent matrix, entry (i, j) running over Z/gcd(n_i, n_j);
+    callers filter with the ``BiForm`` predicates.
     """
     r = parent.rank
     gcds = _gcd_table(parent.factors)
     ranges = [range(gcds[i][j]) for i in range(r) for j in range(r)]
-    out = []
-    for flat in itertools.product(*ranges):
-        matrix = tuple(tuple(flat[i * r + j] for j in range(r)) for i in range(r))
-        form = BiForm(parent, matrix)
-        if nondegenerate and not form.is_nondegenerate():
-            continue
-        if skewsymmetric and not form.is_skewsymmetric():
-            continue
-        if g_invariant and not form.is_invariant(automorphisms):
-            continue
-        out.append(form)
-    return out
+    return [
+        BiForm(parent, tuple(tuple(flat[i * r + j] for j in range(r)) for i in range(r)))
+        for flat in itertools.product(*ranges)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -166,14 +166,18 @@ class GATensor:
         if not 1 <= leg <= self.arity:
             raise ValueError(f"leg {leg} out of range for arity {self.arity}")
 
+    def _map_keys(self, arity: int, key_map) -> "GATensor":
+        # key_map must be injective on the keys, so no terms merge and every
+        # value stays the nonzero scalar it was.
+        return GATensor._make(
+            self.group, arity, {key_map(key): value for key, value in self.terms.items()}
+        )
+
     def coproduct(self, leg: int) -> "GATensor":
         """Replace the chosen leg g by the pair (g, g); arity grows by one."""
         self._check_leg(leg)
-        acc = {}
         i = leg - 1
-        for key, value in self.terms.items():
-            acc[key[: i + 1] + (key[i],) + key[i + 1 :]] = value
-        return GATensor._make(self.group, self.arity + 1, acc)
+        return self._map_keys(self.arity + 1, lambda key: key[:leg] + key[i:])
 
     def counit(self, leg: int) -> "GATensor":
         """Sum out the chosen leg with weight 1 per group element."""
@@ -190,20 +194,14 @@ class GATensor:
         self._check_leg(leg)
         inv = self.group.inverses
         i = leg - 1
-        acc = {}
-        for key, value in self.terms.items():
-            acc[key[:i] + (inv[key[i]],) + key[i + 1 :]] = value
-        return GATensor._make(self.group, self.arity, acc)
+        return self._map_keys(self.arity, lambda key: key[:i] + (inv[key[i]],) + key[leg:])
 
     def permute_legs(self, perm) -> "GATensor":
         """Rearrange legs: new leg k carries what old leg perm[k] carried (0-based)."""
         perm = tuple(perm)
         if sorted(perm) != list(range(self.arity)):
             raise ValueError(f"{perm} is not a permutation of {self.arity} legs")
-        acc = {}
-        for key, value in self.terms.items():
-            acc[tuple(key[p] for p in perm)] = value
-        return GATensor._make(self.group, self.arity, acc)
+        return self._map_keys(self.arity, lambda key: tuple(key[p] for p in perm))
 
     def swap(self) -> "GATensor":
         if self.arity != 2:
@@ -223,23 +221,23 @@ class GATensor:
             raise ValueError("positions clash")
         if not (1 <= i <= total and 1 <= j <= total):
             raise ValueError(f"positions {positions} out of range for arity {total}")
-        e = self.group.identity
-        acc = {}
-        for (g, h), value in self.terms.items():
-            key = [e] * total
-            key[i - 1] = g
-            key[j - 1] = h
-            acc[tuple(key)] = value
-        return GATensor._make(self.group, total, acc)
+        blank = [self.group.identity] * total
+
+        def place(key):
+            out = blank.copy()
+            out[i - 1], out[j - 1] = key
+            return tuple(out)
+
+        return self._map_keys(total, place)
 
     def adjoint_action(self, element: int, leg: int) -> "GATensor":
         """Conjugate the chosen leg by a group element."""
         self._check_leg(leg)
+        conj = self.group.conjugate
         i = leg - 1
-        acc = {}
-        for key, value in self.terms.items():
-            acc[key[:i] + (self.group.conjugate(key[i], element),) + key[i + 1 :]] = value
-        return GATensor._make(self.group, self.arity, acc)
+        return self._map_keys(
+            self.arity, lambda key: key[:i] + (conj(key[i], element),) + key[leg:]
+        )
 
     # -- predicates and solving ----------------------------------------------
 

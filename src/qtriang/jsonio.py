@@ -138,8 +138,8 @@ def group_from_json(doc: dict) -> FiniteGroup:
         group = cyclic_group(factors[0])
         for n in factors[1:]:
             group = direct_product(group, cyclic_group(n))
-        name = doc.get("name") or "x".join(f"Z{n}" for n in factors)
-        return FiniteGroup(group.table, name)
+        group.name = doc.get("name") or "x".join(f"Z{n}" for n in factors)
+        return group
     return FiniteGroup(doc["table"], doc.get("name", "G"))
 
 

@@ -187,19 +187,15 @@ class Matrix:
         cols: dict[int, dict[int, CycScalar]] = {}
         for i, j, v in entries:
             col = cols.setdefault(j, {})
-            col[i] = col.get(i, _ZERO) + v
+            col[i] = col[i] + v if i in col else v
         return cls(nrows, ncols, cols)
 
     @classmethod
     def from_dense(cls, rows) -> "Matrix":
         nrows = len(rows)
         ncols = len(rows[0]) if nrows else 0
-        cols: dict[int, dict[int, CycScalar]] = {}
-        for i, row in enumerate(rows):
-            for j, v in enumerate(row):
-                if v:
-                    cols.setdefault(j, {})[i] = v
-        return cls(nrows, ncols, cols)
+        cells = ((i, j, v) for i, row in enumerate(rows) for j, v in enumerate(row) if v)
+        return cls.from_entries(nrows, ncols, cells)
 
     def _scalar(self, coords: tuple) -> CycScalar:
         return CycScalar._make(self.order, self.den, coords)

@@ -34,6 +34,11 @@ def test_add_same_order(benchmark, order):
     benchmark(lambda: a + b)
 
 
+def test_sub_same_order(benchmark):
+    a, b = _value(4, 4), _value(4, 16)
+    benchmark(lambda: a - b)
+
+
 def test_mul_mixed_orders_3_by_4(benchmark):
     a, b = _value(3, 9), _value(4, 16)
     benchmark(lambda: a * b)

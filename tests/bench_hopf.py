@@ -7,9 +7,11 @@ it.  Run it with
 
 R R21 is timed on the first 16-term structures of D4 and Q8 and on the
 first 4-term structure of Z2xZ2; ``leg_products(R)`` followed by
-``yang_baxter_sides`` on the D4 one; and one product of two 12-term
+``yang_baxter_sides`` on the D4 one; one product of two 12-term
 arity-2 tensors on D4 whose coefficients have orders 3, 4 and 8 and
-several nonzero coordinates over different denominators.
+several nonzero coordinates over different denominators; and the five
+leg maps (coproduct, antipode, swap, R13 placement, adjoint action) on
+the D4 16-term R.
 """
 
 from fractions import Fraction
@@ -53,6 +55,22 @@ def _mixed_tensor(shift: int) -> GATensor:
     ]
     terms = {divmod(5 * i + shift, 8): values[i % 3] for i in range(12)}
     return GATensor(g, 2, terms)
+
+
+LEG_MAPS = {
+    "coproduct": lambda r: r.coproduct(1),
+    "antipode": lambda r: r.antipode(1),
+    "swap": lambda r: r.swap(),
+    "embed_legs": lambda r: r.embed_legs((1, 3), 3),
+    "adjoint_action": lambda r: r.adjoint_action(1, 2),
+}
+
+
+@pytest.mark.parametrize("leg_map", LEG_MAPS)
+def test_leg_map_d4(benchmark, leg_map):
+    r = _structure("D4", 16)
+    image = benchmark(LEG_MAPS[leg_map], r)
+    assert len(image.terms) == len(r.terms)
 
 
 def test_mixed_order_product(benchmark):

@@ -33,6 +33,7 @@ from qtriang.charring import (
     qtrace,
     regular_rep,
     sigma_from_lambda,
+    standard_characters,
     standard_reps,
     verify_lambda_ring,
     _adjacent_word,
@@ -43,7 +44,7 @@ def koszul():
     g = bundled_group("Z2")
     a = AbelianGroup((2,))
     incl = normal_inclusions(a, g)[0]
-    beta = enumerate_biforms(a, nondegenerate=True, skewsymmetric=True)[0]
+    beta = [b for b in enumerate_biforms(a) if b.is_nondegenerate() and b.is_skewsymmetric()][0]
     return build_r(QTDatum(g, a, incl, incl, beta))
 
 
@@ -143,10 +144,20 @@ def test_adams_standard_examples():
     x = regular_rep(z2).character()
     assert adams_standard(x, 1) == x
     assert adams_standard(x, 2) == ClassFunction.constant(z2, 2)
+    assert -x == x.scale(-1)
     s3 = bundled_group("S3")
     y = regular_rep(s3).character()
     assert adams_standard(y, 6) == ClassFunction.constant(s3, 6)
     assert adams_standard(y, 12) == ClassFunction.constant(s3, 6)
+    # Oracle: precompose with the k-th power map, value at g is chi(g^k).
+    for name in CATALOG_NAMES:
+        group = bundled_group(name)
+        for _, chi in standard_characters(group):
+            for k in range(5):
+                expected = ClassFunction.from_function(
+                    group, lambda g: chi.evaluate(group.power(g, k))
+                )
+                assert adams_standard(chi, k) == expected
 
 
 def test_adams_twisted_examples():
@@ -262,7 +273,7 @@ def test_braided_action_rejects_nonunitary():
     a3 = AbelianGroup((3,))
     incl = normal_inclusions(a3, s3)[0]
     autos = incl.conjugation_automorphisms()
-    beta = enumerate_biforms(a3, autos, nondegenerate=True, g_invariant=True)[0]
+    beta = [b for b in enumerate_biforms(a3) if b.is_nondegenerate() and b.is_invariant(autos)][0]
     r = build_r(QTDatum(s3, a3, incl, incl, beta))
     with pytest.raises(ValueError):
         BraidedAction(regular_rep(s3), r, 2)
@@ -284,7 +295,9 @@ def test_braided_action_dimension_cap():
 def test_generators_square_to_identity_on_catalog_example():
     d4 = bundled_group("D4")
     incl = subgroup_structure(d4, {0, 2})
-    beta = enumerate_biforms(incl.domain, nondegenerate=True, skewsymmetric=True)[0]
+    beta = [
+        b for b in enumerate_biforms(incl.domain) if b.is_nondegenerate() and b.is_skewsymmetric()
+    ][0]
     r = build_r(QTDatum(d4, incl.domain, incl, incl, beta))
     action = BraidedAction(regular_rep(d4), r, 3)  # validates on construction
     assert len(action.generators) == 2
@@ -1136,13 +1149,12 @@ def test_newton_formula_valid_only_at_central_elements_for_klein_support():
     d4 = bundled_group("D4")
     reg = regular_rep(d4)
     incl = subgroup_structure(d4, {0, 2, 4, 6})
-    beta = enumerate_biforms(
-        incl.domain,
-        incl.conjugation_automorphisms(),
-        nondegenerate=True,
-        skewsymmetric=True,
-        g_invariant=True,
-    )[0]
+    autos = incl.conjugation_automorphisms()
+    beta = [
+        b
+        for b in enumerate_biforms(incl.domain)
+        if b.is_nondegenerate() and b.is_skewsymmetric() and b.is_invariant(autos)
+    ][0]
     assert beta.matrix == ((0, 1), (1, 0))
     r = build_r(QTDatum(d4, incl.domain, incl, incl, beta))
     u = markov_element(r).grouplike_index()

@@ -44,7 +44,9 @@ def test_z3_triangular_is_only_trivial():
     assert len(cat) == 1
     assert cat.structures[0].rmatrix.is_unit()
     # oracle: no nondegenerate skewsymmetric form exists on Z/3
-    assert enumerate_biforms(AbelianGroup((3,)), nondegenerate=True, skewsymmetric=True) == []
+    assert not any(
+        b.is_nondegenerate() and b.is_skewsymmetric() for b in enumerate_biforms(AbelianGroup((3,)))
+    )
 
 
 def test_q8_triangular_markov_elements():
@@ -141,13 +143,14 @@ def _reversed_enumeration(group, triangular_only):
         )
         for left in incls:
             rights = [left] if triangular_only else incls
-            forms = enumerate_biforms(
-                domain,
-                left.conjugation_automorphisms(),
-                nondegenerate=True,
-                skewsymmetric=triangular_only,
-                g_invariant=True,
-            )
+            autos = left.conjugation_automorphisms()
+            forms = [
+                b
+                for b in enumerate_biforms(domain)
+                if b.is_nondegenerate()
+                and (b.is_skewsymmetric() or not triangular_only)
+                and b.is_invariant(autos)
+            ]
             for right in rights:
                 if right is not left and not same_module_structure(left, right):
                     continue

@@ -72,7 +72,7 @@ def test_datum_round_trip():
     g = bundled_group("Z2xZ2")
     a = AbelianGroup((2,))
     incls = normal_inclusions(a, g)
-    beta = enumerate_biforms(a, nondegenerate=True)[0]
+    beta = [b for b in enumerate_biforms(a) if b.is_nondegenerate()][0]
     datum = QTDatum(g, a, incls[0], incls[2], beta)
     doc = jsonio.datum_to_json(datum)
     back = jsonio.datum_from_json(doc, g)
@@ -406,13 +406,13 @@ def _fuzz_documents():
     v4 = bundled_group("Z2xZ2")
     a = AbelianGroup((2, 2))
     incl = normal_inclusions(a, v4)[0]
-    beta = enumerate_biforms(a, nondegenerate=True, skewsymmetric=True)[0]
+    beta = [b for b in enumerate_biforms(a) if b.is_nondegenerate() and b.is_skewsymmetric()][0]
     s3 = bundled_group("S3")
     a3 = AbelianGroup((3,))
     s3_incl = normal_inclusions(a3, s3)[0]
-    s3_beta = enumerate_biforms(
-        a3, s3_incl.conjugation_automorphisms(), nondegenerate=True, g_invariant=True
-    )[0]
+    s3_autos = s3_incl.conjugation_automorphisms()
+    s3_forms = enumerate_biforms(a3)
+    s3_beta = [b for b in s3_forms if b.is_nondegenerate() and b.is_invariant(s3_autos)][0]
     return [
         ("rmatrix", jsonio.tensor_to_json(golden_koszul())),
         ("rmatrix", jsonio.tensor_to_json(build_r(QTDatum(s3, a3, s3_incl, s3_incl, s3_beta)))),
@@ -526,9 +526,8 @@ def test_cli_exterior_rejects_nonunitary(workdir, capsys):
     s3 = bundled_group("S3")
     a3 = AbelianGroup((3,))
     incl = normal_inclusions(a3, s3)[0]
-    beta = enumerate_biforms(
-        a3, incl.conjugation_automorphisms(), nondegenerate=True, g_invariant=True
-    )[0]
+    autos = incl.conjugation_automorphisms()
+    beta = [b for b in enumerate_biforms(a3) if b.is_nondegenerate() and b.is_invariant(autos)][0]
     r = build_r(QTDatum(s3, a3, incl, incl, beta))
     _write(workdir / "r.json", jsonio.tensor_to_json(r))
     assert main(["exterior", "--rmatrix", "r.json", "--n", "2"]) == 3

@@ -172,6 +172,9 @@ def test_field_axioms(a, b, c):
     assert a * (b + c) == a * b + a * c
     assert a + b == b + a
     assert a * b == b * a
+    # Reflected subtraction from an int or a Fraction.
+    assert 1 - a == -(a - 1)
+    assert Fraction(1, 2) - a == -(a - Fraction(1, 2))
 
 
 @settings(max_examples=40, deadline=None)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from qtriang.cyclotomic import CycScalar
 from qtriang.groups import (
     AbelianGroup,
+    BiForm,
     FiniteGroup,
     Inclusion,
     abelian_normal_subgroups,
@@ -355,15 +356,16 @@ def _skew_oracle(form):
 
 def test_biform_enumeration_z2():
     domain = AbelianGroup((2,))
-    forms = enumerate_biforms(domain, nondegenerate=True, skewsymmetric=True)
+    forms = [b for b in enumerate_biforms(domain) if b.is_nondegenerate() and b.is_skewsymmetric()]
     assert len(forms) == 1
     chi = domain.characters()[1]
     assert forms[0].evaluate(chi, chi) == -1
 
 
 def test_biform_enumeration_trivial():
-    forms = enumerate_biforms(AbelianGroup(()), nondegenerate=True, skewsymmetric=True)
+    forms = enumerate_biforms(AbelianGroup(()))
     assert len(forms) == 1
+    assert forms[0].is_nondegenerate() and forms[0].is_skewsymmetric()
 
 
 def test_biform_enumeration_v4_against_oracle():
@@ -371,16 +373,16 @@ def test_biform_enumeration_v4_against_oracle():
     all_forms = enumerate_biforms(domain)
     assert len(all_forms) == 16
     expect = [f for f in all_forms if _nondeg_oracle(f) and _skew_oracle(f)]
-    got = enumerate_biforms(domain, nondegenerate=True, skewsymmetric=True)
+    got = [f for f in all_forms if f.is_nondegenerate() and f.is_skewsymmetric()]
     assert got == expect
     assert len(got) == 4
-    assert len(enumerate_biforms(domain, nondegenerate=True)) == 6
+    assert sum(f.is_nondegenerate() for f in all_forms) == 6
 
 
 def test_biform_value_order_divides_gcd():
     domain = AbelianGroup((2, 4))
     gens = domain.dual_generators()
-    for form in enumerate_biforms(domain, nondegenerate=True):
+    for form in filter(BiForm.is_nondegenerate, enumerate_biforms(domain)):
         for i, a in enumerate(gens):
             for j, b in enumerate(gens):
                 value = form.evaluate(a, b)
@@ -392,14 +394,15 @@ def test_biform_value_order_divides_gcd():
 
 def test_skew_diagonal_is_sign():
     domain = AbelianGroup((2, 2))
-    for form in enumerate_biforms(domain, skewsymmetric=True):
+    for form in filter(BiForm.is_skewsymmetric, enumerate_biforms(domain)):
         for chi in domain.characters():
             assert form.evaluate(chi, chi) ** 2 == 1
 
 
 def test_no_nondegenerate_skew_form_on_z3_or_z4():
-    assert enumerate_biforms(AbelianGroup((3,)), nondegenerate=True, skewsymmetric=True) == []
-    assert enumerate_biforms(AbelianGroup((4,)), nondegenerate=True, skewsymmetric=True) == []
+    for factors in ((3,), (4,)):
+        forms = enumerate_biforms(AbelianGroup(factors))
+        assert not any(f.is_nondegenerate() and f.is_skewsymmetric() for f in forms)
 
 
 def test_inclusions_round_trip_with_subgroups():

@@ -212,6 +212,7 @@ def test_multiplication_properties(x, y, z):
     assert unit * x == x
     assert x * unit == x
     assert (x * y) * z == x * (y * z)
+    assert 2 * x == x.scale(2)
     assert (x * y).counit(1) == GATensor(
         g, 0, {(): x.counit(1).coeff(()) * y.counit(1).coeff(())}
     )

@@ -8,7 +8,13 @@ from hypothesis import given, settings, strategies as st
 from qtriang import jsonio
 from qtriang.cli import _cmd_classify, build_parser
 from qtriang.classify import COMPLETENESS_NOTE, _catalog, _enumerate_data
-from qtriang.groups import CATALOG_NAMES, bundled_group
+from qtriang.groups import (
+    CATALOG_NAMES,
+    FiniteGroup,
+    bundled_group,
+    cyclic_group,
+    direct_product,
+)
 from qtriang.rmatrix import build_r
 
 
@@ -127,3 +133,28 @@ def test_classify_report_matches_per_datum_build(name, triangular):
         assert all(doc["entries"][m]["rmatrix"] is first["rmatrix"] for m in members)
     expected = _oracle(_reference_classify_doc(bundled_group(name), triangular))
     assert jsonio.canonical_dumps(doc) == expected
+
+
+@pytest.mark.parametrize(
+    "factors, builds", [([2, 32], 3), ([64], 1)], ids=["Z2xZ32", "Z64"]
+)
+def test_abelian_shorthand_validates_each_table_once(monkeypatch, factors, builds):
+    # One validation per cyclic factor and per direct product; the name is
+    # set on the group they built.
+    reference = cyclic_group(factors[0])
+    for n in factors[1:]:
+        reference = direct_product(reference, cyclic_group(n))
+    calls = []
+    original = FiniteGroup.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(FiniteGroup, "__init__", counting)
+    group = jsonio.group_from_json({"abelian": factors})
+    named = jsonio.group_from_json({"abelian": factors, "name": "A"})
+    assert len(calls) == 2 * builds
+    assert group.table == named.table == reference.table
+    assert group.name == "x".join(f"Z{n}" for n in factors)
+    assert named.name == "A"

@@ -41,7 +41,7 @@ def z2_datum():
     g = bundled_group("Z2")
     a = AbelianGroup((2,))
     incl = normal_inclusions(a, g)[0]
-    beta = enumerate_biforms(a, nondegenerate=True, skewsymmetric=True)[0]
+    beta = [b for b in enumerate_biforms(a) if b.is_nondegenerate() and b.is_skewsymmetric()][0]
     return QTDatum(g, a, incl, incl, beta)
 
 
@@ -50,7 +50,7 @@ def s3_datum(form_index=0):
     a = AbelianGroup((3,))
     incl = normal_inclusions(a, g)[0]
     autos = incl.conjugation_automorphisms()
-    forms = enumerate_biforms(a, autos, nondegenerate=True, g_invariant=True)
+    forms = [b for b in enumerate_biforms(a) if b.is_nondegenerate() and b.is_invariant(autos)]
     return QTDatum(g, a, incl, incl, forms[form_index])
 
 
@@ -95,7 +95,7 @@ def test_datum_validation_errors():
     z2, d4, q8, v4 = (bundled_group(n) for n in ("Z2", "D4", "Q8", "Z2xZ2"))
     a2 = AbelianGroup((2,))
     incl = normal_inclusions(a2, z2)[0]
-    beta2 = enumerate_biforms(a2, nondegenerate=True)[0]
+    beta2 = [b for b in enumerate_biforms(a2) if b.is_nondegenerate()][0]
     QTDatum(z2, a2, incl, incl, beta2)
     rejects("inclusions do not land in the datum's group", v4, a2, incl, incl, beta2)
     a4 = AbelianGroup((4,))
@@ -112,7 +112,7 @@ def test_datum_validation_errors():
     # Q8's cyclic subgroups of order 4 are each normal, with different actions.
     first, last = normal_inclusions(a4, q8)[0], normal_inclusions(a4, q8)[-1]
     autos = first.conjugation_automorphisms()
-    beta4 = enumerate_biforms(a4, autos, nondegenerate=True, g_invariant=True)[0]
+    beta4 = [b for b in enumerate_biforms(a4) if b.is_nondegenerate() and b.is_invariant(autos)][0]
     QTDatum(q8, a4, first, first, beta4)
     QTDatum(q8, a4, last, last, beta4)
     message = "inclusions induce different conjugation maps on the domain"
@@ -123,9 +123,8 @@ def test_datum_validation_errors():
     # A form on the Klein group that D4's conjugation moves is valid on Z2xZ2.
     klein = subgroup_structure(d4, {0, 2, 4, 6})
     autos = klein.conjugation_automorphisms()
-    invariant = enumerate_biforms(klein.domain, autos, nondegenerate=True, g_invariant=True)
-    candidates = enumerate_biforms(klein.domain, nondegenerate=True)
-    moved = next(f for f in candidates if f not in invariant)
+    candidates = [b for b in enumerate_biforms(klein.domain) if b.is_nondegenerate()]
+    moved = next(f for f in candidates if not f.is_invariant(autos))
     whole = subgroup_structure(v4, set(range(4)))
     QTDatum(v4, klein.domain, whole, whole, moved)
     rejects("form is not conjugation-invariant", d4, klein.domain, klein, klein, moved)
@@ -187,7 +186,7 @@ def test_markov_equation_on_z4():
     g = bundled_group("Z4")
     incl = subgroup_structure(g, {0, 2})
     a = incl.domain
-    beta = enumerate_biforms(a, nondegenerate=True, skewsymmetric=True)[0]
+    beta = [b for b in enumerate_biforms(a) if b.is_nondegenerate() and b.is_skewsymmetric()][0]
     datum = QTDatum(g, a, incl, incl, beta)
     u = markov_element(build_r(datum))
     assert u == GATensor.basis(g, 2)
@@ -341,9 +340,11 @@ def test_koszul_twist_d4_klein():
     incl = subgroup_structure(d4, {0, 2, 4, 6})
     a = incl.domain
     autos = incl.conjugation_automorphisms()
-    forms = enumerate_biforms(
-        a, autos, nondegenerate=True, skewsymmetric=True, g_invariant=True
-    )
+    forms = [
+        b
+        for b in enumerate_biforms(a)
+        if b.is_nondegenerate() and b.is_skewsymmetric() and b.is_invariant(autos)
+    ]
     assert forms
     for beta in forms:
         datum = QTDatum(d4, a, incl, incl, beta)
@@ -367,7 +368,7 @@ def test_cross_inclusion_datum_builds_valid_element():
     g = bundled_group("Z2xZ2")
     a = AbelianGroup((2,))
     incls = normal_inclusions(a, g)
-    beta = enumerate_biforms(a, nondegenerate=True)[0]
+    beta = [b for b in enumerate_biforms(a) if b.is_nondegenerate()][0]
     datum = QTDatum(g, a, incls[0], incls[1], beta)
     assert not datum.triangular
     r = build_r(datum)
