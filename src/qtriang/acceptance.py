@@ -382,7 +382,7 @@ def criterion_8() -> CriterionResult:
         chars = [character for _, character in standard_characters(group)]
         for u in group.central_involutions():
             checked += 1
-            checks = verify_lambda_ring(u, chars, depth=6)
+            checks = verify_lambda_ring(u, chars)
             bad = [k for k, ok in checks.items() if not ok]
             # Lambda additivity on random virtual characters.
             for _ in range(3):

@@ -8,9 +8,10 @@ symmetric-group actions, exterior powers and the traces of the braided
 long cycle behind the cyclic operations on one side; class functions with
 twisted Adams operations and the Newton-type lambda/sigma recursions on
 the other.  One ``Braiding`` per R holds its report, Markov element, R R21,
-braided differences and memoized words (X, pi), X in k[G]^(x)n, whose
-traces are read from R's terms and the character; d^n generators are
-multiplied only for an R that fails a braided identity.  All is exact.
+braided differences and one long cycle (X, pi) per degree, X in k[G]^(x)n,
+whose traces, read from R's terms and the character, give the exterior
+powers by Newton's identity; d^n generators are multiplied only for an R
+that fails a braided identity.  All is exact.
 """
 
 from __future__ import annotations
@@ -248,17 +249,21 @@ def _lambda_sequence(x: ClassFunction, n: int, u: int) -> list[ClassFunction]:
 
 
 def _recursive_series(group: FiniteGroup, coeffs, newton: bool) -> list[ClassFunction]:
-    # s[0] = 1 and s[m] = w_m sum_{k=1..m} (-1)^(k-1) coeffs[k-1] s[m-k], where
-    # w_m = 1/m in the Newton recursion (lambdas from psi_u^1, psi_u^2, ...)
-    # and w_m = 1 in the series inversion (sigmas from lambda^1, lambda^2, ...).
-    series = [ClassFunction.constant(group, 1)]
-    for m in range(1, len(coeffs) + 1):
-        acc = ClassFunction.constant(group, 0)
-        for k in range(1, m + 1):
-            term = coeffs[k - 1] * series[m - k]
-            acc = acc + term if k % 2 else acc - term
-        series.append(acc.scale(Fraction(1, m)) if newton else acc)
-    return series
+    # s[0] = 1 and s[m] = w_m sum_{k=1..m} (-1)^(k-1) coeffs[k-1] s[m-k], one class
+    # at a time: w_m = 1/m in Newton's identity (lambdas from psi_u^1, psi_u^2, ...,
+    # exterior powers from braided power sums), w_m = 1 in the series inversion.
+    weights = [CycScalar.rational(Fraction(1, m)) for m in range(1, len(coeffs) + 1)]
+    columns = []
+    for j in range(len(group.conjugacy_classes())):
+        values, series = [c.values[j] for c in coeffs], [CycScalar.one()]
+        for m, weight in enumerate(weights, start=1):
+            acc = CycScalar.zero()
+            for k in range(1, m + 1):
+                term = values[k - 1] * series[m - k]
+                acc = acc + term if k % 2 else acc - term
+            series.append(weight * acc if newton else acc)
+        columns.append(series)
+    return [ClassFunction(group, degree) for degree in zip(*columns)]
 
 
 def lambda_from_adams(x: ClassFunction, n: int, u: int) -> ClassFunction:
@@ -275,10 +280,10 @@ def sigma_from_lambda(x: ClassFunction, n: int, u: int) -> ClassFunction:
     return _recursive_series(x.group, _lambda_sequence(x, n, u)[1:], newton=False)[n]
 
 
-def verify_lambda_ring(u: int, characters, depth: int = 6) -> dict[str, bool]:
+def verify_lambda_ring(u: int, characters) -> dict[str, bool]:
     """Exact checks that the twisted operations give a lambda-ring structure.
 
-    On the supplied characters and all n, m up to ``depth``: additivity and
+    On the supplied characters and all n, m up to 6: additivity and
     multiplicativity of the twisted Adams operations, their composition law
     psi^n psi^m = psi^(nm), and the convolution form of lambda-additivity.
     """
@@ -298,7 +303,7 @@ def verify_lambda_ring(u: int, characters, depth: int = 6) -> dict[str, bool]:
     def psi(i: int, k: int) -> ClassFunction:
         return adams_twisted(characters[i], u, k)
 
-    degrees = range(1, depth + 1)
+    degrees = range(1, 7)
     lams = [
         _recursive_series(group, [psi(i, n) for n in degrees], newton=True)
         for i in range(len(characters))
@@ -360,7 +365,7 @@ class BraidedAction:
     for (rho (x) rho)(R), then B and each s_i by re-indexing its columns
     and rows, with no matrix product or Kronecker product.  The
     exterior-power and long-cycle traces do not build these matrices:
-    they read characters of R's terms (see ``Braiding.words``).  An
+    they read characters of R's terms (see ``Braiding.long_cycle``).  An
     exterior power multiplies them only when a difference is nonzero.
     """
 
@@ -385,14 +390,14 @@ class Braiding:
 
     ``report``, ``markov`` (u, and ``markov_index``), R R21 (``square``,
     ``unitary``), and per tensor power n the braided differences, the
-    (X, pi) word walker and the long cycle's powers depend on R alone: one
-    ``Braiding`` serves a catalog's dedup class and every representation.
+    long cycle (X, pi) and its powers depend on R alone: one ``Braiding``
+    serves a catalog's dedup class and every representation.
     """
 
     def __init__(self, rmatrix: GATensor):
         self.rmatrix = rmatrix
         self.differences = functools.cache(self._differences)
-        self.words = functools.cache(self._words)
+        self.long_cycle = functools.cache(self._long_cycle)
         self.cycle_powers = functools.cache(self._cycle_powers)
 
     @functools.cached_property
@@ -493,43 +498,45 @@ class Braiding:
                 error.witness = difference_witness(left, right, **extra)
                 raise error
 
-    def _words(self, power: int) -> _WordWalker:
-        """Braided operators on the power-th tensor power as pairs (X, pi), from R's terms.
+    def _long_cycle(self, power: int) -> tuple:
+        """The braided long cycle tau = s_(power-1) ... s_1 as a pair (X, pi), from R's terms.
 
         (X, pi) stands for rho^(x)n(X) composed with T_pi, the plain leg
         permutation that moves slot i to slot pi[i], with X in k[G]^(x)n.  The
         generator s_j is (R placed in legs j and j+1, the transposition of
         slots j-1 and j, 0-based).  Since T_p rho^(x)n(Y) = rho^(x)n(p(Y)) T_p,
         where p(Y) puts leg i of Y at slot p[i], products are
-        (X, p) (Y, s) = (X p(Y), p o s): one GATensor product per new word.
+        (X, p) (Y, s) = (X p(Y), p o s): one GATensor product per letter after the first.
         """
         ident, letters = tuple(range(power)), []
-        for j in range(1, power):
+        for j in range(power - 1, 0, -1):
             swap = list(ident)
             swap[j - 1], swap[j] = j, j - 1
             letters.append((self.rmatrix.embed_legs((j, j + 1), power), tuple(swap)))
-        return _WordWalker((GATensor.unit(self.rmatrix.group, power), ident), letters, _compose)
+        if not letters:
+            return GATensor.unit(self.rmatrix.group, power), ident
+        return functools.reduce(_compose, letters)
 
     def _cycle_powers(self, p: int) -> list[tuple]:
-        """tau^i, i = 0 .. p-1, for the long cycle tau of ``words``: tau^i = tau^(i-1) tau."""
-        ops = self.words(p)
-        powers = [ops.word(()), ops.word(tuple(_adjacent_word(tuple(range(1, p)) + (0,))))]
+        """tau^i, i = 0 .. p-1, for the ``long_cycle`` tau: tau^i = tau^(i-1) tau."""
+        tau = self.long_cycle(p)
+        powers = [(GATensor.unit(self.rmatrix.group, p), tuple(range(p))), tau]
         while len(powers) < p:
-            powers.append(_compose(powers[-1], powers[1]))
+            powers.append(_compose(powers[-1], tau))
         return powers[:p]
 
     def exterior_power_char(self, rep: MatrixRep, n: int) -> ClassFunction:
         """Character of the n-th braided exterior power of a representation.
 
-        The value at g is the trace of the g-action composed with the
-        antisymmetrizer (1/n!) sum of sign(s) times s, each s an operator of
-        ``words``, so every trace is a character sum over R's terms.  The
-        projector is idempotent and equivariant whenever R's braided
-        identities hold in k[G]^(x)n (R R21 = 1 is required throughout).
-        Only when ``differences`` is non-empty is the projector built as a
-        d^n matrix, from the same signed words as products of the generators,
-        and checked against g^(x)n; a failure's ``witness`` names the first
-        differing entry (row-major) and, for equivariance, the element g.
+        The value at g is tr(g^(x)n A), A = (1/n!) sum of sign(w) T_w over S_n.
+        When ``differences`` is empty (R R21 = 1 is required throughout), the
+        T_w are an S_n action commuting with g^(x)n, a tensor product on
+        S_k x S_(n-k), so tr(g^(x)n T_w) is a class function of w, a product
+        over its cycles, and the value is Newton's e_n in the power sums
+        p_k(g) = tr(g^(x)k tau_k), character sums over R's terms (``long_cycle``).
+        Otherwise A is built from all n! signed words as a d^n matrix, checked
+        against g^(x)n and traced against it; a failure's ``witness`` names
+        the first differing entry (row-major) and, for equivariance, g.
         Degrees n >= 7, with n! > ``DIMENSION_CAP`` signed words, are refused first.
         """
         group = rep.group
@@ -542,29 +549,31 @@ class Braiding:
         if _too_many_words(n):
             raise ValueError(f"exterior power degree {n} has over {DIMENSION_CAP} signed words")
         self.check(rep, n)
-        words = [tuple(_adjacent_word(perm)) for perm in itertools.permutations(range(n))]
-        signed = [(-1 if len(word) % 2 else 1, word) for word in words]
-        if self.differences(n):
-            _, generators = self.generators(rep, n)
-            dim = rep.dim**n
-            products = _WordWalker(Matrix.identity(dim), generators, operator.matmul)
-            projector = Matrix.zero(dim, dim)
-            for sign, word in signed:
-                projector = projector + products.word(word).scale(sign)
-            projector = projector.scale(Fraction(1, len(signed)))
-            _check_matrices(projector @ projector, projector, "antisymmetrizer is not idempotent")
-            for g in group.elements():
-                diag = functools.reduce(Matrix.kron, [rep.matrix(g)] * n)
-                _check_matrices(
-                    projector @ diag, diag @ projector, "antisymmetrizer is not equivariant", element=g
-                )
-        ops = self.words(n)
-        weighted = [(sign, ops.word(word)) for sign, word in signed]
-        classes = [cls_[0] for cls_ in group.conjugacy_classes()]
-        weight = CycScalar.rational(Fraction(1, len(signed)))
-        return ClassFunction(
-            group, [v * weight for v in _operator_traces(rep, weighted, classes)]
-        )
+        if not self.differences(n):
+            chi = rep.character()
+            classes = [cls_[0] for cls_ in group.conjugacy_classes()]
+            sums = [chi] + [
+                ClassFunction(group, _operator_traces(chi, self.long_cycle(k), classes))
+                for k in range(2, n + 1)
+            ]
+            return _recursive_series(group, sums, newton=True)[n]
+        _, generators = self.generators(rep, n)
+        dim = rep.dim**n
+        products = _WordWalker(Matrix.identity(dim), generators)
+        projector = Matrix.zero(dim, dim)
+        for perm in itertools.permutations(range(n)):
+            word = tuple(_adjacent_word(perm))
+            projector = projector + products.word(word).scale(-1 if len(word) % 2 else 1)
+        projector = projector.scale(Fraction(1, math.factorial(n)))
+        _check_matrices(projector @ projector, projector, "antisymmetrizer is not idempotent")
+        traced = {}
+        for g in group.elements():
+            diag = functools.reduce(Matrix.kron, [rep.matrix(g)] * n)
+            traced[g] = projector @ diag
+            _check_matrices(
+                traced[g], diag @ projector, "antisymmetrizer is not equivariant", element=g
+            )
+        return ClassFunction.from_function(group, lambda g: traced[g].trace())
 
     def long_cycle_traces(self, rep: MatrixRep, p: int) -> dict[int, list[CycScalar]]:
         """For every central z, the traces of (uz)^(x)p composed with tau^i, i = 0 .. p-1.
@@ -579,7 +588,8 @@ class Braiding:
         self.check(rep, p)
         center = group.center()
         acted = [group.table[u][z] for z in center]
-        columns = [_operator_traces(rep, [(1, op)], acted) for op in self.cycle_powers(p)]
+        chi = rep.character()
+        columns = [_operator_traces(chi, op, acted) for op in self.cycle_powers(p)]
         return {z: [column[k] for column in columns] for k, z in enumerate(center)}
 
 
@@ -648,22 +658,21 @@ def _check_matrices(left: Matrix, right: Matrix, message: str, **extra):
 
 
 class _WordWalker:
-    """Operators of words s_w1 s_w2 ... in the adjacent transpositions, memoized.
+    """Matrices of words s_w1 s_w2 ... in the adjacent transpositions, memoized.
 
-    ``letters[j - 1]`` is s_j and ``compose`` the product: a word is its
-    memoized prefix times its last letter, one product per new word.
+    ``letters[j - 1]`` is s_j: a word is its memoized prefix times its last
+    letter, one product per new word.
     """
 
-    __slots__ = ("_compose", "_memo")
+    __slots__ = ("_memo",)
 
-    def __init__(self, unit, letters, compose):
-        self._compose = compose
+    def __init__(self, unit, letters):
         self._memo = {(): unit, **{(j,): op for j, op in enumerate(letters, start=1)}}
 
     def word(self, word: tuple):
         op = self._memo.get(word)
         if op is None:
-            op = self._memo[word] = self._compose(self.word(word[:-1]), self._memo[word[-1:]])
+            op = self._memo[word] = self.word(word[:-1]) @ self._memo[word[-1:]]
         return op
 
 
@@ -675,58 +684,50 @@ def _inverse(perm) -> list[int]:
 
 
 def _compose(left, right):
-    """(X, p) (Y, s) = (X p(Y), p o s) for operators of ``Braiding.words``."""
+    """(X, p) (Y, s) = (X p(Y), p o s) for the operators (X, pi) of ``Braiding.long_cycle``."""
     (x, p), (y, s) = left, right
     return x * y.permute_legs(_inverse(p)), tuple(p[k] for k in s)
 
 
-def _operator_traces(rep: MatrixRep, weighted, elements) -> list[CycScalar]:
-    """sum of w tr(rho^(x)n(g^(x)n X) T_pi) over (w, (X, pi)) in ``weighted``, per g.
+def _operator_traces(character: ClassFunction, op, elements) -> list[CycScalar]:
+    """tr(rho^(x)n(g^(x)n X) T_pi) for the operator op = (X, pi), per g in ``elements``.
 
     Slot k of the image reads slot pi^-1(k), so the trace factors over the
     cycles of pi: a term (x, c) of X adds c times the product over cycles,
     each read k -> pi^-1(k) -> ..., of chi(g x_k g x_pi^-1(k) ...), with
-    chi = ``rep.character()``.  The weights are +1 or -1.  Coefficients are
-    summed per tuple of cycle classes first, so each tuple costs one
-    product of character values.
+    chi the ``character`` of rho.  Coefficients are summed per tuple of
+    cycle classes first, so each tuple costs one product of character values.
     """
-    group = rep.group
+    group = character.group
     table, e = group.table, group.identity
-    chi = rep.character().values
-    class_of = [0] * group.size
-    for idx, cls_ in enumerate(group.conjugacy_classes()):
-        for h in cls_:
-            class_of[h] = idx
-    prepared = []
-    for weight, (x, pi) in weighted:
-        back, cycles, seen = _inverse(pi), [], set()
-        for k in range(len(pi)):
-            cycle = []
-            while k not in seen:
-                seen.add(k)
-                cycle.append(k)
-                k = back[k]
-            if cycle:
-                cycles.append(cycle)
-        prepared.append((weight, x.terms, cycles))
+    chi = character.values
+    class_of = {h: idx for idx, cls_ in enumerate(group.conjugacy_classes()) for h in cls_}
+    x, pi = op
+    back, cycles, seen = _inverse(pi), [], set()
+    for k in range(len(pi)):
+        cycle = []
+        while k not in seen:
+            seen.add(k)
+            cycle.append(k)
+            k = back[k]
+        if cycle:
+            cycles.append(cycle)
     out = []
     for g in elements:
         row = table[g]
         sums: dict[tuple, CycScalar] = {}
-        for weight, terms, cycles in prepared:
-            for key, c in terms.items():
-                classes = []
-                for cycle in cycles:
-                    h = e
-                    for k in cycle:
-                        h = table[h][row[key[k]]]
-                    if not chi[class_of[h]]:
-                        break
-                    classes.append(class_of[h])
-                else:
-                    classes = tuple(sorted(classes))
-                    c = c if weight > 0 else -c
-                    sums[classes] = sums[classes] + c if classes in sums else c
+        for key, c in x.terms.items():
+            classes = []
+            for cycle in cycles:
+                h = e
+                for k in cycle:
+                    h = table[h][row[key[k]]]
+                if not chi[class_of[h]]:
+                    break
+                classes.append(class_of[h])
+            else:
+                classes = tuple(sorted(classes))
+                sums[classes] = sums[classes] + c if classes in sums else c
         total = CycScalar.zero()
         for classes, c in sums.items():
             for idx in classes:

@@ -245,13 +245,11 @@ class GATensor:
         return self == GATensor.unit(self.group, self.arity)
 
     def is_grouplike(self) -> bool:
-        """Whether the coproduct doubles the tensor and the counit gives 1."""
+        """Whether x = sum c_g g is a group element: Delta x = x (x) x forces c_g c_h = 0
+        for g != h and c_g^2 = c_g, and eps(x) = 1 leaves one term, coefficient 1."""
         if self.arity != 1:
             raise ValueError("grouplikes live in arity 1")
-        eps = self.counit(1)
-        if not (len(eps.terms) == 1 and eps.terms.get((), None) == 1):
-            return False
-        return self.coproduct(1) == self @ self
+        return len(self.terms) == 1 and next(iter(self.terms.values())) == 1
 
     def grouplike_index(self) -> int:
         if not self.is_grouplike():

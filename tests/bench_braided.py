@@ -16,7 +16,10 @@ Validation runs on a fresh ``Braiding`` in each round, so R R21 and R's
 braided differences are formed every time, as on a first call.  The
 exterior square and cube and the long-cycle trace table at p = 2 and 3 are
 timed on the regular representation for the 16-term D4 and the 4-term Q8
-structure.  The exterior-power fallback, which builds the antisymmetrizer
+structure, and the exterior powers n = 4, 5 and 6 on the regular
+representation of Z2xZ2 for its first 16-term structure, each on a fresh
+``Braiding`` (a checkout that traces all n! signed words takes over a minute
+per call at n = 6).  The exterior-power fallback, which builds the antisymmetrizer
 as a d^n matrix and checks it, is timed on three R on S3 that fail a
 braided identity in the group algebra: F21^-1 F on the regular rep at
 n = 3 (not idempotent), s (x) s on it at n = 2 (not equivariant), and
@@ -30,6 +33,7 @@ checkout with this file; validation and the long-cycle table need
 have as well.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -93,6 +97,14 @@ def test_exterior_power(benchmark, name, terms, n):
     rep = regular_rep(r.group)
     ext = benchmark(lambda: exterior_power_char(rep, r, n))
     assert ext.group == r.group
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_exterior_power_z2xz2_16_terms(benchmark, n):
+    r = _structure("Z2xZ2", 16)
+    rep = regular_rep(r.group)
+    ext = benchmark(lambda: exterior_power_char(rep, r, n))
+    assert ext.dim() == math.comb(rep.dim, n)
 
 
 @pytest.mark.parametrize("p", [2, 3])

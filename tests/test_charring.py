@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -70,6 +71,44 @@ def _permutation_matrix(action, perm):
     for slot in word[1:]:
         out = out @ action.generators[slot - 1]
     return out
+
+
+def _word_operators(r, n):
+    """The (X, pi) of words in the braided letters of R on n legs, memoized by prefix.
+
+    The letter s_j is (R in legs j and j+1, the transposition of slots j-1
+    and j, 0-based); a word is its prefix and its last letter folded with
+    ``charring._compose``, starting from the unit (1, identity).
+    """
+    ident = tuple(range(n))
+
+    @functools.cache
+    def word(w):
+        if not w:
+            return GATensor.unit(r.group, n), ident
+        swap = list(ident)
+        swap[w[-1] - 1], swap[w[-1]] = w[-1], w[-1] - 1
+        letter = r.embed_legs((w[-1], w[-1] + 1), n), tuple(swap)
+        return charring._compose(word(w[:-1]), letter)
+
+    return word
+
+
+def _word_sum_exterior_power_char(rep, r, n):
+    """(1/n!) sum of sign(w) tr(g^(x)n T_w) over all n! permutations w.
+
+    Each T_w is the (X, pi) of its word in R's letters and each trace a
+    character sum of ``charring._operator_traces``.
+    """
+    group, chi = rep.group, rep.character()
+    classes = [cls_[0] for cls_ in group.conjugacy_classes()]
+    ops = _word_operators(r, n)
+    acc = ClassFunction.constant(group, 0)
+    for perm in itertools.permutations(range(n)):
+        word = tuple(_adjacent_word(perm))
+        traced = ClassFunction(group, charring._operator_traces(chi, ops(word), classes))
+        acc = acc - traced if len(word) % 2 else acc + traced
+    return acc.scale(Fraction(1, math.factorial(n)))
 
 
 def _antisymmetrizer(action):
@@ -246,7 +285,7 @@ def test_verify_lambda_ring_classical_and_twisted():
     z2 = bundled_group("Z2")
     chars = linear_characters(z2) + [regular_rep(z2).character()]
     for u in (0, 1):
-        checks = verify_lambda_ring(u, chars, depth=6)
+        checks = verify_lambda_ring(u, chars)
         assert all(checks.values()), checks
 
 
@@ -585,7 +624,7 @@ def test_exterior_power_refuses_degrees_beyond_the_word_cap(monkeypatch):
     def no_words(*args):
         raise AssertionError("a word or d^n was formed")
 
-    monkeypatch.setattr(Braiding, "_words", no_words)
+    monkeypatch.setattr(Braiding, "_long_cycle", no_words)
     monkeypatch.setattr(Braiding, "check", no_words)
     monkeypatch.setattr(charring, "_adjacent_word", no_words)
     for n in (7, 8, 10**12):
@@ -673,6 +712,23 @@ def test_exterior_power_matches_dense_reference(name):
                 if rep.dim**n <= charring.DIMENSION_CAP:
                     expected = _reference_exterior_power_char(rep, r, n)
                     assert exterior_power_char(rep, r, n) == expected, (rep.name, n)
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_exterior_power_matches_the_signed_word_sum(name):
+    # The n! signed words, each traced as a character sum over its (X, pi),
+    # against Newton's identity over one long cycle per degree: every
+    # distinct triangular structure and standard rep at n <= 4, and at n = 5
+    # on the 1-term and 4-term structures, within the d^n cap.
+    catalog = acceptance.triangular_catalog(name)
+    for members in catalog.dedup:
+        structure = catalog.structures[members[0]]
+        r = structure.rmatrix
+        for rep in acceptance._test_reps(name):
+            for n in range(2, 6 if len(r.terms) <= 4 else 5):
+                if rep.dim**n <= charring.DIMENSION_CAP:
+                    expected = _word_sum_exterior_power_char(rep, r, n)
+                    assert structure.exterior_power_char(rep, n) == expected, (rep.name, n)
 
 
 def test_exterior_power_fallback_passes_on_a_non_faithful_rep(monkeypatch):
@@ -976,10 +1032,11 @@ def _count_criterion_work(monkeypatch, criterion, **counted):
 
 def test_criterion_06_forms_each_structures_braided_data_once(monkeypatch):
     # One Braiding per distinct triangular structure, shared by its reps:
-    # per structure R R21, the Yang-Baxter sides and the words at n = 3.
-    # Forming them per (structure, rep) took 837 GATensor products.
+    # per structure R R21, the Yang-Baxter sides and the long cycle at n = 3,
+    # 6 GATensor products.  The words of all permutations at n = 3 took 176 in
+    # all, and forming them per (structure, rep) took 837.
     counts, _ = _count_criterion_work(monkeypatch, acceptance.criterion_6)
-    assert counts["tensor"] == 176
+    assert counts["tensor"] == 132
     assert counts["matrix"] == counts["action"] == 0
 
 
@@ -1035,10 +1092,10 @@ def test_criterion_10_forms_braiding_differences_once_per_structure_and_power(mo
 def test_criteria_06_07_10_share_each_structures_braiding(monkeypatch):
     # On the same catalogs the three criteria read one ``Braiding`` per
     # distinct triangular structure, the one its catalog built for its dedup
-    # class, and build none.  Criterion 6 forms R R21, the words and the
-    # differences at n <= 3; criterion 7 then forms only tau^2 = tau tau at
-    # p = 3, one product per structure; and criterion 10 forms nothing.
-    # Each building its own ``Braiding`` took 176, 66 and 110 products.
+    # class, and build none.  Criterion 6 forms R R21, the long cycles and
+    # the differences at n <= 3; criterion 7 then forms only tau^2 = tau tau
+    # at p = 3, one product per structure; and criterion 10 forms nothing.
+    # Each building its own ``Braiding`` took 132, 66 and 110 products.
     real_powers, real_mul = Braiding._cycle_powers, GATensor.__mul__
     inside, products_at = [], Counter()
 
@@ -1060,8 +1117,8 @@ def test_criteria_06_07_10_share_each_structures_braiding(monkeypatch):
         monkeypatch, criteria, __init__=0, exterior_power_char=0, long_cycle_traces=0, check=0
     )
     assert build["tensor"] == 0 and build["__init__"] == 44  # one per distinct structure
-    assert [c["tensor"] for c in per_criterion] == [176, 22, 0]
-    assert products_at == {None: 176, 3: 22}
+    assert [c["tensor"] for c in per_criterion] == [132, 22, 0]
+    assert products_at == {None: 132, 3: 22}
     assert [c["__init__"] for c in per_criterion] == [0, 0, 0]
     triangular = {
         id(s) for name in CATALOG_NAMES for s in acceptance.triangular_catalog(name).structures
@@ -1090,26 +1147,26 @@ def _leg_permutation_matrix(d, perm):
     ids=["koszul", "noncommuting-twist", "transposition-square"],
 )
 def test_word_operators_equal_the_generator_products(group, make_r):
-    # For every permutation of three legs, (X, pi) of ``Braiding.words``
-    # maps to rho(X) T_pi, the product of the d^3 generators along the
-    # permutation's word, and its character sum against each g equals the
-    # trace of g^(x)3 times that product; R need not be an R-matrix for
-    # either to hold.
+    # For every permutation of three legs, the (X, pi) of its word, R's
+    # letters folded with ``charring._compose``, maps to rho(X) T_pi, the
+    # product of the d^3 generators along the word, and its character sum
+    # against each g equals the trace of g^(x)3 times that product; R need
+    # not be an R-matrix for either to hold.
     r = make_r()
     rep = regular_rep(bundled_group(group))
     action = _with_rmatrix(rep, 3, r)
-    ops = Braiding(r).words(3)
+    ops = _word_operators(r, 3)
     elements = list(rep.group.elements())
     for perm in itertools.permutations(range(3)):
-        op = ops.word(tuple(_adjacent_word(perm)))
+        op = ops(tuple(_adjacent_word(perm)))
         x, pi = op
         operator = _permutation_matrix(action, perm)
         assert charring._image(rep, x) @ _leg_permutation_matrix(rep.dim, pi) == operator
-        traces = charring._operator_traces(rep, [(1, op)], elements)
+        traces = charring._operator_traces(rep.character(), op, elements)
         assert traces == [(_kron_power(rep, g, 3) @ operator).trace() for g in elements], perm
 
 
-def test_word_walker_multiplies_only_generators():
+def test_word_walker_multiplies_only_generators(monkeypatch):
     # On the d^n generators, as the exterior fallback uses it: a letter is
     # its generator, and a new word is one product of its memoized prefix
     # and its last letter.
@@ -1117,17 +1174,20 @@ def test_word_walker_multiplies_only_generators():
     action = BraidedAction(rep, koszul(), 3)
     s1, s2 = action.generators
     products = []
+    real_matmul = Matrix.__matmul__
 
-    def compose(left, right):
+    def matmul(left, right):
         products.append((left, right))
-        return left @ right
+        return real_matmul(left, right)
 
-    words = charring._WordWalker(Matrix.identity(8), action.generators, compose)
+    words = charring._WordWalker(Matrix.identity(8), action.generators)
+    monkeypatch.setattr(Matrix, "__matmul__", matmul)
     assert words.word(()) == Matrix.identity(8)
     assert words.word((1,)) is s1
-    assert words.word((2, 1)) == s2 @ s1
-    assert words.word((2, 1, 2)) == s2 @ s1 @ s2
+    assert words.word((2, 1)) == real_matmul(s2, s1)
+    assert words.word((2, 1, 2)) == real_matmul(real_matmul(s2, s1), s2)
     assert products[-1] == (words.word((2, 1)), s2) and len(products) == 2
+    monkeypatch.undo()
     for perm in itertools.permutations(range(3)):
         assert words.word(tuple(_adjacent_word(perm))) == _permutation_matrix(action, perm)
 
@@ -1169,3 +1229,62 @@ def test_newton_formula_valid_only_at_central_elements_for_klein_support():
         assert exterior_power_char(rep, r, 2) == lambda_from_adams(
             rep.character(), 2, u
         )
+
+
+def test_power_sums_and_exterior_powers_against_twisted_adams():
+    # An oracle outside the braided layer: the power sum p_k(g) =
+    # tr(g^(x)k tau_k) against psi^k_u(chi)(g) = chi(u^(k+1) g^k), 2 <= k <= 6,
+    # and Lambda^n against the Newton value lambda^n_u(chi), n <= 6, on every
+    # distinct triangular structure and standard rep within the d^n cap.
+    # They agree except on D4's regular rep at its four Klein-supported
+    # 16-term structures (see the test above): p_2, and so Lambda^2 and
+    # Lambda^4, differ at noncentral classes.
+    counts, differ = Counter(), set()
+    for name, catalog, members, structure in acceptance._triangular_classes():
+        u = structure.markov.grouplike_index()
+        at = (name, catalog.dedup.index(members), len(structure.rmatrix.terms))
+        for rep in acceptance._test_reps(name):
+            chi = rep.character()
+            classes = [cls_[0] for cls_ in rep.group.conjugacy_classes()]
+            for k in range(7):
+                if rep.dim**k > charring.DIMENSION_CAP:
+                    continue
+                if k >= 2:
+                    op = structure.long_cycle(k)
+                    power_sum = ClassFunction(
+                        rep.group, charring._operator_traces(chi, op, classes)
+                    )
+                    counts["p"] += 1
+                    if power_sum != adams_twisted(chi, u, k):
+                        differ.add(("p", *at, rep.name, k))
+                counts["lambda"] += 1
+                if structure.exterior_power_char(rep, k) != lambda_from_adams(chi, k, u):
+                    differ.add(("lambda", *at, rep.name, k))
+    assert counts == {"p": 497, "lambda": 703}
+    klein = [("D4", index, 16, "regular(D4)") for index in (2, 3, 4, 5)]
+    assert differ == {("p", *case, 2) for case in klein} | {
+        ("lambda", *case, n) for case in klein for n in (2, 4)
+    }
+
+
+def test_exterior_powers_form_one_long_cycle_per_degree(monkeypatch):
+    # On the first 16-term Z2xZ2 structure, all five standard reps at
+    # n = 2 .. 6 form 27 GATensor products on one Braiding: R R21, the
+    # Yang-Baxter sides of each n >= 3 (4 each) and tau_k at one product per
+    # letter after the first (10).  The n! signed words took at least 714
+    # at n = 6 alone, and over a minute.
+    catalog = acceptance.triangular_catalog("Z2xZ2")
+    r = next(s.rmatrix for s in catalog.structures if len(s.rmatrix.terms) == 16)
+    braiding, reps = Braiding(r), acceptance._test_reps("Z2xZ2")
+    calls = Counter()
+    real_mul = GATensor.__mul__
+
+    def counting(left, right):
+        calls["tensor"] += 1
+        return real_mul(left, right)
+
+    monkeypatch.setattr(GATensor, "__mul__", counting)
+    for n in range(2, 7):
+        for rep in reps:
+            braiding.exterior_power_char(rep, n)
+    assert len(reps) == 5 and calls["tensor"] == 27

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from qtriang import charring, cli, jsonio
+from qtriang import acceptance, charring, cli, jsonio
 from qtriang.cli import build_parser, main
 from qtriang.cyclotomic import CycScalar, root_of_unity
 from qtriang.groups import (
@@ -245,6 +245,21 @@ def test_cli_exterior_with_cyclic(workdir, capsys):
     assert all("cyclic_traces" in row for row in doc["results"])
 
 
+def test_cli_exterior_sixth_power_on_a_16_term_structure(workdir, capsys):
+    # Z2xZ2's first 16-term triangular datum at n = 6: one long cycle per
+    # degree, not 720 signed words per representation (over a minute when
+    # every word was formed), and every row matches the Newton recursion.
+    catalog = acceptance.triangular_catalog("Z2xZ2")
+    datum = next(
+        d for d, s in zip(catalog.data, catalog.structures) if len(s.rmatrix.terms) == 16
+    )
+    _write(workdir / "datum.json", jsonio.datum_to_json(datum))
+    assert main(["exterior", "--datum", "datum.json", "--n", "6", "--p", "2"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["results"]) == 5
+    assert all(row["matches_newton_recursion"] for row in doc["results"])
+
+
 def test_cli_koszul_twist(workdir, capsys):
     _write(workdir / "datum.json", z2_datum_doc())
     assert main(["koszul-twist", "--datum", "datum.json"]) == 0
@@ -342,7 +357,7 @@ def test_cli_exterior_refuses_degrees_beyond_the_word_cap(workdir, capsys, monke
     def fail(*args):
         raise AssertionError("work was done for a refused degree")
 
-    monkeypatch.setattr(charring.Braiding, "_words", fail)
+    monkeypatch.setattr(charring.Braiding, "_long_cycle", fail)
     monkeypatch.setattr(charring, "_adjacent_word", fail)
     monkeypatch.setattr(cli, "standard_reps", fail)
     monkeypatch.setattr(cli, "_load_rmatrix", fail)

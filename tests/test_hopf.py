@@ -135,6 +135,28 @@ def test_is_grouplike():
     two = GATensor.basis(g, 2) + GATensor.basis(g, 3)
     assert not two.is_grouplike()
     assert not GATensor.basis(g, 2).scale(2).is_grouplike()
+    with pytest.raises(ValueError, match="arity 1"):
+        GATensor.unit(g, 2).is_grouplike()
+
+    def by_coproduct(x):
+        # The definition: the counit gives 1 and the coproduct doubles x.
+        eps = x.counit(1)
+        if not (len(eps.terms) == 1 and eps.terms.get((), None) == 1):
+            return False
+        return x.coproduct(1) == x @ x
+
+    half = Fraction(1, 2)
+    cases = [
+        GATensor(g, 1),
+        GATensor(g, 1, {(0,): half, (2,): half}),
+        GATensor.basis(g, 2).scale(root_of_unity(3)),
+        -GATensor.basis(g, 2),
+        *(s.markov for name in CATALOG_NAMES for s in qt_catalog(name).structures),
+    ]
+    outcomes = [x.is_grouplike() for x in cases]
+    assert outcomes == [by_coproduct(x) for x in cases]
+    # 206 of the 340 catalog data have a grouplike Markov element.
+    assert outcomes[:4] == [False] * 4 and (sum(outcomes[4:]), len(outcomes[4:])) == (206, 340)
 
 
 def test_projector_is_not_invertible():
