@@ -108,7 +108,9 @@ class MatrixRep:
     is the full law: in a finite group every g is a positive word
     s1 s2 ... sk in the generators, and induction on k gives
     rho(g) rho(h) = rho(s1) rho(s2 ... sk h) = rho(gh), since
-    rho(s1 g') = rho(s1) rho(g') is the checked law at h = g'.
+    rho(s1 g') = rho(s1) rho(g') is the checked law at h = g'.  When every
+    rho(g) holds one entry 1 per column (``_column_map``), as permutation
+    matrices do, the law compares column maps composed without a product.
     """
 
     __slots__ = ("group", "dim", "mats", "name")
@@ -128,9 +130,16 @@ class MatrixRep:
             if g not in span:
                 generators.append(g)
                 span = closure(generators, group.identity, group.mul)
+        maps = [_column_map(m) for m in mats]
+        by_maps = None not in maps
         for g in generators:
             for h in group.elements():
-                if mats[g] @ mats[h] != mats[group.table[g][h]]:
+                gh = group.table[g][h]
+                if by_maps:  # column j of rho(g) rho(h) is column maps[h][j] of rho(g)
+                    holds = tuple(map(maps[g].__getitem__, maps[h])) == maps[gh]
+                else:
+                    holds = mats[g] @ mats[h] == mats[gh]
+                if not holds:
                     raise ValueError(f"matrices fail the homomorphism law on ({g}, {h})")
         self.group = group
         self.dim = dim
@@ -145,6 +154,14 @@ class MatrixRep:
 
     def __repr__(self):
         return f"MatrixRep({self.name}, dim {self.dim} over {self.group.name})"
+
+
+def _column_map(m: Matrix) -> tuple[int, ...] | None:
+    """The row of each column's entry when every column holds one entry 1, else None."""
+    cols = [m.cols.get(j, {}) for j in range(m.ncols)]
+    if m.den != 1 or any(len(col) != 1 or (1,) not in col.values() for col in cols):
+        return None
+    return tuple(i for col in cols for i in col)
 
 
 def regular_rep(group: FiniteGroup) -> MatrixRep:
@@ -389,9 +406,9 @@ class Braiding:
     """One R-matrix and all that is read from it, each part formed on first use.
 
     ``report``, ``markov`` (u, and ``markov_index``), R R21 (``square``,
-    ``unitary``), and per tensor power n the braided differences, the
-    long cycle (X, pi) and its powers depend on R alone: one ``Braiding``
-    serves a catalog's dedup class and every representation.
+    ``unitary``), ``yang_baxter_sides``, and per tensor power n the braided
+    differences, the long cycle (X, pi) and its powers depend on R alone:
+    one ``Braiding`` serves a catalog's dedup class and every representation.
     """
 
     def __init__(self, rmatrix: GATensor):
@@ -425,6 +442,11 @@ class Braiding:
         return self.rmatrix * self.rmatrix.swap()
 
     @functools.cached_property
+    def yang_baxter_sides(self) -> tuple[GATensor, GATensor]:
+        """R12 R13 R23 and R23 R13 R12, the same pair at every tensor power n >= 3."""
+        return leg_products(self.rmatrix).yang_baxter_sides()
+
+    @functools.cached_property
     def unitary(self) -> bool:
         """R R21 = 1, as ``verify_unitary`` decides it."""
         return self.square.is_unit()
@@ -453,7 +475,7 @@ class Braiding:
         if square.terms != unit.terms:
             out.append((square, unit, "a braided generator fails to square to the identity", {}))
         if power >= 3:
-            left, right = leg_products(rmatrix).yang_baxter_sides()
+            left, right = self.yang_baxter_sides
             if left.terms != right.terms:
                 out.append((left, right, "adjacent generators fail the braid relation", {}))
         for g in rmatrix.group.elements():

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from operator import getitem
+from itertools import repeat
 
 from .cyclotomic import ORDER_CAP, CycScalar, lift, root_power_table
 from .groups import FiniteGroup, closure
@@ -113,15 +113,19 @@ class GATensor:
         over Z[C_n].  A key is read out once, at the lcm m of the orders of
         the pairs reaching it (the order a running scalar sum would keep, and
         past the order cap the same ValueError).  The slot for m starts at the
-        gcd of lcm(o1, o2) over the operands' order pairs: it divides each one.
-        Histograms are dense lists while n is within the cap, else sparse.
+        gcd of lcm(o1, o2) over the operands' order pairs: it divides each one,
+        and when all of them agree no pair can widen it.  Histograms are dense
+        lists while n is within the cap, else sparse; one whose coordinates
+        all cancel is dropped unread.
         """
         if not isinstance(other, GATensor):
             return self.scale(other)
         self._check_compatible(other)
         orders1, orders2 = ({v.order for v in t.terms.values()} for t in (self, other))
         n = math.lcm(*orders1, *orders2)
-        start = math.gcd(*(math.lcm(o1, o2) for o1 in orders1 for o2 in orders2))
+        pair_orders = {math.lcm(o1, o2) for o1 in orders1 for o2 in orders2}
+        start = math.gcd(*pair_orders)
+        widen = len(pair_orders) > 1
         den1, left = _spread(self.terms, n)
         den2, right = _spread(other.terms, n)
         if start > ORDER_CAP:  # every pair's order is past the cap: the first pair raises
@@ -129,25 +133,31 @@ class GATensor:
         table = self.group.table
         # n exponent slots, then the order m so far at index n.
         blank = [0] * n + [start] if n <= ORDER_CAP else None
+        # The right keys as one column per leg: a left key maps each column
+        # through its leg's row of the table, and the columns zip into keys.
+        legs = list(zip(*(k2 for k2, _, _, _ in right)))
+        rest = [(o2, e2, a2) for _, o2, e2, a2 in right]
         acc = {}
         for k1, o1, e1, a1 in left:
-            rows = [table[a] for a in k1]
-            for k2, o2, e2, a2 in right:
-                key = tuple(map(getitem, rows, k2))
+            cols = [map(table[a].__getitem__, col) for a, col in zip(k1, legs)]
+            for key, (o2, e2, a2) in zip(zip(*cols) if legs else repeat(()), rest):
                 hist = acc.get(key)
                 if hist is None:
                     hist = acc[key] = blank.copy() if blank else defaultdict(int, {n: start})
-                m = hist[n]
-                if m % o1 or m % o2:
-                    hist[n] = _widen(m, o1, o2)
+                if widen:
+                    m = hist[n]
+                    if m % o1 or m % o2:
+                        hist[n] = _widen(m, o1, o2)
                 hist[(e1 + e2) % n] += a1 * a2
         den = den1 * den2
         out = {}
         for key, hist in acc.items():
             m = hist[n]
-            num = lift([hist[e] for e in range(0, n, n // m)], root_power_table(m))
-            if any(num):
-                out[key] = CycScalar._make(m, den, num)
+            coords = hist[0:n:n // m] if blank else [hist[e] for e in range(0, n, n // m)]
+            if any(coords):
+                num = lift(coords, root_power_table(m))
+                if any(num):
+                    out[key] = CycScalar._make(m, den, num)
         return GATensor._make(self.group, self.arity, out)
 
     def __matmul__(self, other: "GATensor") -> "GATensor":

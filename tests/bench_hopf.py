@@ -6,7 +6,9 @@ it.  Run it with
     PYTHONPATH=src python -m pytest tests/bench_hopf.py --benchmark-only
 
 R R21 is timed on the first 16-term structures of D4 and Q8 and on the
-first 4-term structure of Z2xZ2; ``leg_products(R)`` followed by
+first 4-term structure of Z2xZ2; R (S x I)(R), ``verify_qt``'s inverse
+guess, on the D4 one, where all but one of the keys it reaches cancel;
+``leg_products(R)`` followed by
 ``yang_baxter_sides`` on the D4 one; one product of two 12-term
 arity-2 tensors on D4 whose coefficients have orders 3, 4 and 8 and
 several nonzero coordinates over different denominators; and the five
@@ -38,6 +40,12 @@ def test_r_times_r21(benchmark, name, terms):
     r21 = r.swap()
     product = benchmark(r.__mul__, r21)
     assert product.terms
+
+
+def test_r_times_antipode_d4(benchmark):
+    r = _structure("D4", 16)
+    product = benchmark(r.__mul__, r.antipode(1))
+    assert product.is_unit()
 
 
 def test_yang_baxter_sides_d4(benchmark):

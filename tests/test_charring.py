@@ -166,6 +166,42 @@ def test_matrix_rep_checks_the_law_on_every_generator(name):
                 MatrixRep(group, bad)
 
 
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_matrix_rep_column_maps_name_the_matrix_law_failure(name, monkeypatch):
+    # Swapping rho(a) and rho(b) in the regular rep keeps a homomorphism
+    # exactly when the transposition of a and b is an automorphism.  The
+    # column maps, composed without a matrix product, must name the same
+    # (g, h) as the matrix products do.
+    group = bundled_group(name)
+    mats = regular_rep(group).mats
+    others = [g for g in group.elements() if g != group.identity]
+
+    def failure(swapped):
+        try:
+            MatrixRep(group, swapped)
+        except ValueError as exc:
+            return str(exc)
+        return None
+
+    def no_product(*args):
+        raise AssertionError("a permutation rep formed a matrix product")
+
+    for a, b in itertools.combinations(others, 2):
+        swap = {a: b, b: a}
+        swapped = [mats[swap.get(g, g)] for g in group.elements()]
+        with monkeypatch.context() as patch:
+            patch.setattr(Matrix, "__matmul__", no_product)
+            by_maps = failure(swapped)
+        with monkeypatch.context() as patch:
+            patch.setattr(charring, "_column_map", lambda m: None)
+            assert failure(swapped) == by_maps
+        automorphism = all(
+            group.table[swap.get(g, g)][swap.get(h, h)] == swap.get(k, k)
+            for g, row in enumerate(group.table) for h, k in enumerate(row)
+        )
+        assert (by_maps is None) == automorphism
+
+
 def test_linear_characters():
     assert len(linear_characters(bundled_group("Z2xZ2"))) == 4
     assert len(linear_characters(bundled_group("S3"))) == 2  # trivial and parity
@@ -1269,10 +1305,10 @@ def test_power_sums_and_exterior_powers_against_twisted_adams():
 
 def test_exterior_powers_form_one_long_cycle_per_degree(monkeypatch):
     # On the first 16-term Z2xZ2 structure, all five standard reps at
-    # n = 2 .. 6 form 27 GATensor products on one Braiding: R R21, the
-    # Yang-Baxter sides of each n >= 3 (4 each) and tau_k at one product per
-    # letter after the first (10).  The n! signed words took at least 714
-    # at n = 6 alone, and over a minute.
+    # n = 2 .. 6 form 15 GATensor products on one Braiding: R R21, the
+    # Yang-Baxter sides once for every n >= 3 (4; 16 when each n formed
+    # them) and tau_k at one product per letter after the first (10).  The
+    # n! signed words took at least 714 at n = 6 alone, and over a minute.
     catalog = acceptance.triangular_catalog("Z2xZ2")
     r = next(s.rmatrix for s in catalog.structures if len(s.rmatrix.terms) == 16)
     braiding, reps = Braiding(r), acceptance._test_reps("Z2xZ2")
@@ -1287,4 +1323,4 @@ def test_exterior_powers_form_one_long_cycle_per_degree(monkeypatch):
     for n in range(2, 7):
         for rep in reps:
             braiding.exterior_power_char(rep, n)
-    assert len(reps) == 5 and calls["tensor"] == 27
+    assert len(reps) == 5 and calls["tensor"] == 15

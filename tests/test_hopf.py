@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qtriang.acceptance import qt_catalog
 from qtriang.cyclotomic import CycScalar, euler_phi, root_of_unity
@@ -319,8 +319,33 @@ def _mixed_pair(draw):
     return x, y
 
 
+_Z3, _Z4 = bundled_group("Z3"), bundled_group("Z4")
+_HALF, _MINUS3 = CycScalar.rational(Fraction(1, 2)), CycScalar.rational(-3, 2)
+_I4, _W3 = CycScalar(4, [1, Fraction(2, 3)]), CycScalar(3, [Fraction(-1, 2), 2])
+
+
+def _on_z4(*values):
+    # Arity-2 tensor on Z4 whose keys collide in products.
+    return GATensor(_Z4, 2, {(i % 4, 3 * i % 4): v for i, v in enumerate(values)})
+
+
 @settings(max_examples=100, deadline=None)
 @given(_mixed_pair())
+# Orders {1, 2} x {2} and {1, 4} x {4}: every pair lcm agrees; {3} x {1, 4}:
+# the pair lcms 3 and 12 differ within the cap.
+@example((_on_z4(_HALF, _MINUS3, _HALF, _MINUS3, _MINUS3), _on_z4(_MINUS3, 2 * _MINUS3, _MINUS3)))
+@example((_on_z4(_I4, _HALF, _I4 * _I4, _HALF, _I4), _on_z4(_I4, -_I4, _I4 * _I4)))
+@example((_on_z4(_W3, _W3 * _W3, _W3, -_W3), _on_z4(_HALF, _I4, _I4, _HALF, _I4 + 1)))
+# Every key cancels: (c1 - c1 h) (c2 + c2 h) at h of order 2 leaves all
+# coordinates zero, and 1 + z3 + z3^2 sums to zero only once lifted.
+@example((
+    GATensor(_Z4, 2, {(0, 1): _I4, (2, 1): -_I4}),
+    GATensor(_Z4, 2, {(0, 3): _W3, (2, 3): _W3}),
+))
+@example((
+    GATensor(_Z3, 1, {(k,): root_of_unity(3, k) for k in range(3)}),
+    GATensor(_Z3, 1, {(k,): CycScalar.one(3) for k in range(3)}),
+))
 def test_product_matches_scalar_reference(pair):
     x, y = pair
     for a, b in ((x, y), (y, x)):
