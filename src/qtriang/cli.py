@@ -163,7 +163,8 @@ def _cmd_classify(args):
     catalog = catalog.triangular if args.triangular else catalog
     # A dedup class's members store one element bit-identically and share its
     # checks, so its part of each entry is built once and the same objects
-    # are referenced by every member: canonical_dumps then encodes them once.
+    # are referenced by every member: canonical_dumps encodes them at their
+    # first and second meetings and reuses the text after.
     entries = [None] * len(catalog)
     for cls, members in enumerate(catalog.dedup):
         structure = catalog.structures[members[0]]

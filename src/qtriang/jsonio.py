@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 
 from .charring import ClassFunction, MatrixRep
@@ -31,55 +32,91 @@ from .linalg import Matrix
 from .rmatrix import QTDatum, VerificationReport
 
 
+# The element type of a list written without a call per element.
+_INT_ONLY = frozenset((int,))
+
+
 def canonical_dumps(doc) -> str:
     """``doc`` as canonical JSON text, ending in a newline.
 
     The bytes equal ``json.dumps(doc, sort_keys=True, indent=2,
-    separators=(",", ": ")) + "\\n"``.  A container object that appears
-    more than once at the same depth (a dedup class's report, shared by its
-    members' entries) is encoded once for that depth: its first meeting is
-    only marked, its second keeps the text, and later ones reuse it.
+    separators=(",", ": ")) + "\\n"``.  One walk appends text fragments to
+    one list, joined once at the end.  A container object that appears more
+    than once at the same depth (a dedup class's report, shared by its
+    members' entries, or a coefficient record shared by equal terms) is
+    encoded at its first and second meetings only: the first is merely
+    marked, the second keeps its text, and later ones reuse that text.  A
+    list of ints is written by one join, with no call per int and no mark.
     """
+    out: list[str] = []
+    append = out.append
     memo: dict = {}
+    # indents[d] is the line break and indent of depth d; it grows as the
+    # walk goes deeper.
+    indents = ["\n"]
 
-    def encode(value, depth: int) -> str:
+    def encode(value, depth: int) -> None:
         if isinstance(value, str):
-            return encode_basestring_ascii(value)
-        if value is None:
-            return "null"
-        if value is True:
-            return "true"
-        if value is False:
-            return "false"
-        if isinstance(value, int):
-            return int.__repr__(value)
-        if not isinstance(value, (list, tuple, dict)):
-            return json.dumps(value)
-        if not value:
-            return "{}" if isinstance(value, dict) else "[]"
-        key = (id(value), depth)
-        seen = memo.get(key)
-        if seen is None:
-            # The mark is the container itself, which keeps its id from
-            # being reused by another object during this call.
-            memo[key] = value
-        elif seen is not value:
-            return seen
-        inner = "\n" + "  " * (depth + 1)
-        if isinstance(value, dict):
-            parts = [
-                encode_basestring_ascii(_json_key(k)) + ": " + encode(v, depth + 1)
-                for k, v in sorted(value.items())
-            ]
-            text = "{" + inner + ("," + inner).join(parts) + inner[:-2] + "}"
+            append(encode_basestring_ascii(value))
+        elif value is None:
+            append("null")
+        elif value is True:
+            append("true")
+        elif value is False:
+            append("false")
+        elif isinstance(value, int):
+            append(int.__repr__(value))
+        elif not isinstance(value, (list, tuple, dict)):
+            append(json.dumps(value))
+        elif not value:
+            append("{}" if isinstance(value, dict) else "[]")
         else:
-            parts = [encode(v, depth + 1) for v in value]
-            text = "[" + inner + ("," + inner).join(parts) + inner[:-2] + "]"
-        if seen is not None:
-            memo[key] = text
-        return text
+            outer = indents[depth]
+            depth += 1
+            if depth == len(indents):
+                indents.append(outer + "  ")
+            inner = indents[depth]
+            is_dict = isinstance(value, dict)
+            if not is_dict and type(value[0]) is int and _INT_ONLY.issuperset(map(type, value)):
+                append("[" + inner + ("," + inner).join(map(int.__repr__, value)) + outer + "]")
+                return
+            key = (id(value), depth)
+            seen = memo.get(key)
+            if seen is None:
+                # The mark is the container itself, which keeps its id from
+                # being reused by another object during this call.
+                memo[key] = value
+            elif seen is not value:
+                append(seen)
+                return
+            start = len(out)
+            comma = "," + inner
+            if is_dict:
+                sep = "{" + inner
+                # Keys of one dict never compare equal, so sorting the keys
+                # gives the order json's sort of the items gives.
+                for k in sorted(value):
+                    name = k if type(k) is str else _json_key(k)
+                    append(sep + encode_basestring_ascii(name) + ": ")
+                    encode(value[k], depth)
+                    sep = comma
+                append(outer + "}")
+            else:
+                sep = "[" + inner
+                for v in value:
+                    append(sep)
+                    encode(v, depth)
+                    sep = comma
+                append(outer + "]")
+            if seen is not None:
+                text = "".join(out[start:])
+                del out[start:]
+                append(text)
+                memo[key] = text
 
-    return encode(doc, 0) + "\n"
+    encode(doc, 0)
+    append("\n")
+    return "".join(out)
 
 
 def _json_key(key) -> str:
@@ -98,6 +135,25 @@ def scalar_to_json(value: CycScalar) -> dict:
         g = math.gcd(x, r.den)
         coeffs.append([x // g, r.den // g])
     return {"order": r.order, "coeffs": coeffs}
+
+
+def _scalar_records(values) -> list[dict]:
+    """``scalar_to_json`` of each value, one shared record per distinct value.
+
+    Equal stored values (order, den, num) get the same record object, so
+    ``scalar_to_json`` runs once per distinct value and ``canonical_dumps``
+    reuses that record's text.  A caller that edits a record in place must
+    copy the document first.
+    """
+    records: dict = {}
+    out = []
+    for value in values:
+        key = (value.order, value.den, value.num)
+        record = records.get(key)
+        if record is None:
+            record = records[key] = scalar_to_json(value)
+        out.append(record)
+    return out
 
 
 class MalformedDocument(ValueError):
@@ -152,12 +208,13 @@ def resolve_group(source: str) -> FiniteGroup:
 
 
 def tensor_to_json(tensor: GATensor) -> dict:
+    terms = tensor.sorted_terms()
+    coeffs = _scalar_records([value for _, value in terms])
     return {
         "group": tensor.group.name,
         "arity": tensor.arity,
         "terms": [
-            {"tuple": list(key), "coeff": scalar_to_json(value)}
-            for key, value in tensor.sorted_terms()
+            {"tuple": list(key), "coeff": coeff} for (key, _), coeff in zip(terms, coeffs)
         ],
     }
 
@@ -221,7 +278,7 @@ def class_function_to_json(fn: ClassFunction) -> dict:
     return {
         "group": fn.group.name,
         "classes": [cls_[0] for cls_ in fn.group.conjugacy_classes()],
-        "values": [scalar_to_json(v) for v in fn.values],
+        "values": _scalar_records(fn.values),
     }
 
 
@@ -235,7 +292,9 @@ def class_function_from_json(doc: dict, group: FiniteGroup) -> ClassFunction:
 
 
 def matrix_to_json(matrix: Matrix) -> list:
-    return [[scalar_to_json(v) for v in row] for row in matrix.to_dense()]
+    rows = matrix.to_dense()
+    records = iter(_scalar_records([v for row in rows for v in row]))
+    return [list(islice(records, len(row))) for row in rows]
 
 
 def matrix_rep_to_json(rep: MatrixRep) -> dict:

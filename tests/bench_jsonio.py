@@ -1,4 +1,4 @@
-"""Micro-benchmarks for writing the ``classify`` report, outside tier-1.
+"""Micro-benchmarks for writing the CLI's reports, outside tier-1.
 
 The file name does not match ``test_*.py``, so the default test run skips
 it.  Run it with
@@ -6,17 +6,24 @@ it.  Run it with
     PYTHONPATH=src python -m pytest tests/bench_jsonio.py --benchmark-only
 
 ``canonical_dumps`` is timed on the ``classify`` documents of Z2xZ2 (226
-data, 16 distinct) and D4, built once; ``classify`` is timed end to end on
-Z2xZ2 through ``cli.main``, with and without ``--triangular``: enumeration,
-verification, the entry build and the write to ``--out``.  The triangular
-report (28 data, 8 distinct) is a view of the full catalog, so every datum
-is still built, and only the triangular structures are verified.
+data, 16 distinct) and D4, built once, and on the ``lambda --group D4 --n 4``
+document, the size of one single request.  ``tensor_to_json`` is timed on the
+first 16-term D4 R-matrix and on its Markov element; each round gets fresh
+copies of the coefficients, so the minimal-order cache of a scalar does not
+hide ``reduced()``.  ``classify`` is timed end to end on Z2xZ2 and D4 through
+``cli.main``, with and without ``--triangular``: enumeration, verification,
+the entry build and the write to ``--out``.  The triangular report is a view
+of the full catalog, so every datum is still built, and only the triangular
+structures are verified.
 """
 
 import pytest
 
 from qtriang import jsonio
-from qtriang.cli import _cmd_classify, build_parser, main
+from qtriang.acceptance import qt_catalog
+from qtriang.cli import _cmd_classify, _cmd_lambda, build_parser, main
+from qtriang.cyclotomic import CycScalar
+from qtriang.hopf import GATensor
 
 
 @pytest.mark.parametrize("name", ["Z2xZ2", "D4"])
@@ -27,11 +34,42 @@ def test_canonical_dumps_classify(benchmark, name):
     assert text.startswith("{\n")
 
 
+def test_canonical_dumps_lambda_d4(benchmark):
+    doc, ok = _cmd_lambda(build_parser().parse_args(["lambda", "--group", "D4", "--n", "4"]))
+    assert ok
+    text = benchmark(jsonio.canonical_dumps, doc)
+    assert text.startswith("{\n")
+
+
+def _fresh_copy(tensor: GATensor) -> GATensor:
+    terms = {k: CycScalar._make(v.order, v.den, v.num) for k, v in tensor.terms.items()}
+    return GATensor._make(tensor.group, tensor.arity, terms)
+
+
+@pytest.mark.parametrize("which", ["rmatrix", "markov"])
+def test_tensor_to_json_d4(benchmark, which):
+    structure = next(s for s in qt_catalog("D4").structures if len(s.rmatrix.terms) == 16)
+    tensor = getattr(structure, which)
+    doc = benchmark.pedantic(
+        jsonio.tensor_to_json,
+        setup=lambda: ((_fresh_copy(tensor),), {}),
+        rounds=200,
+    )
+    assert len(doc["terms"]) == len(tensor.terms)
+
+
 @pytest.mark.parametrize(
-    "flags, size", [([], 10**6), (["--triangular"], 10**5)], ids=["all", "triangular"]
+    "name, flags, size",
+    [
+        ("Z2xZ2", [], 10**6),
+        ("Z2xZ2", ["--triangular"], 10**5),
+        ("D4", [], 10**5),
+        ("D4", ["--triangular"], 10**5),
+    ],
+    ids=["Z2xZ2-all", "Z2xZ2-triangular", "D4-all", "D4-triangular"],
 )
-def test_classify_and_emit_z2xz2(benchmark, tmp_path, flags, size):
+def test_classify_and_emit(benchmark, tmp_path, name, flags, size):
     out = tmp_path / "classify.json"
-    status = benchmark(main, ["classify", "--group", "Z2xZ2", *flags, "--out", str(out)])
+    status = benchmark(main, ["classify", "--group", name, *flags, "--out", str(out)])
     assert status == 0
     assert out.stat().st_size > size

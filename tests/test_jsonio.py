@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qtriang import jsonio
+from qtriang.acceptance import qt_catalog
+from qtriang.charring import adams_twisted, lambda_from_adams, regular_rep, standard_characters
 from qtriang.cli import _cmd_classify, build_parser
 from qtriang.classify import COMPLETENESS_NOTE, _catalog, _enumerate_data
 from qtriang.groups import (
@@ -81,7 +83,61 @@ def test_shared_inner_containers_and_empty_ones():
     assert jsonio.canonical_dumps(["é\x00", {1: 2, 10: 3}]) == _oracle(["é\x00", {1: 2, 10: 3}])
 
 
-@pytest.mark.parametrize("doc", [{(1, 2): 3}, [object()], {"a": {1j}}])
+def _nested(leaf, depth):
+    """``leaf`` inside ``depth`` containers, dicts and lists in turn."""
+    for level in range(depth):
+        leaf = {"k": leaf, "n": level} if level % 2 else [level, leaf]
+    return leaf
+
+
+_DEEP = 130
+
+
+@pytest.mark.parametrize(
+    "leaf",
+    [[1, -2, 10**30], [1, True, 0], [1, None, "s", 2.5], {"a": [[1, 2]], "b": ()}, [], {}, 7],
+    ids=["ints", "int-bools", "mixed", "dict", "empty-list", "empty-dict", "int"],
+)
+def test_deep_nesting_matches_json_dumps(leaf):
+    # Deeper than any depth reached elsewhere, so every indent is made
+    # during the call.
+    doc = _nested(leaf, _DEEP)
+    assert jsonio.canonical_dumps(doc) == _oracle(doc)
+    assert jsonio.canonical_dumps([doc, doc]) == _oracle([doc, doc])
+
+
+@pytest.mark.parametrize("times", [1, 2, 3, 5])
+@pytest.mark.parametrize(
+    "shared",
+    [{"coeffs": [[1, 2], [-3, 4]], "order": 3}, [1, 2, 3], [None, {"x": [True]}, "s"]],
+    ids=["record", "ints", "mixed"],
+)
+def test_shared_container_met_n_times(shared, times):
+    # At one depth, shallow and deep; then at a different depth each time,
+    # once with the repeats next to each other and once far apart.
+    docs = [
+        [shared] * times,
+        {"entries": [{"c": shared} for _ in range(times)]},
+        _nested([shared] * times, _DEEP),
+        [_nested(shared, level) for level in range(times)],
+        [_nested(shared, _DEEP - 20 * level) for level in range(times)],
+        [shared, _nested([shared] * times, 3), shared],
+    ]
+    for doc in docs:
+        assert jsonio.canonical_dumps(doc) == _oracle(doc)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {(1, 2): 3},
+        [object()],
+        {"a": {1j}},
+        _nested(object(), _DEEP),
+        _nested({(1, 2): 3}, _DEEP),
+        [[1, 2], [1, 2], [1, object()]],
+    ],
+)
 def test_unencodable_documents_raise_type_error(doc):
     with pytest.raises(TypeError):
         _oracle(doc)
@@ -89,18 +145,106 @@ def test_unencodable_documents_raise_type_error(doc):
         jsonio.canonical_dumps(doc)
 
 
+def test_unencodable_value_in_a_shared_container_raises_at_every_meeting():
+    bad = {"a": [1, object()]}
+    for times in (1, 2, 3):
+        with pytest.raises(TypeError):
+            jsonio.canonical_dumps([bad] * times)
+
+
+def _assert_one_record_per_value(values, records):
+    """``records`` are ``scalar_to_json`` of ``values``, one object per stored value."""
+    values = list(values)
+    assert records == [jsonio.scalar_to_json(v) for v in values]
+    by_value = {}
+    for value, record in zip(values, records):
+        assert by_value.setdefault((value.order, value.den, value.num), record) is record
+    assert len({id(record) for record in records}) == len(by_value)
+
+
+def _distinct_catalog_tensors():
+    """The 44 distinct catalog R-matrices, each with its Markov element."""
+    tensors = []
+    for name in CATALOG_NAMES:
+        catalog = qt_catalog(name)
+        for members in catalog.dedup:
+            structure = catalog.structures[members[0]]
+            tensors.append((structure.rmatrix, structure.markov))
+    return tensors
+
+
+def test_tensor_records_are_shared_per_value_and_round_trip():
+    tensors = _distinct_catalog_tensors()
+    assert len(tensors) == 44
+    shared = 0
+    for pair in tensors:
+        for tensor in pair:
+            doc = jsonio.tensor_to_json(tensor)
+            values = [v for _, v in tensor.sorted_terms()]
+            _assert_one_record_per_value(values, [t["coeff"] for t in doc["terms"]])
+            shared += len(values) - len({id(t["coeff"]) for t in doc["terms"]})
+            assert jsonio.tensor_from_json(doc, tensor.group) == tensor
+            text = jsonio.canonical_dumps(doc)
+            assert text == _oracle(_tensor_doc(tensor))
+            assert jsonio.tensor_from_json(json.loads(text), tensor.group) == tensor
+    assert shared > 0
+
+
+def test_class_function_records_are_shared_per_value_and_round_trip():
+    checked = 0
+    for name in CATALOG_NAMES:
+        group = bundled_group(name)
+        for _, character in standard_characters(group):
+            for u in group.central_involutions():
+                for n in (2, 3, 4):
+                    for fn in (adams_twisted(character, u, n), lambda_from_adams(character, n, u)):
+                        doc = jsonio.class_function_to_json(fn)
+                        _assert_one_record_per_value(fn.values, doc["values"])
+                        assert jsonio.class_function_from_json(doc, group) == fn
+                        text = jsonio.canonical_dumps(doc)
+                        back = jsonio.class_function_from_json(json.loads(text), group)
+                        assert back == fn
+                        checked += 1
+    assert checked == 378
+
+
+@pytest.mark.parametrize("name", ["Z4", "S3", "Q8"])
+def test_matrix_records_are_shared_per_value(name):
+    rep = regular_rep(bundled_group(name))
+    for g in rep.group.elements():
+        dense = rep.matrix(g).to_dense()
+        rows = jsonio.matrix_to_json(rep.matrix(g))
+        assert [len(row) for row in rows] == [len(row) for row in dense]
+        _assert_one_record_per_value(
+            [v for row in dense for v in row], [r for row in rows for r in row]
+        )
+
+
+def _tensor_doc(tensor):
+    """The ``tensor_to_json`` document built term by term, one record per term."""
+    return {
+        "group": tensor.group.name,
+        "arity": tensor.arity,
+        "terms": [
+            {"tuple": list(key), "coeff": jsonio.scalar_to_json(value)}
+            for key, value in tensor.sorted_terms()
+        ],
+    }
+
+
 def _reference_classify_doc(group, triangular):
     """The ``classify`` document with every entry's element built from its own
-    datum, and the catalog enumerated and built on the selected data alone."""
+    datum, and the catalog enumerated and built on the selected data alone;
+    every coefficient is its own ``scalar_to_json`` record."""
     data = [d for d in _enumerate_data(group) if d.triangular or not triangular]
     catalog = _catalog(group, data)
     dedup_class = {idx: cls for cls, members in enumerate(catalog.dedup) for idx in members}
     entries = [
         {
             "datum": jsonio.datum_to_json(datum),
-            "rmatrix": jsonio.tensor_to_json(build_r(datum)),
+            "rmatrix": _tensor_doc(build_r(datum)),
             "verification": jsonio.report_to_json(catalog.structures[idx].report),
-            "markov": jsonio.tensor_to_json(catalog.structures[idx].markov),
+            "markov": _tensor_doc(catalog.structures[idx].markov),
             "triangular": datum.triangular,
             "unitary": catalog.structures[idx].unitary,
             "dedup_class": dedup_class[idx],
