@@ -10,8 +10,8 @@ twisted Adams operations and the Newton-type lambda/sigma recursions on
 the other.  One ``Braiding`` per R holds its report, Markov element, R R21,
 braided differences and one long cycle (X, pi) per degree, X in k[G]^(x)n,
 whose traces, read from R's terms and the character, give the exterior
-powers by Newton's identity; d^n generators are multiplied only for an R
-that fails a braided identity.  All is exact.
+powers by Newton's identity once the representation kills R's braided
+differences; no d^n matrix is multiplied.  All is exact.
 """
 
 from __future__ import annotations
@@ -381,9 +381,8 @@ class BraidedAction:
     ``Braiding.generators`` builds B and the s_i: one accumulation pass
     for (rho (x) rho)(R), then B and each s_i by re-indexing its columns
     and rows, with no matrix product or Kronecker product.  The
-    exterior-power and long-cycle traces do not build these matrices:
-    they read characters of R's terms (see ``Braiding.long_cycle``).  An
-    exterior power multiplies them only when a difference is nonzero.
+    exterior-power and long-cycle traces never build these matrices:
+    they read characters of R's terms (see ``Braiding.long_cycle``).
     """
 
     __slots__ = ("rep", "braiding", "power", "braid", "generators")
@@ -551,15 +550,17 @@ class Braiding:
         """Character of the n-th braided exterior power of a representation.
 
         The value at g is tr(g^(x)n A), A = (1/n!) sum of sign(w) T_w over S_n.
-        When ``differences`` is empty (R R21 = 1 is required throughout), the
-        T_w are an S_n action commuting with g^(x)n, a tensor product on
-        S_k x S_(n-k), so tr(g^(x)n T_w) is a class function of w, a product
-        over its cycles, and the value is Newton's e_n in the power sums
-        p_k(g) = tr(g^(x)k tau_k), character sums over R's terms (``long_cycle``).
-        Otherwise A is built from all n! signed words as a d^n matrix, checked
-        against g^(x)n and traced against it; a failure's ``witness`` names
-        the first differing entry (row-major) and, for equivariance, g.
-        Degrees n >= 7, with n! > ``DIMENSION_CAP`` signed words, are refused first.
+        Degrees n >= 7, with n! > ``DIMENSION_CAP`` signed words, are refused
+        first; then ``check`` and ``validate`` refuse what they refuse, a
+        ``validate`` error carrying its ``difference_witness``.  Once rho^(x)n
+        kills every difference the T_w are an S_n action commuting with
+        g^(x)n, a tensor product on S_k x S_(n-k), so tr(g^(x)n T_w) is a
+        class function of w, a product over its cycles, and the value is
+        Newton's e_n in the power sums p_k(g) = tr(g^(x)k tau_k), character
+        sums over R's terms (``long_cycle``).  For n >= 3 an R whose image
+        fails Yang-Baxter is refused even where A alone would still be an
+        idempotent commuting with every g^(x)n: without the braid relation
+        the T_w are no S_n action and there is no exterior power to report.
         """
         group = rep.group
         if n < 0:
@@ -571,31 +572,14 @@ class Braiding:
         if _too_many_words(n):
             raise ValueError(f"exterior power degree {n} has over {DIMENSION_CAP} signed words")
         self.check(rep, n)
-        if not self.differences(n):
-            chi = rep.character()
-            classes = [cls_[0] for cls_ in group.conjugacy_classes()]
-            sums = [chi] + [
-                ClassFunction(group, _operator_traces(chi, self.long_cycle(k), classes))
-                for k in range(2, n + 1)
-            ]
-            return _recursive_series(group, sums, newton=True)[n]
-        _, generators = self.generators(rep, n)
-        dim = rep.dim**n
-        products = _WordWalker(Matrix.identity(dim), generators)
-        projector = Matrix.zero(dim, dim)
-        for perm in itertools.permutations(range(n)):
-            word = tuple(_adjacent_word(perm))
-            projector = projector + products.word(word).scale(-1 if len(word) % 2 else 1)
-        projector = projector.scale(Fraction(1, math.factorial(n)))
-        _check_matrices(projector @ projector, projector, "antisymmetrizer is not idempotent")
-        traced = {}
-        for g in group.elements():
-            diag = functools.reduce(Matrix.kron, [rep.matrix(g)] * n)
-            traced[g] = projector @ diag
-            _check_matrices(
-                traced[g], diag @ projector, "antisymmetrizer is not equivariant", element=g
-            )
-        return ClassFunction.from_function(group, lambda g: traced[g].trace())
+        self.validate(rep, n)
+        chi = rep.character()
+        classes = [cls_[0] for cls_ in group.conjugacy_classes()]
+        sums = [chi] + [
+            ClassFunction(group, _operator_traces(chi, self.long_cycle(k), classes))
+            for k in range(2, n + 1)
+        ]
+        return _recursive_series(group, sums, newton=True)[n]
 
     def long_cycle_traces(self, rep: MatrixRep, p: int) -> dict[int, list[CycScalar]]:
         """For every central z, the traces of (uz)^(x)p composed with tau^i, i = 0 .. p-1.
@@ -651,51 +635,6 @@ def _image(rep: MatrixRep, tensor: GATensor) -> Matrix:
 def _too_many_words(n: int) -> bool:
     """n! > DIMENSION_CAP; the running products stop at the first one above the cap."""
     return any(f > DIMENSION_CAP for f in itertools.accumulate(range(1, n + 1), operator.mul))
-
-
-def _adjacent_word(perm) -> list[int]:
-    # Bubble-sort decomposition; returns slots so that composing the
-    # corresponding adjacent swaps left to right realizes the permutation.
-    arr = list(perm)
-    word = []
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(arr) - 1):
-            if arr[i] > arr[i + 1]:
-                arr[i], arr[i + 1] = arr[i + 1], arr[i]
-                word.append(i + 1)
-                changed = True
-    return word
-
-
-def _check_matrices(left: Matrix, right: Matrix, message: str, **extra):
-    """Raise ValueError(message) unless left == right, witnessing the first differing entry."""
-    if left != right:
-        i, j = min((i, j) for j, col in (left - right).cols.items() for i in col)
-        error = ValueError(message)
-        values = {"left": str(left.get(i, j)), "right": str(right.get(i, j))}
-        error.witness = {"entry": [i, j], **values, **extra}
-        raise error
-
-
-class _WordWalker:
-    """Matrices of words s_w1 s_w2 ... in the adjacent transpositions, memoized.
-
-    ``letters[j - 1]`` is s_j: a word is its memoized prefix times its last
-    letter, one product per new word.
-    """
-
-    __slots__ = ("_memo",)
-
-    def __init__(self, unit, letters):
-        self._memo = {(): unit, **{(j,): op for j, op in enumerate(letters, start=1)}}
-
-    def word(self, word: tuple):
-        op = self._memo.get(word)
-        if op is None:
-            op = self._memo[word] = self.word(word[:-1]) @ self._memo[word[-1:]]
-        return op
 
 
 def _inverse(perm) -> list[int]:

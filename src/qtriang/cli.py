@@ -272,7 +272,7 @@ def _cmd_exterior(args):
     tensor, group, _ = _load_rmatrix(args)
     braiding = Braiding(tensor)
     u = braiding.markov
-    u_idx = u.grouplike_index()
+    u_idx = braiding.markov_index
     rows = []
     ok = True
     for rep in standard_reps(group):

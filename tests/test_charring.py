@@ -16,9 +16,11 @@ from qtriang.groups import (
     normal_inclusions,
     subgroup_structure,
 )
-from qtriang.hopf import GATensor
+from qtriang.hopf import GATensor, difference_witness
 from qtriang.linalg import Matrix
-from qtriang.rmatrix import QTDatum, build_r, leg_products, markov_element, verify_qt
+from qtriang.rmatrix import (
+    QTDatum, build_r, commutes_with_diagonal, leg_products, markov_element, verify_qt
+)
 from qtriang.charring import (
     BraidedAction,
     Braiding,
@@ -37,7 +39,6 @@ from qtriang.charring import (
     standard_characters,
     standard_reps,
     verify_lambda_ring,
-    _adjacent_word,
 )
 
 
@@ -60,6 +61,24 @@ def _kron_power(rep, g, n):
     for _ in range(n):
         out = out.kron(rep.matrix(g))
     return out
+
+
+def _adjacent_word(perm) -> list[int]:
+    """Slots j of adjacent swaps whose product s_j1 s_j2 ..., left to right, realizes perm.
+
+    Bubble sort: one swap per inversion, so the word's length has perm's sign.
+    """
+    arr = list(perm)
+    word = []
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(arr) - 1):
+            if arr[i] > arr[i + 1]:
+                arr[i], arr[i + 1] = arr[i + 1], arr[i]
+                word.append(i + 1)
+                changed = True
+    return word
 
 
 def _permutation_matrix(action, perm):
@@ -662,7 +681,6 @@ def test_exterior_power_refuses_degrees_beyond_the_word_cap(monkeypatch):
 
     monkeypatch.setattr(Braiding, "_long_cycle", no_words)
     monkeypatch.setattr(Braiding, "check", no_words)
-    monkeypatch.setattr(charring, "_adjacent_word", no_words)
     for n in (7, 8, 10**12):
         message = f"exterior power degree {n} has over 4096 signed words"
         with pytest.raises(ValueError, match=message):
@@ -722,14 +740,6 @@ def test_markov_index_refusals_come_before_check():
             qtrace(own, r, Matrix.identity(own.dim))
 
 
-def _first_dense_difference(left, right):
-    for i, (a, b) in enumerate(zip(left.to_dense(), right.to_dense())):
-        for j, (x, y) in enumerate(zip(a, b)):
-            if x != y:
-                return {"entry": [i, j], "left": str(x), "right": str(y)}
-    return None
-
-
 def _reference_exterior_power_char(rep, rmatrix, n):
     # The d^n route: the antisymmetrizer as a matrix, traced against g^(x)n.
     projector = _antisymmetrizer(BraidedAction(rep, rmatrix, n, validate=False))
@@ -770,30 +780,30 @@ def test_exterior_power_matches_the_signed_word_sum(name):
 def test_exterior_power_fallback_passes_on_a_non_faithful_rep(monkeypatch):
     # s (x) s is unitary and solves Yang-Baxter but is not conjugation
     # invariant: ``Braiding.differences`` holds only equivariance
-    # differences, so the projector is built and checked as a matrix from
-    # the same ``Braiding``'s generators; every linear rep of S3 kills
-    # them, so it passes.
+    # differences.  Every linear rep of S3 kills them, so ``validate``
+    # passes and Newton's identity gives the d^n projector's trace without
+    # building the d^n generators.
     r = _transposition_square()
-    builds, differences = [], []
-    real_generators, real_differences = Braiding.generators, Braiding._differences
+    reps = linear_character_reps(r.group)
+    expected = {
+        (rep.name, n): _reference_exterior_power_char(rep, r, n) for rep in reps for n in (2, 3)
+    }
+    differences = []
+    real_differences = Braiding._differences
 
-    def counting_generators(self, rep, power):
-        builds.append(power)
-        return real_generators(self, rep, power)
+    def no_generators(self, rep, power):
+        raise AssertionError("the d^n generators were built")
 
     def recording_differences(self, power):
         differences.append(real_differences(self, power))
         return differences[-1]
 
-    monkeypatch.setattr(Braiding, "generators", counting_generators)
+    monkeypatch.setattr(Braiding, "generators", no_generators)
     monkeypatch.setattr(Braiding, "_differences", recording_differences)
-    for rep in linear_character_reps(r.group):
+    for rep in reps:
         for n in (2, 3):
-            expected = _reference_exterior_power_char(rep, r, n)
-            builds.clear()
             differences.clear()
-            assert exterior_power_char(rep, r, n) == expected
-            assert builds == [n]
+            assert exterior_power_char(rep, r, n) == expected[rep.name, n]
             [found] = differences
             assert found and {message for _, _, message, _ in found} == {
                 "the braided action is not equivariant"
@@ -801,8 +811,8 @@ def test_exterior_power_fallback_passes_on_a_non_faithful_rep(monkeypatch):
 
 
 def test_exterior_power_fallback_forms_r_r21_once(monkeypatch):
-    # The fallback takes its generators from the Braiding that checked R,
-    # so R R21 is its only GATensor product at n = 2.
+    # ``check``, ``validate`` and the long cycle share one Braiding, so
+    # R R21 is the only GATensor product at n = 2 on an R with differences.
     rep = linear_character_reps(bundled_group("S3"))[1]
     r = _transposition_square()
     expected = _reference_exterior_power_char(rep, r, 2)
@@ -841,41 +851,36 @@ def test_catalog_traces_form_no_matrix_product(monkeypatch):
 
 
 def test_exterior_projector_failures_carry_witnesses():
-    # A unitary R that fails the braid relation leaves the cube's projector
-    # not idempotent; s (x) s satisfies it but is not conjugation invariant.
+    # A unitary R that fails the braid relation is refused at the cube with
+    # the first term where the Yang-Baxter sides differ; s (x) s satisfies
+    # it but is not conjugation invariant, and is refused at the square with
+    # the first element g whose g (x) g moves R, and the first term where R
+    # and its conjugate differ.  The regular rep is faithful, so both
+    # differences have a nonzero image.
     rep = regular_rep(bundled_group("S3"))
     r = _noncommuting_twist()
-    p = _antisymmetrizer(BraidedAction(rep, r, 3, validate=False))
-    with pytest.raises(ValueError, match="not idempotent") as caught:
+    with pytest.raises(ValueError, match="^adjacent generators fail the braid relation$") as caught:
         exterior_power_char(rep, r, 3)
-    assert caught.value.witness == _first_dense_difference(p @ p, p)
+    assert caught.value.witness == difference_witness(*leg_products(r).yang_baxter_sides())
 
     r = _transposition_square()
-    p = _antisymmetrizer(BraidedAction(rep, r, 2, validate=False))
-    g, expected = next(
-        (g, diff)
-        for g in rep.group.elements()
-        if (diff := _first_dense_difference(p @ _kron_power(rep, g, 2), _kron_power(rep, g, 2) @ p))
-    )
-    with pytest.raises(ValueError, match="not equivariant") as caught:
+    g = next(g for g in rep.group.elements() if not commutes_with_diagonal(r, g))
+    conj = r.adjoint_action(g, 1).adjoint_action(g, 2)
+    with pytest.raises(ValueError, match="^the braided action is not equivariant$") as caught:
         exterior_power_char(rep, r, 2)
-    assert caught.value.witness == {**expected, "element": g}
+    assert caught.value.witness == difference_witness(r, conj, element=g)
 
 
 def _reference_checked_exterior_power_char(rep, rmatrix, n):
-    """The d^n fallback from generator products: the projector's idempotence
-    and equivariance checked, witnessed by the first dense difference, then traced."""
+    """The d^n projector from generator products: checked idempotent and
+    equivariant, raising ValueError if it is not, then traced."""
     projector = _antisymmetrizer(BraidedAction(rep, rmatrix, n, validate=False))
-    checks = [("antisymmetrizer is not idempotent", projector @ projector, projector, {})]
+    if projector @ projector != projector:
+        raise ValueError("antisymmetrizer is not idempotent")
     for g in rep.group.elements():
         diag = _kron_power(rep, g, n)
-        message = "antisymmetrizer is not equivariant"
-        checks.append((message, projector @ diag, diag @ projector, {"element": g}))
-    for message, left, right, extra in checks:
-        if left != right:
-            error = ValueError(message)
-            error.witness = {**_first_dense_difference(left, right), **extra}
-            raise error
+        if projector @ diag != diag @ projector:
+            raise ValueError("antisymmetrizer is not equivariant")
     return ClassFunction.from_function(
         rep.group, lambda g: (_kron_power(rep, g, n) @ projector).trace()
     )
@@ -890,25 +895,34 @@ def _outcome(fn, *args):
 
 def test_exterior_fallback_matches_generator_product_reference():
     # Every perturbed R on each catalog group, on the linear and regular
-    # reps, at n = 2 and 3 wherever d^n <= 216: the same character, or the
-    # same error message and witness.  The cases include projectors that
-    # are not idempotent or not equivariant, non-faithful reps that pass,
-    # and non-unitary R refused before any matrix is built.
+    # reps, at n = 2 and 3 wherever d^n <= 216, against the d^n projector
+    # built from generator products, checked and traced: where it passes,
+    # the same character; where it refuses, the refusal of ``check`` and
+    # then ``validate``, message and witness.  The cases include non-faithful
+    # reps that kill R's differences, projectors that are not idempotent or
+    # not equivariant, and non-unitary R refused before any matrix is built.
     outcomes = Counter()
     for name in CATALOG_NAMES:
         group = bundled_group(name)
         for r in _perturbations(group):
+            braiding = Braiding(r)
             for rep in acceptance._test_reps(name):
                 for n in (2, 3):
                     if rep.dim**n > 216:
                         continue
+                    actual = _outcome(exterior_power_char, rep, r, n)
                     expected = _outcome(_reference_checked_exterior_power_char, rep, r, n)
-                    assert _outcome(exterior_power_char, rep, r, n) == expected, (name, rep.name, n)
-                    outcomes[expected[0] if isinstance(expected, tuple) else "passed"] += 1
+                    if isinstance(expected, tuple):
+                        expected = (
+                            _outcome(braiding.check, rep, n) or _outcome(braiding.validate, rep, n)
+                        )
+                        assert expected is not None, (name, rep.name, n)
+                    assert actual == expected, (name, rep.name, n)
+                    outcomes[actual[0] if isinstance(actual, tuple) else "passed"] += 1
     assert outcomes == {
         "passed": 128,
-        "antisymmetrizer is not idempotent": 1,
-        "antisymmetrizer is not equivariant": 13,
+        "the braided action is not equivariant": 13,
+        "adjacent generators fail the braid relation": 1,
         "the symmetric-group action needs a unitary R-matrix": 58,
     }
 
@@ -1200,32 +1214,6 @@ def test_word_operators_equal_the_generator_products(group, make_r):
         assert charring._image(rep, x) @ _leg_permutation_matrix(rep.dim, pi) == operator
         traces = charring._operator_traces(rep.character(), op, elements)
         assert traces == [(_kron_power(rep, g, 3) @ operator).trace() for g in elements], perm
-
-
-def test_word_walker_multiplies_only_generators(monkeypatch):
-    # On the d^n generators, as the exterior fallback uses it: a letter is
-    # its generator, and a new word is one product of its memoized prefix
-    # and its last letter.
-    rep = regular_rep(bundled_group("Z2"))
-    action = BraidedAction(rep, koszul(), 3)
-    s1, s2 = action.generators
-    products = []
-    real_matmul = Matrix.__matmul__
-
-    def matmul(left, right):
-        products.append((left, right))
-        return real_matmul(left, right)
-
-    words = charring._WordWalker(Matrix.identity(8), action.generators)
-    monkeypatch.setattr(Matrix, "__matmul__", matmul)
-    assert words.word(()) == Matrix.identity(8)
-    assert words.word((1,)) is s1
-    assert words.word((2, 1)) == real_matmul(s2, s1)
-    assert words.word((2, 1, 2)) == real_matmul(real_matmul(s2, s1), s2)
-    assert products[-1] == (words.word((2, 1)), s2) and len(products) == 2
-    monkeypatch.undo()
-    for perm in itertools.permutations(range(3)):
-        assert words.word(tuple(_adjacent_word(perm))) == _permutation_matrix(action, perm)
 
 
 def test_cyclic_values_on_odd_line_koszul_split():

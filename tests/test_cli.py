@@ -357,7 +357,6 @@ def test_cli_exterior_refuses_degrees_beyond_the_word_cap(workdir, capsys, monke
         raise AssertionError("work was done for a refused degree")
 
     monkeypatch.setattr(charring.Braiding, "_long_cycle", fail)
-    monkeypatch.setattr(charring, "_adjacent_word", fail)
     monkeypatch.setattr(cli, "standard_reps", fail)
     monkeypatch.setattr(cli, "_load_rmatrix", fail)
     _write(workdir / "datum.json", z2_datum_doc())
@@ -550,6 +549,17 @@ def test_cli_exterior_rejects_nonunitary(workdir, capsys):
     assert main(["exterior", "--rmatrix", "r.json", "--n", "2"]) == 3
     doc = json.loads(capsys.readouterr().out)
     assert doc["error"]["kind"] == "invariant"
+    assert doc["error"]["message"] == "the R-matrix has no grouplike Markov element"
+
+
+def test_cli_exterior_refuses_a_rep_that_keeps_a_braided_difference(workdir, capsys):
+    # s (x) s for a transposition s of S3 is unitary with Markov element 1,
+    # but not invariant under conjugation: the linear reps kill that
+    # difference and the regular rep does not, so the square is refused.
+    _write(workdir / "r.json", jsonio.tensor_to_json(GATensor.basis(bundled_group("S3"), 1, 1)))
+    assert main(["exterior", "--rmatrix", "r.json", "--n", "2"]) == 3
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == {"kind": "invariant", "message": "the braided action is not equivariant"}
 
 
 def test_cli_markov_from_tensor(workdir, capsys):
