@@ -11,7 +11,10 @@ the other.  One ``Braiding`` per R holds its report, Markov element, R R21,
 braided differences and one long cycle (X, pi) per degree, X in k[G]^(x)n,
 whose traces, read from R's terms and the character, give the exterior
 powers by Newton's identity once the representation kills R's braided
-differences; no d^n matrix is multiplied.  All is exact.
+differences; no d^n matrix is multiplied.  A class function is stored as a
+matrix is, integer rows at one order and one denominator: twisted Adams
+operations re-index its rows, and the recursions run on integers, reading
+CycScalars only when ``values`` is first asked for.  All is exact.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import math
 import operator
 from fractions import Fraction
 
-from .cyclotomic import CycScalar, times
+from .cyclotomic import CycScalar, _reduce_mod_cyclotomic, embed_map, euler_phi, lift, times
 from .groups import FiniteGroup, closure, subgroup_structure
 from .hopf import GATensor, difference_witness
 from .linalg import Matrix
@@ -35,9 +38,19 @@ DIMENSION_CAP = 4096
 
 
 class ClassFunction:
-    """A function on conjugacy classes with cyclotomic values."""
+    """A function on conjugacy classes with cyclotomic values, stored as integer rows.
 
-    __slots__ = ("group", "values")
+    ``order`` is one cyclotomic order N holding every value, ``den`` one
+    positive integer D, and ``rows`` holds per class, in ``conjugacy_classes``
+    order, the phi(N) integer coordinates of D times the value: the form a
+    ``Matrix`` stores, in lowest terms (gcd(D, *rows) == 1).  D does not
+    depend on N, as the power basis is integral at every order, so equality
+    lifts both sides to the lcm order and compares rows.  Sums, products,
+    scaling and the twisted operations run on these integers; ``values``, the
+    tuple of CycScalars, is built on first use (or kept as given).
+    """
+
+    __slots__ = ("group", "order", "den", "rows", "_values")
 
     def __init__(self, group: FiniteGroup, values):
         values = tuple(
@@ -45,16 +58,40 @@ class ClassFunction:
         )
         if len(values) != len(group.conjugacy_classes()):
             raise ValueError("one value per conjugacy class required")
-        self.group = group
-        self.values = values
+        order = math.lcm(1, *(v.order for v in values))
+        den = math.lcm(1, *(v.den for v in values))
+        # Lowest terms already: embedding keeps each value's least denominator.
+        rows = tuple(tuple(den // v.den * x for x in v.embed(order).num) for v in values)
+        self.group, self.order, self.den, self.rows, self._values = group, order, den, rows, values
+
+    @classmethod
+    def _make(cls, group: FiniteGroup, order: int, den: int, rows: tuple) -> "ClassFunction":
+        # Internal fast constructor: rows holds one tuple of phi(order) ints
+        # per class and den > 0; divides out their common factor.
+        if den != 1:
+            g = math.gcd(den, *itertools.chain.from_iterable(rows))
+            if g != 1:
+                den //= g
+                rows = tuple(tuple(x // g for x in r) for r in rows)
+        self = object.__new__(cls)
+        self.group, self.order, self.den, self.rows, self._values = group, order, den, rows, None
+        return self
 
     @classmethod
     def constant(cls, group: FiniteGroup, value) -> "ClassFunction":
-        return cls(group, [value] * len(group.conjugacy_classes()))
+        s = value if isinstance(value, CycScalar) else CycScalar.rational(value)
+        return cls._make(group, s.order, s.den, (s.num,) * len(group.conjugacy_classes()))
 
     @classmethod
     def from_function(cls, group: FiniteGroup, fn) -> "ClassFunction":
         return cls(group, [fn(cls_[0]) for cls_ in group.conjugacy_classes()])
+
+    @property
+    def values(self) -> tuple[CycScalar, ...]:
+        """One CycScalar per class, built from ``rows`` on first use."""
+        if self._values is None:
+            self._values = tuple(CycScalar._make(self.order, self.den, r) for r in self.rows)
+        return self._values
 
     def evaluate(self, g: int) -> CycScalar:
         return self.values[self.group.class_index(g)]
@@ -62,36 +99,61 @@ class ClassFunction:
     def dim(self) -> CycScalar:
         return self.evaluate(self.group.identity)
 
-    def _pointwise(self, op, other: "ClassFunction") -> "ClassFunction":
-        if self.group != other.group:
+    def _lifted(self, order: int) -> tuple:
+        # rows re-expressed at a multiple of self.order; orders 1 and 2
+        # (phi = 1) share their coordinates.
+        if order == self.order or order == 2:
+            return self.rows
+        rows = embed_map(self.order, order)
+        return tuple(lift(r, rows) for r in self.rows)
+
+    def _common(self, other: "ClassFunction") -> tuple[int, tuple, tuple]:
+        if self.group is not other.group and self.group != other.group:
             raise ValueError("class functions on different groups")
-        return ClassFunction(self.group, list(map(op, self.values, other.values)))
+        order = math.lcm(self.order, other.order)
+        return order, self._lifted(order), other._lifted(order)
+
+    def _combine(self, other: "ClassFunction", sign: int) -> "ClassFunction":
+        order, a, b = self._common(other)
+        den = math.lcm(self.den, other.den)
+        fa, fb = den // self.den, sign * (den // other.den)
+        rows = tuple(tuple(fa * x + fb * y for x, y in zip(u, v)) for u, v in zip(a, b))
+        return ClassFunction._make(self.group, order, den, rows)
 
     def __add__(self, other: "ClassFunction") -> "ClassFunction":
-        return self._pointwise(operator.add, other)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "ClassFunction") -> "ClassFunction":
-        return self._pointwise(operator.sub, other)
+        return self._combine(other, -1)
 
     def __mul__(self, other):
-        if isinstance(other, ClassFunction):
-            return self._pointwise(operator.mul, other)
-        return self.scale(other)
+        if not isinstance(other, ClassFunction):
+            return self.scale(other)
+        order, a, b = self._common(other)
+        rows = tuple(times(u, v, order) for u, v in zip(a, b))
+        return ClassFunction._make(self.group, order, self.den * other.den, rows)
 
     def scale(self, scalar) -> "ClassFunction":
         if not isinstance(scalar, CycScalar):
             scalar = CycScalar.rational(scalar)
-        return ClassFunction(self.group, [scalar * v for v in self.values])
+        order = math.lcm(self.order, scalar.order)
+        s = scalar.embed(order).num
+        rows = tuple(times(r, s, order) for r in self._lifted(order))
+        return ClassFunction._make(self.group, order, self.den * scalar.den, rows)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return self.scale(-1)
+        rows = tuple(tuple(-x for x in r) for r in self.rows)
+        return ClassFunction._make(self.group, self.order, self.den, rows)
 
     def __eq__(self, other):
         if not isinstance(other, ClassFunction):
             return NotImplemented
-        return self.group == other.group and self.values == other.values
+        if self.group != other.group or self.den != other.den:
+            return False
+        _, a, b = self._common(other)
+        return a == b
 
     def __hash__(self):
         return hash((self.group.table, tuple(v.key() for v in self.values)))
@@ -233,7 +295,9 @@ def standard_reps(group: FiniteGroup) -> list[MatrixRep]:
 def standard_characters(group: FiniteGroup) -> list[tuple[str, ClassFunction]]:
     """The names and characters of ``standard_reps``, built without matrices."""
     linear = [(f"linear{k}({group.name})", chi) for k, chi in enumerate(linear_characters(group))]
-    regular = ClassFunction.from_function(group, lambda g: (g == group.identity) * group.size)
+    rows = [(0,)] * len(group.conjugacy_classes())
+    rows[group.class_map[group.identity]] = (group.size,)
+    regular = ClassFunction._make(group, 1, 1, tuple(rows))
     return [*linear, (f"regular({group.name})", regular)]
 
 
@@ -251,13 +315,19 @@ def _check_central_involution(group: FiniteGroup, u: int):
 
 
 def adams_twisted(x: ClassFunction, u: int, k: int) -> ClassFunction:
-    """Twisted Adams operation: value at g is x(u^(k+1) g^k)."""
+    """Twisted Adams operation: value at g is x(u^(k+1) g^k).
+
+    No arithmetic: class j takes the row of x at the class of u^(k+1) g^k,
+    g the least member of class j, and x's values there once x has built them.
+    """
     group = x.group
     _check_central_involution(group, u)
-    shift = group.power(u, k + 1)
-    return ClassFunction.from_function(
-        group, lambda g: x.evaluate(group.table[shift][group.power(g, k)])
-    )
+    shifted, index = group.table[group.power(u, k + 1)], group.class_map
+    at = [index[shifted[group.power(cls_[0], k)]] for cls_ in group.conjugacy_classes()]
+    out = ClassFunction._make(group, x.order, x.den, tuple(x.rows[i] for i in at))
+    if x._values is not None:
+        out._values = tuple(x._values[i] for i in at)
+    return out
 
 
 def _lambda_sequence(x: ClassFunction, n: int, u: int) -> list[ClassFunction]:
@@ -266,21 +336,53 @@ def _lambda_sequence(x: ClassFunction, n: int, u: int) -> list[ClassFunction]:
 
 
 def _recursive_series(group: FiniteGroup, coeffs, newton: bool) -> list[ClassFunction]:
-    # s[0] = 1 and s[m] = w_m sum_{k=1..m} (-1)^(k-1) coeffs[k-1] s[m-k], one class
-    # at a time: w_m = 1/m in Newton's identity (lambdas from psi_u^1, psi_u^2, ...,
-    # exterior powers from braided power sums), w_m = 1 in the series inversion.
-    weights = [CycScalar.rational(Fraction(1, m)) for m in range(1, len(coeffs) + 1)]
-    columns = []
-    for j in range(len(group.conjugacy_classes())):
-        values, series = [c.values[j] for c in coeffs], [CycScalar.one()]
-        for m, weight in enumerate(weights, start=1):
-            acc = CycScalar.zero()
-            for k in range(1, m + 1):
-                term = values[k - 1] * series[m - k]
-                acc = acc + term if k % 2 else acc - term
-            series.append(weight * acc if newton else acc)
-        columns.append(series)
-    return [ClassFunction(group, degree) for degree in zip(*columns)]
+    """s_0 = 1 and s_m = w_m sum_{k=1..m} (-1)^(k-1) c_k s_(m-k), for c_k = coeffs[k-1].
+
+    w_m = 1/m in Newton's identity (lambdas from psi_u^1, psi_u^2, ...,
+    exterior powers from braided power sums), w_m = 1 in the series
+    inversion.  With every c_k lifted to one order and one denominator D,
+    c_k = C_k / D, the integer rows S_m = m! D^m s_m (Newton) or D^m s_m
+    satisfy S_m = sum_k (-1)^(k-1) a_mk D^(k-1) C_k S_(m-k), with
+    a_mk = (m-1)!/(m-k)! or 1, on integers only; each s_m is one ``_make``.
+    """
+    order = math.lcm(1, *(c.order for c in coeffs))
+    den = math.lcm(1, *(c.den for c in coeffs))
+    phi, classes = euler_phi(order), range(len(group.conjugacy_classes()))
+    lifted = []
+    for c in coeffs:
+        rows, f = c._lifted(order), den // c.den
+        lifted.append(rows if f == 1 else [tuple(f * x for x in r) for r in rows])
+    series = [[(1,) + (0,) * (phi - 1)] * len(classes)]
+    for m in range(1, len(coeffs) + 1):
+        # (w, C_k, S_(m-k)) for k = 1 .. m, w = (-1)^(k-1) a_mk D^(k-1)
+        terms = [
+            ((-1) ** k * (math.perm(m - 1, k) if newton else 1) * den**k, x, y)
+            for k, (x, y) in enumerate(zip(lifted, reversed(series)))
+        ]
+        if phi == 1:  # one int per class: whole rows at once
+            acc = [0] * len(classes)
+            for w, x, y in terms:
+                acc = [a + w * b * c for a, (b,), (c,) in zip(acc, x, y)]
+            series.append([(a,) for a in acc])
+            continue
+        out = []
+        for j in classes:  # one unreduced product sum per class, reduced once
+            raw = [0] * (2 * phi - 1)
+            for w, x, y in terms:
+                v = y[j]
+                for s, a in enumerate(x[j]):
+                    if a:
+                        a *= w
+                        for t, b in enumerate(v):
+                            raw[s + t] += a * b
+            out.append(_reduce_mod_cyclotomic(raw, order))
+        series.append(out)
+    return [
+        ClassFunction._make(
+            group, order, math.factorial(m) * den**m if newton else den**m, tuple(rows)
+        )
+        for m, rows in enumerate(series)
+    ]
 
 
 def lambda_from_adams(x: ClassFunction, n: int, u: int) -> ClassFunction:
@@ -662,7 +764,7 @@ def _operator_traces(character: ClassFunction, op, elements) -> list[CycScalar]:
     group = character.group
     table, e = group.table, group.identity
     chi = character.values
-    class_of = {h: idx for idx, cls_ in enumerate(group.conjugacy_classes()) for h in cls_}
+    class_of = group.class_map
     x, pi = op
     back, cycles, seen = _inverse(pi), [], set()
     for k in range(len(pi)):

@@ -135,11 +135,19 @@ class FiniteGroup:
             self._classes = tuple(sorted(classes))
         return self._classes
 
-    def class_index(self, g: int) -> int:
+    @cached_property
+    def class_map(self) -> tuple[int, ...]:
+        """Element g -> the index of its class in ``conjugacy_classes``."""
+        out = [0] * self.size
         for idx, cls in enumerate(self.conjugacy_classes()):
-            if g in cls:
-                return idx
-        raise ValueError(f"element {g} out of range")
+            for g in cls:
+                out[g] = idx
+        return tuple(out)
+
+    def class_index(self, g: int) -> int:
+        if g not in self.elements():
+            raise ValueError(f"element {g} out of range")
+        return self.class_map[g]
 
     def __eq__(self, other):
         if not isinstance(other, FiniteGroup):

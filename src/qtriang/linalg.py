@@ -12,14 +12,13 @@ hundred but columns stay nearly empty.
 
 A Matrix stores one cyclotomic order N for all of its entries, one
 positive integer denominator D, and for each nonzero entry the phi(N)
-integer coordinates of D times that entry.  Products, sums, scaling,
-Kronecker products and traces run on these integers: both operands are
-lifted to the lcm order by a cached integer map, products accumulate
-unreduced integer polynomials and reduce modulo Phi_N once per output
-entry, and every result is divided by the gcd of its denominator and
-coordinates.  CycScalars appear only where values enter a matrix (the
-constructor, ``from_entries``, ``from_dense``) or leave it (``get``,
-``to_dense``, ``trace``).
+integer coordinates of D times that entry.  Products and traces run on
+these integers: both operands are lifted to the lcm order by a cached
+integer map, products accumulate unreduced integer polynomials and reduce
+modulo Phi_N once per output entry, and every result is divided by the gcd
+of its denominator and coordinates.  CycScalars appear only where values
+enter a matrix (the constructor, ``from_entries``, ``from_dense``) or leave
+it (``to_dense``, ``trace``).
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from .cyclotomic import (
     embed_map,
     euler_phi,
     lift,
-    times,
 )
 
 _ZERO = CycScalar.zero()
@@ -173,10 +171,6 @@ class Matrix:
         return cls._make(n, n, 1, 1, {j: {j: (1,)} for j in range(n)})
 
     @classmethod
-    def zero(cls, nrows: int, ncols: int) -> "Matrix":
-        return cls._make(nrows, ncols, 1, 1, {})
-
-    @classmethod
     def from_permutation(cls, perm) -> "Matrix":
         # Column j holds the image of basis vector j.
         n = len(perm)
@@ -199,10 +193,6 @@ class Matrix:
 
     def _scalar(self, coords: tuple) -> CycScalar:
         return CycScalar._make(self.order, self.den, coords)
-
-    def get(self, i: int, j: int) -> CycScalar:
-        v = self.cols.get(j, {}).get(i)
-        return _ZERO if v is None else self._scalar(v)
 
     def to_dense(self) -> list[list[CycScalar]]:
         rows = [[_ZERO] * self.ncols for _ in range(self.nrows)]
@@ -264,67 +254,6 @@ class Matrix:
                 if out:
                     cols[j] = out
         return Matrix._make(self.nrows, other.ncols, order, self.den * other.den, cols)
-
-    def _combine(self, other: "Matrix", sign: int) -> "Matrix":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
-        order, a, b = self._common(other)
-        den = math.lcm(self.den, other.den)
-        fa, fb = den // self.den, sign * (den // other.den)
-        cols = {
-            j: {i: tuple(fa * x for x in v) for i, v in col.items()} for j, col in a.items()
-        }
-        for j, col in b.items():
-            acc = cols.setdefault(j, {})
-            for i, v in col.items():
-                w = acc.get(i)
-                if w is None:
-                    acc[i] = tuple(fb * y for y in v)
-                    continue
-                total = tuple(x + fb * y for x, y in zip(w, v))
-                if any(total):
-                    acc[i] = total
-                else:
-                    del acc[i]
-            if not acc:
-                del cols[j]
-        return Matrix._make(self.nrows, self.ncols, order, den, cols)
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        return self._combine(other, 1)
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self._combine(other, -1)
-
-    def scale(self, scalar) -> "Matrix":
-        scalar = _as_scalar(scalar)
-        if not scalar:
-            return Matrix.zero(self.nrows, self.ncols)
-        order = math.lcm(self.order, scalar.order)
-        s = scalar.embed(order)
-        cols = {
-            j: {i: times(v, s.num, order) for i, v in col.items()}
-            for j, col in self._lifted(order).items()
-        }
-        return Matrix._make(self.nrows, self.ncols, order, self.den * s.den, cols)
-
-    def kron(self, other: "Matrix") -> "Matrix":
-        order, a, b = self._common(other)
-        cols: dict[int, dict[int, tuple]] = {}
-        for ja, ca in a.items():
-            for jb, cb in b.items():
-                cols[ja * other.ncols + jb] = {
-                    ia * other.nrows + ib: times(va, vb, order)
-                    for ia, va in ca.items()
-                    for ib, vb in cb.items()
-                }
-        return Matrix._make(
-            self.nrows * other.nrows,
-            self.ncols * other.ncols,
-            order,
-            self.den * other.den,
-            cols,
-        )
 
     def trace(self) -> CycScalar:
         total = [0] * euler_phi(self.order)

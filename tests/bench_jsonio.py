@@ -14,8 +14,12 @@ hide ``reduced()``.  ``classify`` is timed end to end on Z2xZ2 and D4 through
 ``cli.main``, with and without ``--triangular``: enumeration, verification,
 the entry build and the write to ``--out``.  The triangular report is a view
 of the full catalog, so every datum is still built, and only the triangular
-structures are verified.
+structures are verified.  ``lambda`` (D4 at n = 3, Z4 at n = 4) and ``adams``
+(D4, u = 2, n = 3) are timed end to end the same way: parsing, the test
+characters, the twisted operations on them and the report.
 """
+
+import json
 
 import pytest
 
@@ -73,3 +77,18 @@ def test_classify_and_emit(benchmark, tmp_path, name, flags, size):
     status = benchmark(main, ["classify", "--group", name, *flags, "--out", str(out)])
     assert status == 0
     assert out.stat().st_size > size
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lambda", "--group", "D4", "--n", "3"],
+        ["lambda", "--group", "Z4", "--n", "4"],
+        ["adams", "--group", "D4", "--u", "2", "--n", "3"],
+    ],
+    ids=["lambda-D4-n3", "lambda-Z4-n4", "adams-D4-u2-n3"],
+)
+def test_character_report_and_emit(benchmark, tmp_path, argv):
+    out = tmp_path / "report.json"
+    assert benchmark(main, [*argv, "--out", str(out)]) == 0
+    assert len(json.loads(out.read_text())["results"]) == 5

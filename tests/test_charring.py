@@ -1,13 +1,15 @@
 import functools
 import itertools
 import math
+import operator
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+from matrix_ops import add, kron, scale, zero
 
-from qtriang import acceptance, charring
-from qtriang.cyclotomic import CycScalar, root_of_unity
+from qtriang import acceptance, charring, jsonio
+from qtriang.cyclotomic import CycScalar, euler_phi, root_of_unity
 from qtriang.groups import (
     CATALOG_NAMES,
     AbelianGroup,
@@ -59,7 +61,7 @@ def _kron_power(rep, g, n):
     """rho(g)^(x)n, built by n Kronecker products and kept per (rep, g, n)."""
     out = Matrix.identity(1)
     for _ in range(n):
-        out = out.kron(rep.matrix(g))
+        out = kron(out, rep.matrix(g))
     return out
 
 
@@ -134,14 +136,14 @@ def _antisymmetrizer(action):
     """The alternating projector (1/n!) sum of sign(s) times ``_permutation_matrix(s)``."""
     n = action.power
     dim = action.rep.dim**n
-    acc = Matrix.zero(dim, dim)
+    acc = zero(dim, dim)
     count = 0
     for perm in itertools.permutations(range(n)):
         sign = -1 if len(_adjacent_word(perm)) % 2 else 1
         mat = _permutation_matrix(action, perm)
-        acc = acc + (mat if sign > 0 else mat.scale(-1))
+        acc = add(acc, mat if sign > 0 else scale(mat, -1))
         count += 1
-    return acc.scale(Fraction(1, count))
+    return scale(acc, Fraction(1, count))
 
 
 def test_regular_rep_characters():
@@ -178,7 +180,7 @@ def test_matrix_rep_checks_the_law_on_every_generator(name):
         if len(cyclic) < group.size:
             doubled.append(set(group.elements()) - cyclic)
         for off in doubled:
-            bad = [m.scale(2) if g in off else m for g, m in enumerate(mats)]
+            bad = [scale(m, 2) if g in off else m for g, m in enumerate(mats)]
             if off != {s}:
                 assert all(bad[s] @ bad[h] == bad[group.table[s][h]] for h in group.elements())
             with pytest.raises(ValueError, match="homomorphism law"):
@@ -344,6 +346,124 @@ def test_verify_lambda_ring_classical_and_twisted():
         assert all(checks.values()), checks
 
 
+# -- class functions one CycScalar at a time: the reference for the row form --
+
+def _reference_pointwise(op, x, y):
+    """x op y one value at a time, as a tuple of CycScalars."""
+    assert x.group == y.group
+    return ClassFunction(x.group, list(map(op, x.values, y.values)))
+
+
+def _reference_adams_twisted(x, u, k):
+    """Value at g is x(u^(k+1) g^k), one value at a time, its class found by a scan."""
+    group = x.group
+    shift = group.power(u, k + 1)
+
+    def value(g):
+        h = group.table[shift][group.power(g, k)]
+        return x.values[next(j for j, cls_ in enumerate(group.conjugacy_classes()) if h in cls_)]
+
+    return ClassFunction.from_function(group, value)
+
+
+def _reference_recursive_series(group, coeffs, newton):
+    """s[0] = 1, s[m] = w_m sum_k (-1)^(k-1) coeffs[k-1] s[m-k], one class and one
+    CycScalar at a time, with the Fraction weight w_m = 1/m (Newton) or 1."""
+    weights = [CycScalar.rational(Fraction(1, m)) for m in range(1, len(coeffs) + 1)]
+    columns = []
+    for j in range(len(group.conjugacy_classes())):
+        values, series = [c.values[j] for c in coeffs], [CycScalar.one()]
+        for m, weight in enumerate(weights, start=1):
+            acc = CycScalar.zero()
+            for k in range(1, m + 1):
+                term = values[k - 1] * series[m - k]
+                acc = acc + term if k % 2 else acc - term
+            series.append(weight * acc if newton else acc)
+        columns.append(series)
+    return [ClassFunction(group, degree) for degree in zip(*columns)]
+
+
+def _assert_same_class_function(got, expected):
+    # Equal values, the same report bytes, and a row form in lowest terms.
+    assert got == expected and got.values == expected.values
+    assert jsonio.canonical_dumps(jsonio.class_function_to_json(got)) == jsonio.canonical_dumps(
+        jsonio.class_function_to_json(expected)
+    )
+    phi = euler_phi(got.order)
+    assert all(len(r) == phi and all(type(x) is int for x in r) for r in got.rows)
+    assert got.den >= 1 and math.gcd(got.den, *(x for r in got.rows for x in r)) == 1
+
+
+def _virtual_characters(group):
+    """Pairs (row form, per-value reference): the standard characters, then sums,
+    differences, products, a 1/3-scaled character and, on Z3 and Z4, functions
+    whose values mix order 1 and order e."""
+    chars = [chi for _, chi in standard_characters(group)]
+    first, last = chars[1], chars[-1]
+    out = [(chi, chi) for chi in chars]
+    for x, y in ((first, last), (chars[0], first)):
+        for op in (operator.add, operator.sub, operator.mul):
+            out.append((op(x, y), _reference_pointwise(op, x, y)))
+    out.append((last.scale(Fraction(1, 3)), ClassFunction(group, [v / 3 for v in last.values])))
+    if group.name in ("Z3", "Z4"):
+        e = group.size
+        mixed = [CycScalar.rational(2), root_of_unity(e), Fraction(-1, 3), root_of_unity(e, 3)]
+        x = ClassFunction(group, mixed[:e])
+        out += [(x, x), (x * first, _reference_pointwise(operator.mul, x, first))]
+        out.append((x - last, _reference_pointwise(operator.sub, x, last)))
+    return out
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_row_form_matches_the_per_value_reference(name):
+    group = bundled_group(name)
+    for x, reference in _virtual_characters(group):
+        _assert_same_class_function(x, reference)
+        for u in group.central_involutions():
+            psis = [adams_twisted(x, u, k) for k in range(7)]
+            expected = [_reference_adams_twisted(x, u, k) for k in range(7)]
+            for got, want in zip(psis, expected):
+                _assert_same_class_function(got, want)
+            lams = charring._lambda_sequence(x, 6, u)
+            ref_lams = _reference_recursive_series(group, expected[1:], newton=True)
+            sigmas = charring._recursive_series(group, lams[1:], newton=False)
+            ref_sigmas = _reference_recursive_series(group, ref_lams[1:], newton=False)
+            for got, want in zip(lams + sigmas, ref_lams + ref_sigmas):
+                _assert_same_class_function(got, want)
+            assert lambda_from_adams(x, 6, u) == ref_lams[6]
+            assert sigma_from_lambda(x, 6, u) == ref_sigmas[6]
+
+
+def test_adams_twisted_carries_the_values_it_reindexes():
+    # Re-indexing shares x's CycScalars once x has built them, so a report of
+    # psi reads the reduced forms those scalars already keep.
+    for name in ("Z4", "D4"):
+        group = bundled_group(name)
+        for _, chi in standard_characters(group):
+            assert chi.values  # built here, if not given
+            for u in group.central_involutions():
+                psi = adams_twisted(chi, u, 3)
+                assert all(any(v is w for w in chi.values) for v in psi.values)
+                assert psi == _reference_adams_twisted(chi, u, 3)
+
+
+@pytest.mark.parametrize("name", ["Z3", "Z4", "D4"])
+def test_equality_and_hash_do_not_depend_on_the_stored_order(name):
+    group = bundled_group(name)
+    for x, _ in _virtual_characters(group):
+        lifted = ClassFunction(group, [v.embed(24) for v in x.values])
+        assert lifted.order == 24 and x.order != 24
+        assert lifted == x and x == lifted and hash(lifted) == hash(x)
+        assert lifted.den == x.den
+        assert lifted - x == ClassFunction.constant(group, 0)
+        assert lifted != x + ClassFunction.constant(group, root_of_unity(3))
+        half = x.scale(Fraction(1, 2))
+        assert half != x and half != lifted and half.scale(2) == lifted
+    one = ClassFunction.constant(group, 1)
+    half = one.scale(Fraction(1, 2))  # the rows of one, at denominator 2
+    assert half.rows == one.rows and (half.den, one.den) == (2, 1) and half != one
+
+
 def test_braided_action_trivial_r_gives_plain_swaps():
     z2 = bundled_group("Z2")
     rep = regular_rep(z2)
@@ -359,7 +479,7 @@ def test_braided_action_trivial_r_gives_plain_swaps():
 
 def test_braided_action_on_odd_line():
     action = BraidedAction(sign_rep(), koszul(), 2)
-    assert action.generators[0] == Matrix.identity(1).scale(-1)
+    assert action.generators[0] == scale(Matrix.identity(1), -1)
 
 
 def test_braided_action_rejects_nonunitary():
@@ -422,14 +542,14 @@ def _with_rmatrix(rep, power, rmatrix):
     """
     action = BraidedAction(rep, GATensor.unit(rep.group, 2), power, validate=False)
     d = rep.dim
-    acted = Matrix.zero(d * d, d * d)
+    acted = zero(d * d, d * d)
     for (g, h), c in rmatrix.terms.items():
-        acted = acted + rep.matrix(g).kron(rep.matrix(h)).scale(c)
+        acted = add(acted, scale(kron(rep.matrix(g), rep.matrix(h)), c))
     swap = Matrix.from_permutation([b * d + a for a in range(d) for b in range(d)])
     action.braiding = Braiding(rmatrix)
     action.braid = acted @ swap
     action.generators = [
-        Matrix.identity(d ** (slot - 1)).kron(action.braid).kron(Matrix.identity(d ** (power - slot - 1)))
+        kron(kron(Matrix.identity(d ** (slot - 1)), action.braid), Matrix.identity(d ** (power - slot - 1)))
         for slot in range(1, power)
     ]
     return action
@@ -440,14 +560,15 @@ def _reference_image(rep, tensor):
     Kronecker-multiplied with the image of the terms after it, and the
     products are summed pairwise."""
     if tensor.arity == 0:
-        return Matrix.identity(1).scale(tensor.coeff(()))
+        return scale(Matrix.identity(1), tensor.coeff(()))
     rests = {}
     for (g, *rest), c in tensor.terms.items():
         rests.setdefault(g, {})[tuple(rest)] = c
     dim = rep.dim**tensor.arity
-    acc = Matrix.zero(dim, dim)
+    acc = zero(dim, dim)
     for g, rest in rests.items():
-        acc = acc + rep.matrix(g).kron(_reference_image(rep, GATensor(tensor.group, tensor.arity - 1, rest)))
+        image = _reference_image(rep, GATensor(tensor.group, tensor.arity - 1, rest))
+        acc = add(acc, kron(rep.matrix(g), image))
     return acc
 
 
@@ -497,7 +618,7 @@ def test_image_edge_cases():
     for rep in standard_reps(group):
         for tensor in tensors:
             _assert_image_matches_reference(rep, tensor)
-    assert charring._image(regular_rep(group), GATensor(group, 2)) == Matrix.zero(16, 16)
+    assert charring._image(regular_rep(group), GATensor(group, 2)) == zero(16, 16)
 
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)
@@ -998,14 +1119,14 @@ def _reference_cyclic_operation_char(rep, rmatrix, p, eps):
     tau = Matrix.identity(dim)
     for slot in _adjacent_word(tuple(range(1, p)) + (0,)):
         tau = tau @ action.generators[slot - 1]
-    acc = Matrix.zero(dim, dim)
+    acc = zero(dim, dim)
     power = Matrix.identity(dim)
     weight = CycScalar.one()
     for _ in range(p):
-        acc = acc + power.scale(weight)
+        acc = add(acc, scale(power, weight))
         power = power @ tau
         weight = weight * eps
-    projector = acc.scale(Fraction(1, p))
+    projector = scale(acc, Fraction(1, p))
     u_power = _kron_power(rep, markov_element(rmatrix).grouplike_index(), p)
     return {
         z: (u_power @ _kron_power(rep, z, p) @ projector).trace()

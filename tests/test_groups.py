@@ -94,6 +94,21 @@ def test_conjugacy_classes_against_orbit_oracle(name):
     assert sorted(g.conjugacy_classes()) == _classes_oracle(g)
 
 
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_class_map_indexes_the_classes(name):
+    # One tuple, built once per group: entry x is the index of the class holding x.
+    g = bundled_group(name)
+    classes = g.conjugacy_classes()
+    assert g.class_map == tuple(
+        next(idx for idx, cls in enumerate(classes) if x in cls) for x in g.elements()
+    )
+    assert g.class_map is g.class_map
+    assert [g.class_index(x) for x in g.elements()] == list(g.class_map)
+    for bad in (-1, g.size):
+        with pytest.raises(ValueError, match="out of range"):
+            g.class_index(bad)
+
+
 def test_conjugacy_class_examples():
     assert cyclic_group(1).conjugacy_classes() == ((0,),)
     sizes = sorted(len(c) for c in bundled_group("S3").conjugacy_classes())
