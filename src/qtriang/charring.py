@@ -47,7 +47,9 @@ class ClassFunction:
     depend on N, as the power basis is integral at every order, so equality
     lifts both sides to the lcm order and compares rows.  Sums, products,
     scaling and the twisted operations run on these integers; ``values``, the
-    tuple of CycScalars, is built on first use (or kept as given).
+    tuple of CycScalars, is built on first use (or kept as given).  As one
+    order holds every value, values at orders 360 and 7, each within
+    ``ORDER_CAP`` alone, are refused: their lcm 2520 is past it (ValueError).
     """
 
     __slots__ = ("group", "order", "den", "rows", "_values")
@@ -100,9 +102,8 @@ class ClassFunction:
         return self.evaluate(self.group.identity)
 
     def _lifted(self, order: int) -> tuple:
-        # rows re-expressed at a multiple of self.order; orders 1 and 2
-        # (phi = 1) share their coordinates.
-        if order == self.order or order == 2:
+        # rows re-expressed at a multiple of self.order
+        if order == self.order:
             return self.rows
         rows = embed_map(self.order, order)
         return tuple(lift(r, rows) for r in self.rows)
@@ -152,8 +153,8 @@ class ClassFunction:
             return NotImplemented
         if self.group != other.group or self.den != other.den:
             return False
-        _, a, b = self._common(other)
-        return a == b
+        order = math.lcm(self.order, other.order)
+        return self._lifted(order) == other._lifted(order)
 
     def __hash__(self):
         return hash((self.group.table, tuple(v.key() for v in self.values)))
@@ -359,7 +360,7 @@ def _recursive_series(group: FiniteGroup, coeffs, newton: bool) -> list[ClassFun
             ((-1) ** k * (math.perm(m - 1, k) if newton else 1) * den**k, x, y)
             for k, (x, y) in enumerate(zip(lifted, reversed(series)))
         ]
-        if phi == 1:  # one int per class: whole rows at once
+        if phi == 1:  # one int per class: whole rows at once, faster than the loop below
             acc = [0] * len(classes)
             for w, x, y in terms:
                 acc = [a + w * b * c for a, (b,), (c,) in zip(acc, x, y)]

@@ -288,7 +288,13 @@ def class_function_from_json(doc: dict, group: FiniteGroup) -> ClassFunction:
     reps = [cls_[0] for cls_ in group.conjugacy_classes()]
     if list(doc["classes"]) != reps:
         raise ValueError("class representatives do not match the group's classes")
-    return ClassFunction(group, [scalar_from_json(v) for v in doc["values"]])
+    values = [scalar_from_json(v) for v in doc["values"]]
+    order = math.lcm(1, *(v.order for v in values))
+    if order > ORDER_CAP:
+        raise MalformedDocument(
+            f"class function values need the common cyclotomic order {order}, past {ORDER_CAP}"
+        )
+    return ClassFunction(group, values)
 
 
 def matrix_to_json(matrix: Matrix) -> list:

@@ -7,9 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from qtriang import jsonio
 from qtriang.acceptance import qt_catalog
-from qtriang.charring import adams_twisted, lambda_from_adams, regular_rep, standard_characters
+from qtriang.charring import (
+    ClassFunction, adams_twisted, lambda_from_adams, regular_rep, standard_characters
+)
 from qtriang.cli import _cmd_classify, build_parser
 from qtriang.classify import COMPLETENESS_NOTE, _catalog, _enumerate_data
+from qtriang.cyclotomic import root_of_unity
 from qtriang.groups import (
     CATALOG_NAMES,
     FiniteGroup,
@@ -206,6 +209,23 @@ def test_class_function_records_are_shared_per_value_and_round_trip():
                         assert back == fn
                         checked += 1
     assert checked == 378
+
+
+def test_class_function_values_past_one_common_order_are_refused():
+    # Orders 360 and 7 are each within the cap; their lcm 2520 is not.
+    group = cyclic_group(2)
+    doc = {
+        "group": group.name,
+        "classes": [cls_[0] for cls_ in group.conjugacy_classes()],
+        "values": [jsonio.scalar_to_json(root_of_unity(n)) for n in (360, 7)],
+    }
+    with pytest.raises(jsonio.MalformedDocument, match="common cyclotomic order 2520"):
+        jsonio.class_function_from_json(doc, group)
+    with pytest.raises(ValueError, match="2520"):
+        ClassFunction(group, [root_of_unity(360), root_of_unity(7)])
+    doc["values"][1] = jsonio.scalar_to_json(root_of_unity(8))
+    fn = jsonio.class_function_from_json(doc, group)
+    assert fn.order == 360 and jsonio.class_function_to_json(fn) == doc
 
 
 @pytest.mark.parametrize("name", ["Z4", "S3", "Q8"])
