@@ -75,12 +75,6 @@ def triangular_catalog(name: str) -> Catalog:
     return qt_catalog(name).triangular
 
 
-@lru_cache(maxsize=None)
-def _test_reps(name: str) -> tuple:
-    """The linear reps, then the regular rep (``charring.standard_reps``)."""
-    return tuple(standard_reps(bundled_group(name)))
-
-
 def _triangular_classes():
     """(name, triangular catalog, members, structure) per dedup class, in catalog order."""
     for name in CATALOG_NAMES:
@@ -90,7 +84,7 @@ def _triangular_classes():
 
 
 def _power_test_reps(name: str) -> tuple:
-    reps = _test_reps(name)
+    reps = standard_reps(bundled_group(name))
     return reps if name in REGULAR_REP_GROUPS else reps[:-1]
 
 
@@ -450,7 +444,7 @@ def criterion_10() -> CriterionResult:
     problems = []
     checked = 0
     for name, _, members, structure in _triangular_classes():
-        for rep in _test_reps(name):
+        for rep in standard_reps(bundled_group(name)):
             for n in (2, 3):
                 if rep.dim**n > DIMENSION_CAP:
                     continue

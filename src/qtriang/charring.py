@@ -212,6 +212,12 @@ class MatrixRep:
     def matrix(self, g: int) -> Matrix:
         return self.mats[g]
 
+    def renamed(self, name: str) -> "MatrixRep":
+        """The same checked matrices under another name."""
+        out = object.__new__(MatrixRep)
+        out.group, out.dim, out.mats, out.name = self.group, self.dim, self.mats, name
+        return out
+
     def character(self) -> ClassFunction:
         return ClassFunction.from_function(self.group, lambda g: self.mats[g].trace())
 
@@ -227,13 +233,20 @@ def _column_map(m: Matrix) -> tuple[int, ...] | None:
     return tuple(i for col in cols for i in col)
 
 
-def regular_rep(group: FiniteGroup) -> MatrixRep:
-    """Permutation matrices of left translation."""
+# The linear characters and the regular rep are built once per group object
+# (``FiniteGroup.derived``); their names are formed from the group on each call.
+
+def _regular_rep(group: FiniteGroup) -> MatrixRep:
     mats = [
         Matrix.from_permutation([group.table[g][h] for h in group.elements()])
         for g in group.elements()
     ]
-    return MatrixRep(group, mats, name=f"regular({group.name})")
+    return MatrixRep(group, mats)
+
+
+def regular_rep(group: FiniteGroup) -> MatrixRep:
+    """Permutation matrices of left translation."""
+    return group.derived(_regular_rep).renamed(f"regular({group.name})")
 
 
 def _commutator_subgroup(group: FiniteGroup) -> frozenset:
@@ -247,8 +260,9 @@ def _commutator_subgroup(group: FiniteGroup) -> frozenset:
     return closure(seeds, group.identity, group.mul)
 
 
-def linear_characters(group: FiniteGroup) -> list[ClassFunction]:
-    """All one-dimensional characters, pulled back from the abelianization."""
+def _standard_characters(group: FiniteGroup) -> tuple[ClassFunction, ...]:
+    # The linear characters, pulled back from the abelianization, then the
+    # regular character.
     commutator = _commutator_subgroup(group)
     cosets: list[frozenset] = []
     coset_of = {}
@@ -274,18 +288,31 @@ def linear_characters(group: FiniteGroup) -> list[ClassFunction]:
             for cls_ in group.conjugacy_classes()
         ]
         out.append(ClassFunction(group, values))
-    return out
+    rows = [(0,)] * len(group.conjugacy_classes())
+    rows[group.class_map[group.identity]] = (group.size,)
+    return (*out, ClassFunction._make(group, 1, 1, tuple(rows)))
+
+
+def _linear_character_reps(group: FiniteGroup) -> tuple[MatrixRep, ...]:
+    reps = []
+    for chi in group.derived(_standard_characters)[:-1]:
+        mats = [Matrix.from_entries(1, 1, [(0, 0, chi.evaluate(g))]) for g in group.elements()]
+        reps.append(MatrixRep(group, mats))
+    return tuple(reps)
+
+
+def _linear_names(group: FiniteGroup, count: int) -> list[str]:
+    return [f"linear{k}({group.name})" for k in range(count)]
+
+
+def linear_characters(group: FiniteGroup) -> list[ClassFunction]:
+    """All one-dimensional characters, pulled back from the abelianization."""
+    return list(group.derived(_standard_characters)[:-1])
 
 
 def linear_character_reps(group: FiniteGroup) -> list[MatrixRep]:
-    reps = []
-    for k, chi in enumerate(linear_characters(group)):
-        mats = [
-            Matrix.from_entries(1, 1, [(0, 0, chi.evaluate(g))])
-            for g in group.elements()
-        ]
-        reps.append(MatrixRep(group, mats, name=f"linear{k}({group.name})"))
-    return reps
+    reps = group.derived(_linear_character_reps)
+    return [rep.renamed(name) for rep, name in zip(reps, _linear_names(group, len(reps)))]
 
 
 def standard_reps(group: FiniteGroup) -> list[MatrixRep]:
@@ -295,11 +322,9 @@ def standard_reps(group: FiniteGroup) -> list[MatrixRep]:
 
 def standard_characters(group: FiniteGroup) -> list[tuple[str, ClassFunction]]:
     """The names and characters of ``standard_reps``, built without matrices."""
-    linear = [(f"linear{k}({group.name})", chi) for k, chi in enumerate(linear_characters(group))]
-    rows = [(0,)] * len(group.conjugacy_classes())
-    rows[group.class_map[group.identity]] = (group.size,)
-    regular = ClassFunction._make(group, 1, 1, tuple(rows))
-    return [*linear, (f"regular({group.name})", regular)]
+    chars = group.derived(_standard_characters)
+    names = [*_linear_names(group, len(chars) - 1), f"regular({group.name})"]
+    return list(zip(names, chars))
 
 
 # ---------------------------------------------------------------------------

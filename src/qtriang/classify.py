@@ -30,11 +30,11 @@ from .charring import Braiding
 from .groups import (
     AbelianGroup,
     FiniteGroup,
+    abelian_factors,
     abelian_normal_subgroups,
     enumerate_biforms,
     normal_inclusions,
     same_module_structure,
-    subgroup_structure,
 )
 from .rmatrix import QTDatum, build_r, character_table
 
@@ -74,7 +74,7 @@ def _enumerate_data(group: FiniteGroup) -> list[QTDatum]:
     shapes: list[AbelianGroup] = []
     seen = set()
     for subgroup in abelian_normal_subgroups(group):
-        factors = subgroup_structure(group, subgroup).domain.factors
+        factors = abelian_factors(group, subgroup)
         if factors not in seen:
             seen.add(factors)
             shapes.append(AbelianGroup(factors))

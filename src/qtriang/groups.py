@@ -67,8 +67,7 @@ class FiniteGroup:
         self.table = table
         self.identity = identity
         self.inverses = tuple(inverses)
-        self._classes = None
-        self._center = None
+        self._derived = {}
 
     def elements(self) -> range:
         return range(self.size)
@@ -107,42 +106,67 @@ class FiniteGroup:
             for b in self.elements()
         )
 
+    # Tables derived from the multiplication table are worked out on first
+    # use and kept on this group object.
+
+    @cached_property
+    def conj(self) -> tuple[tuple[int, ...], ...]:
+        """Row g: g x g^-1 for every element x, in element order."""
+        table = self.table
+        return tuple(
+            tuple(table[gx][inv] for gx in row) for row, inv in zip(table, self.inverses)
+        )
+
+    @cached_property
+    def _center(self) -> tuple[int, ...]:
+        return tuple(z for z in self.elements() if all(row[z] == z for row in self.conj))
+
     def center(self) -> tuple[int, ...]:
-        if self._center is None:
-            self._center = tuple(
-                z
-                for z in self.elements()
-                if all(self.table[z][g] == self.table[g][z] for g in self.elements())
-            )
         return self._center
+
+    @cached_property
+    def _central_involutions(self) -> tuple[int, ...]:
+        return tuple(z for z in self._center if self.table[z][z] == self.identity)
 
     def central_involutions(self) -> tuple[int, ...]:
         """Central elements squaring to the identity (the identity included)."""
-        return tuple(z for z in self.center() if self.table[z][z] == self.identity)
+        return self._central_involutions
 
-    def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
-        """Partition of the elements into conjugacy classes, sorted by least member."""
-        if self._classes is None:
-            seen = [False] * self.size
-            classes = []
-            for g in self.elements():
-                if seen[g]:
-                    continue
-                orbit = sorted({self.conjugate(g, h) for h in self.elements()})
+    @cached_property
+    def _classes(self) -> tuple[tuple[int, ...], ...]:
+        seen = [False] * self.size
+        classes = []
+        for g in self.elements():
+            if not seen[g]:
+                orbit = sorted({row[g] for row in self.conj})
                 for x in orbit:
                     seen[x] = True
                 classes.append(tuple(orbit))
-            self._classes = tuple(sorted(classes))
+        return tuple(classes)
+
+    def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
+        """Partition of the elements into conjugacy classes, sorted by least member."""
         return self._classes
 
     @cached_property
     def class_map(self) -> tuple[int, ...]:
         """Element g -> the index of its class in ``conjugacy_classes``."""
         out = [0] * self.size
-        for idx, cls in enumerate(self.conjugacy_classes()):
+        for idx, cls in enumerate(self._classes):
             for g in cls:
                 out[g] = idx
         return tuple(out)
+
+    def derived(self, build):
+        """``build(self)`` for a module-level ``build``, worked out once and kept here.
+
+        The tables kept hold no name, as a group may be renamed after it is built.
+        """
+        try:
+            return self._derived[build]
+        except KeyError:
+            out = self._derived[build] = build(self)
+            return out
 
     def class_index(self, g: int) -> int:
         if g not in self.elements():
@@ -532,11 +556,7 @@ def abelian_normal_subgroups(group: FiniteGroup) -> list[frozenset]:
                     found.add(grown)
                     nxt.append(grown)
         frontier = nxt
-    normal = [
-        s
-        for s in found
-        if all({group.conjugate(x, g) for x in s} == s for g in group.elements())
-    ]
+    normal = [s for s in found if all(s.issuperset(map(row.__getitem__, s)) for row in group.conj)]
     return sorted(normal, key=lambda s: (len(s), sorted(s)))
 
 
@@ -607,10 +627,10 @@ class Inclusion:
 
         None when the image is not normal, so some conjugate leaves it.
         """
-        conjugate, backward = self.group.conjugate, self.backward
+        backward, image = self.backward, tuple(self.forward.values())
         rows = []
-        for g in self.group.elements():
-            row = tuple(backward.get(conjugate(x, g)) for x in self.forward.values())
+        for conj in self.group.conj:
+            row = tuple(backward.get(conj[x]) for x in image)
             if None in row:
                 return None
             rows.append(row)
@@ -619,10 +639,14 @@ class Inclusion:
     def is_normal(self) -> bool:
         return self.action is not None
 
-    def conjugation_automorphisms(self) -> tuple:
-        """Distinct maps a -> g^-1 a g over all g, in order of g, each a row of ``action``."""
+    @cached_property
+    def _automorphisms(self) -> tuple:
         inverses = self.group.inverses
         return tuple(dict.fromkeys(self.action[inverses[g]] for g in self.group.elements()))
+
+    def conjugation_automorphisms(self) -> tuple:
+        """Distinct maps a -> g^-1 a g over all g, in order of g, each a row of ``action``."""
+        return self._automorphisms
 
     def __eq__(self, other):
         if not isinstance(other, Inclusion):
@@ -673,11 +697,11 @@ def _generator_tuples(group: FiniteGroup, factors, candidates):
     return search(0, [], {group.identity})
 
 
-def subgroup_structure(group: FiniteGroup, subgroup) -> Inclusion:
-    """Invariant-factor coordinates for an abelian subgroup.
+def abelian_factors(group: FiniteGroup, subgroup) -> tuple[int, ...]:
+    """The invariant factors of an abelian subgroup, with no generator search.
 
-    Returns the inclusion realizing the isomorphism between the abstract
-    AbelianGroup and the subgroup, found by brute-force generator search.
+    Raises ValueError when the subset lacks the identity, is not closed
+    under the product or is not abelian.
     """
     subgroup = frozenset(subgroup)
     if group.identity not in subgroup:
@@ -688,7 +712,18 @@ def subgroup_structure(group: FiniteGroup, subgroup) -> Inclusion:
                 raise ValueError("subset is not closed under the product")
             if group.table[a][b] != group.table[b][a]:
                 raise ValueError("subset is not abelian")
-    factors = _invariant_factors(group, subgroup)
+    return _invariant_factors(group, subgroup)
+
+
+def subgroup_structure(group: FiniteGroup, subgroup) -> Inclusion:
+    """Invariant-factor coordinates for an abelian subgroup.
+
+    Returns the inclusion realizing the isomorphism between the abstract
+    AbelianGroup and the subgroup, found by brute-force generator search;
+    refuses a subset as ``abelian_factors`` does.
+    """
+    subgroup = frozenset(subgroup)
+    factors = abelian_factors(group, subgroup)
     gens = next(_generator_tuples(group, factors, sorted(subgroup)), None)
     if gens is None:
         raise AssertionError("generator search failed on a valid abelian subgroup")

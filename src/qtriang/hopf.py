@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from itertools import repeat
+from operator import itemgetter
 
 from .cyclotomic import ORDER_CAP, CycScalar, lift, root_power_table
 from .groups import FiniteGroup, closure
@@ -134,12 +135,17 @@ class GATensor:
         # n exponent slots, then the order m so far at index n.
         blank = [0] * n + [start] if n <= ORDER_CAP else None
         # The right keys as one column per leg: a left key maps each column
-        # through its leg's row of the table, and the columns zip into keys.
+        # through its leg's row of the table with one getter per leg, and the
+        # columns zip into keys.  A getter of one index returns no tuple.
         legs = list(zip(*(k2 for k2, _, _, _ in right)))
+        if len(right) == 1:
+            getters = [lambda row, i=col[0]: (row[i],) for col in legs]
+        else:
+            getters = [itemgetter(*col) for col in legs]
         rest = [(o2, e2, a2) for _, o2, e2, a2 in right]
         acc = {}
         for k1, o1, e1, a1 in left:
-            cols = [map(table[a].__getitem__, col) for a, col in zip(k1, legs)]
+            cols = [get(table[a]) for a, get in zip(k1, getters)]
             for key, (o2, e2, a2) in zip(zip(*cols) if legs else repeat(()), rest):
                 hist = acc.get(key)
                 if hist is None:
@@ -243,11 +249,9 @@ class GATensor:
     def adjoint_action(self, element: int, leg: int) -> "GATensor":
         """Conjugate the chosen leg by a group element."""
         self._check_leg(leg)
-        conj = self.group.conjugate
+        conj = self.group.conj[element]
         i = leg - 1
-        return self._map_keys(
-            self.arity, lambda key: key[:i] + (conj(key[i], element),) + key[leg:]
-        )
+        return self._map_keys(self.arity, lambda key: key[:i] + (conj[key[i]],) + key[leg:])
 
     # -- predicates and solving ----------------------------------------------
 

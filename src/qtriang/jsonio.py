@@ -17,15 +17,16 @@ from json.encoder import encode_basestring_ascii
 from .charring import ClassFunction, MatrixRep
 from .cyclotomic import ORDER_CAP, CycScalar, euler_phi
 from .groups import (
+    AbelianGroup,
     BiForm,
     FiniteGroup,
     Inclusion,
+    abelian_factors,
     bundled_group,
     CATALOG_NAMES,
     check_group_order,
     cyclic_group,
     direct_product,
-    subgroup_structure,
 )
 from .hopf import GATensor
 from .linalg import Matrix
@@ -268,7 +269,7 @@ def datum_from_json(doc: dict, group: FiniteGroup) -> QTDatum:
         type(row) is not list or any(type(m) is not int for m in row) for row in beta
     ):
         raise MalformedDocument(f"'beta' must be a list of lists of integers, got {beta!r}")
-    domain = subgroup_structure(group, frozenset(doc["subgroup"])).domain
+    domain = AbelianGroup(abelian_factors(group, doc["subgroup"]))
     left = Inclusion(group, domain, doc["i"])
     right = Inclusion(group, domain, doc["j"])
     return QTDatum(group, domain, left, right, BiForm(domain, beta))

@@ -92,8 +92,7 @@ def commutes_with_diagonal(x: GATensor, g: int) -> bool:
     Conjugation permutes the keys, so it suffices that each term's
     conjugate key carries the same coefficient.
     """
-    group = x.group
-    conj = [group.conjugate(h, g) for h in group.elements()]
+    conj = x.group.conj[g]
     terms = x.terms
     return all(
         terms.get(tuple([conj[h] for h in key])) == value for key, value in terms.items()

@@ -18,13 +18,15 @@ it needs only the criterion functions and ``qt_catalog``.
 import pytest
 
 from qtriang import acceptance
+from qtriang.charring import standard_reps
+from qtriang.groups import bundled_group
 
 
 @pytest.fixture(scope="module")
 def warm_catalogs():
     for name in acceptance.CATALOG_NAMES:
         acceptance.triangular_catalog(name)
-        acceptance._test_reps(name)
+        standard_reps(bundled_group(name))
     assert acceptance.criterion_4().passed
 
 

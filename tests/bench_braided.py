@@ -48,6 +48,7 @@ from qtriang.charring import (
     exterior_power_char,
     linear_character_reps,
     regular_rep,
+    standard_reps,
 )
 from qtriang.groups import bundled_group
 from qtriang.hopf import GATensor
@@ -153,7 +154,7 @@ def _fresh_catalogs():
     getattr(acceptance.triangular_catalog, "cache_clear", lambda: None)()
     for name in acceptance.CATALOG_NAMES:
         triangular_catalog(name)
-        acceptance._test_reps(name)
+        standard_reps(bundled_group(name))
 
 
 @pytest.mark.parametrize("number", [6, 7, 10])

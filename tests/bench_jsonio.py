@@ -16,7 +16,12 @@ the entry build and the write to ``--out``.  The triangular report is a view
 of the full catalog, so every datum is still built, and only the triangular
 structures are verified.  ``lambda`` (D4 at n = 3, Z4 at n = 4) and ``adams``
 (D4, u = 2, n = 3) are timed end to end the same way: parsing, the test
-characters, the twisted operations on them and the report.
+characters, the twisted operations on them and the report.  So are
+``verify --rmatrix`` on the last triangular D4 R-matrix, ``koszul-twist`` on
+its datum and ``exterior --n 2`` on the last triangular Z2xZ2 datum (on D4
+the regular rep fails the Newton match, exit 1): each reads its input file,
+and the group's conjugation rows, characters and standard reps are built
+on the first round only.
 """
 
 import json
@@ -92,3 +97,22 @@ def test_character_report_and_emit(benchmark, tmp_path, argv):
     out = tmp_path / "report.json"
     assert benchmark(main, [*argv, "--out", str(out)]) == 0
     assert len(json.loads(out.read_text())["results"]) == 5
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("D4", ["verify", "--rmatrix", "rmatrix.json"]),
+        ("D4", ["koszul-twist", "--datum", "datum.json"]),
+        ("Z2xZ2", ["exterior", "--datum", "datum.json", "--n", "2"]),
+    ],
+    ids=["verify-rmatrix-D4", "koszul-twist-D4", "exterior-Z2xZ2-n2"],
+)
+def test_datum_command_and_emit(benchmark, tmp_path, monkeypatch, name, argv):
+    triangular = qt_catalog(name).triangular
+    datum = triangular.data[-1]
+    (tmp_path / "datum.json").write_text(json.dumps(jsonio.datum_to_json(datum)))
+    rmatrix = jsonio.tensor_to_json(triangular.structures[-1].rmatrix)
+    (tmp_path / "rmatrix.json").write_text(json.dumps(rmatrix))
+    monkeypatch.chdir(tmp_path)
+    assert benchmark(main, [*argv, "--out", "report.json"]) == 0

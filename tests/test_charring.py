@@ -7,12 +7,14 @@ from fractions import Fraction
 
 import pytest
 from matrix_ops import add, kron, scale, zero
+from test_groups import derived_test_groups
 
 from qtriang import acceptance, charring, jsonio
 from qtriang.cyclotomic import CycScalar, euler_phi, root_of_unity
 from qtriang.groups import (
     CATALOG_NAMES,
     AbelianGroup,
+    FiniteGroup,
     bundled_group,
     enumerate_biforms,
     normal_inclusions,
@@ -325,6 +327,54 @@ def test_one_series_gives_every_sigma():
         assert lams == [lambda_from_adams(x, n, u) for n in range(7)]
 
 
+@pytest.mark.parametrize("group", derived_test_groups(), ids=lambda g: g.name)
+def test_standard_tables_match_a_recomputation_and_are_built_once(group, monkeypatch):
+    # A new group object over the same table builds every table again.
+    fresh = FiniteGroup(group.table, group.name)
+    chars = standard_characters(group)
+    assert chars == standard_characters(fresh)
+    reps = standard_reps(group)
+    assert [(rep.name, rep.mats) for rep in reps] == [
+        (rep.name, rep.mats) for rep in standard_reps(fresh)
+    ]
+    regular = [Matrix.from_permutation(group.table[g]) for g in group.elements()]
+    assert list(regular_rep(group).mats) == regular
+    for chi in linear_characters(group):
+        for a, b in itertools.product(group.elements(), repeat=2):
+            assert chi.evaluate(group.table[a][b]) == chi.evaluate(a) * chi.evaluate(b)
+    # Later calls build nothing and hand out the same objects.
+    for name in ("_commutator_subgroup", "closure"):
+        monkeypatch.setattr(charring, name, None)
+    monkeypatch.setattr(charring.Matrix, "from_permutation", None)
+    assert all(x is y for x, y in zip(linear_characters(group), (chi for _, chi in chars)))
+    assert [chi for _, chi in standard_characters(group)] == [chi for _, chi in chars]
+    assert all(x[1] is y[1] for x, y in zip(standard_characters(group), chars))
+    again = standard_reps(group)
+    assert [rep.name for rep in again] == [rep.name for rep in reps]
+    assert all(x.mats is y.mats for x, y in zip(again, reps))
+    assert all(x.mats is y.mats for x, y in zip(linear_character_reps(group), reps))
+    assert regular_rep(group).mats is reps[-1].mats
+
+
+def test_groups_with_equal_tables_report_their_own_names():
+    first, second = (FiniteGroup(bundled_group("S3").table, name) for name in ("first", "second"))
+    assert first == second
+
+    def names(group):
+        return [name for name, _ in standard_characters(group)]
+
+    for group in (first, second, first):
+        expected = [f"linear0({group.name})", f"linear1({group.name})", f"regular({group.name})"]
+        assert names(group) == expected
+        assert [rep.name for rep in standard_reps(group)] == expected
+        assert regular_rep(group).name == expected[-1]
+    # A group renamed after its tables are built, as ``group_from_json`` does.
+    first.name = "renamed"
+    assert names(first) == ["linear0(renamed)", "linear1(renamed)", "regular(renamed)"]
+    assert [rep.name for rep in standard_reps(first)] == names(first)
+    assert names(second)[0] == "linear0(second)"
+
+
 def test_standard_reps_split_between_the_criteria():
     for name in CATALOG_NAMES:
         group = bundled_group(name)
@@ -333,7 +383,6 @@ def test_standard_reps_split_between_the_criteria():
         assert names == linear + [f"regular({name})"]
         standard = [(rep.name, rep.character()) for rep in charring.standard_reps(group)]
         assert charring.standard_characters(group) == standard
-        assert [rep.name for rep in acceptance._test_reps(name)] == names
         power = [rep.name for rep in acceptance._power_test_reps(name)]
         assert power == (names if name in acceptance.REGULAR_REP_GROUPS else linear)
 
@@ -586,7 +635,7 @@ def test_image_matches_kron_reference_on_catalog(name):
     for members in catalog.dedup:
         r = catalog.structures[members[0]].rmatrix
         for tensor in (r, r * r.swap(), *leg_products(r).yang_baxter_sides(), r - r.swap()):
-            for rep in acceptance._test_reps(name):
+            for rep in standard_reps(bundled_group(name)):
                 if rep.dim**tensor.arity <= charring.DIMENSION_CAP:
                     _assert_image_matches_reference(rep, tensor)
 
@@ -628,7 +677,7 @@ def test_generators_match_kron_route(name):
     catalog = acceptance.triangular_catalog(name)
     for members in catalog.dedup:
         r = catalog.structures[members[0]].rmatrix
-        for rep in acceptance._test_reps(name):
+        for rep in standard_reps(bundled_group(name)):
             for power in (2, 3):
                 if rep.dim**power <= charring.DIMENSION_CAP:
                     action, expected = BraidedAction(rep, r, power), _with_rmatrix(rep, power, r)
@@ -734,7 +783,7 @@ def test_validate_matches_reference_on_catalog_and_perturbed_r(name):
     # reference run at the cap itself (d = 8, n = 4) takes 1-8 s, so there
     # it runs once per group, on the first structure that is not the unit.
     catalog = acceptance.triangular_catalog(name)
-    reps = acceptance._test_reps(name)
+    reps = standard_reps(bundled_group(name))
     cap, at_cap = charring.DIMENSION_CAP, []
     for members in catalog.dedup:
         r = catalog.structures[members[0]].rmatrix
@@ -874,7 +923,7 @@ def test_exterior_power_matches_dense_reference(name):
     catalog = acceptance.triangular_catalog(name)
     for members in catalog.dedup:
         r = catalog.structures[members[0]].rmatrix
-        for rep in acceptance._test_reps(name):
+        for rep in standard_reps(bundled_group(name)):
             for n in (2, 3):
                 if rep.dim**n <= charring.DIMENSION_CAP:
                     expected = _reference_exterior_power_char(rep, r, n)
@@ -891,7 +940,7 @@ def test_exterior_power_matches_the_signed_word_sum(name):
     for members in catalog.dedup:
         structure = catalog.structures[members[0]]
         r = structure.rmatrix
-        for rep in acceptance._test_reps(name):
+        for rep in standard_reps(bundled_group(name)):
             for n in range(2, 6 if len(r.terms) <= 4 else 5):
                 if rep.dim**n <= charring.DIMENSION_CAP:
                     expected = _word_sum_exterior_power_char(rep, r, n)
@@ -960,7 +1009,7 @@ def test_catalog_traces_form_no_matrix_product(monkeypatch):
     cases = []
     for name in CATALOG_NAMES:
         catalog = acceptance.triangular_catalog(name)
-        reps = acceptance._test_reps(name)
+        reps = standard_reps(bundled_group(name))
         cases += [(rep, catalog.structures[m[0]].rmatrix) for m in catalog.dedup for rep in reps]
     monkeypatch.setattr(Matrix, "__matmul__", counting)
     for rep, r in cases:
@@ -1027,7 +1076,7 @@ def test_exterior_fallback_matches_generator_product_reference():
         group = bundled_group(name)
         for r in _perturbations(group):
             braiding = Braiding(r)
-            for rep in acceptance._test_reps(name):
+            for rep in standard_reps(bundled_group(name)):
                 for n in (2, 3):
                     if rep.dim**n > 216:
                         continue
@@ -1158,7 +1207,7 @@ def _fresh_catalogs():
     acceptance.qt_catalog.cache_clear()
     for name in CATALOG_NAMES:
         acceptance.triangular_catalog(name)
-        acceptance._test_reps(name)
+        standard_reps(bundled_group(name))
 
 
 def _count_work(monkeypatch, criteria, **counted):
@@ -1388,7 +1437,7 @@ def test_power_sums_and_exterior_powers_against_twisted_adams():
     for name, catalog, members, structure in acceptance._triangular_classes():
         u = structure.markov.grouplike_index()
         at = (name, catalog.dedup.index(members), len(structure.rmatrix.terms))
-        for rep in acceptance._test_reps(name):
+        for rep in standard_reps(bundled_group(name)):
             chi = rep.character()
             classes = [cls_[0] for cls_ in rep.group.conjugacy_classes()]
             for k in range(7):
@@ -1420,7 +1469,7 @@ def test_exterior_powers_form_one_long_cycle_per_degree(monkeypatch):
     # n! signed words took at least 714 at n = 6 alone, and over a minute.
     catalog = acceptance.triangular_catalog("Z2xZ2")
     r = next(s.rmatrix for s in catalog.structures if len(s.rmatrix.terms) == 16)
-    braiding, reps = Braiding(r), acceptance._test_reps("Z2xZ2")
+    braiding, reps = Braiding(r), standard_reps(bundled_group("Z2xZ2"))
     calls = Counter()
     real_mul = GATensor.__mul__
 

@@ -412,6 +412,24 @@ def test_cli_wrong_shaped_beta_is_an_invariant_error(workdir, capsys, command, b
     assert error == {"kind": "invariant", "message": "exponent matrix has wrong shape"}
 
 
+@pytest.mark.parametrize(
+    "subgroup, message",
+    [
+        ([1, 2], "subset does not contain the identity"),
+        ([0, 3], "subset is not closed under the product"),
+        ([0, 1, 2, 3, 4, 5], "subset is not abelian"),
+    ],
+    ids=["no_identity", "open", "nonabelian"],
+)
+def test_cli_datum_subgroup_that_is_not_an_abelian_subgroup_is_an_invariant_error(
+    workdir, capsys, subgroup, message
+):
+    _write(workdir / "datum.json", dict(_S3_DATUM, subgroup=subgroup, beta=[[1]]))
+    assert main(["markov", "--datum", "datum.json"]) == 3
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == {"kind": "invariant", "message": message}
+
+
 # -- the CLI contract under mutated input documents ---------------------------
 
 

@@ -5,6 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qtriang import jsonio
 from qtriang.cyclotomic import CycScalar
 from qtriang.groups import (
     AbelianGroup,
@@ -15,6 +16,7 @@ from qtriang.groups import (
     bundled_group,
     CATALOG_NAMES,
     _invariant_factors,
+    abelian_factors,
     cyclic_group,
     dihedral_group,
     direct_product,
@@ -107,6 +109,32 @@ def test_class_map_indexes_the_classes(name):
     for bad in (-1, g.size):
         with pytest.raises(ValueError, match="out of range"):
             g.class_index(bad)
+
+
+def derived_test_groups():
+    """The bundled groups, then two loaded from JSON: by abelian factors and by table."""
+    by_table = {"name": "D3", "table": [list(row) for row in dihedral_group(3).table]}
+    loaded = [jsonio.group_from_json({"abelian": [2, 4]}), jsonio.group_from_json(by_table)]
+    return [bundled_group(name) for name in CATALOG_NAMES] + loaded
+
+
+@pytest.mark.parametrize("g", derived_test_groups(), ids=lambda g: g.name)
+def test_group_tables_match_a_recomputation_and_are_built_once(g):
+    elements = g.elements()
+    conj = tuple(tuple(g.conjugate(x, h) for x in elements) for h in elements)
+    center = tuple(z for z in elements if all(g.mul(z, h) == g.mul(h, z) for h in elements))
+    tables = {
+        "conj": (lambda: g.conj, conj),
+        "center": (g.center, center),
+        "central_involutions": (
+            g.central_involutions, tuple(z for z in center if g.mul(z, z) == g.identity)
+        ),
+        "conjugacy_classes": (g.conjugacy_classes, tuple(_classes_oracle(g))),
+    }
+    for name, (read, expected) in tables.items():
+        first = read()
+        assert first == expected, name
+        assert read() is first, name
 
 
 def test_conjugacy_class_examples():
@@ -262,6 +290,36 @@ def test_subgroup_structure_rejects_nonabelian():
     s3 = bundled_group("S3")
     with pytest.raises(ValueError):
         subgroup_structure(s3, set(range(6)))
+
+
+def test_abelian_factors_match_subgroup_structure_and_refuse_alike():
+    for name in CATALOG_NAMES:
+        g = bundled_group(name)
+        for sub in abelian_normal_subgroups(g):
+            assert abelian_factors(g, sub) == subgroup_structure(g, sub).domain.factors
+    s3 = bundled_group("S3")
+    for subset in ({1, 2}, {0, 3}, set(range(6))):
+        with pytest.raises(ValueError) as slow:
+            subgroup_structure(s3, subset)
+        with pytest.raises(ValueError) as fast:
+            abelian_factors(s3, subset)
+        assert str(fast.value) == str(slow.value)
+
+
+@pytest.mark.parametrize("name", ["S3", "D4", "Q8"])
+def test_conjugation_automorphisms_are_built_once_per_inclusion(name):
+    g = bundled_group(name)
+    for sub in abelian_normal_subgroups(g):
+        incl = subgroup_structure(g, sub)
+        autos = incl.conjugation_automorphisms()
+        assert incl.conjugation_automorphisms() is autos
+        # a -> h^-1 a h over every h, from the group's own product
+        domain = list(incl.domain.elements())
+        expected = {
+            tuple(incl.preimage(g.conjugate(incl.apply(a), g.inverses[h])) for a in domain)
+            for h in g.elements()
+        }
+        assert set(autos) == expected and len(autos) == len(expected)
 
 
 # Oracle: inclusions by scanning every generator-image tuple directly.

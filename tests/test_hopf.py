@@ -352,6 +352,23 @@ def test_product_matches_scalar_reference(pair):
         assert _stored(a * b) == _stored(_reference_mul(a, b))
 
 
+def test_products_with_one_right_term_or_no_legs_match_scalar_reference():
+    # A one-term right operand maps each leg through a getter of one index;
+    # arity 0 has no legs at all.
+    g = bundled_group("S3")
+    x = GATensor(g, 2, {(1, 2): root_of_unity(3), (4, 5): _HALF, (0, 3): _I4})
+    cases = [
+        (x, GATensor(g, 2, {(3, 1): _I4})),
+        (GATensor(g, 2, {(5, 0): _W3}), x),
+        (GATensor(g, 2, {(5, 0): _W3}), GATensor(g, 2, {(2, 2): _MINUS3})),
+        (GATensor(g, 1, {(k,): _W3 for k in range(6)}), GATensor(g, 1, {(4,): _HALF})),
+        (GATensor(g, 0, {(): _I4}), GATensor(g, 0, {(): _W3})),
+        (GATensor(g, 0, {}), GATensor(g, 0, {(): _W3})),
+    ]
+    for a, b in cases:
+        assert _stored(a * b) == _stored(_reference_mul(a, b))
+
+
 def test_catalog_products_match_scalar_reference():
     # Every distinct R of the seven catalogs: R R21, the leg products, the
     # Yang-Baxter sides and the Markov inverse guess (S x I)(R) (I x S)(R21).

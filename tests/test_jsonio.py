@@ -322,3 +322,20 @@ def test_abelian_shorthand_validates_each_table_once(monkeypatch, factors, build
     assert group.table == named.table == reference.table
     assert group.name == "x".join(f"Z{n}" for n in factors)
     assert named.name == "A"
+
+
+_S3_SUBSETS = [
+    ([1, 2], "subset does not contain the identity"),
+    ([0, 3], "subset is not closed under the product"),
+    ([0, 1, 2, 3, 4, 5], "subset is not abelian"),
+]
+
+
+@pytest.mark.parametrize(
+    "subgroup, message", _S3_SUBSETS, ids=["no_identity", "open", "nonabelian"]
+)
+def test_datum_subgroup_that_is_not_an_abelian_subgroup_is_refused(subgroup, message):
+    doc = {"group": "S3", "subgroup": subgroup, "i": [3], "j": [3], "beta": [[1]]}
+    with pytest.raises(ValueError) as info:
+        jsonio.datum_from_json(doc, bundled_group("S3"))
+    assert str(info.value) == message
