@@ -6,7 +6,6 @@ from .cyclotomic import CycScalar, cyclotomic_polynomial, euler_phi, root_of_uni
 from .groups import (
     AbelianGroup,
     BiForm,
-    Character,
     FiniteGroup,
     Inclusion,
     abelian_normal_subgroups,

@@ -2,9 +2,10 @@
 
 Each criterion function measures its own runtime, returns a structured
 result, and is shared verbatim between the pytest suite and the CLI
-``selftest`` command.  The per-group catalogs and test representations are
-cached per process, so running the suite in order enumerates each group's
-catalog once (criterion 1 times its own enumeration of Z2).  The
+``selftest`` command.  The per-group catalogs are cached per process by
+group name, and the test representations (``standard_reps``) are kept on
+the bundled group object, so running the suite in order enumerates each
+group's catalog once (criterion 1 times its own enumeration of Z2).  The
 triangular catalog is a view of the full one, sharing its one
 ``charring.Braiding`` per dedup class, so each structure's report, Markov
 element, unitarity and braided data are formed once per process: criteria

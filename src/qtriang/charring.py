@@ -25,7 +25,15 @@ import math
 import operator
 from fractions import Fraction
 
-from .cyclotomic import CycScalar, _reduce_mod_cyclotomic, embed_map, euler_phi, lift, times
+from .cyclotomic import (
+    CycScalar,
+    _reduce_mod_cyclotomic,
+    embed_map,
+    euler_phi,
+    lift,
+    root_of_unity,
+    times,
+)
 from .groups import FiniteGroup, closure, subgroup_structure
 from .hopf import GATensor, difference_witness
 from .linalg import Matrix
@@ -281,13 +289,12 @@ def _standard_characters(group: FiniteGroup) -> tuple[ClassFunction, ...]:
         )
     quotient = FiniteGroup(table, name=f"{group.name}_ab")
     structure = subgroup_structure(quotient, frozenset(quotient.elements()))
-    out = []
-    for chi in structure.domain.characters():
-        values = [
-            chi.evaluate(structure.preimage(coset_of[cls_[0]]))
-            for cls_ in group.conjugacy_classes()
-        ]
-        out.append(ClassFunction(group, values))
+    domain, e = structure.domain, structure.domain.exponent
+    points = [structure.preimage(coset_of[cls_[0]]) for cls_ in group.conjugacy_classes()]
+    out = [
+        ClassFunction(group, [root_of_unity(e, domain.pairing(chi, a)) for a in points])
+        for chi in domain.elements()
+    ]
     rows = [(0,)] * len(group.conjugacy_classes())
     rows[group.class_map[group.identity]] = (group.size,)
     return (*out, ClassFunction._make(group, 1, 1, tuple(rows)))

@@ -275,11 +275,12 @@ def _cmd_exterior(args):
     u_idx = braiding.markov_index
     rows = []
     ok = True
-    for rep in standard_reps(group):
+    for rep, (name, char) in zip(standard_reps(group), standard_characters(group)):
+        assert rep.name == name
         if rep.dim**args.n > DIMENSION_CAP:
             continue
         ext = braiding.exterior_power_char(rep, args.n)
-        newton = lambda_from_adams(rep.character(), args.n, u_idx)
+        newton = lambda_from_adams(char, args.n, u_idx)
         match = ext == newton
         ok = ok and match
         row = {

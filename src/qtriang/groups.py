@@ -4,9 +4,10 @@ Groups of order at most 64 enter as multiplication tables with 0-based
 element indices; no presentations or permutation-group algorithms are
 used, so every structural question below is answered by exhaustive
 search.  The module also provides finite abelian groups in invariant
-factor coordinates, their character groups, and bimultiplicative forms
-on those character groups together with the nondegeneracy, skewsymmetry
-and conjugation-invariance predicates needed to classify R-matrices.
+factor coordinates, whose characters are exponent tuples on the dual
+basis, and bimultiplicative forms on those character groups together
+with the nondegeneracy, skewsymmetry and conjugation-invariance
+predicates needed to classify R-matrices.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import itertools
 import math
 from functools import cached_property, lru_cache
 
-from .cyclotomic import CycScalar, divisors, root_of_unity
+from .cyclotomic import divisors
 
 SIZE_CAP = 64
 
@@ -292,7 +293,8 @@ def bundled_group(name: str) -> FiniteGroup:
 class AbelianGroup:
     """Direct sum of cyclic groups Z/n_1 x ... x Z/n_r with n_1 | n_2 | ... | n_r.
 
-    Elements are residue tuples (a_1, ..., a_r).
+    Elements are residue tuples (a_1, ..., a_r), and so are characters: the
+    exponent tuple (k_1, ..., k_r) is a -> prod zeta_(n_i)^(k_i a_i).
     """
 
     def __init__(self, factors):
@@ -320,11 +322,10 @@ class AbelianGroup:
     def generators(self) -> list[tuple[int, ...]]:
         return [tuple(1 if j == i else 0 for j in range(self.rank)) for i in range(self.rank)]
 
-    def characters(self) -> list["Character"]:
-        return [Character(self, exps) for exps in self.elements()]
-
-    def dual_generators(self) -> list["Character"]:
-        return [Character(self, g) for g in self.generators()]
+    def pairing(self, chi, a) -> int:
+        """k with chi(a) = zeta_e^k at the group exponent e."""
+        e = self.exponent
+        return sum((e // n) * k * x for k, x, n in zip(chi, a, self.factors)) % e
 
     def __eq__(self, other):
         if not isinstance(other, AbelianGroup):
@@ -338,40 +339,6 @@ class AbelianGroup:
         if not self.factors:
             return "AbelianGroup(trivial)"
         return "AbelianGroup(%s)" % " x ".join(f"Z{n}" for n in self.factors)
-
-
-class Character:
-    """Character of an AbelianGroup: a -> prod zeta_{n_i}^(k_i * a_i)."""
-
-    __slots__ = ("parent", "exps")
-
-    def __init__(self, parent: AbelianGroup, exps):
-        exps = tuple(k % n for k, n in zip(exps, parent.factors))
-        if len(exps) != parent.rank:
-            raise ValueError("character exponent tuple has wrong length")
-        self.parent = parent
-        self.exps = exps
-
-    def exponent_at(self, a) -> int:
-        """k with value zeta_e^k at the group exponent e."""
-        e = self.parent.exponent
-        return sum(
-            (e // n) * k * x for k, x, n in zip(self.exps, a, self.parent.factors)
-        ) % e
-
-    def evaluate(self, a) -> CycScalar:
-        return root_of_unity(self.parent.exponent, self.exponent_at(a))
-
-    def __eq__(self, other):
-        if not isinstance(other, Character):
-            return NotImplemented
-        return self.parent == other.parent and self.exps == other.exps
-
-    def __hash__(self):
-        return hash((self.parent.factors, self.exps))
-
-    def __repr__(self):
-        return f"Character{self.exps}"
 
 
 class BiForm:
@@ -398,25 +365,19 @@ class BiForm:
         self._nondegenerate = None
         self._invariant = {}
 
-    def exponent_of(self, chi: Character, xi: Character) -> int:
-        """k with beta(chi, xi) = zeta_e^k at the group exponent e."""
-        return self._exponent(chi.exps, xi.exps)
-
-    def _exponent(self, chi_exps, xi_exps) -> int:
+    def exponent_of(self, chi, xi) -> int:
+        """k with beta(chi, xi) = zeta_e^k at the group exponent e, read off the matrix."""
         e = self.parent.exponent
         gcds = _gcd_table(self.parent.factors)
         total = 0
-        for i, ki in enumerate(chi_exps):
+        for i, ki in enumerate(chi):
             if not ki:
                 continue
             row = self.matrix[i]
-            for j, lj in enumerate(xi_exps):
+            for j, lj in enumerate(xi):
                 if lj and row[j]:
                     total += (e // gcds[i][j]) * row[j] * ki * lj
         return total % e
-
-    def evaluate(self, chi: Character, xi: Character) -> CycScalar:
-        return root_of_unity(self.parent.exponent, self.exponent_of(chi, xi))
 
     def point(self, chi_exps) -> tuple[int, ...]:
         """a_chi, with beta(chi, xi) = xi(a_chi) for every xi, read off the matrix."""
@@ -437,7 +398,7 @@ class BiForm:
     def is_skewsymmetric(self) -> bool:
         """beta(chi, xi) * beta(xi, chi) = 1; enough to check dual generators."""
         e = self.parent.exponent
-        gens = self.parent.dual_generators()
+        gens = self.parent.generators()
         return all(
             (self.exponent_of(a, b) + self.exponent_of(b, a)) % e == 0
             for a in gens
@@ -471,7 +432,7 @@ class BiForm:
             twisted.append(exps)
         gens = parent.generators()
         return all(
-            self._exponent(ta, tb) == self._exponent(a, b)
+            self.exponent_of(ta, tb) == self.exponent_of(a, b)
             for a, ta in zip(gens, twisted)
             for b, tb in zip(gens, twisted)
         )

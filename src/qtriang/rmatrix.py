@@ -349,18 +349,14 @@ def verify_markov_equation(datum: QTDatum, u: GATensor) -> bool:
     idx = u.grouplike_index()
     if idx not in datum.incl_left.image:
         raise ValueError("u lies outside the image of the inclusion")
-    incl = datum.incl_left
-    chars = datum.domain.characters()
-
-    def satisfies(a) -> bool:
-        return all(
-            chi.exponent_at(a) == datum.beta.exponent_of(chi, chi) for chi in chars
-        )
-
-    if not satisfies(incl.preimage(idx)):
-        return False
-    matches = [a for a in datum.domain.elements() if satisfies(a)]
-    return matches == [incl.preimage(idx)]
+    domain = datum.domain
+    diagonal = [(chi, datum.beta.exponent_of(chi, chi)) for chi in domain.elements()]
+    matches = [
+        a
+        for a in domain.elements()
+        if all(domain.pairing(chi, a) == k for chi, k in diagonal)
+    ]
+    return matches == [datum.incl_left.preimage(idx)]
 
 
 def _element_vector(tensor: GATensor) -> list[CycScalar]:
@@ -539,9 +535,9 @@ def koszul_twist(datum: QTDatum, r: GATensor, u: GATensor) -> KoszulTwist:
     incl = datum.incl_left
     domain = datum.domain
     u_in_a = incl.preimage(u_idx)
-    gens = domain.dual_generators()
-    # beta_u(chi, xi) = -1 exactly when both characters are nontrivial on u.
-    odd = [chi.exponent_at(u_in_a) != 0 for chi in gens]
+    # beta_u(chi, xi) = -1 exactly when both characters are nontrivial on u;
+    # dual generator i is nontrivial on u when u's coordinate i is nonzero.
+    odd = [x != 0 for x in u_in_a]
     beta_u_matrix = []
     for i in range(domain.rank):
         row = []

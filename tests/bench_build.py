@@ -13,14 +13,24 @@ three twist checks) on the first triangular D4 datum on the Klein group.
 structures are verified later, on first read), and ``QTDatum`` construction
 over the 226 Z2xZ2 data, whose inclusions and forms have already decided
 their facts, so each datum costs its eight checks as lookups.
+``QTDatum.triangular`` (``BiForm.is_skewsymmetric`` on the dual basis) is
+timed over the 340 data of the seven catalogs, and
+``verify_markov_equation`` (chi(u) = beta(chi, chi) by ``pairing`` at every
+element of A) over their 62 triangular data.
 """
 
 import pytest
 
 from qtriang.acceptance import qt_catalog, triangular_catalog
 from qtriang.classify import enumerate_qt
-from qtriang.groups import bundled_group
-from qtriang.rmatrix import QTDatum, build_r, koszul_twist, markov_element
+from qtriang.groups import CATALOG_NAMES, bundled_group
+from qtriang.rmatrix import (
+    QTDatum,
+    build_r,
+    koszul_twist,
+    markov_element,
+    verify_markov_equation,
+)
 
 
 @pytest.mark.parametrize("name", ["Z2xZ2", "D4"])
@@ -52,3 +62,20 @@ def test_qtdatum_construction_z2xz2(benchmark):
     ]
     built = benchmark(lambda: [QTDatum(*p) for p in parts])
     assert len(built) == 226
+
+
+def test_triangular_flag_over_catalog(benchmark):
+    data = [d for name in CATALOG_NAMES for d in qt_catalog(name).data]
+    assert len(data) == 340
+    flags = benchmark(lambda: [d.triangular for d in data])
+    assert sum(flags) == 62
+
+
+def test_verify_markov_equation_over_triangular_data(benchmark):
+    cases = []
+    for name in CATALOG_NAMES:
+        catalog = triangular_catalog(name)
+        cases += [(d, s.markov) for d, s in zip(catalog.data, catalog.structures)]
+    assert len(cases) == 62
+    results = benchmark(lambda: [verify_markov_equation(d, u) for d, u in cases])
+    assert all(results)

@@ -5,8 +5,9 @@ its automorphisms once; a form decides nondegeneracy once and invariance
 once per automorphism set; the character sum reads a_chi and chi(a) as
 integer exponents; and a catalog keys each dedup class by the character
 sum's integer table, building R once per class.  Each is compared here
-with the route it replaced: the g x a conjugation loop, ``Character``
-objects with ``exponent_of``, and the dedup keyed by every datum's stored
+with the route it replaced: the g x a conjugation loop, ``exponent_of``
+on the dual basis with chi(a) from a formula of this file (shared with
+no code under test), and the dedup keyed by every datum's stored
 element.  The groups are the seven catalog groups plus Z6, Z8, Z4xZ2, the
 dihedral group of order 12 and A4, whose 3-cycles act on the Klein group
 by automorphisms of order 3, so listing the rows by g and by g^-1 gives
@@ -22,7 +23,6 @@ from qtriang.classify import _catalog, _enumerate_data
 from qtriang.cyclotomic import CycScalar, root_power_table
 from qtriang.groups import (
     CATALOG_NAMES,
-    Character,
     FiniteGroup,
     Inclusion,
     _generator_tuples,
@@ -108,10 +108,16 @@ def _reference_automorphisms(incl):
     return autos
 
 
+def _chi_at(parent, chi, a):
+    """k with chi(a) = zeta_e^k: chi_i(a) = zeta_(n_i)^(chi_i a_i), zeta_(n_i) = zeta_e^(e/n_i)."""
+    e = parent.exponent
+    return sum((k * x % n) * (e // n) for k, x, n in zip(chi, a, parent.factors)) % e
+
+
 def _reference_is_nondegenerate(form):
-    gens = form.parent.dual_generators()
+    gens = form.parent.generators()
     kernel = [
-        chi for chi in form.parent.characters() if all(form.exponent_of(chi, g) == 0 for g in gens)
+        chi for chi in form.parent.elements() if all(form.exponent_of(chi, g) == 0 for g in gens)
     ]
     return len(kernel) == 1
 
@@ -119,16 +125,16 @@ def _reference_is_nondegenerate(form):
 def _reference_is_invariant(form, automorphisms):
     parent = form.parent
     e = parent.exponent
-    gens = parent.dual_generators()
+    gens = parent.generators()
     for auto in automorphisms:
         twisted = []
         for chi in gens:
             exps = []
             for i, n in enumerate(parent.factors):
-                k = chi.exponent_at(auto[parent.generators()[i]])
+                k = _chi_at(parent, chi, auto[gens[i]])
                 assert k % (e // n) == 0
                 exps.append((k // (e // n)) % n)
-            twisted.append(Character(parent, exps))
+            twisted.append(tuple(exps))
         for a, ta in zip(gens, twisted):
             for b, tb in zip(gens, twisted):
                 if form.exponent_of(ta, tb) != form.exponent_of(a, b):
@@ -137,19 +143,19 @@ def _reference_is_invariant(form, automorphisms):
 
 
 def _reference_character_sum(domain, incl_left, incl_right, form):
-    """The character sum with a_chi from ``exponent_of`` and chi(a) from ``Character``."""
+    """The character sum with a_chi from ``exponent_of`` and chi(a) from ``_chi_at``."""
     e = domain.exponent
     powers = root_power_table(e)
-    gens = domain.dual_generators()
+    gens = domain.generators()
     elements = list(domain.elements())
     sums = {}
-    for chi in domain.characters():
+    for chi in elements:
         b = tuple(
             -(form.exponent_of(chi, g) // (e // n)) % n for g, n in zip(gens, domain.factors)
         )
         for a in elements:
             acc = sums.setdefault((a, b), [0] * len(powers[0]))
-            for idx, c in enumerate(powers[chi.exponent_at(a)]):
+            for idx, c in enumerate(powers[_chi_at(domain, chi, a)]):
                 acc[idx] += c
     terms = {}
     for (a, b), coeffs in sorted(sums.items()):
@@ -216,7 +222,7 @@ def test_form_facts_match_the_character_route(name):
 
 @pytest.mark.parametrize("name", [*CATALOG_NAMES, *EXTRA])
 def test_dedup_and_character_sums_match_the_stored_form_route(name):
-    # Oracle: every datum built through the Character route and grouped by
+    # Oracle: every datum built through the exponent_of route and grouped by
     # its stored element, classes in order of their first member.
     data = list(_data(name))
     builds = [

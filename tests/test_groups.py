@@ -1,12 +1,13 @@
 import hashlib
 import itertools
 import json
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qtriang import jsonio
-from qtriang.cyclotomic import CycScalar
+from qtriang.cyclotomic import root_of_unity
 from qtriang.groups import (
     AbelianGroup,
     BiForm,
@@ -392,26 +393,35 @@ def test_character_group_separates_points():
         for a in domain.elements():
             if a == domain.zero:
                 continue
-            assert any(chi.exponent_at(a) != 0 for chi in domain.characters())
+            assert any(domain.pairing(chi, a) != 0 for chi in domain.elements())
 
 
 def test_character_multiplicativity():
     domain = AbelianGroup((2, 4))
-    for chi in domain.characters():
+    e = domain.exponent
+    for chi in domain.elements():
         for a in domain.elements():
             for b in domain.elements():
-                assert chi.evaluate(domain.add(a, b)) == chi.evaluate(a) * chi.evaluate(b)
+                k = domain.pairing(chi, domain.add(a, b))
+                assert k == (domain.pairing(chi, a) + domain.pairing(chi, b)) % e
+                assert root_of_unity(e, k) == root_of_unity(e, domain.pairing(chi, a)) * (
+                    root_of_unity(e, domain.pairing(chi, b))
+                )
+                # The same tuples as characters, paired with chi as a point.
+                left = domain.pairing(domain.add(a, b), chi)
+                assert left == (domain.pairing(a, chi) + domain.pairing(b, chi)) % e
 
 
 def test_character_count():
     domain = AbelianGroup((2, 4))
-    assert len(domain.characters()) == 8
+    elements = list(domain.elements())
+    values = {tuple(domain.pairing(chi, a) for a in elements) for chi in elements}
+    assert len(values) == domain.order == 8
 
 
 # Oracle: biform predicates evaluated directly over all character pairs.
 def _nondeg_oracle(form):
-    domain = form.parent
-    chars = domain.characters()
+    chars = list(form.parent.elements())
     images = set()
     for chi in chars:
         row = tuple(form.exponent_of(chi, xi) for xi in chars)
@@ -420,10 +430,10 @@ def _nondeg_oracle(form):
 
 
 def _skew_oracle(form):
-    chars = form.parent.characters()
-    one = CycScalar.one()
+    chars = list(form.parent.elements())
+    e = form.parent.exponent
     return all(
-        form.evaluate(a, b) * form.evaluate(b, a) == one for a in chars for b in chars
+        (form.exponent_of(a, b) + form.exponent_of(b, a)) % e == 0 for a in chars for b in chars
     )
 
 
@@ -431,8 +441,8 @@ def test_biform_enumeration_z2():
     domain = AbelianGroup((2,))
     forms = [b for b in enumerate_biforms(domain) if b.is_nondegenerate() and b.is_skewsymmetric()]
     assert len(forms) == 1
-    chi = domain.characters()[1]
-    assert forms[0].evaluate(chi, chi) == -1
+    # beta(chi, chi) = -1 = zeta_2^1 on the nontrivial character.
+    assert forms[0].exponent_of((1,), (1,)) == 1
 
 
 def test_biform_enumeration_trivial():
@@ -454,28 +464,46 @@ def test_biform_enumeration_v4_against_oracle():
 
 def test_biform_value_order_divides_gcd():
     domain = AbelianGroup((2, 4))
-    gens = domain.dual_generators()
+    e = domain.exponent
+    gens = domain.generators()
     for form in filter(BiForm.is_nondegenerate, enumerate_biforms(domain)):
         for i, a in enumerate(gens):
             for j, b in enumerate(gens):
-                value = form.evaluate(a, b)
-                import math
-
+                # beta(chi_i, chi_j)^g = 1 with g = gcd(n_i, n_j).
                 g = math.gcd(domain.factors[i], domain.factors[j])
-                assert value**g == 1
+                assert (g * form.exponent_of(a, b)) % e == 0
 
 
 def test_skew_diagonal_is_sign():
     domain = AbelianGroup((2, 2))
+    e = domain.exponent
     for form in filter(BiForm.is_skewsymmetric, enumerate_biforms(domain)):
-        for chi in domain.characters():
-            assert form.evaluate(chi, chi) ** 2 == 1
+        for chi in domain.elements():
+            assert (2 * form.exponent_of(chi, chi)) % e == 0
 
 
 def test_no_nondegenerate_skew_form_on_z3_or_z4():
     for factors in ((3,), (4,)):
         forms = enumerate_biforms(AbelianGroup(factors))
         assert not any(f.is_nondegenerate() and f.is_skewsymmetric() for f in forms)
+
+
+def test_form_exponent_is_the_pairing_at_the_point():
+    # beta(chi, xi) = xi(a_chi): the matrix formula of exponent_of against
+    # pairing at the point read off by point, for every form on every shape.
+    shapes = {(2, 4), (8,), (6,)}
+    for name in CATALOG_NAMES:
+        group = bundled_group(name)
+        shapes.update(abelian_factors(group, s) for s in abelian_normal_subgroups(group))
+    assert {(), (2,), (3,), (4,), (2, 2)} <= shapes
+    for factors in sorted(shapes):
+        domain = AbelianGroup(factors)
+        chars = list(domain.elements())
+        for form in enumerate_biforms(domain):
+            for chi in chars:
+                point = form.point(chi)
+                for xi in chars:
+                    assert form.exponent_of(chi, xi) == domain.pairing(xi, point), (form, chi, xi)
 
 
 def test_inclusions_round_trip_with_subgroups():
