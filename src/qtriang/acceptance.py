@@ -3,9 +3,10 @@
 Each criterion function measures its own runtime, returns a structured
 result, and is shared verbatim between the pytest suite and the CLI
 ``selftest`` command.  The per-group catalogs are cached per process by
-group name, and the test representations (``standard_reps``) are kept on
-the bundled group object, so running the suite in order enumerates each
-group's catalog once (criterion 1 times its own enumeration of Z2).  The
+group name, and the test representations (``standard_reps``) are built,
+checked and traced once per bundled group object: criteria 6, 7 and 8
+read the character each one keeps.  Running the suite in order enumerates
+each group's catalog once (criterion 1 times its own enumeration of Z2).  The
 triangular catalog is a view of the full one, sharing its one
 ``charring.Braiding`` per dedup class, so each structure's report, Markov
 element, unitarity and braided data are formed once per process: criteria
@@ -32,7 +33,6 @@ from .charring import (
     ClassFunction,
     adams_twisted,
     lambda_from_adams,
-    standard_characters,
     standard_reps,
     verify_lambda_ring,
     _cyclic_value,
@@ -374,7 +374,7 @@ def criterion_8() -> CriterionResult:
     rng = random.Random(20260808)
     for name in CATALOG_NAMES:
         group = bundled_group(name)
-        chars = [character for _, character in standard_characters(group)]
+        chars = [rep.character() for rep in standard_reps(group)]
         for u in group.central_involutions():
             checked += 1
             checks = verify_lambda_ring(u, chars)

@@ -182,9 +182,11 @@ class MatrixRep:
     rho(s1 g') = rho(s1) rho(g') is the checked law at h = g'.  When every
     rho(g) holds one entry 1 per column (``_column_map``), as permutation
     matrices do, the law compares column maps composed without a product.
+    The character is traced once, after the law holds, and ``renamed``
+    copies share it.
     """
 
-    __slots__ = ("group", "dim", "mats", "name")
+    __slots__ = ("group", "dim", "mats", "name", "_character")
 
     def __init__(self, group: FiniteGroup, mats, name: str = "rep"):
         mats = tuple(mats)
@@ -216,6 +218,7 @@ class MatrixRep:
         self.dim = dim
         self.mats = mats
         self.name = name
+        self._character = ClassFunction.from_function(group, lambda g: mats[g].trace())
 
     def matrix(self, g: int) -> Matrix:
         return self.mats[g]
@@ -224,10 +227,11 @@ class MatrixRep:
         """The same checked matrices under another name."""
         out = object.__new__(MatrixRep)
         out.group, out.dim, out.mats, out.name = self.group, self.dim, self.mats, name
+        out._character = self._character
         return out
 
     def character(self) -> ClassFunction:
-        return ClassFunction.from_function(self.group, lambda g: self.mats[g].trace())
+        return self._character
 
     def __repr__(self):
         return f"MatrixRep({self.name}, dim {self.dim} over {self.group.name})"
@@ -241,8 +245,8 @@ def _column_map(m: Matrix) -> tuple[int, ...] | None:
     return tuple(i for col in cols for i in col)
 
 
-# The linear characters and the regular rep are built once per group object
-# (``FiniteGroup.derived``); their names are formed from the group on each call.
+# The linear character reps and the regular rep are built and checked once per
+# group object (``FiniteGroup.derived``); their names are formed on each call.
 
 def _regular_rep(group: FiniteGroup) -> MatrixRep:
     mats = [
@@ -268,9 +272,9 @@ def _commutator_subgroup(group: FiniteGroup) -> frozenset:
     return closure(seeds, group.identity, group.mul)
 
 
-def _standard_characters(group: FiniteGroup) -> tuple[ClassFunction, ...]:
-    # The linear characters, pulled back from the abelianization, then the
-    # regular character.
+def _linear_character_reps(group: FiniteGroup) -> tuple[MatrixRep, ...]:
+    # The 1x1 reps of the linear characters, pulled back from the
+    # abelianization: g acts by chi at the preimage of its coset.
     commutator = _commutator_subgroup(group)
     cosets: list[frozenset] = []
     coset_of = {}
@@ -290,48 +294,29 @@ def _standard_characters(group: FiniteGroup) -> tuple[ClassFunction, ...]:
     quotient = FiniteGroup(table, name=f"{group.name}_ab")
     structure = subgroup_structure(quotient, frozenset(quotient.elements()))
     domain, e = structure.domain, structure.domain.exponent
-    points = [structure.preimage(coset_of[cls_[0]]) for cls_ in group.conjugacy_classes()]
-    out = [
-        ClassFunction(group, [root_of_unity(e, domain.pairing(chi, a)) for a in points])
+    points = [structure.preimage(coset_of[g]) for g in group.elements()]
+    return tuple(
+        MatrixRep(group, [
+            Matrix.from_entries(1, 1, [(0, 0, root_of_unity(e, domain.pairing(chi, a)))])
+            for a in points
+        ])
         for chi in domain.elements()
-    ]
-    rows = [(0,)] * len(group.conjugacy_classes())
-    rows[group.class_map[group.identity]] = (group.size,)
-    return (*out, ClassFunction._make(group, 1, 1, tuple(rows)))
-
-
-def _linear_character_reps(group: FiniteGroup) -> tuple[MatrixRep, ...]:
-    reps = []
-    for chi in group.derived(_standard_characters)[:-1]:
-        mats = [Matrix.from_entries(1, 1, [(0, 0, chi.evaluate(g))]) for g in group.elements()]
-        reps.append(MatrixRep(group, mats))
-    return tuple(reps)
-
-
-def _linear_names(group: FiniteGroup, count: int) -> list[str]:
-    return [f"linear{k}({group.name})" for k in range(count)]
+    )
 
 
 def linear_characters(group: FiniteGroup) -> list[ClassFunction]:
     """All one-dimensional characters, pulled back from the abelianization."""
-    return list(group.derived(_standard_characters)[:-1])
+    return [rep.character() for rep in group.derived(_linear_character_reps)]
 
 
 def linear_character_reps(group: FiniteGroup) -> list[MatrixRep]:
     reps = group.derived(_linear_character_reps)
-    return [rep.renamed(name) for rep, name in zip(reps, _linear_names(group, len(reps)))]
+    return [rep.renamed(f"linear{k}({group.name})") for k, rep in enumerate(reps)]
 
 
 def standard_reps(group: FiniteGroup) -> list[MatrixRep]:
     """The linear character reps, then the regular rep: the test set of the CLI and selftest."""
     return [*linear_character_reps(group), regular_rep(group)]
-
-
-def standard_characters(group: FiniteGroup) -> list[tuple[str, ClassFunction]]:
-    """The names and characters of ``standard_reps``, built without matrices."""
-    chars = group.derived(_standard_characters)
-    names = [*_linear_names(group, len(chars) - 1), f"regular({group.name})"]
-    return list(zip(names, chars))
 
 
 # ---------------------------------------------------------------------------

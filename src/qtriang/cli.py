@@ -27,7 +27,6 @@ from .charring import (
     Braiding,
     adams_twisted,
     lambda_from_adams,
-    standard_characters,
     standard_reps,
     _cyclic_value,
     _too_many_words,
@@ -248,9 +247,9 @@ def _character_table(args, operation):
     if u not in group.central_involutions():
         raise InputError(f"element {u} is not a central involution of {group.name}")
     rows = []
-    for name, character in standard_characters(group):
-        out = operation(character, u, args.n)
-        rows.append({"character": name, "result": jsonio.class_function_to_json(out)})
+    for rep in standard_reps(group):
+        out = operation(rep.character(), u, args.n)
+        rows.append({"character": rep.name, "result": jsonio.class_function_to_json(out)})
     doc = {"command": args.command, "group": group.name, "u": u, "n": args.n, "results": rows}
     return doc, True
 
@@ -275,12 +274,11 @@ def _cmd_exterior(args):
     u_idx = braiding.markov_index
     rows = []
     ok = True
-    for rep, (name, char) in zip(standard_reps(group), standard_characters(group)):
-        assert rep.name == name
+    for rep in standard_reps(group):
         if rep.dim**args.n > DIMENSION_CAP:
             continue
         ext = braiding.exterior_power_char(rep, args.n)
-        newton = lambda_from_adams(char, args.n, u_idx)
+        newton = lambda_from_adams(rep.character(), args.n, u_idx)
         match = ext == newton
         ok = ok and match
         row = {

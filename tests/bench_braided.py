@@ -19,7 +19,10 @@ timed on the regular representation for the 16-term D4 and the 4-term Q8
 structure, and the exterior powers n = 4, 5 and 6 on the regular
 representation of Z2xZ2 for its first 16-term structure, each on a fresh
 ``Braiding`` (a checkout that traces all n! signed words takes over a minute
-per call at n = 6).  Exterior powers on three R on S3 that fail a braided
+per call at n = 6).  The exterior square is also timed on one warm
+``Braiding`` per structure, R's braided data formed before the timing, for
+the 16-term D4 and the 4-term Q8 structure: the cost each ``exterior``
+request pays per representation once R's data exist.  Exterior powers on three R on S3 that fail a braided
 identity in the group algebra, each on a fresh ``Braiding``, time the
 ``validate`` call that decides whether the representation kills R's
 differences, then Newton's identity where it does: F21^-1 F on the
@@ -100,6 +103,15 @@ def test_exterior_power(benchmark, name, terms, n):
     rep = regular_rep(r.group)
     ext = benchmark(lambda: exterior_power_char(rep, r, n))
     assert ext.group == r.group
+
+
+@pytest.mark.parametrize("name, terms", TRACE_CASES, ids=[f"{n}-{t}" for n, t in TRACE_CASES])
+def test_exterior_square_on_a_warm_braiding(benchmark, name, terms):
+    r = _structure(name, terms)
+    rep = regular_rep(r.group)
+    braiding = charring.Braiding(r)
+    first = braiding.exterior_power_char(rep, 2)
+    assert benchmark(lambda: braiding.exterior_power_char(rep, 2)) == first
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])

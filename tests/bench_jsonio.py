@@ -16,7 +16,10 @@ the entry build and the write to ``--out``.  The triangular report is a view
 of the full catalog, so every datum is still built, and only the triangular
 structures are verified.  ``lambda`` (D4 at n = 3, Z4 at n = 4) and ``adams``
 (D4, u = 2, n = 3) are timed end to end the same way: parsing, the test
-characters, the twisted operations on them and the report.  So are
+characters, the twisted operations on them and the report.  ``lambda`` on
+D4 (u = 2, n = 3) is timed once more with the group read from a group
+JSON file: each request loads a new group object, so its tables and test
+representations are built and checked on every round.  So are
 ``verify --rmatrix`` on the last triangular D4 R-matrix, ``koszul-twist`` on
 its datum and ``exterior --n 2`` on the last triangular Z2xZ2 datum (on D4
 the regular rep fails the Newton match, exit 1): each reads its input file,
@@ -32,6 +35,7 @@ from qtriang import jsonio
 from qtriang.acceptance import qt_catalog
 from qtriang.cli import _cmd_classify, _cmd_lambda, build_parser, main
 from qtriang.cyclotomic import CycScalar
+from qtriang.groups import bundled_group
 from qtriang.hopf import GATensor
 
 
@@ -96,6 +100,15 @@ def test_classify_and_emit(benchmark, tmp_path, name, flags, size):
 def test_character_report_and_emit(benchmark, tmp_path, argv):
     out = tmp_path / "report.json"
     assert benchmark(main, [*argv, "--out", str(out)]) == 0
+    assert len(json.loads(out.read_text())["results"]) == 5
+
+
+def test_lambda_on_a_group_file(benchmark, tmp_path):
+    path = tmp_path / "d4.json"
+    path.write_text(json.dumps(jsonio.group_to_json(bundled_group("D4"))))
+    out = tmp_path / "report.json"
+    argv = ["lambda", "--group", str(path), "--u", "2", "--n", "3", "--out", str(out)]
+    assert benchmark(main, argv) == 0
     assert len(json.loads(out.read_text())["results"]) == 5
 
 

@@ -1,5 +1,8 @@
+import contextlib
 import functools
+import io
 import itertools
+import json
 import math
 import operator
 from collections import Counter
@@ -9,7 +12,7 @@ import pytest
 from matrix_ops import add, kron, scale, zero
 from test_groups import derived_test_groups
 
-from qtriang import acceptance, charring, jsonio
+from qtriang import acceptance, charring, cli, jsonio
 from qtriang.cyclotomic import CycScalar, euler_phi, root_of_unity
 from qtriang.groups import (
     CATALOG_NAMES,
@@ -40,7 +43,6 @@ from qtriang.charring import (
     qtrace,
     regular_rep,
     sigma_from_lambda,
-    standard_characters,
     standard_reps,
     verify_lambda_ring,
 )
@@ -250,7 +252,7 @@ def test_adams_standard_examples():
     # Oracle: precompose with the k-th power map, value at g is chi(g^k).
     for name in CATALOG_NAMES:
         group = bundled_group(name)
-        for _, chi in standard_characters(group):
+        for chi in (rep.character() for rep in standard_reps(group)):
             for k in range(5):
                 expected = ClassFunction.from_function(
                     group, lambda g: chi.evaluate(group.power(g, k))
@@ -331,8 +333,8 @@ def test_one_series_gives_every_sigma():
 def test_standard_tables_match_a_recomputation_and_are_built_once(group, monkeypatch):
     # A new group object over the same table builds every table again.
     fresh = FiniteGroup(group.table, group.name)
-    chars = standard_characters(group)
-    assert chars == standard_characters(fresh)
+    chars = [(r.name, r.character()) for r in standard_reps(group)]
+    assert chars == [(r.name, r.character()) for r in standard_reps(fresh)]
     reps = standard_reps(group)
     assert [(rep.name, rep.mats) for rep in reps] == [
         (rep.name, rep.mats) for rep in standard_reps(fresh)
@@ -346,9 +348,11 @@ def test_standard_tables_match_a_recomputation_and_are_built_once(group, monkeyp
     for name in ("_commutator_subgroup", "closure"):
         monkeypatch.setattr(charring, name, None)
     monkeypatch.setattr(charring.Matrix, "from_permutation", None)
+    monkeypatch.setattr(charring.Matrix, "trace", None)
     assert all(x is y for x, y in zip(linear_characters(group), (chi for _, chi in chars)))
-    assert [chi for _, chi in standard_characters(group)] == [chi for _, chi in chars]
-    assert all(x[1] is y[1] for x, y in zip(standard_characters(group), chars))
+    kept = [(r.name, r.character()) for r in standard_reps(group)]
+    assert [chi for _, chi in kept] == [chi for _, chi in chars]
+    assert all(x[1] is y[1] for x, y in zip(kept, chars))
     again = standard_reps(group)
     assert [rep.name for rep in again] == [rep.name for rep in reps]
     assert all(x.mats is y.mats for x, y in zip(again, reps))
@@ -361,7 +365,7 @@ def test_groups_with_equal_tables_report_their_own_names():
     assert first == second
 
     def names(group):
-        return [name for name, _ in standard_characters(group)]
+        return [rep.name for rep in standard_reps(group)]
 
     for group in (first, second, first):
         expected = [f"linear0({group.name})", f"linear1({group.name})", f"regular({group.name})"]
@@ -382,9 +386,54 @@ def test_standard_reps_split_between_the_criteria():
         linear = [rep.name for rep in linear_character_reps(group)]
         assert names == linear + [f"regular({name})"]
         standard = [(rep.name, rep.character()) for rep in charring.standard_reps(group)]
-        assert charring.standard_characters(group) == standard
+        assert [(r.name, r.character()) for r in standard_reps(group)] == standard
         power = [rep.name for rep in acceptance._power_test_reps(name)]
         assert power == (names if name in acceptance.REGULAR_REP_GROUPS else linear)
+
+
+@pytest.mark.parametrize("group", derived_test_groups(), ids=lambda g: g.name)
+def test_kept_characters_equal_a_fresh_trace(group):
+    for rep in standard_reps(group):
+        fresh = ClassFunction.from_function(group, lambda g: rep.matrix(g).trace())
+        assert rep.character() == fresh
+        assert rep.renamed("x").character() is rep.character()
+
+
+def test_exterior_and_character_requests_trace_no_matrix_once_reps_exist(
+    monkeypatch, tmp_path
+):
+    # The standard reps are built before Matrix.trace is made to raise; every
+    # later call, on a fresh Braiding, must read their kept characters.
+    def run(argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            status = cli.main(argv)
+        return status, out.getvalue()
+
+    calls = []
+    for name in ("D4", "Q8"):
+        group = bundled_group(name)
+        reps, u = standard_reps(group), str(group.central_involutions()[-1])
+        catalog = acceptance.triangular_catalog(name)
+        r = catalog.structures[catalog.dedup[-1][0]].rmatrix
+        datum = tmp_path / f"{name}.json"
+        datum.write_text(json.dumps(jsonio.datum_to_json(catalog.data[catalog.dedup[-1][0]])))
+        for rep in reps:
+            calls.append(lambda r=r, rep=rep: Braiding(r).exterior_power_char(rep, 2))
+            calls.append(lambda r=r, rep=rep: Braiding(r).long_cycle_traces(rep, 2))
+        for argv in (
+            ["adams", "--group", name, "--u", u, "--n", "3"],
+            ["lambda", "--group", name, "--u", u, "--n", "3"],
+            ["exterior", "--datum", str(datum), "--n", "2", "--p", "2"],
+        ):
+            calls.append(lambda argv=argv: run(argv))
+    before = [call() for call in calls]
+
+    def traced(self):
+        raise AssertionError("a matrix was traced")
+
+    monkeypatch.setattr(Matrix, "trace", traced)
+    assert [call() for call in calls] == before
 
 
 def test_verify_lambda_ring_classical_and_twisted():
@@ -447,7 +496,7 @@ def _virtual_characters(group):
     """Pairs (row form, per-value reference): the standard characters, then sums,
     differences, products, a 1/3-scaled character and, on Z3 and Z4, functions
     whose values mix order 1 and order e."""
-    chars = [chi for _, chi in standard_characters(group)]
+    chars = [rep.character() for rep in standard_reps(group)]
     first, last = chars[1], chars[-1]
     out = [(chi, chi) for chi in chars]
     for x, y in ((first, last), (chars[0], first)):
@@ -488,7 +537,7 @@ def test_adams_twisted_carries_the_values_it_reindexes():
     # psi reads the reduced forms those scalars already keep.
     for name in ("Z4", "D4"):
         group = bundled_group(name)
-        for _, chi in standard_characters(group):
+        for chi in (rep.character() for rep in standard_reps(group)):
             assert chi.values  # built here, if not given
             for u in group.central_involutions():
                 psi = adams_twisted(chi, u, 3)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from qtriang import jsonio
 from qtriang.acceptance import qt_catalog
 from qtriang.charring import (
-    ClassFunction, adams_twisted, lambda_from_adams, regular_rep, standard_characters
+    ClassFunction, adams_twisted, lambda_from_adams, regular_rep, standard_reps
 )
 from qtriang.cli import _cmd_classify, build_parser
 from qtriang.classify import COMPLETENESS_NOTE, _catalog, _enumerate_data
@@ -197,7 +197,7 @@ def test_class_function_records_are_shared_per_value_and_round_trip():
     checked = 0
     for name in CATALOG_NAMES:
         group = bundled_group(name)
-        for _, character in standard_characters(group):
+        for character in (rep.character() for rep in standard_reps(group)):
             for u in group.central_involutions():
                 for n in (2, 3, 4):
                     for fn in (adams_twisted(character, u, n), lambda_from_adams(character, n, u)):
