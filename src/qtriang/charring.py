@@ -28,6 +28,7 @@ from fractions import Fraction
 from .cyclotomic import (
     CycScalar,
     _reduce_mod_cyclotomic,
+    content,
     embed_map,
     euler_phi,
     lift,
@@ -78,11 +79,10 @@ class ClassFunction:
     def _make(cls, group: FiniteGroup, order: int, den: int, rows: tuple) -> "ClassFunction":
         # Internal fast constructor: rows holds one tuple of phi(order) ints
         # per class and den > 0; divides out their common factor.
-        if den != 1:
-            g = math.gcd(den, *itertools.chain.from_iterable(rows))
-            if g != 1:
-                den //= g
-                rows = tuple(tuple(x // g for x in r) for r in rows)
+        g = content(den, rows)
+        if g != 1:
+            den //= g
+            rows = tuple(tuple(x // g for x in r) for r in rows)
         self = object.__new__(cls)
         self.group, self.order, self.den, self.rows, self._values = group, order, den, rows, None
         return self
@@ -591,11 +591,11 @@ class Braiding:
         rmatrix, square = self.rmatrix, self.square
         unit = GATensor.unit(rmatrix.group, 2)
         out = []
-        if square.terms != unit.terms:
+        if square != unit:
             out.append((square, unit, "a braided generator fails to square to the identity", {}))
         if power >= 3:
             left, right = self.yang_baxter_sides
-            if left.terms != right.terms:
+            if left != right:
                 out.append((left, right, "adjacent generators fail the braid relation", {}))
         for g in rmatrix.group.elements():
             if not commutes_with_diagonal(rmatrix, g):
@@ -722,15 +722,14 @@ class Braiding:
 def _image(rep: MatrixRep, tensor: GATensor) -> Matrix:
     """rho^(x)k of an arity-k tensor: the sum of c rho(g1) (x) ... (x) rho(gk), in one pass.
 
-    R's coefficients and the rho(g) its terms use are lifted once to one
+    The tensor's rows and the rho(g) its terms use are lifted once to one
     order and one denominator.  Each term is expanded leg by leg into
     (column, row, coordinates) entries, all are summed in one column dict,
     and zero sums are dropped at the end.
     """
-    terms, d = tensor.terms, rep.dim
-    used = {g: rep.matrix(g) for key in terms for g in key}
-    order = math.lcm(1, *(c.order for c in terms.values()), *(m.order for m in used.values()))
-    cden = math.lcm(1, *(c.den for c in terms.values()))
+    d = rep.dim
+    used = {g: rep.matrix(g) for key in tensor.rows for g in key}
+    order = math.lcm(tensor.order, *(m.order for m in used.values()))
     mden = math.lcm(1, *(m.den for m in used.values()))
     legs = {
         g: [(j, i, tuple(mden // m.den * x for x in v))
@@ -738,9 +737,8 @@ def _image(rep: MatrixRep, tensor: GATensor) -> Matrix:
         for g, m in used.items()
     }
     acc: dict[int, dict[int, tuple]] = {}
-    for key, c in terms.items():
-        c = c.embed(order)
-        entries = [(0, 0, tuple(cden // c.den * x for x in c.num))]
+    for key, c in tensor._lifted(order).items():
+        entries = [(0, 0, c)]
         for g in key:
             entries = [(j * d + jg, i * d + ig, times(v, w, order))
                        for j, i, v in entries for jg, ig, w in legs[g]]
@@ -749,7 +747,7 @@ def _image(rep: MatrixRep, tensor: GATensor) -> Matrix:
             col[i] = tuple(map(operator.add, col[i], v)) if i in col else v
     cols = {j: kept for j, col in acc.items() if (kept := {i: v for i, v in col.items() if any(v)})}
     dim = d**tensor.arity
-    return Matrix._make(dim, dim, order, cden * mden**tensor.arity, cols)
+    return Matrix._make(dim, dim, order, tensor.den * mden**tensor.arity, cols)
 
 
 def _too_many_words(n: int) -> bool:

@@ -9,12 +9,13 @@ invariance once per automorphism set, so a datum's checks are lookups.
 Distinct data that build the same element bit-for-bit are grouped into
 dedup classes rather than being interpreted away.  A class is keyed by
 (e, |A|, the character sum's integer table) with e the exponent of A.  R
-fixes e and |A|: its coefficients are stored at order e, its left support
-is i(A).  At a fixed order and denominator ``CycScalar._make`` is
-injective, so keys are equal exactly when the stored elements are, and R
-is built once per class.  Each class is one ``charring.Braiding`` of its
-R, whose report, Markov element, unitarity and braided data are formed
-once, on first use.  The triangular catalog is a view of the full one.
+fixes e and |A|: it stores that table at order e over the denominator |A|,
+in lowest terms, and its left support is i(A), so keys are equal exactly
+when the stored elements are, and R is built once per class.  Each class
+is one ``charring.Braiding`` of its R, whose report, Markov element,
+unitarity and braided data are formed once, on first use.  The triangular
+catalog is a view of the full one.  A group with more than ``DATA_CAP``
+data is refused before any datum is built.
 
 Completeness of this parametrization is inherited from the classification
 theorem for group algebras and is not re-verified by search (the ground
@@ -43,6 +44,13 @@ COMPLETENESS_NOTE = (
     "follows from the classification of R-matrices on group algebras by "
     "subgroup data and is not re-verified by search over the infinite field"
 )
+
+#: Most classification data ``enumerate_qt`` builds for one group.
+DATA_CAP = 32768
+
+
+class DataCapError(ValueError):
+    """A group with more classification data than ``DATA_CAP``."""
 
 
 @dataclass
@@ -78,19 +86,21 @@ def _enumerate_data(group: FiniteGroup) -> list[QTDatum]:
         if factors not in seen:
             seen.add(factors)
             shapes.append(AbelianGroup(factors))
-    data: list[QTDatum] = []
+    # Per left inclusion, its compatible right inclusions and invariant forms.
+    plan = []
     for domain in shapes:
         inclusions = sorted(normal_inclusions(domain, group), key=lambda i: i.gen_images)
         nondegenerate = [beta for beta in enumerate_biforms(domain) if beta.is_nondegenerate()]
         for left in inclusions:
             autos = left.conjugation_automorphisms()
             forms = [beta for beta in nondegenerate if beta.is_invariant(autos)]
-            for right in inclusions:
-                if right is not left and not same_module_structure(left, right):
-                    continue
-                for beta in forms:
-                    data.append(QTDatum(group, domain, left, right, beta))
-    return data
+            rights = [r for r in inclusions if r is left or same_module_structure(left, r)]
+            plan.append((domain, left, rights, forms))
+    count = sum(len(rights) * len(forms) for _, _, rights, forms in plan)
+    if count > DATA_CAP:
+        raise DataCapError(f"{group.name} has {count} classification data, past the cap {DATA_CAP}")
+    return [QTDatum(group, domain, left, right, beta)
+            for domain, left, rights, forms in plan for right in rights for beta in forms]
 
 
 def _catalog(group: FiniteGroup, data: list[QTDatum]) -> Catalog:

@@ -31,7 +31,7 @@ from .charring import (
     _cyclic_value,
     _too_many_words,
 )
-from .classify import COMPLETENESS_NOTE, enumerate_qt
+from .classify import COMPLETENESS_NOTE, DataCapError, enumerate_qt
 from .cyclotomic import ORDER_CAP, root_of_unity
 from .groups import CATALOG_NAMES
 from .rmatrix import (
@@ -212,13 +212,13 @@ def _cmd_verify(args):
 
 def _cmd_markov(args):
     tensor, group, datum = _load_rmatrix(args)
-    u = markov_element(tensor)
-    report = verify_markov(tensor)
+    u, flipped = markov_element(tensor), markov_element_flipped(tensor)
+    report = verify_markov(tensor, u, flipped)
     doc = {
         "command": "markov",
         "group": group.name,
         "markov": jsonio.tensor_to_json(u),
-        "markov_flipped": jsonio.tensor_to_json(markov_element_flipped(tensor)),
+        "markov_flipped": jsonio.tensor_to_json(flipped),
         "verification": jsonio.report_to_json(report),
     }
     ok = report.all_passed
@@ -270,10 +270,10 @@ def _cmd_exterior(args):
     _check_prime(args)
     tensor, group, _ = _load_rmatrix(args)
     braiding = Braiding(tensor)
-    u = braiding.markov
-    u_idx = braiding.markov_index
-    rows = []
-    ok = True
+    if not braiding.unitary:
+        raise InputError("exterior needs a triangular R-matrix")
+    u, u_idx = braiding.markov, braiding.markov_index
+    rows, ok = [], True
     for rep in standard_reps(group):
         if rep.dim**args.n > DIMENSION_CAP:
             continue
@@ -369,7 +369,7 @@ def main(argv=None) -> int:
     try:
         doc, ok = _COMMANDS[args.command](args)
         status = EXIT_OK if ok else EXIT_CHECK_FAILED
-    except InputError as exc:
+    except (InputError, DataCapError) as exc:
         doc, status = {"error": {"kind": "input", "message": str(exc)}}, EXIT_PARSE_ERROR
     except (DatumError, ValueError) as exc:
         doc, status = {"error": {"kind": "invariant", "message": str(exc)}}, EXIT_INVARIANT

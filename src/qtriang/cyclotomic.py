@@ -146,6 +146,16 @@ def lift(coeffs: tuple, rows: tuple[tuple[int, ...], ...]) -> tuple:
     return tuple(out)
 
 
+def content(den: int, rows) -> int:
+    """gcd(den, every coordinate of every row), read until it reaches 1."""
+    g = den
+    for row in rows:
+        if g == 1:
+            break
+        g = math.gcd(g, *row)
+    return g
+
+
 def _check_order(order: int) -> None:
     if order < 1:
         raise ValueError("order must be positive")

@@ -8,19 +8,21 @@ counit, antipode) act per leg; whole-tensor operators arise by composition.
 Leg positions are 1-based throughout, matching the usual subscript
 convention for operators like R12, R13, R23 on triple tensor products.
 
-Products add coefficients in the group ring Z[C_n], n the lcm of the
-operands' orders, as integer multiplicities of exponents of zeta_n, and reduce
-each output term modulo the cyclotomic polynomial once.
+``linalg.Matrix``, ``charring.ClassFunction`` and GATensor share one
+storage form: one cyclotomic order N holding every value, one positive
+denominator D, and per entry the phi(N) integer coordinates of D times the
+value, in lowest terms over the whole container.  Leg maps re-key these
+rows; sums, scaling and products run on the integers.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
-from itertools import repeat
+import operator
 from operator import itemgetter
 
-from .cyclotomic import ORDER_CAP, CycScalar, lift, root_power_table
+from .cyclotomic import ORDER_CAP, CycScalar, _reduce_mod_cyclotomic, content, embed_map
+from .cyclotomic import euler_phi, lift, times
 from .groups import FiniteGroup, closure
 from . import linalg
 
@@ -28,16 +30,23 @@ _ONE = CycScalar.one()
 
 
 class GATensor:
-    """Element of k[G]^(tensor arity), sparse over tuples of element indices."""
+    """Element of k[G]^(tensor arity), sparse over tuples of element indices.
 
-    __slots__ = ("group", "arity", "terms")
+    ``order`` is N, ``den`` is D and ``rows`` maps each key to its integer
+    row (gcd(D, *rows) == 1); zero values are not stored.  D does not depend
+    on N, as the power basis is integral at every order, so equality lifts
+    both sides to the lcm order and compares rows.  ``terms``, keys to
+    CycScalars, is built on first use (or kept as given).  Values each
+    within ``ORDER_CAP`` whose orders' lcm is past it are refused (ValueError).
+    """
+
+    __slots__ = ("group", "arity", "order", "den", "rows", "_terms")
 
     def __init__(self, group: FiniteGroup, arity: int, terms=()):
         if arity < 0:
             raise ValueError("arity must be nonnegative")
-        items = terms.items() if hasattr(terms, "items") else terms
         clean: dict[tuple[int, ...], CycScalar] = {}
-        for key, value in items:
+        for key, value in terms.items() if hasattr(terms, "items") else terms:
             key = tuple(key)
             if len(key) != arity:
                 raise ValueError(f"term {key} does not have arity {arity}")
@@ -45,30 +54,40 @@ class GATensor:
                 raise ValueError(f"term {key} uses element indices outside the group")
             if not isinstance(value, CycScalar):
                 value = CycScalar.rational(value)
-            if key in clean:
-                value = clean[key] + value
-            if value:
-                clean[key] = value
-            elif key in clean:
-                del clean[key]
-        self.group = group
-        self.arity = arity
-        self.terms = clean
+            clean[key] = clean[key] + value if key in clean else value
+        clean = {key: value for key, value in clean.items() if value}
+        order = math.lcm(1, *(v.order for v in clean.values()))
+        den = math.lcm(1, *(v.den for v in clean.values()))
+        # Lowest terms already: embedding keeps each value's least denominator.
+        rows = {k: tuple(den // v.den * x for x in v.embed(order).num) for k, v in clean.items()}
+        self.group, self.arity, self.order, self.den = group, arity, order, den
+        self.rows, self._terms = rows, clean
 
     @classmethod
-    def _make(cls, group: FiniteGroup, arity: int, terms: dict) -> "GATensor":
-        # Internal fast constructor: terms map arity-tuples of indices to nonzero CycScalars.
+    def _make(cls, group: FiniteGroup, arity: int, order: int, den: int, rows: dict) -> "GATensor":
+        # Internal fast constructor: rows maps keys to phi(order) ints, none
+        # all zero, and den > 0; divides out their common factor.
+        g = content(den, rows.values())
+        if g != 1:
+            den //= g
+            rows = {key: tuple(x // g for x in row) for key, row in rows.items()}
         self = object.__new__(cls)
-        self.group = group
-        self.arity = arity
-        self.terms = terms
+        self.group, self.arity, self.order, self.den = group, arity, order if rows else 1, den
+        self.rows, self._terms = rows, None
         return self
+
+    @property
+    def terms(self) -> dict[tuple[int, ...], CycScalar]:
+        """One CycScalar per key, built from ``rows`` on first use."""
+        if self._terms is None:
+            self._terms = {k: CycScalar._make(self.order, self.den, r) for k, r in self.rows.items()}
+        return self._terms
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def unit(cls, group: FiniteGroup, arity: int) -> "GATensor":
-        return cls(group, arity, {(group.identity,) * arity: _ONE})
+        return cls.basis(group, *(group.identity,) * arity)
 
     @classmethod
     def basis(cls, group: FiniteGroup, *elements: int) -> "GATensor":
@@ -77,104 +96,100 @@ class GATensor:
     # -- linear structure ----------------------------------------------------
 
     def _check_compatible(self, other: "GATensor"):
-        if self.group != other.group:
+        if self.group is not other.group and self.group != other.group:
             raise ValueError("tensors over different groups")
         if self.arity != other.arity:
             raise ValueError(f"arity mismatch: {self.arity} vs {other.arity}")
 
+    def _lifted(self, order: int) -> dict:
+        # rows re-expressed at a multiple of self.order; orders 1 and 2
+        # (phi = 1) share their coordinates.
+        if order == self.order or order == 2:
+            return self.rows
+        images = embed_map(self.order, order)
+        return {key: lift(row, images) for key, row in self.rows.items()}
+
     def __add__(self, other: "GATensor") -> "GATensor":
         self._check_compatible(other)
-        acc = dict(self.terms)
-        for key, value in other.terms.items():
-            acc[key] = acc[key] + value if key in acc else value
-        return GATensor(self.group, self.arity, acc)
+        order, den = math.lcm(self.order, other.order), math.lcm(self.den, other.den)
+        rows = _summed(
+            (key, tuple(den // t.den * x for x in row))
+            for t in (self, other) for key, row in t._lifted(order).items()
+        )
+        return GATensor._make(self.group, self.arity, order, den, rows)
 
     def __sub__(self, other: "GATensor") -> "GATensor":
         return self + (-other)
 
     def __neg__(self) -> "GATensor":
-        return GATensor(self.group, self.arity, {k: -v for k, v in self.terms.items()})
+        rows = {key: tuple(-x for x in row) for key, row in self.rows.items()}
+        return GATensor._make(self.group, self.arity, self.order, self.den, rows)
 
     def scale(self, scalar) -> "GATensor":
         if not isinstance(scalar, CycScalar):
             scalar = CycScalar.rational(scalar)
-        return GATensor(self.group, self.arity, {k: v * scalar for k, v in self.terms.items()})
+        order = math.lcm(self.order, scalar.order)
+        s = scalar.embed(order).num
+        rows = {k: times(r, s, order) for k, r in self._lifted(order).items()} if scalar else {}
+        return GATensor._make(self.group, self.arity, order, self.den * scalar.den, rows)
 
-    def __rmul__(self, scalar):
-        if isinstance(scalar, GATensor):
-            return NotImplemented
-        return self.scale(scalar)
+    __rmul__ = scale
 
     # -- algebra structure ---------------------------------------------------
 
     def __mul__(self, other):
         """Legwise convolution product; the unit is the all-identity tuple.
 
-        Term pairs add a1 * a2 at exponent e1 + e2 into their key's histogram
-        over Z[C_n].  A key is read out once, at the lcm m of the orders of
-        the pairs reaching it (the order a running scalar sum would keep, and
-        past the order cap the same ValueError).  The slot for m starts at the
-        gcd of lcm(o1, o2) over the operands' order pairs: it divides each one,
-        and when all of them agree no pair can widen it.  Histograms are dense
-        lists while n is within the cap, else sparse; one whose coordinates
-        all cancel is dropped unread.
+        Both operands' rows are lifted to N, the lcm of their orders (past
+        the order cap, ValueError).  For each term pair, every product of
+        nonzero coordinates at exponents e1 and e2 adds into the output key's
+        unreduced polynomial in zeta_N at e1 + e2.  Each kept key is reduced
+        modulo Phi_N once, and one gcd is divided out of the whole result.
         """
         if not isinstance(other, GATensor):
             return self.scale(other)
         self._check_compatible(other)
-        orders1, orders2 = ({v.order for v in t.terms.values()} for t in (self, other))
-        n = math.lcm(*orders1, *orders2)
-        pair_orders = {math.lcm(o1, o2) for o1 in orders1 for o2 in orders2}
-        start = math.gcd(*pair_orders)
-        widen = len(pair_orders) > 1
-        den1, left = _spread(self.terms, n)
-        den2, right = _spread(other.terms, n)
-        if start > ORDER_CAP:  # every pair's order is past the cap: the first pair raises
-            _widen(1, left[0][1], right[0][1])
+        order = math.lcm(self.order, other.order)
+        right = [(k, j, c) for k, r in other._lifted(order).items() for j, c in enumerate(r) if c]
         table = self.group.table
-        # n exponent slots, then the order m so far at index n.
-        blank = [0] * n + [start] if n <= ORDER_CAP else None
         # The right keys as one column per leg: a left key maps each column
         # through its leg's row of the table with one getter per leg, and the
         # columns zip into keys.  A getter of one index returns no tuple.
-        legs = list(zip(*(k2 for k2, _, _, _ in right)))
-        if len(right) == 1:
-            getters = [lambda row, i=col[0]: (row[i],) for col in legs]
+        legs = list(zip(*(k for k, _, _ in right)))
+        getters = [itemgetter(*c) if len(c) > 1 else lambda r, i=c[0]: (r[i],) for c in legs]
+        rest, blank, acc = [(j, c) for _, j, c in right], [()] * len(right), {}
+        if order <= 2:  # phi(order) == 1: one int per value
+            values = [c for _, c in rest]
+            for k1, (c1,) in self.rows.items():
+                out = zip(*[g(table[a]) for a, g in zip(k1, getters)]) if legs else blank
+                for key, c2 in zip(out, values):
+                    acc[key] = acc.get(key, 0) + c1 * c2
+            rows = {k: (c,) for k, c in acc.items() if c}
         else:
-            getters = [itemgetter(*col) for col in legs]
-        rest = [(o2, e2, a2) for _, o2, e2, a2 in right]
-        acc = {}
-        for k1, o1, e1, a1 in left:
-            cols = [get(table[a]) for a, get in zip(k1, getters)]
-            for key, (o2, e2, a2) in zip(zip(*cols) if legs else repeat(()), rest):
-                hist = acc.get(key)
-                if hist is None:
-                    hist = acc[key] = blank.copy() if blank else defaultdict(int, {n: start})
-                if widen:
-                    m = hist[n]
-                    if m % o1 or m % o2:
-                        hist[n] = _widen(m, o1, o2)
-                hist[(e1 + e2) % n] += a1 * a2
-        den = den1 * den2
-        out = {}
-        for key, hist in acc.items():
-            m = hist[n]
-            coords = hist[0:n:n // m] if blank else [hist[e] for e in range(0, n, n // m)]
-            if any(coords):
-                num = lift(coords, root_power_table(m))
-                if any(num):
-                    out[key] = CycScalar._make(m, den, num)
-        return GATensor._make(self.group, self.arity, out)
+            width = 2 * euler_phi(order) - 1
+            for k1, row in self._lifted(order).items():
+                u = [(j, c) for j, c in enumerate(row) if c]
+                out = zip(*[g(table[a]) for a, g in zip(k1, getters)]) if legs else blank
+                if len(u) > 1:  # the keys are read once per coordinate
+                    out = list(out)
+                for j1, c1 in u:
+                    for key, (j2, c2) in zip(out, rest):
+                        raw = acc.get(key)
+                        if raw is None:
+                            raw = acc[key] = [0] * width
+                        raw[j1 + j2] += c1 * c2
+            rows = {k: r for k, raw in acc.items() if any(r := _reduce_mod_cyclotomic(raw, order))}
+        return GATensor._make(self.group, self.arity, order, self.den * other.den, rows)
 
     def __matmul__(self, other: "GATensor") -> "GATensor":
         """Outer tensor product, concatenating legs."""
         if self.group != other.group:
             raise ValueError("tensors over different groups")
-        acc: dict[tuple[int, ...], CycScalar] = {}
-        for k1, v1 in self.terms.items():
-            for k2, v2 in other.terms.items():
-                acc[k1 + k2] = v1 * v2
-        return GATensor(self.group, self.arity + other.arity, acc)
+        order = math.lcm(self.order, other.order)
+        left, right = self._lifted(order).items(), other._lifted(order).items()
+        rows = {k1 + k2: times(r1, r2, order) for k1, r1 in left for k2, r2 in right}
+        arity, den = self.arity + other.arity, self.den * other.den
+        return GATensor._make(self.group, arity, order, den, rows)
 
     # -- Hopf structure maps, one leg at a time -------------------------------
 
@@ -183,11 +198,11 @@ class GATensor:
             raise ValueError(f"leg {leg} out of range for arity {self.arity}")
 
     def _map_keys(self, arity: int, key_map) -> "GATensor":
-        # key_map must be injective on the keys, so no terms merge and every
-        # value stays the nonzero scalar it was.
-        return GATensor._make(
-            self.group, arity, {key_map(key): value for key, value in self.terms.items()}
-        )
+        """The tensor with each key k moved to key_map(k); rows meeting at one key add."""
+        rows = {key_map(key): row for key, row in self.rows.items()}
+        if len(rows) < len(self.rows):
+            rows = _summed((key_map(key), row) for key, row in self.rows.items())
+        return GATensor._make(self.group, arity, self.order, self.den, rows)
 
     def coproduct(self, leg: int) -> "GATensor":
         """Replace the chosen leg g by the pair (g, g); arity grows by one."""
@@ -198,12 +213,8 @@ class GATensor:
     def counit(self, leg: int) -> "GATensor":
         """Sum out the chosen leg with weight 1 per group element."""
         self._check_leg(leg)
-        acc: dict[tuple[int, ...], CycScalar] = {}
         i = leg - 1
-        for key, value in self.terms.items():
-            short = key[:i] + key[i + 1 :]
-            acc[short] = acc[short] + value if short in acc else value
-        return GATensor(self.group, self.arity - 1, acc)
+        return self._map_keys(self.arity - 1, lambda key: key[:i] + key[leg:])
 
     def antipode(self, leg: int) -> "GATensor":
         """Invert the chosen leg elementwise."""
@@ -263,12 +274,12 @@ class GATensor:
         for g != h and c_g^2 = c_g, and eps(x) = 1 leaves one term, coefficient 1."""
         if self.arity != 1:
             raise ValueError("grouplikes live in arity 1")
-        return len(self.terms) == 1 and next(iter(self.terms.values())) == 1
+        return len(self.rows) == 1 and next(iter(self.terms.values())) == 1
 
     def grouplike_index(self) -> int:
         if not self.is_grouplike():
             raise ValueError(f"{self!r} is not a group element")
-        return next(iter(self.terms))[0]
+        return next(iter(self.rows))[0]
 
     def coeff(self, key) -> CycScalar:
         return self.terms.get(tuple(key), CycScalar.zero())
@@ -280,7 +291,7 @@ class GATensor:
         """The subgroup of G^arity generated by the support, sorted."""
         table = self.group.table
         elems = closure(
-            self.terms,
+            self.rows,
             (self.group.identity,) * self.arity,
             lambda a, b: tuple(table[x][y] for x, y in zip(a, b)),
         )
@@ -295,17 +306,13 @@ class GATensor:
         """
         basis = self.support_subgroup()
         index = {key: i for i, key in enumerate(basis)}
-        inverses = self.group.inverses
+        inv = self.group.inverses
         table = self.group.table
         zero = CycScalar.zero()
-        rows = []
-        for u in basis:
-            row = []
-            for s in basis:
-                s_inv = tuple(inverses[x] for x in s)
-                t = tuple(table[x][y] for x, y in zip(u, s_inv))
-                row.append(self.terms.get(t, zero))
-            rows.append(row)
+        rows = [
+            [self.terms.get(tuple(table[x][inv[y]] for x, y in zip(u, s)), zero) for s in basis]
+            for u in basis
+        ]
         rhs = [zero] * len(basis)
         rhs[index[(self.group.identity,) * self.arity]] = _ONE
         solution = linalg.solve(rows, rhs)
@@ -336,52 +343,41 @@ class GATensor:
     def __eq__(self, other):
         if not isinstance(other, GATensor):
             return NotImplemented
-        return (
-            self.group == other.group
-            and self.arity == other.arity
-            and self.terms == other.terms
-        )
+        if (self.arity, self.den) != (other.arity, other.den) or self.group != other.group:
+            return False
+        if self.order == other.order:
+            return self.rows == other.rows
+        order = math.lcm(self.order, other.order)
+        if order > ORDER_CAP:  # no common field to lift to: compare value by value
+            return self.terms == other.terms
+        return self._lifted(order) == other._lifted(order)
 
     def __hash__(self):
-        return hash(self.canonical_key())
+        return hash((self.arity, self.den, frozenset(self.rows)))
 
     def __repr__(self):
         if not self.terms:
             return "0"
-        bits = []
-        for key, value in self.sorted_terms():
-            label = "(x)".join(str(g) for g in key) if key else "()"
-            bits.append(f"({value})*[{label}]")
-        return " + ".join(bits)
+        return " + ".join(
+            f"({value})*[{'(x)'.join(map(str, key)) if key else '()'}]"
+            for key, value in self.sorted_terms()
+        )
 
 
-def _spread(terms, n: int):
-    # One denominator for all terms, and per nonzero coordinate an entry
-    # (key, order, exponent of zeta_n, integer multiplicity).
-    den = math.lcm(*(v.den for v in terms.values()))
-    return den, [
-        (key, v.order, j * (n // v.order), c * (den // v.den))
-        for key, v in terms.items() for j, c in enumerate(v.num) if c
-    ]
-
-
-def _widen(m: int, o1: int, o2: int) -> int:
-    # The order of a running sum at m plus a product at orders o1 and o2, or
-    # the cap error that product, then that sum, would raise.
-    for order in (math.lcm(o1, o2), math.lcm(m, o1, o2)):
-        if order > ORDER_CAP:
-            raise ValueError(f"cyclotomic order {order} exceeds the supported cap {ORDER_CAP}")
-    return order
+def _summed(pairs) -> dict:
+    # Rows added per key in first-seen key order, zero sums dropped.
+    acc: dict = {}
+    for key, row in pairs:
+        acc[key] = tuple(map(operator.add, acc[key], row)) if key in acc else row
+    return {key: row for key, row in acc.items() if any(row)}
 
 
 def first_difference(left: GATensor, right: GATensor):
     """The smallest tuple where two tensors differ, with both coefficients."""
-    if left.terms == right.terms:
+    if left == right:
         return None
-    zero = CycScalar.zero()
-    for key in sorted(set(left.terms) | set(right.terms)):
-        a = left.terms.get(key, zero)
-        b = right.terms.get(key, zero)
+    for key in sorted(set(left.rows) | set(right.rows)):
+        a, b = left.coeff(key), right.coeff(key)
         if a != b:
             return key, a, b
     return None

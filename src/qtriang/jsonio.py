@@ -161,6 +161,15 @@ class MalformedDocument(ValueError):
     """A document that a reader refuses: a value out of range or of the wrong size."""
 
 
+def _check_common_order(what: str, values) -> None:
+    # A tensor or a class function keeps all its values at one order.
+    order = math.lcm(1, *(v.order for v in values))
+    if order > ORDER_CAP:
+        raise MalformedDocument(
+            f"{what} values need the common cyclotomic order {order}, past {ORDER_CAP}"
+        )
+
+
 def scalar_from_json(doc: dict) -> CycScalar:
     order = doc["order"]
     if type(order) is not int or not 1 <= order <= ORDER_CAP:
@@ -222,9 +231,7 @@ def tensor_to_json(tensor: GATensor) -> dict:
 
 def tensor_from_json(doc: dict, group: FiniteGroup) -> GATensor:
     if doc["group"] != group.name:
-        raise ValueError(
-            f"tensor was written for group {doc['group']!r}, not {group.name!r}"
-        )
+        raise ValueError(f"tensor was written for group {doc['group']!r}, not {group.name!r}")
     arity = doc["arity"]
     if type(arity) is not int or arity < 0:
         raise MalformedDocument(f"arity must be a non-negative integer, got {arity!r}")
@@ -238,6 +245,7 @@ def tensor_from_json(doc: dict, group: FiniteGroup) -> GATensor:
                 f"term tuple {key!r} needs {arity} element indices in 0..{group.size - 1}"
             )
         terms.append((tuple(key), scalar_from_json(t["coeff"])))
+    _check_common_order("tensor", [c for _, c in terms])
     return GATensor(group, arity, terms)
 
 
@@ -253,9 +261,7 @@ def datum_to_json(datum: QTDatum) -> dict:
 
 def datum_from_json(doc: dict, group: FiniteGroup) -> QTDatum:
     if doc["group"] != group.name:
-        raise ValueError(
-            f"datum was written for group {doc['group']!r}, not {group.name!r}"
-        )
+        raise ValueError(f"datum was written for group {doc['group']!r}, not {group.name!r}")
     for key in ("subgroup", "i", "j"):
         indices = doc[key]
         if type(indices) is not list or any(
@@ -290,11 +296,7 @@ def class_function_from_json(doc: dict, group: FiniteGroup) -> ClassFunction:
     if list(doc["classes"]) != reps:
         raise ValueError("class representatives do not match the group's classes")
     values = [scalar_from_json(v) for v in doc["values"]]
-    order = math.lcm(1, *(v.order for v in values))
-    if order > ORDER_CAP:
-        raise MalformedDocument(
-            f"class function values need the common cyclotomic order {order}, past {ORDER_CAP}"
-        )
+    _check_common_order("class function", values)
     return ClassFunction(group, values)
 
 

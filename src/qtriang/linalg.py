@@ -28,6 +28,7 @@ import math
 from .cyclotomic import (
     CycScalar,
     _reduce_mod_cyclotomic,
+    content,
     embed_map,
     euler_phi,
     lift,
@@ -105,17 +106,6 @@ def _as_scalar(value) -> CycScalar:
     return value if isinstance(value, CycScalar) else CycScalar.rational(value)
 
 
-def _content(den: int, cols: dict) -> int:
-    # gcd of den and every stored coordinate.
-    g = den
-    for col in cols.values():
-        for v in col.values():
-            g = math.gcd(g, *v)
-            if g == 1:
-                return 1
-    return g
-
-
 class Matrix:
     """Immutable sparse matrix over a cyclotomic field, stored column-major.
 
@@ -147,7 +137,7 @@ class Matrix:
 
     def _set(self, nrows: int, ncols: int, order: int, den: int, cols: dict) -> None:
         # cols must hold no zero entries; divides out the common content.
-        g = _content(den, cols) if den != 1 else 1
+        g = content(den, (v for col in cols.values() for v in col.values()))
         if g != 1:
             den //= g
             cols = {

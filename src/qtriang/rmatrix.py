@@ -93,10 +93,8 @@ def commutes_with_diagonal(x: GATensor, g: int) -> bool:
     conjugate key carries the same coefficient.
     """
     conj = x.group.conj[g]
-    terms = x.terms
-    return all(
-        terms.get(tuple([conj[h] for h in key])) == value for key, value in terms.items()
-    )
+    rows = x.rows
+    return all(rows.get(tuple([conj[h] for h in key])) == row for key, row in rows.items())
 
 
 class DatumError(ValueError):
@@ -202,13 +200,9 @@ def character_table(domain: AbelianGroup, form: BiForm) -> list[tuple[tuple, tup
 def _character_sum(
     domain: AbelianGroup, incl_left: Inclusion, incl_right: Inclusion, form: BiForm
 ) -> GATensor:
-    e, order = domain.exponent, domain.order
     left, right = incl_left.forward, incl_right.forward
-    terms = {
-        (left[a], right[b]): CycScalar._make(e, order, c)
-        for (a, b), c in character_table(domain, form)
-    }
-    return GATensor(incl_left.group, 2, terms)
+    rows = {(left[a], right[b]): c for (a, b), c in character_table(domain, form)}
+    return GATensor._make(incl_left.group, 2, domain.exponent, domain.order, rows)
 
 
 def build_r(datum: QTDatum) -> GATensor:
@@ -290,11 +284,7 @@ def verify_unitary(candidate: GATensor) -> bool:
 def _multiply_out(tensor: GATensor) -> GATensor:
     # mu: arity 2 -> arity 1, (g, h) -> g*h.
     table = tensor.group.table
-    return GATensor(
-        tensor.group,
-        1,
-        [((table[g][h],), c) for (g, h), c in tensor.terms.items()],
-    )
+    return tensor._map_keys(1, lambda key: (table[key[0]][key[1]],))
 
 
 def markov_element(candidate: GATensor) -> GATensor:
@@ -307,16 +297,19 @@ def markov_element_flipped(candidate: GATensor) -> GATensor:
     return _multiply_out(candidate.swap().antipode(1))
 
 
-def verify_markov(candidate: GATensor) -> VerificationReport:
+def verify_markov(candidate: GATensor, u=None, flipped=None) -> VerificationReport:
     """Validate the structural properties of the Markov element of R.
 
+    ``u`` and ``flipped``, when given, are R's ``markov_element`` and
+    ``markov_element_flipped``, which are then not formed again.
     S^2 = I and R^-1 = (S x I)(R) give u^-1 = S(mu(R)) and (R21 R)^-1 =
     (S x I)(R) (I x S)(R21), or c^-1 (g^-1 x h^-1) when R21 R is one term
     c (g x h); each is used once the element times it is the unit.
     """
     report = VerificationReport()
-    u = markov_element(candidate)
-    report.add_equality("conventions_agree", u, markov_element_flipped(candidate))
+    u = markov_element(candidate) if u is None else u
+    flipped = markov_element_flipped(candidate) if flipped is None else flipped
+    report.add_equality("conventions_agree", u, flipped)
     try:
         _inverse_or_solve(u, _multiply_out(candidate).antipode(1))
     except ValueError:

@@ -11,9 +11,11 @@ guess, on the D4 one, where all but one of the keys it reaches cancel;
 ``leg_products(R)`` followed by
 ``yang_baxter_sides`` on the D4 one; one product of two 12-term
 arity-2 tensors on D4 whose coefficients have orders 3, 4 and 8 and
-several nonzero coordinates over different denominators; and the five
+several nonzero coordinates over different denominators; the five
 leg maps (coproduct, antipode, swap, R13 placement, adjoint action) on
-the D4 16-term R.
+the D4 16-term R; and ``verify_qt`` on that R, whose five products (R S(R),
+R13 R12, R13 R23 and the two Yang-Baxter sides) are the tensor products a
+``classify`` pass forms per structure.
 """
 
 from fractions import Fraction
@@ -24,7 +26,7 @@ from qtriang.acceptance import qt_catalog
 from qtriang.cyclotomic import CycScalar
 from qtriang.groups import bundled_group
 from qtriang.hopf import GATensor
-from qtriang.rmatrix import leg_products
+from qtriang.rmatrix import leg_products, verify_qt
 
 CASES = [("D4", 16), ("Q8", 16), ("Z2xZ2", 4)]
 
@@ -79,6 +81,12 @@ def test_leg_map_d4(benchmark, leg_map):
     r = _structure("D4", 16)
     image = benchmark(LEG_MAPS[leg_map], r)
     assert len(image.terms) == len(r.terms)
+
+
+def test_verify_qt_d4(benchmark):
+    r = _structure("D4", 16)
+    report = benchmark(verify_qt, r)
+    assert report.all_passed
 
 
 def test_mixed_order_product(benchmark):

@@ -4,12 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from qtriang import acceptance, charring, cli, jsonio
+from qtriang import acceptance, charring, cli, jsonio, rmatrix
 from qtriang.cli import build_parser, main
 from qtriang.cyclotomic import CycScalar, root_of_unity
 from qtriang.groups import (
@@ -21,7 +22,7 @@ from qtriang.groups import (
 )
 from qtriang.hopf import GATensor
 from qtriang.charring import MatrixRep, regular_rep
-from qtriang.rmatrix import QTDatum, build_r
+from qtriang.rmatrix import QTDatum, build_r, verify_qt, verify_unitary
 
 
 def golden_koszul():
@@ -142,6 +143,20 @@ def test_cli_classify_deterministic(workdir):
     assert (workdir / "a.json").read_bytes() == (workdir / "b.json").read_bytes()
 
 
+def test_cli_classify_refuses_a_group_past_the_data_cap(workdir, capsys):
+    # Z2^3 has 168 inclusions of A = Z2^3, paired two by two, times 168
+    # forms: the count is read before any datum is built.
+    (workdir / "z2cubed.json").write_text('{"abelian": [2, 2, 2]}')
+    start = time.perf_counter()
+    assert main(["classify", "--group", "z2cubed.json"]) == 2
+    assert time.perf_counter() - start < 1.0
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == {
+        "kind": "input",
+        "message": "Z2xZ2xZ2 has 4752266 classification data, past the cap 32768",
+    }
+
+
 def test_cli_verify_unit(workdir, capsys):
     _write(workdir / "unit.json", jsonio.tensor_to_json(GATensor.unit(bundled_group("Z2"), 2)))
     assert main(["verify", "--rmatrix", "unit.json"]) == 0
@@ -173,28 +188,23 @@ def test_cli_verify_corrupted_identity_failure_with_witness(workdir, capsys):
     assert any(c["witness"] and "tuple" in c["witness"] for c in failed)
 
 
-def test_cli_verify_orders_past_the_cap_report_not_invertible(workdir, capsys):
-    # The lcm of these orders is about 1.5e10: the first product R S(R) meets
-    # a term pair past the order cap and stops there, without a histogram of
-    # that width.
+def test_cli_verify_orders_past_the_cap_are_refused(workdir, capsys):
+    # Each value's order is within the cap, but a tensor keeps all of them at
+    # one order, their lcm of about 1.5e10: the document is refused on load.
     keys = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    r = GATensor(
-        bundled_group("Z2"), 2, {k: root_of_unity(p) for k, p in zip(keys, (359, 353, 349, 347))}
-    )
-    _write(workdir / "primes.json", jsonio.tensor_to_json(r))
-    assert main(["verify", "--rmatrix", "primes.json"]) == 1
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["unitary"] is None
-    assert doc["verification"] == {
-        "all_passed": False,
-        "checks": [
-            {
-                "name": "invertible",
-                "passed": False,
-                "witness": {"reason": "no two-sided inverse exists"},
-            }
+    doc = {
+        "group": "Z2",
+        "arity": 2,
+        "terms": [
+            {"tuple": list(k), "coeff": jsonio.scalar_to_json(root_of_unity(p))}
+            for k, p in zip(keys, (359, 353, 349, 347))
         ],
     }
+    _write(workdir / "primes.json", doc)
+    assert main(["verify", "--rmatrix", "primes.json"]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["kind"] == "input"
+    assert "tensor values need the common cyclotomic order 15347019881, past 360" in error["message"]
 
 
 def test_cli_verify_round_trips_tensor(workdir, capsys):
@@ -564,10 +574,10 @@ def test_cli_exterior_rejects_nonunitary(workdir, capsys):
     beta = [b for b in enumerate_biforms(a3) if b.is_nondegenerate() and b.is_invariant(autos)][0]
     r = build_r(QTDatum(s3, a3, incl, incl, beta))
     _write(workdir / "r.json", jsonio.tensor_to_json(r))
-    assert main(["exterior", "--rmatrix", "r.json", "--n", "2"]) == 3
+    assert verify_qt(r).all_passed and not verify_unitary(r)
+    assert main(["exterior", "--rmatrix", "r.json", "--n", "2"]) == 2
     doc = json.loads(capsys.readouterr().out)
-    assert doc["error"]["kind"] == "invariant"
-    assert doc["error"]["message"] == "the R-matrix has no grouplike Markov element"
+    assert doc["error"] == {"kind": "input", "message": "exterior needs a triangular R-matrix"}
 
 
 def test_cli_exterior_refuses_a_rep_that_keeps_a_braided_difference(workdir, capsys):
@@ -580,9 +590,15 @@ def test_cli_exterior_refuses_a_rep_that_keeps_a_braided_difference(workdir, cap
     assert error == {"kind": "invariant", "message": "the braided action is not equivariant"}
 
 
-def test_cli_markov_from_tensor(workdir, capsys):
+def test_cli_markov_from_tensor(workdir, capsys, monkeypatch):
+    # u and its flipped form are multiplied out once each and handed to the
+    # verifier; the third pass is mu(R), whose antipode is the guess for u^-1.
     _write(workdir / "ru.json", jsonio.tensor_to_json(golden_koszul()))
+    passes = []
+    multiply_out = rmatrix._multiply_out
+    monkeypatch.setattr(rmatrix, "_multiply_out", lambda t: passes.append(t) or multiply_out(t))
     assert main(["markov", "--rmatrix", "ru.json"]) == 0
+    assert len(passes) == 3
     doc = json.loads(capsys.readouterr().out)
     assert doc["markov"] == doc["markov_flipped"]
     assert "value_equation" not in doc

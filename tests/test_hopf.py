@@ -276,8 +276,16 @@ def _reference_mul(x, y):
 
 
 def _stored(t):
-    # Keys in stored order, each with its scalar's stored form.
-    return [(key, v.order, v.den, v.num) for key, v in t.terms.items()]
+    # The stored form: order, denominator, and the rows in stored key order.
+    return t.order, t.den, list(t.rows.items())
+
+
+def _assert_matches_reference(fast, slow):
+    # The scalar running sum lifted to the product's order: the same keys in
+    # the same order, and the same denominator and integer rows.
+    assert list(fast.rows) == list(slow.rows)
+    assert fast.order % slow.order == 0
+    assert (fast.den, fast.rows) == (slow.den, slow._lifted(fast.order))
 
 
 @st.composite
@@ -349,7 +357,7 @@ def _on_z4(*values):
 def test_product_matches_scalar_reference(pair):
     x, y = pair
     for a, b in ((x, y), (y, x)):
-        assert _stored(a * b) == _stored(_reference_mul(a, b))
+        _assert_matches_reference(a * b, _reference_mul(a, b))
 
 
 def test_products_with_one_right_term_or_no_legs_match_scalar_reference():
@@ -366,7 +374,7 @@ def test_products_with_one_right_term_or_no_legs_match_scalar_reference():
         (GATensor(g, 0, {}), GATensor(g, 0, {(): _W3})),
     ]
     for a, b in cases:
-        assert _stored(a * b) == _stored(_reference_mul(a, b))
+        _assert_matches_reference(a * b, _reference_mul(a, b))
 
 
 def test_catalog_products_match_scalar_reference():
@@ -389,7 +397,7 @@ def test_catalog_products_match_scalar_reference():
                 (r.antipode(1) * r21.antipode(2), ref(r.antipode(1), r21.antipode(2))),
             ]
             for fast, slow in products:
-                assert _stored(fast) == _stored(slow), name
+                _assert_matches_reference(fast, slow)
             # The maps that build their result with GATensor._make skip the
             # checks; each result must be one the checking constructor keeps.
             derived = [fast for fast, _ in products]
@@ -404,23 +412,67 @@ def test_catalog_products_match_scalar_reference():
 
 
 def test_product_past_the_order_cap_matches_scalar_reference():
-    # The lcm n of the operands' orders passes the cap while every key stays
-    # within it; where a product or a sum passes it, both raise alike.
+    # Operands at orders 72 and 35 are built, and their products within the
+    # cap match the reference.  Where the lcm of the operands' orders passes
+    # the cap (2520 for x and y, 359 * 353 for far and near) both routes
+    # raise the same ValueError.
     g = bundled_group("Z2")
     x = GATensor(g, 2, {(0, 0): root_of_unity(8) + Fraction(1, 3), (1, 0): root_of_unity(9, 2)})
     y = GATensor(g, 2, {(0, 0): root_of_unity(5), (0, 1): 2 * root_of_unity(7, 3) - 1})
-    keys = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    primes = GATensor(g, 2, {k: root_of_unity(p) for k, p in zip(keys, (359, 353, 349, 347))})
-    unit = GATensor.unit(g, 2)
-    for a, b in ((x, y), (y, x), (primes, unit), (unit, primes)):
-        assert _stored(a * b) == _stored(_reference_mul(a, b))
-    # Every order pair of these two has lcm 359 * 353, so the order slot
-    # starts past the cap.
+    assert (x.order, y.order) == (72, 35)
+    for a, b in ((x, x.swap()), (y, y.swap()), (x, GATensor.unit(g, 2))):
+        _assert_matches_reference(a * b, _reference_mul(a, b))
+        _assert_matches_reference(b * a, _reference_mul(b, a))
     far = GATensor(g, 2, {(0, 0): root_of_unity(359), (1, 0): root_of_unity(359, 2)})
     near = GATensor(g, 2, {(0, 1): root_of_unity(353)})
-    for a, b in ((primes, primes.swap()), (x, x.swap() + y), (far, near), (near, far)):
+    for a, b in ((x, y), (y, x), (far, near), (near, far)):
         with pytest.raises(ValueError) as fast:
             a * b
         with pytest.raises(ValueError) as slow:
             _reference_mul(a, b)
         assert str(fast.value) == str(slow.value)
+        assert "exceeds the supported cap 360" in str(fast.value)
+    # Equality needs no common field: values compare at their least orders.
+    assert far != near and far == GATensor(g, 2, dict(far.terms))
+    two = [GATensor(g, 2, {(1, 0): CycScalar.rational(2, n)}) for n in (359, 353)]
+    assert two[0] == two[1] and two[0] != far
+
+
+def test_values_past_one_common_order_are_refused():
+    # Orders 359, 353, 349 and 347 are each within the cap; their lcm is not,
+    # so the tensor is refused where it is built, and a sum meeting order
+    # 2520 where it is formed.
+    g = bundled_group("Z2")
+    keys = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    with pytest.raises(ValueError, match="cyclotomic order 15347019881 exceeds the supported cap 360"):
+        GATensor(g, 2, {k: root_of_unity(p) for k, p in zip(keys, (359, 353, 349, 347))})
+    x = GATensor(g, 2, {(0, 0): root_of_unity(8), (1, 0): root_of_unity(9, 2)})
+    y = GATensor(g, 2, {(0, 1): root_of_unity(35)})
+    with pytest.raises(ValueError, match="cyclotomic order 2520 exceeds"):
+        x + y
+
+
+def test_products_and_leg_maps_build_no_scalar(monkeypatch):
+    # Products, the leg maps, sums and the unit test run on integer rows:
+    # once the operands are built, no CycScalar is made.
+    r = max(
+        (s.rmatrix for s in qt_catalog("D4").structures), key=lambda t: (len(t.terms), t.order)
+    )
+    x = GATensor(r.group, 2, {(1, 2): root_of_unity(3), (4, 5): _HALF, (0, 3): _I4})
+    ops = [
+        lambda: r * r.swap(),
+        lambda: (r * r.antipode(1)).is_unit(),
+        lambda: r * x,
+        lambda: x * x.swap(),
+        lambda: leg_products(r).yang_baxter_sides(),
+        lambda: [r.coproduct(1), r.counit(2), r.antipode(2), r.adjoint_action(3, 1)],
+        lambda: [r.embed_legs((1, 3), 3), r.permute_legs((1, 0)), r @ x, r - x, r == x],
+    ]
+    for op in ops:
+        op()  # fills the cached power and embedding tables
+    made = []
+    real = CycScalar._make.__func__
+    monkeypatch.setattr(CycScalar, "_make", classmethod(lambda cls, *a: made.append(a) or real(cls, *a)))
+    for op in ops:
+        op()
+    assert made == []
