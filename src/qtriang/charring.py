@@ -7,14 +7,16 @@ of that statement concretely: matrix representations with their braided
 symmetric-group actions, exterior powers and the traces of the braided
 long cycle behind the cyclic operations on one side; class functions with
 twisted Adams operations and the Newton-type lambda/sigma recursions on
-the other.  One ``Braiding`` per R holds its report, Markov element, R R21,
-braided differences and one long cycle (X, pi) per degree, X in k[G]^(x)n,
-whose traces, read from R's terms and the character, give the exterior
-powers by Newton's identity once the representation kills R's braided
-differences; no d^n matrix is multiplied.  A class function is stored as a
-matrix is, integer rows at one order and one denominator: twisted Adams
-operations re-index its rows, and the recursions run on integers, reading
-CycScalars only when ``values`` is first asked for.  All is exact.
+the other.  One ``Braiding`` per R holds its report, Markov element, R R21
+and braided differences.  The braided power sums
+p_k(g) = tr(g^(x)k tau_k), tau_k the long cycle, are one character sum over
+R's terms (``_power_sum``), on integer rows; they give the exterior powers
+by Newton's identity once the representation kills R's braided differences,
+and the cyclic traces as their powers.  No d^n matrix is multiplied.  A
+class function is stored as a matrix is, integer rows at one order and one
+denominator: twisted Adams operations re-index its rows, and the recursions
+run on integers, reading CycScalars only when ``values`` is first asked
+for.  All is exact.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import functools
 import itertools
 import math
 import operator
-from fractions import Fraction
 
 from .cyclotomic import (
     CycScalar,
@@ -502,7 +503,7 @@ class BraidedAction:
     for (rho (x) rho)(R), then B and each s_i by re-indexing its columns
     and rows, with no matrix product or Kronecker product.  The
     exterior-power and long-cycle traces never build these matrices:
-    they read characters of R's terms (see ``Braiding.long_cycle``).
+    they are character sums over R's terms (see ``_power_sum``).
     """
 
     __slots__ = ("rep", "braiding", "power", "braid", "generators")
@@ -525,16 +526,17 @@ class Braiding:
     """One R-matrix and all that is read from it, each part formed on first use.
 
     ``report``, ``markov`` (u, and ``markov_index``), R R21 (``square``,
-    ``unitary``), ``yang_baxter_sides``, and per tensor power n the braided
-    differences, the long cycle (X, pi) and its powers depend on R alone:
-    one ``Braiding`` serves a catalog's dedup class and every representation.
+    ``unitary``), ``yang_baxter_sides`` and per tensor power n the braided
+    differences depend on R alone: one ``Braiding`` serves a catalog's dedup
+    class and every representation.  The braided power sums behind the
+    exterior powers and the cyclic traces are read from R's terms on each
+    call (``_power_sum``), with no GATensor product; from degree 3 on they
+    need R to pass ``report`` (``_check_hexagons``).
     """
 
     def __init__(self, rmatrix: GATensor):
         self.rmatrix = rmatrix
         self.differences = functools.cache(self._differences)
-        self.long_cycle = functools.cache(self._long_cycle)
-        self.cycle_powers = functools.cache(self._cycle_powers)
 
     @functools.cached_property
     def report(self) -> VerificationReport:
@@ -639,32 +641,22 @@ class Braiding:
                 error.witness = difference_witness(left, right, **extra)
                 raise error
 
-    def _long_cycle(self, power: int) -> tuple:
-        """The braided long cycle tau = s_(power-1) ... s_1 as a pair (X, pi), from R's terms.
+    def _check_hexagons(self, degree: int):
+        """Raise ValueError at degree >= 3 unless R passes ``report``.
 
-        (X, pi) stands for rho^(x)n(X) composed with T_pi, the plain leg
-        permutation that moves slot i to slot pi[i], with X in k[G]^(x)n.  The
-        generator s_j is (R placed in legs j and j+1, the transposition of
-        slots j-1 and j, 0-based).  Since T_p rho^(x)n(Y) = rho^(x)n(p(Y)) T_p,
-        where p(Y) puts leg i of Y at slot p[i], products are
-        (X, p) (Y, s) = (X p(Y), p o s): one GATensor product per letter after the first.
+        ``_power_sum`` reads the long cycle from R's terms by the hexagon
+        identities.  R = g (x) g on Z2 is unitary, solves Yang-Baxter and
+        commutes with every diagonal, yet fails both hexagons: its literal
+        p_3(h) is chi(h^3) and the closed form gives chi(h^3 g).  The error's
+        ``witness`` names R's first failed check.
         """
-        ident, letters = tuple(range(power)), []
-        for j in range(power - 1, 0, -1):
-            swap = list(ident)
-            swap[j - 1], swap[j] = j, j - 1
-            letters.append((self.rmatrix.embed_legs((j, j + 1), power), tuple(swap)))
-        if not letters:
-            return GATensor.unit(self.rmatrix.group, power), ident
-        return functools.reduce(_compose, letters)
-
-    def _cycle_powers(self, p: int) -> list[tuple]:
-        """tau^i, i = 0 .. p-1, for the ``long_cycle`` tau: tau^i = tau^(i-1) tau."""
-        tau = self.long_cycle(p)
-        powers = [(GATensor.unit(self.rmatrix.group, p), tuple(range(p))), tau]
-        while len(powers) < p:
-            powers.append(_compose(powers[-1], tau))
-        return powers[:p]
+        if degree >= 3 and not self.report.all_passed:
+            failed = self.report.failed()[0]
+            error = ValueError(
+                f"braided power sums of degree {degree} need an R-matrix; R fails {failed.name}"
+            )
+            error.witness = {"check": failed.name, **(failed.witness or {})}
+            raise error
 
     def exterior_power_char(self, rep: MatrixRep, n: int) -> ClassFunction:
         """Character of the n-th braided exterior power of a representation.
@@ -672,12 +664,13 @@ class Braiding:
         The value at g is tr(g^(x)n A), A = (1/n!) sum of sign(w) T_w over S_n.
         Degrees n >= 7, with n! > ``DIMENSION_CAP`` signed words, are refused
         first; then ``check`` and ``validate`` refuse what they refuse, a
-        ``validate`` error carrying its ``difference_witness``.  Once rho^(x)n
+        ``validate`` error carrying its ``difference_witness``, and at n >= 3
+        ``_check_hexagons`` refuses an R that fails ``report``.  Once rho^(x)n
         kills every difference the T_w are an S_n action commuting with
         g^(x)n, a tensor product on S_k x S_(n-k), so tr(g^(x)n T_w) is a
         class function of w, a product over its cycles, and the value is
-        Newton's e_n in the power sums p_k(g) = tr(g^(x)k tau_k), character
-        sums over R's terms (``long_cycle``).  For n >= 3 an R whose image
+        Newton's e_n in the power sums p_k(g) = tr(g^(x)k tau_k), each one
+        character sum over R's terms (``_power_sum``).  For n >= 3 an R whose image
         fails Yang-Baxter is refused even where A alone would still be an
         idempotent commuting with every g^(x)n: without the braid relation
         the T_w are no S_n action and there is no exterior power to report.
@@ -693,10 +686,11 @@ class Braiding:
             raise ValueError(f"exterior power degree {n} has over {DIMENSION_CAP} signed words")
         self.check(rep, n)
         self.validate(rep, n)
+        self._check_hexagons(n)
         chi = rep.character()
         classes = [cls_[0] for cls_ in group.conjugacy_classes()]
         sums = [chi] + [
-            ClassFunction(group, _operator_traces(chi, self.long_cycle(k), classes))
+            ClassFunction._make(group, *_power_sum(self.rmatrix, chi, k, classes))
             for k in range(2, n + 1)
         ]
         return _recursive_series(group, sums, newton=True)[n]
@@ -706,17 +700,24 @@ class Braiding:
 
         Here u is the Markov element and tau the braided long cycle on the p-th
         tensor power; (uz)^(x)p = u^(x)p z^(x)p because the rep is a homomorphism.
-        The tau^i come from ``cycle_powers``, so each trace is a character
-        sum over the terms of one tensor.
+        tau^i is d = gcd(i, p) disjoint long cycles on p/d legs each, so, where
+        R's S_p action holds, its trace is p_(p/d)(uz)^d (``_power_sum``), and
+        chi(uz)^p at i = 0.  ``check``, then ``_check_hexagons`` at p >= 3,
+        refuse first.
         """
         group = rep.group
         u = self.markov_index
         self.check(rep, p)
+        self._check_hexagons(p)
         center = group.center()
         acted = [group.table[u][z] for z in center]
         chi = rep.character()
-        columns = [_operator_traces(chi, op, acted) for op in self.cycle_powers(p)]
-        return {z: [column[k] for column in columns] for k, z in enumerate(center)}
+        sums = {1: [chi.evaluate(g) for g in acted]}
+        cycles = [math.gcd(i, p) for i in range(p)]  # d per power tau^i
+        for k in {p // d for d in cycles} - {1}:
+            order, den, rows = _power_sum(self.rmatrix, chi, k, acted)
+            sums[k] = [CycScalar._make(order, den, row) for row in rows]
+        return {z: [sums[p // d][j] ** d for d in cycles] for j, z in enumerate(center)}
 
 
 def _image(rep: MatrixRep, tensor: GATensor) -> Matrix:
@@ -755,65 +756,39 @@ def _too_many_words(n: int) -> bool:
     return any(f > DIMENSION_CAP for f in itertools.accumulate(range(1, n + 1), operator.mul))
 
 
-def _inverse(perm) -> list[int]:
-    out = [0] * len(perm)
-    for i, k in enumerate(perm):
-        out[k] = i
-    return out
+def _power_sum(rmatrix: GATensor, character: ClassFunction, k: int, elements) -> tuple:
+    """The braided power sum p_k(g) = tr(g^(x)k tau_k) per g in ``elements``: (order, den, rows).
 
-
-def _compose(left, right):
-    """(X, p) (Y, s) = (X p(Y), p o s) for the operators (X, pi) of ``Braiding.long_cycle``."""
-    (x, p), (y, s) = left, right
-    return x * y.permute_legs(_inverse(p)), tuple(p[k] for k in s)
-
-
-def _operator_traces(character: ClassFunction, op, elements) -> list[CycScalar]:
-    """tr(rho^(x)n(g^(x)n X) T_pi) for the operator op = (X, pi), per g in ``elements``.
-
-    Slot k of the image reads slot pi^-1(k), so the trace factors over the
-    cycles of pi: a term (x, c) of X adds c times the product over cycles,
-    each read k -> pi^-1(k) -> ..., of chi(g x_k g x_pi^-1(k) ...), with
-    chi the ``character`` of rho.  Coefficients are summed per tuple of
-    cycle classes first, so each tuple costs one product of character values.
+    tau_k = s_(k-1) ... s_1 is the braided long cycle.  For R = sum c_ab a (x) b
+    the hexagon identities make it the braiding of one factor past the other
+    k - 1, so p_k(g) = sum c_ab chi(g a (g b)^(k-1)); at k = 2 that is the
+    literal trace of g^(x)2 s_1 for every R.  Per g, each term's row is added
+    into a bucket keyed by the class of g a (g b)^(k-1), and each bucket where
+    chi is nonzero is multiplied once by chi's row there: all at one order,
+    reduced once per element, with no GATensor product and no CycScalar.
     """
     group = character.group
-    table, e = group.table, group.identity
-    chi = character.values
-    class_of = group.class_map
-    x, pi = op
-    back, cycles, seen = _inverse(pi), [], set()
-    for k in range(len(pi)):
-        cycle = []
-        while k not in seen:
-            seen.add(k)
-            cycle.append(k)
-            k = back[k]
-        if cycle:
-            cycles.append(cycle)
+    table, class_of = group.table, group.class_map
+    order = math.lcm(rmatrix.order, character.order)
+    terms, chi = rmatrix._lifted(order).items(), character._lifted(order)
+    live = [any(row) for row in chi]
+    raised = [group.power(x, k - 1) for x in group.elements()]
+    width = 2 * euler_phi(order) - 1
     out = []
     for g in elements:
-        row = table[g]
-        sums: dict[tuple, CycScalar] = {}
-        for key, c in x.terms.items():
-            classes = []
-            for cycle in cycles:
-                h = e
-                for k in cycle:
-                    h = table[h][row[key[k]]]
-                if not chi[class_of[h]]:
-                    break
-                classes.append(class_of[h])
-            else:
-                classes = tuple(sorted(classes))
-                sums[classes] = sums[classes] + c if classes in sums else c
-        total = CycScalar.zero()
-        for classes, c in sums.items():
-            for idx in classes:
-                c = c * chi[idx]
-            total = total + c
-        out.append(total)
-    return out
+        row, buckets = table[g], {}
+        for (a, b), c in terms:
+            j = class_of[table[row[a]][raised[row[b]]]]
+            if live[j]:
+                buckets[j] = tuple(map(operator.add, buckets[j], c)) if j in buckets else c
+        raw = [0] * width
+        for j, c in buckets.items():
+            for s, x in enumerate(c):
+                if x:
+                    for t, y in enumerate(chi[j]):
+                        raw[s + t] += x * y
+        out.append(_reduce_mod_cyclotomic(raw, order))
+    return order, rmatrix.den * character.den, tuple(out)
 
 
 def exterior_power_char(rep: MatrixRep, rmatrix: GATensor, n: int) -> ClassFunction:
@@ -831,13 +806,22 @@ def qtrace(rep: MatrixRep, rmatrix: GATensor, endo: Matrix) -> CycScalar:
 
 
 def _cyclic_value(traces: list[CycScalar], eps: CycScalar) -> CycScalar:
-    """(1/p) sum of eps^i times traces[i]: one row of the long-cycle table at eps."""
-    acc = CycScalar.zero()
-    weight = CycScalar.one()
-    for trace in traces:
-        acc = acc + weight * trace
-        weight = weight * eps
-    return acc * CycScalar.rational(Fraction(1, len(traces)))
+    """(1/p) sum of eps^i times traces[i]: one row of the long-cycle table at eps.
+
+    eps is a root of unity, so its coordinates are integers; the weights and
+    the sum run on integer rows at one order and one denominator, and the
+    value is one ``_make``.
+    """
+    order = math.lcm(eps.order, *(t.order for t in traces))
+    den = math.lcm(*(t.den for t in traces))
+    step, acc, weight = eps.embed(order).num, [0] * euler_phi(order), None
+    for trace in traces:  # weight is eps^i, None standing for eps^0 = 1
+        num = trace.num if trace.order == order else lift(trace.num, embed_map(trace.order, order))
+        f = den // trace.den
+        term = num if weight is None else times(weight, num, order)
+        acc = [a + f * x for a, x in zip(acc, term)]
+        weight = step if weight is None else times(weight, step, order)
+    return CycScalar._make(order, den * len(traces), tuple(acc))
 
 
 def cyclic_operation_char(
@@ -849,8 +833,9 @@ def cyclic_operation_char(
     power of the z-action composed with (1/p) sum eps^i tau^i, where tau is
     the braided long cycle.  By linearity this is (1/p) sum eps^i times the
     trace of (uz)^(x)p tau^i, so the projector itself is never formed, and
-    each such trace is a character sum over the terms of tau^i as an
-    operator (X, pi) (``Braiding.long_cycle_traces``): no d^p matrix is built.
+    each such trace is a power of a braided power sum, one character sum
+    over R's terms (``Braiding.long_cycle_traces``): no d^p matrix is built.
+    At p >= 3 R must pass ``verify_qt``.
     """
     if not isinstance(eps, CycScalar):
         eps = CycScalar.rational(eps)

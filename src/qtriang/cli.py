@@ -270,7 +270,8 @@ def _cmd_exterior(args):
     _check_prime(args)
     tensor, group, _ = _load_rmatrix(args)
     braiding = Braiding(tensor)
-    if not braiding.unitary:
+    # From degree 3 on the power sums are read from R's terms by the hexagon identities.
+    if not braiding.unitary or (max(args.n, args.p or 0) >= 3 and not braiding.report.all_passed):
         raise InputError("exterior needs a triangular R-matrix")
     u, u_idx = braiding.markov, braiding.markov_index
     rows, ok = [], True

@@ -350,16 +350,18 @@ class CycScalar:
         return self.inverse() * other
 
     def __pow__(self, exponent: int):
+        # Square-and-multiply with no product by 1 and no square past the
+        # last bit: x**2 is one product, x**1 is x.
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = CycScalar.one(self.order)
-        base = self
-        while exponent:
+        result, base = None, self
+        while True:
             if exponent & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             exponent >>= 1
-        return result
+            if not exponent:
+                return CycScalar.one(self.order) if result is None else result
+            base = base * base
 
     def reduced(self) -> "CycScalar":
         """Canonical representative at the smallest order containing the value.

@@ -19,10 +19,14 @@ timed on the regular representation for the 16-term D4 and the 4-term Q8
 structure, and the exterior powers n = 4, 5 and 6 on the regular
 representation of Z2xZ2 for its first 16-term structure, each on a fresh
 ``Braiding`` (a checkout that traces all n! signed words takes over a minute
-per call at n = 6).  The exterior square is also timed on one warm
-``Braiding`` per structure, R's braided data formed before the timing, for
-the 16-term D4 and the 4-term Q8 structure: the cost each ``exterior``
-request pays per representation once R's data exist.  Exterior powers on three R on S3 that fail a braided
+per call at n = 6).  The exterior powers n = 2, 3 and 4 and the long-cycle
+trace tables p = 2, 3 and 4 are also timed on one warm ``Braiding`` per
+structure, R's report and braided data formed before the timing, on the
+regular representation for the 16-term D4 and the 4-term Q8 structure:
+the cost each ``exterior`` request pays per representation once R's data
+exist, which is the braided power sums and Newton's identity.  Medians of
+these small timings spread widely between runs on a shared machine; read
+them with ``--benchmark-columns=min,median``.  Exterior powers on three R on S3 that fail a braided
 identity in the group algebra, each on a fresh ``Braiding``, time the
 ``validate`` call that decides whether the representation kills R's
 differences, then Newton's identity where it does: F21^-1 F on the
@@ -105,13 +109,24 @@ def test_exterior_power(benchmark, name, terms, n):
     assert ext.group == r.group
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("name, terms", TRACE_CASES, ids=[f"{n}-{t}" for n, t in TRACE_CASES])
-def test_exterior_square_on_a_warm_braiding(benchmark, name, terms):
+def test_exterior_power_on_a_warm_braiding(benchmark, name, terms, n):
     r = _structure(name, terms)
     rep = regular_rep(r.group)
     braiding = charring.Braiding(r)
-    first = braiding.exterior_power_char(rep, 2)
-    assert benchmark(lambda: braiding.exterior_power_char(rep, 2)) == first
+    first = braiding.exterior_power_char(rep, n)
+    assert benchmark(lambda: braiding.exterior_power_char(rep, n)) == first
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+@pytest.mark.parametrize("name, terms", TRACE_CASES, ids=[f"{n}-{t}" for n, t in TRACE_CASES])
+def test_long_cycle_table_on_a_warm_braiding(benchmark, name, terms, p):
+    r = _structure(name, terms)
+    rep = regular_rep(r.group)
+    braiding = charring.Braiding(r)
+    first = braiding.long_cycle_traces(rep, p)
+    assert benchmark(lambda: braiding.long_cycle_traces(rep, p)) == first
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])

@@ -8,7 +8,9 @@ import operator
 from collections import Counter
 from fractions import Fraction
 
+import long_cycles
 import pytest
+from long_cycles import compose, operator_traces
 from matrix_ops import add, kron, scale, zero
 from test_groups import derived_test_groups
 
@@ -103,7 +105,7 @@ def _word_operators(r, n):
 
     The letter s_j is (R in legs j and j+1, the transposition of slots j-1
     and j, 0-based); a word is its prefix and its last letter folded with
-    ``charring._compose``, starting from the unit (1, identity).
+    ``long_cycles.compose``, starting from the unit (1, identity).
     """
     ident = tuple(range(n))
 
@@ -114,7 +116,7 @@ def _word_operators(r, n):
         swap = list(ident)
         swap[w[-1] - 1], swap[w[-1]] = w[-1], w[-1] - 1
         letter = r.embed_legs((w[-1], w[-1] + 1), n), tuple(swap)
-        return charring._compose(word(w[:-1]), letter)
+        return compose(word(w[:-1]), letter)
 
     return word
 
@@ -123,7 +125,7 @@ def _word_sum_exterior_power_char(rep, r, n):
     """(1/n!) sum of sign(w) tr(g^(x)n T_w) over all n! permutations w.
 
     Each T_w is the (X, pi) of its word in R's letters and each trace a
-    character sum of ``charring._operator_traces``.
+    character sum of ``long_cycles.operator_traces``.
     """
     group, chi = rep.group, rep.character()
     classes = [cls_[0] for cls_ in group.conjugacy_classes()]
@@ -131,7 +133,7 @@ def _word_sum_exterior_power_char(rep, r, n):
     acc = ClassFunction.constant(group, 0)
     for perm in itertools.permutations(range(n)):
         word = tuple(_adjacent_word(perm))
-        traced = ClassFunction(group, charring._operator_traces(chi, ops(word), classes))
+        traced = ClassFunction(group, operator_traces(chi, ops(word), classes))
         acc = acc - traced if len(word) % 2 else acc + traced
     return acc.scale(Fraction(1, math.factorial(n)))
 
@@ -891,14 +893,14 @@ def test_exterior_power_base_cases():
 def test_exterior_power_refuses_degrees_beyond_the_word_cap(monkeypatch):
     # 6! = 720 signed words fit under DIMENSION_CAP = 4096 and 7! = 5040 do
     # not.  A 1-dimensional rep passes the d^n cap at every n, so the
-    # refusal is decided on n alone, before ``check`` and before any word
-    # is formed, and for a huge n without forming n!.
+    # refusal is decided on n alone, before ``check`` and before any power
+    # sum is formed, and for a huge n without forming n!.
     assert not charring._too_many_words(6) and charring._too_many_words(7)
 
     def no_words(*args):
-        raise AssertionError("a word or d^n was formed")
+        raise AssertionError("a power sum or d^n was formed")
 
-    monkeypatch.setattr(Braiding, "_long_cycle", no_words)
+    monkeypatch.setattr(charring, "_power_sum", no_words)
     monkeypatch.setattr(Braiding, "check", no_words)
     for n in (7, 8, 10**12):
         message = f"exterior power degree {n} has over 4096 signed words"
@@ -982,7 +984,7 @@ def test_exterior_power_matches_dense_reference(name):
 @pytest.mark.parametrize("name", CATALOG_NAMES)
 def test_exterior_power_matches_the_signed_word_sum(name):
     # The n! signed words, each traced as a character sum over its (X, pi),
-    # against Newton's identity over one long cycle per degree: every
+    # against Newton's identity over one power sum per degree: every
     # distinct triangular structure and standard rep at n <= 4, and at n = 5
     # on the 1-term and 4-term structures, within the d^n cap.
     catalog = acceptance.triangular_catalog(name)
@@ -1000,13 +1002,13 @@ def test_exterior_power_fallback_passes_on_a_non_faithful_rep(monkeypatch):
     # s (x) s is unitary and solves Yang-Baxter but is not conjugation
     # invariant: ``Braiding.differences`` holds only equivariance
     # differences.  Every linear rep of S3 kills them, so ``validate``
-    # passes and Newton's identity gives the d^n projector's trace without
-    # building the d^n generators.
+    # passes, and at n = 2 Newton's identity gives the d^n projector's
+    # trace without building the d^n generators.  At n = 3 the power sums
+    # need the hexagon identities, which s (x) s fails, so after ``validate``
+    # the cube is refused, naming R's first failed check.
     r = _transposition_square()
     reps = linear_character_reps(r.group)
-    expected = {
-        (rep.name, n): _reference_exterior_power_char(rep, r, n) for rep in reps for n in (2, 3)
-    }
+    expected = {rep.name: _reference_exterior_power_char(rep, r, 2) for rep in reps}
     differences = []
     real_differences = Braiding._differences
 
@@ -1022,7 +1024,16 @@ def test_exterior_power_fallback_passes_on_a_non_faithful_rep(monkeypatch):
     for rep in reps:
         for n in (2, 3):
             differences.clear()
-            assert exterior_power_char(rep, r, n) == expected[rep.name, n]
+            if n == 2:
+                assert exterior_power_char(rep, r, n) == expected[rep.name]
+            else:
+                refusal = (
+                    "^braided power sums of degree 3 need an R-matrix; "
+                    "R fails commutes_with_diagonals$"
+                )
+                with pytest.raises(ValueError, match=refusal) as caught:
+                    exterior_power_char(rep, r, n)
+                assert caught.value.witness["check"] == "commutes_with_diagonals"
             [found] = differences
             assert found and {message for _, _, message, _ in found} == {
                 "the braided action is not equivariant"
@@ -1120,6 +1131,10 @@ def test_exterior_fallback_matches_generator_product_reference():
     # then ``validate``, message and witness.  The cases include non-faithful
     # reps that kill R's differences, projectors that are not idempotent or
     # not equivariant, and non-unitary R refused before any matrix is built.
+    # At n = 3 a projector that passes is still refused, after ``validate``,
+    # when R fails ``verify_qt``: the power sums need the hexagon identities.
+    # That refuses 63 cubes; on 29 of them Newton's identity over the closed
+    # form would differ from the projector's trace.
     outcomes = Counter()
     for name in CATALOG_NAMES:
         group = bundled_group(name)
@@ -1136,10 +1151,15 @@ def test_exterior_fallback_matches_generator_product_reference():
                             _outcome(braiding.check, rep, n) or _outcome(braiding.validate, rep, n)
                         )
                         assert expected is not None, (name, rep.name, n)
+                    elif n == 3 and not braiding.report.all_passed:
+                        expected = _outcome(braiding._check_hexagons, n)
                     assert actual == expected, (name, rep.name, n)
                     outcomes[actual[0] if isinstance(actual, tuple) else "passed"] += 1
+    hexagons = "braided power sums of degree 3 need an R-matrix; R fails "
     assert outcomes == {
-        "passed": 128,
+        "passed": 65,
+        hexagons + "commutes_with_diagonals": 32,
+        hexagons + "coproduct_on_right_leg": 31,
         "the braided action is not equivariant": 13,
         "adjacent generators fail the braid relation": 1,
         "the symmetric-group action needs a unitary R-matrix": 58,
@@ -1301,48 +1321,66 @@ def _count_criterion_work(monkeypatch, criterion, **counted):
 
 def test_criterion_06_forms_each_structures_braided_data_once(monkeypatch):
     # One Braiding per distinct triangular structure, shared by its reps:
-    # per structure R R21, the Yang-Baxter sides and the long cycle at n = 3,
-    # 6 GATensor products.  The words of all permutations at n = 3 took 176 in
-    # all, and forming them per (structure, rep) took 837.
+    # per structure R R21 (1), the Yang-Baxter sides (4) and, read once at
+    # n = 3, the report's ``verify_qt`` (5), 10 GATensor products.  The power
+    # sums form none; the long cycle at n = 3 as a product took 1, 132 in all
+    # with no report read, the words of all permutations at n = 3 took 176,
+    # and forming them per (structure, rep) took 837.
     counts, _ = _count_criterion_work(monkeypatch, acceptance.criterion_6)
-    assert counts["tensor"] == 132
+    assert counts["tensor"] == 220
     assert counts["matrix"] == counts["action"] == 0
 
 
 def test_criterion_07_reads_one_trace_table_per_structure_rep_and_prime(monkeypatch):
     # One long-cycle trace table for each of the 186 distinct (R, rep, p)
     # triples, shared by all roots, and no matrix action built for any.  The
-    # categorical trace of z^p is read from the character, and R R21 and
-    # tau^i = tau^(i-1) tau are formed once per structure: 66 GATensor
-    # products (88 when tau^i was the word of tau repeated i times, one
-    # product per letter), where forming them per (structure, rep) took 372
-    # GATensor and 574 Matrix products.
+    # categorical trace of z^p is read from the character, and R R21 and,
+    # read once at p = 3, the report's ``verify_qt`` (5) are formed once per
+    # structure: 132 GATensor products, none for tau or its powers.  Forming
+    # tau and tau^i = tau^(i-1) tau as products took 66 with no report read
+    # (88 when tau^i was the word of tau repeated i times), and forming them
+    # per (structure, rep) took 372 GATensor and 574 Matrix products.
     counts, recorded = _count_criterion_work(
         monkeypatch, acceptance.criterion_7, long_cycle_traces=2
     )
     assert Counter(recorded["long_cycle_traces"]) == {2: 93, 3: 93}  # 186 tables
-    assert counts["tensor"] == 66
+    assert counts["tensor"] == 132
     assert counts["matrix"] == counts["action"] == 0
 
 
-def test_long_cycle_powers_cost_one_product_each(monkeypatch):
-    # At p = 3: R R21, tau (the word s2 s1) and tau^2 = tau tau, one
-    # GATensor product each.
+def _products_inside_verify_qt(monkeypatch):
+    """Count GATensor products, keyed "verify_qt" inside ``charring.verify_qt`` and None outside."""
+    real_verify, real_mul = charring.verify_qt, GATensor.__mul__
+    inside, products_at = [], Counter()
+
+    def verify(tensor):
+        inside.append("verify_qt")
+        try:
+            return real_verify(tensor)
+        finally:
+            inside.pop()
+
+    def mul(left, right):
+        products_at[inside[-1] if inside else None] += 1
+        return real_mul(left, right)
+
+    monkeypatch.setattr(charring, "verify_qt", verify)
+    monkeypatch.setattr(GATensor, "__mul__", mul)
+    return products_at
+
+
+def test_long_cycle_powers_form_no_product(monkeypatch):
+    # At p = 3 on a fresh Braiding: R R21 and the report's ``verify_qt``,
+    # read for the hexagon identities; tau and tau^2 form no GATensor
+    # product (one each when they were built as products).
     catalog = acceptance.triangular_catalog("D4")
     rmats = (catalog.structures[m[0]].rmatrix for m in catalog.dedup)
     r = next(t for t in rmats if len(t.terms) == 16)
     rep = regular_rep(catalog.group)
     expected = _reference_cyclic_operation_char(rep, r, 3, root_of_unity(3))
-    calls = Counter()
-    real_mul = GATensor.__mul__
-
-    def counting(left, right):
-        calls["tensor"] += 1
-        return real_mul(left, right)
-
-    monkeypatch.setattr(GATensor, "__mul__", counting)
+    products_at = _products_inside_verify_qt(monkeypatch)
     assert cyclic_operation_char(rep, r, 3, root_of_unity(3)) == expected
-    assert calls["tensor"] == 3
+    assert products_at == {None: 1, "verify_qt": 5}
 
 
 def test_criterion_10_forms_braiding_differences_once_per_structure_and_power(monkeypatch):
@@ -1361,33 +1399,20 @@ def test_criterion_10_forms_braiding_differences_once_per_structure_and_power(mo
 def test_criteria_06_07_10_share_each_structures_braiding(monkeypatch):
     # On the same catalogs the three criteria read one ``Braiding`` per
     # distinct triangular structure, the one its catalog built for its dedup
-    # class, and build none.  Criterion 6 forms R R21, the long cycles and
-    # the differences at n <= 3; criterion 7 then forms only tau^2 = tau tau
-    # at p = 3, one product per structure; and criterion 10 forms nothing.
-    # Each building its own ``Braiding`` took 132, 66 and 110 products.
-    real_powers, real_mul = Braiding._cycle_powers, GATensor.__mul__
-    inside, products_at = [], Counter()
-
-    def powers(self, p):
-        inside.append(p)
-        try:
-            return real_powers(self, p)
-        finally:
-            inside.pop()
-
-    def mul(left, right):
-        products_at[inside[-1] if inside else None] += 1
-        return real_mul(left, right)
-
-    monkeypatch.setattr(Braiding, "_cycle_powers", powers)
-    monkeypatch.setattr(GATensor, "__mul__", mul)
+    # class, and build none.  Criterion 6 forms R R21, the differences at
+    # n <= 3 and, at n = 3, the report (``verify_qt``); criteria 7 and 10
+    # then form nothing.  Each building its own ``Braiding`` took 220, 132
+    # and 110 products.  With the long cycle and its powers formed as
+    # products the counts were 132, 22 (tau^2 at p = 3) and 0, and no report
+    # was read.
+    products_at = _products_inside_verify_qt(monkeypatch)
     criteria = [acceptance.criterion_6, acceptance.criterion_7, acceptance.criterion_10]
     (build, *per_criterion), recorded = _count_work(
         monkeypatch, criteria, __init__=0, exterior_power_char=0, long_cycle_traces=0, check=0
     )
     assert build["tensor"] == 0 and build["__init__"] == 44  # one per distinct structure
-    assert [c["tensor"] for c in per_criterion] == [132, 22, 0]
-    assert products_at == {None: 132, 3: 22}
+    assert [c["tensor"] for c in per_criterion] == [220, 0, 0]
+    assert products_at == {None: 110, "verify_qt": 110}
     assert [c["__init__"] for c in per_criterion] == [0, 0, 0]
     triangular = {
         id(s) for name in CATALOG_NAMES for s in acceptance.triangular_catalog(name).structures
@@ -1417,7 +1442,7 @@ def _leg_permutation_matrix(d, perm):
 )
 def test_word_operators_equal_the_generator_products(group, make_r):
     # For every permutation of three legs, the (X, pi) of its word, R's
-    # letters folded with ``charring._compose``, maps to rho(X) T_pi, the
+    # letters folded with ``long_cycles.compose``, maps to rho(X) T_pi, the
     # product of the d^3 generators along the word, and its character sum
     # against each g equals the trace of g^(x)3 times that product; R need
     # not be an R-matrix for either to hold.
@@ -1431,7 +1456,7 @@ def test_word_operators_equal_the_generator_products(group, make_r):
         x, pi = op
         operator = _permutation_matrix(action, perm)
         assert charring._image(rep, x) @ _leg_permutation_matrix(rep.dim, pi) == operator
-        traces = charring._operator_traces(rep.character(), op, elements)
+        traces = operator_traces(rep.character(), op, elements)
         assert traces == [(_kron_power(rep, g, 3) @ operator).trace() for g in elements], perm
 
 
@@ -1493,9 +1518,8 @@ def test_power_sums_and_exterior_powers_against_twisted_adams():
                 if rep.dim**k > charring.DIMENSION_CAP:
                     continue
                 if k >= 2:
-                    op = structure.long_cycle(k)
-                    power_sum = ClassFunction(
-                        rep.group, charring._operator_traces(chi, op, classes)
+                    power_sum = ClassFunction._make(
+                        rep.group, *charring._power_sum(structure.rmatrix, chi, k, classes)
                     )
                     counts["p"] += 1
                     if power_sum != adams_twisted(chi, u, k):
@@ -1510,24 +1534,109 @@ def test_power_sums_and_exterior_powers_against_twisted_adams():
     }
 
 
-def test_exterior_powers_form_one_long_cycle_per_degree(monkeypatch):
+def test_exterior_powers_form_no_long_cycle(monkeypatch):
     # On the first 16-term Z2xZ2 structure, all five standard reps at
-    # n = 2 .. 6 form 15 GATensor products on one Braiding: R R21, the
+    # n = 2 .. 6 form 10 GATensor products on one Braiding: R R21, the
     # Yang-Baxter sides once for every n >= 3 (4; 16 when each n formed
-    # them) and tau_k at one product per letter after the first (10).  The
+    # them) and the report's ``verify_qt`` once (5).  The power sums form
+    # none: tau_k at one product per letter after the first took 10, and the
     # n! signed words took at least 714 at n = 6 alone, and over a minute.
     catalog = acceptance.triangular_catalog("Z2xZ2")
     r = next(s.rmatrix for s in catalog.structures if len(s.rmatrix.terms) == 16)
     braiding, reps = Braiding(r), standard_reps(bundled_group("Z2xZ2"))
-    calls = Counter()
-    real_mul = GATensor.__mul__
-
-    def counting(left, right):
-        calls["tensor"] += 1
-        return real_mul(left, right)
-
-    monkeypatch.setattr(GATensor, "__mul__", counting)
+    products_at = _products_inside_verify_qt(monkeypatch)
     for n in range(2, 7):
         for rep in reps:
             braiding.exterior_power_char(rep, n)
-    assert len(reps) == 5 and calls["tensor"] == 15
+    assert len(reps) == 5 and products_at == {None: 5, "verify_qt": 5}
+
+
+def test_power_sums_and_cycle_tables_match_the_long_cycle_products():
+    # The closed forms against the GATensor-product oracle (``long_cycles``),
+    # which traces the long cycle and its powers without any hexagon
+    # identity: on the 22 unitary catalog structures and every standard rep,
+    # p_k at k = 2 .. 5 on every class, and the long-cycle trace table at
+    # p = 2 .. 4 wherever d^p <= DIMENSION_CAP.
+    unitary = [
+        catalog.structures[members[0]]
+        for catalog in map(acceptance.qt_catalog, CATALOG_NAMES)
+        for members in catalog.dedup
+        if catalog.structures[members[0]].unitary
+    ]
+    assert len(unitary) == 22
+    counts = Counter()
+    for structure in unitary:
+        r = structure.rmatrix
+        classes = [cls_[0] for cls_ in r.group.conjugacy_classes()]
+        for rep in standard_reps(r.group):
+            chi = rep.character()
+            for k in range(2, 6):
+                closed = ClassFunction._make(r.group, *charring._power_sum(r, chi, k, classes))
+                assert closed == long_cycles.power_sum(r, chi, k), (rep.name, k)
+                counts["p"] += 1
+            for p in range(2, 5):
+                if rep.dim**p <= charring.DIMENSION_CAP:
+                    expected = long_cycles.long_cycle_traces(rep, r, p)
+                    assert structure.long_cycle_traces(rep, p) == expected, (rep.name, p)
+                    counts["table"] += 1
+    assert counts == {"p": 412, "table": 309}
+
+
+def test_power_sums_on_a_warm_braiding_form_no_product(monkeypatch):
+    # Once R's report, R R21 and braided differences exist, the first
+    # exterior power at n = 2 .. 5 and the first long-cycle table at
+    # p = 2 .. 5 form no GATensor product on any standard rep: the power
+    # sums are read from R's terms.  With tau_k formed as a product, every
+    # degree >= 3 formed at least one.
+    catalog = acceptance.triangular_catalog("Z2xZ2")
+    r = next(s.rmatrix for s in catalog.structures if len(s.rmatrix.terms) == 16)
+    braiding = Braiding(r)
+    assert braiding.report.all_passed and braiding.unitary
+    for n in range(2, 6):
+        braiding.differences(n)
+    reps = standard_reps(r.group)
+    expected = {
+        (rep.name, n): long_cycles.long_cycle_traces(rep, r, n) for rep in reps for n in range(2, 6)
+    }
+
+    def no_product(*args):
+        raise AssertionError("a GATensor product was formed")
+
+    monkeypatch.setattr(GATensor, "__mul__", no_product)
+    for rep in reps:
+        for n in range(2, 6):
+            braiding.exterior_power_char(rep, n)
+            assert braiding.long_cycle_traces(rep, n) == expected[rep.name, n]
+
+
+def test_power_sums_past_degree_two_refuse_an_r_that_fails_the_hexagons():
+    # R = g (x) g on Z2 is unitary, solves Yang-Baxter, commutes with every
+    # diagonal and has Markov element e, but fails both hexagons (and both
+    # counit laws).  At degree
+    # 2 the closed form is the literal trace; at degree 3 it is not: the
+    # literal p_3(h) is chi(h^3) and the closed form gives chi(h^3 g).  So
+    # the cube and the table at p = 3 are refused (they returned the literal
+    # values when the long cycle was formed as a product).
+    z2 = bundled_group("Z2")
+    r, rep = GATensor.basis(z2, 1, 1), regular_rep(z2)
+    braiding, chi = Braiding(r), rep.character()
+    assert braiding.unitary and braiding.markov_index == z2.identity
+    assert braiding.differences(3) == []
+    failed = [c.name for c in braiding.report.failed()]
+    assert failed == [
+        "coproduct_on_right_leg", "coproduct_on_left_leg", "counit_left", "counit_right"
+    ]
+    assert long_cycles.power_sum(r, chi, 3) == ClassFunction(z2, [2, 0])
+    assert ClassFunction._make(z2, *charring._power_sum(r, chi, 3, [0, 1])) == ClassFunction(
+        z2, [0, 2]
+    )
+    assert exterior_power_char(rep, r, 2) == _reference_exterior_power_char(rep, r, 2)
+    assert braiding.long_cycle_traces(rep, 2) == long_cycles.long_cycle_traces(rep, r, 2)
+    message = "^braided power sums of degree 3 need an R-matrix; R fails coproduct_on_right_leg$"
+    with pytest.raises(ValueError, match=message) as caught:
+        exterior_power_char(rep, r, 3)
+    assert caught.value.witness["check"] == "coproduct_on_right_leg"
+    with pytest.raises(ValueError, match=message):
+        braiding.long_cycle_traces(rep, 3)
+    with pytest.raises(ValueError, match=message):
+        cyclic_operation_char(rep, r, 3, root_of_unity(3))

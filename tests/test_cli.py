@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -226,7 +227,10 @@ def test_cli_markov(workdir, capsys):
 
 
 def test_cli_adams_and_lambda(workdir, capsys, monkeypatch):
-    # The test characters are read without building a matrix representation.
+    # The test characters are read without building a matrix representation
+    # once Z2's standard reps exist: they are built here first, so the test
+    # does not depend on what ran before it.
+    charring.standard_reps(bundled_group("Z2"))
     refuse = lambda *args, **kwargs: pytest.fail("adams and lambda build no MatrixRep")
     monkeypatch.setattr(MatrixRep, "__init__", refuse)
     assert main(["adams", "--group", "Z2", "--u", "1", "--n", "2"]) == 0
@@ -255,7 +259,7 @@ def test_cli_exterior_with_cyclic(workdir, capsys):
 
 
 def test_cli_exterior_sixth_power_on_a_16_term_structure(workdir, capsys):
-    # Z2xZ2's first 16-term triangular datum at n = 6: one long cycle per
+    # Z2xZ2's first 16-term triangular datum at n = 6: one power sum per
     # degree, not 720 signed words per representation (over a minute when
     # every word was formed), and every row matches the Newton recursion.
     catalog = acceptance.triangular_catalog("Z2xZ2")
@@ -362,11 +366,11 @@ def test_cli_bad_option_values_are_input_errors(workdir, capsys, argv, message):
 @pytest.mark.parametrize("n", [7, 1000000000000])
 def test_cli_exterior_refuses_degrees_beyond_the_word_cap(workdir, capsys, monkeypatch, n):
     # 7! signed words exceed DIMENSION_CAP; the degree is refused before any
-    # input is read, any representation is built or any word is formed.
+    # input is read, any representation is built or any power sum is formed.
     def fail(*args):
         raise AssertionError("work was done for a refused degree")
 
-    monkeypatch.setattr(charring.Braiding, "_long_cycle", fail)
+    monkeypatch.setattr(charring, "_power_sum", fail)
     monkeypatch.setattr(cli, "standard_reps", fail)
     monkeypatch.setattr(cli, "_load_rmatrix", fail)
     _write(workdir / "datum.json", z2_datum_doc())
@@ -588,6 +592,43 @@ def test_cli_exterior_refuses_a_rep_that_keeps_a_braided_difference(workdir, cap
     assert main(["exterior", "--rmatrix", "r.json", "--n", "2"]) == 3
     error = json.loads(capsys.readouterr().out)["error"]
     assert error == {"kind": "invariant", "message": "the braided action is not equivariant"}
+
+
+_NOT_TRIANGULAR = {"kind": "input", "message": "exterior needs a triangular R-matrix"}
+
+
+@pytest.mark.parametrize(
+    "terms, argv, status, digest_or_error",
+    [
+        # g (x) g on Z2: unitary, Yang-Baxter, equivariant, but not an R-matrix
+        ({(1, 1): 1}, ["--n", "2"], 0,
+         "ee3ee7682d3515847f2af8d07839b93ba06ac3318d7b77f1186813673155788a"),
+        ({(1, 1): 1}, ["--n", "2", "--p", "2"], 0,
+         "2ea00fa8df90c53f64dfe4e447532dd869db494a988d29b8d8ffc96ede7b42e7"),
+        ({(1, 1): 1}, ["--n", "3"], 2, _NOT_TRIANGULAR),
+        ({(1, 1): 1}, ["--n", "2", "--p", "3"], 2, _NOT_TRIANGULAR),
+        # -(e (x) e): unitary, but its Markov element -e is not grouplike
+        ({(0, 0): -1}, ["--n", "2"], 3,
+         {"kind": "invariant", "message": "the R-matrix has no grouplike Markov element"}),
+        ({(0, 0): -1}, ["--n", "3"], 2, _NOT_TRIANGULAR),
+        ({(0, 0): -1}, ["--n", "2", "--p", "3"], 2, _NOT_TRIANGULAR),
+    ],
+)
+def test_cli_exterior_past_degree_two_needs_an_r_matrix(
+    workdir, capsys, terms, argv, status, digest_or_error
+):
+    # The power sums past degree 2 are read from R's terms by the hexagon
+    # identities, so a unitary R that fails ``verify_qt`` is refused at
+    # n >= 3 or p >= 3 with exit 2.  At degree 2 the output is unchanged
+    # (the digests are those of the long cycles formed as products); the
+    # refusals at degree 3 were exit 0 for g (x) g and exit 3 for -(e (x) e).
+    _write(workdir / "r.json", jsonio.tensor_to_json(GATensor(bundled_group("Z2"), 2, terms)))
+    assert main(["exterior", "--rmatrix", "r.json", *argv]) == status
+    out = capsys.readouterr().out
+    if isinstance(digest_or_error, str):
+        assert hashlib.sha256(out.encode()).hexdigest() == digest_or_error
+    else:
+        assert json.loads(out)["error"] == digest_or_error
 
 
 def test_cli_markov_from_tensor(workdir, capsys, monkeypatch):

@@ -135,6 +135,30 @@ def test_roots_of_unity_power_and_sum():
         assert total == 0
 
 
+def test_power_is_repeated_product_with_the_fewest_products(monkeypatch):
+    # x**n equals n-fold multiplication; square-and-multiply forms no
+    # product by 1 and no square past the last bit: x**1 is x itself and
+    # x**2 one product.
+    x = CycScalar(12, [Fraction(1, 2), -1, 0, 3])
+    expected = [CycScalar.one(12)]
+    for _ in range(9):
+        expected.append(expected[-1] * x)
+    real_mul, products = CycScalar.__mul__, []
+
+    def counting(left, right):
+        products.append(1)
+        return real_mul(left, right)
+
+    monkeypatch.setattr(CycScalar, "__mul__", counting)
+    counts = []
+    for n, value in enumerate(expected):
+        products.clear()
+        assert x**n == value, n
+        counts.append(len(products))
+    assert x**1 is x
+    assert counts == [0, 0, 1, 2, 2, 3, 3, 4, 3, 4]
+
+
 def test_canonical_form_uniqueness():
     a = root_of_unity(6, 2)
     b = root_of_unity(3, 1)
