@@ -37,10 +37,11 @@ from .cyclotomic import (
     times,
 )
 from .groups import FiniteGroup, closure, subgroup_structure
-from .hopf import GATensor, difference_witness
+from .hopf import GATensor, _summed, difference_witness
 from .linalg import Matrix
 from .rmatrix import (
-    VerificationReport, commutes_with_diagonal, leg_products, markov_element, verify_qt
+    LegProducts, VerificationReport, commutes_with_diagonal, leg_products, markov_element,
+    verify_qt,
 )
 
 #: Largest tensor-power dimension handled by the braided-action machinery.
@@ -176,18 +177,19 @@ class MatrixRep:
     """A matrix representation of a finite group over cyclotomic scalars.
 
     The homomorphism law rho(s) rho(h) = rho(sh) is checked for every h but
-    only for s in a generating set, grown greedily in element order.  That
-    is the full law: in a finite group every g is a positive word
-    s1 s2 ... sk in the generators, and induction on k gives
+    only for s in the group's ``generating_set``.  That is the full law: in
+    a finite group every g is a positive word s1 s2 ... sk in the
+    generators, and induction on k gives
     rho(g) rho(h) = rho(s1) rho(s2 ... sk h) = rho(gh), since
     rho(s1 g') = rho(s1) rho(g') is the checked law at h = g'.  When every
     rho(g) holds one entry 1 per column (``_column_map``), as permutation
-    matrices do, the law compares column maps composed without a product.
-    The character is traced once, after the law holds, and ``renamed``
-    copies share it.
+    matrices do, the law composes column maps, kept as ``maps`` for
+    ``_image`` (None otherwise); a 1x1 rep multiplies integer coordinates.
+    Neither forms a matrix product.  The character is traced once, after
+    the law holds, and ``renamed`` copies share it and the maps.
     """
 
-    __slots__ = ("group", "dim", "mats", "name", "_character")
+    __slots__ = ("group", "dim", "mats", "name", "maps", "_character")
 
     def __init__(self, group: FiniteGroup, mats, name: str = "rep"):
         mats = tuple(mats)
@@ -198,27 +200,28 @@ class MatrixRep:
             raise ValueError("identity element must act as the identity matrix")
         if any(m.nrows != dim or m.ncols != dim for m in mats):
             raise ValueError("all matrices must share the representation dimension")
-        generators: list[int] = []
-        span = frozenset((group.identity,))
-        for g in group.elements():
-            if g not in span:
-                generators.append(g)
-                span = closure(generators, group.identity, group.mul)
-        maps = [_column_map(m) for m in mats]
-        by_maps = None not in maps
-        for g in generators:
-            for h in group.elements():
-                gh = group.table[g][h]
-                if by_maps:  # column j of rho(g) rho(h) is column maps[h][j] of rho(g)
-                    holds = tuple(map(maps[g].__getitem__, maps[h])) == maps[gh]
-                else:
-                    holds = mats[g] @ mats[h] == mats[gh]
-                if not holds:
+        maps = tuple(_column_map(m) for m in mats)
+        maps = None if None in maps else maps
+        if maps is not None:  # column j of rho(g) rho(h) is column maps[h][j] of rho(g)
+            def holds(g, h, gh):
+                return tuple(map(maps[g].__getitem__, maps[h])) == maps[gh]
+        elif dim == 1:  # (x_g / D)(x_h / D) = x_gh / D on integer coordinates
+            order, den, x = _scalar_rows(mats)
+
+            def holds(g, h, gh):
+                return times(x[g], x[h], order) == tuple(den * c for c in x[gh])
+        else:
+            def holds(g, h, gh):
+                return mats[g] @ mats[h] == mats[gh]
+        for g in group.generating_set:
+            for h, gh in enumerate(group.table[g]):
+                if not holds(g, h, gh):
                     raise ValueError(f"matrices fail the homomorphism law on ({g}, {h})")
         self.group = group
         self.dim = dim
         self.mats = mats
         self.name = name
+        self.maps = maps
         self._character = ClassFunction.from_function(group, lambda g: mats[g].trace())
 
     def matrix(self, g: int) -> Matrix:
@@ -228,7 +231,7 @@ class MatrixRep:
         """The same checked matrices under another name."""
         out = object.__new__(MatrixRep)
         out.group, out.dim, out.mats, out.name = self.group, self.dim, self.mats, name
-        out._character = self._character
+        out.maps, out._character = self.maps, self._character
         return out
 
     def character(self) -> ClassFunction:
@@ -241,9 +244,21 @@ class MatrixRep:
 def _column_map(m: Matrix) -> tuple[int, ...] | None:
     """The row of each column's entry when every column holds one entry 1, else None."""
     cols = [m.cols.get(j, {}) for j in range(m.ncols)]
-    if m.den != 1 or any(len(col) != 1 or (1,) not in col.values() for col in cols):
+    one = (1,) + (0,) * (euler_phi(m.order) - 1)
+    if m.den != 1 or any(len(col) != 1 or one not in col.values() for col in cols):
         return None
     return tuple(i for col in cols for i in col)
+
+
+def _scalar_rows(mats) -> tuple[int, int, list[tuple]]:
+    """(N, D, x) for 1x1 matrices: x[g] the coordinates of D times entry g at order N."""
+    order = math.lcm(1, *(m.order for m in mats))
+    den = math.lcm(1, *(m.den for m in mats))
+    zero = (0,) * euler_phi(order)
+    entries = (m._lifted(order).get(0, {}).get(0) for m in mats)
+    return order, den, [
+        zero if v is None else tuple(den // m.den * c for c in v) for m, v in zip(mats, entries)
+    ]
 
 
 # The linear character reps and the regular rep are built and checked once per
@@ -499,9 +514,10 @@ class BraidedAction:
     Distant generators commute for every R: R12 R34 and R34 R12 have the
     same terms, legwise.
 
-    ``Braiding.generators`` builds B and the s_i: one accumulation pass
-    for (rho (x) rho)(R), then B and each s_i by re-indexing its columns
-    and rows, with no matrix product or Kronecker product.  The
+    ``Braiding.generators`` builds B and the s_i: one pass for
+    (rho (x) rho)(R) (``_image``, which re-keys R's rows when the rep keeps
+    column maps), then B and each s_i by re-indexing its columns and rows,
+    with no matrix product or Kronecker product.  The
     exterior-power and long-cycle traces never build these matrices:
     they are character sums over R's terms (see ``_power_sum``).
     """
@@ -526,7 +542,8 @@ class Braiding:
     """One R-matrix and all that is read from it, each part formed on first use.
 
     ``report``, ``markov`` (u, and ``markov_index``), R R21 (``square``,
-    ``unitary``), ``yang_baxter_sides`` and per tensor power n the braided
+    ``unitary``), R's leg products (``legs``) and ``yang_baxter_sides``,
+    which ``report`` reads too, and per tensor power n the braided
     differences depend on R alone: one ``Braiding`` serves a catalog's dedup
     class and every representation.  The braided power sums behind the
     exterior powers and the cyclic traces are read from R's terms on each
@@ -536,11 +553,22 @@ class Braiding:
 
     def __init__(self, rmatrix: GATensor):
         self.rmatrix = rmatrix
-        self.differences = functools.cache(self._differences)
+        self._differences_at: dict[int, list[tuple]] = {}
+
+    def differences(self, power: int) -> list[tuple]:
+        """``_differences(power)``, formed once per power.
+
+        Kept in a dict: a cache on the bound method would be a reference
+        cycle, holding a dropped ``Braiding``'s tensors until a GC pass.
+        """
+        if power not in self._differences_at:
+            self._differences_at[power] = self._differences(power)
+        return self._differences_at[power]
 
     @functools.cached_property
     def report(self) -> VerificationReport:
-        return verify_qt(self.rmatrix)
+        """``verify_qt`` of R, reading the leg products and Yang-Baxter sides kept here."""
+        return verify_qt(self.rmatrix, self.legs, self.yang_baxter_sides)
 
     @functools.cached_property
     def markov(self) -> GATensor:
@@ -563,9 +591,14 @@ class Braiding:
         return self.rmatrix * self.rmatrix.swap()
 
     @functools.cached_property
+    def legs(self) -> LegProducts:
+        """R's three-leg products (``leg_products``), read by ``report`` and the braid relation."""
+        return leg_products(self.rmatrix)
+
+    @functools.cached_property
     def yang_baxter_sides(self) -> tuple[GATensor, GATensor]:
         """R12 R13 R23 and R23 R13 R12, the same pair at every tensor power n >= 3."""
-        return leg_products(self.rmatrix).yang_baxter_sides()
+        return self.legs.yang_baxter_sides()
 
     @functools.cached_property
     def unitary(self) -> bool:
@@ -589,9 +622,12 @@ class Braiding:
         Each is (left, right, message, extra): R R21 against 1; for
         power >= 3 the Yang-Baxter sides; then R against its conjugate by each
         g (x) g that ``commutes_with_diagonal`` rejects, with extra {"element": g}.
+        The g whose g (x) g fixes R form a subgroup, so the elements are
+        scanned only when some g of the group's ``generating_set`` does not.
         """
         rmatrix, square = self.rmatrix, self.square
-        unit = GATensor.unit(rmatrix.group, 2)
+        group = rmatrix.group
+        unit = GATensor.unit(group, 2)
         out = []
         if square != unit:
             out.append((square, unit, "a braided generator fails to square to the identity", {}))
@@ -599,7 +635,9 @@ class Braiding:
             left, right = self.yang_baxter_sides
             if left != right:
                 out.append((left, right, "adjacent generators fail the braid relation", {}))
-        for g in rmatrix.group.elements():
+        if all(commutes_with_diagonal(rmatrix, g) for g in group.generating_set):
+            return out
+        for g in group.elements():
             if not commutes_with_diagonal(rmatrix, g):
                 conj = rmatrix.adjoint_action(g, 1).adjoint_action(g, 2)
                 out.append((rmatrix, conj, "the braided action is not equivariant", {"element": g}))
@@ -610,12 +648,15 @@ class Braiding:
 
         Both are ``_image(rep, R)`` re-indexed, without ``check`` and with no
         scalar arithmetic: column (a, b) of B is column (b, a) of the image,
-        and s_j holds B's coordinate tuples at shifted rows and columns.
+        and s_j holds B's coordinate tuples at shifted rows and columns.  At
+        power 2, s_1 is B itself, the same object.
         """
         d = rep.dim
         image = _image(rep, self.rmatrix)
         swapped = {j % d * d + j // d: col for j, col in image.cols.items()}
         braid = Matrix._make(d * d, d * d, image.order, image.den, swapped)
+        if power == 2:
+            return braid, [braid]
         out = []
         for slot in range(1, power):
             right, blocks = d ** (power - slot - 1), range(0, d ** (slot + 1), d * d)
@@ -724,13 +765,32 @@ def _image(rep: MatrixRep, tensor: GATensor) -> Matrix:
     """rho^(x)k of an arity-k tensor: the sum of c rho(g1) (x) ... (x) rho(gk), in one pass.
 
     The tensor's rows and the rho(g) its terms use are lifted once to one
-    order and one denominator.  Each term is expanded leg by leg into
-    (column, row, coordinates) entries, all are summed in one column dict,
-    and zero sums are dropped at the end.
+    order and one denominator.  When the rep keeps column ``maps``, a term
+    c (g1 ... gk) puts c at row (map_g1[j1], ..., map_gk[jk]) of column
+    (j1, ..., jk), with no arithmetic: one dict per column, summed only
+    where terms meet at one row (as on the trivial rep).  Otherwise each term
+    is expanded leg by leg into (column, row, coordinates) entries, all are
+    summed in one column dict, and zero sums are dropped at the end.
     """
     d = rep.dim
     used = {g: rep.matrix(g) for key in tensor.rows for g in key}
     order = math.lcm(tensor.order, *(m.order for m in used.values()))
+    dim = d**tensor.arity
+    if rep.maps is not None:
+        terms = tensor._lifted(order)
+        hits = []  # per term, the row it lands on in each column
+        for key in terms:
+            at = [0]
+            for g in key:
+                at = [i * d + r for i in at for r in rep.maps[g]]
+            hits.append(at)
+        values, cols = list(terms.values()), {}
+        for j, rows in enumerate(zip(*hits)):
+            col = dict(zip(rows, values))
+            if len(col) < len(values) and not (col := _summed(zip(rows, values))):
+                continue
+            cols[j] = col
+        return Matrix._make(dim, dim, order, tensor.den, cols)
     mden = math.lcm(1, *(m.den for m in used.values()))
     legs = {
         g: [(j, i, tuple(mden // m.den * x for x in v))
@@ -747,7 +807,6 @@ def _image(rep: MatrixRep, tensor: GATensor) -> Matrix:
             col = acc.setdefault(j, {})
             col[i] = tuple(map(operator.add, col[i], v)) if i in col else v
     cols = {j: kept for j, col in acc.items() if (kept := {i: v for i, v in col.items() if any(v)})}
-    dim = d**tensor.arity
     return Matrix._make(dim, dim, order, tensor.den * mden**tensor.arity, cols)
 
 

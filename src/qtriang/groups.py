@@ -119,6 +119,22 @@ class FiniteGroup:
         )
 
     @cached_property
+    def generating_set(self) -> tuple[int, ...]:
+        """Generators grown greedily in element order: g joins when the earlier ones miss it.
+
+        When the g with some property form a subgroup, it holds on every g once
+        it holds on these, and the least g failing it is one of them: a
+        non-generator lies in the span of the generators before it.
+        """
+        gens: list[int] = []
+        span = frozenset((self.identity,))
+        for g in self.elements():
+            if g not in span:
+                gens.append(g)
+                span = closure(gens, self.identity, self.mul)
+        return tuple(gens)
+
+    @cached_property
     def _center(self) -> tuple[int, ...]:
         return tuple(z for z in self.elements() if all(row[z] == z for row in self.conj))
 

@@ -11,7 +11,8 @@ validation are timed apart, on the regular representation, for the
 The image rho^(x)k of one tensor, which construction and validation
 start from, is timed on the regular representation for the 16-term D4
 and the 4-term Q8 structure (k = 2) and for the left Yang-Baxter side
-R12 R13 R23 of the 16-term D4 structure (k = 3).
+R12 R13 R23 of each (k = 3).  The regular representation keeps its
+column maps, so these images re-key R's rows without scalar arithmetic.
 Validation runs on a fresh ``Braiding`` in each round, so R R21 and R's
 braided differences are formed every time, as on a first call.  The
 exterior square and cube and the long-cycle trace table at p = 2 and 3 are
@@ -63,7 +64,7 @@ from qtriang.rmatrix import leg_products
 
 CASES = [("D4", 4), ("D4", 16), ("Q8", 4)]
 TRACE_CASES = [("D4", 16), ("Q8", 4)]
-IMAGE_CASES = [("D4", 16, 2), ("Q8", 4, 2), ("D4", 16, 3)]
+IMAGE_CASES = [("D4", 16, 2), ("Q8", 4, 2), ("D4", 16, 3), ("Q8", 4, 3)]
 
 
 def _structure(name: str, terms: int):

@@ -114,9 +114,9 @@ def test_shared_results_equal_fresh_verification(name):
 def test_verify_qt_runs_once_per_exact_form(monkeypatch):
     calls = []
 
-    def counting_verify_qt(tensor):
+    def counting_verify_qt(tensor, *shared):
         calls.append(tensor)
-        return verify_qt(tensor)
+        return verify_qt(tensor, *shared)
 
     monkeypatch.setattr(charring, "verify_qt", counting_verify_qt)
     cat = enumerate_qt(bundled_group("D4"))

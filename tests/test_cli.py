@@ -126,9 +126,9 @@ def test_cli_classify_triangular_verifies_each_triangular_class_once(workdir, mo
     calls = []
     real = charring.verify_qt
 
-    def counting(tensor):
+    def counting(tensor, *shared):
         calls.append(tensor)
-        return real(tensor)
+        return real(tensor, *shared)
 
     monkeypatch.setattr(charring, "verify_qt", counting)
     distinct = 0

@@ -119,6 +119,28 @@ def derived_test_groups():
     return [bundled_group(name) for name in CATALOG_NAMES] + loaded
 
 
+def _span_oracle(g, gens):
+    """All products of gens, grown one factor at a time from the identity."""
+    span = {g.identity}
+    while True:
+        grown = span | {g.mul(x, s) for x in span for s in gens}
+        if grown == span:
+            return span
+        span = grown
+
+
+@pytest.mark.parametrize("g", derived_test_groups(), ids=lambda g: g.name)
+def test_generating_set_is_grown_greedily_in_element_order(g):
+    # g is a generator exactly when the generators before it miss it, and
+    # together they give the whole group; the set is kept on the group.
+    gens = g.generating_set
+    for x in g.elements():
+        before = [s for s in gens if s < x]
+        assert (x in gens) == (x not in _span_oracle(g, before)), x
+    assert _span_oracle(g, gens) == set(g.elements())
+    assert g.generating_set is gens
+
+
 @pytest.mark.parametrize("g", derived_test_groups(), ids=lambda g: g.name)
 def test_group_tables_match_a_recomputation_and_are_built_once(g):
     elements = g.elements()

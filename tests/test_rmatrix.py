@@ -459,6 +459,76 @@ def test_commutes_with_diagonal_agrees_with_the_products():
     assert outcomes == {True, False}
 
 
+def _scanned_commutation(report, name, x):
+    """``add_commutation`` scanning every g in element order, without the generators first."""
+    for g in x.group.elements():
+        if not commutes_with_diagonal(x, g):
+            b = _diagonal(x, g)
+            report.add(name, False, {"element": g, **difference_witness(x * b, b * x)})
+            return
+    report.add(name, True)
+
+
+def _off_center_tensors(group):
+    """Every basis tensor g and g x h, and each distinct catalog R plus (1/3) a x e, a not central."""
+    center = set(group.center())
+    for a in group.elements():
+        yield GATensor.basis(group, a)
+        for b in group.elements():
+            yield GATensor.basis(group, a, b)
+    catalog = qt_catalog(group.name)
+    for members in catalog.dedup:
+        r = catalog.structures[members[0]].rmatrix
+        for a in sorted(set(group.elements()) - center):
+            yield r + GATensor.basis(group, a, group.identity).scale(Fraction(1, 3))
+
+
+def test_add_commutation_by_generators_equals_the_element_scan(monkeypatch):
+    # Same report rows and witnesses as the scan over every g, on the
+    # candidates above and on tensors off the centre of S3, D4 and Q8, and
+    # so for ``verify_qt`` and ``verify_markov`` of the first failing arity-2
+    # tensor with several terms on each group (each of these solves for an
+    # inverse in k[G]^2).  The g
+    # that fail include non-generators, and some tensors pass at the first
+    # generator but fail at a later one.  The least failing g is always a
+    # generator (``FiniteGroup.generating_set``): a tensor whose first
+    # failing element is not a generator does not exist.
+    seen = {"non-generator": 0, "later generator": 0}
+    perturbed = []
+    candidates = list(_commutation_candidates())
+    for name in ("S3", "D4", "Q8"):
+        candidates += _off_center_tensors(bundled_group(name))
+    for x in candidates:
+        fast, slow = VerificationReport(), VerificationReport()
+        fast.add_commutation("commutes", x)
+        _scanned_commutation(slow, "commutes", x)
+        assert _report_rows(fast) == _report_rows(slow)
+        gens = x.group.generating_set
+        failing = [g for g in x.group.elements() if not commutes_with_diagonal(x, g)]
+        if failing:
+            assert failing[0] in gens and fast.checks[0].witness["element"] == failing[0]
+            seen["non-generator"] += any(g not in gens for g in failing)
+            seen["later generator"] += failing[0] != gens[0]
+            if x.arity == 2 and len(x.terms) > 1 and x.group not in {y.group for y in perturbed}:
+                perturbed.append(x)
+    assert all(seen.values()) and perturbed
+
+    def reports():
+        return [(_report_rows(verify_qt(x)), _rows_or_error(verify_markov, x)) for x in perturbed]
+
+    fast = reports()
+    assert any(isinstance(m, list) and not m[3][1] for _, m in fast)  # u not central
+    monkeypatch.setattr(VerificationReport, "add_commutation", _scanned_commutation)
+    assert fast == reports()
+
+
+def _rows_or_error(verify, x):
+    try:
+        return _report_rows(verify(x))
+    except ValueError as exc:  # R21 R not invertible
+        return str(exc)
+
+
 # -- minimal supports and the pairing map against a reference ----------------
 #
 # The reference keeps the design that reduces a subspace again for every
