@@ -6,16 +6,17 @@ powers whose classes depend only on u.  This module realizes both sides
 of that statement concretely: matrix representations with their braided
 symmetric-group actions, exterior powers and the traces of the braided
 long cycle behind the cyclic operations on one side; class functions with
-twisted Adams operations and the Newton-type lambda/sigma recursions on
-the other.  One ``Braiding`` per R holds its report, Markov element, R R21
+twisted Adams operations and one Newton recurrence (``_newton``) for lambda,
+sigma and exterior powers on the other.  One ``Braiding`` per R holds its
+report, Markov element, R R21
 and braided differences.  The braided power sums
 p_k(g) = tr(g^(x)k tau_k), tau_k the long cycle, are one character sum over
 R's terms (``_power_sum``), on integer rows; they give the exterior powers
 by Newton's identity once the representation kills R's braided differences,
 and the cyclic traces as their powers.  No d^n matrix is multiplied.  A
 class function is stored as a matrix is, integer rows at one order and one
-denominator: twisted Adams operations re-index its rows, and the recursions
-run on integers, reading CycScalars only when ``values`` is first asked
+denominator: twisted Adams operations re-index its rows, and the recurrence
+runs on integers, reading CycScalars only when ``values`` is first asked
 for.  All is exact.
 """
 
@@ -365,72 +366,73 @@ def adams_twisted(x: ClassFunction, u: int, k: int) -> ClassFunction:
 
 
 def _lambda_sequence(x: ClassFunction, n: int, u: int) -> list[ClassFunction]:
-    psis = [adams_twisted(x, u, k) for k in range(1, n + 1)]
-    return _recursive_series(x.group, psis, newton=True)
+    """lambda^0_u(x) .. lambda^n_u(x), from psi^k_u(x) for k up to min(n, ``period``)."""
+    group = x.group
+    return _newton(group, [adams_twisted(x, u, k) for k in range(1, min(n, group.period) + 1)], n)
 
 
-def _recursive_series(group: FiniteGroup, coeffs, newton: bool) -> list[ClassFunction]:
-    """s_0 = 1 and s_m = w_m sum_{k=1..m} (-1)^(k-1) c_k s_(m-k), for c_k = coeffs[k-1].
+def _newton(group: FiniteGroup, sums, n: int) -> list[ClassFunction]:
+    """a_0 .. a_n of exp(sum_k (-1)^(k-1) p_k t^k / k), p_k = sums[(k-1) % P], P = len(sums).
 
-    w_m = 1/m in Newton's identity (lambdas from psi_u^1, psi_u^2, ...,
-    exterior powers from braided power sums), w_m = 1 in the series
-    inversion.  With every c_k lifted to one order and one denominator D,
-    c_k = C_k / D, the integer rows S_m = m! D^m s_m (Newton) or D^m s_m
-    satisfy S_m = sum_k (-1)^(k-1) a_mk D^(k-1) C_k S_(m-k), with
-    a_mk = (m-1)!/(m-k)! or 1, on integers only; each s_m is one ``_make``.
+    P is even or at least n.  Newton's identity for the series times 1 - t^P
+    reads m a_m = sum_{k <= min(m, P)} (-1)^(k-1) p_k a_(m-k) + (m - P) a_(m-P),
+    the last term only once m > P.  With the p_k lifted to one order and
+    one denominator D, p_k = C_k / D, and a_j = A_j / E_j in lowest terms,
+    m D L a_m is an integer row sum with weights (-1)^(k-1) L / E_(m-k) on
+    C_k A_(m-k) and (m - P) D L / E_(m-P) on A_(m-P), L = lcm E_(m-k): one
+    product sum per class, reduced once, and each a_m one ``_make``: the
+    cost grows linearly in n.
     """
-    order = math.lcm(1, *(c.order for c in coeffs))
-    den = math.lcm(1, *(c.den for c in coeffs))
+    order = math.lcm(1, *(p.order for p in sums))
+    den, period = math.lcm(1, *(p.den for p in sums)), len(sums)
     phi, classes = euler_phi(order), range(len(group.conjugacy_classes()))
     lifted = []
-    for c in coeffs:
-        rows, f = c._lifted(order), den // c.den
+    for p in sums:
+        rows, f = p._lifted(order), den // p.den
         lifted.append(rows if f == 1 else [tuple(f * x for x in r) for r in rows])
-    series = [[(1,) + (0,) * (phi - 1)] * len(classes)]
-    for m in range(1, len(coeffs) + 1):
-        # (w, C_k, S_(m-k)) for k = 1 .. m, w = (-1)^(k-1) a_mk D^(k-1)
+    series = [ClassFunction._make(group, order, 1, ((1,) + (0,) * (phi - 1),) * len(classes))]
+    for m in range(1, n + 1):
+        back = [series[m - k] for k in range(1, min(m, period) + 1)]
+        scale = math.lcm(*(a.den for a in back))
         terms = [
-            ((-1) ** k * (math.perm(m - 1, k) if newton else 1) * den**k, x, y)
-            for k, (x, y) in enumerate(zip(lifted, reversed(series)))
+            ((-1) ** k * scale // a.den, x, a.rows) for k, (x, a) in enumerate(zip(lifted, back))
         ]
+        tail = series[max(m - period, 0)]  # a_(m-P), of weight 0 while m <= P
+        w = max(m - period, 0) * den * scale // tail.den
         if phi == 1:  # one int per class: whole rows at once, faster than the loop below
-            acc = [0] * len(classes)
-            for w, x, y in terms:
-                acc = [a + w * b * c for a, (b,), (c,) in zip(acc, x, y)]
-            series.append([(a,) for a in acc])
-            continue
-        out = []
-        for j in classes:  # one unreduced product sum per class, reduced once
-            raw = [0] * (2 * phi - 1)
-            for w, x, y in terms:
-                v = y[j]
-                for s, a in enumerate(x[j]):
-                    if a:
-                        a *= w
-                        for t, b in enumerate(v):
-                            raw[s + t] += a * b
-            out.append(_reduce_mod_cyclotomic(raw, order))
-        series.append(out)
-    return [
-        ClassFunction._make(
-            group, order, math.factorial(m) * den**m if newton else den**m, tuple(rows)
-        )
-        for m, rows in enumerate(series)
-    ]
+            acc = [w * a for (a,) in tail.rows]
+            for v, x, y in terms:
+                acc = [a + v * b * c for a, (b,), (c,) in zip(acc, x, y)]
+            rows = [(a,) for a in acc]
+        else:
+            rows = []
+            for j in classes:  # one unreduced product sum per class, reduced once
+                raw = [w * a for a in tail.rows[j]] + [0] * (phi - 1)
+                for v, x, y in terms:
+                    row = y[j]
+                    for s, a in enumerate(x[j]):
+                        if a:
+                            a *= v
+                            for t, b in enumerate(row):
+                                raw[s + t] += a * b
+                rows.append(_reduce_mod_cyclotomic(raw, order))
+        series.append(ClassFunction._make(group, order, m * den * scale, tuple(rows)))
+    return series
 
 
 def lambda_from_adams(x: ClassFunction, n: int, u: int) -> ClassFunction:
-    """n-th exterior-power class function from the twisted Adams operations."""
+    """n-th exterior-power class function: ``_newton`` in psi^1_u .. psi^P_u, P = ``period``."""
     if n < 0:
         raise ValueError("negative exterior powers are not defined")
     return _lambda_sequence(x, n, u)[n]
 
 
 def sigma_from_lambda(x: ClassFunction, n: int, u: int) -> ClassFunction:
-    """n-th symmetric-power class function by series inversion of the lambdas."""
+    """Symmetric power sigma^n_u(x) = (-1)^n lambda^n_u(-x), since sigma_t(x) = lambda_(-t)(-x)."""
     if n < 0:
         raise ValueError("negative symmetric powers are not defined")
-    return _recursive_series(x.group, _lambda_sequence(x, n, u)[1:], newton=False)[n]
+    lam = _lambda_sequence(-x, n, u)[n]
+    return -lam if n % 2 else lam
 
 
 def verify_lambda_ring(u: int, characters) -> dict[str, bool]:
@@ -438,7 +440,8 @@ def verify_lambda_ring(u: int, characters) -> dict[str, bool]:
 
     On the supplied characters and all n, m up to 6: additivity and
     multiplicativity of the twisted Adams operations, their composition law
-    psi^n psi^m = psi^(nm), and the convolution form of lambda-additivity.
+    psi^n psi^m = psi^(nm), and the convolution form of lambda-additivity,
+    each lambda sequence read as ``lambda_from_adams`` reads it.
     """
     characters = list(characters)
     if not characters:
@@ -457,19 +460,17 @@ def verify_lambda_ring(u: int, characters) -> dict[str, bool]:
         return adams_twisted(characters[i], u, k)
 
     degrees = range(1, 7)
-    lams = [
-        _recursive_series(group, [psi(i, n) for n in degrees], newton=True)
-        for i in range(len(characters))
-    ]
+    lams = [_lambda_sequence(x, 6, u) for x in characters]
     for i, x in enumerate(characters):
         for j, y in enumerate(characters):
-            sum_psis = [adams_twisted(x + y, u, n) for n in degrees]
+            xy = x + y
+            sum_psis = [adams_twisted(xy, u, n) for n in degrees]
             for n in degrees:
                 if sum_psis[n - 1] != psi(i, n) + psi(j, n):
                     checks["adams_additive"] = False
                 if adams_twisted(x * y, u, n) != psi(i, n) * psi(j, n):
                     checks["adams_multiplicative"] = False
-            lxy = _recursive_series(group, sum_psis, newton=True)
+            lxy = _lambda_sequence(xy, 6, u)
             if _lambda_additivity_failures(lams[i], lams[j], lxy):
                 checks["lambda_additive"] = False
     for i in range(len(characters)):
@@ -711,7 +712,9 @@ class Braiding:
         g^(x)n, a tensor product on S_k x S_(n-k), so tr(g^(x)n T_w) is a
         class function of w, a product over its cycles, and the value is
         Newton's e_n in the power sums p_k(g) = tr(g^(x)k tau_k), each one
-        character sum over R's terms (``_power_sum``).  For n >= 3 an R whose image
+        character sum over R's terms (``_power_sum``), by ``_newton``: p_k
+        repeats in k with the group's ``period`` once R passes ``report``, so
+        only k <= min(n, period) are formed.  For n >= 3 an R whose image
         fails Yang-Baxter is refused even where A alone would still be an
         idempotent commuting with every g^(x)n: without the braid relation
         the T_w are no S_n action and there is no exterior power to report.
@@ -732,9 +735,9 @@ class Braiding:
         classes = [cls_[0] for cls_ in group.conjugacy_classes()]
         sums = [chi] + [
             ClassFunction._make(group, *_power_sum(self.rmatrix, chi, k, classes))
-            for k in range(2, n + 1)
+            for k in range(2, min(n, group.period) + 1)
         ]
-        return _recursive_series(group, sums, newton=True)[n]
+        return _newton(group, sums, n)[n]
 
     def long_cycle_traces(self, rep: MatrixRep, p: int) -> dict[int, list[CycScalar]]:
         """For every central z, the traces of (uz)^(x)p composed with tau^i, i = 0 .. p-1.

@@ -135,6 +135,11 @@ class FiniteGroup:
         return tuple(gens)
 
     @cached_property
+    def period(self) -> int:
+        """lcm(2, exponent): k -> u^(k+1) g^k repeats with this period for every involution u."""
+        return math.lcm(2, *map(self.element_order, self.elements()))
+
+    @cached_property
     def _center(self) -> tuple[int, ...]:
         return tuple(z for z in self.elements() if all(row[z] == z for row in self.conj))
 

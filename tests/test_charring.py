@@ -376,14 +376,64 @@ def test_sigma_base_case_and_inversion():
 
 
 def test_one_series_gives_every_sigma():
-    # Criterion 8 reads sigma^0..sigma^6 from one series over lambda^1..lambda^6.
+    # The series inversion of lambda^1..lambda^6 (the per-value reference)
+    # gives sigma^0..sigma^6, which ``sigma_from_lambda`` reads as
+    # (-1)^n lambda^n(-x).
     for name, u in (("Q8", 1), ("D4", 0), ("Z4", 2)):
         group = bundled_group(name)
         x = regular_rep(group).character() - linear_characters(group)[-1].scale(2)
         lams = charring._lambda_sequence(x, 6, u)
-        series = charring._recursive_series(group, lams[1:], newton=False)
+        series = _reference_recursive_series(group, lams[1:], newton=False)
         assert series == [sigma_from_lambda(x, n, u) for n in range(7)]
         assert lams == [lambda_from_adams(x, n, u) for n in range(7)]
+
+
+def test_long_lambda_sequences_hold_small_integers(monkeypatch):
+    # lambda^n_u of the regular character of Z4 at u = 2 to n = 800: u splits
+    # k[Z4] into two eigenspaces of dimension 2, for the eigenvalues +1 and
+    # -1, so lambda^n_u(e) = sum_i C(2, i) (n - i + 1) = 4n.  Each a_m is
+    # reduced as it is formed, so every integer handed to ``_make`` stays
+    # within 64 bits, where m! D^m would not.
+    z4 = bundled_group("Z4")
+    chi = regular_rep(z4).character()
+    real = ClassFunction._make.__func__
+
+    def make(cls, group, order, den, rows):
+        assert den < 2**64 and all(abs(x) < 2**64 for r in rows for x in r)
+        return real(cls, group, order, den, rows)
+
+    monkeypatch.setattr(ClassFunction, "_make", classmethod(make))
+    lams = charring._lambda_sequence(chi, 800, 2)
+    assert [lam.dim() for lam in lams[1:]] == [CycScalar.rational(4 * n) for n in range(1, 801)]
+
+
+def test_newton_forms_one_period_of_power_sums(monkeypatch):
+    # psi^k_u and the braided p_k repeat in k with period P = lcm(2, exp G),
+    # so lambda^n and Lambda^n form them only for k <= min(n, P).
+    periods = {name: bundled_group(name).period for name in CATALOG_NAMES}
+    assert periods == {"Z2": 2, "Z3": 6, "Z4": 4, "Z2xZ2": 2, "S3": 6, "D4": 4, "Q8": 4}
+    formed = []
+    adams, power_sum = charring.adams_twisted, charring._power_sum
+    monkeypatch.setattr(
+        charring, "adams_twisted", lambda x, u, k: formed.append(k) or adams(x, u, k)
+    )
+    monkeypatch.setattr(
+        charring, "_power_sum", lambda r, chi, k, at: formed.append(k) or power_sum(r, chi, k, at)
+    )
+    for name, n in (("Z4", 3), ("Z4", 40), ("S3", 40)):
+        group = bundled_group(name)
+        formed.clear()
+        lambda_from_adams(regular_rep(group).character(), n, group.central_involutions()[-1])
+        assert formed == list(range(1, min(n, group.period) + 1))
+    structure = next(
+        s for name, _, _, s in acceptance._triangular_classes()
+        if name == "Z2xZ2" and len(s.rmatrix.terms) > 1
+    )
+    for rep in linear_character_reps(bundled_group("Z2xZ2")):
+        expected = lambda_from_adams(rep.character(), 6, structure.markov_index)
+        formed.clear()
+        assert structure.exterior_power_char(rep, 6) == expected
+        assert formed == [2]  # p_1 is the character
 
 
 @pytest.mark.parametrize("group", derived_test_groups(), ids=lambda g: g.name)
@@ -575,18 +625,19 @@ def test_row_form_matches_the_per_value_reference(name):
     for x, reference in _virtual_characters(group):
         _assert_same_class_function(x, reference)
         for u in group.central_involutions():
-            psis = [adams_twisted(x, u, k) for k in range(7)]
-            expected = [_reference_adams_twisted(x, u, k) for k in range(7)]
+            # n = 12 is past the period lcm(2, exponent) <= 6 of every group,
+            # where lambda reads psi^1..psi^P again.
+            psis = [adams_twisted(x, u, k) for k in range(13)]
+            expected = [_reference_adams_twisted(x, u, k) for k in range(13)]
             for got, want in zip(psis, expected):
                 _assert_same_class_function(got, want)
-            lams = charring._lambda_sequence(x, 6, u)
+            lams = charring._lambda_sequence(x, 12, u)
             ref_lams = _reference_recursive_series(group, expected[1:], newton=True)
-            sigmas = charring._recursive_series(group, lams[1:], newton=False)
+            sigmas = [sigma_from_lambda(x, n, u) for n in range(13)]
             ref_sigmas = _reference_recursive_series(group, ref_lams[1:], newton=False)
             for got, want in zip(lams + sigmas, ref_lams + ref_sigmas):
                 _assert_same_class_function(got, want)
-            assert lambda_from_adams(x, 6, u) == ref_lams[6]
-            assert sigma_from_lambda(x, 6, u) == ref_sigmas[6]
+            assert lambda_from_adams(x, 12, u) == ref_lams[12]
 
 
 def test_adams_twisted_carries_the_values_it_reindexes():

@@ -460,7 +460,7 @@ def test_commutes_with_diagonal_agrees_with_the_products():
 
 
 def _scanned_commutation(report, name, x):
-    """``add_commutation`` scanning every g in element order, without the generators first."""
+    """``add_commutation`` scanning every g in element order, not only the generators."""
     for g in x.group.elements():
         if not commutes_with_diagonal(x, g):
             b = _diagonal(x, g)
