@@ -603,7 +603,16 @@ class Braiding:
 
     @functools.cached_property
     def unitary(self) -> bool:
-        """R R21 = 1, as ``verify_unitary`` decides it."""
+        """R R21 = 1, as ``verify_unitary`` decides it.
+
+        Once ``report`` exists and R passed its ``antipode_left`` check,
+        (S x I)(R) is R's two-sided inverse.  Inverses in k[G] (x) k[G] are
+        unique, so R R21 = 1 exactly when R21 = (S x I)(R), a comparison of
+        rows with no product.  Otherwise R R21 (``square``) is formed.
+        """
+        report = self.__dict__.get("report")  # read if formed, never formed here
+        if report is not None and "antipode_left" in {c.name for c in report.checks if c.passed}:
+            return self.rmatrix.swap() == self.rmatrix.antipode(1)
         return self.square.is_unit()
 
     def check(self, rep: MatrixRep, power: int):
@@ -626,12 +635,12 @@ class Braiding:
         The g whose g (x) g fixes R form a subgroup, so the elements are
         scanned only when some g of the group's ``generating_set`` does not.
         """
-        rmatrix, square = self.rmatrix, self.square
+        rmatrix = self.rmatrix
         group = rmatrix.group
-        unit = GATensor.unit(group, 2)
         out = []
-        if square != unit:
-            out.append((square, unit, "a braided generator fails to square to the identity", {}))
+        if not self.unitary:
+            message = "a braided generator fails to square to the identity"
+            out.append((self.square, GATensor.unit(group, 2), message, {}))
         if power >= 3:
             left, right = self.yang_baxter_sides
             if left != right:

@@ -10,8 +10,8 @@ recursion (optionally with the cyclic-operation traces at a prime),
 acceptance suite.
 
 Exit status: 0 when every requested check passes, 1 on check failures,
-2 on unreadable input, 3 on invariant violations.  Reports are canonical
-JSON: identical inputs produce identical bytes.
+2 on unreadable input or arguments, 3 on invariant violations.  Reports
+are canonical JSON: identical inputs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -42,8 +42,6 @@ from .rmatrix import (
     markov_element_flipped,
     verify_markov,
     verify_markov_equation,
-    verify_qt,
-    verify_unitary,
 )
 
 EXIT_OK = 0
@@ -56,10 +54,17 @@ class InputError(Exception):
     """Unreadable or unparseable input."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise ``InputError``; its subparsers are one too."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process; parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qtriang",
         description="Exact R-matrix classification and twisted character operations "
         "on small finite group algebras.",
@@ -199,13 +204,14 @@ def _cmd_classify(args):
 
 def _cmd_verify(args):
     tensor, group, _ = _load_rmatrix(args)
-    report = verify_qt(tensor)
+    braiding = Braiding(tensor)
+    report = braiding.report
     doc = {
         "command": "verify",
         "group": group.name,
         "rmatrix": jsonio.tensor_to_json(tensor),
         "verification": jsonio.report_to_json(report),
-        "unitary": verify_unitary(tensor) if report.all_passed else None,
+        "unitary": braiding.unitary if report.all_passed else None,
     }
     return doc, report.all_passed
 
@@ -365,9 +371,9 @@ def _emit(doc, args) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = None
     try:
+        args = build_parser().parse_args(argv)
         doc, ok = _COMMANDS[args.command](args)
         status = EXIT_OK if ok else EXIT_CHECK_FAILED
     except (InputError, DataCapError) as exc:

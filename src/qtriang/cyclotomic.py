@@ -110,9 +110,11 @@ def _phi_tail(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
 
 
 def _reduce_mod_cyclotomic(coeffs: list, n: int) -> tuple:
-    # Remainder modulo the monic Phi_n of an integer coefficient list.
+    # Remainder modulo the monic Phi_n of an integer coefficient list.  A
+    # list of at least phi(n) entries is reduced in place: every caller
+    # passes a scratch list it does not read again.
     deg, tail = _phi_tail(n)
-    c = list(coeffs) + [0] * (deg - len(coeffs))
+    c = coeffs if len(coeffs) >= deg else coeffs + [0] * (deg - len(coeffs))
     for i in range(len(c) - 1, deg - 1, -1):
         lead = c[i]
         if lead:

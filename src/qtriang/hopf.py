@@ -91,7 +91,9 @@ class GATensor:
 
     @classmethod
     def basis(cls, group: FiniteGroup, *elements: int) -> "GATensor":
-        return cls(group, len(elements), {tuple(elements): _ONE})
+        if any(not (0 <= g < group.size) for g in elements):
+            raise ValueError(f"term {elements} uses element indices outside the group")
+        return cls._make(group, len(elements), 1, 1, {elements: (1,)})
 
     # -- linear structure ----------------------------------------------------
 
@@ -157,9 +159,9 @@ class GATensor:
         # columns zip into keys.  A getter of one index returns no tuple.
         legs = list(zip(*(k for k, _, _ in right)))
         getters = [itemgetter(*c) if len(c) > 1 else lambda r, i=c[0]: (r[i],) for c in legs]
-        rest, blank, acc = [(j, c) for _, j, c in right], [()] * len(right), {}
+        places, values = [j for _, j, _ in right], [c for _, _, c in right]
+        blank, acc = [()] * len(right), {}
         if order <= 2:  # phi(order) == 1: one int per value
-            values = [c for _, c in rest]
             for k1, (c1,) in self.rows.items():
                 out = zip(*[g(table[a]) for a, g in zip(k1, getters)]) if legs else blank
                 for key, c2 in zip(out, values):
@@ -173,7 +175,7 @@ class GATensor:
                 if len(u) > 1:  # the keys are read once per coordinate
                     out = list(out)
                 for j1, c1 in u:
-                    for key, (j2, c2) in zip(out, rest):
+                    for key, j2, c2 in zip(out, places, values):
                         raw = acc.get(key)
                         if raw is None:
                             raw = acc[key] = [0] * width
@@ -267,7 +269,11 @@ class GATensor:
     # -- predicates and solving ----------------------------------------------
 
     def is_unit(self) -> bool:
-        return self == GATensor.unit(self.group, self.arity)
+        """One row, at the all-identity key, of den 1 and the power-basis 1."""
+        if self.den != 1 or len(self.rows) != 1:
+            return False
+        (key, row), = self.rows.items()
+        return row[0] == 1 and not any(row[1:]) and key == (self.group.identity,) * self.arity
 
     def is_grouplike(self) -> bool:
         """Whether x = sum c_g g is a group element: Delta x = x (x) x forces c_g c_h = 0

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
 
 from .charring import ClassFunction, MatrixRep
@@ -45,79 +45,108 @@ def canonical_dumps(doc) -> str:
     one list, joined once at the end.  A container object that appears more
     than once at the same depth (a dedup class's report, shared by its
     members' entries, or a coefficient record shared by equal terms) is
-    encoded at its first and second meetings only: the first is merely
-    marked, the second keeps its text, and later ones reuse that text.  A
-    list of ints is written by one join, with no call per int and no mark.
+    encoded once: its first meeting records the slice of fragments it
+    appended, the second joins that slice into its text, and later ones
+    reuse the text.  str, int, bool and None values and lists of ints are
+    written in their parent's loop, with no call per value.
     """
     out: list[str] = []
     append = out.append
+    # Per (id, depth): the container and its slice of ``out`` once met (the
+    # container keeps its id from being reused during this call), its text
+    # once met twice.
     memo: dict = {}
     # indents[d] is the line break and indent of depth d; it grows as the
     # walk goes deeper.
-    indents = ["\n"]
+    indents = ["\n", "\n  "]
+    # Per (keys in insertion order, depth) of a dict with str keys: its
+    # sorted keys and the text before each value.
+    shapes: dict = {}
 
     def encode(value, depth: int) -> None:
-        if isinstance(value, str):
-            append(encode_basestring_ascii(value))
-        elif value is None:
-            append("null")
-        elif value is True:
-            append("true")
-        elif value is False:
-            append("false")
-        elif isinstance(value, int):
-            append(int.__repr__(value))
-        elif not isinstance(value, (list, tuple, dict)):
-            append(json.dumps(value))
-        elif not value:
+        if not isinstance(value, (list, tuple, dict)):
+            append(_scalar_text(value))
+            return
+        if not value:
             append("{}" if isinstance(value, dict) else "[]")
-        else:
-            outer = indents[depth]
-            depth += 1
-            if depth == len(indents):
-                indents.append(outer + "  ")
-            inner = indents[depth]
-            is_dict = isinstance(value, dict)
-            if not is_dict and type(value[0]) is int and _INT_ONLY.issuperset(map(type, value)):
-                append("[" + inner + ("," + inner).join(map(int.__repr__, value)) + outer + "]")
-                return
-            key = (id(value), depth)
-            seen = memo.get(key)
-            if seen is None:
-                # The mark is the container itself, which keeps its id from
-                # being reused by another object during this call.
-                memo[key] = value
-            elif seen is not value:
-                append(seen)
-                return
-            start = len(out)
-            comma = "," + inner
-            if is_dict:
-                sep = "{" + inner
+            return
+        outer = indents[depth]
+        depth += 1
+        if depth + 1 == len(indents):
+            indents.append(indents[depth] + "  ")
+        inner, deeper = indents[depth], indents[depth + 1]
+        is_dict = isinstance(value, dict)
+        if not is_dict and type(value[0]) is int and _INT_ONLY.issuperset(map(type, value)):
+            append("[" + inner + ("," + inner).join(map(int.__repr__, value)) + outer + "]")
+            return
+        key = (id(value), depth)
+        seen = memo.get(key)
+        if seen is not None:
+            if type(seen) is not str:
+                seen = memo[key] = "".join(out[seen[1]:seen[2]])
+            append(seen)
+            return
+        start = len(out)
+        comma = "," + inner
+        if is_dict:
+            shape = (tuple(value), depth)
+            known = shapes.get(shape)
+            if known is None:
                 # Keys of one dict never compare equal, so sorting the keys
                 # gives the order json's sort of the items gives.
-                for k in sorted(value):
-                    name = k if type(k) is str else _json_key(k)
-                    append(sep + encode_basestring_ascii(name) + ": ")
-                    encode(value[k], depth)
-                    sep = comma
-                append(outer + "}")
+                keys = sorted(value)
+                names = [
+                    encode_basestring_ascii(k if type(k) is str else _json_key(k)) + ": "
+                    for k in keys
+                ]
+                known = keys, ["{" + inner + names[0]] + [comma + n for n in names[1:]]
+                # 1, 1.0 and True are one dict key but three names: only
+                # all-str shapes are kept.
+                if all(type(k) is str for k in keys):
+                    shapes[shape] = known
+            keys, heads = known
+            items = zip(heads, map(value.__getitem__, keys))
+        else:
+            items = zip(chain(("[" + inner,), repeat(comma)), value)
+        for head, v in items:
+            kind = type(v)
+            if kind is str:
+                append(head + encode_basestring_ascii(v))
+            elif kind is int:
+                append(head + int.__repr__(v))
+            elif v is None:
+                append(head + "null")
+            elif kind is bool:
+                append(head + ("true" if v else "false"))
+            elif kind is list and v and type(v[0]) is int and _INT_ONLY.issuperset(map(type, v)):
+                ints = ("," + deeper).join(map(int.__repr__, v))
+                append(head + "[" + deeper + ints + inner + "]")
+            elif type(text := memo.get((id(v), depth + 1))) is str:
+                append(head + text)
             else:
-                sep = "[" + inner
-                for v in value:
-                    append(sep)
-                    encode(v, depth)
-                    sep = comma
-                append(outer + "]")
-            if seen is not None:
-                text = "".join(out[start:])
-                del out[start:]
-                append(text)
-                memo[key] = text
+                append(head)
+                encode(v, depth)
+        append(outer + ("}" if is_dict else "]"))
+        memo[key] = (value, start, len(out))
 
     encode(doc, 0)
     append("\n")
     return "".join(out)
+
+
+def _scalar_text(value) -> str:
+    """A value that is no list, tuple or dict as ``json`` writes it."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    return json.dumps(value)
 
 
 def _json_key(key) -> str:
@@ -218,15 +247,15 @@ def resolve_group(source: str) -> FiniteGroup:
 
 
 def tensor_to_json(tensor: GATensor) -> dict:
-    terms = tensor.sorted_terms()
-    coeffs = _scalar_records([value for _, value in terms])
-    return {
-        "group": tensor.group.name,
-        "arity": tensor.arity,
-        "terms": [
-            {"tuple": list(key), "coeff": coeff} for (key, _), coeff in zip(terms, coeffs)
-        ],
-    }
+    """The tensor's terms in key order, one shared coefficient record per distinct row."""
+    rows, records, terms = tensor.rows, {}, []
+    for key in sorted(rows):
+        row = rows[key]
+        record = records.get(row)
+        if record is None:
+            record = records[row] = scalar_to_json(CycScalar._make(tensor.order, tensor.den, row))
+        terms.append({"tuple": list(key), "coeff": record})
+    return {"group": tensor.group.name, "arity": tensor.arity, "terms": terms}
 
 
 def tensor_from_json(doc: dict, group: FiniteGroup) -> GATensor:

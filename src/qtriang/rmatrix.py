@@ -260,8 +260,9 @@ def verify_qt(
     if candidate.arity != 2:
         raise ValueError("R-matrices live in arity 2")
     report = VerificationReport()
+    left_antipode = candidate.antipode(1)
     try:
-        inverse = _inverse_or_solve(candidate, candidate.antipode(1))
+        inverse = _inverse_or_solve(candidate, left_antipode)
     except ValueError:
         report.add("invertible", False, {"reason": "no two-sided inverse exists"})
         return report
@@ -277,9 +278,9 @@ def verify_qt(
     report.add_equality("yang_baxter", *sides)
     report.add_equality("counit_left", candidate.counit(1), GATensor.unit(group, 1))
     report.add_equality("counit_right", candidate.counit(2), GATensor.unit(group, 1))
-    report.add_equality("antipode_left", candidate.antipode(1), inverse)
+    report.add_equality("antipode_left", left_antipode, inverse)
     report.add_equality("antipode_right", candidate.antipode(2), inverse)
-    report.add_equality("antipode_both", candidate.antipode(1).antipode(2), candidate)
+    report.add_equality("antipode_both", left_antipode.antipode(2), candidate)
     return report
 
 

@@ -11,14 +11,17 @@ element u, the inverses of u and R21 R, the coproduct identity and
 centrality) are timed on the first 16-term structures of D4 and Q8 and
 on the first 4-term structure of Z2xZ2.  ``verify_qt`` is also timed over
 all 44 distinct structures of the seven catalogs, one R per dedup class, as
-one ``classify`` pass checks them.
+one ``classify`` pass checks them.  A fresh ``Braiding`` of the first
+16-term D4 structure is timed reading its report, then its unitarity, in
+the order ``classify`` reads them.
 """
 
 import pytest
 
 from qtriang.acceptance import qt_catalog
+from qtriang.charring import Braiding
 from qtriang.groups import CATALOG_NAMES
-from qtriang.rmatrix import verify_markov, verify_qt
+from qtriang.rmatrix import verify_markov, verify_qt, verify_unitary
 
 CASES = [("D4", 16), ("Q8", 16), ("Z2xZ2", 4)]
 
@@ -40,3 +43,14 @@ def test_verify_qt_every_distinct_structure(benchmark):
     assert len(rmats) == 44
     reports = benchmark(lambda: [verify_qt(r) for r in rmats])
     assert all(report.all_passed for report in reports)
+
+
+def test_braiding_report_then_unitary_d4(benchmark):
+    catalog = qt_catalog("D4")
+    r = next(s.rmatrix for s in catalog.structures if len(s.rmatrix.terms) == 16)
+
+    def read():
+        braiding = Braiding(r)
+        return braiding.report.all_passed, braiding.unitary
+
+    assert benchmark(read) == (True, verify_unitary(r))

@@ -28,7 +28,13 @@ from qtriang.groups import (
 from qtriang.hopf import GATensor, difference_witness
 from qtriang.linalg import Matrix
 from qtriang.rmatrix import (
-    QTDatum, build_r, commutes_with_diagonal, leg_products, markov_element, verify_qt
+    QTDatum,
+    build_r,
+    commutes_with_diagonal,
+    leg_products,
+    markov_element,
+    verify_qt,
+    verify_unitary,
 )
 from qtriang.charring import (
     BraidedAction,
@@ -1143,9 +1149,11 @@ def test_exterior_power_refuses_degrees_beyond_the_word_cap(monkeypatch):
 
 def test_braiding_forms_what_it_reads_once(monkeypatch):
     # Read twice, ``report``, ``markov``, ``unitary`` and ``markov_index``
-    # make one ``verify_qt`` call, one ``markov_element`` call and five
-    # GATensor products outside them: R R21, and R's leg products (2) and
-    # Yang-Baxter sides (2), which ``report`` hands to ``verify_qt``.
+    # make one ``verify_qt`` call, one ``markov_element`` call and four
+    # GATensor products outside them: R's leg products (2) and Yang-Baxter
+    # sides (2), which ``report`` hands to ``verify_qt``.  ``unitary``, read
+    # after a report whose ``antipode_left`` passed, compares R21 with
+    # (S x I)(R) and forms no R R21 (five products when it formed one).
     r = koszul()
     formed, calls = {"verify_qt": verify_qt(r), "markov_element": markov_element(r)}, Counter()
 
@@ -1174,7 +1182,40 @@ def test_braiding_forms_what_it_reads_once(monkeypatch):
         assert braiding.markov is formed["markov_element"]
         assert braiding.unitary is True
         assert braiding.markov_index == 1
-    assert calls == {"verify_qt": 1, "markov_element": 1, "product": 5}
+    assert calls == {"verify_qt": 1, "markov_element": 1, "product": 4}
+
+
+def test_unitary_matches_verify_unitary_with_and_without_the_report():
+    # Read after ``report``, ``unitary`` compares R21 with (S x I)(R) when R
+    # passed ``antipode_left``, and forms R R21 otherwise; read first, it
+    # forms R R21.  ``verify_unitary`` is the oracle either way.  Off the
+    # catalog: g (x) g and -(e (x) e) on Z2 pass ``antipode_left``; e (x) e
+    # + g (x) e has no inverse; on Z3, g (x) g^2 (unitary) and 2 (e (x) e)
+    # (not unitary) take their inverses from the solve and fail it.
+    z2, z3 = bundled_group("Z2"), bundled_group("Z3")
+    distinct = [
+        catalog.structures[members[0]].rmatrix
+        for catalog in map(acceptance.qt_catalog, CATALOG_NAMES)
+        for members in catalog.dedup
+    ]
+    assert len(distinct) == 44
+    others = [
+        GATensor.basis(z2, 1, 1),
+        -GATensor.unit(z2, 2),
+        GATensor(z2, 2, {(0, 0): 1, (1, 0): 1}),
+        GATensor.basis(z3, 1, 2),
+        GATensor.unit(z3, 2).scale(2),
+    ]
+    left_antipode = []
+    for r in distinct + others:
+        expected = verify_unitary(r)
+        assert Braiding(r).unitary == expected
+        braiding = Braiding(r)
+        report = braiding.report
+        assert braiding.unitary == expected
+        left_antipode.append(any(c.name == "antipode_left" and c.passed for c in report.checks))
+    assert all(left_antipode[:44]) and left_antipode[44:] == [True, True, False, False, False]
+    assert [verify_unitary(r) for r in others] == [True, True, False, True, False]
 
 
 def test_markov_index_refusals_come_before_check():

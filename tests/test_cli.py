@@ -158,6 +158,32 @@ def test_cli_classify_refuses_a_group_past_the_data_cap(workdir, capsys):
     }
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--bogus"], "unrecognized arguments: --bogus"),
+        (["adams", "--group", "Z2", "--n", "x"], "argument --n: invalid int value: 'x'"),
+        ([], "the following arguments are required: command"),
+        (["nope"], "argument command: invalid choice: 'nope' (choose from 'classify', "),
+    ],
+    ids=["unknown-flag", "bad-int", "no-command", "unknown-command"],
+)
+def test_cli_argument_errors_exit_2_with_a_json_error(argv, message, capsys):
+    # argparse's message in the structured body, on stdout, and no usage.
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    error = json.loads(captured.out)["error"]
+    assert error["kind"] == "input" and error["message"].startswith(message), error
+    assert captured.err == ""
+
+
+def test_cli_help_still_exits_0_with_its_text(capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["--help"])
+    assert exited.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: qtriang")
+
+
 def test_cli_verify_unit(workdir, capsys):
     _write(workdir / "unit.json", jsonio.tensor_to_json(GATensor.unit(bundled_group("Z2"), 2)))
     assert main(["verify", "--rmatrix", "unit.json"]) == 0

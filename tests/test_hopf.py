@@ -24,6 +24,37 @@ def test_unit_laws():
     assert x * unit == x
 
 
+@pytest.mark.parametrize("arity", [0, 1, 2, 3])
+def test_is_unit_matches_the_constructed_unit(arity):
+    # The public constructor's unit is the oracle: equal rows at every order,
+    # against scaled units, an extra term, a unit at another key and zero.
+    g = bundled_group("Z3")
+    e = (g.identity,) * arity
+    oracle = GATensor(g, arity, {e: 1})
+    unit = GATensor.unit(g, arity)
+    cases = [unit, GATensor(g, arity), unit.scale(2), unit.scale(Fraction(1, 2)), -unit]
+    for n in (3, 4):  # the unit held at order n, after scaling by zeta_n and back
+        lifted = unit.scale(root_of_unity(n)).scale(root_of_unity(n, n - 1))
+        assert lifted.order == n
+        cases += [lifted, lifted.scale(root_of_unity(n))]
+    if arity:
+        other = GATensor.basis(g, *(1,) * arity)
+        cases += [other, unit + other, unit.scale(root_of_unity(3)) + other]
+    results = [t.is_unit() for t in cases]
+    assert results == [t == oracle for t in cases]
+    assert results.count(True) == 3  # unit and the unit at orders 3 and 4
+
+
+def test_basis_refuses_indices_outside_the_group():
+    g = bundled_group("Z3")
+    for key in [(3,), (0, -1), (1, 2, 7)]:
+        with pytest.raises(ValueError) as built:
+            GATensor(g, len(key), {key: 1})
+        with pytest.raises(ValueError, match="uses element indices outside the group") as basis:
+            GATensor.basis(g, *key)
+        assert str(basis.value) == str(built.value)
+
+
 def test_group_element_inverse_product():
     g = bundled_group("D4")
     for a in g.elements():

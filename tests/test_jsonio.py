@@ -79,11 +79,20 @@ def test_shared_containers_are_written_in_full_at_every_depth(shared, other):
 
 
 def test_shared_inner_containers_and_empty_ones():
+    # Top-level scalars, int lists and empty containers; lists of ints with
+    # a bool or a float, which take no int-list join; tuples of ints; and
+    # dicts whose keys 1, 1.0 and True name one key three ways.
     inner = {"coeffs": [[1, 2]], "order": 1}
     outer = {"terms": [inner, inner], "e": [], "f": {}, "g": ()}
-    doc = [outer, {"z": outer}, outer, [outer, [outer]], inner]
-    assert jsonio.canonical_dumps(doc) == _oracle(doc)
-    assert jsonio.canonical_dumps(["é\x00", {1: 2, 10: 3}]) == _oracle(["é\x00", {1: 2, 10: 3}])
+    docs = [
+        [outer, {"z": outer}, outer, [outer, [outer]], inner],
+        ["é\x00", {1: 2, 10: 3}],
+        7, "s", None, True, 2.5, [1, 2, 3], (1, 2), [], {}, (),
+        [1, True], [1, 2.5], {"a": [1, True], "b": [1, 2.5], "c": (1, 2), "d": [(3, 4)]},
+        [{1: "x"}, {1.0: "x"}, {True: "x"}, {"1": "x"}],
+    ]
+    for doc in docs:
+        assert jsonio.canonical_dumps(doc) == _oracle(doc)
 
 
 def _nested(leaf, depth):
@@ -125,6 +134,9 @@ def test_shared_container_met_n_times(shared, times):
         [_nested(shared, level) for level in range(times)],
         [_nested(shared, _DEEP - 20 * level) for level in range(times)],
         [shared, _nested([shared] * times, 3), shared],
+        # First met inside another repeated container, whose second
+        # meeting does not walk it, then met on its own.
+        [{"w": shared}] * 2 + [{"x": shared} for _ in range(times)],
     ]
     for doc in docs:
         assert jsonio.canonical_dumps(doc) == _oracle(doc)
