@@ -9,7 +9,8 @@ read the character each one keeps.  Running the suite in order enumerates
 each group's catalog once (criterion 1 times its own enumeration of Z2).  The
 triangular catalog is a view of the full one, sharing its one
 ``charring.Braiding`` per dedup class, so each structure's report, Markov
-element, unitarity and braided data are formed once per process: criteria
+element, unitarity, leg products and braided data are formed once per
+process: criterion 5 reads the leg products and unitarity, criteria
 6, 7 and 10 form R's braided data once per (structure, power), criterion 7
 reads one long-cycle trace table per (structure, representation, prime),
 and criterion 10 builds no matrix action.  Check results are not cached:
@@ -30,6 +31,7 @@ from functools import lru_cache
 
 from .charring import (
     DIMENSION_CAP,
+    Braiding,
     ClassFunction,
     adams_twisted,
     lambda_from_adams,
@@ -221,9 +223,9 @@ def _first(problems: list) -> str:
     return f"; first: {min(problems, key=lambda p: (CATALOG_NAMES.index(p[0]), p[1]))}"
 
 
-def _support_tags(built: GATensor, datum) -> list[str]:
+def _support_tags(structure: Braiding, datum) -> list[str]:
     tags = []
-    support = minimal_support(built, datum)
+    support = minimal_support(structure.rmatrix, datum, structure.legs, structure.unitary)
     if support.left_dim != datum.domain.order:
         tags.append("left_dimension")
     if support.right_dim != datum.domain.order:
@@ -251,7 +253,7 @@ def criterion_5() -> CriterionResult:
                 by_images.setdefault(images, []).append(idx)
             for same in by_images.values():
                 checked += len(same)
-                tags = _support_tags(catalog.structures[same[0]].rmatrix, catalog.data[same[0]])
+                tags = _support_tags(catalog.structures[same[0]], catalog.data[same[0]])
                 if tags:
                     problems.extend((name, idx, tags) for idx in same)
     elapsed = time.perf_counter() - start

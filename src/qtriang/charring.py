@@ -41,8 +41,7 @@ from .groups import FiniteGroup, closure, subgroup_structure
 from .hopf import GATensor, _summed, difference_witness
 from .linalg import Matrix
 from .rmatrix import (
-    LegProducts, VerificationReport, commutes_with_diagonal, leg_products, markov_element,
-    verify_qt,
+    LegProducts, VerificationReport, commutes_with_diagonal, markov_element, verify_qt,
 )
 
 #: Largest tensor-power dimension handled by the braided-action machinery.
@@ -543,8 +542,8 @@ class Braiding:
     """One R-matrix and all that is read from it, each part formed on first use.
 
     ``report``, ``markov`` (u, and ``markov_index``), R R21 (``square``,
-    ``unitary``), R's leg products (``legs``) and ``yang_baxter_sides``,
-    which ``report`` reads too, and per tensor power n the braided
+    ``unitary``), R's leg products and Yang-Baxter sides (``legs``), which
+    ``report`` reads too, and per tensor power n the braided
     differences depend on R alone: one ``Braiding`` serves a catalog's dedup
     class and every representation.  The braided power sums behind the
     exterior powers and the cyclic traces are read from R's terms on each
@@ -568,8 +567,8 @@ class Braiding:
 
     @functools.cached_property
     def report(self) -> VerificationReport:
-        """``verify_qt`` of R, reading the leg products and Yang-Baxter sides kept here."""
-        return verify_qt(self.rmatrix, self.legs, self.yang_baxter_sides)
+        """``verify_qt`` of R, reading and forming the leg products kept in ``legs``."""
+        return verify_qt(self.rmatrix, self.legs)
 
     @functools.cached_property
     def markov(self) -> GATensor:
@@ -593,13 +592,8 @@ class Braiding:
 
     @functools.cached_property
     def legs(self) -> LegProducts:
-        """R's three-leg products (``leg_products``), read by ``report`` and the braid relation."""
-        return leg_products(self.rmatrix)
-
-    @functools.cached_property
-    def yang_baxter_sides(self) -> tuple[GATensor, GATensor]:
-        """R12 R13 R23 and R23 R13 R12, the same pair at every tensor power n >= 3."""
-        return self.legs.yang_baxter_sides()
+        """R's leg products, formed on first use, read by ``report`` and the braid relation."""
+        return LegProducts(self.rmatrix)
 
     @functools.cached_property
     def unitary(self) -> bool:
@@ -630,22 +624,25 @@ class Braiding:
         """The nonzero differences of R's braided identities in k[G]^(x)power, in check order.
 
         Each is (left, right, message, extra): R R21 against 1; for
-        power >= 3 the Yang-Baxter sides; then R against its conjugate by each
-        g (x) g that ``commutes_with_diagonal`` rejects, with extra {"element": g}.
-        The g whose g (x) g fixes R form a subgroup, so the elements are
-        scanned only when some g of the group's ``generating_set`` does not.
+        power >= 3 the Yang-Baxter sides, left out where
+        ``yang_baxter_by_hexagon`` shows them equal; then R against its
+        conjugate by each g (x) g that ``commutes_with_diagonal`` rejects,
+        with extra {"element": g}.  The g whose g (x) g fixes R form a
+        subgroup, so the elements are scanned only when some g of the group's
+        ``generating_set`` does not.
         """
         rmatrix = self.rmatrix
         group = rmatrix.group
+        invariant = all(commutes_with_diagonal(rmatrix, g) for g in group.generating_set)
         out = []
         if not self.unitary:
             message = "a braided generator fails to square to the identity"
             out.append((self.square, GATensor.unit(group, 2), message, {}))
-        if power >= 3:
-            left, right = self.yang_baxter_sides
+        if power >= 3 and not self.legs.yang_baxter_by_hexagon(invariant):
+            left, right = self.legs.yang_baxter_sides
             if left != right:
                 out.append((left, right, "adjacent generators fail the braid relation", {}))
-        if all(commutes_with_diagonal(rmatrix, g) for g in group.generating_set):
+        if invariant:
             return out
         for g in group.elements():
             if not commutes_with_diagonal(rmatrix, g):

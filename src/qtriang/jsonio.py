@@ -130,6 +130,10 @@ def canonical_dumps(doc) -> str:
         memo[key] = (value, start, len(out))
 
     encode(doc, 0)
+    # ``encode`` refers to itself through its closure: unbound here, that
+    # cycle goes, and ``out`` and ``memo`` (which holds every container of
+    # ``doc``) are freed on return instead of at the next full collection.
+    del encode
     append("\n")
     return "".join(out)
 

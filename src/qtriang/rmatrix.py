@@ -7,18 +7,28 @@ group of A.  ``build_r`` evaluates the associated element of k[G]^2 as
 one character sum, (1/|A|) sum over a, chi of chi(a) (i(a) x j(-a_chi)),
 where a_chi is the point of A with beta(chi, xi) = xi(a_chi) for every xi.
 ``verify_qt`` checks every quasitriangularity identity bit-exactly, reading
-the three-leg ones from ``leg_products``, which the pairing-map checks and
-the braid relation of ``charring`` share.  The remaining operations extract
+the three-leg ones from ``LegProducts``, which the pairing-map checks and
+the braid relation of ``charring`` share.  Two facts, true for every
+arity-2 tensor on the cocommutative k[G], spare three of its five products
+on an R-matrix and change no check's outcome or witness.  (a) If
+(Delta x I)(R) = R13 R23 and (eps x I)(R) = 1, then (S x I)(R) is R's
+inverse: (m (S x id)) x id sends the left side to 1 x 1 and the right side
+to (S x I)(R) R.  This decides ``invertible`` and the inverse the antipode
+checks compare with.  (b) If (Delta x I)(R) = R13 R23 and R commutes with
+every g x g, R solves Yang-Baxter: X = (Delta x I)(R) = sum c_ab a x a x b
+commutes with R12 and is fixed by the swap of legs 1 and 2, so
+R13 R23 = X = R23 R13 and R12 R13 R23 = R12 X = X R12 = R23 R13 R12.  This decides ``yang_baxter``,
+and the braid relation of ``charring``.  The remaining operations extract
 the Markov element, the minimal supports with their dual pairing map, and
 the twist into the sign-braided category of Z/2-graded spaces.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 from . import linalg
 from .cyclotomic import CycScalar, root_power_table
@@ -52,20 +62,22 @@ class VerificationReport:
         witness = difference_witness(left, right, **extra)
         self.add(name, witness is None, witness)
 
-    def add_commutation(self, name: str, x: GATensor):
+    def add_commutation(self, name: str, x: GATensor) -> bool:
         """Whether x commutes with g x ... x g for every g, witnessing the first g that fails.
 
         The test is ``commutes_with_diagonal``; both products are formed only
         for the first failing g, whose first differing term is the witness.
         The g that commute with x form a subgroup, so the least g that fails
         is one of the group's ``generating_set``: only those are tested.
+        Returns whether the check passed.
         """
         for g in x.group.generating_set:
             if not commutes_with_diagonal(x, g):
                 b = GATensor.basis(x.group, *(g,) * x.arity)
                 self.add(name, False, {"element": g, **difference_witness(x * b, b * x)})
-                return
+                return False
         self.add(name, True)
+        return True
 
     @property
     def all_passed(self) -> bool:
@@ -215,23 +227,55 @@ def build_r(datum: QTDatum) -> GATensor:
     return _character_sum(datum.domain, datum.incl_left, datum.incl_right, datum.beta)
 
 
-class LegProducts(NamedTuple):
-    """R12 and R23, and R13 R12 = (I x Delta)(R) and R13 R23 = (Delta x I)(R) for an R-matrix."""
+class LegProducts:
+    """R12, R13, R23, R13 R12 and R13 R23 of an R-matrix, each formed on first use and kept.
 
-    r12: GATensor
-    r23: GATensor
-    r13r12: GATensor
-    r13r23: GATensor
+    For an R-matrix, R13 R12 = (I x Delta)(R) and R13 R23 = (Delta x I)(R).
+    ``left_hexagon`` compares the second with (Delta x I)(R), for
+    ``verify_qt`` and the pairing-map checks of ``minimal_support``, and
+    ``yang_baxter_by_hexagon`` reads fact (b) of ``verify_qt`` from it.
+    """
 
+    def __init__(self, r: GATensor):
+        self.rmatrix = r
+
+    @functools.cached_property
+    def r12(self) -> GATensor:
+        return self.rmatrix.embed_legs((1, 2), 3)
+
+    @functools.cached_property
+    def r13(self) -> GATensor:
+        return self.rmatrix.embed_legs((1, 3), 3)
+
+    @functools.cached_property
+    def r23(self) -> GATensor:
+        return self.rmatrix.embed_legs((2, 3), 3)
+
+    @functools.cached_property
+    def r13r12(self) -> GATensor:
+        return self.r13 * self.r12
+
+    @functools.cached_property
+    def r13r23(self) -> GATensor:
+        return self.r13 * self.r23
+
+    @functools.cached_property
+    def left_hexagon(self) -> bool:
+        """(Delta x I)(R) = R13 R23, compared on stored rows."""
+        return self.rmatrix.coproduct(1) == self.r13r23
+
+    def yang_baxter_by_hexagon(self, invariant: bool) -> bool:
+        """Whether R12 R13 R23 = R23 R13 R12 follows with no product formed.
+
+        It does when R commutes with every g x g (``invariant``) and
+        ``left_hexagon`` holds: fact (b) of ``verify_qt``.
+        """
+        return invariant and self.left_hexagon
+
+    @functools.cached_property
     def yang_baxter_sides(self) -> tuple[GATensor, GATensor]:
         """R12 (R13 R23) and R23 (R13 R12): equal exactly when R solves Yang-Baxter."""
         return self.r12 * self.r13r23, self.r23 * self.r13r12
-
-
-def leg_products(r: GATensor) -> LegProducts:
-    """R's three-leg products, each formed once."""
-    r12, r13, r23 = (r.embed_legs(legs, 3) for legs in ((1, 2), (1, 3), (2, 3)))
-    return LegProducts(r12, r23, r13 * r12, r13 * r23)
 
 
 def _inverse_or_solve(x: GATensor, guess: GATensor) -> GATensor:
@@ -244,39 +288,56 @@ def _inverse_or_solve(x: GATensor, guess: GATensor) -> GATensor:
     return x.inverse()
 
 
-def verify_qt(
-    candidate: GATensor, products: LegProducts | None = None, sides: tuple | None = None
-) -> VerificationReport:
+def verify_qt(candidate: GATensor, products: LegProducts | None = None) -> VerificationReport:
     """Exact check of every quasitriangularity identity for an arity-2 tensor.
 
     Covers invertibility, commutation with all diagonals g x g, both
     coproduct expansion identities, the quantum Yang-Baxter equation, the
     counit normalizations and the antipode identities.  If the tensor is
-    not invertible the remaining checks are skipped.  R^-1 is (S x I)(R), as
-    for every R-matrix, when R (S x I)(R) is the unit, else the solve.
-    ``products`` and ``sides``, when given, are the candidate's
-    ``leg_products`` and their ``yang_baxter_sides``, then not formed again.
+    not invertible the remaining checks are skipped.  ``products``, when
+    given, are the candidate's ``LegProducts``, read and kept there.
+
+    R13 R23 is formed first; two facts about every arity-2 tensor on the
+    cocommutative k[G] then spare three products on an R-matrix.
+    (a) If (Delta x I)(R) = R13 R23 and (eps x I)(R) = 1, then (S x I)(R)
+    is R's inverse: apply (m (S x id)) x id to the hexagon; the left side
+    gives 1 x (eps x I)(R) = 1 x 1, the right side (S x I)(R) R.  So
+    ``invertible`` passes with R^-1 = (S x I)(R) and no product; otherwise
+    R (S x I)(R) is tested for the unit, and the solve runs if it is not.
+    (b) If (Delta x I)(R) = R13 R23 and R commutes with every g x g,
+    Yang-Baxter holds: X = (Delta x I)(R) = sum c_ab a x a x b commutes with
+    R12 and is fixed by the swap of legs 1 and 2, so R13 R23 = X = R23 R13
+    and R12 R13 R23 = R12 X = X R12 = R23 R13 R12.  So ``yang_baxter`` passes
+    without forming its sides when the left hexagon holds and
+    ``commutes_with_diagonals`` passed (``yang_baxter_by_hexagon``);
+    otherwise both sides are formed and compared.  Every other check is
+    literal, and R13 R12 is formed only once ``invertible`` passed.
     """
     if candidate.arity != 2:
         raise ValueError("R-matrices live in arity 2")
+    products = LegProducts(candidate) if products is None else products
     report = VerificationReport()
     left_antipode = candidate.antipode(1)
-    try:
-        inverse = _inverse_or_solve(candidate, left_antipode)
-    except ValueError:
-        report.add("invertible", False, {"reason": "no two-sided inverse exists"})
-        return report
+    left_counit = candidate.counit(1)
+    if products.left_hexagon and left_counit.is_unit():
+        inverse = left_antipode
+    else:
+        try:
+            inverse = _inverse_or_solve(candidate, left_antipode)
+        except ValueError:
+            report.add("invertible", False, {"reason": "no two-sided inverse exists"})
+            return report
     report.add("invertible", True)
 
     group = candidate.group
-    report.add_commutation("commutes_with_diagonals", candidate)
-
-    products = leg_products(candidate) if products is None else products
+    invariant = report.add_commutation("commutes_with_diagonals", candidate)
     report.add_equality("coproduct_on_right_leg", candidate.coproduct(2), products.r13r12)
     report.add_equality("coproduct_on_left_leg", candidate.coproduct(1), products.r13r23)
-    sides = products.yang_baxter_sides() if sides is None else sides
-    report.add_equality("yang_baxter", *sides)
-    report.add_equality("counit_left", candidate.counit(1), GATensor.unit(group, 1))
+    if products.yang_baxter_by_hexagon(invariant):
+        report.add("yang_baxter", True)
+    else:
+        report.add_equality("yang_baxter", *products.yang_baxter_sides)
+    report.add_equality("counit_left", left_counit, GATensor.unit(group, 1))
     report.add_equality("counit_right", candidate.counit(2), GATensor.unit(group, 1))
     report.add_equality("antipode_left", left_antipode, inverse)
     report.add_equality("antipode_right", candidate.antipode(2), inverse)
@@ -431,7 +492,12 @@ def _hopf_closure_checks(group: FiniteGroup, basis_rows, side: str, checks: dict
     return basis_tensors
 
 
-def minimal_support(candidate: GATensor, datum: QTDatum | None = None) -> SupportReport:
+def minimal_support(
+    candidate: GATensor,
+    datum: QTDatum | None = None,
+    products: LegProducts | None = None,
+    unitary: bool | None = None,
+) -> SupportReport:
     """Spans of the two partial evaluations of R, with Hopf-closure and pairing checks.
 
     The left support collects (I x l)(R) over coordinate functionals l, the
@@ -449,7 +515,9 @@ def minimal_support(candidate: GATensor, datum: QTDatum | None = None) -> Suppor
     antipode composite.  As delta_g maps to (I x delta_g)(R), these say
     (I x Delta)(R) = R13 R12, (Delta x I)(R) = R13 R23 and R = (I x S)(R21).
     Row rank equals column rank, so the map is always a bijection onto the
-    left support, of rank ``left_dim``.
+    left support, of rank ``left_dim``.  ``products`` and ``unitary``, when
+    given, are R's ``LegProducts`` and ``verify_unitary(R)``, read instead
+    of formed again, as ``verify_qt`` reads ``products``.
     """
     group = candidate.group
     matrix = _coefficient_matrix(candidate)
@@ -465,12 +533,12 @@ def minimal_support(candidate: GATensor, datum: QTDatum | None = None) -> Suppor
         checks["right_equals_right_inclusion_span"] = right_rows == span_of_elements(
             group, datum.incl_right.image
         )
-    unitary = verify_unitary(candidate)
+    unitary = verify_unitary(candidate) if unitary is None else unitary
     if unitary:
         checks["supports_coincide_when_unitary"] = left_rows == right_rows
-    products = leg_products(candidate)
+    products = LegProducts(candidate) if products is None else products
     checks["alpha_reverses_products"] = candidate.coproduct(2) == products.r13r12
-    checks["alpha_respects_coproducts"] = candidate.coproduct(1) == products.r13r23
+    checks["alpha_respects_coproducts"] = products.left_hexagon
     if unitary:
         checks["alpha_dual_equals_antipode_composite"] = candidate == candidate.swap().antipode(2)
     return SupportReport(left_basis=left_basis, right_basis=right_basis, checks=checks)

@@ -60,7 +60,7 @@ from qtriang.charring import (
 )
 from qtriang.groups import bundled_group
 from qtriang.hopf import GATensor
-from qtriang.rmatrix import leg_products
+from qtriang.rmatrix import LegProducts
 
 CASES = [("D4", 4), ("D4", 16), ("Q8", 4)]
 TRACE_CASES = [("D4", 16), ("Q8", 4)]
@@ -87,7 +87,7 @@ def test_build(benchmark, name, terms, power):
 )
 def test_image(benchmark, name, terms, arity):
     r = _structure(name, terms)
-    tensor = r if arity == 2 else leg_products(r).yang_baxter_sides()[0]
+    tensor = r if arity == 2 else LegProducts(r).yang_baxter_sides[0]
     rep = regular_rep(r.group)
     image = benchmark(lambda: charring._image(rep, tensor))
     assert image.nrows == rep.dim**arity

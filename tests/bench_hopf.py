@@ -7,15 +7,16 @@ it.  Run it with
 
 R R21 is timed on the first 16-term structures of D4 and Q8 and on the
 first 4-term structure of Z2xZ2; R (S x I)(R), ``verify_qt``'s inverse
-guess, on the D4 one, where all but one of the keys it reaches cancel;
-``leg_products(R)`` followed by
-``yang_baxter_sides`` on the D4 one; one product of two 12-term
-arity-2 tensors on D4 whose coefficients have orders 3, 4 and 8 and
-several nonzero coordinates over different denominators; the five
-leg maps (coproduct, antipode, swap, R13 placement, adjoint action) on
-the D4 16-term R; and ``verify_qt`` on that R, whose five products (R S(R),
-R13 R12, R13 R23 and the two Yang-Baxter sides) are the tensor products a
-``classify`` pass forms per structure.
+guess on its fallback route, on the D4 one, where all but one of the
+keys it reaches cancel; the ``yang_baxter_sides`` of a fresh
+``LegProducts(R)`` (R13 R12, R13 R23 and both sides) on the D4 one; one
+product of two 12-term arity-2 tensors on D4 whose coefficients have
+orders 3, 4 and 8 and several nonzero coordinates over different
+denominators; the five leg maps (coproduct, antipode, swap, R13
+placement, adjoint action) on the D4 16-term R; and ``verify_qt`` on that
+R, whose two products (R13 R23 and R13 R12; the left hexagon decides the
+inverse and Yang-Baxter) are the tensor products a ``classify`` pass forms
+per structure.
 """
 
 from fractions import Fraction
@@ -26,7 +27,7 @@ from qtriang.acceptance import qt_catalog
 from qtriang.cyclotomic import CycScalar
 from qtriang.groups import bundled_group
 from qtriang.hopf import GATensor
-from qtriang.rmatrix import leg_products, verify_qt
+from qtriang.rmatrix import LegProducts, verify_qt
 
 CASES = [("D4", 16), ("Q8", 16), ("Z2xZ2", 4)]
 
@@ -52,7 +53,7 @@ def test_r_times_antipode_d4(benchmark):
 
 def test_yang_baxter_sides_d4(benchmark):
     r = _structure("D4", 16)
-    left, right = benchmark(lambda: leg_products(r).yang_baxter_sides())
+    left, right = benchmark(lambda: LegProducts(r).yang_baxter_sides)
     assert left == right
 
 

@@ -9,7 +9,12 @@ it.  Run it with
 Yang-Baxter, counits and antipodes) and ``verify_markov`` (the Markov
 element u, the inverses of u and R21 R, the coproduct identity and
 centrality) are timed on the first 16-term structures of D4 and Q8 and
-on the first 4-term structure of Z2xZ2.  ``verify_qt`` is also timed over
+on the first 4-term structure of Z2xZ2.  On these R-matrices ``verify_qt``
+takes the hexagon route: the left hexagon gives R's inverse and, with
+invariance, Yang-Baxter, so it forms two GATensor products.  Its fallback
+route is timed on 2R for the first 16-term D4 structure, which fails the
+left hexagon: R (S x I)(R) is not the unit, so the linear solve runs, and
+both Yang-Baxter sides are formed.  ``verify_qt`` is also timed over
 all 44 distinct structures of the seven catalogs, one R per dedup class, as
 one ``classify`` pass checks them.  A fresh ``Braiding`` of the first
 16-term D4 structure is timed reading its report, then its unitarity, in
@@ -21,7 +26,7 @@ import pytest
 from qtriang.acceptance import qt_catalog
 from qtriang.charring import Braiding
 from qtriang.groups import CATALOG_NAMES
-from qtriang.rmatrix import verify_markov, verify_qt, verify_unitary
+from qtriang.rmatrix import LegProducts, verify_markov, verify_qt, verify_unitary
 
 CASES = [("D4", 16), ("Q8", 16), ("Z2xZ2", 4)]
 
@@ -33,6 +38,15 @@ def test_verify(benchmark, name, terms, verify):
     r = next(s.rmatrix for s in catalog.structures if len(s.rmatrix.terms) == terms)
     report = benchmark(verify, r)
     assert report.all_passed
+
+
+def test_verify_qt_fallback_d4(benchmark):
+    catalog = qt_catalog("D4")
+    r = next(s.rmatrix for s in catalog.structures if len(s.rmatrix.terms) == 16).scale(2)
+    assert not LegProducts(r).left_hexagon
+    report = benchmark(verify_qt, r)
+    assert report["invertible"].passed and not report.all_passed
+    assert report["yang_baxter"].passed
 
 
 def test_verify_qt_every_distinct_structure(benchmark):

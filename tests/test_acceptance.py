@@ -23,6 +23,7 @@ from qtriang import acceptance, charring, classify, linalg, rmatrix
 from qtriang.charring import Braiding, ClassFunction
 from qtriang.cyclotomic import CycScalar
 from qtriang.groups import CATALOG_NAMES
+from qtriang.hopf import GATensor
 
 
 def _run(selftest, number):
@@ -205,8 +206,8 @@ def test_criterion_04_reports_every_datum_of_a_failing_group(monkeypatch):
 def test_criterion_05_reports_every_datum_of_a_failing_group(monkeypatch):
     real = acceptance.minimal_support
 
-    def failing_on_q8(built, datum):
-        support = real(built, datum)
+    def failing_on_q8(built, datum, *shared):
+        support = real(built, datum, *shared)
         if built.group.name == "Q8":
             support.checks["alpha_injected"] = False
         return support
@@ -222,11 +223,14 @@ def test_criterion_05_reports_every_datum_of_a_failing_group(monkeypatch):
 def test_criterion_05_reduces_each_support_once(monkeypatch):
     # Each support is eliminated once and every membership and equality
     # question is read from its canonical basis; one elimination per
-    # question made 3,336 rref calls and 16,238 scalar inverses.  The
-    # pairing-map checks are identities of R that share its R R21, so each
-    # support report makes two eliminations and one unitarity test.
+    # question made 3,336 rref calls and 16,238 scalar inverses.  Each
+    # support report makes two eliminations and reads R's leg products and
+    # unitarity from its structure: no unitarity test (one per report, 44,
+    # when each report formed R R21) and no GATensor product (88 when each
+    # formed R13 R12 and R13 R23 again).
+    # Every report is read first, as criterion 2 reads them in ``selftest``.
     for name in CATALOG_NAMES:
-        acceptance.qt_catalog(name)
+        assert acceptance.qt_catalog(name).all_verified
     counts = Counter()
 
     def count(owner, attr):
@@ -240,13 +244,20 @@ def test_criterion_05_reduces_each_support_once(monkeypatch):
 
     count(acceptance, "minimal_support")
     count(rmatrix, "verify_unitary")
+    real_mul = GATensor.__mul__
+
+    def mul(left, right):  # the closure checks multiply arity-1 basis tensors
+        counts["leg or R R21 product"] += left.arity > 1
+        return real_mul(left, right)
+
+    monkeypatch.setattr(GATensor, "__mul__", mul)
     count(linalg, "rref")
     count(CycScalar, "inverse")
     assert acceptance.criterion_5().passed
     reports = counts["minimal_support"]
     assert reports == 44, counts
     assert counts["rref"] == 2 * reports, counts
-    assert counts["verify_unitary"] == reports, counts
+    assert counts["verify_unitary"] == counts["leg or R R21 product"] == 0, counts
     assert counts["inverse"] <= 600, counts
 
 

@@ -31,7 +31,7 @@ from qtriang.rmatrix import (
     QTDatum,
     build_r,
     commutes_with_diagonal,
-    leg_products,
+    LegProducts,
     markov_element,
     verify_qt,
     verify_unitary,
@@ -797,7 +797,7 @@ def test_image_matches_kron_reference_on_catalog(name):
     catalog = acceptance.qt_catalog(name)
     for members in catalog.dedup:
         r = catalog.structures[members[0]].rmatrix
-        for tensor in (r, r * r.swap(), *leg_products(r).yang_baxter_sides(), r - r.swap()):
+        for tensor in (r, r * r.swap(), *LegProducts(r).yang_baxter_sides, r - r.swap()):
             for rep in standard_reps(bundled_group(name)):
                 if rep.dim**tensor.arity <= charring.DIMENSION_CAP:
                     _assert_image_matches_reference(rep, tensor)
@@ -1002,7 +1002,7 @@ def test_image_by_column_maps_stores_what_the_general_route_stores(name):
     tensors = []
     for members in catalog.dedup:
         r = catalog.structures[members[0]].rmatrix
-        tensors += [r, r * r.swap(), *leg_products(r).yang_baxter_sides(), r - r.swap()]
+        tensors += [r, r * r.swap(), *LegProducts(r).yang_baxter_sides, r - r.swap()]
     if name == "S3":
         kinds = set()
         for r in _perturbations(group):
@@ -1097,6 +1097,45 @@ def test_differences_by_generators_equal_the_element_scan():
     assert seen["non-generator"] and seen["later generator"] and seen["passes"]
 
 
+def _literal_differences(r, power):
+    """``Braiding._differences`` from literal products: R R21, R12 R13 R23 and R23 R13 R12, every g."""
+    group = r.group
+    pairs = [(r * r.swap(), GATensor.unit(group, 2), "a braided generator fails to square to the identity", {})]
+    if power >= 3:
+        r12, r13, r23 = (r.embed_legs(legs, 3) for legs in ((1, 2), (1, 3), (2, 3)))
+        message = "adjacent generators fail the braid relation"
+        pairs.append((r12 * r13 * r23, r23 * r13 * r12, message, {}))
+    for g in group.elements():
+        conj = r.adjoint_action(g, 1).adjoint_action(g, 2)
+        pairs.append((r, conj, "the braided action is not equivariant", {"element": g}))
+    return [pair for pair in pairs if pair[0] != pair[1]]
+
+
+def test_braid_relation_is_left_out_only_where_the_hexagon_and_invariance_show_it():
+    # R = 1/2 (e x e + e x y + x x e - x x y) on S3, x = 1 and y = 2, passes
+    # the left hexagon but commutes with no g x g for g = 1 .. 5, so its
+    # Yang-Baxter difference stays, formed from the literal sides: R R21,
+    # the braid relation, then equivariance at 1 .. 5.  Every distinct
+    # catalog structure and the S3 perturbations give the literal lists too,
+    # at n = 2 and 3.
+    s3 = bundled_group("S3")
+    e, half = s3.identity, Fraction(1, 2)
+    r = GATensor(s3, 2, {(e, e): half, (e, 2): half, (1, e): half, (1, 2): -half})
+    got = Braiding(r).differences(3)
+    assert [(message, extra) for _, _, message, extra in got] == [
+        ("a braided generator fails to square to the identity", {}),
+        ("adjacent generators fail the braid relation", {}),
+        *(("the braided action is not equivariant", {"element": g}) for g in range(1, 6)),
+    ]
+    candidates = [r, *_perturbations(s3)]
+    for catalog in map(acceptance.qt_catalog, CATALOG_NAMES):
+        candidates += [catalog.structures[members[0]].rmatrix for members in catalog.dedup]
+    for candidate in candidates:
+        braiding = Braiding(candidate)
+        for power in (2, 3):
+            assert braiding.differences(power) == _literal_differences(candidate, power)
+
+
 def test_validate_forms_no_matrix_product_when_identities_hold(monkeypatch):
     # R R21 is formed once per construction; with every universal difference
     # zero, validate never maps one to matrices.
@@ -1149,11 +1188,12 @@ def test_exterior_power_refuses_degrees_beyond_the_word_cap(monkeypatch):
 
 def test_braiding_forms_what_it_reads_once(monkeypatch):
     # Read twice, ``report``, ``markov``, ``unitary`` and ``markov_index``
-    # make one ``verify_qt`` call, one ``markov_element`` call and four
-    # GATensor products outside them: R's leg products (2) and Yang-Baxter
-    # sides (2), which ``report`` hands to ``verify_qt``.  ``unitary``, read
-    # after a report whose ``antipode_left`` passed, compares R21 with
-    # (S x I)(R) and forms no R R21 (five products when it formed one).
+    # make one ``verify_qt`` call, one ``markov_element`` call and no
+    # GATensor product outside them: ``report`` hands ``verify_qt`` R's leg
+    # products unformed, to be formed there on first use (four products,
+    # R's leg products and Yang-Baxter sides, when ``report`` formed them
+    # first).  ``unitary``, read after a report whose ``antipode_left``
+    # passed, compares R21 with (S x I)(R) and forms no R R21.
     r = koszul()
     formed, calls = {"verify_qt": verify_qt(r), "markov_element": markov_element(r)}, Counter()
 
@@ -1161,7 +1201,7 @@ def test_braiding_forms_what_it_reads_once(monkeypatch):
         def stub(tensor, *shared):
             assert tensor is r
             if name == "verify_qt":
-                assert shared == (braiding.legs, braiding.yang_baxter_sides)
+                assert shared == (braiding.legs,)
             calls[name] += 1
             return formed[name]
 
@@ -1182,7 +1222,8 @@ def test_braiding_forms_what_it_reads_once(monkeypatch):
         assert braiding.markov is formed["markov_element"]
         assert braiding.unitary is True
         assert braiding.markov_index == 1
-    assert calls == {"verify_qt": 1, "markov_element": 1, "product": 4}
+    assert calls == {"verify_qt": 1, "markov_element": 1}
+    assert not {"r12", "r13", "r23", "r13r12", "r13r23"} & set(vars(braiding.legs))
 
 
 def test_unitary_matches_verify_unitary_with_and_without_the_report():
@@ -1368,7 +1409,7 @@ def test_exterior_projector_failures_carry_witnesses():
     r = _noncommuting_twist()
     with pytest.raises(ValueError, match="^adjacent generators fail the braid relation$") as caught:
         exterior_power_char(rep, r, 3)
-    assert caught.value.witness == difference_witness(*leg_products(r).yang_baxter_sides())
+    assert caught.value.witness == difference_witness(*LegProducts(r).yang_baxter_sides)
 
     r = _transposition_square()
     g = next(g for g in rep.group.elements() if not commutes_with_diagonal(r, g))
@@ -1598,15 +1639,17 @@ def _count_criterion_work(monkeypatch, criterion, **counted):
 
 def test_criterion_06_forms_each_structures_braided_data_once(monkeypatch):
     # One Braiding per distinct triangular structure, shared by its reps:
-    # per structure R R21 (1), the leg products and Yang-Baxter sides (4)
-    # and, read once at n = 3, the report's ``verify_qt`` (1, R (S x I)(R)),
-    # which reads those sides, 6 GATensor products.  The power sums form
-    # none.  With ``verify_qt`` forming its own leg products and sides it
-    # took 220; the long cycle at n = 3 as a product took 1, 132 in all with
-    # no report read, the words of all permutations at n = 3 took 176, and
+    # per structure R R21 (1), R13 R23 (1), which with invariance shows the
+    # braid relation at n = 3 (``yang_baxter_by_hexagon``), and, read once at
+    # n = 3, the report's ``verify_qt``, which forms R13 R12 (1) and reads
+    # its inverse from the left hexagon: 3 GATensor products.  The power
+    # sums form none.  Forming the Yang-Baxter sides and R (S x I)(R) took
+    # 132; with ``verify_qt`` forming its own leg products and sides it took
+    # 220; the long cycle at n = 3 as a product took 1, 132 in all with no
+    # report read, the words of all permutations at n = 3 took 176, and
     # forming them per (structure, rep) took 837.
     counts, _ = _count_criterion_work(monkeypatch, acceptance.criterion_6)
-    assert counts["tensor"] == 132
+    assert counts["tensor"] == 66
     assert counts["matrix"] == counts["action"] == 0
 
 
@@ -1614,9 +1657,11 @@ def test_criterion_07_reads_one_trace_table_per_structure_rep_and_prime(monkeypa
     # One long-cycle trace table for each of the 186 distinct (R, rep, p)
     # triples, shared by all roots, and no matrix action built for any.  The
     # categorical trace of z^p is read from the character, and R R21 and,
-    # read once at p = 3, the report (R's leg products and Yang-Baxter sides,
-    # 4, and ``verify_qt``'s R (S x I)(R)) are formed once per structure:
-    # 132 GATensor products, none for tau or its powers.  Forming
+    # read once at p = 3, the report (R's leg products, 2, and no
+    # Yang-Baxter side or R (S x I)(R), which the left hexagon and
+    # invariance decide) are formed once per structure: 66 GATensor
+    # products, none for tau or its powers.  With the report forming the
+    # Yang-Baxter sides and R (S x I)(R) it took 132.  Forming
     # tau and tau^i = tau^(i-1) tau as products took 66 with no report read
     # (88 when tau^i was the word of tau repeated i times), and forming them
     # per (structure, rep) took 372 GATensor and 574 Matrix products.
@@ -1624,7 +1669,7 @@ def test_criterion_07_reads_one_trace_table_per_structure_rep_and_prime(monkeypa
         monkeypatch, acceptance.criterion_7, long_cycle_traces=2
     )
     assert Counter(recorded["long_cycle_traces"]) == {2: 93, 3: 93}  # 186 tables
-    assert counts["tensor"] == 132
+    assert counts["tensor"] == 66
     assert counts["matrix"] == counts["action"] == 0
 
 
@@ -1650,11 +1695,12 @@ def _products_inside_verify_qt(monkeypatch):
 
 
 def test_long_cycle_powers_form_no_product(monkeypatch):
-    # At p = 3 on a fresh Braiding: R R21, and the report, read for the
-    # hexagon identities: R's leg products and Yang-Baxter sides outside
-    # ``verify_qt`` (4; inside it when it formed its own) and R (S x I)(R)
-    # inside.  tau and tau^2 form no GATensor product (one each when they
-    # were built as products).
+    # At p = 3 on a fresh Braiding: R R21 outside ``verify_qt``, and the
+    # report, read for the hexagon identities, whose ``verify_qt`` forms R's
+    # two leg products and no Yang-Baxter side or R (S x I)(R): the left
+    # hexagon and invariance decide those (5 outside and 1 inside when the
+    # report formed them).  tau and tau^2 form no GATensor product (one each
+    # when they were built as products).
     catalog = acceptance.triangular_catalog("D4")
     rmats = (catalog.structures[m[0]].rmatrix for m in catalog.dedup)
     r = next(t for t in rmats if len(t.terms) == 16)
@@ -1662,19 +1708,22 @@ def test_long_cycle_powers_form_no_product(monkeypatch):
     expected = _reference_cyclic_operation_char(rep, r, 3, root_of_unity(3))
     products_at = _products_inside_verify_qt(monkeypatch)
     assert cyclic_operation_char(rep, r, 3, root_of_unity(3)) == expected
-    assert products_at == {None: 5, "verify_qt": 1}
+    assert products_at == {None: 1, "verify_qt": 2}
 
 
 def test_criterion_10_forms_braiding_differences_once_per_structure_and_power(monkeypatch):
     # One list of R's braided differences for each of the 22 distinct
     # triangular structures and n = 2, 3, validated on every rep with no
-    # matrix action built.  Building one action per (structure, rep, power)
-    # took 316 GATensor and 206 Matrix products.
+    # matrix action built: per structure R R21 and R13 R23, whose left
+    # hexagon with invariance leaves out the Yang-Baxter difference, 44
+    # GATensor products.  Forming R's leg products and Yang-Baxter sides
+    # too took 110; building one action per (structure, rep, power) took 316
+    # GATensor and 206 Matrix products.
     counts, recorded = _count_criterion_work(
         monkeypatch, acceptance.criterion_10, _differences=1
     )
     assert Counter(recorded["_differences"]) == {2: 22, 3: 22}  # 44 formations
-    assert counts["tensor"] == 110
+    assert counts["tensor"] == 44
     assert counts["matrix"] == counts["action"] == 0
 
 
@@ -1682,10 +1731,11 @@ def test_criteria_06_07_10_share_each_structures_braiding(monkeypatch):
     # On the same catalogs the three criteria read one ``Braiding`` per
     # distinct triangular structure, the one its catalog built for its dedup
     # class, and build none.  Criterion 6 forms R R21, the differences at
-    # n <= 3 and, at n = 3, the report (``verify_qt``), which reads the
-    # Yang-Baxter sides the differences formed; criteria 7 and 10 then form
-    # nothing.  With ``verify_qt`` forming its own leg products and sides,
-    # criterion 6 took 220 products, 110 of them inside it.  Each building
+    # n <= 3 (R13 R23) and, at n = 3, the report (``verify_qt``), which reads
+    # R13 R23 and forms R13 R12; criteria 7 and 10 then form nothing.  With
+    # the differences forming the Yang-Baxter sides, criterion 6 took 132
+    # products, 22 of them inside ``verify_qt``; with ``verify_qt`` forming
+    # its own leg products and sides, 220, 110 of them inside it.  Each building
     # its own ``Braiding`` took 220, 132 and 110 products.  With the long
     # cycle and its powers formed as products the counts were 132, 22
     # (tau^2 at p = 3) and 0, and no report was read.
@@ -1695,8 +1745,8 @@ def test_criteria_06_07_10_share_each_structures_braiding(monkeypatch):
         monkeypatch, criteria, __init__=0, exterior_power_char=0, long_cycle_traces=0, check=0
     )
     assert build["tensor"] == 0 and build["__init__"] == 44  # one per distinct structure
-    assert [c["tensor"] for c in per_criterion] == [132, 0, 0]
-    assert products_at == {None: 110, "verify_qt": 22}
+    assert [c["tensor"] for c in per_criterion] == [66, 0, 0]
+    assert products_at == {None: 44, "verify_qt": 22}
     assert [c["__init__"] for c in per_criterion] == [0, 0, 0]
     triangular = {
         id(s) for name in CATALOG_NAMES for s in acceptance.triangular_catalog(name).structures
@@ -1820,10 +1870,12 @@ def test_power_sums_and_exterior_powers_against_twisted_adams():
 
 def test_exterior_powers_form_no_long_cycle(monkeypatch):
     # On the first 16-term Z2xZ2 structure, all five standard reps at
-    # n = 2 .. 6 form 6 GATensor products on one Braiding: R R21, the
-    # Yang-Baxter sides once for every n >= 3 (4; 16 when each n formed
-    # them), which the report's ``verify_qt`` reads, and its R (S x I)(R)
-    # (1; 5, 10 in all, when it formed its own sides).  The power sums form
+    # n = 2 .. 6 form 3 GATensor products on one Braiding: R R21, R13 R23
+    # once for every n >= 3, whose left hexagon with invariance leaves out
+    # the Yang-Baxter sides, and the report's R13 R12 inside ``verify_qt``,
+    # which reads its inverse from the left hexagon.  Forming the sides and
+    # R (S x I)(R) took 6 (16 when each n formed the sides; 10 when
+    # ``verify_qt`` formed its own).  The power sums form
     # none: tau_k at one product per letter after the first took 10, and the
     # n! signed words took at least 714 at n = 6 alone, and over a minute.
     catalog = acceptance.triangular_catalog("Z2xZ2")
@@ -1833,7 +1885,7 @@ def test_exterior_powers_form_no_long_cycle(monkeypatch):
     for n in range(2, 7):
         for rep in reps:
             braiding.exterior_power_char(rep, n)
-    assert len(reps) == 5 and products_at == {None: 5, "verify_qt": 1}
+    assert len(reps) == 5 and products_at == {None: 2, "verify_qt": 1}
 
 
 def test_power_sums_and_cycle_tables_match_the_long_cycle_products():

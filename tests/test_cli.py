@@ -215,6 +215,29 @@ def test_cli_verify_corrupted_identity_failure_with_witness(workdir, capsys):
     assert any(c["witness"] and "tuple" in c["witness"] for c in failed)
 
 
+def test_cli_verify_of_a_non_invertible_tensor_forms_two_products(workdir, capsys, monkeypatch):
+    # e x e + g x e on Z2 has no inverse.  ``verify`` forms R13 R23 for the
+    # left hexagon, which fails, then R (S x I)(R), which is not the unit,
+    # and stops at ``invertible``: R13 R12 and the Yang-Baxter sides are
+    # never formed (five products when ``Braiding.report`` formed the leg
+    # products and sides before ``verify_qt`` ran).
+    z2 = bundled_group("Z2")
+    _write(workdir / "singular.json", jsonio.tensor_to_json(GATensor(z2, 2, {(0, 0): 1, (1, 0): 1})))
+    arities, real_mul = [], GATensor.__mul__
+
+    def mul(left, right):
+        arities.append(left.arity)
+        return real_mul(left, right)
+
+    monkeypatch.setattr(GATensor, "__mul__", mul)
+    assert main(["verify", "--rmatrix", "singular.json"]) == 1
+    checks = json.loads(capsys.readouterr().out)["verification"]["checks"]
+    assert checks == [
+        {"name": "invertible", "passed": False, "witness": {"reason": "no two-sided inverse exists"}}
+    ]
+    assert arities == [3, 2]
+
+
 def test_cli_verify_orders_past_the_cap_are_refused(workdir, capsys):
     # Each value's order is within the cap, but a tensor keeps all of them at
     # one order, their lcm of about 1.5e10: the document is refused on load.

@@ -7,7 +7,7 @@ from qtriang.acceptance import qt_catalog
 from qtriang.cyclotomic import CycScalar, euler_phi, root_of_unity
 from qtriang.groups import bundled_group, CATALOG_NAMES
 from qtriang.hopf import GATensor, first_difference
-from qtriang.rmatrix import leg_products
+from qtriang.rmatrix import LegProducts
 
 
 def koszul_tensor():
@@ -417,14 +417,14 @@ def test_catalog_products_match_scalar_reference():
         for members in catalog.dedup:
             r = catalog.structures[members[0]].rmatrix
             r21 = r.swap()
-            legs = leg_products(r)
+            legs = LegProducts(r)
             r13 = r.embed_legs((1, 3), 3)
             ref13r12, ref13r23 = ref(r13, legs.r12), ref(r13, legs.r23)
             products = [
                 (r * r21, ref(r, r21)),
                 (legs.r13r12, ref13r12),
                 (legs.r13r23, ref13r23),
-                *zip(legs.yang_baxter_sides(), (ref(legs.r12, ref13r23), ref(legs.r23, ref13r12))),
+                *zip(legs.yang_baxter_sides, (ref(legs.r12, ref13r23), ref(legs.r23, ref13r12))),
                 (r.antipode(1) * r21.antipode(2), ref(r.antipode(1), r21.antipode(2))),
             ]
             for fast, slow in products:
@@ -495,7 +495,7 @@ def test_products_and_leg_maps_build_no_scalar(monkeypatch):
         lambda: (r * r.antipode(1)).is_unit(),
         lambda: r * x,
         lambda: x * x.swap(),
-        lambda: leg_products(r).yang_baxter_sides(),
+        lambda: LegProducts(r).yang_baxter_sides,
         lambda: [r.coproduct(1), r.counit(2), r.antipode(2), r.adjoint_action(3, 1)],
         lambda: [r.embed_legs((1, 3), 3), r.permute_legs((1, 0)), r @ x, r - x, r == x],
     ]

@@ -1,5 +1,6 @@
 """``jsonio.canonical_dumps`` against ``json.dumps`` with the canonical arguments."""
 
+import gc
 import json
 
 import pytest
@@ -158,6 +159,22 @@ def test_unencodable_documents_raise_type_error(doc):
         _oracle(doc)
     with pytest.raises(TypeError):
         jsonio.canonical_dumps(doc)
+
+
+def test_canonical_dumps_leaves_no_reference_cycle():
+    # Its fragments and its memo of the document's containers are freed on
+    # return, not at the next full collection: a classify document's cycle
+    # kept a second copy alive and raised the peak memory of a catalog run.
+    shared = {"report": [{"name": "x", "passed": True}], "ints": [1, 2]}
+    doc = {"entries": [shared, shared, {"inner": shared}], "n": 3}
+    expected = _oracle(doc)  # json's indenting encoder leaves cycles of its own
+    gc.collect()
+    gc.disable()
+    try:
+        assert jsonio.canonical_dumps(doc) == expected
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_unencodable_value_in_a_shared_container_raises_at_every_meeting():

@@ -24,7 +24,7 @@ from qtriang.rmatrix import (
     build_r,
     commutes_with_diagonal,
     koszul_twist,
-    leg_products,
+    LegProducts,
     markov_element,
     markov_element_flipped,
     minimal_support,
@@ -819,27 +819,72 @@ def _record_one_sided_inverses(monkeypatch):
     return sides
 
 
+def _s3_hexagon_not_invariant():
+    """R = 1/2 (e x e + e x y + x x e - x x y) on S3, x = 1 and y = 2 its first two involutions.
+
+    R passes both hexagons, both counits and every antipode check, but
+    commutes with no g x g for g = x and fails Yang-Baxter: the left
+    hexagon alone does not give Yang-Baxter (fact (b) of ``verify_qt``).
+    """
+    s3 = bundled_group("S3")
+    e, half = s3.identity, Fraction(1, 2)
+    return GATensor(s3, 2, {(e, e): half, (e, 2): half, (1, e): half, (1, 2): -half})
+
+
 @pytest.mark.parametrize("name", CATALOG_NAMES)
 def test_verify_qt_matches_reference(name, monkeypatch):
-    # Every distinct R of the catalog, its perturbations, and random sparse
-    # tensors: names, flags and witnesses agree check by check.
+    # Every distinct R of the catalog, its perturbations, random sparse
+    # tensors and, on S3, a tensor that passes the left hexagon but not
+    # invariance: names, flags and witnesses agree check by check.
     sides = _record_one_sided_inverses(monkeypatch)
     catalog = qt_catalog(name)
     group = catalog.data[0].group
     rng = random.Random(f"verify_qt/{name}")
     candidates = [_sparse_tensor(rng, group) for _ in range(4)]
+    # 0 and e x p, p the mean of G, pass the left hexagon but not the
+    # counit, and have no inverse.
+    mean = GATensor(group, 2, {(group.identity, g): Fraction(1, group.size) for g in group.elements()})
+    candidates += [GATensor(group, 2), mean]
+    # The route each candidate takes to ``invertible``: the left hexagon
+    # (fact (a) of ``verify_qt``), or the fallback that tests R (S x I)(R).
+    routes = ["fallback"] * 6
     for members in catalog.dedup:
         r = catalog.structures[members[0]].rmatrix
         candidates += [r, *_perturbed(r)]
-    failing = set()
+        routes += ["hexagon", "fallback", "hexagon", "fallback"]  # R, 2R, R21, R + g x e
+    if name == "S3":
+        candidates.append(_s3_hexagon_not_invariant())
+        routes.append("hexagon")
+    failing, taken = set(), []
     for candidate in candidates:
+        tested = len(sides)
         report = verify_qt(candidate)
+        taken.append("fallback" if len(sides) > tested else "hexagon")
         assert _report_rows(report) == _report_rows(_reference_verify_qt(candidate))
         failing.update(c.name for c in report.failed())
-    assert {"coproduct_on_right_leg", "coproduct_on_left_leg"} <= failing
+        if taken[-1] == "hexagon":  # (S x I)(R) is R's two-sided inverse, as (a) says
+            guess = candidate.antipode(1)
+            assert (candidate * guess).is_unit() and (guess * candidate).is_unit()
+    assert taken == routes
+    assert {"coproduct_on_right_leg", "coproduct_on_left_leg", "invertible"} <= failing
+    assert all(LegProducts(c).left_hexagon for c in candidates[4:6])
     # k[G]^3 is commutative for abelian G, so there every tensor solves Yang-Baxter.
     assert ("yang_baxter" in failing) != group.is_abelian()
-    assert set(sides) == {(True, True), (False, False)}
+    # No candidate that fails the left hexagon has (S x I)(R) as its inverse.
+    assert set(sides) == {(False, False)}
+
+
+def test_left_hexagon_without_invariance_leaves_yang_baxter_literal():
+    # Fact (a) holds, so ``invertible`` and the antipode checks pass with
+    # R^-1 = (S x I)(R); fact (b) needs invariance, which fails at x = 1,
+    # so both Yang-Baxter sides are formed and compared.
+    r = _s3_hexagon_not_invariant()
+    assert LegProducts(r).left_hexagon and r.counit(1).is_unit()
+    report = verify_qt(r)
+    assert [c.name for c in report.failed()] == ["commutes_with_diagonals", "yang_baxter"]
+    assert report["commutes_with_diagonals"].witness["element"] == 1
+    assert report["yang_baxter"].witness == {"tuple": [0, 3, 0], "left": "-1/4", "right": "0"}
+    assert _report_rows(report) == _report_rows(_reference_verify_qt(r))
 
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)
@@ -853,9 +898,10 @@ def test_leg_products_are_the_literal_products(name):
     candidates.append(catalog.structures[catalog.dedup[-1][0]].rmatrix)
     for r in candidates:
         r12, r13, r23 = (r.embed_legs(legs, 3) for legs in ((1, 2), (1, 3), (2, 3)))
-        products = leg_products(r)
-        assert products == (r12, r23, r13 * r12, r13 * r23)
-        assert products.yang_baxter_sides() == (r12 * r13 * r23, r23 * r13 * r12)
+        products = LegProducts(r)
+        formed = (products.r12, products.r13, products.r23, products.r13r12, products.r13r23)
+        assert formed == (r12, r13, r23, r13 * r12, r13 * r23)
+        assert products.yang_baxter_sides == (r12 * r13 * r23, r23 * r13 * r12)
 
 
 # -- inverses from the antipode, with the linear solve as the fallback -------
