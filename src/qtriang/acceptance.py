@@ -30,7 +30,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .charring import (
-    DIMENSION_CAP,
     Braiding,
     ClassFunction,
     adams_twisted,
@@ -444,8 +443,6 @@ def criterion_10() -> CriterionResult:
     for name, _, members, structure in _triangular_classes():
         for rep in standard_reps(bundled_group(name)):
             for n in (2, 3):
-                if rep.dim**n > DIMENSION_CAP:
-                    continue
                 checked += len(members)
                 try:
                     structure.check(rep, n)

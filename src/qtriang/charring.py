@@ -23,11 +23,11 @@ for.  All is exact.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 
 from .cyclotomic import (
+    ORDER_CAP,
     CycScalar,
     _reduce_mod_cyclotomic,
     content,
@@ -61,6 +61,7 @@ class ClassFunction:
     tuple of CycScalars, is built on first use (or kept as given).  As one
     order holds every value, values at orders 360 and 7, each within
     ``ORDER_CAP`` alone, are refused: their lcm 2520 is past it (ValueError).
+    Two class functions at such orders compare value by value.
     """
 
     __slots__ = ("group", "order", "den", "rows", "_values")
@@ -164,6 +165,8 @@ class ClassFunction:
         if self.group != other.group or self.den != other.den:
             return False
         order = math.lcm(self.order, other.order)
+        if order > ORDER_CAP:  # no common field to lift to: compare value by value
+            return self.values == other.values
         return self._lifted(order) == other._lifted(order)
 
     def __hash__(self):
@@ -610,15 +613,11 @@ class Braiding:
         return self.square.is_unit()
 
     def check(self, rep: MatrixRep, power: int):
-        """Raise what a braided action on rho^(x)power refuses, in order."""
+        """Refuse a rep over another group, then a non-unitary R, at every ``power`` (ValueError)."""
         if self.rmatrix.group != rep.group:
             raise ValueError("representation and R-matrix live over different groups")
         if not self.unitary:
             raise ValueError("the symmetric-group action needs a unitary R-matrix")
-        if rep.dim**power > DIMENSION_CAP:
-            raise ValueError(
-                f"tensor power dimension {rep.dim ** power} exceeds the cap {DIMENSION_CAP}"
-            )
 
     def _differences(self, power: int) -> list[tuple]:
         """The nonzero differences of R's braided identities in k[G]^(x)power, in check order.
@@ -656,9 +655,12 @@ class Braiding:
         Both are ``_image(rep, R)`` re-indexed, without ``check`` and with no
         scalar arithmetic: column (a, b) of B is column (b, a) of the image,
         and s_j holds B's coordinate tuples at shifted rows and columns.  At
-        power 2, s_1 is B itself, the same object.
+        power 2, s_1 is B itself, the same object.  A d^power past the cap is refused.
         """
         d = rep.dim
+        dim = d**power
+        if dim > DIMENSION_CAP:
+            raise ValueError(f"tensor power dimension {dim} exceeds the cap {DIMENSION_CAP}")
         image = _image(rep, self.rmatrix)
         swapped = {j % d * d + j // d: col for j, col in image.cols.items()}
         braid = Matrix._make(d * d, d * d, image.order, image.den, swapped)
@@ -671,7 +673,7 @@ class Braiding:
                 (k + j) * right + r: {(k + i) * right + r: v for i, v in col.items()}
                 for k in blocks for j, col in braid.cols.items() for r in range(right)
             }
-            out.append(Matrix._make(d**power, d**power, braid.order, braid.den, cols))
+            out.append(Matrix._make(dim, dim, braid.order, braid.den, cols))
         return braid, out
 
     def validate(self, rep: MatrixRep, power: int):
@@ -710,10 +712,10 @@ class Braiding:
         """Character of the n-th braided exterior power of a representation.
 
         The value at g is tr(g^(x)n A), A = (1/n!) sum of sign(w) T_w over S_n.
-        Degrees n >= 7, with n! > ``DIMENSION_CAP`` signed words, are refused
-        first; then ``check`` and ``validate`` refuse what they refuse, a
-        ``validate`` error carrying its ``difference_witness``, and at n >= 3
-        ``_check_hexagons`` refuses an R that fails ``report``.  Once rho^(x)n
+        No degree is refused: ``check`` and ``validate`` refuse what they
+        refuse, a ``validate`` error carrying its ``difference_witness``, and
+        at n >= 3 ``_check_hexagons`` refuses an R that fails ``report``;
+        ``validate`` builds images of arity 2 and 3 only.  Once rho^(x)n
         kills every difference the T_w are an S_n action commuting with
         g^(x)n, a tensor product on S_k x S_(n-k), so tr(g^(x)n T_w) is a
         class function of w, a product over its cycles, and the value is
@@ -732,8 +734,6 @@ class Braiding:
             return ClassFunction.constant(group, 1)
         if n == 1:
             return rep.character()
-        if _too_many_words(n):
-            raise ValueError(f"exterior power degree {n} has over {DIMENSION_CAP} signed words")
         self.check(rep, n)
         self.validate(rep, n)
         self._check_hexagons(n)
@@ -779,12 +779,15 @@ def _image(rep: MatrixRep, tensor: GATensor) -> Matrix:
     (j1, ..., jk), with no arithmetic: one dict per column, summed only
     where terms meet at one row (as on the trivial rep).  Otherwise each term
     is expanded leg by leg into (column, row, coordinates) entries, all are
-    summed in one column dict, and zero sums are dropped at the end.
+    summed in one column dict, and zero sums are dropped at the end.  A d^k
+    past ``DIMENSION_CAP`` is refused.
     """
     d = rep.dim
+    dim = d**tensor.arity
+    if dim > DIMENSION_CAP:
+        raise ValueError(f"tensor power dimension {dim} exceeds the cap {DIMENSION_CAP}")
     used = {g: rep.matrix(g) for key in tensor.rows for g in key}
     order = math.lcm(tensor.order, *(m.order for m in used.values()))
-    dim = d**tensor.arity
     if rep.maps is not None:
         terms = tensor._lifted(order)
         hits = []  # per term, the row it lands on in each column
@@ -817,11 +820,6 @@ def _image(rep: MatrixRep, tensor: GATensor) -> Matrix:
             col[i] = tuple(map(operator.add, col[i], v)) if i in col else v
     cols = {j: kept for j, col in acc.items() if (kept := {i: v for i, v in col.items() if any(v)})}
     return Matrix._make(dim, dim, order, tensor.den * mden**tensor.arity, cols)
-
-
-def _too_many_words(n: int) -> bool:
-    """n! > DIMENSION_CAP; the running products stop at the first one above the cap."""
-    return any(f > DIMENSION_CAP for f in itertools.accumulate(range(1, n + 1), operator.mul))
 
 
 def _power_sum(rmatrix: GATensor, character: ClassFunction, k: int, elements) -> tuple:

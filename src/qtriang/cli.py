@@ -23,13 +23,11 @@ import sys
 
 from . import acceptance, jsonio
 from .charring import (
-    DIMENSION_CAP,
     Braiding,
     adams_twisted,
     lambda_from_adams,
     standard_reps,
     _cyclic_value,
-    _too_many_words,
 )
 from .classify import COMPLETENESS_NOTE, DataCapError, enumerate_qt
 from .cyclotomic import ORDER_CAP, root_of_unity
@@ -271,8 +269,6 @@ def _cmd_lambda(args):
 
 def _cmd_exterior(args):
     _check_degree(args)
-    if _too_many_words(args.n):
-        raise InputError(f"exterior power degree {args.n} has over {DIMENSION_CAP} signed words")
     _check_prime(args)
     tensor, group, _ = _load_rmatrix(args)
     braiding = Braiding(tensor)
@@ -282,8 +278,6 @@ def _cmd_exterior(args):
     u, u_idx = braiding.markov, braiding.markov_index
     rows, ok = [], True
     for rep in standard_reps(group):
-        if rep.dim**args.n > DIMENSION_CAP:
-            continue
         ext = braiding.exterior_power_char(rep, args.n)
         newton = lambda_from_adams(rep.character(), args.n, u_idx)
         match = ext == newton

@@ -551,19 +551,20 @@ def _invariant_factors(group: FiniteGroup, subgroup: frozenset) -> tuple[int, ..
     ks = divisors(size)
     orders = [group.element_order(x) for x in subgroup]
     counts = [sum(1 for o in orders if k % o == 0) for k in ks]
-
-    def chains(m: int, least: int):
-        if m == 1:
-            yield ()
-        for n in divisors(m)[1:]:
-            if n % least == 0 and (m == n or (m // n) % n == 0):
-                for rest in chains(m // n, n):
-                    yield (n, *rest)
-
-    for chain in chains(size, 1):
+    for chain in _chains(size, 1):
         if all(math.prod(math.gcd(n, k) for n in chain) == c for k, c in zip(ks, counts)):
             return chain
     raise AssertionError("no abelian group has these element counts")
+
+
+def _chains(m: int, least: int):
+    """Divisibility chains n_1 | n_2 | ... of factors > 1 with product m and least | n_1."""
+    if m == 1:
+        yield ()
+    for n in divisors(m)[1:]:
+        if n % least == 0 and (m == n or (m // n) % n == 0):
+            for rest in _chains(m // n, n):
+                yield (n, *rest)
 
 
 class Inclusion:
@@ -657,26 +658,27 @@ def _generator_tuples(group: FiniteGroup, factors, candidates):
     by_order: dict[int, list[int]] = {}
     for g in candidates:
         by_order.setdefault(group.element_order(g), []).append(g)
+    return _extend(group, factors, by_order, [], {group.identity})
 
-    def search(slot: int, chosen: list[int], span: set[int]):
-        if slot == len(factors):
-            yield tuple(chosen)
-            return
-        needed = factors[slot]
-        for g in by_order.get(needed, ()):
-            if any(group.table[g][c] != group.table[c][g] for c in chosen):
-                continue
-            new_span = set()
-            h = group.identity
-            for _ in range(needed):
-                for s in span:
-                    new_span.add(group.table[s][h])
-                h = group.table[h][g]
-            if len(new_span) != len(span) * needed:
-                continue
-            yield from search(slot + 1, chosen + [g], new_span)
 
-    return search(0, [], {group.identity})
+def _extend(group: FiniteGroup, factors, by_order: dict, chosen: list[int], span: set[int]):
+    """The tuples of ``_generator_tuples`` that start with ``chosen``, whose powers span ``span``."""
+    if len(chosen) == len(factors):
+        yield tuple(chosen)
+        return
+    needed = factors[len(chosen)]
+    for g in by_order.get(needed, ()):
+        if any(group.table[g][c] != group.table[c][g] for c in chosen):
+            continue
+        new_span = set()
+        h = group.identity
+        for _ in range(needed):
+            for s in span:
+                new_span.add(group.table[s][h])
+            h = group.table[h][g]
+        if len(new_span) != len(span) * needed:
+            continue
+        yield from _extend(group, factors, by_order, chosen + [g], new_span)
 
 
 def abelian_factors(group: FiniteGroup, subgroup) -> tuple[int, ...]:

@@ -18,7 +18,7 @@ integer map, products accumulate unreduced integer polynomials and reduce
 modulo Phi_N once per output entry, and every result is divided by the gcd
 of its denominator and coordinates.  CycScalars appear only where values
 enter a matrix (the constructor, ``from_entries``, ``from_dense``) or leave
-it (``to_dense``, ``trace``).
+it (``to_dense``, ``trace``, equality across orders whose lcm is past ``ORDER_CAP``).
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 
 from .cyclotomic import (
+    ORDER_CAP,
     CycScalar,
     _reduce_mod_cyclotomic,
     content,
@@ -184,6 +185,9 @@ class Matrix:
     def _scalar(self, coords: tuple) -> CycScalar:
         return CycScalar._make(self.order, self.den, coords)
 
+    def _entries(self) -> dict[int, dict[int, CycScalar]]:
+        return {j: {i: self._scalar(v) for i, v in col.items()} for j, col in self.cols.items()}
+
     def to_dense(self) -> list[list[CycScalar]]:
         rows = [[_ZERO] * self.ncols for _ in range(self.nrows)]
         for j, col in self.cols.items():
@@ -260,6 +264,8 @@ class Matrix:
             return False
         # The power basis at every order is an integral basis, so the
         # lowest-terms denominator does not depend on the order.
+        if math.lcm(self.order, other.order) > ORDER_CAP:  # no common field: entry by entry
+            return self._entries() == other._entries()
         _, a, b = self._common(other)
         return a == b
 

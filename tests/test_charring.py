@@ -21,6 +21,7 @@ from qtriang.groups import (
     AbelianGroup,
     FiniteGroup,
     bundled_group,
+    cyclic_group,
     enumerate_biforms,
     normal_inclusions,
     subgroup_structure,
@@ -159,8 +160,6 @@ def _antisymmetrizer(action):
 
 
 def test_regular_rep_characters():
-    from qtriang.groups import cyclic_group
-
     triv = regular_rep(cyclic_group(1, "triv"))
     assert triv.dim == 1
     assert triv.character() == ClassFunction.constant(triv.group, 1)
@@ -706,8 +705,9 @@ def test_braided_action_rejects_nonunitary():
 
 
 def test_braided_action_dimension_cap():
-    # ``Braiding.check`` refuses a rep over another group first, then a
-    # non-unitary R, then a tensor power over the cap.
+    # ``Braiding.generators`` refuses a tensor power over the cap before it
+    # builds anything; ``Braiding.check`` refuses a rep over another group
+    # first, then a non-unitary R, at any power.
     q8 = bundled_group("Q8")
     with pytest.raises(ValueError, match="tensor power dimension 32768 exceeds the cap 4096"):
         BraidedAction(regular_rep(q8), GATensor.unit(q8, 2), 5)
@@ -1168,22 +1168,60 @@ def test_exterior_power_base_cases():
     assert exterior_power_char(rep, r, 1) == rep.character()
 
 
-def test_exterior_power_refuses_degrees_beyond_the_word_cap(monkeypatch):
-    # 6! = 720 signed words fit under DIMENSION_CAP = 4096 and 7! = 5040 do
-    # not.  A 1-dimensional rep passes the d^n cap at every n, so the
-    # refusal is decided on n alone, before ``check`` and before any power
-    # sum is formed, and for a huge n without forming n!.
-    assert not charring._too_many_words(6) and charring._too_many_words(7)
+def test_exterior_powers_through_degree_16_against_lambda_from_adams(monkeypatch):
+    # No degree is capped: Lambda^n at n = 2 .. 16 on every distinct
+    # triangular structure and standard rep, D4's regular rep (8^16) too,
+    # against the Newton value lambda^n_u.  A triangular R has no braided
+    # difference, so no tensor-power image is built.  They agree except on
+    # D4's regular rep at its four Klein-supported 16-term structures, at
+    # even n: all four at n = 2, 4 and 6, two of them from n = 8 on (the
+    # README's scope note).
+    def no_image(*args):
+        raise AssertionError("a tensor-power image was built")
 
-    def no_words(*args):
-        raise AssertionError("a power sum or d^n was formed")
+    monkeypatch.setattr(charring, "_image", no_image)
+    values, differ = 0, set()
+    for name, catalog, members, structure in acceptance._triangular_classes():
+        u, index = structure.markov.grouplike_index(), catalog.dedup.index(members)
+        for rep in standard_reps(bundled_group(name)):
+            chi = rep.character()
+            for n in range(2, 17):
+                values += 1
+                if structure.exterior_power_char(rep, n) != lambda_from_adams(chi, n, u):
+                    differ.add((name, index, rep.name, n))
+    assert values == 1545
+    klein = {2: (2, 4, 6), 3: range(2, 17, 2), 4: (2, 4, 6), 5: range(2, 17, 2)}
+    assert differ == {("D4", i, "regular(D4)", n) for i, degrees in klein.items() for n in degrees}
 
-    monkeypatch.setattr(charring, "_power_sum", no_words)
-    monkeypatch.setattr(Braiding, "check", no_words)
-    for n in (7, 8, 10**12):
-        message = f"exterior power degree {n} has over 4096 signed words"
-        with pytest.raises(ValueError, match=message):
-            exterior_power_char(sign_rep(), koszul(), n)
+
+def test_cyclic_identities_at_primes_5_and_7():
+    # Criterion 7's identities at p = 5 and 7 on every distinct triangular
+    # structure and standard rep.  d^p passes 4096 on the regular reps of
+    # order 6 and 8 at p = 5, and of order 4 and up at p = 7, yet the
+    # long-cycle tables are powers of power sums and build no d^p matrix.
+    cases = 0
+    for name, catalog, _, structure in acceptance._triangular_classes():
+        u = structure.markov.grouplike_index()
+        for rep in standard_reps(catalog.group):
+            for p in (5, 7):
+                for k, tags in enumerate(
+                    acceptance._cyclic_root_tags(catalog.group, rep, structure, u, p), start=1
+                ):
+                    assert tags == [], (name, rep.name, p, k)
+                    cases += 1
+    assert cases == 1030
+
+
+def test_dimension_cap_applies_only_where_a_matrix_is_built():
+    # 17^3 = 4913 is past the cap: Lambda^3 of Z17's regular rep under
+    # R = 1 (x) 1 builds no image and equals lambda^3, while the image of an
+    # arity-3 tensor on that rep is refused.
+    group = cyclic_group(17)
+    rep = regular_rep(group)
+    ext = exterior_power_char(rep, GATensor.unit(group, 2), 3)
+    assert ext == lambda_from_adams(rep.character(), 3, group.identity)
+    with pytest.raises(ValueError, match="tensor power dimension 4913 exceeds the cap 4096"):
+        charring._image(rep, GATensor.unit(group, 3))
 
 
 def test_braiding_forms_what_it_reads_once(monkeypatch):

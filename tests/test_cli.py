@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from qtriang import acceptance, charring, cli, jsonio, rmatrix
+from qtriang import acceptance, charring, jsonio, rmatrix
 from qtriang.cli import build_parser, main
 from qtriang.cyclotomic import CycScalar, root_of_unity
 from qtriang.groups import (
@@ -412,20 +412,20 @@ def test_cli_bad_option_values_are_input_errors(workdir, capsys, argv, message):
     assert json.loads(capsys.readouterr().out)["error"] == {"kind": "input", "message": message}
 
 
-@pytest.mark.parametrize("n", [7, 1000000000000])
-def test_cli_exterior_refuses_degrees_beyond_the_word_cap(workdir, capsys, monkeypatch, n):
-    # 7! signed words exceed DIMENSION_CAP; the degree is refused before any
-    # input is read, any representation is built or any power sum is formed.
-    def fail(*args):
-        raise AssertionError("work was done for a refused degree")
-
-    monkeypatch.setattr(charring, "_power_sum", fail)
-    monkeypatch.setattr(cli, "standard_reps", fail)
-    monkeypatch.setattr(cli, "_load_rmatrix", fail)
-    _write(workdir / "datum.json", z2_datum_doc())
-    assert main(["exterior", "--datum", "datum.json", "--n", str(n)]) == 2
-    message = f"exterior power degree {n} has over 4096 signed words"
-    assert json.loads(capsys.readouterr().out)["error"] == {"kind": "input", "message": message}
+@pytest.mark.parametrize("degree", [["--n", "7"], ["--n", "3", "--p", "5"]], ids=["n7", "n3-p5"])
+def test_cli_exterior_has_no_degree_or_tensor_power_cap(workdir, capsys, degree):
+    # Neither n nor p is capped, and no representation is left out for the
+    # size of d^n or d^p (8^7 and 8^5 on D4's regular rep): the power sums
+    # are character sums over R's terms and build no matrix.  The datum is
+    # D4's first Klein-supported one, whose regular rep differs from the
+    # Newton recursion at even n only.
+    catalog = acceptance.triangular_catalog("D4")
+    _write(workdir / "datum.json", jsonio.datum_to_json(catalog.data[catalog.dedup[2][0]]))
+    assert main(["exterior", "--datum", "datum.json", *degree]) == 0
+    rows = json.loads(capsys.readouterr().out)["results"]
+    assert [row["representation"] for row in rows][-1] == "regular(D4)"
+    assert len(rows) == 5 and all(row["matches_newton_recursion"] for row in rows)
+    assert all(("cyclic_traces" in row) == ("--p" in degree) for row in rows)
 
 
 def test_cli_lambda_has_no_word_cap(capsys):

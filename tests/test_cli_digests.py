@@ -5,6 +5,8 @@ the exact report of every request in it, in a fixed order.
 
 - ``exterior``: every triangular datum of the group's catalog, at
   ``--n 2 --p 2``, ``--n 3 --p 3`` and ``--n 4``;
+- ``exterior-n7-p5``: the same data at ``--n 7 --p 5``, where d^7 passes
+  4096 on the regular reps of order 4 and up;
 - ``classify --triangular``;
 - ``adams`` and ``lambda``: every central involution at n = 0, 1, 5 and 6
   (the golden records hold n = 2, 3 and 4).
@@ -34,8 +36,11 @@ from qtriang.acceptance import triangular_catalog
 from qtriang.cli import main
 from qtriang.groups import CATALOG_NAMES, bundled_group
 
-COMMANDS = ("exterior", "classify-triangular", "adams", "lambda")
-EXTERIOR_DEGREES = (["--n", "2", "--p", "2"], ["--n", "3", "--p", "3"], ["--n", "4"])
+COMMANDS = ("exterior", "exterior-n7-p5", "classify-triangular", "adams", "lambda")
+EXTERIOR_DEGREES = {
+    "exterior": (["--n", "2", "--p", "2"], ["--n", "3", "--p", "3"], ["--n", "4"]),
+    "exterior-n7-p5": (["--n", "7", "--p", "5"],),
+}
 CHARACTER_DEGREES = (0, 1, 5, 6)
 
 DIGESTS = {
@@ -46,6 +51,13 @@ DIGESTS = {
     ("exterior", "S3"): "32383f3ba4a6800228543672e60d4df5dd5207665babaa7c6dae4607daa9bf38",
     ("exterior", "D4"): "ea015fb7a7d282ac1039de14e016423842fcb95329f6558a04db96ac002214ec",
     ("exterior", "Q8"): "9e6609887355926ae09256e50a82b924c5500efacda3d76ae76a45161b5ef248",
+    ("exterior-n7-p5", "Z2"): "50c1597c060c3eae416b5ae7b4ab0abf6e305b270190ee0e755f561e6a671da6",
+    ("exterior-n7-p5", "Z3"): "53856b76cd8af307b9b6f34d768f9bcf7079a45f9d283532f6d0d43fd9a1f238",
+    ("exterior-n7-p5", "Z4"): "e04cf1339526fc938ffeb5d31df235bca64acc5b739ccf1258e295bb41d526c8",
+    ("exterior-n7-p5", "Z2xZ2"): "b4d0aed31c1386461731dd6909f97ba2fc8c17fe9d718e6f07b71e799832a10f",
+    ("exterior-n7-p5", "S3"): "430b1d4ba5ae3c7942fc2f09f2c314b5ffb05a497a131d20694ba22214669fc8",
+    ("exterior-n7-p5", "D4"): "1639d9840a7cbd2e537f2c20e13084069d6fe9461d89e564cef87ec8d28007d2",
+    ("exterior-n7-p5", "Q8"): "0d02d2294fd55bee168f46c6729ca00d06914a271a62d039cf1157becc6e319c",
     ("classify-triangular", "Z2"): "1577c222e9e7342cba477780817fea76f08aaa2e81b650dde3e138b7cc4ce379",
     ("classify-triangular", "Z3"): "24108e0bad83e993fcbf03ae10a1588e63e2f3554a2ce2ed86dc925101672a74",
     ("classify-triangular", "Z4"): "0b55b2325434d5940eea052c865e27dc5eb388303b6cec83ead0977d2b06e75f",
@@ -74,12 +86,12 @@ def _requests(command: str, name: str, workdir: str):
     """The argv lists of one (command, group) run, in digest order."""
     if command == "classify-triangular":
         yield ["classify", "--group", name, "--triangular"]
-    elif command == "exterior":
+    elif command in EXTERIOR_DEGREES:
         for k, datum in enumerate(triangular_catalog(name).data):
             path = os.path.join(workdir, f"{name}-{k}.json")
             with open(path, "w") as handle:
                 json.dump(jsonio.datum_to_json(datum), handle)
-            for degree in EXTERIOR_DEGREES:
+            for degree in EXTERIOR_DEGREES[command]:
                 yield ["exterior", "--datum", path, *degree]
     else:
         for u in bundled_group(name).central_involutions():

@@ -1,7 +1,9 @@
+import gc
 import hashlib
 import itertools
 import json
 import math
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -307,6 +309,32 @@ def test_invariant_factors_match_reference():
     assert checked == 127
     whole = [_invariant_factors(g, frozenset(g.elements())) for g in _factor_test_groups()[-4:]]
     assert whole == [(2, 32), (6, 6), (60,), (2, 4, 8)]
+
+
+def test_inclusion_searches_leave_no_function_in_garbage():
+    # The invariant-factor chains and the generator search recurse.  A
+    # nested generator that calls itself through its closure cell is a
+    # reference cycle: each call would leave its function, with the cell,
+    # for the collector.
+    flags, saved = gc.get_debug(), gc.garbage[:]
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for group in (
+            cyclic_group(4),
+            direct_product(cyclic_group(2), cyclic_group(2)),
+            symmetric_group(3),
+            dihedral_group(4),
+            quaternion_group(),
+        ):
+            for sub in abelian_normal_subgroups(group):
+                normal_inclusions(subgroup_structure(group, sub).domain, group)
+        gc.collect()
+        functions = [x for x in gc.garbage if isinstance(x, types.FunctionType)]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage[:] = saved
+    assert functions == []
 
 
 def test_subgroup_structure_rejects_nonabelian():

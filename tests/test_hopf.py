@@ -4,9 +4,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qtriang.acceptance import qt_catalog
+from qtriang.charring import ClassFunction
 from qtriang.cyclotomic import CycScalar, euler_phi, root_of_unity
 from qtriang.groups import bundled_group, CATALOG_NAMES
 from qtriang.hopf import GATensor, first_difference
+from qtriang.linalg import Matrix
 from qtriang.rmatrix import LegProducts
 
 
@@ -467,6 +469,24 @@ def test_product_past_the_order_cap_matches_scalar_reference():
     assert far != near and far == GATensor(g, 2, dict(far.terms))
     two = [GATensor(g, 2, {(1, 0): CycScalar.rational(2, n)}) for n in (359, 353)]
     assert two[0] == two[1] and two[0] != far
+
+
+@pytest.mark.parametrize("container", ["GATensor", "Matrix", "ClassFunction"])
+def test_equality_across_orders_past_the_cap(container):
+    # Values stored at orders 360 and 7 have no common field within the cap
+    # (their lcm is 2520), so equality compares value by value, each at its
+    # least order, as CycScalar equality does.
+    g = bundled_group("Z2")
+    build = {
+        "GATensor": lambda v: GATensor(g, 2, {(1, 0): v}),
+        "Matrix": lambda v: Matrix.from_entries(2, 2, [(1, 0, v)]),
+        "ClassFunction": lambda v: ClassFunction(g, [v, v]),
+    }[container]
+    half = [build(CycScalar.rational(Fraction(1, 2), n)) for n in (360, 7)]
+    assert [x.order for x in half] == [360, 7]
+    assert half[0] == half[1] and half[1] == half[0]
+    assert half[0] != build(CycScalar.rational(Fraction(-1, 2), 7))
+    assert build(root_of_unity(360)) != build(root_of_unity(7))
 
 
 def test_values_past_one_common_order_are_refused():
