@@ -183,6 +183,27 @@ class GATensor:
             rows = {k: r for k, raw in acc.items() if any(r := _reduce_mod_cyclotomic(raw, order))}
         return GATensor._make(self.group, self.arity, order, self.den * other.den, rows)
 
+    def _fibre_square(self, leg: int) -> "GATensor":
+        """R's fibre square: at ``leg`` 1, sum_a a (x) r_a^2 for R = sum_a a (x) r_a.
+
+        At leg 2, sum_b s_b^2 (x) b; as in ``__mul__``, from sum_a |r_a|^2 pairs, not |R|^2."""
+        i, table, order = leg - 1, self.group.table, self.order
+        slices: dict = {}
+        for key, row in self.rows.items():
+            slices.setdefault(key[i], []).append((key[1 - i], row))
+        acc, width = {}, 2 * euler_phi(order) - 1
+        for a, terms in slices.items():
+            for b, u in terms:
+                for c, v in terms:
+                    key = (a, table[b][c]) if i == 0 else (table[b][c], a)
+                    raw = acc.setdefault(key, [0] * width)
+                    for j1, x in enumerate(u):
+                        if x:
+                            for j2, y in enumerate(v):
+                                raw[j1 + j2] += x * y
+        rows = {k: r for k, raw in acc.items() if any(r := _reduce_mod_cyclotomic(raw, order))}
+        return GATensor._make(self.group, 2, order, self.den * self.den, rows)
+
     def __matmul__(self, other: "GATensor") -> "GATensor":
         """Outer tensor product, concatenating legs."""
         if self.group != other.group:

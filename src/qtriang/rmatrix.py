@@ -8,19 +8,18 @@ one character sum, (1/|A|) sum over a, chi of chi(a) (i(a) x j(-a_chi)),
 where a_chi is the point of A with beta(chi, xi) = xi(a_chi) for every xi.
 ``verify_qt`` checks every quasitriangularity identity bit-exactly, reading
 the three-leg ones from ``LegProducts``, which the pairing-map checks and
-the braid relation of ``charring`` share.  Two facts, true for every
-arity-2 tensor on the cocommutative k[G], spare three of its five products
-on an R-matrix and change no check's outcome or witness.  (a) If
-(Delta x I)(R) = R13 R23 and (eps x I)(R) = 1, then (S x I)(R) is R's
-inverse: (m (S x id)) x id sends the left side to 1 x 1 and the right side
-to (S x I)(R) R.  This decides ``invertible`` and the inverse the antipode
-checks compare with.  (b) If (Delta x I)(R) = R13 R23 and R commutes with
-every g x g, R solves Yang-Baxter: X = (Delta x I)(R) = sum c_ab a x a x b
-commutes with R12 and is fixed by the swap of legs 1 and 2, so
-R13 R23 = X = R23 R13 and R12 R13 R23 = R12 X = X R12 = R23 R13 R12.  This decides ``yang_baxter``,
-and the braid relation of ``charring``.  The remaining operations extract
-the Markov element, the minimal supports with their dual pairing map, and
-the twist into the sign-braided category of Z/2-graded spaces.
+the braid relation of ``charring`` share.  Three facts, true for every
+arity-2 tensor on the cocommutative k[G] and proved in ``verify_qt``, spare
+all five of its products on an R-matrix and change no check's outcome or
+witness.  (a) If (Delta x I)(R) = R13 R23 and (eps x I)(R) = 1, (S x I)(R)
+is R's inverse.  (b) If (Delta x I)(R) = R13 R23 and R commutes with every
+g x g, R solves Yang-Baxter.  (c) If (eps x I)(R) = 1, then
+(Delta x I)(R) = R13 R23 = sum a x a' x r_a r_a' exactly when each slice
+r_a of R = sum_a a x r_a is idempotent: idempotents summing to 1 are
+orthogonal, as left multiplications by them have ranks |G| r_a(1) summing
+to |G|; (I x Delta)(R) = R13 R12 mirrors it.  The remaining operations
+extract the Markov element, the minimal supports with their dual pairing
+map, and the twist into the sign-braided category of Z/2-graded spaces.
 """
 
 from __future__ import annotations
@@ -228,12 +227,13 @@ def build_r(datum: QTDatum) -> GATensor:
 
 
 class LegProducts:
-    """R12, R13, R23, R13 R12 and R13 R23 of an R-matrix, each formed on first use and kept.
+    """R12, R13, R23, R13 R12, R13 R23 and R's counits, each formed on first use and kept.
 
-    For an R-matrix, R13 R12 = (I x Delta)(R) and R13 R23 = (Delta x I)(R).
-    ``left_hexagon`` compares the second with (Delta x I)(R), for
-    ``verify_qt`` and the pairing-map checks of ``minimal_support``, and
-    ``yang_baxter_by_hexagon`` reads fact (b) of ``verify_qt`` from it.
+    ``left_hexagon`` and ``right_hexagon``, (Delta x I)(R) = R13 R23 and
+    (I x Delta)(R) = R13 R12, compare R with its fibre square, forming no
+    product, where the counit on the coproduct's leg is the unit (fact (c)
+    of ``verify_qt``), and the ``hexagon_sides`` otherwise.  So an R-matrix
+    forms none; ``yang_baxter_by_hexagon`` reads fact (b) off the left one.
     """
 
     def __init__(self, r: GATensor):
@@ -260,9 +260,21 @@ class LegProducts:
         return self.r13 * self.r23
 
     @functools.cached_property
-    def left_hexagon(self) -> bool:
-        """(Delta x I)(R) = R13 R23, compared on stored rows."""
-        return self.rmatrix.coproduct(1) == self.r13r23
+    def counits(self) -> tuple[GATensor, GATensor]:
+        return self.rmatrix.counit(1), self.rmatrix.counit(2)
+
+    def hexagon_sides(self, leg: int) -> tuple[GATensor, GATensor]:
+        """R's coproduct on ``leg``, and R13 R23 at leg 1 or R13 R12 at leg 2."""
+        return self.rmatrix.coproduct(leg), self.r13r23 if leg == 1 else self.r13r12
+
+    def _hexagon(self, leg: int) -> bool:
+        if self.counits[leg - 1].is_unit():  # fact (c) of ``verify_qt``
+            return self.rmatrix._fibre_square(leg) == self.rmatrix
+        left, right = self.hexagon_sides(leg)
+        return left == right
+
+    left_hexagon = functools.cached_property(lambda self: self._hexagon(1))
+    right_hexagon = functools.cached_property(lambda self: self._hexagon(2))
 
     def yang_baxter_by_hexagon(self, invariant: bool) -> bool:
         """Whether R12 R13 R23 = R23 R13 R12 follows with no product formed.
@@ -297,28 +309,34 @@ def verify_qt(candidate: GATensor, products: LegProducts | None = None) -> Verif
     not invertible the remaining checks are skipped.  ``products``, when
     given, are the candidate's ``LegProducts``, read and kept there.
 
-    R13 R23 is formed first; two facts about every arity-2 tensor on the
-    cocommutative k[G] then spare three products on an R-matrix.
+    Three facts about every arity-2 tensor on the cocommutative k[G] spare all
+    five products on an R-matrix.  (c) If (eps x I)(R) = 1, then
+    (Delta x I)(R) = R13 R23 exactly when each left slice r_a = sum_b c_ab b
+    of R = sum_a a x r_a is idempotent: R13 R23 = sum a x a' x r_a r_a' has
+    a = a' part sum_a a x a x r_a^2, and idempotents of k[G] summing to 1 are
+    orthogonal, as left multiplication by r_a has trace |G| r_a(1), its rank,
+    the ranks sum to |G| and k[G] = sum_a r_a k[G], so that sum is direct.
+    Mirrored, (I x eps)(R) = 1 and idempotent right slices s_b = sum_a c_ab a
+    give (I x Delta)(R) = R13 R12.  So R13 R23 and R13 R12 are formed only
+    where that counit is not 1, or for a failing coproduct check's witness.
     (a) If (Delta x I)(R) = R13 R23 and (eps x I)(R) = 1, then (S x I)(R)
     is R's inverse: apply (m (S x id)) x id to the hexagon; the left side
-    gives 1 x (eps x I)(R) = 1 x 1, the right side (S x I)(R) R.  So
-    ``invertible`` passes with R^-1 = (S x I)(R) and no product; otherwise
+    gives 1 x (eps x I)(R) = 1 x 1, the right side (S x I)(R) R.  Else
     R (S x I)(R) is tested for the unit, and the solve runs if it is not.
     (b) If (Delta x I)(R) = R13 R23 and R commutes with every g x g,
     Yang-Baxter holds: X = (Delta x I)(R) = sum c_ab a x a x b commutes with
     R12 and is fixed by the swap of legs 1 and 2, so R13 R23 = X = R23 R13
-    and R12 R13 R23 = R12 X = X R12 = R23 R13 R12.  So ``yang_baxter`` passes
-    without forming its sides when the left hexagon holds and
-    ``commutes_with_diagonals`` passed (``yang_baxter_by_hexagon``);
-    otherwise both sides are formed and compared.  Every other check is
-    literal, and R13 R12 is formed only once ``invertible`` passed.
+    and R12 R13 R23 = R12 X = X R12 = R23 R13 R12 (``yang_baxter_by_hexagon``);
+    else both sides are formed and compared.  Every other check is literal,
+    and a tensor with no inverse forms R (S x I)(R), and R13 R23 if its left
+    counit is not the unit.
     """
     if candidate.arity != 2:
         raise ValueError("R-matrices live in arity 2")
     products = LegProducts(candidate) if products is None else products
     report = VerificationReport()
     left_antipode = candidate.antipode(1)
-    left_counit = candidate.counit(1)
+    left_counit, right_counit = products.counits
     if products.left_hexagon and left_counit.is_unit():
         inverse = left_antipode
     else:
@@ -331,14 +349,15 @@ def verify_qt(candidate: GATensor, products: LegProducts | None = None) -> Verif
 
     group = candidate.group
     invariant = report.add_commutation("commutes_with_diagonals", candidate)
-    report.add_equality("coproduct_on_right_leg", candidate.coproduct(2), products.r13r12)
-    report.add_equality("coproduct_on_left_leg", candidate.coproduct(1), products.r13r23)
+    for leg, holds in ((2, products.right_hexagon), (1, products.left_hexagon)):
+        witness = None if holds else difference_witness(*products.hexagon_sides(leg))
+        report.add(f"coproduct_on_{('left', 'right')[leg - 1]}_leg", holds, witness)
     if products.yang_baxter_by_hexagon(invariant):
         report.add("yang_baxter", True)
     else:
         report.add_equality("yang_baxter", *products.yang_baxter_sides)
     report.add_equality("counit_left", left_counit, GATensor.unit(group, 1))
-    report.add_equality("counit_right", candidate.counit(2), GATensor.unit(group, 1))
+    report.add_equality("counit_right", right_counit, GATensor.unit(group, 1))
     report.add_equality("antipode_left", left_antipode, inverse)
     report.add_equality("antipode_right", candidate.antipode(2), inverse)
     report.add_equality("antipode_both", left_antipode.antipode(2), candidate)
@@ -537,7 +556,7 @@ def minimal_support(
     if unitary:
         checks["supports_coincide_when_unitary"] = left_rows == right_rows
     products = LegProducts(candidate) if products is None else products
-    checks["alpha_reverses_products"] = candidate.coproduct(2) == products.r13r12
+    checks["alpha_reverses_products"] = products.right_hexagon
     checks["alpha_respects_coproducts"] = products.left_hexagon
     if unitary:
         checks["alpha_dual_equals_antipode_composite"] = candidate == candidate.swap().antipode(2)

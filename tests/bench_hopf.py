@@ -14,9 +14,8 @@ product of two 12-term arity-2 tensors on D4 whose coefficients have
 orders 3, 4 and 8 and several nonzero coordinates over different
 denominators; the five leg maps (coproduct, antipode, swap, R13
 placement, adjoint action) on the D4 16-term R; and ``verify_qt`` on that
-R, whose two products (R13 R23 and R13 R12; the left hexagon decides the
-inverse and Yang-Baxter) are the tensor products a ``classify`` pass forms
-per structure.
+R, which forms no tensor product: both hexagons are read off R's fibre
+squares, and the left one decides the inverse and Yang-Baxter.
 """
 
 from fractions import Fraction

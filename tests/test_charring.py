@@ -1677,29 +1677,30 @@ def _count_criterion_work(monkeypatch, criterion, **counted):
 
 def test_criterion_06_forms_each_structures_braided_data_once(monkeypatch):
     # One Braiding per distinct triangular structure, shared by its reps:
-    # per structure R R21 (1), R13 R23 (1), which with invariance shows the
-    # braid relation at n = 3 (``yang_baxter_by_hexagon``), and, read once at
-    # n = 3, the report's ``verify_qt``, which forms R13 R12 (1) and reads
-    # its inverse from the left hexagon: 3 GATensor products.  The power
-    # sums form none.  Forming the Yang-Baxter sides and R (S x I)(R) took
-    # 132; with ``verify_qt`` forming its own leg products and sides it took
-    # 220; the long cycle at n = 3 as a product took 1, 132 in all with no
-    # report read, the words of all permutations at n = 3 took 176, and
-    # forming them per (structure, rep) took 837.
+    # per structure R R21 (1) and nothing else.  Both hexagons are read off
+    # R's slices (fact (c) of ``verify_qt``), so the braid relation at n = 3
+    # (``yang_baxter_by_hexagon``) and the report, read once at n = 3, form
+    # no product.  The power sums form none.  With R13 R23 and R13 R12
+    # formed for the hexagons it took 66; forming the Yang-Baxter sides and
+    # R (S x I)(R) too took 132; with ``verify_qt`` forming its own leg
+    # products and sides it took 220; the long cycle at n = 3 as a product
+    # took 1, 132 in all with no report read, the words of all permutations
+    # at n = 3 took 176, and forming them per (structure, rep) took 837.
     counts, _ = _count_criterion_work(monkeypatch, acceptance.criterion_6)
-    assert counts["tensor"] == 66
+    assert counts["tensor"] == 22
     assert counts["matrix"] == counts["action"] == 0
 
 
 def test_criterion_07_reads_one_trace_table_per_structure_rep_and_prime(monkeypatch):
     # One long-cycle trace table for each of the 186 distinct (R, rep, p)
     # triples, shared by all roots, and no matrix action built for any.  The
-    # categorical trace of z^p is read from the character, and R R21 and,
-    # read once at p = 3, the report (R's leg products, 2, and no
-    # Yang-Baxter side or R (S x I)(R), which the left hexagon and
-    # invariance decide) are formed once per structure: 66 GATensor
-    # products, none for tau or its powers.  With the report forming the
-    # Yang-Baxter sides and R (S x I)(R) it took 132.  Forming
+    # categorical trace of z^p is read from the character, and R R21 is
+    # formed once per structure: 22 GATensor products, none for tau or its
+    # powers.  The report, read once at p = 3, forms none: R's slices
+    # decide both hexagons, and those with invariance decide the inverse
+    # and Yang-Baxter.  With the report forming R's two leg products it
+    # took 66, and with it forming the Yang-Baxter sides and R (S x I)(R)
+    # too, 132.  Forming
     # tau and tau^i = tau^(i-1) tau as products took 66 with no report read
     # (88 when tau^i was the word of tau repeated i times), and forming them
     # per (structure, rep) took 372 GATensor and 574 Matrix products.
@@ -1707,7 +1708,7 @@ def test_criterion_07_reads_one_trace_table_per_structure_rep_and_prime(monkeypa
         monkeypatch, acceptance.criterion_7, long_cycle_traces=2
     )
     assert Counter(recorded["long_cycle_traces"]) == {2: 93, 3: 93}  # 186 tables
-    assert counts["tensor"] == 66
+    assert counts["tensor"] == 22
     assert counts["matrix"] == counts["action"] == 0
 
 
@@ -1734,11 +1735,12 @@ def _products_inside_verify_qt(monkeypatch):
 
 def test_long_cycle_powers_form_no_product(monkeypatch):
     # At p = 3 on a fresh Braiding: R R21 outside ``verify_qt``, and the
-    # report, read for the hexagon identities, whose ``verify_qt`` forms R's
-    # two leg products and no Yang-Baxter side or R (S x I)(R): the left
-    # hexagon and invariance decide those (5 outside and 1 inside when the
-    # report formed them).  tau and tau^2 form no GATensor product (one each
-    # when they were built as products).
+    # report, read for the hexagon identities, whose ``verify_qt`` forms no
+    # product: R's slices decide both hexagons (2 inside when it formed R's
+    # leg products), and the left hexagon and invariance decide the inverse
+    # and Yang-Baxter (5 outside and 1 inside when the report formed them).
+    # tau and tau^2 form no GATensor product (one each when they were built
+    # as products).
     catalog = acceptance.triangular_catalog("D4")
     rmats = (catalog.structures[m[0]].rmatrix for m in catalog.dedup)
     r = next(t for t in rmats if len(t.terms) == 16)
@@ -1746,34 +1748,37 @@ def test_long_cycle_powers_form_no_product(monkeypatch):
     expected = _reference_cyclic_operation_char(rep, r, 3, root_of_unity(3))
     products_at = _products_inside_verify_qt(monkeypatch)
     assert cyclic_operation_char(rep, r, 3, root_of_unity(3)) == expected
-    assert products_at == {None: 1, "verify_qt": 2}
+    assert products_at == {None: 1}
 
 
 def test_criterion_10_forms_braiding_differences_once_per_structure_and_power(monkeypatch):
     # One list of R's braided differences for each of the 22 distinct
     # triangular structures and n = 2, 3, validated on every rep with no
-    # matrix action built: per structure R R21 and R13 R23, whose left
-    # hexagon with invariance leaves out the Yang-Baxter difference, 44
-    # GATensor products.  Forming R's leg products and Yang-Baxter sides
-    # too took 110; building one action per (structure, rep, power) took 316
-    # GATensor and 206 Matrix products.
+    # matrix action built: per structure R R21, 22 GATensor products.  The
+    # left hexagon, read off R's slices, with invariance leaves out the
+    # Yang-Baxter difference.  Forming R13 R23 for the hexagon took 44;
+    # forming R's leg products and Yang-Baxter sides too took 110; building
+    # one action per (structure, rep, power) took 316 GATensor and 206
+    # Matrix products.
     counts, recorded = _count_criterion_work(
         monkeypatch, acceptance.criterion_10, _differences=1
     )
     assert Counter(recorded["_differences"]) == {2: 22, 3: 22}  # 44 formations
-    assert counts["tensor"] == 44
+    assert counts["tensor"] == 22
     assert counts["matrix"] == counts["action"] == 0
 
 
 def test_criteria_06_07_10_share_each_structures_braiding(monkeypatch):
     # On the same catalogs the three criteria read one ``Braiding`` per
     # distinct triangular structure, the one its catalog built for its dedup
-    # class, and build none.  Criterion 6 forms R R21, the differences at
-    # n <= 3 (R13 R23) and, at n = 3, the report (``verify_qt``), which reads
-    # R13 R23 and forms R13 R12; criteria 7 and 10 then form nothing.  With
-    # the differences forming the Yang-Baxter sides, criterion 6 took 132
-    # products, 22 of them inside ``verify_qt``; with ``verify_qt`` forming
-    # its own leg products and sides, 220, 110 of them inside it.  Each building
+    # class, and build none.  Criterion 6 forms R R21; the differences at
+    # n <= 3 and, at n = 3, the report (``verify_qt``) read both hexagons off
+    # R's slices and form nothing, nor do criteria 7 and 10.  With the
+    # hexagons compared with R13 R23 and R13 R12, criterion 6 took 66, 22
+    # of them inside ``verify_qt``.  With the differences forming the
+    # Yang-Baxter sides, criterion 6 took 132 products, 22 of them inside
+    # ``verify_qt``; with ``verify_qt`` forming its own leg products and
+    # sides, 220, 110 of them inside it.  Each building
     # its own ``Braiding`` took 220, 132 and 110 products.  With the long
     # cycle and its powers formed as products the counts were 132, 22
     # (tau^2 at p = 3) and 0, and no report was read.
@@ -1783,8 +1788,8 @@ def test_criteria_06_07_10_share_each_structures_braiding(monkeypatch):
         monkeypatch, criteria, __init__=0, exterior_power_char=0, long_cycle_traces=0, check=0
     )
     assert build["tensor"] == 0 and build["__init__"] == 44  # one per distinct structure
-    assert [c["tensor"] for c in per_criterion] == [66, 0, 0]
-    assert products_at == {None: 44, "verify_qt": 22}
+    assert [c["tensor"] for c in per_criterion] == [22, 0, 0]
+    assert products_at == {None: 22}
     assert [c["__init__"] for c in per_criterion] == [0, 0, 0]
     triangular = {
         id(s) for name in CATALOG_NAMES for s in acceptance.triangular_catalog(name).structures
@@ -1875,10 +1880,14 @@ def test_power_sums_and_exterior_powers_against_twisted_adams():
     # An oracle outside the braided layer: the power sum p_k(g) =
     # tr(g^(x)k tau_k) against psi^k_u(chi)(g) = chi(u^(k+1) g^k), 2 <= k <= 6,
     # and Lambda^n against the Newton value lambda^n_u(chi), n <= 6, on every
-    # distinct triangular structure and standard rep within the d^n cap.
-    # They agree except on D4's regular rep at its four Klein-supported
-    # 16-term structures (see the test above): p_2, and so Lambda^2 and
-    # Lambda^4, differ at noncentral classes.
+    # distinct triangular structure and standard rep.  Neither ``_power_sum``
+    # nor ``exterior_power_char`` builds a d^n matrix, so no d^n is skipped;
+    # skipping d^n past ``DIMENSION_CAP`` left out k = 5, 6 on the regular
+    # reps of S3, D4 and Q8 (497 p and 703 lambda).  They agree except on
+    # D4's regular rep at its four Klein-supported 16-term structures (see
+    # the test above): p_2, and p_6, which equals it on both sides as D4 has
+    # exponent 4, and so Lambda^2, Lambda^4 and Lambda^6, differ at
+    # noncentral classes.
     counts, differ = Counter(), set()
     for name, catalog, members, structure in acceptance._triangular_classes():
         u = structure.markov.grouplike_index()
@@ -1887,8 +1896,6 @@ def test_power_sums_and_exterior_powers_against_twisted_adams():
             chi = rep.character()
             classes = [cls_[0] for cls_ in rep.group.conjugacy_classes()]
             for k in range(7):
-                if rep.dim**k > charring.DIMENSION_CAP:
-                    continue
                 if k >= 2:
                     power_sum = ClassFunction._make(
                         rep.group, *charring._power_sum(structure.rmatrix, chi, k, classes)
@@ -1899,21 +1906,22 @@ def test_power_sums_and_exterior_powers_against_twisted_adams():
                 counts["lambda"] += 1
                 if structure.exterior_power_char(rep, k) != lambda_from_adams(chi, k, u):
                     differ.add(("lambda", *at, rep.name, k))
-    assert counts == {"p": 497, "lambda": 703}
+    assert counts == {"p": 515, "lambda": 721}
     klein = [("D4", index, 16, "regular(D4)") for index in (2, 3, 4, 5)]
-    assert differ == {("p", *case, 2) for case in klein} | {
-        ("lambda", *case, n) for case in klein for n in (2, 4)
+    assert differ == {("p", *case, k) for case in klein for k in (2, 6)} | {
+        ("lambda", *case, n) for case in klein for n in (2, 4, 6)
     }
 
 
 def test_exterior_powers_form_no_long_cycle(monkeypatch):
     # On the first 16-term Z2xZ2 structure, all five standard reps at
-    # n = 2 .. 6 form 3 GATensor products on one Braiding: R R21, R13 R23
-    # once for every n >= 3, whose left hexagon with invariance leaves out
-    # the Yang-Baxter sides, and the report's R13 R12 inside ``verify_qt``,
-    # which reads its inverse from the left hexagon.  Forming the sides and
-    # R (S x I)(R) took 6 (16 when each n formed the sides; 10 when
-    # ``verify_qt`` formed its own).  The power sums form
+    # n = 2 .. 6 form 1 GATensor product on one Braiding, R R21.  R's slices
+    # decide both hexagons, for the differences at every n >= 3 and for the
+    # report's ``verify_qt``; the left one with invariance leaves out the
+    # Yang-Baxter sides and gives R's inverse.  Forming R13 R23 and R13 R12
+    # for the hexagons took 3; forming the sides and R (S x I)(R) too took 6
+    # (16 when each n formed the sides; 10 when ``verify_qt`` formed its
+    # own).  The power sums form
     # none: tau_k at one product per letter after the first took 10, and the
     # n! signed words took at least 714 at n = 6 alone, and over a minute.
     catalog = acceptance.triangular_catalog("Z2xZ2")
@@ -1923,7 +1931,7 @@ def test_exterior_powers_form_no_long_cycle(monkeypatch):
     for n in range(2, 7):
         for rep in reps:
             braiding.exterior_power_char(rep, n)
-    assert len(reps) == 5 and products_at == {None: 2, "verify_qt": 1}
+    assert len(reps) == 5 and products_at == {None: 1}
 
 
 def test_power_sums_and_cycle_tables_match_the_long_cycle_products():

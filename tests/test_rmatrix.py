@@ -1,4 +1,6 @@
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -902,6 +904,119 @@ def test_leg_products_are_the_literal_products(name):
         formed = (products.r12, products.r13, products.r23, products.r13r12, products.r13r23)
         assert formed == (r12, r13, r23, r13 * r12, r13 * r23)
         assert products.yang_baxter_sides == (r12 * r13 * r23, r23 * r13 * r12)
+
+
+# -- both hexagons from R's slices, against the literal products ------------
+
+
+def _literal_hexagon_verify_qt(candidate):
+    """``verify_qt`` with both hexagons compared with R13 R23 and R13 R12 formed as products.
+
+    Facts (a) and (b) of ``verify_qt`` are read off the literal left
+    hexagon, and every other check is as in ``verify_qt``.
+    """
+    r12, r13, r23 = (candidate.embed_legs(legs, 3) for legs in ((1, 2), (1, 3), (2, 3)))
+    r13r23, r13r12 = r13 * r23, r13 * r12
+    left = candidate.coproduct(1) == r13r23
+    report = VerificationReport()
+    guess = candidate.antipode(1)
+    if left and candidate.counit(1).is_unit():
+        inverse = guess
+    else:
+        try:
+            inverse = guess if (candidate * guess).is_unit() else candidate.inverse()
+        except ValueError:
+            report.add("invertible", False, {"reason": "no two-sided inverse exists"})
+            return report
+    report.add("invertible", True)
+    group = candidate.group
+    invariant = report.add_commutation("commutes_with_diagonals", candidate)
+    report.add_equality("coproduct_on_right_leg", candidate.coproduct(2), r13r12)
+    report.add_equality("coproduct_on_left_leg", candidate.coproduct(1), r13r23)
+    if invariant and left:
+        report.add("yang_baxter", True)
+    else:
+        report.add_equality("yang_baxter", r12 * r13r23, r23 * r13r12)
+    report.add_equality("counit_left", candidate.counit(1), GATensor.unit(group, 1))
+    report.add_equality("counit_right", candidate.counit(2), GATensor.unit(group, 1))
+    report.add_equality("antipode_left", guess, inverse)
+    report.add_equality("antipode_right", candidate.antipode(2), inverse)
+    report.add_equality("antipode_both", guess.antipode(2), candidate)
+    return report
+
+
+def _hexagon_oracle_candidates():
+    """Every distinct catalog R, 2R and R with one coefficient changed; the
+    first R of each group with 1/2 e x e moved to x x e, x the last element;
+    the S3 tensor that fails invariance; e x e + g x e and g x g on Z2; and all
+    625 arity-2 tensors on Z2 with coefficients in {0, +-1/2, +-1}."""
+    candidates = []
+    for name in CATALOG_NAMES:
+        catalog = qt_catalog(name)
+        for members in catalog.dedup:
+            r = catalog.structures[members[0]].rmatrix
+            moved = GATensor(r.group, 2, {min(r.rows): Fraction(1, 2)})
+            candidates += [r, r.scale(2), r + moved]
+        # Moving 1/2 e x e to x x e keeps (eps x I)(R) = 1 but not the left
+        # slices: the first structure of each group fails the left hexagon
+        # on its fibre square.
+        group = catalog.group
+        e, x = group.identity, group.size - 1
+        shifted = GATensor(group, 2, {(x, e): Fraction(1, 2), (e, e): Fraction(-1, 2)})
+        candidates.append(catalog.structures[catalog.dedup[0][0]].rmatrix + shifted)
+    z2 = bundled_group("Z2")
+    candidates += [_s3_hexagon_not_invariant(), GATensor(z2, 2, {(0, 0): 1, (1, 0): 1})]
+    candidates.append(GATensor.basis(z2, 1, 1))
+    keys, values = [(0, 0), (0, 1), (1, 0), (1, 1)], [0, Fraction(1, 2), Fraction(-1, 2), 1, -1]
+    for coefficients in itertools.product(values, repeat=4):
+        candidates.append(GATensor(z2, 2, dict(zip(keys, coefficients))))
+    return candidates
+
+
+def test_hexagons_from_slices_match_the_literal_products():
+    # Fact (c) of ``verify_qt``: where a counit is the unit, each hexagon is
+    # read off R's fibre square; elsewhere it is compared literally.  Either
+    # way it equals the comparison with R13 R23 (or R13 R12) formed as a
+    # product, and ``verify_qt`` gives the literal verifier's check names,
+    # outcomes and witnesses.
+    candidates = _hexagon_oracle_candidates()
+    assert len(candidates) == 3 * 44 + 7 + 3 + 625
+    routes = Counter()
+    for r in candidates:
+        legs = LegProducts(r)
+        r13 = r.embed_legs((1, 3), 3)
+        literal = (
+            r.coproduct(1) == r13 * r.embed_legs((2, 3), 3),
+            r.coproduct(2) == r13 * r.embed_legs((1, 2), 3),
+        )
+        assert (legs.left_hexagon, legs.right_hexagon) == literal
+        assert _report_rows(verify_qt(r)) == _report_rows(_literal_hexagon_verify_qt(r))
+        for leg, holds in zip((1, 2), literal):
+            routes[leg, "slices" if r.counit(leg).is_unit() else "literal", holds] += 1
+    # Both routes are taken, and each accepts and rejects.
+    assert routes == {
+        (1, "slices", True): 49, (1, "slices", False): 18,
+        (1, "literal", True): 5, (1, "literal", False): 695,
+        (2, "slices", True): 49, (2, "slices", False): 11,
+        (2, "literal", True): 9, (2, "literal", False): 698,
+    }
+
+
+def test_verify_qt_forms_no_product_on_a_catalog_structure(monkeypatch):
+    # Fact (c) decides both coproduct checks, and (a) and (b) the inverse
+    # and Yang-Baxter, so no GATensor product is formed on any of the 44
+    # distinct structures (two each when R13 R23 and R13 R12 were formed).
+    rmats = []
+    for name in CATALOG_NAMES:
+        catalog = qt_catalog(name)
+        rmats += [catalog.structures[members[0]].rmatrix for members in catalog.dedup]
+    assert len(rmats) == 44
+
+    def no_product(*args):
+        raise AssertionError("a GATensor product was formed")
+
+    monkeypatch.setattr(GATensor, "__mul__", no_product)
+    assert all(verify_qt(r).all_passed for r in rmats)
 
 
 # -- inverses from the antipode, with the linear solve as the fallback -------
