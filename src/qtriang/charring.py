@@ -545,8 +545,8 @@ class Braiding:
     """One R-matrix and all that is read from it, each part formed on first use.
 
     ``report``, ``markov`` (u, and ``markov_index``), R R21 (``square``,
-    ``unitary``), R's leg products and Yang-Baxter sides (``legs``), which
-    ``report`` reads too, and per tensor power n the braided
+    ``unitary``), R's leg products, Yang-Baxter sides and (S x I)(R)
+    (``legs``), which ``report`` reads too, and per tensor power n the braided
     differences depend on R alone: one ``Braiding`` serves a catalog's dedup
     class and every representation.  The braided power sums behind the
     exterior powers and the cyclic traces are read from R's terms on each
@@ -575,7 +575,7 @@ class Braiding:
 
     @functools.cached_property
     def markov(self) -> GATensor:
-        return markov_element(self.rmatrix)
+        return markov_element(self.rmatrix, self.legs.antipode)
 
     @functools.cached_property
     def markov_index(self) -> int:
@@ -603,13 +603,14 @@ class Braiding:
         """R R21 = 1, as ``verify_unitary`` decides it.
 
         Once ``report`` exists and R passed its ``antipode_left`` check,
-        (S x I)(R) is R's two-sided inverse.  Inverses in k[G] (x) k[G] are
-        unique, so R R21 = 1 exactly when R21 = (S x I)(R), a comparison of
-        rows with no product.  Otherwise R R21 (``square``) is formed.
+        (S x I)(R) (``legs.antipode``, also read by ``report`` and ``markov``)
+        is R's two-sided inverse.  Inverses in k[G] (x) k[G] are unique, so
+        R R21 = 1 exactly when R21 = (S x I)(R), a comparison of rows with
+        no product.  Otherwise R R21 (``square``) is formed.
         """
         report = self.__dict__.get("report")  # read if formed, never formed here
         if report is not None and "antipode_left" in {c.name for c in report.checks if c.passed}:
-            return self.rmatrix.swap() == self.rmatrix.antipode(1)
+            return self.rmatrix.swap() == self.legs.antipode
         return self.square.is_unit()
 
     def check(self, rep: MatrixRep, power: int):

@@ -4,14 +4,16 @@ The enumeration walks abelian normal subgroups, takes one abstract abelian
 group per invariant-factor shape, pairs up normal inclusions that induce
 the same conjugation maps, and attaches every nondegenerate
 conjugation-invariant form.  Each inclusion decides its normality and
-conjugation action once, and each form its nondegeneracy once and its
-invariance once per automorphism set, so a datum's checks are lookups.
+conjugation action once, and each form its nondegeneracy and
+skew-symmetry once and its invariance once per automorphism set, so a
+datum's checks and its triangular flag are lookups.
 Distinct data that build the same element bit-for-bit are grouped into
 dedup classes rather than being interpreted away.  A class is keyed by
-(e, |A|, the character sum's integer table) with e the exponent of A.  R
-fixes e and |A|: it stores that table at order e over the denominator |A|,
-in lowest terms, and its left support is i(A), so keys are equal exactly
-when the stored elements are, and R is built once per class.  Each class
+(e, |A|, the rows {(i(a), j(b)): c} of the character sum's integer table)
+with e the exponent of A.  R fixes e and |A|: it stores those rows at order
+e over the denominator |A|, in lowest terms, and its left support is i(A),
+so keys are equal exactly when the stored elements are, and R is built
+once per class, from its first member's rows.  Each class
 is one ``charring.Braiding`` of its R, whose report, Markov element,
 unitarity and braided data are formed once, on first use.  The triangular
 catalog is a view of the full one.  A group with more than ``DATA_CAP``
@@ -37,7 +39,7 @@ from .groups import (
     normal_inclusions,
     same_module_structure,
 )
-from .rmatrix import QTDatum, build_r, character_table
+from .rmatrix import QTDatum, build_r, character_rows, character_table
 
 COMPLETENESS_NOTE = (
     "every listed structure is verified exactly; completeness of the list "
@@ -106,18 +108,19 @@ def _enumerate_data(group: FiniteGroup) -> list[QTDatum]:
 def _catalog(group: FiniteGroup, data: list[QTDatum]) -> Catalog:
     catalog = Catalog(group=group, data=data)
     # The integer table is formed once per form and carried through each
-    # datum's inclusions; classes come out ordered by their first member.
+    # datum's inclusions into R's rows; (a, b) -> (i(a), j(b)) is injective,
+    # so the rows hold the table's terms unmerged.  Classes come out ordered
+    # by their first member, whose rows build the class's R.
     tables: dict = {}
     classes: dict = {}
     for idx, datum in enumerate(data):
         domain, beta = datum.domain, datum.beta
         if beta not in tables:
             tables[beta] = character_table(domain, beta)
-        left, right = datum.incl_left.forward, datum.incl_right.forward
-        terms = sorted((left[a], right[b], c) for (a, b), c in tables[beta])
-        key = (domain.exponent, domain.order, tuple(terms))
+        rows = character_rows(tables[beta], datum.incl_left, datum.incl_right)
+        key = (domain.exponent, domain.order, frozenset(rows.items()))
         if key not in classes:
-            classes[key] = (Braiding(build_r(datum)), [])
+            classes[key] = (Braiding(build_r(datum, rows)), [])
         structure, members = classes[key]
         catalog.structures.append(structure)
         members.append(idx)

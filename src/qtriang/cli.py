@@ -47,6 +47,9 @@ EXIT_CHECK_FAILED = 1
 EXIT_PARSE_ERROR = 2
 EXIT_INVARIANT = 3
 
+#: Largest degree ``lambda`` and ``exterior`` accept: their work grows with n.
+DEGREE_CAP = 10_000
+
 
 class InputError(Exception):
     """Unreadable or unparseable input."""
@@ -236,6 +239,8 @@ def _cmd_markov(args):
 def _check_degree(args) -> None:
     if args.n < 0:
         raise InputError("negative exterior powers are not defined")
+    if args.n > DEGREE_CAP:
+        raise InputError(f"--n {args.n} is past the degree cap {DEGREE_CAP}")
 
 
 def _check_prime(args) -> None:

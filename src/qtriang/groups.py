@@ -368,11 +368,11 @@ class BiForm:
     Determined by its values on the dual basis characters chi_1, ..., chi_r:
     beta(chi_i, chi_j) = zeta_g^(m[i][j]) with g = gcd(n_i, n_j), extended
     bimultiplicatively.  The entry bound is forced: beta(chi_i^(n_i), -) = 1.
-    Nondegeneracy is decided once per form, invariance once per form and
-    automorphism set; both are kept on the form.
+    Nondegeneracy and skew-symmetry are decided once per form, invariance
+    once per form and automorphism set; all are kept on the form.
     """
 
-    __slots__ = ("parent", "matrix", "_nondegenerate", "_invariant")
+    __slots__ = ("parent", "matrix", "_nondegenerate", "_skewsymmetric", "_invariant")
 
     def __init__(self, parent: AbelianGroup, matrix):
         self.parent = parent
@@ -383,7 +383,7 @@ class BiForm:
             tuple(int(m) % gcds[i][j] for j, m in enumerate(row))
             for i, row in enumerate(matrix)
         )
-        self._nondegenerate = None
+        self._nondegenerate = self._skewsymmetric = None
         self._invariant = {}
 
     def exponent_of(self, chi, xi) -> int:
@@ -418,13 +418,15 @@ class BiForm:
 
     def is_skewsymmetric(self) -> bool:
         """beta(chi, xi) * beta(xi, chi) = 1; enough to check dual generators."""
-        e = self.parent.exponent
-        gens = self.parent.generators()
-        return all(
-            (self.exponent_of(a, b) + self.exponent_of(b, a)) % e == 0
-            for a in gens
-            for b in gens
-        )
+        if self._skewsymmetric is None:
+            e = self.parent.exponent
+            gens = self.parent.generators()
+            self._skewsymmetric = all(
+                (self.exponent_of(a, b) + self.exponent_of(b, a)) % e == 0
+                for a in gens
+                for b in gens
+            )
+        return self._skewsymmetric
 
     def is_invariant(self, automorphisms) -> bool:
         """beta(chi o s, xi o s) = beta(chi, xi) for each automorphism s of A.

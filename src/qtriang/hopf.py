@@ -186,21 +186,33 @@ class GATensor:
     def _fibre_square(self, leg: int) -> "GATensor":
         """R's fibre square: at ``leg`` 1, sum_a a (x) r_a^2 for R = sum_a a (x) r_a.
 
-        At leg 2, sum_b s_b^2 (x) b; as in ``__mul__``, from sum_a |r_a|^2 pairs, not |R|^2."""
+        At leg 2, sum_b s_b^2 (x) b; as in ``__mul__``, from sum_a |r_a|^2 pairs, not |R|^2,
+        on one int per value at orders 1 and 2 and on nonzero coordinates above."""
         i, table, order = leg - 1, self.group.table, self.order
         slices: dict = {}
         for key, row in self.rows.items():
             slices.setdefault(key[i], []).append((key[1 - i], row))
-        acc, width = {}, 2 * euler_phi(order) - 1
+        acc: dict = {}
+        if order <= 2:  # phi(order) == 1: one int per value
+            for a, terms in slices.items():
+                for b, (x,) in terms:
+                    for c, (y,) in terms:
+                        key = (a, table[b][c]) if i == 0 else (table[b][c], a)
+                        acc[key] = acc.get(key, 0) + x * y
+            rows = {k: (c,) for k, c in acc.items() if c}
+            return GATensor._make(self.group, 2, order, self.den * self.den, rows)
+        width = 2 * euler_phi(order) - 1
         for a, terms in slices.items():
+            terms = [(b, [(j, x) for j, x in enumerate(u) if x]) for b, u in terms]
             for b, u in terms:
                 for c, v in terms:
                     key = (a, table[b][c]) if i == 0 else (table[b][c], a)
-                    raw = acc.setdefault(key, [0] * width)
-                    for j1, x in enumerate(u):
-                        if x:
-                            for j2, y in enumerate(v):
-                                raw[j1 + j2] += x * y
+                    raw = acc.get(key)
+                    if raw is None:
+                        raw = acc[key] = [0] * width
+                    for j1, x in u:
+                        for j2, y in v:
+                            raw[j1 + j2] += x * y
         rows = {k: r for k, raw in acc.items() if any(r := _reduce_mod_cyclotomic(raw, order))}
         return GATensor._make(self.group, 2, order, self.den * self.den, rows)
 
@@ -234,10 +246,11 @@ class GATensor:
         return self._map_keys(self.arity + 1, lambda key: key[:leg] + key[i:])
 
     def counit(self, leg: int) -> "GATensor":
-        """Sum out the chosen leg with weight 1 per group element."""
+        """Sum out the chosen leg with weight 1 per group element, in one pass over the rows."""
         self._check_leg(leg)
         i = leg - 1
-        return self._map_keys(self.arity - 1, lambda key: key[:i] + key[leg:])
+        rows = _summed((key[:i] + key[leg:], row) for key, row in self.rows.items())
+        return GATensor._make(self.group, self.arity - 1, self.order, self.den, rows)
 
     def antipode(self, leg: int) -> "GATensor":
         """Invert the chosen leg elementwise."""

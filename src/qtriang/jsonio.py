@@ -48,7 +48,10 @@ def canonical_dumps(doc) -> str:
     encoded once: its first meeting records the slice of fragments it
     appended, the second joins that slice into its text, and later ones
     reuse the text.  str, int, bool and None values and lists of ints are
-    written in their parent's loop, with no call per value.
+    written in their parent's loop, with no call per value.  There the text
+    of a list of exact ints is kept per (depth, values), so a list met again
+    (a term's tuple, a coordinate pair, a datum's inclusion) is joined once
+    per call; [1, True] is no such list and never shares [1, 1]'s text.
     """
     out: list[str] = []
     append = out.append
@@ -62,6 +65,8 @@ def canonical_dumps(doc) -> str:
     # Per (keys in insertion order, depth) of a dict with str keys: its
     # sorted keys and the text before each value.
     shapes: dict = {}
+    # Per (depth, *values) of a list of exact ints met in a loop: its text.
+    int_lists: dict = {}
 
     def encode(value, depth: int) -> None:
         if not isinstance(value, (list, tuple, dict)):
@@ -119,8 +124,11 @@ def canonical_dumps(doc) -> str:
             elif kind is bool:
                 append(head + ("true" if v else "false"))
             elif kind is list and v and type(v[0]) is int and _INT_ONLY.issuperset(map(type, v)):
-                ints = ("," + deeper).join(map(int.__repr__, v))
-                append(head + "[" + deeper + ints + inner + "]")
+                text = int_lists.get(known := (depth, *v))
+                if text is None:
+                    ints = ("," + deeper).join(map(int.__repr__, v))
+                    text = int_lists[known] = "[" + deeper + ints + inner + "]"
+                append(head + text)
             elif type(text := memo.get((id(v), depth + 1))) is str:
                 append(head + text)
             else:

@@ -210,30 +210,39 @@ def character_table(domain: AbelianGroup, form: BiForm) -> list[tuple[tuple, tup
     return [(ab, tuple(c)) for ab, c in sorted(sums.items()) if any(c)]
 
 
-def _character_sum(
-    domain: AbelianGroup, incl_left: Inclusion, incl_right: Inclusion, form: BiForm
-) -> GATensor:
+def character_rows(table, incl_left: Inclusion, incl_right: Inclusion) -> dict:
+    """{(i(a), j(b)): coordinates} for the ``character_table`` of a form."""
     left, right = incl_left.forward, incl_right.forward
-    rows = {(left[a], right[b]): c for (a, b), c in character_table(domain, form)}
+    return {(left[a], right[b]): c for (a, b), c in table}
+
+
+def _character_sum(
+    domain: AbelianGroup, incl_left: Inclusion, incl_right: Inclusion, form: BiForm, rows=None
+) -> GATensor:
+    if rows is None:
+        rows = character_rows(character_table(domain, form), incl_left, incl_right)
     return GATensor._make(incl_left.group, 2, domain.exponent, domain.order, rows)
 
 
-def build_r(datum: QTDatum) -> GATensor:
+def build_r(datum: QTDatum, rows: dict | None = None) -> GATensor:
     """The R-matrix attached to a classification datum.
 
     The datum was validated when it was constructed, so this only builds.
+    ``rows``, when given, are the datum's ``character_rows``, not formed again.
     """
-    return _character_sum(datum.domain, datum.incl_left, datum.incl_right, datum.beta)
+    return _character_sum(datum.domain, datum.incl_left, datum.incl_right, datum.beta, rows)
 
 
 class LegProducts:
-    """R12, R13, R23, R13 R12, R13 R23 and R's counits, each formed on first use and kept.
+    """R12, R13, R23, R13 R12, R13 R23, R's counits and (S x I)(R), each formed once, on first use.
 
     ``left_hexagon`` and ``right_hexagon``, (Delta x I)(R) = R13 R23 and
     (I x Delta)(R) = R13 R12, compare R with its fibre square, forming no
     product, where the counit on the coproduct's leg is the unit (fact (c)
     of ``verify_qt``), and the ``hexagon_sides`` otherwise.  So an R-matrix
     forms none; ``yang_baxter_by_hexagon`` reads fact (b) off the left one.
+    ``antipode`` is read by ``verify_qt`` (R's inverse, by fact (a)) and by a
+    ``Braiding``'s Markov element and unitarity, so it is formed once.
     """
 
     def __init__(self, r: GATensor):
@@ -262,6 +271,11 @@ class LegProducts:
     @functools.cached_property
     def counits(self) -> tuple[GATensor, GATensor]:
         return self.rmatrix.counit(1), self.rmatrix.counit(2)
+
+    @functools.cached_property
+    def antipode(self) -> GATensor:
+        """(S x I)(R)."""
+        return self.rmatrix.antipode(1)
 
     def hexagon_sides(self, leg: int) -> tuple[GATensor, GATensor]:
         """R's coproduct on ``leg``, and R13 R23 at leg 1 or R13 R12 at leg 2."""
@@ -335,7 +349,7 @@ def verify_qt(candidate: GATensor, products: LegProducts | None = None) -> Verif
         raise ValueError("R-matrices live in arity 2")
     products = LegProducts(candidate) if products is None else products
     report = VerificationReport()
-    left_antipode = candidate.antipode(1)
+    left_antipode = products.antipode
     left_counit, right_counit = products.counits
     if products.left_hexagon and left_counit.is_unit():
         inverse = left_antipode
@@ -375,9 +389,9 @@ def _multiply_out(tensor: GATensor) -> GATensor:
     return tensor._map_keys(1, lambda key: (table[key[0]][key[1]],))
 
 
-def markov_element(candidate: GATensor) -> GATensor:
-    """mu (S x I) applied to R."""
-    return _multiply_out(candidate.antipode(1))
+def markov_element(candidate: GATensor, antipode: GATensor | None = None) -> GATensor:
+    """mu (S x I) applied to R; ``antipode``, when given, is (S x I)(R), not formed again."""
+    return _multiply_out(candidate.antipode(1) if antipode is None else antipode)
 
 
 def markov_element_flipped(candidate: GATensor) -> GATensor:

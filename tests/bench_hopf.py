@@ -12,8 +12,8 @@ keys it reaches cancel; the ``yang_baxter_sides`` of a fresh
 ``LegProducts(R)`` (R13 R12, R13 R23 and both sides) on the D4 one; one
 product of two 12-term arity-2 tensors on D4 whose coefficients have
 orders 3, 4 and 8 and several nonzero coordinates over different
-denominators; the five leg maps (coproduct, antipode, swap, R13
-placement, adjoint action) on the D4 16-term R; and ``verify_qt`` on that
+denominators; the six leg maps (coproduct, antipode, swap, R13
+placement, adjoint action, counit) on the D4 16-term R; and ``verify_qt`` on that
 R, which forms no tensor product: both hexagons are read off R's fibre
 squares, and the left one decides the inverse and Yang-Baxter.
 """
@@ -73,6 +73,7 @@ LEG_MAPS = {
     "swap": lambda r: r.swap(),
     "embed_legs": lambda r: r.embed_legs((1, 3), 3),
     "adjoint_action": lambda r: r.adjoint_action(1, 2),
+    "counit": lambda r: r.counit(1),
 }
 
 
@@ -80,7 +81,8 @@ LEG_MAPS = {
 def test_leg_map_d4(benchmark, leg_map):
     r = _structure("D4", 16)
     image = benchmark(LEG_MAPS[leg_map], r)
-    assert len(image.terms) == len(r.terms)
+    # The counit sums R's 16 rows into one: R's left counit is the unit.
+    assert image.is_unit() if leg_map == "counit" else len(image.terms) == len(r.terms)
 
 
 def test_verify_qt_d4(benchmark):

@@ -17,7 +17,8 @@ counits are not the unit: R13 R23 and R13 R12 are formed, the left
 hexagon fails, R (S x I)(R) is not the unit, so the linear solve runs, and
 both Yang-Baxter sides are formed.  On that D4 R-matrix the fibre square
 sum_a a x r_a^2 that decides the left hexagon is timed against the
-product R13 R23 it replaces.  ``verify_qt`` is also timed over
+product R13 R23 it replaces, and likewise on the first 16-term Q8
+structure; both are at order 4.  ``verify_qt`` is also timed over
 all 44 distinct structures of the seven catalogs, one R per dedup class, as
 one ``classify`` pass checks them.  A fresh ``Braiding`` of the first
 16-term D4 structure is timed reading its report, then its unitarity, in
@@ -56,9 +57,12 @@ def test_verify_qt_fallback_d4(benchmark):
 
 
 @pytest.mark.parametrize("side", ["fibre_square", "r13r23"])
-def test_left_hexagon_side_d4(benchmark, side):
-    # R equals its fibre square, and (Delta x I)(R) equals R13 R23.
-    r = _d4_structure()
+@pytest.mark.parametrize("name", ["D4", "Q8"])
+def test_left_hexagon_side_d4(benchmark, name, side):
+    # R equals its fibre square, and (Delta x I)(R) equals R13 R23.  Both
+    # first 16-term structures are at order 4.
+    r = next(s.rmatrix for s in qt_catalog(name).structures if len(s.rmatrix.terms) == 16)
+    assert r.order == 4
     if side == "fibre_square":
         assert benchmark(r._fibre_square, 1) == r
     else:

@@ -14,12 +14,12 @@ from qtriang.groups import (
     same_module_structure,
     subgroup_structure,
 )
-from qtriang import charring
+from qtriang import charring, jsonio
 from qtriang.acceptance import qt_catalog, triangular_catalog
 from qtriang.classify import _catalog, _enumerate_data, enumerate_qt
 from qtriang.hopf import GATensor
 from qtriang.jsonio import report_to_json
-from qtriang.rmatrix import build_r, markov_element, verify_qt, verify_unitary
+from qtriang.rmatrix import build_r, character_table, markov_element, verify_qt, verify_unitary
 
 
 def test_trivial_group():
@@ -277,3 +277,37 @@ def test_one_structure_per_class_shared_by_the_triangular_view(name):
     distinct = {id(full.structures[m[0]]) for m in full.dedup}
     assert len(distinct) == len(full.dedup)
     assert {id(s) for s in full.triangular.structures} <= distinct
+
+
+def _json_catalog(name):
+    # The two groups read from JSON in ``test_groups``: by abelian factors and by table.
+    if name == "Z2xZ4-file":
+        return enumerate_qt(jsonio.group_from_json({"abelian": [2, 4]}))
+    table = [list(row) for row in dihedral_group(3).table]
+    return enumerate_qt(jsonio.group_from_json({"name": "D3", "table": table}))
+
+
+@pytest.mark.parametrize("name", [*CATALOG_NAMES, "Z6", "D6", "Z2xZ4-file", "D3-file"])
+def test_catalog_r_from_rows_matches_build_r_and_the_sorted_term_key(name):
+    # Oracle: the dedup key the catalog used before it keyed classes by R's
+    # rows, the sorted (i(a), j(b), c) terms of the character table.  Both
+    # keys give the same classes, and each datum's own build_r stores the
+    # (order, den, rows) of its class's R.
+    if name in CATALOG_NAMES:
+        cat = qt_catalog(name)
+    elif name in ("Z6", "D6"):
+        cat = _extra_catalog(name)
+    else:
+        cat = _json_catalog(name)
+    classes: dict = {}
+    for idx, datum in enumerate(cat.data):
+        left, right = datum.incl_left.forward, datum.incl_right.forward
+        terms = sorted(
+            (left[a], right[b], c) for (a, b), c in character_table(datum.domain, datum.beta)
+        )
+        key = (datum.domain.exponent, datum.domain.order, tuple(terms))
+        classes.setdefault(key, []).append(idx)
+        shared = cat.structures[idx].rmatrix
+        built = build_r(datum)
+        assert (built.order, built.den, built.rows) == (shared.order, shared.den, shared.rows)
+    assert cat.dedup == list(classes.values())

@@ -390,6 +390,7 @@ def test_cli_parse_errors(workdir, capsys):
 _NEGATIVE = "negative exterior powers are not defined"
 _NOT_INVOLUTION = "element {} is not a central involution of {}"
 _NOT_PRIME = "--p {} is not a prime at most 360"
+_PAST_DEGREE_CAP = "--n {} is past the degree cap 10000"
 
 
 @pytest.mark.parametrize(
@@ -397,6 +398,11 @@ _NOT_PRIME = "--p {} is not a prime at most 360"
     [
         (["lambda", "--group", "Z2", "--n", "-1"], _NEGATIVE),
         (["exterior", "--datum", "datum.json", "--n", "-1"], _NEGATIVE),
+        (["lambda", "--group", "Z2", "--n", "10001"], _PAST_DEGREE_CAP.format(10001)),
+        (["exterior", "--datum", "datum.json", "--n", "10001"], _PAST_DEGREE_CAP.format(10001)),
+        (["lambda", "--group", "Z2", "--n", "10" * 6], _PAST_DEGREE_CAP.format("10" * 6)),
+        # Refused before the datum is read: absent.json does not exist.
+        (["exterior", "--datum", "absent.json", "--n", "10" * 6], _PAST_DEGREE_CAP.format("10" * 6)),
         (["adams", "--group", "Z2", "--u", "99", "--n", "2"], _NOT_INVOLUTION.format(99, "Z2")),
         (["lambda", "--group", "Z2", "--u", "99"], _NOT_INVOLUTION.format(99, "Z2")),
         (["adams", "--group", "S3", "--u", "1"], _NOT_INVOLUTION.format(1, "S3")),
@@ -414,11 +420,12 @@ def test_cli_bad_option_values_are_input_errors(workdir, capsys, argv, message):
 
 @pytest.mark.parametrize("degree", [["--n", "7"], ["--n", "3", "--p", "5"]], ids=["n7", "n3-p5"])
 def test_cli_exterior_has_no_degree_or_tensor_power_cap(workdir, capsys, degree):
-    # Neither n nor p is capped, and no representation is left out for the
-    # size of d^n or d^p (8^7 and 8^5 on D4's regular rep): the power sums
-    # are character sums over R's terms and build no matrix.  The datum is
-    # D4's first Klein-supported one, whose regular rep differs from the
-    # Newton recursion at even n only.
+    # Within the degree cap, neither n nor p is refused, and no
+    # representation is left out, for the size of d^n or d^p (8^7 and 8^5
+    # on D4's regular rep): the power sums are character sums over R's
+    # terms and build no matrix.  The datum is D4's first Klein-supported
+    # one, whose regular rep differs from the Newton recursion at even n
+    # only.
     catalog = acceptance.triangular_catalog("D4")
     _write(workdir / "datum.json", jsonio.datum_to_json(catalog.data[catalog.dedup[2][0]]))
     assert main(["exterior", "--datum", "datum.json", *degree]) == 0
@@ -432,6 +439,15 @@ def test_cli_lambda_has_no_word_cap(capsys):
     # lambda^n is a Newton recursion on class functions and forms no word.
     assert main(["lambda", "--group", "Z2", "--u", "1", "--n", "7"]) == 0
     assert json.loads(capsys.readouterr().out)["n"] == 7
+
+
+def test_cli_degree_cap_admits_the_cap_itself(workdir, capsys):
+    # n = 10000 is accepted by both commands; 10001 is refused before any
+    # work (``test_cli_bad_option_values_are_input_errors``).
+    _write(workdir / "datum.json", z2_datum_doc())
+    for argv in (["lambda", "--group", "Z2", "--u", "1"], ["exterior", "--datum", "datum.json"]):
+        assert main([*argv, "--n", "10000"]) == 0
+        assert json.loads(capsys.readouterr().out)["n"] == 10000
 
 
 def test_cli_unwritable_out_is_an_input_error(workdir, capsys):

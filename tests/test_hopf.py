@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -527,3 +528,70 @@ def test_products_and_leg_maps_build_no_scalar(monkeypatch):
     for op in ops:
         op()
     assert made == []
+
+
+# -- R's fibre square against the a = a' part of the literal products -------
+
+
+def _literal_fibre_square(r, leg):
+    """The a = a' part of R13 R23 (leg 1) or the b = b' part of R13 R12 (leg 2), as a product.
+
+    R13 R23 = sum a x a' x r_a r_a' and R13 R12 = sum s_b s_b' x b' x b, so
+    the part on the diagonal of legs (1, 2) or (2, 3), re-keyed to its two
+    distinct legs, is sum_a a x r_a^2 or sum_b s_b^2 x b.
+    """
+    r13 = r.embed_legs((1, 3), 3)
+    product = r13 * r.embed_legs((2, 3), 3) if leg == 1 else r13 * r.embed_legs((1, 2), 3)
+    if leg == 1:
+        rows = {(a, x): row for (a, b, x), row in product.rows.items() if a == b}
+    else:
+        rows = {(x, b): row for (x, a, b), row in product.rows.items() if a == b}
+    return GATensor._make(r.group, 2, product.order, product.den, rows)
+
+
+def _fibre_pairs(r, leg):
+    # The keys sum_a |r_a|^2 term pairs reach, before any cancels.
+    i, table = leg - 1, r.group.table
+    reached = set()
+    for k1 in r.rows:
+        for k2 in r.rows:
+            if k1[i] == k2[i]:
+                x = table[k1[1 - i]][k2[1 - i]]
+                reached.add((k1[i], x) if i == 0 else (x, k1[i]))
+    return reached
+
+
+def _fibre_cases(order):
+    # Seeded random arity-2 tensors on Z2, Z3, Z4 and S3 with small integer
+    # rows at ``order``, and some whose squares cancel: on Z3 the slice
+    # 2e + g - 2g^2, as a left and as a right slice, squares to 0 e + ...,
+    # and at order 4 the slice e + i g of Z2 squares to 2i g.
+    rng = random.Random(order)
+    phi = euler_phi(order)
+    cases = []
+    for name in ("Z2", "Z3", "Z4", "S3"):
+        g = bundled_group(name)
+        for _ in range(6):
+            keys = {(rng.randrange(g.size), rng.randrange(g.size)) for _ in range(rng.randint(1, 8))}
+            rows = {k: tuple(rng.randint(-2, 2) for _ in range(phi)) for k in keys}
+            rows = {k: row for k, row in rows.items() if any(row)}
+            cases.append(GATensor._make(g, 2, order if rows else 1, rng.randint(1, 4), rows))
+    z3, z2 = bundled_group("Z3"), bundled_group("Z2")
+    slice_z3 = {b: (c,) + (0,) * (phi - 1) for b, c in ((0, 2), (1, 1), (2, -2))}
+    cases.append(GATensor._make(z3, 2, order, 1, {(1, b): c for b, c in slice_z3.items()}))
+    cases.append(GATensor._make(z3, 2, order, 1, {(b, 1): c for b, c in slice_z3.items()}))
+    if order == 4:
+        cases.append(GATensor._make(z2, 2, 4, 1, {(0, 0): (1, 0), (0, 1): (0, 1)}))
+        cases.append(GATensor._make(z2, 2, 4, 1, {(0, 0): (1, 0), (1, 0): (0, 1)}))
+    return cases
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 8])
+def test_fibre_square_matches_the_diagonal_of_the_literal_products(order):
+    cancelled = 0
+    for r in _fibre_cases(order):
+        for leg in (1, 2):
+            fast, slow = r._fibre_square(leg), _literal_fibre_square(r, leg)
+            assert (fast.order, fast.den, fast.rows) == (slow.order, slow.den, slow.rows)
+            cancelled += r.order == order and len(_fibre_pairs(r, leg)) > len(fast.rows)
+    assert cancelled >= 2

@@ -96,6 +96,24 @@ def test_shared_inner_containers_and_empty_ones():
         assert jsonio.canonical_dumps(doc) == _oracle(doc)
 
 
+def test_int_list_text_is_kept_per_depth_and_only_for_exact_ints():
+    # One int list, and equal copies of it, at several depths of one call;
+    # [1, 1] next to [1, True], in both orders; [1, 2] next to (1, 2).  The
+    # encoder keeps each exact-int list's text per depth, so every one of
+    # these must still come out as json writes it.
+    ints = [3, -1, 10**20]
+    docs = [
+        [ints, [ints], {"a": ints, "b": [[list(ints)]]}, _nested(list(ints), 5), ints, list(ints)],
+        {"x": [ints, {"y": ints}], "z": _nested(ints, 2)},
+        [[1, 1], [1, True], [1, 1], {"x": [1, True], "y": [1, 1], "z": [[1, True], [1, 1]]}],
+        [[1, True], [1, 1], [True, 1], [1, 1]],
+        [[1, 2], (1, 2), {"a": (1, 2), "b": [1, 2]}, [(1, 2), [1, 2]], (1, 2), [1, 2]],
+        [(1, 2), [1, 2], [[1, 2], (1, 2)]],
+    ]
+    for doc in docs:
+        assert jsonio.canonical_dumps(doc) == _oracle(doc)
+
+
 def _nested(leaf, depth):
     """``leaf`` inside ``depth`` containers, dicts and lists in turn."""
     for level in range(depth):
