@@ -398,11 +398,6 @@ _PAST_DEGREE_CAP = "--n {} is past the degree cap 10000"
     [
         (["lambda", "--group", "Z2", "--n", "-1"], _NEGATIVE),
         (["exterior", "--datum", "datum.json", "--n", "-1"], _NEGATIVE),
-        (["lambda", "--group", "Z2", "--n", "10001"], _PAST_DEGREE_CAP.format(10001)),
-        (["exterior", "--datum", "datum.json", "--n", "10001"], _PAST_DEGREE_CAP.format(10001)),
-        (["lambda", "--group", "Z2", "--n", "10" * 6], _PAST_DEGREE_CAP.format("10" * 6)),
-        # Refused before the datum is read: absent.json does not exist.
-        (["exterior", "--datum", "absent.json", "--n", "10" * 6], _PAST_DEGREE_CAP.format("10" * 6)),
         (["adams", "--group", "Z2", "--u", "99", "--n", "2"], _NOT_INVOLUTION.format(99, "Z2")),
         (["lambda", "--group", "Z2", "--u", "99"], _NOT_INVOLUTION.format(99, "Z2")),
         (["adams", "--group", "S3", "--u", "1"], _NOT_INVOLUTION.format(1, "S3")),
@@ -410,6 +405,11 @@ _PAST_DEGREE_CAP = "--n {} is past the degree cap 10000"
         (["exterior", "--datum", "datum.json", "--p", "1"], _NOT_PRIME.format(1)),
         (["exterior", "--datum", "datum.json", "--p", "4"], _NOT_PRIME.format(4)),
         (["exterior", "--datum", "datum.json", "--p", "1000"], _NOT_PRIME.format(1000)),
+        (["lambda", "--group", "Z2", "--n", "10001"], _PAST_DEGREE_CAP.format(10001)),
+        (["exterior", "--datum", "datum.json", "--n", "10001"], _PAST_DEGREE_CAP.format(10001)),
+        (["lambda", "--group", "Z2", "--n", "10" * 6], _PAST_DEGREE_CAP.format("10" * 6)),
+        # Refused before the datum is read: absent.json does not exist.
+        (["exterior", "--datum", "absent.json", "--n", "10" * 6], _PAST_DEGREE_CAP.format("10" * 6)),
     ],
 )
 def test_cli_bad_option_values_are_input_errors(workdir, capsys, argv, message):
