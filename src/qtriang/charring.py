@@ -15,9 +15,10 @@ R's terms (``_power_sum``), on integer rows; they give the exterior powers
 by Newton's identity once the representation kills R's braided differences,
 and the cyclic traces as their powers.  No d^n matrix is multiplied.  A
 class function is stored as a matrix is, integer rows at one order and one
-denominator: twisted Adams operations re-index its rows, and the recurrence
-runs on integers, reading CycScalars only when ``values`` is first asked
-for.  All is exact.
+denominator, the form ``cyclotomic`` lifts, scales, reduces and compares:
+twisted Adams operations re-index its rows, and the recurrence runs on
+integers, reading CycScalars only when ``values`` is first asked for.  All
+is exact.
 """
 
 from __future__ import annotations
@@ -27,18 +28,24 @@ import math
 import operator
 
 from .cyclotomic import (
-    ORDER_CAP,
     CycScalar,
-    _reduce_mod_cyclotomic,
-    content,
-    embed_map,
+    accumulate,
+    as_scalar,
+    common_form,
+    common_scalars,
     euler_phi,
-    lift,
+    lift_row,
+    lift_rows,
+    lowest_terms,
+    reduced_rows,
     root_of_unity,
+    same_values,
+    scaled,
+    summed,
     times,
 )
 from .groups import FiniteGroup, closure, subgroup_structure
-from .hopf import GATensor, _summed, difference_witness
+from .hopf import GATensor, difference_witness
 from .linalg import Matrix
 from .rmatrix import (
     LegProducts, VerificationReport, commutes_with_diagonal, markov_element, verify_qt,
@@ -67,32 +74,24 @@ class ClassFunction:
     __slots__ = ("group", "order", "den", "rows", "_values")
 
     def __init__(self, group: FiniteGroup, values):
-        values = tuple(
-            v if isinstance(v, CycScalar) else CycScalar.rational(v) for v in values
-        )
+        values = tuple(map(as_scalar, values))
         if len(values) != len(group.conjugacy_classes()):
             raise ValueError("one value per conjugacy class required")
-        order = math.lcm(1, *(v.order for v in values))
-        den = math.lcm(1, *(v.den for v in values))
-        # Lowest terms already: embedding keeps each value's least denominator.
-        rows = tuple(tuple(den // v.den * x for x in v.embed(order).num) for v in values)
-        self.group, self.order, self.den, self.rows, self._values = group, order, den, rows, values
+        self.order, self.den, self.rows = common_scalars(values)
+        self.group, self._values = group, values
 
     @classmethod
     def _make(cls, group: FiniteGroup, order: int, den: int, rows: tuple) -> "ClassFunction":
         # Internal fast constructor: rows holds one tuple of phi(order) ints
         # per class and den > 0; divides out their common factor.
-        g = content(den, rows)
-        if g != 1:
-            den //= g
-            rows = tuple(tuple(x // g for x in r) for r in rows)
+        den, rows = lowest_terms(den, rows)
         self = object.__new__(cls)
         self.group, self.order, self.den, self.rows, self._values = group, order, den, rows, None
         return self
 
     @classmethod
     def constant(cls, group: FiniteGroup, value) -> "ClassFunction":
-        s = value if isinstance(value, CycScalar) else CycScalar.rational(value)
+        s = as_scalar(value)
         return cls._make(group, s.order, s.den, (s.num,) * len(group.conjugacy_classes()))
 
     @classmethod
@@ -112,46 +111,29 @@ class ClassFunction:
     def dim(self) -> CycScalar:
         return self.evaluate(self.group.identity)
 
-    def _lifted(self, order: int) -> tuple:
-        # rows re-expressed at a multiple of self.order
-        if order == self.order:
-            return self.rows
-        rows = embed_map(self.order, order)
-        return tuple(lift(r, rows) for r in self.rows)
-
-    def _common(self, other: "ClassFunction") -> tuple[int, tuple, tuple]:
+    def _common(self, other: "ClassFunction") -> tuple[int, int, list]:
+        # (N, D, [self's rows, other's rows]) at one order and one denominator
         if self.group is not other.group and self.group != other.group:
             raise ValueError("class functions on different groups")
-        order = math.lcm(self.order, other.order)
-        return order, self._lifted(order), other._lifted(order)
-
-    def _combine(self, other: "ClassFunction", sign: int) -> "ClassFunction":
-        order, a, b = self._common(other)
-        den = math.lcm(self.den, other.den)
-        fa, fb = den // self.den, sign * (den // other.den)
-        rows = tuple(tuple(fa * x + fb * y for x, y in zip(u, v)) for u, v in zip(a, b))
-        return ClassFunction._make(self.group, order, den, rows)
+        return common_form([(c.order, c.den, c.rows) for c in (self, other)])
 
     def __add__(self, other: "ClassFunction") -> "ClassFunction":
-        return self._combine(other, 1)
+        order, den, (a, b) = self._common(other)
+        rows = tuple(tuple(map(operator.add, u, v)) for u, v in zip(a, b))
+        return ClassFunction._make(self.group, order, den, rows)
 
     def __sub__(self, other: "ClassFunction") -> "ClassFunction":
-        return self._combine(other, -1)
+        return self + (-other)
 
     def __mul__(self, other):
         if not isinstance(other, ClassFunction):
             return self.scale(other)
-        order, a, b = self._common(other)
+        order, den, (a, b) = self._common(other)
         rows = tuple(times(u, v, order) for u, v in zip(a, b))
-        return ClassFunction._make(self.group, order, self.den * other.den, rows)
+        return ClassFunction._make(self.group, order, den * den, rows)
 
     def scale(self, scalar) -> "ClassFunction":
-        if not isinstance(scalar, CycScalar):
-            scalar = CycScalar.rational(scalar)
-        order = math.lcm(self.order, scalar.order)
-        s = scalar.embed(order).num
-        rows = tuple(times(r, s, order) for r in self._lifted(order))
-        return ClassFunction._make(self.group, order, self.den * scalar.den, rows)
+        return ClassFunction._make(self.group, *scaled((self.order, self.den, self.rows), scalar))
 
     __rmul__ = __mul__
 
@@ -162,12 +144,8 @@ class ClassFunction:
     def __eq__(self, other):
         if not isinstance(other, ClassFunction):
             return NotImplemented
-        if self.group != other.group or self.den != other.den:
-            return False
-        order = math.lcm(self.order, other.order)
-        if order > ORDER_CAP:  # no common field to lift to: compare value by value
-            return self.values == other.values
-        return self._lifted(order) == other._lifted(order)
+        forms = [(c.order, c.den, c.rows) for c in (self, other)]
+        return self.group == other.group and same_values(*forms)
 
     def __hash__(self):
         return hash((self.group.table, tuple(v.key() for v in self.values)))
@@ -209,7 +187,7 @@ class MatrixRep:
             def holds(g, h, gh):
                 return tuple(map(maps[g].__getitem__, maps[h])) == maps[gh]
         elif dim == 1:  # (x_g / D)(x_h / D) = x_gh / D on integer coordinates
-            order, den, x = _scalar_rows(mats)
+            order, den, x = common_scalars([m.trace() for m in mats])
 
             def holds(g, h, gh):
                 return times(x[g], x[h], order) == tuple(den * c for c in x[gh])
@@ -251,17 +229,6 @@ def _column_map(m: Matrix) -> tuple[int, ...] | None:
     if m.den != 1 or any(len(col) != 1 or one not in col.values() for col in cols):
         return None
     return tuple(i for col in cols for i in col)
-
-
-def _scalar_rows(mats) -> tuple[int, int, list[tuple]]:
-    """(N, D, x) for 1x1 matrices: x[g] the coordinates of D times entry g at order N."""
-    order = math.lcm(1, *(m.order for m in mats))
-    den = math.lcm(1, *(m.den for m in mats))
-    zero = (0,) * euler_phi(order)
-    entries = (m._lifted(order).get(0, {}).get(0) for m in mats)
-    return order, den, [
-        zero if v is None else tuple(den // m.den * c for c in v) for m, v in zip(mats, entries)
-    ]
 
 
 # The linear character reps and the regular rep are built and checked once per
@@ -385,13 +352,8 @@ def _newton(group: FiniteGroup, sums, n: int) -> list[ClassFunction]:
     product sum per class, reduced once, and each a_m one ``_make``: the
     cost grows linearly in n.
     """
-    order = math.lcm(1, *(p.order for p in sums))
-    den, period = math.lcm(1, *(p.den for p in sums)), len(sums)
-    phi, classes = euler_phi(order), range(len(group.conjugacy_classes()))
-    lifted = []
-    for p in sums:
-        rows, f = p._lifted(order), den // p.den
-        lifted.append(rows if f == 1 else [tuple(f * x for x in r) for r in rows])
+    order, den, lifted = common_form((p.order, p.den, p.rows) for p in sums)
+    phi, classes, period = euler_phi(order), range(len(group.conjugacy_classes())), len(sums)
     series = [ClassFunction._make(group, order, 1, ((1,) + (0,) * (phi - 1),) * len(classes))]
     for m in range(1, n + 1):
         back = [series[m - k] for k in range(1, min(m, period) + 1)]
@@ -407,17 +369,13 @@ def _newton(group: FiniteGroup, sums, n: int) -> list[ClassFunction]:
                 acc = [a + v * b * c for a, (b,), (c,) in zip(acc, x, y)]
             rows = [(a,) for a in acc]
         else:
-            rows = []
+            raws = []
             for j in classes:  # one unreduced product sum per class, reduced once
                 raw = [w * a for a in tail.rows[j]] + [0] * (phi - 1)
                 for v, x, y in terms:
-                    row = y[j]
-                    for s, a in enumerate(x[j]):
-                        if a:
-                            a *= v
-                            for t, b in enumerate(row):
-                                raw[s + t] += a * b
-                rows.append(_reduce_mod_cyclotomic(raw, order))
+                    accumulate(raw, x[j], y[j], v)
+                raws.append(raw)
+            rows = reduced_rows(raws, order)
         series.append(ClassFunction._make(group, order, m * den * scale, tuple(rows)))
     return series
 
@@ -789,8 +747,8 @@ def _image(rep: MatrixRep, tensor: GATensor) -> Matrix:
         raise ValueError(f"tensor power dimension {dim} exceeds the cap {DIMENSION_CAP}")
     used = {g: rep.matrix(g) for key in tensor.rows for g in key}
     order = math.lcm(tensor.order, *(m.order for m in used.values()))
+    terms = lift_rows(tensor.rows, tensor.order, order)
     if rep.maps is not None:
-        terms = tensor._lifted(order)
         hits = []  # per term, the row it lands on in each column
         for key in terms:
             at = [0]
@@ -800,26 +758,24 @@ def _image(rep: MatrixRep, tensor: GATensor) -> Matrix:
         values, cols = list(terms.values()), {}
         for j, rows in enumerate(zip(*hits)):
             col = dict(zip(rows, values))
-            if len(col) < len(values) and not (col := _summed(zip(rows, values))):
+            if len(col) < len(values) and not (col := summed(zip(rows, values))):
                 continue
             cols[j] = col
         return Matrix._make(dim, dim, order, tensor.den, cols)
-    mden = math.lcm(1, *(m.den for m in used.values()))
+    _, mden, lifted = common_form(((m.order, m.den, m.cols) for m in used.values()), order)
     legs = {
-        g: [(j, i, tuple(mden // m.den * x for x in v))
-            for j, col in m._lifted(order).items() for i, v in col.items()]
-        for g, m in used.items()
+        g: [(j, i, v) for j, col in cols.items() for i, v in col.items()]
+        for g, cols in zip(used, lifted)
     }
-    acc: dict[int, dict[int, tuple]] = {}
-    for key, c in tensor._lifted(order).items():
+    acc: dict[int, list] = {}
+    for key, c in terms.items():
         entries = [(0, 0, c)]
         for g in key:
             entries = [(j * d + jg, i * d + ig, times(v, w, order))
                        for j, i, v in entries for jg, ig, w in legs[g]]
         for j, i, v in entries:
-            col = acc.setdefault(j, {})
-            col[i] = tuple(map(operator.add, col[i], v)) if i in col else v
-    cols = {j: kept for j, col in acc.items() if (kept := {i: v for i, v in col.items() if any(v)})}
+            acc.setdefault(j, []).append((i, v))
+    cols = {j: col for j, entries in acc.items() if (col := summed(entries))}
     return Matrix._make(dim, dim, order, tensor.den * mden**tensor.arity, cols)
 
 
@@ -837,25 +793,22 @@ def _power_sum(rmatrix: GATensor, character: ClassFunction, k: int, elements) ->
     group = character.group
     table, class_of = group.table, group.class_map
     order = math.lcm(rmatrix.order, character.order)
-    terms, chi = rmatrix._lifted(order).items(), character._lifted(order)
+    terms = lift_rows(rmatrix.rows, rmatrix.order, order).items()
+    chi = lift_rows(character.rows, character.order, order)
     live = [any(row) for row in chi]
     raised = [group.power(x, k - 1) for x in group.elements()]
     width = 2 * euler_phi(order) - 1
-    out = []
+    raws = []
     for g in elements:
-        row, buckets = table[g], {}
+        row, buckets, raw = table[g], {}, [0] * width
         for (a, b), c in terms:
             j = class_of[table[row[a]][raised[row[b]]]]
             if live[j]:
                 buckets[j] = tuple(map(operator.add, buckets[j], c)) if j in buckets else c
-        raw = [0] * width
         for j, c in buckets.items():
-            for s, x in enumerate(c):
-                if x:
-                    for t, y in enumerate(chi[j]):
-                        raw[s + t] += x * y
-        out.append(_reduce_mod_cyclotomic(raw, order))
-    return order, rmatrix.den * character.den, tuple(out)
+            accumulate(raw, c, chi[j])
+        raws.append(raw)
+    return order, rmatrix.den * character.den, reduced_rows(raws, order)
 
 
 def exterior_power_char(rep: MatrixRep, rmatrix: GATensor, n: int) -> ClassFunction:
@@ -875,18 +828,15 @@ def qtrace(rep: MatrixRep, rmatrix: GATensor, endo: Matrix) -> CycScalar:
 def _cyclic_value(traces: list[CycScalar], eps: CycScalar) -> CycScalar:
     """(1/p) sum of eps^i times traces[i]: one row of the long-cycle table at eps.
 
-    eps is a root of unity, so its coordinates are integers; the weights and
-    the sum run on integer rows at one order and one denominator, and the
-    value is one ``_make``.
+    eps is a root of unity, so its coordinates are integers and it is lifted,
+    not scaled, to the traces' order and denominator; the weights and the
+    sum run on integer rows, and the value is one ``_make``.
     """
-    order = math.lcm(eps.order, *(t.order for t in traces))
-    den = math.lcm(*(t.den for t in traces))
-    step, acc, weight = eps.embed(order).num, [0] * euler_phi(order), None
-    for trace in traces:  # weight is eps^i, None standing for eps^0 = 1
-        num = trace.num if trace.order == order else lift(trace.num, embed_map(trace.order, order))
-        f = den // trace.den
-        term = num if weight is None else times(weight, num, order)
-        acc = [a + f * x for a, x in zip(acc, term)]
+    order, den, rows = common_scalars(traces, eps.order)
+    step, acc, weight = lift_row(eps.num, eps.order, order), [0] * euler_phi(order), None
+    for row in rows:  # weight is eps^i, None standing for eps^0 = 1
+        term = row if weight is None else times(weight, row, order)
+        acc = list(map(operator.add, acc, term))
         weight = step if weight is None else times(weight, step, order)
     return CycScalar._make(order, den * len(traces), tuple(acc))
 
@@ -904,8 +854,7 @@ def cyclic_operation_char(
     over R's terms (``Braiding.long_cycle_traces``): no d^p matrix is built.
     At p >= 3 R must pass ``verify_qt``.
     """
-    if not isinstance(eps, CycScalar):
-        eps = CycScalar.rational(eps)
+    eps = as_scalar(eps)
     if eps**p != CycScalar.one():
         raise ValueError(f"eps is not a {p}-th root of unity")
     table = Braiding(rmatrix).long_cycle_traces(rep, p)

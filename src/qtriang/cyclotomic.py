@@ -8,9 +8,14 @@ representation at a fixed order is unique, so equal values at one order
 store identical data.  Every value carries its order explicitly; binary
 operations embed both operands into the field of order lcm first, so there
 is no global field object.  Embedding is one cached integer map per (order,
-target order), ``embed_map``, which sparse matrices share.  Addition,
-multiplication, negation and embedding run on Python ints and divide out
-one gcd per result; all arithmetic is exact.
+target order), ``embed_map``.  Addition, multiplication, negation and
+embedding run on Python ints and divide out one gcd per result; all
+arithmetic is exact.
+``GATensor``, ``Matrix`` and ``ClassFunction`` store the same form with many
+rows: one order, one denominator and per value one integer row, in lowest
+terms over the whole container.  The functions after ``times`` are the one
+place that lifts such rows, brings forms to one order and denominator,
+scales, accumulates and reduces products, and compares forms.
 The two field operations that are not ring operations read the Galois
 action sigma_a: z -> z^a.  The inverse of x is the product of its other
 conjugates over its norm, a rational integer, and ``reduced`` steps down
@@ -25,6 +30,7 @@ import math
 import operator
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
 #: Largest cyclotomic order the module will construct.  Group exponents at
 #: the supported group sizes stay far below this.
@@ -148,16 +154,6 @@ def lift(coeffs: tuple, rows: tuple[tuple[int, ...], ...]) -> tuple:
     return tuple(out)
 
 
-def content(den: int, rows) -> int:
-    """gcd(den, every coordinate of every row), read until it reaches 1."""
-    g = den
-    for row in rows:
-        if g == 1:
-            break
-        g = math.gcd(g, *row)
-    return g
-
-
 def _check_order(order: int) -> None:
     if order < 1:
         raise ValueError("order must be positive")
@@ -169,13 +165,153 @@ def times(u: tuple, v: tuple, order: int) -> tuple:
     """Product of two integer coordinate tuples at one order, reduced mod Phi_N."""
     if len(u) == 1:
         return (u[0] * v[0],)
-    raw = [0] * (2 * len(u) - 1)
+    return _reduce_mod_cyclotomic(accumulate([0] * (2 * len(u) - 1), u, v), order)
+
+
+# -- The integer-row form.  A form is (order, den, rows): rows is a sequence
+# of integer rows, or a dict whose values are rows or such dicts (a Matrix's
+# columns), and holds D times each value at order N.  A CycScalar is the form
+# whose rows are (num,).
+
+
+def map_rows(fn, rows):
+    """fn applied to every row: a dict keeps its keys and nesting, a sequence gives a tuple."""
+    if isinstance(rows, dict):
+        return {k: map_rows(fn, r) if isinstance(r, dict) else fn(r) for k, r in rows.items()}
+    return tuple(map(fn, rows))
+
+
+def _each_row(rows):
+    # An iterable over every row, nested dicts flattened.
+    rows = rows.values() if isinstance(rows, dict) else rows
+    nested = isinstance(next(iter(rows), None), dict)
+    return chain.from_iterable(map(_each_row, rows)) if nested else rows
+
+
+def lift_row(row: tuple, order: int, target: int) -> tuple:
+    """A row at ``order`` re-expressed at a multiple ``target``; orders 1, 2 share coordinates."""
+    return row if order == target or target == 2 else lift(row, embed_map(order, target))
+
+
+def lift_rows(rows, order: int, target: int):
+    """``lift_row`` of every row, through one ``embed_map``."""
+    if order == target or target == 2:
+        return rows
+    images = embed_map(order, target)
+    return map_rows(lambda row: lift(row, images), rows)
+
+
+def scale_rows(rows, factor: int):
+    """Every coordinate times an integer factor."""
+    return rows if factor == 1 else map_rows(lambda row: tuple(factor * x for x in row), rows)
+
+
+def lowest_terms(den: int, rows) -> tuple:
+    """(den, rows) with gcd(den, every coordinate) divided out, read until it reaches 1."""
+    if den == 1:
+        return den, rows
+    g = den
+    for row in _each_row(rows):
+        g = math.gcd(g, *row)
+        if g == 1:
+            return den, rows
+    return den // g, map_rows(lambda row: tuple(x // g for x in row), rows)
+
+
+def common_form(forms, order: int = 1) -> tuple:
+    """(N, D, [rows]): the forms at one order N and one denominator D.
+
+    N is the lcm of ``order`` and the forms' orders, D the lcm of their
+    denominators, and each form's rows are lifted to N and multiplied by
+    D / den.  Embedding keeps each value's least denominator, so the rows
+    of all forms together are in lowest terms.  Orders each within
+    ``ORDER_CAP`` whose lcm is past it are refused (ValueError).
+    """
+    forms = list(forms)
+    order = math.lcm(order, *(o for o, _, _ in forms))
+    den = math.lcm(1, *(d for _, d, _ in forms))
+    return order, den, [scale_rows(lift_rows(rows, o, order), den // d) for o, d, rows in forms]
+
+
+def as_scalar(value) -> "CycScalar":
+    """A CycScalar as it is, an int or Fraction as a CycScalar at order 1."""
+    return value if isinstance(value, CycScalar) else CycScalar.rational(value)
+
+
+def common_scalars(values, order: int = 1) -> tuple:
+    """``common_form`` of CycScalars: (N, D, the row of D times each value at N).
+
+    ``values`` is shaped as rows are (a sequence, or dicts of values), and so
+    is the result, ``map_rows`` of it.
+    """
+    flat = list(_each_row(values))
+    order = math.lcm(order, *(v.order for v in flat))
+    den = math.lcm(1, *(v.den for v in flat))
+
+    def row(v):
+        num, factor = lift_row(v.num, v.order, order), den // v.den
+        return num if factor == 1 else tuple(factor * x for x in num)
+
+    return order, den, map_rows(row, values)
+
+
+def scaled(form, scalar) -> tuple:
+    """A form times a CycScalar or rational, at the lcm of their orders."""
+    order, den, rows = form
+    scalar = as_scalar(scalar)
+    n = math.lcm(order, scalar.order)
+    s = lift_row(scalar.num, scalar.order, n)
+    return n, den * scalar.den, map_rows(lambda row: times(row, s, n), lift_rows(rows, order, n))
+
+
+def accumulate(raw: list, u, v, weight: int = 1) -> list:
+    """Add weight * u * v into raw as unreduced polynomials in zeta, in place."""
+    if len(u) == 1:  # phi(N) == 1: one int per value
+        raw[0] += weight * u[0] * v[0]
+        return raw
     for s, x in enumerate(u):
         if x:
+            x *= weight
             for t, y in enumerate(v):
                 if y:
                     raw[s + t] += x * y
-    return _reduce_mod_cyclotomic(raw, order)
+    return raw
+
+
+def reduced_rows(polys, order: int):
+    """Unreduced polynomials mod Phi_N (one coordinate, already reduced, at orders 1 and 2).
+
+    A dict keeps its nonzero rows, a sequence all of its rows."""
+    reduce = tuple if order <= 2 else lambda raw: _reduce_mod_cyclotomic(raw, order)
+    if isinstance(polys, dict):
+        return {k: r for k, raw in polys.items() if any(r := reduce(raw))}
+    return tuple(map(reduce, polys))
+
+
+def summed(pairs) -> dict:
+    """Rows added per key in first-seen key order, zero sums dropped."""
+    acc: dict = {}
+    for key, row in pairs:
+        acc[key] = tuple(map(operator.add, acc[key], row)) if key in acc else row
+    return {key: row for key, row in acc.items() if any(row)}
+
+
+def same_values(a, b) -> bool:
+    """Whether two lowest-terms forms hold the same values.
+
+    The power basis is integral at every order, so the denominator does not
+    depend on the order: equal denominators, then the rows at one order,
+    lifted to the lcm order or, past ``ORDER_CAP``, value by value.
+    """
+    (m, d, u), (n, e, v) = a, b
+    if d != e:
+        return False
+    order = math.lcm(m, n)
+    if order > ORDER_CAP:  # no common field to lift to
+        return map_rows(lambda r: CycScalar._make(m, d, r), u) == map_rows(
+            lambda r: CycScalar._make(n, e, r), v
+        )
+    return lift_rows(u, m, order) == lift_rows(v, n, order)
 
 
 def _trace_down(x: "CycScalar", p: int) -> tuple[int, tuple]:
@@ -267,36 +403,24 @@ class CycScalar:
         if order < 1 or order % self.order:
             raise ValueError(f"order {self.order} does not divide {order}")
         _check_order(order)
-        return CycScalar._make(order, self.den, lift(self.num, embed_map(self.order, order)))
+        return CycScalar._make(order, self.den, lift_row(self.num, self.order, order))
 
-    def _coerce(self, other):
+    def _operand(self, other):
+        # other as a CycScalar (a rational at self's order), or None.
         if isinstance(other, CycScalar):
-            pass
-        elif isinstance(other, (int, Fraction)):
-            other = CycScalar.rational(other, self.order)
-        else:
-            return None
-        if self.order == other.order:
-            return self, other
-        m = math.lcm(self.order, other.order)
-        return self.embed(m), other.embed(m)
+            return other
+        return CycScalar.rational(other, self.order) if isinstance(other, (int, Fraction)) else None
 
     def _additive(op):
         # x + y for op = operator.add, x - y for operator.sub.
         def method(self, other):
-            if isinstance(other, CycScalar) and self.order == other.order:
-                a, b = self, other
-            else:
-                pair = self._coerce(other)
-                if pair is None:
-                    return NotImplemented
-                a, b = pair
-            if a.den == b.den:
-                return CycScalar._make(a.order, a.den, tuple(map(op, a.num, b.num)))
-            g = math.gcd(a.den, b.den)
-            fa, fb = b.den // g, a.den // g
-            num = tuple(op(fa * x, fb * y) for x, y in zip(a.num, b.num))
-            return CycScalar._make(a.order, a.den * fa, num)
+            other = self._operand(other)
+            if other is None:
+                return NotImplemented
+            if self.order == other.order and self.den == other.den:
+                return CycScalar._make(self.order, self.den, tuple(map(op, self.num, other.num)))
+            order, den, (u, v) = common_scalars((self, other))
+            return CycScalar._make(order, den, tuple(map(op, u, v)))
 
         return method
 
@@ -311,13 +435,12 @@ class CycScalar:
         return CycScalar._make(self.order, self.den, tuple(map(operator.neg, self.num)))
 
     def __mul__(self, other):
-        if isinstance(other, CycScalar) and self.order == other.order:
-            a, b = self, other
-        else:
-            pair = self._coerce(other)
-            if pair is None:
-                return NotImplemented
-            a, b = pair
+        a, b = self, self._operand(other)
+        if b is None:
+            return NotImplemented
+        if a.order != b.order:
+            order = math.lcm(a.order, b.order)
+            a, b = a.embed(order), b.embed(order)
         return CycScalar._make(a.order, a.den * b.den, times(a.num, b.num, a.order))
 
     __rmul__ = __mul__
@@ -342,11 +465,8 @@ class CycScalar:
         return CycScalar._make(n, abs(norm), tuple(sign * x for x in rest))
 
     def __truediv__(self, other):
-        pair = self._coerce(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        return a * b.inverse()
+        other = self._operand(other)
+        return NotImplemented if other is None else self * other.inverse()
 
     def __rtruediv__(self, other):
         return self.inverse() * other

@@ -11,18 +11,19 @@ convention for operators like R12, R13, R23 on triple tensor products.
 ``linalg.Matrix``, ``charring.ClassFunction`` and GATensor share one
 storage form: one cyclotomic order N holding every value, one positive
 denominator D, and per entry the phi(N) integer coordinates of D times the
-value, in lowest terms over the whole container.  Leg maps re-key these
-rows; sums, scaling and products run on the integers.
+value, in lowest terms over the whole container.  ``cyclotomic`` lifts,
+scales, reduces and compares that form; leg maps re-key the rows, and the
+product kernels below run on the integers.
 """
 
 from __future__ import annotations
 
 import math
-import operator
+from itertools import chain
 from operator import itemgetter
 
-from .cyclotomic import ORDER_CAP, CycScalar, _reduce_mod_cyclotomic, content, embed_map
-from .cyclotomic import euler_phi, lift, times
+from .cyclotomic import CycScalar, as_scalar, common_form, common_scalars, euler_phi, lift_rows
+from .cyclotomic import lowest_terms, reduced_rows, same_values, scaled, summed, times
 from .groups import FiniteGroup, closure
 from . import linalg
 
@@ -52,25 +53,17 @@ class GATensor:
                 raise ValueError(f"term {key} does not have arity {arity}")
             if any(not (0 <= g < group.size) for g in key):
                 raise ValueError(f"term {key} uses element indices outside the group")
-            if not isinstance(value, CycScalar):
-                value = CycScalar.rational(value)
+            value = as_scalar(value)
             clean[key] = clean[key] + value if key in clean else value
         clean = {key: value for key, value in clean.items() if value}
-        order = math.lcm(1, *(v.order for v in clean.values()))
-        den = math.lcm(1, *(v.den for v in clean.values()))
-        # Lowest terms already: embedding keeps each value's least denominator.
-        rows = {k: tuple(den // v.den * x for x in v.embed(order).num) for k, v in clean.items()}
-        self.group, self.arity, self.order, self.den = group, arity, order, den
-        self.rows, self._terms = rows, clean
+        self.order, self.den, self.rows = common_scalars(clean)
+        self.group, self.arity, self._terms = group, arity, clean
 
     @classmethod
     def _make(cls, group: FiniteGroup, arity: int, order: int, den: int, rows: dict) -> "GATensor":
         # Internal fast constructor: rows maps keys to phi(order) ints, none
         # all zero, and den > 0; divides out their common factor.
-        g = content(den, rows.values())
-        if g != 1:
-            den //= g
-            rows = {key: tuple(x // g for x in row) for key, row in rows.items()}
+        den, rows = lowest_terms(den, rows)
         self = object.__new__(cls)
         self.group, self.arity, self.order, self.den = group, arity, order if rows else 1, den
         self.rows, self._terms = rows, None
@@ -103,21 +96,10 @@ class GATensor:
         if self.arity != other.arity:
             raise ValueError(f"arity mismatch: {self.arity} vs {other.arity}")
 
-    def _lifted(self, order: int) -> dict:
-        # rows re-expressed at a multiple of self.order; orders 1 and 2
-        # (phi = 1) share their coordinates.
-        if order == self.order or order == 2:
-            return self.rows
-        images = embed_map(self.order, order)
-        return {key: lift(row, images) for key, row in self.rows.items()}
-
     def __add__(self, other: "GATensor") -> "GATensor":
         self._check_compatible(other)
-        order, den = math.lcm(self.order, other.order), math.lcm(self.den, other.den)
-        rows = _summed(
-            (key, tuple(den // t.den * x for x in row))
-            for t in (self, other) for key, row in t._lifted(order).items()
-        )
+        order, den, (a, b) = common_form([(t.order, t.den, t.rows) for t in (self, other)])
+        rows = summed(chain(a.items(), b.items()))
         return GATensor._make(self.group, self.arity, order, den, rows)
 
     def __sub__(self, other: "GATensor") -> "GATensor":
@@ -128,12 +110,8 @@ class GATensor:
         return GATensor._make(self.group, self.arity, self.order, self.den, rows)
 
     def scale(self, scalar) -> "GATensor":
-        if not isinstance(scalar, CycScalar):
-            scalar = CycScalar.rational(scalar)
-        order = math.lcm(self.order, scalar.order)
-        s = scalar.embed(order).num
-        rows = {k: times(r, s, order) for k, r in self._lifted(order).items()} if scalar else {}
-        return GATensor._make(self.group, self.arity, order, self.den * scalar.den, rows)
+        order, den, rows = scaled((self.order, self.den, self.rows), scalar)
+        return GATensor._make(self.group, self.arity, order, den, rows if scalar else {})
 
     __rmul__ = scale
 
@@ -152,7 +130,8 @@ class GATensor:
             return self.scale(other)
         self._check_compatible(other)
         order = math.lcm(self.order, other.order)
-        right = [(k, j, c) for k, r in other._lifted(order).items() for j, c in enumerate(r) if c]
+        lifted = lift_rows(other.rows, other.order, order)
+        right = [(k, j, c) for k, r in lifted.items() for j, c in enumerate(r) if c]
         table = self.group.table
         # The right keys as one column per leg: a left key maps each column
         # through its leg's row of the table with one getter per leg, and the
@@ -169,7 +148,7 @@ class GATensor:
             rows = {k: (c,) for k, c in acc.items() if c}
         else:
             width = 2 * euler_phi(order) - 1
-            for k1, row in self._lifted(order).items():
+            for k1, row in lift_rows(self.rows, self.order, order).items():
                 u = [(j, c) for j, c in enumerate(row) if c]
                 out = zip(*[g(table[a]) for a, g in zip(k1, getters)]) if legs else blank
                 if len(u) > 1:  # the keys are read once per coordinate
@@ -180,7 +159,7 @@ class GATensor:
                         if raw is None:
                             raw = acc[key] = [0] * width
                         raw[j1 + j2] += c1 * c2
-            rows = {k: r for k, raw in acc.items() if any(r := _reduce_mod_cyclotomic(raw, order))}
+            rows = reduced_rows(acc, order)
         return GATensor._make(self.group, self.arity, order, self.den * other.den, rows)
 
     def _fibre_square(self, leg: int) -> "GATensor":
@@ -213,18 +192,16 @@ class GATensor:
                     for j1, x in u:
                         for j2, y in v:
                             raw[j1 + j2] += x * y
-        rows = {k: r for k, raw in acc.items() if any(r := _reduce_mod_cyclotomic(raw, order))}
-        return GATensor._make(self.group, 2, order, self.den * self.den, rows)
+        return GATensor._make(self.group, 2, order, self.den * self.den, reduced_rows(acc, order))
 
     def __matmul__(self, other: "GATensor") -> "GATensor":
         """Outer tensor product, concatenating legs."""
         if self.group != other.group:
             raise ValueError("tensors over different groups")
-        order = math.lcm(self.order, other.order)
-        left, right = self._lifted(order).items(), other._lifted(order).items()
-        rows = {k1 + k2: times(r1, r2, order) for k1, r1 in left for k2, r2 in right}
-        arity, den = self.arity + other.arity, self.den * other.den
-        return GATensor._make(self.group, arity, order, den, rows)
+        # At one denominator D each product holds D^2 times its value.
+        order, den, (a, b) = common_form([(t.order, t.den, t.rows) for t in (self, other)])
+        rows = {k1 + k2: times(r1, r2, order) for k1, r1 in a.items() for k2, r2 in b.items()}
+        return GATensor._make(self.group, self.arity + other.arity, order, den * den, rows)
 
     # -- Hopf structure maps, one leg at a time -------------------------------
 
@@ -236,7 +213,7 @@ class GATensor:
         """The tensor with each key k moved to key_map(k); rows meeting at one key add."""
         rows = {key_map(key): row for key, row in self.rows.items()}
         if len(rows) < len(self.rows):
-            rows = _summed((key_map(key), row) for key, row in self.rows.items())
+            rows = summed((key_map(key), row) for key, row in self.rows.items())
         return GATensor._make(self.group, arity, self.order, self.den, rows)
 
     def coproduct(self, leg: int) -> "GATensor":
@@ -249,7 +226,7 @@ class GATensor:
         """Sum out the chosen leg with weight 1 per group element, in one pass over the rows."""
         self._check_leg(leg)
         i = leg - 1
-        rows = _summed((key[:i] + key[leg:], row) for key, row in self.rows.items())
+        rows = summed((key[:i] + key[leg:], row) for key, row in self.rows.items())
         return GATensor._make(self.group, self.arity - 1, self.order, self.den, rows)
 
     def antipode(self, leg: int) -> "GATensor":
@@ -385,12 +362,7 @@ class GATensor:
             return NotImplemented
         if (self.arity, self.den) != (other.arity, other.den) or self.group != other.group:
             return False
-        if self.order == other.order:
-            return self.rows == other.rows
-        order = math.lcm(self.order, other.order)
-        if order > ORDER_CAP:  # no common field to lift to: compare value by value
-            return self.terms == other.terms
-        return self._lifted(order) == other._lifted(order)
+        return same_values((self.order, self.den, self.rows), (other.order, other.den, other.rows))
 
     def __hash__(self):
         return hash((self.arity, self.den, frozenset(self.rows)))
@@ -402,14 +374,6 @@ class GATensor:
             f"({value})*[{'(x)'.join(map(str, key)) if key else '()'}]"
             for key, value in self.sorted_terms()
         )
-
-
-def _summed(pairs) -> dict:
-    # Rows added per key in first-seen key order, zero sums dropped.
-    acc: dict = {}
-    for key, row in pairs:
-        acc[key] = tuple(map(operator.add, acc[key], row)) if key in acc else row
-    return {key: row for key, row in acc.items() if any(row)}
 
 
 def first_difference(left: GATensor, right: GATensor):

@@ -12,13 +12,14 @@ hundred but columns stay nearly empty.
 
 A Matrix stores one cyclotomic order N for all of its entries, one
 positive integer denominator D, and for each nonzero entry the phi(N)
-integer coordinates of D times that entry.  Products and traces run on
-these integers: both operands are lifted to the lcm order by a cached
-integer map, products accumulate unreduced integer polynomials and reduce
-modulo Phi_N once per output entry, and every result is divided by the gcd
-of its denominator and coordinates.  CycScalars appear only where values
-enter a matrix (the constructor, ``from_entries``, ``from_dense``) or leave
-it (``to_dense``, ``trace``, equality across orders whose lcm is past ``ORDER_CAP``).
+integer coordinates of D times that entry: the form ``cyclotomic`` lifts,
+reduces and compares for ``GATensor`` and ``ClassFunction`` too.  Products
+and traces run on these integers: both operands are lifted to the lcm
+order, products accumulate unreduced integer polynomials and reduce modulo
+Phi_N once per output entry, and every result is put in lowest terms.
+CycScalars appear only where values enter a matrix (the constructor,
+``from_entries``, ``from_dense``) or leave it (``to_dense``, ``trace``,
+equality across orders whose lcm is past ``ORDER_CAP``).
 """
 
 from __future__ import annotations
@@ -26,13 +27,16 @@ from __future__ import annotations
 import math
 
 from .cyclotomic import (
-    ORDER_CAP,
     CycScalar,
-    _reduce_mod_cyclotomic,
-    content,
-    embed_map,
+    accumulate,
+    as_scalar,
+    common_scalars,
     euler_phi,
-    lift,
+    lift_rows,
+    lowest_terms,
+    reduced_rows,
+    same_values,
+    summed,
 )
 
 _ZERO = CycScalar.zero()
@@ -103,10 +107,6 @@ def solve(a_rows: list[list[CycScalar]], rhs: list[CycScalar]):
     return solution
 
 
-def _as_scalar(value) -> CycScalar:
-    return value if isinstance(value, CycScalar) else CycScalar.rational(value)
-
-
 class Matrix:
     """Immutable sparse matrix over a cyclotomic field, stored column-major.
 
@@ -122,29 +122,17 @@ class Matrix:
     __slots__ = ("nrows", "ncols", "order", "den", "cols")
 
     def __init__(self, nrows: int, ncols: int, cols=None):
-        entries = []
+        values: dict[int, dict[int, CycScalar]] = {}
         for j, col in (cols or {}).items():
             for i, v in col.items():
-                v = _as_scalar(v)
+                v = as_scalar(v)
                 if v:
-                    entries.append((i, j, v))
-        order = math.lcm(1, *(v.order for _, _, v in entries))
-        parts = [(i, j, v.embed(order)) for i, j, v in entries]
-        den = math.lcm(1, *(v.den for _, _, v in parts))
-        out: dict[int, dict[int, tuple[int, ...]]] = {}
-        for i, j, v in parts:
-            out.setdefault(j, {})[i] = tuple(x * (den // v.den) for x in v.num)
-        self._set(nrows, ncols, order, den, out)
+                    values.setdefault(j, {})[i] = v
+        self._set(nrows, ncols, *common_scalars(values))
 
     def _set(self, nrows: int, ncols: int, order: int, den: int, cols: dict) -> None:
         # cols must hold no zero entries; divides out the common content.
-        g = content(den, (v for col in cols.values() for v in col.values()))
-        if g != 1:
-            den //= g
-            cols = {
-                j: {i: tuple(x // g for x in v) for i, v in col.items()}
-                for j, col in cols.items()
-            }
+        den, cols = lowest_terms(den, cols)
         self.nrows = nrows
         self.ncols = ncols
         self.order = order if cols else 1
@@ -185,9 +173,6 @@ class Matrix:
     def _scalar(self, coords: tuple) -> CycScalar:
         return CycScalar._make(self.order, self.den, coords)
 
-    def _entries(self) -> dict[int, dict[int, CycScalar]]:
-        return {j: {i: self._scalar(v) for i, v in col.items()} for j, col in self.cols.items()}
-
     def to_dense(self) -> list[list[CycScalar]]:
         rows = [[_ZERO] * self.ncols for _ in range(self.nrows)]
         for j, col in self.cols.items():
@@ -195,79 +180,34 @@ class Matrix:
                 rows[i][j] = self._scalar(v)
         return rows
 
-    def _lifted(self, order: int) -> dict:
-        # cols re-expressed at a multiple of self.order; orders 1 and 2
-        # (phi = 1) share their coordinates.
-        if order == self.order or order == 2:
-            return self.cols
-        rows = embed_map(self.order, order)
-        return {j: {i: lift(v, rows) for i, v in col.items()} for j, col in self.cols.items()}
-
-    def _common(self, other: "Matrix") -> tuple[int, dict, dict]:
-        order = math.lcm(self.order, other.order)
-        return order, self._lifted(order), other._lifted(order)
-
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch: {self.ncols} vs {other.nrows}")
-        order, a, b = self._common(other)
-        cols: dict[int, dict[int, tuple]] = {}
-        if order <= 2:  # phi(order) == 1: one plain int per entry
-            for j, col in b.items():
-                acc: dict[int, int] = {}
-                for k, (c,) in col.items():
-                    left = a.get(k)
-                    if left:
-                        for i, (v,) in left.items():
-                            acc[i] = acc.get(i, 0) + v * c
-                out = {i: (s,) for i, s in acc.items() if s}
-                if out:
-                    cols[j] = out
-        else:
-            width = 2 * euler_phi(order) - 1
-            for j, col in b.items():
-                polys: dict[int, list[int]] = {}
-                for k, c in col.items():
-                    left = a.get(k)
-                    if not left:
-                        continue
-                    terms = [(t, y) for t, y in enumerate(c) if y]
-                    for i, v in left.items():
-                        raw = polys.get(i)
-                        if raw is None:
-                            raw = polys[i] = [0] * width
-                        for s, x in enumerate(v):
-                            if x:
-                                for t, y in terms:
-                                    raw[s + t] += x * y
-                out = {}
-                for i, raw in polys.items():
-                    v = _reduce_mod_cyclotomic(raw, order)
-                    if any(v):
-                        out[i] = v
-                if out:
-                    cols[j] = out
+        order = math.lcm(self.order, other.order)
+        a, b = lift_rows(self.cols, self.order, order), lift_rows(other.cols, other.order, order)
+        width, cols = 2 * euler_phi(order) - 1, {}
+        for j, col in b.items():
+            polys: dict[int, list[int]] = {}
+            for k, c in col.items():
+                for i, v in a.get(k, {}).items():
+                    raw = polys.get(i)
+                    if raw is None:
+                        raw = polys[i] = [0] * width
+                    accumulate(raw, v, c)
+            if out := reduced_rows(polys, order):
+                cols[j] = out
         return Matrix._make(self.nrows, other.ncols, order, self.den * other.den, cols)
 
     def trace(self) -> CycScalar:
-        total = [0] * euler_phi(self.order)
-        for j, col in self.cols.items():
-            v = col.get(j)
-            if v is not None:
-                total = [x + y for x, y in zip(total, v)]
-        return self._scalar(tuple(total))
+        total = summed((0, col[j]) for j, col in self.cols.items() if j in col)
+        return self._scalar(total.get(0, (0,) * euler_phi(self.order)))
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        if (self.nrows, self.ncols, self.den) != (other.nrows, other.ncols, other.den):
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             return False
-        # The power basis at every order is an integral basis, so the
-        # lowest-terms denominator does not depend on the order.
-        if math.lcm(self.order, other.order) > ORDER_CAP:  # no common field: entry by entry
-            return self._entries() == other._entries()
-        _, a, b = self._common(other)
-        return a == b
+        return same_values((self.order, self.den, self.cols), (other.order, other.den, other.cols))
 
     def __hash__(self):
         return hash((self.nrows, self.ncols, self.den, frozenset(

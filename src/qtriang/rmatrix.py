@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .cyclotomic import CycScalar, root_power_table
+from .cyclotomic import CycScalar, root_power_table, summed
 from .groups import (
     AbelianGroup,
     BiForm,
@@ -198,16 +198,12 @@ def character_table(domain: AbelianGroup, form: BiForm) -> list[tuple[tuple, tup
     e = domain.exponent
     powers = root_power_table(e)
     scales = [e // n for n in domain.factors]
-    elements = list(domain.elements())
-    sums: dict = {}
+    elements, terms = list(domain.elements()), []
     for chi in elements:
         b = tuple(-x % n for x, n in zip(form.point(chi), domain.factors))
         for a in elements:
-            acc = sums.setdefault((a, b), [0] * len(powers[0]))
-            k = sum(s * c * x for s, c, x in zip(scales, chi, a)) % e
-            for idx, c in enumerate(powers[k]):
-                acc[idx] += c
-    return [(ab, tuple(c)) for ab, c in sorted(sums.items()) if any(c)]
+            terms.append(((a, b), powers[sum(s * c * x for s, c, x in zip(scales, chi, a)) % e]))
+    return sorted(summed(terms).items())
 
 
 def character_rows(table, incl_left: Inclusion, incl_right: Inclusion) -> dict:

@@ -2,15 +2,17 @@
 
 Zero matrices, entry reads, sums, scaling and Kronecker products on the
 stored form of ``qtriang.linalg.Matrix`` (one order, one denominator,
-integer coordinate tuples): both operands are lifted to the lcm order, the
-integer coordinates are combined, and ``Matrix._make`` divides out the
-common content.  The dense and d^n references in the tests build their
-matrices with these; the package itself needs none of them.
+integer coordinate tuples), through the form operations of
+``qtriang.cyclotomic``: operands are lifted to one order (and, for sums,
+one denominator), the integer coordinates are combined, and
+``Matrix._make`` divides out the common content.  The dense and d^n
+references in the tests build their matrices with these; the package
+itself needs none of them.
 """
 
 import math
 
-from qtriang.cyclotomic import CycScalar, times
+from qtriang.cyclotomic import CycScalar, common_form, lift_rows, scaled, summed, times
 from qtriang.linalg import Matrix
 
 
@@ -26,24 +28,13 @@ def entry(m: Matrix, i: int, j: int) -> CycScalar:
 def _combine(a: Matrix, b: Matrix, sign: int) -> Matrix:
     if (a.nrows, a.ncols) != (b.nrows, b.ncols):
         raise ValueError("shape mismatch")
-    order, left, right = a._common(b)
-    den = math.lcm(a.den, b.den)
-    fa, fb = den // a.den, sign * (den // b.den)
-    cols = {j: {i: tuple(fa * x for x in v) for i, v in col.items()} for j, col in left.items()}
-    for j, col in right.items():
-        acc = cols.setdefault(j, {})
-        for i, v in col.items():
-            w = acc.get(i)
-            if w is None:
-                acc[i] = tuple(fb * y for y in v)
-                continue
-            total = tuple(x + fb * y for x, y in zip(w, v))
-            if any(total):
-                acc[i] = total
-            else:
-                del acc[i]
-        if not acc:
-            del cols[j]
+    order, den, (left, right) = common_form([(a.order, a.den, a.cols), (b.order, b.den, b.cols)])
+    if sign != 1:
+        right = {j: {i: tuple(sign * y for y in v) for i, v in col.items()} for j, col in right.items()}
+    cols = {}
+    for j in {**left, **right}:
+        if col := summed([*left.get(j, {}).items(), *right.get(j, {}).items()]):
+            cols[j] = col
     return Matrix._make(a.nrows, a.ncols, order, den, cols)
 
 
@@ -56,21 +47,14 @@ def sub(a: Matrix, b: Matrix) -> Matrix:
 
 
 def scale(m: Matrix, scalar) -> Matrix:
-    if not isinstance(scalar, CycScalar):
-        scalar = CycScalar.rational(scalar)
     if not scalar:
         return zero(m.nrows, m.ncols)
-    order = math.lcm(m.order, scalar.order)
-    s = scalar.embed(order)
-    cols = {
-        j: {i: times(v, s.num, order) for i, v in col.items()}
-        for j, col in m._lifted(order).items()
-    }
-    return Matrix._make(m.nrows, m.ncols, order, m.den * s.den, cols)
+    return Matrix._make(m.nrows, m.ncols, *scaled((m.order, m.den, m.cols), scalar))
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
-    order, left, right = a._common(b)
+    order = math.lcm(a.order, b.order)
+    left, right = lift_rows(a.cols, a.order, order), lift_rows(b.cols, b.order, order)
     cols: dict[int, dict[int, tuple]] = {}
     for ja, ca in left.items():
         for jb, cb in right.items():

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import operator
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -1619,6 +1620,27 @@ def test_cyclic_operation_matches_projector_reference(name):
                 eps = root_of_unity(p, k)
                 expected = _reference_cyclic_operation_char(rep, r, p, eps)
                 assert cyclic_operation_char(rep, r, p, eps) == expected, (name, p, k)
+
+
+def test_cyclic_value_matches_the_literal_weighted_sum():
+    # (1/p) sum eps^i t_i by scalar arithmetic, on traces at mixed orders with
+    # denominators past 1 and eps at an order no trace has: the weights eps^i
+    # are lifted to the traces' order and carry none of their denominator.
+    rng = random.Random(1997)
+    orders, dens = (1, 2, 3, 4, 6, 8, 12), set()
+    for eps_order in (5, 7, 9, 10):
+        for p in range(1, 6):
+            traces = []
+            for _ in range(p):
+                order = rng.choice(orders)
+                coeffs = [Fraction(rng.randint(-6, 6), rng.randint(2, 9)) for _ in range(euler_phi(order))]
+                traces.append(CycScalar(order, coeffs))
+            dens.update(t.den for t in traces)
+            eps = root_of_unity(eps_order, rng.randrange(1, eps_order))
+            want = sum((eps**i * t for i, t in enumerate(traces)), CycScalar.zero()) * Fraction(1, p)
+            got = charring._cyclic_value(traces, eps)
+            assert (got.order, got.den, got.num) == (want.order, want.den, want.num), (eps, traces)
+    assert max(dens) > 1
 
 
 def _fresh_catalogs():

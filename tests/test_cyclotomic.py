@@ -1,5 +1,6 @@
 import functools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -10,10 +11,16 @@ from qtriang import cyclotomic
 from qtriang.cyclotomic import (
     CycScalar,
     ORDER_CAP,
+    common_form,
+    common_scalars,
     cyclotomic_polynomial,
     divisors,
     euler_phi,
+    lift_rows,
+    lowest_terms,
     root_of_unity,
+    same_values,
+    scaled,
 )
 
 
@@ -488,3 +495,88 @@ def test_inverse_and_reduced_build_no_fractions(monkeypatch):
     for x in values:
         assert (x * x.inverse()).num[0] == 1
         assert x.reduced().order <= x.order
+
+
+# -- The integer-row form shared by GATensor, Matrix and ClassFunction.
+
+def _random_scalar(rng, orders=(1, 2, 3, 4, 5, 6, 8, 12)):
+    order = rng.choice(orders)
+    coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 6)) for _ in range(euler_phi(order))]
+    return CycScalar(order, coeffs)
+
+
+def _one_row(x):
+    return (x.order, x.den, (x.num,))
+
+
+def test_row_core_agrees_with_scalar_arithmetic_at_mixed_orders():
+    # Seeded random values at mixed orders: the common form holds each value
+    # at the lcm order and denominator, in lowest terms over all rows, and
+    # combining and scaling forms give what scalar + and * give.
+    rng = random.Random(4880)
+    for _ in range(150):
+        values = [_random_scalar(rng) for _ in range(rng.randint(1, 4))]
+        order, den, rows = common_scalars(values)
+        assert order == math.lcm(*(v.order for v in values))
+        assert den == math.lcm(*(v.den for v in values))
+        assert math.gcd(den, *(x for row in rows for x in row)) == 1
+        for v, row in zip(values, rows):
+            assert tuple(Fraction(x, den) for x in row) == v.embed(order).coeffs
+            assert [Fraction(x, den) for x in row] == _ref_embed(list(v.coeffs), v.order, order)
+        keyed = common_scalars(dict(enumerate(values)))
+        assert keyed == (order, den, dict(enumerate(rows)))
+
+        a, b = values[0], values[-1]
+        n, d, ((u,), (w,)) = common_form([_one_row(a), _one_row(b)])
+        total = CycScalar._make(n, d, tuple(map(operator.add, u, w)))
+        assert _stored(total) == _stored(a + b)
+        n, d, (row,) = scaled(_one_row(a), b)
+        assert _stored(CycScalar._make(n, d, row)) == _stored(a * b)
+        n, d, table = scaled((order, den, dict(enumerate(rows))), b)
+        for k, v in enumerate(values):
+            assert CycScalar._make(n, d, table[k]) == v * b
+
+        m = order * rng.choice([1, 2, 3, 5])
+        if m <= ORDER_CAP:
+            assert same_values((order, den, rows), (m, den, lift_rows(rows, order, m)))
+        shifted = [v + 1 for v in values]
+        assert same_values(common_scalars(values), common_scalars(shifted)) is False
+
+
+def test_orders_one_and_two_share_coordinates():
+    rng = random.Random(2)
+    values = [CycScalar(rng.choice([1, 2]), [Fraction(rng.randint(-9, 9), rng.randint(1, 9))])
+              for _ in range(12)]
+    order, den, rows = common_scalars(values)
+    assert order == 2
+    assert rows == tuple((den // v.den * v.num[0],) for v in values)
+    assert lift_rows(rows, 1, 2) is rows and lift_rows(rows, 2, 2) is rows
+    assert all(v.embed(2).num == v.num for v in values)
+
+
+def test_lowest_terms_reads_every_row_of_nested_forms():
+    assert lowest_terms(6, {0: {1: (2, 4)}, 3: {0: (6, 0)}}) == (3, {0: {1: (1, 2)}, 3: {0: (3, 0)}})
+    assert lowest_terms(6, ((2, 4), (3, 0))) == (6, ((2, 4), (3, 0)))
+    assert lowest_terms(4, {}) == (1, {})
+
+
+def test_forms_past_the_order_cap_are_refused_but_compare_value_by_value():
+    # Orders 360 and 7 are each within ORDER_CAP; their lcm 2520 is not.
+    with pytest.raises(ValueError, match="exceeds the supported cap"):
+        common_scalars([root_of_unity(360), root_of_unity(7)])
+    with pytest.raises(ValueError, match="exceeds the supported cap"):
+        common_form([(360, 1, {"k": root_of_unity(360).num}), (7, 1, {"k": root_of_unity(7).num})])
+
+    def keyed(*values):
+        return common_scalars(dict(enumerate(values)))
+
+    half = Fraction(1, 2)
+    assert same_values(keyed(CycScalar.rational(half, 360)), keyed(CycScalar.rational(half, 7)))
+    assert not same_values(keyed(CycScalar.rational(half, 360)), keyed(CycScalar.rational(-half, 7)))
+    # zeta_3 held at order 360 and at order 21: equal values, no common order.
+    z3 = root_of_unity(3)
+    at_360 = keyed(z3.embed(360), CycScalar.rational(half, 360))
+    at_21 = keyed(z3.embed(21), CycScalar.rational(half, 7))
+    assert at_360[0] == 360 and at_21[0] == 21
+    assert same_values(at_360, at_21)
+    assert not same_values(at_360, keyed((z3 * z3).embed(21), CycScalar.rational(half, 7)))
