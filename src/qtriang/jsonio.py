@@ -37,21 +37,25 @@ from .rmatrix import QTDatum, VerificationReport
 _INT_ONLY = frozenset((int,))
 
 
-def canonical_dumps(doc) -> str:
+def canonical_dumps(doc, sink=None) -> str | None:
     """``doc`` as canonical JSON text, ending in a newline.
 
     The bytes equal ``json.dumps(doc, sort_keys=True, indent=2,
     separators=(",", ": ")) + "\\n"``.  One walk appends text fragments to
-    one list, joined once at the end.  A container object that appears more
-    than once at the same depth (a dedup class's report, shared by its
-    members' entries, or a coefficient record shared by equal terms) is
-    encoded once: its first meeting records the slice of fragments it
-    appended, the second joins that slice into its text, and later ones
-    reuse the text.  str, int, bool and None values and lists of ints are
-    written in their parent's loop, with no call per value.  There the text
-    of a list of exact ints is kept per (depth, values), so a list met again
-    (a term's tuple, a coordinate pair, a datum's inclusion) is joined once
-    per call; [1, True] is no such list and never shares [1, 1]'s text.
+    one list.  Without a ``sink`` the list is joined and returned; with one
+    (a handle's ``writelines``, say) the list goes to ``sink`` unjoined and
+    None is returned, so the whole text is never held as one string.  A
+    container object that appears more than once at the same depth (a dedup
+    class's report, shared by its members' entries, or a coefficient record
+    shared by equal terms) is encoded once: its first meeting records the
+    slice of fragments it appended, the second joins that slice into its
+    text, and every later meeting appends that same text object as its own
+    fragment, never a copy of it.  str, int, bool and None values and lists
+    of ints are written in their parent's loop, with no call per value.
+    There the text of a list of exact ints is kept per (depth, values), so
+    a list met again (a term's tuple, a coordinate pair, a datum's
+    inclusion) is joined once per call; [1, True] is no such list and never
+    shares [1, 1]'s text.
     """
     out: list[str] = []
     append = out.append
@@ -130,7 +134,8 @@ def canonical_dumps(doc) -> str:
                     text = int_lists[known] = "[" + deeper + ints + inner + "]"
                 append(head + text)
             elif type(text := memo.get((id(v), depth + 1))) is str:
-                append(head + text)
+                append(head)
+                append(text)
             else:
                 append(head)
                 encode(v, depth)
@@ -143,7 +148,10 @@ def canonical_dumps(doc) -> str:
     # ``doc``) are freed on return instead of at the next full collection.
     del encode
     append("\n")
-    return "".join(out)
+    if sink is None:
+        return "".join(out)
+    sink(out)
+    return None
 
 
 def _scalar_text(value) -> str:

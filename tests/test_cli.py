@@ -459,6 +459,72 @@ def test_cli_unwritable_out_is_an_input_error(workdir, capsys):
     assert not target.exists()
 
 
+def test_cli_out_is_overwritten_in_place_with_no_stale_tail(workdir):
+    # Z2's report over Z2xZ2's, 1.5 MB long: the same file, cut to the new
+    # bytes.
+    assert main(["classify", "--group", "Z2", "--out", "fresh.json"]) == 0
+    assert main(["classify", "--group", "Z2xZ2", "--out", "out.json"]) == 0
+    before = os.stat("out.json")
+    assert before.st_size > 10**6
+    assert main(["classify", "--group", "Z2", "--out", "out.json"]) == 0
+    assert (workdir / "out.json").read_bytes() == (workdir / "fresh.json").read_bytes()
+    assert os.stat("out.json").st_ino == before.st_ino
+
+
+def test_cli_out_through_a_symlink_rewrites_its_target(workdir):
+    assert main(["classify", "--group", "Z2", "--out", "fresh.json"]) == 0
+    assert main(["classify", "--group", "Z4", "--out", "target.json"]) == 0
+    os.symlink("target.json", "link.json")
+    assert main(["classify", "--group", "Z2", "--out", "link.json"]) == 0
+    assert os.path.islink("link.json")
+    assert (workdir / "target.json").read_bytes() == (workdir / "fresh.json").read_bytes()
+
+
+def test_cli_out_to_dev_null_exits_0(capsys):
+    assert main(["classify", "--group", "Z2", "--out", os.devnull]) == 0
+    assert capsys.readouterr().out == ""
+
+
+def test_cli_out_creates_a_file_with_the_umask_mode(workdir):
+    old = os.umask(0o027)
+    try:
+        assert main(["classify", "--group", "Z2", "--out", "new.json"]) == 0
+    finally:
+        os.umask(old)
+    assert os.stat("new.json").st_mode & 0o777 == 0o666 & ~0o027
+
+
+_FSIZE_CHILD = """
+import resource, signal, sys
+from qtriang.cli import main
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (65536, 65536))
+sys.exit(main(["classify", "--group", "Z2xZ2", "--out", sys.argv[1]]))
+"""
+
+
+def test_cli_out_write_failing_part_way_leaves_the_file_empty(workdir):
+    # Past 64 KB every write fails with EFBIG, so the 1.5 MB report over an
+    # existing one stops part-way: the file is cut to nothing rather than
+    # left as a new head on the old report's tail.
+    assert main(["classify", "--group", "Z2xZ2", "--out", "out.json"]) == 0
+    assert os.path.getsize("out.json") > 10**6
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _FSIZE_CHILD, "out.json"],
+        cwd=workdir,
+        env=dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1"),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    error = json.loads(proc.stdout)["error"]
+    assert error["kind"] == "input"
+    assert error["message"].startswith("cannot write out.json: ")
+    assert os.path.getsize("out.json") == 0
+
+
 def test_cli_reuses_one_parser_and_calls_stay_independent(workdir, capsys):
     build_parser.cache_clear()
     assert main(["adams", "--group", "Z2"]) == 0

@@ -2,11 +2,13 @@
 
 import gc
 import json
+import os
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qtriang import jsonio
+from qtriang import cli, jsonio
 from qtriang.acceptance import qt_catalog
 from qtriang.charring import (
     ClassFunction, adams_twisted, lambda_from_adams, regular_rep, standard_reps
@@ -63,6 +65,9 @@ _documents = st.recursive(_leaves, _containers, max_leaves=30)
 @given(_documents)
 def test_canonical_dumps_matches_json_dumps(doc):
     assert jsonio.canonical_dumps(doc) == _oracle(doc)
+    fragments = []
+    assert jsonio.canonical_dumps(doc, fragments.extend) is None
+    assert "".join(fragments) == _oracle(doc)
 
 
 @settings(max_examples=100, deadline=None)
@@ -159,6 +164,38 @@ def test_shared_container_met_n_times(shared, times):
     ]
     for doc in docs:
         assert jsonio.canonical_dumps(doc) == _oracle(doc)
+
+
+def test_shared_text_reaches_the_sink_as_one_object():
+    # A container of about 12 KB of text shared by 100 siblings: from its
+    # second meeting on, the sink gets its kept text itself, not a copy.
+    shared = {"terms": [{"tuple": [k, k + 1], "coeff": f"c{k}"} for k in range(150)]}
+    doc = {"entries": [{"report": shared, "index": k} for k in range(100)]}
+    assert len(jsonio.canonical_dumps(shared)) >= 10_000
+    fragments = []
+    jsonio.canonical_dumps(doc, fragments.extend)
+    assert "".join(fragments) == _oracle(doc)
+    long = [f for f in fragments if len(f) > 10_000]
+    assert len(long) == 99
+    assert len({id(f) for f in long}) == 1
+
+
+def test_emit_to_dev_null_holds_no_copy_of_the_report():
+    # Z2xZ2's classify report is 1.5 MB.  Writing it holds the fragments,
+    # which share each dedup class's text, and never the joined text.
+    argv = ["classify", "--group", "Z2xZ2", "--out", os.devnull]
+    args = build_parser().parse_args(argv)
+    doc, ok = _cmd_classify(args)
+    assert ok
+    length = len(jsonio.canonical_dumps(doc))
+    assert length > 1_500_000
+    tracemalloc.start()
+    try:
+        cli._emit(doc, args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < length
 
 
 @pytest.mark.parametrize(
