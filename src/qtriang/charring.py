@@ -8,10 +8,9 @@ symmetric-group actions, exterior powers and the traces of the braided
 long cycle behind the cyclic operations on one side; class functions with
 twisted Adams operations and one Newton recurrence (``_newton``) for lambda,
 sigma and exterior powers on the other.  One ``Braiding`` per R holds its
-report, Markov element, R R21
-and braided differences.  The braided power sums
-p_k(g) = tr(g^(x)k tau_k), tau_k the long cycle, are one character sum over
-R's terms (``_power_sum``), on integer rows; they give the exterior powers
+report, Markov element, unitarity and braided differences.  The braided power
+sums p_k(g) = tr(g^(x)k tau_k), tau_k the long cycle, are one character sum
+over R's terms (``_power_sum``), on integer rows; they give the exterior powers
 by Newton's identity once the representation kills R's braided differences,
 and the cyclic traces as their powers.  No d^n matrix is multiplied.  A
 class function is stored as a matrix is, integer rows at one order and one
@@ -47,9 +46,8 @@ from .cyclotomic import (
 from .groups import FiniteGroup, closure, subgroup_structure
 from .hopf import GATensor, difference_witness
 from .linalg import Matrix
-from .rmatrix import (
-    LegProducts, VerificationReport, commutes_with_diagonal, markov_element, verify_qt,
-)
+from .rmatrix import LegProducts, VerificationReport, commutes_with_diagonal, markov_element
+from .rmatrix import swap_is_antipode, verify_qt
 
 #: Largest tensor-power dimension handled by the braided-action machinery.
 DIMENSION_CAP = 4096
@@ -502,8 +500,8 @@ class BraidedAction:
 class Braiding:
     """One R-matrix and all that is read from it, each part formed on first use.
 
-    ``report``, ``markov`` (u, and ``markov_index``), R R21 (``square``,
-    ``unitary``), R's leg products, Yang-Baxter sides and (S x I)(R)
+    ``report``, ``markov`` (u, and ``markov_index``), ``unitary``, R R21
+    (``square``), R's leg products, Yang-Baxter sides and (S x I)(R)
     (``legs``), which ``report`` reads too, and per tensor power n the braided
     differences depend on R alone: one ``Braiding`` serves a catalog's dedup
     class and every representation.  The braided power sums behind the
@@ -546,10 +544,7 @@ class Braiding:
             raise ValueError("the Markov element is not a central involution")
         return idx
 
-    @functools.cached_property
-    def square(self) -> GATensor:
-        """R R21."""
-        return self.rmatrix * self.rmatrix.swap()
+    square = functools.cached_property(lambda self: self.rmatrix * self.rmatrix.swap())
 
     @functools.cached_property
     def legs(self) -> LegProducts:
@@ -560,15 +555,13 @@ class Braiding:
     def unitary(self) -> bool:
         """R R21 = 1, as ``verify_unitary`` decides it.
 
-        Once ``report`` exists and R passed its ``antipode_left`` check,
-        (S x I)(R) (``legs.antipode``, also read by ``report`` and ``markov``)
-        is R's two-sided inverse.  Inverses in k[G] (x) k[G] are unique, so
-        R R21 = 1 exactly when R21 = (S x I)(R), a comparison of rows with
-        no product.  Otherwise R R21 (``square``) is formed.
+        Where R's left slices are idempotents summing to 1 (``legs.left_partition``,
+        which ``legs.left_hexagon`` reads too), (S x I)(R) is R's inverse by facts
+        (c) and (a) of ``verify_qt``, so R R21 = 1 exactly when R21 = (S x I)(R),
+        which R's rows decide (``swap_is_antipode``).  Elsewhere ``square`` is formed.
         """
-        report = self.__dict__.get("report")  # read if formed, never formed here
-        if report is not None and "antipode_left" in {c.name for c in report.checks if c.passed}:
-            return self.rmatrix.swap() == self.legs.antipode
+        if self.legs.left_partition:
+            return swap_is_antipode(self.rmatrix)
         return self.square.is_unit()
 
     def check(self, rep: MatrixRep, power: int):

@@ -366,16 +366,13 @@ _COMMANDS = {
 def _emit(doc, args) -> None:
     """Write ``doc``'s canonical text to ``--out``, or to stdout without one.
 
-    The encoder's fragments go straight to the handle.  ``--out`` is
-    overwritten in place, not atomically: it is opened without ``O_TRUNC``
-    and cut to the new length after the last write, because on ext4
-    (``auto_da_alloc``) truncating a file and writing it again makes
-    ``close`` write the whole file back to storage: ``/proc/self/io`` reads
-    1,536,000 ``write_bytes`` per rewrite of Z2xZ2's 1,535,586-byte report,
-    and 0 per rewrite in place while the last one's pages are not yet
-    written back.  Only a regular file is cut: /dev/null, a FIFO or
-    /dev/stdout refuses ``ftruncate``.  A write that fails part-way leaves a
-    regular file empty, not a new head followed by the old report's tail.
+    The encoder's fragments go straight to the handle.  ``--out`` is overwritten
+    in place, not atomically: it is opened without ``O_TRUNC`` and cut to the new
+    length after the last write, because on ext4 (``auto_da_alloc``) truncating
+    a file and writing it again makes ``close`` write the whole file back to
+    storage (1.5 MB per rewrite of Z2xZ2's report, 0 in place).  Only a regular
+    file is cut: /dev/null, a FIFO or /dev/stdout refuses ``ftruncate``.  A write
+    failing part-way leaves a regular file empty, not a new head on the old tail.
     """
     path = getattr(args, "out", None)
     if not path:
@@ -412,10 +409,10 @@ def main(argv=None) -> int:
         doc, status = {"error": {"kind": "invariant", "message": str(exc)}}, EXIT_INVARIANT
     try:
         _emit(doc, args)
-    except OSError as exc:
-        # The --out path is what failed, so the error goes to stdout.
-        error = {"error": {"kind": "input", "message": f"cannot write {args.out}: {exc}"}}
-        sys.stdout.write(jsonio.canonical_dumps(error))
+    except OSError as exc:  # the --out path failed, or without one stdout, which gets nothing more
+        path = getattr(args, "out", None)
+        error = {"error": {"kind": "input", "message": f"cannot write {path or 'stdout'}: {exc}"}}
+        (sys.stdout if path else sys.stderr).write(jsonio.canonical_dumps(error))
         return EXIT_PARSE_ERROR
     return status
 

@@ -162,37 +162,41 @@ class GATensor:
             rows = reduced_rows(acc, order)
         return GATensor._make(self.group, self.arity, order, self.den * other.den, rows)
 
-    def _fibre_square(self, leg: int) -> "GATensor":
-        """R's fibre square: at ``leg`` 1, sum_a a (x) r_a^2 for R = sum_a a (x) r_a.
+    def _partition_of_unity(self, leg: int) -> bool:
+        """Whether R's slices r_a are idempotents summing to 1: R = sum_a a (x) r_a at ``leg`` 1.
 
-        At leg 2, sum_b s_b^2 (x) b; as in ``__mul__``, from sum_a |r_a|^2 pairs, not |R|^2,
-        on one int per value at orders 1 and 2 and on nonzero coordinates above."""
-        i, table, order = leg - 1, self.group.table, self.order
+        At leg 2, R = sum_a r_a (x) a.  After the sum, each r_a is squared on integer rows
+        from |r_a|^2 term pairs as in ``__mul__``, (D r)^2 = D (D r) at den D, until one fails."""
+        i, table, order, den = leg - 1, self.group.table, self.order, self.den
         slices: dict = {}
         for key, row in self.rows.items():
             slices.setdefault(key[i], []).append((key[1 - i], row))
-        acc: dict = {}
-        if order <= 2:  # phi(order) == 1: one int per value
-            for a, terms in slices.items():
-                for b, (x,) in terms:
-                    for c, (y,) in terms:
-                        key = (a, table[b][c]) if i == 0 else (table[b][c], a)
-                        acc[key] = acc.get(key, 0) + x * y
-            rows = {k: (c,) for k, c in acc.items() if c}
-            return GATensor._make(self.group, 2, order, self.den * self.den, rows)
+        one = {self.group.identity: (den,) + (0,) * (euler_phi(order) - 1)}
+        if summed(pair for terms in slices.values() for pair in terms) != one:
+            return False
         width = 2 * euler_phi(order) - 1
-        for a, terms in slices.items():
-            terms = [(b, [(j, x) for j, x in enumerate(u) if x]) for b, u in terms]
-            for b, u in terms:
-                for c, v in terms:
-                    key = (a, table[b][c]) if i == 0 else (table[b][c], a)
-                    raw = acc.get(key)
+        for terms in slices.values():
+            acc: dict = {}
+            if order <= 2:  # phi(order) == 1: one int per value
+                for b, (x,) in terms:
+                    product = table[b]
+                    for c, (y,) in terms:
+                        acc[key] = acc.get(key := product[c], 0) + x * y
+                if {k: c for k, c in acc.items() if c} != {b: den * x for b, (x,) in terms}:
+                    return False
+                continue
+            nonzero = [(b, [(j, x) for j, x in enumerate(u) if x]) for b, u in terms]
+            for b, u in nonzero:
+                for c, v in nonzero:
+                    raw = acc.get(key := table[b][c])
                     if raw is None:
                         raw = acc[key] = [0] * width
                     for j1, x in u:
                         for j2, y in v:
                             raw[j1 + j2] += x * y
-        return GATensor._make(self.group, 2, order, self.den * self.den, reduced_rows(acc, order))
+            if reduced_rows(acc, order) != {b: tuple(den * x for x in row) for b, row in terms}:
+                return False
+        return True
 
     def __matmul__(self, other: "GATensor") -> "GATensor":
         """Outer tensor product, concatenating legs."""

@@ -8,6 +8,9 @@ it.  Run it with
 Construction (the generators on the n-th tensor power, without checks) and
 validation are timed apart, on the regular representation, for the
 4- and 16-term triangular structures of D4 and the 4-term one of Q8.
+Unitarity, which every braided item decides first, is timed on a fresh
+``Braiding`` of the 1-term triangular structure of Z2, the 4-term one of
+Q8 and the 16-term one of D4: R's rows decide it, with no R R21 formed.
 The image rho^(x)k of one tensor, which construction and validation
 start from, is timed on the regular representation for the 16-term D4
 and the 4-term Q8 structure (k = 2) and for the left Yang-Baxter side
@@ -63,6 +66,7 @@ from qtriang.hopf import GATensor
 from qtriang.rmatrix import LegProducts
 
 CASES = [("D4", 4), ("D4", 16), ("Q8", 4)]
+UNITARY_CASES = [("Z2", 1), ("Q8", 4), ("D4", 16)]
 TRACE_CASES = [("D4", 16), ("Q8", 4)]
 IMAGE_CASES = [("D4", 16, 2), ("Q8", 4, 2), ("D4", 16, 3), ("Q8", 4, 3)]
 
@@ -91,6 +95,12 @@ def test_image(benchmark, name, terms, arity):
     rep = regular_rep(r.group)
     image = benchmark(lambda: charring._image(rep, tensor))
     assert image.nrows == rep.dim**arity
+
+
+@pytest.mark.parametrize("name, terms", UNITARY_CASES, ids=[f"{n}-{t}" for n, t in UNITARY_CASES])
+def test_unitary(benchmark, name, terms):
+    r = _structure(name, terms)
+    assert benchmark(lambda: charring.Braiding(r).unitary)
 
 
 @pytest.mark.parametrize("power", [2, 3])

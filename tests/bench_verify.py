@@ -10,15 +10,16 @@ Yang-Baxter, counits and antipodes) and ``verify_markov`` (the Markov
 element u, the inverses of u and R21 R, the coproduct identity and
 centrality) are timed on the first 16-term structures of D4 and Q8 and
 on the first 4-term structure of Z2xZ2.  On these R-matrices ``verify_qt``
-forms no GATensor product: both hexagons are read off R's fibre squares,
-and the left one gives R's inverse and, with invariance, Yang-Baxter.  Its
+forms no GATensor product: both hexagons are read off R's slices, which
+sum to 1 and each square to itself, and the left one gives R's inverse
+and, with invariance, Yang-Baxter.  Its
 fallback route is timed on 2R for the first 16-term D4 structure, whose
 counits are not the unit: R13 R23 and R13 R12 are formed, the left
 hexagon fails, R (S x I)(R) is not the unit, so the linear solve runs, and
-both Yang-Baxter sides are formed.  On that D4 R-matrix the fibre square
-sum_a a x r_a^2 that decides the left hexagon is timed against the
-product R13 R23 it replaces, and likewise on the first 16-term Q8
-structure; both are at order 4.  ``verify_qt`` is also timed over
+both Yang-Baxter sides are formed.  On that D4 R-matrix the test that the
+left slices r_a sum to 1 and each squares to itself, which decides the left
+hexagon, is timed against the product R13 R23 it replaces, and likewise on
+the first 16-term Q8 structure; both are at order 4.  ``verify_qt`` is also timed over
 all 44 distinct structures of the seven catalogs, one R per dedup class, as
 one ``classify`` pass checks them.  A fresh ``Braiding`` of the first
 16-term D4 structure is timed reading its report, then its unitarity, in
@@ -56,15 +57,15 @@ def test_verify_qt_fallback_d4(benchmark):
     assert report["yang_baxter"].passed
 
 
-@pytest.mark.parametrize("side", ["fibre_square", "r13r23"])
+@pytest.mark.parametrize("side", ["partition_of_unity", "r13r23"])
 @pytest.mark.parametrize("name", ["D4", "Q8"])
 def test_left_hexagon_side_d4(benchmark, name, side):
-    # R equals its fibre square, and (Delta x I)(R) equals R13 R23.  Both
-    # first 16-term structures are at order 4.
+    # R's left slices are idempotents summing to 1, and (Delta x I)(R) equals R13 R23.
+    # Both first 16-term structures are at order 4.
     r = next(s.rmatrix for s in qt_catalog(name).structures if len(s.rmatrix.terms) == 16)
     assert r.order == 4
-    if side == "fibre_square":
-        assert benchmark(r._fibre_square, 1) == r
+    if side == "partition_of_unity":
+        assert benchmark(r._partition_of_unity, 1)
     else:
         r13, r23 = r.embed_legs((1, 3), 3), r.embed_legs((2, 3), 3)
         assert benchmark(r13.__mul__, r23) == r.coproduct(1)

@@ -14,6 +14,7 @@ import pytest
 from long_cycles import compose, operator_traces
 from matrix_ops import add, kron, scale, zero
 from test_groups import derived_test_groups
+from test_rmatrix import _hexagon_oracle_candidates
 
 from qtriang import acceptance, charring, cli, jsonio
 from qtriang.cyclotomic import CycScalar, euler_phi, root_of_unity
@@ -1138,8 +1139,9 @@ def test_braid_relation_is_left_out_only_where_the_hexagon_and_invariance_show_i
 
 
 def test_validate_forms_no_matrix_product_when_identities_hold(monkeypatch):
-    # R R21 is formed once per construction; with every universal difference
-    # zero, validate never maps one to matrices.
+    # R's rows decide unitarity, so construction forms no GATensor product
+    # (1, R R21, when unitarity was read off the product); with every
+    # universal difference zero, validate never maps one to matrices.
     catalog = acceptance.triangular_catalog("D4")
     r = max((catalog.structures[m[0]].rmatrix for m in catalog.dedup), key=lambda t: len(t.terms))
     rep = regular_rep(catalog.group)
@@ -1154,7 +1156,7 @@ def test_validate_forms_no_matrix_product_when_identities_hold(monkeypatch):
 
     monkeypatch.setattr(GATensor, "__mul__", counting("tensor", real_mul))
     BraidedAction(rep, r, 2)
-    assert counts["tensor"] == 1
+    assert counts["tensor"] == 0
     actions = [BraidedAction(rep, r, power, validate=False) for power in (3, 4)]
     monkeypatch.setattr(Matrix, "__matmul__", counting("matrix", real_matmul))
     for action in actions:
@@ -1231,8 +1233,7 @@ def test_braiding_forms_what_it_reads_once(monkeypatch):
     # GATensor product outside them: ``report`` hands ``verify_qt`` R's leg
     # products unformed, to be formed there on first use (four products,
     # R's leg products and Yang-Baxter sides, when ``report`` formed them
-    # first).  ``unitary``, read after a report whose ``antipode_left``
-    # passed, compares R21 with (S x I)(R) and forms no R R21.
+    # first).  ``unitary`` reads R's slices and rows and forms no R R21.
     r = koszul()
     formed, calls = {"verify_qt": verify_qt(r), "markov_element": markov_element(r)}, Counter()
 
@@ -1266,12 +1267,11 @@ def test_braiding_forms_what_it_reads_once(monkeypatch):
 
 
 def test_unitary_matches_verify_unitary_with_and_without_the_report():
-    # Read after ``report``, ``unitary`` compares R21 with (S x I)(R) when R
-    # passed ``antipode_left``, and forms R R21 otherwise; read first, it
-    # forms R R21.  ``verify_unitary`` is the oracle either way.  Off the
-    # catalog: g (x) g and -(e (x) e) on Z2 pass ``antipode_left``; e (x) e
-    # + g (x) e has no inverse; on Z3, g (x) g^2 (unitary) and 2 (e (x) e)
-    # (not unitary) take their inverses from the solve and fail it.
+    # Read before or after ``report``, ``unitary`` gives what the product
+    # ``verify_unitary`` gives.  Off the catalog: g (x) g and -(e (x) e) on
+    # Z2 pass ``antipode_left``; e (x) e + g (x) e has no inverse; on Z3,
+    # g (x) g^2 (unitary) and 2 (e (x) e) (not unitary) take their inverses
+    # from the solve and fail it.
     z2, z3 = bundled_group("Z2"), bundled_group("Z3")
     distinct = [
         catalog.structures[members[0]].rmatrix
@@ -1296,6 +1296,66 @@ def test_unitary_matches_verify_unitary_with_and_without_the_report():
         left_antipode.append(any(c.name == "antipode_left" and c.passed for c in report.checks))
     assert all(left_antipode[:44]) and left_antipode[44:] == [True, True, False, False, False]
     assert [verify_unitary(r) for r in others] == [True, True, False, True, False]
+
+
+def _slice_function_tensors(name):
+    """sum_chi f(chi) (x) e_chi on the cyclic group ``name``, for every map f from
+    characters to elements: its left slices are orthogonal idempotents summing to
+    1, the preconditions of ``Braiding.unitary``'s row route."""
+    group = bundled_group(name)
+    n = group.size
+    projectors = [
+        GATensor(group, 1, {(k,): root_of_unity(n, -j * k % n) for k in range(n)}).scale(Fraction(1, n))
+        for j in range(n)
+    ]
+    return [
+        sum((GATensor.basis(group, a) @ p for a, p in zip(f, projectors)), GATensor(group, 2))
+        for f in itertools.product(range(n), repeat=n)
+    ]
+
+
+def _left_slices_idempotent(r):
+    """Whether every r_a of R = sum_a a x r_a squares to itself, by GATensor products."""
+    slices = {}
+    for (a, b), row in r.rows.items():
+        slices.setdefault(a, {})[(b,)] = row
+    tensors = [GATensor._make(r.group, 1, r.order, r.den, rows) for rows in slices.values()]
+    return all(s * s == s for s in tensors)
+
+
+def test_unitary_from_rows_matches_verify_unitary(monkeypatch):
+    # Where R's left counit is the unit and its left slices are idempotent,
+    # (S x I)(R) is R's inverse and ``unitary`` compares R21 with it on R's
+    # rows ("rows"); elsewhere it forms R R21 ("product").  The literal
+    # ``verify_unitary`` is the oracle on the hexagon oracle's candidates
+    # (every distinct catalog R, 2R, R with one coefficient changed by 1/2,
+    # R with 1/2 e x e moved to x x e, e x e + g x e and g x g on Z2, all
+    # 625 tensors on Z2 with coefficients in {0, +-1/2, +-1}, and an S3
+    # tensor that fails invariance), g x g^2 and 2 (e x e) on Z3, and every
+    # sum_chi f(chi) x e_chi on Z3 and Z4.  Each route gives both answers,
+    # the row route at orders 1 and 2 and above them; the product route is
+    # taken exactly where the preconditions fail and forms R R21 alone, and
+    # the row route forms no product.
+    z3 = bundled_group("Z3")
+    candidates = _hexagon_oracle_candidates() + [GATensor.basis(z3, 1, 2), GATensor.unit(z3, 2).scale(2)]
+    candidates += _slice_function_tensors("Z3") + _slice_function_tensors("Z4")
+    expected = [verify_unitary(r) for r in candidates]
+    rows_route = [r.counit(1).is_unit() and _left_slices_idempotent(r) for r in candidates]
+    products, real_mul = [], GATensor.__mul__
+    monkeypatch.setattr(GATensor, "__mul__", lambda left, right: products.append(left) or real_mul(left, right))
+    routes = Counter()
+    for r, unitary, rows in zip(candidates, expected, rows_route):
+        route = "rows" if rows else "product"
+        before = len(products)
+        assert Braiding(r).unitary == unitary
+        assert products[before:] == ([] if route == "rows" else [r])
+        routes[route, unitary, r.order > 2] += 1
+    assert routes == {
+        ("rows", True, False): 24, ("rows", False, False): 11,
+        ("rows", True, True): 3, ("rows", False, True): 294,
+        ("product", True, False): 8, ("product", False, False): 684,
+        ("product", False, True): 28,
+    }
 
 
 def test_markov_index_refusals_come_before_check():
@@ -1435,6 +1495,28 @@ def test_catalog_traces_form_no_matrix_product(monkeypatch):
                 exterior_power_char(rep, r, n)
                 cyclic_operation_char(rep, r, n, root_of_unity(n))
     assert calls["matmul"] == 0
+
+
+def test_braided_items_form_no_tensor_product(monkeypatch):
+    # The braided symmetric-group action at n = 2 and 3, the exterior square
+    # and the cyclic operation at p = 2, on the regular representation of
+    # each of the 22 distinct triangular structures, each on a fresh
+    # Braiding: unitarity is read off R's rows, so none forms a GATensor
+    # product (each formed one, R R21, when unitarity was the product).
+    cases = [
+        (regular_rep(catalog.group), catalog.structures[members[0]].rmatrix)
+        for catalog in map(acceptance.triangular_catalog, CATALOG_NAMES)
+        for members in catalog.dedup
+    ]
+    assert len(cases) == 22
+    products, real_mul = [], GATensor.__mul__
+    monkeypatch.setattr(GATensor, "__mul__", lambda left, right: products.append(left) or real_mul(left, right))
+    for rep, r in cases:
+        BraidedAction(rep, r, 2)
+        BraidedAction(rep, r, 3)
+        exterior_power_char(rep, r, 2)
+        cyclic_operation_char(rep, r, 2, root_of_unity(2, 1))
+    assert products == []
 
 
 def test_exterior_projector_failures_carry_witnesses():
@@ -1698,8 +1780,9 @@ def _count_criterion_work(monkeypatch, criterion, **counted):
 
 
 def test_criterion_06_forms_each_structures_braided_data_once(monkeypatch):
-    # One Braiding per distinct triangular structure, shared by its reps:
-    # per structure R R21 (1) and nothing else.  Both hexagons are read off
+    # One Braiding per distinct triangular structure, shared by its reps,
+    # and no GATensor product: unitarity is read off R's rows (22, one R R21
+    # per structure, when it was the product).  Both hexagons are read off
     # R's slices (fact (c) of ``verify_qt``), so the braid relation at n = 3
     # (``yang_baxter_by_hexagon``) and the report, read once at n = 3, form
     # no product.  The power sums form none.  With R13 R23 and R13 R12
@@ -1709,16 +1792,17 @@ def test_criterion_06_forms_each_structures_braided_data_once(monkeypatch):
     # took 1, 132 in all with no report read, the words of all permutations
     # at n = 3 took 176, and forming them per (structure, rep) took 837.
     counts, _ = _count_criterion_work(monkeypatch, acceptance.criterion_6)
-    assert counts["tensor"] == 22
+    assert counts["tensor"] == 0
     assert counts["matrix"] == counts["action"] == 0
 
 
 def test_criterion_07_reads_one_trace_table_per_structure_rep_and_prime(monkeypatch):
     # One long-cycle trace table for each of the 186 distinct (R, rep, p)
     # triples, shared by all roots, and no matrix action built for any.  The
-    # categorical trace of z^p is read from the character, and R R21 is
-    # formed once per structure: 22 GATensor products, none for tau or its
-    # powers.  The report, read once at p = 3, forms none: R's slices
+    # categorical trace of z^p is read from the character, and unitarity
+    # from R's rows: no GATensor product (22, one R R21 per structure, when
+    # unitarity was the product), none for tau or its powers.  The report,
+    # read once at p = 3, forms none: R's slices
     # decide both hexagons, and those with invariance decide the inverse
     # and Yang-Baxter.  With the report forming R's two leg products it
     # took 66, and with it forming the Yang-Baxter sides and R (S x I)(R)
@@ -1730,7 +1814,7 @@ def test_criterion_07_reads_one_trace_table_per_structure_rep_and_prime(monkeypa
         monkeypatch, acceptance.criterion_7, long_cycle_traces=2
     )
     assert Counter(recorded["long_cycle_traces"]) == {2: 93, 3: 93}  # 186 tables
-    assert counts["tensor"] == 22
+    assert counts["tensor"] == 0
     assert counts["matrix"] == counts["action"] == 0
 
 
@@ -1756,7 +1840,8 @@ def _products_inside_verify_qt(monkeypatch):
 
 
 def test_long_cycle_powers_form_no_product(monkeypatch):
-    # At p = 3 on a fresh Braiding: R R21 outside ``verify_qt``, and the
+    # At p = 3 on a fresh Braiding no GATensor product: unitarity is read off
+    # R's rows (R R21 outside ``verify_qt`` when it was the product), and the
     # report, read for the hexagon identities, whose ``verify_qt`` forms no
     # product: R's slices decide both hexagons (2 inside when it formed R's
     # leg products), and the left hexagon and invariance decide the inverse
@@ -1770,13 +1855,14 @@ def test_long_cycle_powers_form_no_product(monkeypatch):
     expected = _reference_cyclic_operation_char(rep, r, 3, root_of_unity(3))
     products_at = _products_inside_verify_qt(monkeypatch)
     assert cyclic_operation_char(rep, r, 3, root_of_unity(3)) == expected
-    assert products_at == {None: 1}
+    assert products_at == {}
 
 
 def test_criterion_10_forms_braiding_differences_once_per_structure_and_power(monkeypatch):
     # One list of R's braided differences for each of the 22 distinct
     # triangular structures and n = 2, 3, validated on every rep with no
-    # matrix action built: per structure R R21, 22 GATensor products.  The
+    # matrix action built and no GATensor product: unitarity is read off R's
+    # rows (22, one R R21 per structure, when it was the product).  The
     # left hexagon, read off R's slices, with invariance leaves out the
     # Yang-Baxter difference.  Forming R13 R23 for the hexagon took 44;
     # forming R's leg products and Yang-Baxter sides too took 110; building
@@ -1786,16 +1872,18 @@ def test_criterion_10_forms_braiding_differences_once_per_structure_and_power(mo
         monkeypatch, acceptance.criterion_10, _differences=1
     )
     assert Counter(recorded["_differences"]) == {2: 22, 3: 22}  # 44 formations
-    assert counts["tensor"] == 22
+    assert counts["tensor"] == 0
     assert counts["matrix"] == counts["action"] == 0
 
 
 def test_criteria_06_07_10_share_each_structures_braiding(monkeypatch):
     # On the same catalogs the three criteria read one ``Braiding`` per
     # distinct triangular structure, the one its catalog built for its dedup
-    # class, and build none.  Criterion 6 forms R R21; the differences at
-    # n <= 3 and, at n = 3, the report (``verify_qt``) read both hexagons off
-    # R's slices and form nothing, nor do criteria 7 and 10.  With the
+    # class, and build none.  None forms a GATensor product: unitarity is
+    # read off R's rows (criterion 6 formed 22, R R21 per structure, when it
+    # was the product); the differences at n <= 3 and, at n = 3, the report
+    # (``verify_qt``) read both hexagons off R's slices and form nothing,
+    # nor do criteria 7 and 10.  With the
     # hexagons compared with R13 R23 and R13 R12, criterion 6 took 66, 22
     # of them inside ``verify_qt``.  With the differences forming the
     # Yang-Baxter sides, criterion 6 took 132 products, 22 of them inside
@@ -1810,8 +1898,8 @@ def test_criteria_06_07_10_share_each_structures_braiding(monkeypatch):
         monkeypatch, criteria, __init__=0, exterior_power_char=0, long_cycle_traces=0, check=0
     )
     assert build["tensor"] == 0 and build["__init__"] == 44  # one per distinct structure
-    assert [c["tensor"] for c in per_criterion] == [22, 0, 0]
-    assert products_at == {None: 22}
+    assert [c["tensor"] for c in per_criterion] == [0, 0, 0]
+    assert products_at == {}
     assert [c["__init__"] for c in per_criterion] == [0, 0, 0]
     triangular = {
         id(s) for name in CATALOG_NAMES for s in acceptance.triangular_catalog(name).structures
@@ -1937,7 +2025,8 @@ def test_power_sums_and_exterior_powers_against_twisted_adams():
 
 def test_exterior_powers_form_no_long_cycle(monkeypatch):
     # On the first 16-term Z2xZ2 structure, all five standard reps at
-    # n = 2 .. 6 form 1 GATensor product on one Braiding, R R21.  R's slices
+    # n = 2 .. 6 form no GATensor product on one Braiding: unitarity is read
+    # off R's rows (1, R R21, when it was the product).  R's slices
     # decide both hexagons, for the differences at every n >= 3 and for the
     # report's ``verify_qt``; the left one with invariance leaves out the
     # Yang-Baxter sides and gives R's inverse.  Forming R13 R23 and R13 R12
@@ -1953,7 +2042,7 @@ def test_exterior_powers_form_no_long_cycle(monkeypatch):
     for n in range(2, 7):
         for rep in reps:
             braiding.exterior_power_char(rep, n)
-    assert len(reps) == 5 and products_at == {None: 1}
+    assert len(reps) == 5 and products_at == {}
 
 
 def test_power_sums_and_cycle_tables_match_the_long_cycle_products():

@@ -459,6 +459,31 @@ def test_cli_unwritable_out_is_an_input_error(workdir, capsys):
     assert not target.exists()
 
 
+class _FailingStdout(io.TextIOBase):
+    """A stdout whose every write raises EPIPE, as a closed pipe does; it counts the writes."""
+
+    def __init__(self):
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv", [["classify", "--group", "Z2"], ["--bogus"]], ids=["report", "bad-option"])
+def test_cli_failing_stdout_is_reported_on_stderr(argv, capsys, monkeypatch):
+    # Without --out the failed write was stdout's: after it nothing more is
+    # written there, and the JSON error goes to stderr with exit 2, for a
+    # report and for the error body of an argument that does not parse.
+    stdout = _FailingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(argv) == 2
+    assert stdout.writes == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["kind"] == "input"
+    assert error["message"].startswith("cannot write stdout: ")
+
+
 def test_cli_out_is_overwritten_in_place_with_no_stale_tail(workdir):
     # Z2's report over Z2xZ2's, 1.5 MB long: the same file, cut to the new
     # bytes.

@@ -1,4 +1,6 @@
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -586,12 +588,58 @@ def _fibre_cases(order):
     return cases
 
 
+def _projector_cases(order):
+    """Tensors sum_a a x p_a on Z2, Z3 and Z4 at ``order``, each p_a a sum of character
+    projectors e_j = (1/n) sum_k zeta_n^(-jk) g^k with values at that order, so every
+    left slice is idempotent; their leg swaps; and each with one slice doubled.  The p_a
+    are seeded subsets and, where every e_j has its values at that order, a seeded
+    partition of them, so the p_a sum to 1.
+
+    On Z4 at orders 4 and 8, e_0 + e_1 = (2e + (1 - i) g + (1 + i) g^3)/4 has no g^2
+    term, yet g g and g^3 g^3 reach g^2 in its square, and cancel there."""
+    rng = random.Random(f"projectors/{order}")
+    cases = []
+    for n in (2, 3, 4):
+        group = bundled_group(f"Z{n}")
+        projectors = {}
+        for j in range(n):
+            m = n // math.gcd(n, j)  # the order of zeta_n^j
+            if m <= 2 or order % m == 0:
+                values = {(k,): root_of_unity(n, -j * k % n).reduced() for k in range(n)}
+                projectors[j] = GATensor(group, 1, values).scale(Fraction(1, n))
+        subsets = [[rng.sample(sorted(projectors), rng.randint(1, len(projectors))) for _ in range(n)]]
+        if len(projectors) == n:
+            owner = [rng.randrange(n) for _ in range(n)]
+            subsets.append([[j for j in range(n) if owner[j] == a] for a in range(n)])
+        if n == 4 and 1 in projectors:
+            subsets.append([[0, 1], [], [2, 3], []])
+        for chosen in subsets:
+            slices = [sum((projectors[j] for j in js), GATensor(group, 1)) for js in chosen]
+            terms = {(a, b): c for a, p in enumerate(slices) for (b,), c in p.terms.items()}
+            left = GATensor(group, 2, terms)
+            a = min(terms)[0]
+            doubled = left + GATensor(group, 2, {(a, b): c for (b,), c in slices[a].terms.items()})
+            for t in (left, left.swap(), doubled, doubled.swap()):
+                rows = lift_rows(t.rows, t.order if t.order > 2 else 1, order)
+                cases.append(GATensor._make(group, 2, order, t.den, rows))
+    return cases
+
+
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 8])
 def test_fibre_square_matches_the_diagonal_of_the_literal_products(order):
-    cancelled = 0
-    for r in _fibre_cases(order):
+    # ``_partition_of_unity(leg)`` decides whether R's counit on ``leg`` is 1
+    # and R equals its fibre square sum_a a x r_a^2 (sum_b s_b^2 x b at leg 2),
+    # which is the a = a' part of R13 R23 (the b = b' part of R13 R12) formed
+    # as a product.  Both answers occur at every order, and so do idempotent
+    # slices that do not sum to 1; at orders 4 and 8 an idempotent slice's
+    # square reaches a key that cancels.
+    outcomes, unsummed = Counter(), 0
+    for r in _fibre_cases(order) + _projector_cases(order):
         for leg in (1, 2):
-            fast, slow = r._fibre_square(leg), _literal_fibre_square(r, leg)
-            assert (fast.order, fast.den, fast.rows) == (slow.order, slow.den, slow.rows)
-            cancelled += r.order == order and len(_fibre_pairs(r, leg)) > len(fast.rows)
-    assert cancelled >= 2
+            holds, idempotent = r._partition_of_unity(leg), _literal_fibre_square(r, leg) == r
+            assert holds == (r.counit(leg).is_unit() and idempotent)
+            outcomes[holds, len(_fibre_pairs(r, leg)) > len(r.rows)] += 1
+            unsummed += idempotent and not holds
+    assert outcomes[True, False] and outcomes[False, False] and outcomes[False, True]
+    assert bool(outcomes[True, True]) == (order in (4, 8))
+    assert unsummed

@@ -959,7 +959,7 @@ def _hexagon_oracle_candidates():
             candidates += [r, r.scale(2), r + moved]
         # Moving 1/2 e x e to x x e keeps (eps x I)(R) = 1 but not the left
         # slices: the first structure of each group fails the left hexagon
-        # on its fibre square.
+        # on its slices, which sum to 1 but are not all idempotent.
         group = catalog.group
         e, x = group.identity, group.size - 1
         shifted = GATensor(group, 2, {(x, e): Fraction(1, 2), (e, e): Fraction(-1, 2)})
@@ -975,7 +975,7 @@ def _hexagon_oracle_candidates():
 
 def test_hexagons_from_slices_match_the_literal_products():
     # Fact (c) of ``verify_qt``: where a counit is the unit, each hexagon is
-    # read off R's fibre square; elsewhere it is compared literally.  Either
+    # read off R's slices on that leg; elsewhere it is compared literally.  Either
     # way it equals the comparison with R13 R23 (or R13 R12) formed as a
     # product, and ``verify_qt`` gives the literal verifier's check names,
     # outcomes and witnesses.
