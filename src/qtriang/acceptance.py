@@ -445,7 +445,7 @@ def criterion_10() -> CriterionResult:
             for n in (2, 3):
                 checked += len(members)
                 try:
-                    structure.check(rep, n)
+                    structure.check(rep)
                     structure.validate(rep, n)
                 except ValueError as exc:
                     problems.extend((name, idx, rep.name, n, str(exc)) for idx in members)

@@ -43,7 +43,7 @@ from .cyclotomic import (
     summed,
     times,
 )
-from .groups import FiniteGroup, closure, subgroup_structure
+from .groups import FiniteGroup, closure, subgroup_structure, table_group
 from .hopf import GATensor, difference_witness
 from .linalg import Matrix
 from .rmatrix import LegProducts, VerificationReport, commutes_with_diagonal, markov_element
@@ -256,29 +256,22 @@ def _commutator_subgroup(group: FiniteGroup) -> frozenset:
     return closure(seeds, group.identity, group.mul)
 
 
+def _abelianization(group: FiniteGroup) -> tuple[FiniteGroup, list[int]]:
+    """G/[G, G], its cosets in the order of their least members, and the coset of each g."""
+    commutator = _commutator_subgroup(group)
+    least = [min(group.table[g][c] for c in commutator) for g in group.elements()]
+    reps = sorted(set(least))
+    quotient = table_group(reps, lambda a, b: least[group.table[a][b]], f"{group.name}_ab")
+    return quotient, [reps.index(x) for x in least]
+
+
 def _linear_character_reps(group: FiniteGroup) -> tuple[MatrixRep, ...]:
     # The 1x1 reps of the linear characters, pulled back from the
     # abelianization: g acts by chi at the preimage of its coset.
-    commutator = _commutator_subgroup(group)
-    cosets: list[frozenset] = []
-    coset_of = {}
-    for g in group.elements():
-        if g in coset_of:
-            continue
-        coset = frozenset(group.table[g][c] for c in commutator)
-        for x in coset:
-            coset_of[x] = len(cosets)
-        cosets.append(coset)
-    table = []
-    for a in cosets:
-        rep_a = min(a)
-        table.append(
-            [coset_of[group.table[rep_a][min(b)]] for b in cosets]
-        )
-    quotient = FiniteGroup(table, name=f"{group.name}_ab")
+    quotient, coset = _abelianization(group)
     structure = subgroup_structure(quotient, frozenset(quotient.elements()))
     domain, e = structure.domain, structure.domain.exponent
-    points = [structure.preimage(coset_of[g]) for g in group.elements()]
+    points = [structure.preimage(c) for c in coset]
     return tuple(
         MatrixRep(group, [
             Matrix.from_entries(1, 1, [(0, 0, root_of_unity(e, domain.pairing(chi, a)))])
@@ -485,7 +478,7 @@ class BraidedAction:
 
     def __init__(self, rep: MatrixRep, rmatrix: GATensor, power: int, validate: bool = True):
         self.braiding = Braiding(rmatrix)
-        self.braiding.check(rep, power)
+        self.braiding.check(rep)
         self.rep = rep
         self.power = power
         self.braid, self.generators = self.braiding.generators(rep, power)
@@ -564,8 +557,8 @@ class Braiding:
             return swap_is_antipode(self.rmatrix)
         return self.square.is_unit()
 
-    def check(self, rep: MatrixRep, power: int):
-        """Refuse a rep over another group, then a non-unitary R, at every ``power`` (ValueError)."""
+    def check(self, rep: MatrixRep):
+        """Refuse a rep over another group, then a non-unitary R (ValueError)."""
         if self.rmatrix.group != rep.group:
             raise ValueError("representation and R-matrix live over different groups")
         if not self.unitary:
@@ -686,7 +679,7 @@ class Braiding:
             return ClassFunction.constant(group, 1)
         if n == 1:
             return rep.character()
-        self.check(rep, n)
+        self.check(rep)
         self.validate(rep, n)
         self._check_hexagons(n)
         chi = rep.character()
@@ -709,7 +702,7 @@ class Braiding:
         """
         group = rep.group
         u = self.markov_index
-        self.check(rep, p)
+        self.check(rep)
         self._check_hexagons(p)
         center = group.center()
         acted = [group.table[u][z] for z in center]

@@ -38,6 +38,7 @@ from .groups import CATALOG_NAMES
 from .rmatrix import (
     DatumError,
     build_r,
+    check_arity,
     koszul_twist,
     markov_element,
     markov_element_flipped,
@@ -75,44 +76,43 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--group", help="bundled group name or path to a group JSON file")
-        p.add_argument("--datum", help="path to a classification-datum JSON file")
-        p.add_argument("--rmatrix", help="path to a tensor JSON file")
-        p.add_argument("--out", help="write the JSON report here instead of stdout")
+    helps = {
+        "group": "bundled group name or path to a group JSON file",
+        "datum": "path to a classification-datum JSON file",
+        "rmatrix": "path to a tensor JSON file",
+        "out": "write the JSON report here instead of stdout",
+    }
 
-    p = sub.add_parser("classify", help="enumerate and verify all structures on a group")
-    add_common(p)
+    def add_command(command, summary, *options):
+        """A subcommand that parses ``options`` and ``--out``, the only ones it reads."""
+        p = sub.add_parser(command, help=summary)
+        for option in (*options, "out"):
+            p.add_argument(f"--{option}", help=helps[option])
+        return p
+
+    p = add_command("classify", "enumerate and verify all structures on a group", "group")
     p.add_argument("--triangular", action="store_true", help="unitary structures only")
 
-    p = sub.add_parser("verify", help="run the full identity verifier on a tensor")
-    add_common(p)
+    add_command("verify", "run the full identity verifier on a tensor", "group", "datum", "rmatrix")
+    add_command("markov", "Markov element with its structural checks", "group", "datum", "rmatrix")
 
-    p = sub.add_parser("markov", help="Markov element with its structural checks")
-    add_common(p)
+    for command, summary in (
+        ("adams", "twisted Adams operation on the test characters"),
+        ("lambda", "twisted exterior-power operation on the test characters"),
+    ):
+        p = add_command(command, summary, "group")
+        p.add_argument("--u", type=int, default=None, help="central involution (element index)")
+        p.add_argument("--n", type=int, default=1, help="operation degree")
 
-    p = sub.add_parser("adams", help="twisted Adams operation on the test characters")
-    add_common(p)
-    p.add_argument("--u", type=int, default=None, help="central involution (element index)")
-    p.add_argument("--n", type=int, default=1, help="operation degree")
-
-    p = sub.add_parser("lambda", help="twisted exterior-power operation on the test characters")
-    add_common(p)
-    p.add_argument("--u", type=int, default=None, help="central involution (element index)")
-    p.add_argument("--n", type=int, default=1, help="operation degree")
-
-    p = sub.add_parser("exterior", help="braided exterior powers against the Newton recursion")
-    add_common(p)
+    p = add_command(
+        "exterior", "braided exterior powers against the Newton recursion", "group", "datum", "rmatrix"
+    )
     p.add_argument("--n", type=int, default=2, help="exterior power degree")
     p.add_argument("--p", type=int, default=None, help="also run cyclic operations at this prime")
     p.add_argument("--eps", type=int, default=1, help="exponent k of the root zeta_p^k")
 
-    p = sub.add_parser("koszul-twist", help="graded twist of a triangular datum")
-    add_common(p)
-
-    p = sub.add_parser("selftest", help="run the full acceptance suite")
-    add_common(p)
-
+    add_command("koszul-twist", "graded twist of a triangular datum", "group", "datum")
+    add_command("selftest", "run the full acceptance suite")
     return parser
 
 
@@ -158,6 +158,7 @@ def _read(args, path: str, reader):
 def _load_rmatrix(args):
     if args.rmatrix:
         tensor, group = _read(args, args.rmatrix, jsonio.tensor_from_json)
+        check_arity(tensor)  # verify, markov and exterior read R's two legs
         return tensor, group, None
     if args.datum:
         datum, group = _read(args, args.datum, jsonio.datum_from_json)

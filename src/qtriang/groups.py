@@ -3,11 +3,13 @@
 Groups of order at most 64 enter as multiplication tables with 0-based
 element indices; no presentations or permutation-group algorithms are
 used, so every structural question below is answered by exhaustive
-search.  The module also provides finite abelian groups in invariant
-factor coordinates, whose characters are exponent tuples on the dual
-basis, and bimultiplicative forms on those character groups together
-with the nondegeneracy, skewsymmetry and conjugation-invariance
-predicates needed to classify R-matrices.
+search.  ``table_group`` builds a table from element labels, in index
+order, and their product; the catalog constructors state only those.
+The module also provides finite abelian groups in invariant factor
+coordinates, whose characters are exponent tuples on the dual basis, and
+bimultiplicative forms on those character groups together with the
+nondegeneracy, skewsymmetry and conjugation-invariance predicates needed
+to classify R-matrices.
 """
 
 from __future__ import annotations
@@ -210,82 +212,50 @@ class FiniteGroup:
 # ---------------------------------------------------------------------------
 # Constructors for the bundled groups.
 
+def table_group(labels, mul, name: str) -> FiniteGroup:
+    """The group whose element i is ``labels[i]``, ``mul`` multiplying two labels."""
+    labels = list(labels)
+    index = {x: i for i, x in enumerate(labels)}
+    return FiniteGroup([[index[mul(a, b)] for b in labels] for a in labels], name)
+
+
 def cyclic_group(n: int, name: str | None = None) -> FiniteGroup:
-    table = [[(a + b) % n for b in range(n)] for a in range(n)]
-    return FiniteGroup(table, name or f"Z{n}")
+    return table_group(range(n), lambda a, b: (a + b) % n, name or f"Z{n}")
 
 
 def direct_product(g1: FiniteGroup, g2: FiniteGroup, name: str | None = None) -> FiniteGroup:
-    # Element (a, b) gets index a * |g2| + b.
-    n1, n2 = g1.size, g2.size
-    table = []
-    for a1 in range(n1):
-        for a2 in range(n2):
-            row = []
-            for b1 in range(n1):
-                for b2 in range(n2):
-                    row.append(g1.table[a1][b1] * n2 + g2.table[a2][b2])
-            table.append(row)
-    return FiniteGroup(table, name or f"{g1.name}x{g2.name}")
+    t1, t2 = g1.table, g2.table
+    return table_group(
+        itertools.product(g1.elements(), g2.elements()),
+        lambda x, y: (t1[x[0]][y[0]], t2[x[1]][y[1]]),
+        name or f"{g1.name}x{g2.name}",
+    )
 
 
 def symmetric_group(n: int, name: str | None = None) -> FiniteGroup:
+    # Permutations in lexicographic order; (p q)(x) = p(q(x)).
     perms = sorted(itertools.permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
-    table = [
-        [index[tuple(p[q[x]] for x in range(n))] for q in perms]
-        for p in perms
-    ]
-    return FiniteGroup(table, name or f"S{n}")
+    return table_group(perms, lambda p, q: tuple(p[x] for x in q), name or f"S{n}")
 
 
 def dihedral_group(n: int, name: str | None = None) -> FiniteGroup:
-    # Element s^m r^k with index m*n + k; r^k s = s r^(-k).
-    def mul(m1, k1, m2, k2):
-        if m2:
-            return (m1 ^ m2, (-k1 + k2) % n)
-        return (m1, (k1 + k2) % n)
+    # s^m r^k as (m, k); r^k s = s r^(-k).
+    def mul(x, y):
+        (m1, k1), (m2, k2) = x, y
+        return m1 ^ m2, (k2 - k1 if m2 else k1 + k2) % n
 
-    table = []
-    for m1 in range(2):
-        for k1 in range(n):
-            row = []
-            for m2 in range(2):
-                for k2 in range(n):
-                    m, k = mul(m1, k1, m2, k2)
-                    row.append(m * n + k)
-            table.append(row)
-    return FiniteGroup(table, name or f"D{n}")
+    return table_group(itertools.product(range(2), range(n)), mul, name or f"D{n}")
 
 
 def quaternion_group(name: str = "Q8") -> FiniteGroup:
-    # Indices: 1, -1, i, -i, j, -j, k, -k.
-    base = {
-        ("1", "1"): ("1", 1), ("1", "i"): ("i", 1), ("1", "j"): ("j", 1), ("1", "k"): ("k", 1),
-        ("i", "1"): ("i", 1), ("j", "1"): ("j", 1), ("k", "1"): ("k", 1),
-        ("i", "i"): ("1", -1), ("j", "j"): ("1", -1), ("k", "k"): ("1", -1),
-        ("i", "j"): ("k", 1), ("j", "i"): ("k", -1),
-        ("j", "k"): ("i", 1), ("k", "j"): ("i", -1),
-        ("k", "i"): ("j", 1), ("i", "k"): ("j", -1),
-    }
-    units = ["1", "i", "j", "k"]
+    # +-1, +-i, +-j, +-k as (unit, sign bit) with units 1, i, j, k = 0..3: the
+    # unit of a product is the xor of the units, and a product of two of i, j,
+    # k is negative unless it runs i -> j -> k -> i.
+    def mul(x, y):
+        (u, s), (v, t) = x, y
+        return u ^ v, s ^ t ^ bool(u and v and v != u % 3 + 1)
 
-    def decode(idx):
-        return units[idx // 2], -1 if idx % 2 else 1
-
-    def encode(unit, sign):
-        return units.index(unit) * 2 + (0 if sign == 1 else 1)
-
-    table = []
-    for a in range(8):
-        ua, sa = decode(a)
-        row = []
-        for b in range(8):
-            ub, sb = decode(b)
-            uc, sc = base[(ua, ub)]
-            row.append(encode(uc, sa * sb * sc))
-        table.append(row)
-    return FiniteGroup(table, name)
+    return table_group(itertools.product(range(4), range(2)), mul, name)
 
 
 _CATALOG_BUILDERS = {

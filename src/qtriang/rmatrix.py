@@ -311,6 +311,12 @@ def _inverse_or_solve(x: GATensor, guess: GATensor) -> GATensor:
     return x.inverse()
 
 
+def check_arity(candidate: GATensor):
+    """Raise ValueError unless ``candidate`` has arity 2, where R-matrices live."""
+    if candidate.arity != 2:
+        raise ValueError("R-matrices live in arity 2")
+
+
 def verify_qt(candidate: GATensor, products: LegProducts | None = None) -> VerificationReport:
     """Exact check of every quasitriangularity identity for an arity-2 tensor.
 
@@ -332,22 +338,21 @@ def verify_qt(candidate: GATensor, products: LegProducts | None = None) -> Verif
     where that counit is not 1, or for a failing coproduct check's witness.
     (a) If (Delta x I)(R) = R13 R23 and (eps x I)(R) = 1, then (S x I)(R)
     is R's inverse: apply (m (S x id)) x id to the hexagon; the left side gives
-    1 x (eps x I)(R) = 1 x 1, the right side (S x I)(R) R (``Braiding.unitary``
-    reads it too).  Else R (S x I)(R) is tested for the unit, and the solve runs.
+    1 x (eps x I)(R) = 1 x 1, the right side (S x I)(R) R.  By (c) the premise
+    is ``left_partition``, which ``Braiding.unitary`` reads too; where it fails,
+    R (S x I)(R) is tested for the unit, and the solve runs.
     (b) If (Delta x I)(R) = R13 R23 and R commutes with every g x g,
     Yang-Baxter holds: X = (Delta x I)(R) = sum c_ab a x a x b commutes with
     R12 and is fixed by the swap of legs 1 and 2, so R13 R23 = X = R23 R13
     and R12 R13 R23 = R12 X = X R12 = R23 R13 R12 (``yang_baxter_by_hexagon``);
     else both sides are formed and compared.  Every other check is literal,
-    and a tensor with no inverse forms R (S x I)(R), and R13 R23 if its left
-    counit is not the unit.
+    and a tensor with no inverse forms no product but R (S x I)(R).
     """
-    if candidate.arity != 2:
-        raise ValueError("R-matrices live in arity 2")
+    check_arity(candidate)
     products = LegProducts(candidate) if products is None else products
     report = VerificationReport()
     left_antipode = products.antipode
-    if products.left_hexagon and products.left_partition:
+    if products.left_partition:
         inverse = left_antipode
     else:
         try:

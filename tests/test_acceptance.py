@@ -297,10 +297,10 @@ def test_criterion_10_reports_every_datum_of_a_failing_group(monkeypatch):
     for method in ("validate", "check"):
         real = getattr(Braiding, method)
 
-        def raising_on_s3(self, rep, power, real=real):
+        def raising_on_s3(self, rep, *rest, real=real):
             if rep.group.name == "S3":
                 raise ValueError("injected failure")
-            return real(self, rep, power)
+            return real(self, rep, *rest)
 
         monkeypatch.setattr(Braiding, method, raising_on_s3)
         _fails_with(

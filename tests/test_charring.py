@@ -291,6 +291,39 @@ def test_matrix_rep_keeps_its_column_maps():
     assert sign.maps is None
 
 
+def _reference_abelianization(group):
+    # The quotient table as it was hand-built before ``table_group``, kept
+    # verbatim as the reference: cosets numbered in order of first meeting,
+    # each row read at the cosets' least members.
+    commutator = charring._commutator_subgroup(group)
+    cosets: list[frozenset] = []
+    coset_of = {}
+    for g in group.elements():
+        if g in coset_of:
+            continue
+        coset = frozenset(group.table[g][c] for c in commutator)
+        for x in coset:
+            coset_of[x] = len(cosets)
+        cosets.append(coset)
+    table = []
+    for a in cosets:
+        rep_a = min(a)
+        table.append(
+            [coset_of[group.table[rep_a][min(b)]] for b in cosets]
+        )
+    return table, [coset_of[g] for g in group.elements()]
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_abelianization_matches_the_hand_built_quotient(name):
+    group = bundled_group(name)
+    quotient, coset = charring._abelianization(group)
+    table, expected = _reference_abelianization(group)
+    assert quotient.table == tuple(map(tuple, table))
+    assert quotient.name == f"{name}_ab"
+    assert coset == expected
+
+
 def test_linear_characters():
     assert len(linear_characters(bundled_group("Z2xZ2"))) == 4
     assert len(linear_characters(bundled_group("S3"))) == 2  # trivial and parity
@@ -709,15 +742,25 @@ def test_braided_action_rejects_nonunitary():
 def test_braided_action_dimension_cap():
     # ``Braiding.generators`` refuses a tensor power over the cap before it
     # builds anything; ``Braiding.check`` refuses a rep over another group
-    # first, then a non-unitary R, at any power.
+    # first, then a non-unitary R.
     q8 = bundled_group("Q8")
     with pytest.raises(ValueError, match="tensor power dimension 32768 exceeds the cap 4096"):
         BraidedAction(regular_rep(q8), GATensor.unit(q8, 2), 5)
     doubled = Braiding(GATensor.unit(q8, 2).scale(2))
     with pytest.raises(ValueError, match="different groups"):
-        doubled.check(regular_rep(bundled_group("D4")), 5)
+        doubled.check(regular_rep(bundled_group("D4")))
     with pytest.raises(ValueError, match="needs a unitary R-matrix"):
-        doubled.check(regular_rep(q8), 5)
+        doubled.check(regular_rep(q8))
+
+
+@pytest.mark.parametrize("power", [0, 1])
+def test_validate_below_power_two_has_nothing_to_refuse(power):
+    # No braided generator acts on rho^(x)power for power < 2: ``validate``
+    # returns even for a non-unitary R, which ``check`` alone refuses.
+    q8 = bundled_group("Q8")
+    doubled = Braiding(GATensor.unit(q8, 2).scale(2))
+    assert doubled.validate(regular_rep(q8), power) is None
+    assert not doubled.unitary
 
 
 def test_generators_square_to_identity_on_catalog_example():
@@ -1587,7 +1630,7 @@ def test_exterior_fallback_matches_generator_product_reference():
                     expected = _outcome(_reference_checked_exterior_power_char, rep, r, n)
                     if isinstance(expected, tuple):
                         expected = (
-                            _outcome(braiding.check, rep, n) or _outcome(braiding.validate, rep, n)
+                            _outcome(braiding.check, rep) or _outcome(braiding.validate, rep, n)
                         )
                         assert expected is not None, (name, rep.name, n)
                     elif n == 3 and not braiding.report.all_passed:

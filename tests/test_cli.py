@@ -177,6 +177,29 @@ def test_cli_argument_errors_exit_2_with_a_json_error(argv, message, capsys):
     assert captured.err == ""
 
 
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        ("classify", "--datum"),
+        ("classify", "--rmatrix"),
+        ("adams", "--datum"),
+        ("adams", "--rmatrix"),
+        ("lambda", "--datum"),
+        ("lambda", "--rmatrix"),
+        ("koszul-twist", "--rmatrix"),
+        ("selftest", "--group"),
+        ("selftest", "--datum"),
+        ("selftest", "--rmatrix"),
+    ],
+)
+def test_cli_options_a_command_does_not_read_are_argument_errors(command, option, capsys):
+    # Each subcommand parses only the options it reads: a stray one is refused
+    # before any work, as an unknown flag is.
+    assert main([command, option, "x.json"]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == {"kind": "input", "message": f"unrecognized arguments: {option} x.json"}
+
+
 def test_cli_help_still_exits_0_with_its_text(capsys):
     with pytest.raises(SystemExit) as exited:
         main(["--help"])
@@ -216,11 +239,12 @@ def test_cli_verify_corrupted_identity_failure_with_witness(workdir, capsys):
 
 
 def test_cli_verify_of_a_non_invertible_tensor_forms_two_products(workdir, capsys, monkeypatch):
-    # e x e + g x e on Z2 has no inverse.  ``verify`` forms R13 R23 for the
-    # left hexagon, which fails, then R (S x I)(R), which is not the unit,
-    # and stops at ``invertible``: R13 R12 and the Yang-Baxter sides are
-    # never formed (five products when ``Braiding.report`` formed the leg
-    # products and sides before ``verify_qt`` ran).
+    # e x e + g x e on Z2 has no inverse.  Its left slices are no partition
+    # of unity, so ``verify`` forms R (S x I)(R), which is not the unit, and
+    # stops at ``invertible``: R13 R23, R13 R12 and the Yang-Baxter sides are
+    # never formed (two products when the left hexagon was read first, five
+    # when ``Braiding.report`` formed the leg products and sides before
+    # ``verify_qt`` ran).
     z2 = bundled_group("Z2")
     _write(workdir / "singular.json", jsonio.tensor_to_json(GATensor(z2, 2, {(0, 0): 1, (1, 0): 1})))
     arities, real_mul = [], GATensor.__mul__
@@ -235,7 +259,24 @@ def test_cli_verify_of_a_non_invertible_tensor_forms_two_products(workdir, capsy
     assert checks == [
         {"name": "invertible", "passed": False, "witness": {"reason": "no two-sided inverse exists"}}
     ]
-    assert arities == [3, 2]
+    assert arities == [2]
+
+
+@pytest.mark.parametrize("arity", [0, 1, 3])
+def test_cli_tensors_of_another_arity_are_refused_as_verify_refuses_them(workdir, capsys, arity):
+    # verify, markov and exterior refuse the tensor where they read it, with
+    # one invariant error: no IndexError from a missing leg, and no message
+    # from whichever of their steps first meets the wrong arity.
+    key = ((1,) + (0,) * arity)[:arity]
+    _write(workdir / "r.json", jsonio.tensor_to_json(GATensor(bundled_group("Z2"), arity, {key: 1})))
+    outputs = []
+    for command in ("verify", "markov", "exterior"):
+        assert main([command, "--rmatrix", "r.json"]) == 3
+        outputs.append(capsys.readouterr().out)
+    assert json.loads(outputs[0]) == {
+        "error": {"kind": "invariant", "message": "R-matrices live in arity 2"}
+    }
+    assert outputs == [outputs[0]] * 3
 
 
 def test_cli_verify_orders_past_the_cap_are_refused(workdir, capsys):
@@ -391,6 +432,7 @@ _NEGATIVE = "negative exterior powers are not defined"
 _NOT_INVOLUTION = "element {} is not a central involution of {}"
 _NOT_PRIME = "--p {} is not a prime at most 360"
 _PAST_DEGREE_CAP = "--n {} is past the degree cap 10000"
+_NO_SOURCE = "either --rmatrix or --datum is required"
 
 
 @pytest.mark.parametrize(
@@ -410,6 +452,10 @@ _PAST_DEGREE_CAP = "--n {} is past the degree cap 10000"
         (["lambda", "--group", "Z2", "--n", "10" * 6], _PAST_DEGREE_CAP.format("10" * 6)),
         # Refused before the datum is read: absent.json does not exist.
         (["exterior", "--datum", "absent.json", "--n", "10" * 6], _PAST_DEGREE_CAP.format("10" * 6)),
+        (["verify", "--group", "Z2"], _NO_SOURCE),
+        (["markov", "--group", "Z2"], _NO_SOURCE),
+        (["exterior", "--group", "Z2"], _NO_SOURCE),
+        (["koszul-twist", "--group", "Z2"], "koszul-twist needs --datum"),
     ],
 )
 def test_cli_bad_option_values_are_input_errors(workdir, capsys, argv, message):
@@ -548,6 +594,29 @@ def test_cli_out_write_failing_part_way_leaves_the_file_empty(workdir):
     assert error["kind"] == "input"
     assert error["message"].startswith("cannot write out.json: ")
     assert os.path.getsize("out.json") == 0
+
+
+def test_cli_out_failing_after_a_written_fragment_empties_the_file(workdir, capsys, monkeypatch):
+    # In process: the encoder hands the handle one fragment and then fails,
+    # over a file holding older bytes.  The handle's close writes the fragment
+    # over their head; the file is then cut to nothing.
+    (workdir / "out.json").write_text("old report\n" * 100)
+    real = jsonio.canonical_dumps
+
+    def failing(doc, sink=None):
+        if sink is None:
+            return real(doc)
+        sink(["{\n"])
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(jsonio, "canonical_dumps", failing)
+    assert main(["classify", "--group", "Z2", "--out", "out.json"]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == {
+        "kind": "input",
+        "message": "cannot write out.json: [Errno 28] No space left on device",
+    }
+    assert (workdir / "out.json").read_bytes() == b""
 
 
 def test_cli_reuses_one_parser_and_calls_stay_independent(workdir, capsys):

@@ -64,6 +64,125 @@ def test_bundled_groups_match_builders():
         assert hashlib.sha256(table).hexdigest()[:16] == _TABLE_DIGESTS[name]
 
 
+# The constructors as they were before ``table_group``, kept verbatim as the
+# reference: each numbers its elements and fills its table by index arithmetic.
+
+def _reference_cyclic_group(n: int, name: str | None = None) -> FiniteGroup:
+    table = [[(a + b) % n for b in range(n)] for a in range(n)]
+    return FiniteGroup(table, name or f"Z{n}")
+
+
+def _reference_direct_product(g1: FiniteGroup, g2: FiniteGroup, name: str | None = None) -> FiniteGroup:
+    # Element (a, b) gets index a * |g2| + b.
+    n1, n2 = g1.size, g2.size
+    table = []
+    for a1 in range(n1):
+        for a2 in range(n2):
+            row = []
+            for b1 in range(n1):
+                for b2 in range(n2):
+                    row.append(g1.table[a1][b1] * n2 + g2.table[a2][b2])
+            table.append(row)
+    return FiniteGroup(table, name or f"{g1.name}x{g2.name}")
+
+
+def _reference_symmetric_group(n: int, name: str | None = None) -> FiniteGroup:
+    perms = sorted(itertools.permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    table = [
+        [index[tuple(p[q[x]] for x in range(n))] for q in perms]
+        for p in perms
+    ]
+    return FiniteGroup(table, name or f"S{n}")
+
+
+def _reference_dihedral_group(n: int, name: str | None = None) -> FiniteGroup:
+    # Element s^m r^k with index m*n + k; r^k s = s r^(-k).
+    def mul(m1, k1, m2, k2):
+        if m2:
+            return (m1 ^ m2, (-k1 + k2) % n)
+        return (m1, (k1 + k2) % n)
+
+    table = []
+    for m1 in range(2):
+        for k1 in range(n):
+            row = []
+            for m2 in range(2):
+                for k2 in range(n):
+                    m, k = mul(m1, k1, m2, k2)
+                    row.append(m * n + k)
+            table.append(row)
+    return FiniteGroup(table, name or f"D{n}")
+
+
+def _reference_quaternion_group(name: str = "Q8") -> FiniteGroup:
+    # Indices: 1, -1, i, -i, j, -j, k, -k.
+    base = {
+        ("1", "1"): ("1", 1), ("1", "i"): ("i", 1), ("1", "j"): ("j", 1), ("1", "k"): ("k", 1),
+        ("i", "1"): ("i", 1), ("j", "1"): ("j", 1), ("k", "1"): ("k", 1),
+        ("i", "i"): ("1", -1), ("j", "j"): ("1", -1), ("k", "k"): ("1", -1),
+        ("i", "j"): ("k", 1), ("j", "i"): ("k", -1),
+        ("j", "k"): ("i", 1), ("k", "j"): ("i", -1),
+        ("k", "i"): ("j", 1), ("i", "k"): ("j", -1),
+    }
+    units = ["1", "i", "j", "k"]
+
+    def decode(idx):
+        return units[idx // 2], -1 if idx % 2 else 1
+
+    def encode(unit, sign):
+        return units.index(unit) * 2 + (0 if sign == 1 else 1)
+
+    table = []
+    for a in range(8):
+        ua, sa = decode(a)
+        row = []
+        for b in range(8):
+            ub, sb = decode(b)
+            uc, sc = base[(ua, ub)]
+            row.append(encode(uc, sa * sb * sc))
+        table.append(row)
+    return FiniteGroup(table, name)
+
+
+def _reference_catalog_group(name: str) -> FiniteGroup:
+    z = _reference_cyclic_group
+    return {
+        "Z2": lambda: z(2),
+        "Z3": lambda: z(3),
+        "Z4": lambda: z(4),
+        "Z2xZ2": lambda: _reference_direct_product(z(2), z(2)),
+        "S3": lambda: _reference_symmetric_group(3),
+        "D4": lambda: _reference_dihedral_group(4),
+        "Q8": _reference_quaternion_group,
+    }[name]()
+
+
+def _same_group(built: FiniteGroup, reference: FiniteGroup) -> bool:
+    return (built.table, built.name) == (reference.table, reference.name)
+
+
+def test_table_group_constructors_match_the_index_arithmetic_reference():
+    for n in range(1, 13):
+        assert _same_group(cyclic_group(n), _reference_cyclic_group(n)), n
+    for n in range(3, 9):
+        assert _same_group(dihedral_group(n), _reference_dihedral_group(n)), n
+    for n in (3, 4):
+        assert _same_group(symmetric_group(n), _reference_symmetric_group(n)), n
+    assert _same_group(quaternion_group(), _reference_quaternion_group())
+    reference = _factor_test_groups(
+        _reference_cyclic_group,
+        _reference_direct_product,
+        _reference_symmetric_group,
+        _reference_dihedral_group,
+        _reference_catalog_group,
+    )
+    built = _factor_test_groups()
+    assert len(built) == len(reference) == 20
+    for group, expected in zip(built, reference):
+        assert _same_group(group, expected), expected.name
+
+
 def test_invalid_tables_rejected():
     with pytest.raises(ValueError):
         FiniteGroup([[0, 1], [1, 1]])  # not a Latin square
@@ -277,15 +396,16 @@ def _reference_invariant_factors(group: FiniteGroup, subgroup: frozenset) -> tup
     return tuple(reversed(descending))
 
 
-def _factor_test_groups():
-    z, x = cyclic_group, direct_product
+def _factor_test_groups(
+    z=cyclic_group, x=direct_product, s=symmetric_group, d=dihedral_group, catalog=bundled_group
+):
     return [
-        *(bundled_group(name) for name in CATALOG_NAMES),
+        *(catalog(name) for name in CATALOG_NAMES),
         z(8),
         x(z(4), z(2)),
         x(x(z(2), z(2)), z(2)),
-        x(z(3), symmetric_group(3)),
-        dihedral_group(6),
+        x(z(3), s(3)),
+        d(6),
         z(12),
         x(z(4), z(4)),
         x(x(z(4), z(4)), z(4)),
