@@ -101,7 +101,9 @@ def _enumerate_data(group: FiniteGroup) -> list[QTDatum]:
     count = sum(len(rights) * len(forms) for _, _, rights, forms in plan)
     if count > DATA_CAP:
         raise DataCapError(f"{group.name} has {count} classification data, past the cap {DATA_CAP}")
-    return [QTDatum(group, domain, left, right, beta)
+    # Each datum's eight checks were decided above: normality by
+    # ``normal_inclusions``, the rest by the filters of ``plan``.
+    return [QTDatum._checked(group, domain, left, right, beta)
             for domain, left, rights, forms in plan for right in rights for beta in forms]
 
 

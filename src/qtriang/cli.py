@@ -173,14 +173,29 @@ def _cmd_classify(args):
     # A dedup class's members store one element bit-identically and share its
     # checks, so its part of each entry is built once and the same objects
     # are referenced by every member: canonical_dumps encodes them at their
-    # first and second meetings and reuses the text after.
+    # first and second meetings and reuses the text after.  Across classes, a
+    # report with no witness is written from its (name, passed) pairs alone,
+    # and equal Markov elements are written alike (each value at its least
+    # order), so equal ones share a record.
     entries = [None] * len(catalog)
+    records: dict = {}  # a report's key and a Markov element's never compare equal
+
+    def record(key, encode, value):
+        if key not in records:
+            records[key] = encode(value)
+        return records[key]
+
     for cls, members in enumerate(catalog.dedup):
         structure = catalog.structures[members[0]]
+        report, u = structure.report, structure.markov
+        checks = report.checks
+        # A report with a witness is keyed by itself, so it keeps its own record.
+        key = tuple((c.name, c.passed) for c in checks) if all(
+            c.witness is None for c in checks) else report
         shared = {
             "rmatrix": jsonio.tensor_to_json(structure.rmatrix),
-            "verification": jsonio.report_to_json(structure.report),
-            "markov": jsonio.tensor_to_json(structure.markov),
+            "verification": record(key, jsonio.report_to_json, report),
+            "markov": record(u, jsonio.tensor_to_json, u),
             "unitary": structure.unitary,
             "dedup_class": cls,
         }

@@ -241,6 +241,8 @@ def group_to_json(group: FiniteGroup) -> dict:
 
 
 def group_from_json(doc: dict) -> FiniteGroup:
+    if "name" in doc and type(doc["name"]) is not str:
+        raise MalformedDocument(f"'name' must be a string, got {doc['name']!r}")
     if "abelian" in doc:
         factors = doc["abelian"]
         if type(factors) is not list or any(type(n) is not int for n in factors):

@@ -21,9 +21,14 @@ left slices r_a sum to 1 and each squares to itself, which decides the left
 hexagon, is timed against the product R13 R23 it replaces, and likewise on
 the first 16-term Q8 structure; both are at order 4.  ``verify_qt`` is also timed over
 all 44 distinct structures of the seven catalogs, one R per dedup class, as
-one ``classify`` pass checks them.  A fresh ``Braiding`` of the first
-16-term D4 structure is timed reading its report, then its unitarity, in
-the order ``classify`` reads them.
+one ``classify`` pass checks them; each call builds a fresh ``LegProducts``,
+so every round decides both partitions of unity again.  On those 44 the
+counit and antipode checks are read off R's rows (facts (d) and (e)), and
+the 44 mix orders 1 to 4, where the single-structure cases are all 16- or
+4-term.  A fresh ``Braiding`` per structure is timed over the same 44,
+reading its report, unitarity and Markov element as ``classify`` does, and
+a fresh ``Braiding`` of the first 16-term D4 structure reading its report,
+then its unitarity.
 """
 
 import pytest
@@ -71,14 +76,29 @@ def test_left_hexagon_side_d4(benchmark, name, side):
         assert benchmark(r13.__mul__, r23) == r.coproduct(1)
 
 
-def test_verify_qt_every_distinct_structure(benchmark):
+def _distinct_structures():
     rmats = []
     for name in CATALOG_NAMES:
         catalog = qt_catalog(name)
         rmats += [catalog.structures[members[0]].rmatrix for members in catalog.dedup]
     assert len(rmats) == 44
-    reports = benchmark(lambda: [verify_qt(r) for r in rmats])
+    return rmats
+
+
+def test_verify_qt_every_distinct_structure(benchmark):
+    rmats = _distinct_structures()
+    reports = benchmark(lambda: [verify_qt(r, LegProducts(r)) for r in rmats])
     assert all(report.all_passed for report in reports)
+
+
+def test_braiding_every_distinct_structure(benchmark):
+    rmats = _distinct_structures()
+
+    def read():
+        braidings = [Braiding(r) for r in rmats]
+        return [(b.report.all_passed, b.unitary, b.markov) for b in braidings]
+
+    assert all(passed for passed, _, _ in benchmark(read))
 
 
 def test_braiding_report_then_unitary_d4(benchmark):

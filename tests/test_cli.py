@@ -795,6 +795,21 @@ def test_cli_abelian_shorthand_is_capped_before_any_table(
     assert message in json.loads(capsys.readouterr().out)["error"]["message"]
 
 
+@pytest.mark.parametrize("name", [["a"], {"k": [1]}, 5, None], ids=["list", "object", "int", "null"])
+@pytest.mark.parametrize(
+    "group", [{"abelian": [2]}, jsonio.group_to_json(bundled_group("Z2"))], ids=["abelian", "table"]
+)
+def test_cli_group_file_name_must_be_a_string(workdir, capsys, group, name):
+    # The name is written as every document's "group": a name that is no
+    # str is an input error in both file forms, not a document's group.
+    _write(workdir / "grp.json", dict(group, name=name))
+    for argv in (["classify"], ["adams"], ["lambda", "--n", "2"]):
+        assert main([*argv, "--group", "grp.json"]) == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["kind"] == "input"
+        assert f"'name' must be a string, got {name!r}" in error["message"]
+
+
 def test_cli_exterior_rejects_nonunitary(workdir, capsys):
     s3 = bundled_group("S3")
     a3 = AbelianGroup((3,))

@@ -19,6 +19,7 @@ from functools import lru_cache
 
 import pytest
 
+from qtriang import jsonio
 from qtriang.classify import _catalog, _enumerate_data
 from qtriang.cyclotomic import CycScalar, root_power_table
 from qtriang.groups import (
@@ -34,7 +35,7 @@ from qtriang.groups import (
     same_module_structure,
 )
 from qtriang.hopf import GATensor
-from qtriang.rmatrix import _character_sum, koszul_twist
+from qtriang.rmatrix import QTDatum, _character_sum, koszul_twist
 
 EXTRA = ("Z6", "Z8", "Z4xZ2", "D6", "A4")
 # (data, dedup classes) on the groups beyond the catalog.
@@ -51,10 +52,19 @@ def _is_even(perm):
     return sum(a > b for a, b in itertools.combinations(perm, 2)) % 2 == 0
 
 
+# The group files that the classify and group tests read.
+GROUP_FILES = {
+    "Z2xZ4-file": {"abelian": [2, 4]},
+    "D3-file": {"name": "D3", "table": [list(row) for row in dihedral_group(3).table]},
+}
+
+
 @lru_cache(maxsize=None)
 def _group(name):
     if name in CATALOG_NAMES:
         return bundled_group(name)
+    if name in GROUP_FILES:
+        return jsonio.group_from_json(GROUP_FILES[name])
     return {
         "Z6": lambda: cyclic_group(6),
         "Z8": lambda: cyclic_group(8),
@@ -174,6 +184,21 @@ def _stored_form(tensor):
 
 def _shapes(name):
     return list(dict.fromkeys(d.domain for d in _data(name)))
+
+
+@pytest.mark.parametrize("name", [*CATALOG_NAMES, *EXTRA, *GROUP_FILES])
+def test_every_enumerated_datum_validates(name, monkeypatch):
+    # The enumeration decides each datum's invariants from its inclusions and
+    # forms and builds it without ``validate``; ``validate`` agrees on each.
+    def no_validate(datum):
+        raise AssertionError("an enumerated datum was validated again")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(QTDatum, "validate", no_validate)
+        data = _enumerate_data(_group(name))
+    assert len(data) == len(_data(name)) > 0
+    for datum in data:
+        datum.validate()
 
 
 @pytest.mark.parametrize("name", [*CATALOG_NAMES, *EXTRA])

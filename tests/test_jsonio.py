@@ -379,6 +379,12 @@ def test_classify_report_matches_per_datum_build(name, triangular):
     for members in doc["dedup_classes"]:
         first = doc["entries"][members[0]]
         assert all(doc["entries"][m]["rmatrix"] is first["rmatrix"] for m in members)
+    # Every structure passes every check, so its classes share one
+    # verification record; equal Markov elements share one record too.
+    entries = doc["entries"]
+    assert all(entry["verification"] is entries[0]["verification"] for entry in entries)
+    markovs = {id(entry["markov"]): entry["markov"] for entry in entries}
+    assert len(markovs) == len({json.dumps(m) for m in markovs.values()})
     expected = _oracle(_reference_classify_doc(bundled_group(name), triangular))
     assert jsonio.canonical_dumps(doc) == expected
 

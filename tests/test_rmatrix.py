@@ -365,6 +365,27 @@ def test_koszul_twist_diagonals_agree_on_every_triangular_datum():
                 assert datum.beta.exponent_of(chi, chi) == result.beta_u.exponent_of(chi, chi)
 
 
+def test_twist_commutation_matches_the_literal_products():
+    # ``commutes_with_markov_pair`` is read off the twist's rows by
+    # ``commutes_with_diagonal``; (u x u) F and F (u x u) are formed only for
+    # a failure's witness.  A real u is central, so every g of the group
+    # stands in for u here, and the non-central ones reach the failing route.
+    outcomes = set()
+    for name in CATALOG_NAMES:
+        for datum in triangular_catalog(name).data:
+            r = build_r(datum)
+            result = koszul_twist(datum, r, markov_element(r))
+            group, twist = datum.group, result.twist
+            for g in group.elements():
+                report = rmatrix._twist_report(datum, r, result.base, g, twist)
+                gg = GATensor.basis(group, g, g)
+                witness = difference_witness(gg * twist, twist * gg)
+                check = report["commutes_with_markov_pair"]
+                assert (check.passed, check.witness) == (witness is None, witness)
+                outcomes.add(check.passed)
+    assert outcomes == {False, True}
+
+
 def test_cross_inclusion_datum_builds_valid_element():
     # distinct images for the two inclusions still give a verified structure
     g = bundled_group("Z2xZ2")
@@ -833,11 +854,40 @@ def _s3_hexagon_not_invariant():
     return GATensor(s3, 2, {(e, e): half, (e, 2): half, (1, e): half, (1, 2): -half})
 
 
+def _z3_slices_not_fixed_by_the_antipodes():
+    """R = 1 x e_1 + h x e_0 + h^2 x e_2 on Z3, e_k = (1/3) sum_j w^(-jk) h^j, w = zeta_3.
+
+    Its left slices e_1, e_0, e_2 are idempotents summing to 1, so (S x I)(R)
+    is its inverse (fact (a)), but S(e_k) = e_(-k): (S x S)(R) != R, and
+    (I x eps)(R) = h.  So ``antipode_right``, ``antipode_both`` and
+    ``counit_right`` fail with the literal witnesses (fact (e) fails).
+    """
+    z3 = bundled_group("Z3")
+    h = next(g for g in z3.elements() if g != z3.identity)  # either one generates Z3
+    powers = [z3.identity, h, z3.table[h][h]]
+    terms = {}
+    for a, k in zip(powers, (1, 0, 2)):
+        for j, b in enumerate(powers):
+            terms[a, b] = root_of_unity(3, -j * k % 3) * CycScalar.rational(Fraction(1, 3))
+    return GATensor(z3, 2, terms)
+
+
+def _right_slices_sum_to_one(r):
+    """R with 1/2 e x e moved to e x x, x the last element: (I x eps)(R) stays 1,
+    but R's right slices are no longer all idempotent (leg 2 of fact (c))."""
+    group = r.group
+    e, x = group.identity, group.size - 1
+    return r + GATensor(group, 2, {(e, x): Fraction(1, 2), (e, e): Fraction(-1, 2)})
+
+
 @pytest.mark.parametrize("name", CATALOG_NAMES)
 def test_verify_qt_matches_reference(name, monkeypatch):
     # Every distinct R of the catalog, its perturbations, random sparse
     # tensors and, on S3, a tensor that passes the left hexagon but not
-    # invariance: names, flags and witnesses agree check by check.
+    # invariance: names, flags and witnesses agree check by check.  So do
+    # the fallbacks of facts (d) and (e): a tensor whose right slices sum to
+    # 1 without being idempotent, and on Z3 one whose left slices are a
+    # partition of unity but whose rows are not fixed by S x S.
     sides = _record_one_sided_inverses(monkeypatch)
     catalog = qt_catalog(name)
     group = catalog.data[0].group
@@ -857,6 +907,14 @@ def test_verify_qt_matches_reference(name, monkeypatch):
     if name == "S3":
         candidates.append(_s3_hexagon_not_invariant())
         routes.append("hexagon")
+    first = catalog.structures[catalog.dedup[0][0]].rmatrix
+    moved = _right_slices_sum_to_one(first)
+    assert moved.counit(2).is_unit() and not LegProducts(moved).right_partition
+    candidates.append(moved)
+    routes.append("fallback")
+    if name == "Z3":
+        candidates.append(_z3_slices_not_fixed_by_the_antipodes())
+        routes.append("hexagon")
     failing, taken = set(), []
     for candidate in candidates:
         tested = len(sides)
@@ -868,6 +926,11 @@ def test_verify_qt_matches_reference(name, monkeypatch):
             guess = candidate.antipode(1)
             assert (candidate * guess).is_unit() and (guess * candidate).is_unit()
     assert taken == routes
+    if name == "Z3":
+        report = verify_qt(candidates[-1])
+        assert report["invertible"].passed and report["antipode_left"].passed
+        failed = [c.name for c in report.failed()]
+        assert {"counit_right", "antipode_right", "antipode_both"} <= set(failed)
     assert {"coproduct_on_right_leg", "coproduct_on_left_leg", "invertible"} <= failing
     assert all(LegProducts(c).left_hexagon for c in candidates[4:6])
     # k[G]^3 is commutative for abelian G, so there every tensor solves Yang-Baxter.
@@ -1006,6 +1069,9 @@ def test_verify_qt_forms_no_product_on_a_catalog_structure(monkeypatch):
     # Fact (c) decides both coproduct checks, and (a) and (b) the inverse
     # and Yang-Baxter, so no GATensor product is formed on any of the 44
     # distinct structures (two each when R13 R23 and R13 R12 were formed).
+    # Facts (d) and (e) decide the counits and antipodes on R's rows: no
+    # counit tensor, no (I x S)(R) and no (S x S)(R); (S x I)(R) is R's
+    # inverse and is still formed.
     rmats = []
     for name in CATALOG_NAMES:
         catalog = qt_catalog(name)
@@ -1015,7 +1081,18 @@ def test_verify_qt_forms_no_product_on_a_catalog_structure(monkeypatch):
     def no_product(*args):
         raise AssertionError("a GATensor product was formed")
 
+    def no_counit(*args):
+        raise AssertionError("a counit tensor was formed")
+
+    antipode = GATensor.antipode
+
+    def left_antipode_only(self, leg):
+        assert leg == 1, "an antipode on leg 2 was formed"
+        return antipode(self, leg)
+
     monkeypatch.setattr(GATensor, "__mul__", no_product)
+    monkeypatch.setattr(GATensor, "counit", no_counit)
+    monkeypatch.setattr(GATensor, "antipode", left_antipode_only)
     assert all(verify_qt(r).all_passed for r in rmats)
 
 
